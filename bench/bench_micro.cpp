@@ -149,6 +149,9 @@ void run_end_to_end() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  srcache::bench::print_header(
+      "Microbenchmarks + end-to-end SRC sample",
+      "component costs behind every table (no paper counterpart)");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   run_end_to_end();

@@ -1,44 +1,16 @@
 // Shared experiment rig for the bench binaries.
 //
 // Every bench reproduces one table or figure of the paper at a configurable
-// scale: REPRO_SCALE (default 0.25) multiplies device capacities, erase
-// groups, cache regions and workload footprints together, preserving every
-// pressure ratio (cache/working-set, OPS fraction, segments per SG);
-// REPRO_SECONDS (default 10) sets the measured virtual duration per point
-// (the paper measures 10 wall-clock minutes; virtual seconds only change
-// statistical noise, not the shape).
-//
-// Observability hooks:
-//   REPRO_JSON=<path>   also write every reported run (paper metrics,
-//                       latency percentiles, metrics-registry delta) as one
-//                       JSON document — see workload/report.hpp.
-//   REPRO_TRACE=<path>  record a Chrome trace-event timeline of the runs
-//                       executed through run_group(SrcRig&, ...).
-//   REPRO_SPAN_SAMPLE=<rate in [0,1]>  head-sample that fraction of measured
-//                       ops into causal op-span trees (obs/span.hpp): the
-//                       sampled ops' full descent — cache lookup, segment
-//                       fill, destage, RAID stripe strategy, per-die NAND
-//                       phases, backend fetch — lands in the REPRO_JSON
-//                       "spans" block and (with REPRO_TRACE) as nested Chrome
-//                       slices with flow arrows. Deterministic per shard
-//                       domain: the merged aggregate is bit-identical across
-//                       REPRO_SHARDS/REPRO_THREADS.
-//   REPRO_SLO_MBPS / REPRO_SLO_READ_P99_MS / REPRO_SLO_WRITE_P99_MS /
-//   REPRO_SLO_MAX_DEGRADED / REPRO_SLO_BUDGET  arm the epoch SLO watchdog
-//                       (obs/slo.hpp) on engine-driven runs: each epoch
-//                       barrier is judged against the targets and the
-//                       verdicts land in the REPRO_JSON "slo" block
-//                       (inspect with tools/repro_report --slo).
-//   REPRO_FAULT_PLAN=<plan>  arm a scripted fault schedule (fault/
-//                       fault_plan.hpp syntax) on every engine domain of a
-//                       run_group_sharded bench; `replace`/`spare` actions
-//                       route to a per-domain background rebuild engine
-//                       (raid/rebuild.hpp) whose outcome lands in the
-//                       REPRO_JSON "rebuild" block.
-//   REPRO_REBUILD_MBPS / REPRO_REBUILD_SPARES  rate-limit the background
-//                       reconstruction stream / size the hot-spare pool.
+// scale: REPRO_SCALE multiplies device capacities, erase groups, cache
+// regions and workload footprints together, preserving every pressure ratio
+// (cache/working-set, OPS fraction, segments per SG). REPRO_SECONDS sets the
+// virtual window per point; the paper measures 10 wall-clock minutes, but
+// virtual seconds change only statistical noise, not the shape. Every
+// REPRO_* knob is one row of kKnobs below (name, type, range, default,
+// depends-on, doc); print_header() checks them all before any run.
 #pragma once
 
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -46,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "baselines/bcache_like.hpp"
@@ -72,56 +45,238 @@
 
 namespace srcache::bench {
 
-// Strict env-knob parsing: a typo'd REPRO_SCALE=0,5 or REPRO_SECONDS=10x
-// must abort with a clear message, not silently run the wrong experiment
-// (atof would read them as 0 and 10). The whole value must parse as a finite
-// number within [lo, hi].
-inline double env_knob(const char* name, double fallback, double lo,
-                       double hi) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (errno != 0 || end == s || *end != '\0' || !std::isfinite(v) || v < lo ||
-      v > hi) {
-    std::fprintf(stderr,
-                 "%s=\"%s\" is not a number in [%g, %g]; "
-                 "refusing to run with a misconfigured knob\n",
-                 name, s, lo, hi);
-    std::exit(2);
+// --- REPRO_* knob table ----------------------------------------------------
+
+// One environment knob, parsed strictly by type: a typo'd REPRO_SCALE=0,5
+// must abort, not silently run the wrong experiment. `def` is the default
+// as knob text (nullptr = unset); a knob is on when set to anything else.
+// Setting a knob while all its `depends` parents ('/'-separated) are off
+// would be silently ignored, so it is refused.
+struct Knob {
+  enum Type { kFloat, kInt, kPath, kEviction, kAdmission, kFaultPlan };
+  const char* name;
+  Type type;
+  double lo, hi;  // accepted range of kFloat/kInt values
+  const char* def;
+  const char* depends;
+  const char* doc;
+};
+
+// The single declaration of every REPRO_* knob. EXPERIMENTS.md's "REPRO_*
+// knob reference" mirrors it row for row (tests/knob_table_test.cpp).
+// clang-format off
+inline constexpr std::array<Knob, 24> kKnobs = {{
+    {"REPRO_SCALE", Knob::kFloat, 1e-3, 64, "0.25", nullptr,
+     "geometry/footprint scale factor vs the paper's testbed"},
+    {"REPRO_SECONDS", Knob::kFloat, 1e-3, 86400, "10", nullptr,
+     "virtual measurement-window length per run"},
+    {"REPRO_JSON", Knob::kPath, 0, 0, nullptr, nullptr,
+     "write all measured runs as one JSON document (workload/report.hpp)"},
+    {"REPRO_TRACE", Knob::kPath, 0, 0, nullptr, nullptr,
+     "write a Chrome trace-event timeline of the SRC runs"},
+    {"REPRO_TIMESERIES_MS", Knob::kFloat, 0, 1e9, "0", "REPRO_JSON",
+     "fixed-interval time-series sampling embedded per run"},
+    {"REPRO_EPOCH_MS", Knob::kFloat, 1, 1e9, "1000", nullptr,
+     "adaptive-partition epoch length (bench_multitenant)"},
+    {"REPRO_SHARDS_RATE", Knob::kFloat, 1e-4, 1, "0.1", nullptr,
+     "SHARDS spatial sampling rate of the MRC profilers"},
+    {"REPRO_SHARDS", Knob::kInt, 1, 256, "1", nullptr,
+     "engine execution lanes over the fixed kEngineDomains partition"},
+    {"REPRO_THREADS", Knob::kInt, 0, 256, "0", nullptr,
+     "worker-pool cap; 0 = min(lanes, hardware threads)"},
+    {"REPRO_POLICY", Knob::kEviction, 0, 0, "paper", nullptr,
+     "GC replacement policy (src/policy) for the single-policy benches"},
+    {"REPRO_ADMIT", Knob::kAdmission, 0, 0, "always", nullptr,
+     "read-miss fill admission policy for the single-policy benches"},
+    {"REPRO_SPAN_SAMPLE", Knob::kFloat, 0, 1, "0", nullptr,
+     "op-span head-sampling rate (obs/span.hpp)"},
+    {"REPRO_SLO_MBPS", Knob::kFloat, 0, 1e9, "0", nullptr,
+     "SLO floor: per-epoch throughput (MB/s)"},
+    {"REPRO_SLO_READ_P99_MS", Knob::kFloat, 0, 1e9, "0", nullptr,
+     "SLO ceiling: per-epoch read p99 (ms)"},
+    {"REPRO_SLO_WRITE_P99_MS", Knob::kFloat, 0, 1e9, "0", nullptr,
+     "SLO ceiling: per-epoch write p99 (ms)"},
+    {"REPRO_SLO_MAX_DEGRADED", Knob::kInt, 0, 256, nullptr, nullptr,
+     "tolerated degraded domains per epoch"},
+    {"REPRO_SLO_BUDGET", Knob::kFloat, 0, 1, "0.1",
+     "REPRO_SLO_MBPS/REPRO_SLO_READ_P99_MS/REPRO_SLO_WRITE_P99_MS/"
+     "REPRO_SLO_MAX_DEGRADED",
+     "error budget: fraction of epochs allowed to violate"},
+    {"REPRO_FAULT_PLAN", Knob::kFaultPlan, 0, 0, nullptr, nullptr,
+     "scripted fault schedule per engine domain (fault/fault_plan.hpp)"},
+    {"REPRO_REBUILD_MBPS", Knob::kFloat, 1e-3, 1e6, "256", "REPRO_FAULT_PLAN",
+     "background hot-spare rebuild copy-rate limit (MB/s)"},
+    {"REPRO_REBUILD_SPARES", Knob::kInt, 0, 255, "1", "REPRO_FAULT_PLAN",
+     "initial hot-spare pool per domain array"},
+    {"REPRO_TIER_MB", Knob::kInt, 0, 1048576, "0", nullptr,
+     "compressed DRAM tier budget across all domains; 0 = no tier"},
+    {"REPRO_TIER_POLICY", Knob::kEviction, 0, 0, "paper", "REPRO_TIER_MB",
+     "tier eviction policy (second chance over the FIFO walk)"},
+    {"REPRO_TIER_DIRTY_PCT", Knob::kInt, 0, 100, "50", "REPRO_TIER_MB",
+     "max dirty share of the tier budget before write-back destaging"},
+    {"REPRO_TIER_CPU_NSPB", Knob::kFloat, 0, 1000, "1.0", "REPRO_TIER_MB",
+     "simulated compression CPU cost; decompression charges half"},
+}};
+// clang-format on
+
+// A knob name checked against kKnobs at compile time.
+struct KnobId {
+  size_t index;
+  consteval KnobId(const char* name) : index(0) {
+    while (std::string_view(kKnobs.at(index).name) != name) ++index;
   }
-  return v;
+};
+
+struct KnobValue {
+  bool set = false;  // non-empty in the environment
+  double num = 0.0;  // kFloat/kInt value; enum ordinal of the policy kinds
+  std::string text;  // the environment value, or the default
+};
+
+template <typename... Args>
+std::string knob_message(const char* fmt, Args... args) {
+  std::string s(static_cast<size_t>(std::snprintf(nullptr, 0, fmt, args...)),
+                '\0');
+  std::snprintf(s.data(), s.size() + 1, fmt, args...);
+  return s;
 }
 
-// Integer variant of env_knob, same philosophy: the whole value must parse
-// as an integer in [lo, hi] or the bench refuses to run.
-inline u32 env_knob_u32(const char* name, u32 fallback, u32 lo, u32 hi) {
-  const char* s = std::getenv(name);
-  if (s == nullptr || *s == '\0') return fallback;
-  errno = 0;
+// Parses `text` as a value of `k` into `out`: "" on success, else the error.
+inline std::string parse_knob(const Knob& k, const char* text,
+                              KnobValue& out) {
+  out.text = text;
+  const auto refuse = [&](const std::string& want) {
+    return knob_message(
+        "%s=\"%s\" is not %s; refusing to run with a misconfigured knob",
+        k.name, text, want.c_str());
+  };
+  const auto kind = [&](auto parsed, const char* names) {
+    if (!parsed) return refuse(names);
+    out.num = static_cast<double>(*parsed);
+    return std::string();
+  };
+  const bool is_int = k.type == Knob::kInt;
   char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < static_cast<long>(lo) ||
-      v > static_cast<long>(hi)) {
-    std::fprintf(stderr,
-                 "%s=\"%s\" is not an integer in [%u, %u]; "
-                 "refusing to run with a misconfigured knob\n",
-                 name, s, lo, hi);
-    std::exit(2);
+  errno = 0;
+  switch (k.type) {
+    case Knob::kFloat:
+    case Knob::kInt:
+      out.num = is_int ? static_cast<double>(std::strtol(text, &end, 10))
+                       : std::strtod(text, &end);
+      if (errno != 0 || end == text || *end != '\0' ||
+          !std::isfinite(out.num) || out.num < k.lo || out.num > k.hi)
+        return refuse(knob_message(
+            is_int ? "an integer in [%.0f, %.0f]" : "a number in [%g, %g]",
+            k.lo, k.hi));
+      return "";
+    case Knob::kPath:
+      return "";
+    case Knob::kEviction:
+      return kind(policy::parse_eviction(text),
+                  "one of {paper, s3fifo, sieve}");
+    case Knob::kAdmission:
+      return kind(policy::parse_admission(text), "one of {always, ghost}");
+    case Knob::kFaultPlan: {
+      const auto plan = fault::FaultPlan::parse(text);
+      return plan.is_ok() ? "" : refuse("a plan: " + plan.status().to_string());
+    }
   }
-  return static_cast<u32>(v);
+  return "";
 }
 
-inline double scale() {
-  static const double k = env_knob("REPRO_SCALE", 0.25, 1e-3, 64.0);
-  return k;
+// Every knob resolved from one environment, plus the first configuration
+// error ("" when the whole set is valid).
+struct KnobSet {
+  std::array<KnobValue, kKnobs.size()> v;
+  std::string error;
+
+  [[nodiscard]] const KnobValue& operator[](KnobId id) const {
+    return v[id.index];
+  }
+  [[nodiscard]] bool on(size_t i) const {
+    if (!v[i].set || kKnobs[i].def == nullptr) return v[i].set;
+    KnobValue def;
+    parse_knob(kKnobs[i], kKnobs[i].def, def);
+    return v[i].num != def.num;
+  }
+};
+
+// Parses and cross-checks every knob; an empty value counts as unset.
+inline KnobSet resolve_knobs(
+    const std::function<const char*(const char* name)>& env) {
+  KnobSet ks;
+  for (size_t i = 0; i < kKnobs.size(); ++i) {
+    const char* s = env(kKnobs[i].name);
+    ks.v[i].set = s != nullptr && *s != '\0';
+    const char* text = ks.v[i].set ? s : kKnobs[i].def;
+    if (text != nullptr && ks.error.empty())
+      ks.error = parse_knob(kKnobs[i], text, ks.v[i]);
+  }
+  if (!ks.error.empty()) return ks;
+  for (size_t i = 0; i < kKnobs.size(); ++i) {
+    if (kKnobs[i].depends == nullptr || !ks.v[i].set) continue;
+    const std::string parents = "/" + std::string(kKnobs[i].depends) + "/";
+    bool parent_on = false;
+    for (size_t j = 0; j < kKnobs.size(); ++j) {
+      const std::string slot = "/" + std::string(kKnobs[j].name) + "/";
+      if (ks.on(j) && parents.find(slot) != std::string::npos) parent_on = true;
+    }
+    if (!parent_on) {
+      ks.error = knob_message(
+          "%s is set but %s is unset or off, so it would be silently ignored",
+          kKnobs[i].name, kKnobs[i].depends);
+      return ks;
+    }
+  }
+  const KnobValue& json = ks["REPRO_JSON"];
+  const KnobValue& trace = ks["REPRO_TRACE"];
+  const double threads = ks["REPRO_THREADS"].num;
+  const double shards = ks["REPRO_SHARDS"].num;
+  if (json.set && trace.set && json.text == trace.text) {
+    ks.error = "REPRO_JSON and REPRO_TRACE both name " + json.text +
+               ": the two outputs would overwrite each other";
+  } else if (static_cast<sim::SimTime>(ks["REPRO_TIMESERIES_MS"].num * 1e6) >
+             static_cast<sim::SimTime>(ks["REPRO_SECONDS"].num * 1e9)) {
+    ks.error =
+        "REPRO_TIMESERIES_MS exceeds REPRO_SECONDS: no interval would close";
+  } else if (threads > 0 && (threads > shards || shards == 1)) {
+    ks.error = "REPRO_THREADS must be 0 with one shard, else <= REPRO_SHARDS";
+  }
+  return ks;
 }
 
+// The process environment's knobs, resolved on first use. print_header()
+// refuses to run when they are invalid.
+inline const KnobSet& knobs() {
+  static const KnobSet ks =
+      resolve_knobs([](const char* name) { return std::getenv(name); });
+  return ks;
+}
+
+inline double knob_num(KnobId id) { return knobs()[id].num; }
+// The knob's environment value, or nullptr when unset.
+inline const char* knob_text(KnobId id) {
+  return knobs()[id].set ? knobs()[id].text.c_str() : nullptr;
+}
+
+inline double scale() { return knob_num("REPRO_SCALE"); }
 inline sim::SimTime run_duration() {
-  static const double secs = env_knob("REPRO_SECONDS", 10.0, 1e-3, 86400.0);
-  return static_cast<sim::SimTime>(secs * 1e9);
+  return static_cast<sim::SimTime>(knob_num("REPRO_SECONDS") * 1e9);
 }
+inline const char* repro_json_path() { return knob_text("REPRO_JSON"); }
+inline const char* repro_trace_path() { return knob_text("REPRO_TRACE"); }
+inline sim::SimTime repro_timeseries_interval() {
+  return static_cast<sim::SimTime>(knob_num("REPRO_TIMESERIES_MS") * 1e6);
+}
+inline sim::SimTime repro_epoch() {
+  return static_cast<sim::SimTime>(knob_num("REPRO_EPOCH_MS") * 1e6);
+}
+inline double repro_shards_rate() { return knob_num("REPRO_SHARDS_RATE"); }
+inline u32 repro_tier_mb() {
+  return static_cast<u32>(knob_num("REPRO_TIER_MB"));
+}
+inline double repro_span_sample() { return knob_num("REPRO_SPAN_SAMPLE"); }
+inline const char* repro_fault_plan() { return knob_text("REPRO_FAULT_PLAN"); }
 
 // Borrowed raw pointers over an owning SSD vector (shared by all rigs).
 inline std::vector<blockdev::BlockDevice*> borrow_ssds(
@@ -132,285 +287,18 @@ inline std::vector<blockdev::BlockDevice*> borrow_ssds(
   return v;
 }
 
-// --- machine-readable output (REPRO_JSON) ----------------------------------
-
-inline const char* repro_json_path() { return std::getenv("REPRO_JSON"); }
-inline const char* repro_trace_path() { return std::getenv("REPRO_TRACE"); }
-
-// REPRO_TIMESERIES_MS=<virtual ms> turns on fixed-interval sampling of every
-// measured run; the per-interval series (throughput, hit ratio, GC, per-
-// resource utilization) are embedded in the REPRO_JSON document (v2 schema)
-// and exportable as CSV via tools/repro_report. 0/unset = off.
-inline sim::SimTime repro_timeseries_interval() {
-  static const double ms = env_knob("REPRO_TIMESERIES_MS", 0.0, 0.0, 1e9);
-  return static_cast<sim::SimTime>(ms * 1e6);
-}
-
-// Multi-tenant knobs (bench_multitenant): adaptive-partition epoch length
-// and the SHARDS spatial sampling rate of the per-tenant MRC profilers.
-inline sim::SimTime repro_epoch() {
-  static const double ms = env_knob("REPRO_EPOCH_MS", 1000.0, 1.0, 1e9);
-  return static_cast<sim::SimTime>(ms * 1e6);
-}
-
-inline double repro_shards_rate() {
-  static const double r = env_knob("REPRO_SHARDS_RATE", 0.1, 1e-4, 1.0);
-  return r;
-}
-
-// Sharded-engine execution knobs (src/engine). REPRO_SHARDS sets how many
-// execution lanes run the fixed domain partition concurrently; REPRO_THREADS
-// caps the worker pool (0 = min(lanes, hardware threads)). Both change only
-// wall-clock behaviour — the deterministic parts of REPRO_JSON are
-// bit-identical across every shards/threads combination.
-inline u32 repro_shards() {
-  static const u32 n = env_knob_u32("REPRO_SHARDS", 1, 1, 256);
-  return n;
-}
-
-inline u32 repro_threads() {
-  static const u32 n = env_knob_u32("REPRO_THREADS", 0, 0, 256);
-  return n;
-}
-
-// Op-span head-sampling rate (REPRO_SPAN_SAMPLE). 0 = tracing off. The draw
-// happens once per measured op in issue order (obs::SpanTracer), so the rate
-// changes only how many ops are recorded, never the simulated outcome.
-inline double repro_span_sample() {
-  static const double r = env_knob("REPRO_SPAN_SAMPLE", 0.0, 0.0, 1.0);
-  return r;
-}
-
-// Replacement/admission selection (REPRO_POLICY / REPRO_ADMIT): which
-// eviction scheme GC consults for clean blocks and whether read-miss fills
-// are gated on reuse evidence (src/policy). Same strictness as the numeric
-// knobs — a misspelled policy name must abort, not silently run the paper
-// default and pollute a bake-off.
-inline policy::EvictionKind repro_policy() {
-  static const policy::EvictionKind k = [] {
-    const char* s = std::getenv("REPRO_POLICY");
-    if (s == nullptr || *s == '\0') return policy::EvictionKind::kPaper;
-    const auto parsed = policy::parse_eviction(s);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "REPRO_POLICY=\"%s\" is not one of {paper, s3fifo, "
-                   "sieve}; refusing to run with a misconfigured knob\n",
-                   s);
-      std::exit(2);
-    }
-    return *parsed;
-  }();
-  return k;
-}
-
-inline policy::AdmissionKind repro_admit() {
-  static const policy::AdmissionKind k = [] {
-    const char* s = std::getenv("REPRO_ADMIT");
-    if (s == nullptr || *s == '\0') return policy::AdmissionKind::kAlways;
-    const auto parsed = policy::parse_admission(s);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "REPRO_ADMIT=\"%s\" is not one of {always, ghost}; "
-                   "refusing to run with a misconfigured knob\n",
-                   s);
-      std::exit(2);
-    }
-    return *parsed;
-  }();
-  return k;
-}
-
-// Compressed-DRAM-tier knobs (src/tier). REPRO_TIER_MB=0 (the default)
-// runs without a tier; >0 fronts every engine domain's SRC stack with a
-// compressed DRAM cache whose budgets sum to that many MiB across the
-// domain partition. The dependent knobs select the tier's eviction policy,
-// its dirty-share bound and the simulated compressor's per-byte CPU charge;
-// setting any of them without REPRO_TIER_MB aborts (validate_repro_knobs)
-// because the run would silently ignore them.
-inline u32 repro_tier_mb() {
-  static const u32 n = env_knob_u32("REPRO_TIER_MB", 0, 0, 1u << 20);
-  return n;
-}
-
-inline policy::EvictionKind repro_tier_policy() {
-  static const policy::EvictionKind k = [] {
-    const char* s = std::getenv("REPRO_TIER_POLICY");
-    if (s == nullptr || *s == '\0') return policy::EvictionKind::kPaper;
-    const auto parsed = policy::parse_eviction(s);
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "REPRO_TIER_POLICY=\"%s\" is not one of {paper, s3fifo, "
-                   "sieve}; refusing to run with a misconfigured knob\n",
-                   s);
-      std::exit(2);
-    }
-    return *parsed;
-  }();
-  return k;
-}
-
-inline u32 repro_tier_dirty_pct() {
-  static const u32 n = env_knob_u32("REPRO_TIER_DIRTY_PCT", 50, 0, 100);
-  return n;
-}
-
-inline double repro_tier_cpu_nspb() {
-  static const double r = env_knob("REPRO_TIER_CPU_NSPB", 1.0, 0.0, 1000.0);
-  return r;
-}
-
-// Scripted fault schedule (REPRO_FAULT_PLAN, fault/fault_plan.hpp syntax),
-// armed per engine domain by run_group_sharded. nullptr = no faults.
-inline const char* repro_fault_plan() {
-  const char* s = std::getenv("REPRO_FAULT_PLAN");
-  return (s == nullptr || *s == '\0') ? nullptr : s;
-}
-
-// Background-rebuild knobs (raid/rebuild.hpp): the reconstruction copy rate
-// limit and the initial hot-spare pool. Parsed with the same strictness as
-// every other knob — REPRO_REBUILD_MBPS=-1 must abort, not silently rebuild
-// at the default rate.
-inline double repro_rebuild_mbps() {
-  static const double r = env_knob("REPRO_REBUILD_MBPS", 256.0, 1e-3, 1e6);
-  return r;
-}
-
-inline u32 repro_rebuild_spares() {
-  static const u32 n = env_knob_u32("REPRO_REBUILD_SPARES", 1, 0, 255);
-  return n;
-}
-
-// Epoch SLO watchdog targets (REPRO_SLO_*). Unset targets stay disarmed;
-// policy.any() == false means no watchdog hook is installed at all.
-inline obs::SloPolicy repro_slo_policy() {
-  obs::SloPolicy p;
-  p.min_throughput_mbps = env_knob("REPRO_SLO_MBPS", 0.0, 0.0, 1e9);
-  p.max_read_p99_ms = env_knob("REPRO_SLO_READ_P99_MS", 0.0, 0.0, 1e9);
-  p.max_write_p99_ms = env_knob("REPRO_SLO_WRITE_P99_MS", 0.0, 0.0, 1e9);
-  if (std::getenv("REPRO_SLO_MAX_DEGRADED") != nullptr) {
-    p.max_degraded_domains = static_cast<i32>(
-        env_knob_u32("REPRO_SLO_MAX_DEGRADED", 0, 0, 256));
-  }
-  p.error_budget = env_knob("REPRO_SLO_BUDGET", 0.1, 0.0, 1.0);
-  return p;
-}
-
-// Knob-interaction validation, run once from print_header() before any
-// experiment starts. Each individual knob already fails fast on a malformed
-// value (env_knob); this catches combinations that would silently produce a
-// useless run — better to refuse than to burn minutes and emit nothing.
-inline void validate_repro_knobs() {
-  const char* json = repro_json_path();
-  const char* trace = repro_trace_path();
-  if (repro_timeseries_interval() > 0 && json == nullptr) {
-    std::fprintf(stderr,
-                 "REPRO_TIMESERIES_MS is set but REPRO_JSON is not: the "
-                 "sampled series are only emitted into the JSON document, so "
-                 "this run would sample and then discard everything. Set "
-                 "REPRO_JSON=<path> or unset REPRO_TIMESERIES_MS.\n");
-    std::exit(2);
-  }
-  if (json != nullptr && trace != nullptr &&
-      std::string(json) == std::string(trace)) {
-    std::fprintf(stderr,
-                 "REPRO_JSON and REPRO_TRACE point at the same file (%s); "
-                 "the two outputs would overwrite each other.\n",
-                 json);
-    std::exit(2);
-  }
-  if (repro_timeseries_interval() > run_duration()) {
-    std::fprintf(stderr,
-                 "REPRO_TIMESERIES_MS (%.0f ms) exceeds the measurement "
-                 "window REPRO_SECONDS (%.3g s): not a single interval would "
-                 "close. Lower the interval or lengthen the run.\n",
-                 static_cast<double>(repro_timeseries_interval()) / 1e6,
-                 sim::to_seconds(run_duration()));
-    std::exit(2);
-  }
-  // Force both engine knobs through strict parsing even when unused, and
-  // catch combinations that would silently under-deliver: REPRO_THREADS
-  // without parallel lanes does nothing, and more threads than lanes can
-  // never all be busy — both almost certainly mean a mistyped knob.
-  const u32 shards = repro_shards();
-  const u32 threads = repro_threads();
-  if (threads > 0 && shards == 1) {
-    std::fprintf(stderr,
-                 "REPRO_THREADS=%u with REPRO_SHARDS=1: a single execution "
-                 "lane cannot use a thread pool. Set REPRO_SHARDS>1 or unset "
-                 "REPRO_THREADS.\n",
-                 threads);
-    std::exit(2);
-  }
-  if (threads > shards) {
-    std::fprintf(stderr,
-                 "REPRO_THREADS=%u exceeds REPRO_SHARDS=%u: extra threads "
-                 "would sit idle. Lower REPRO_THREADS or raise "
-                 "REPRO_SHARDS.\n",
-                 threads, shards);
-    std::exit(2);
-  }
-  // Force the observability knobs through strict parsing up front: a typo'd
-  // REPRO_SPAN_SAMPLE or REPRO_SLO_* must abort before any experiment runs,
-  // not silently trace nothing.
-  (void)repro_span_sample();
-  (void)repro_slo_policy();
-  (void)repro_policy();
-  (void)repro_admit();
-  (void)repro_rebuild_mbps();
-  (void)repro_rebuild_spares();
-  // Tier knobs: force strict parsing, then refuse dependent knobs that a
-  // tier-less run would silently ignore — a bake-off that thinks it swept
-  // REPRO_TIER_POLICY but never enabled the tier is worse than no run.
-  (void)repro_tier_policy();
-  (void)repro_tier_dirty_pct();
-  (void)repro_tier_cpu_nspb();
-  if (repro_tier_mb() == 0) {
-    for (const char* dep :
-         {"REPRO_TIER_POLICY", "REPRO_TIER_DIRTY_PCT", "REPRO_TIER_CPU_NSPB"}) {
-      if (std::getenv(dep) != nullptr) {
-        std::fprintf(stderr,
-                     "%s is set but REPRO_TIER_MB is 0/unset: the compressed "
-                     "DRAM tier is disabled, so the knob would be silently "
-                     "ignored. Set REPRO_TIER_MB>0 or unset %s.\n",
-                     dep, dep);
-        std::exit(2);
-      }
-    }
-  }
-  // A malformed fault plan must abort before any experiment runs, with the
-  // parser's message naming the offending clause.
-  if (repro_fault_plan() != nullptr) {
-    const auto plan = fault::FaultPlan::parse(repro_fault_plan());
-    if (!plan.is_ok()) {
-      std::fprintf(stderr,
-                   "REPRO_FAULT_PLAN: %s; refusing to run with a "
-                   "misconfigured knob\n",
-                   plan.status().to_string().c_str());
-      std::exit(2);
-    }
-  }
-}
-
-// Writes a recorded TraceLog to REPRO_TRACE as Chrome trace-event JSON.
-// The two-argument form merges the event timeline with the sampled op-span
-// trees (obs::combined_chrome_json) into one document; either input may be
-// null.
-inline void write_chrome_trace_json(const std::string& json) {
+// Writes the event timeline merged with the sampled op-span trees
+// (obs::combined_chrome_json; either input may be null) to REPRO_TRACE as
+// one Chrome trace-event document.
+inline void write_chrome_trace(const obs::TraceLog* log,
+                               const obs::SpanTracer* spans) {
+  const std::string json = obs::combined_chrome_json(log, spans);
   std::FILE* f = std::fopen(repro_trace_path(), "w");
   if (f == nullptr ||
       std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
     std::fprintf(stderr, "REPRO_TRACE: cannot write %s\n", repro_trace_path());
   }
   if (f != nullptr) std::fclose(f);
-}
-
-inline void write_chrome_trace(obs::TraceLog& log) {
-  write_chrome_trace_json(log.to_chrome_json());
-}
-
-inline void write_chrome_trace(const obs::TraceLog* log,
-                               const obs::SpanTracer* spans) {
-  write_chrome_trace_json(obs::combined_chrome_json(log, spans));
 }
 
 inline workload::ReproReport& json_report() {
@@ -457,7 +345,8 @@ inline flash::SsdSpec sized_spec(flash::SsdSpec s, u64 capacity_bytes,
                                  double k = scale()) {
   s.capacity_bytes = capacity_bytes;
   const u64 target_eg = std::max<u64>(
-      8 * MiB, static_cast<u64>(static_cast<double>(s.erase_group_bytes()) * k));
+      8 * MiB,
+      static_cast<u64>(static_cast<double>(s.erase_group_bytes()) * k));
   u64 ppb = target_eg / (static_cast<u64>(s.units) * kBlockSize);
   // Power-of-two pages per block, at least 64 (256 KiB flash blocks).
   u64 rounded = 64;
@@ -479,7 +368,7 @@ struct SrcRig {
   std::unique_ptr<src::SrcCache> cache;
   // Registry over the whole stack ("src.*", "ssd.<i>.*", "hdd.*"); wired by
   // make_src_rig. Event trace and op-span tracer, allocated on demand by
-  // enable_tracing() / enable_spans().
+  // observe_rig().
   obs::MetricsRegistry registry;
   std::unique_ptr<obs::TraceLog> trace;
   std::unique_ptr<obs::SpanTracer> spans;
@@ -488,40 +377,6 @@ struct SrcRig {
     return borrow_ssds(ssds);
   }
 };
-
-// Attaches a TraceLog to every layer of the rig (idempotent). The log drops
-// the newest events once full instead of overwriting old ones; the drop
-// count is exported as the "obs.trace.dropped" gauge so a truncated timeline
-// is visible in the metrics delta, never silent.
-inline obs::TraceLog& enable_tracing(SrcRig& rig, size_t capacity = 1 << 16) {
-  if (!rig.trace) {
-    rig.trace = std::make_unique<obs::TraceLog>(capacity);
-    rig.cache->set_trace(rig.trace.get(), obs::kTrackSrc);
-    rig.primary->set_trace(rig.trace.get(), obs::kTrackPrimary);
-    for (size_t i = 0; i < rig.ssds.size(); ++i)
-      rig.ssds[i]->set_trace(rig.trace.get(),
-                             obs::kTrackSsdBase + static_cast<u32>(i));
-    obs::TraceLog* log = rig.trace.get();
-    obs::Scope(rig.registry, "obs").gauge_fn("trace.dropped", [log] {
-      return static_cast<double>(log->dropped());
-    });
-  }
-  return *rig.trace;
-}
-
-// Attaches an op-span tracer to every layer of the rig (idempotent): the
-// cache contributes src.*/backend.* child spans, each SSD its ssd.*/nand.*
-// descent tagged with its array index. The caller wires the tracer into
-// RunConfig::spans so the closed loop opens the per-op roots.
-inline obs::SpanTracer& enable_spans(SrcRig& rig, u64 seed, double rate) {
-  if (!rig.spans) {
-    rig.spans = std::make_unique<obs::SpanTracer>(seed, rate);
-    rig.cache->set_span(rig.spans.get());
-    for (size_t i = 0; i < rig.ssds.size(); ++i)
-      rig.ssds[i]->set_span(rig.spans.get(), static_cast<u32>(i));
-  }
-  return *rig.spans;
-}
 
 inline std::unique_ptr<hdd::IscsiTarget> make_primary(double k) {
   hdd::IscsiConfig cfg;
@@ -554,7 +409,8 @@ inline std::unique_ptr<SrcRig> make_src_rig(
   cfg.twait = 10 * sim::kMs;     // see EXPERIMENTS.md (paper: 20 us)
   if (cfg_tweak) cfg_tweak(cfg, rig->geo);
 
-  const flash::SsdSpec spec = sized_spec(base_spec, rig->geo.ssd_capacity_bytes);
+  const flash::SsdSpec spec =
+      sized_spec(base_spec, rig->geo.ssd_capacity_bytes);
   for (u32 i = 0; i < cfg.num_ssds; ++i) {
     rig->ssds.push_back(
         std::make_unique<flash::SimSsd>(spec, /*track_content=*/false));
@@ -575,8 +431,8 @@ inline src::SrcConfig default_src_config() {
   src::SrcConfig cfg;  // paper defaults (Table 7 bold entries)
   // Benches pass this config into make_src_rig / run_group_sharded, so the
   // knob-selected policies propagate into every engine domain's stack.
-  cfg.eviction = repro_policy();
-  cfg.admission = repro_admit();
+  cfg.eviction = static_cast<policy::EvictionKind>(knob_num("REPRO_POLICY"));
+  cfg.admission = static_cast<policy::AdmissionKind>(knob_num("REPRO_ADMIT"));
   return cfg;
 }
 
@@ -653,54 +509,87 @@ inline std::unique_ptr<BaselineRig> make_flashcache5_rig(
   return rig;
 }
 
-// Runs one trace group against a cache and reports the paper's metrics.
-// The measurement window starts after an untimed warm-up of twice the
-// cache's data capacity, approximating the paper's long warm runs.
-inline workload::RunResult run_group(cache::CacheDevice* cache,
-                                     std::vector<blockdev::BlockDevice*> ssds,
-                                     workload::TraceGroup group, double k,
-                                     u64 seed = 42) {
-  const Geometry geo = Geometry::at(k);
-  workload::TraceSet set =
-      workload::make_trace_set(group, geo.group_footprint_bytes, seed);
-  workload::Runner runner(cache, std::move(ssds));
+// The paper's replay settings, shared by every run driver: each trace is
+// replayed with 4 threads at iodepth 4, and the measurement window starts
+// after an untimed warm-up of about twice the cache's data capacity,
+// approximating the paper's long warm runs.
+inline workload::RunConfig replay_config(const Geometry& geo) {
   workload::RunConfig rc;
-  rc.threads_per_gen = 4;  // the paper replays each trace with 4 threads
+  rc.threads_per_gen = 4;
   rc.iodepth = 4;
   rc.duration = run_duration();
-  rc.warmup_bytes = 2 * 3 * geo.region_bytes_per_ssd;  // ~2x data capacity
+  rc.warmup_bytes = 2 * 3 * geo.region_bytes_per_ssd;
   rc.timeseries_interval = repro_timeseries_interval();
-  return runner.run(set.generators(), rc);
+  return rc;
 }
 
-// SRC-rig overload: also measures the metrics registry and the write-
-// provenance ledger across the run and, with REPRO_TRACE set, records and
-// writes a Chrome trace of the run (merged with op-span trees when
-// REPRO_SPAN_SAMPLE is on).
+// One engine domain's replay over `h.rig`: the trace set of the domain's
+// seed and the paper's replay settings.
+template <typename DomainRig>
+engine::DomainSetup replay_domain(DomainRig& h, workload::TraceGroup group,
+                                  u64 dseed) {
+  h.set = workload::make_trace_set(group, h.rig->geo.group_footprint_bytes,
+                                   dseed);
+  engine::DomainSetup s;
+  s.cache = h.rig->cache.get();
+  s.ssds = h.rig->ssd_ptrs();
+  s.gens = h.set.generators();
+  s.cfg = replay_config(h.rig->geo);
+  return s;
+}
+
+// Under REPRO_SPAN_SAMPLE, attaches an op-span tracer to the rig's top
+// layer (the cache's src.*/backend.* or the RAID's stripe spans) and to
+// each SSD (ssd.*/nand.* descent tagged with its array index), once per rig.
+// Its seed is derived from (not equal to) the trace seed, so the sampling
+// stream never aliases the workload's own RNG streams.
+template <typename Rig, typename Top>
+obs::SpanTracer* attach_spans(Rig& rig, Top& top, u64 seed) {
+  if (repro_span_sample() > 0.0 && !rig.spans) {
+    rig.spans = std::make_unique<obs::SpanTracer>(
+        common::SplitMix64(seed).next(), repro_span_sample());
+    top.set_span(rig.spans.get());
+    for (size_t i = 0; i < rig.ssds.size(); ++i)
+      rig.ssds[i]->set_span(rig.spans.get(), static_cast<u32>(i));
+  }
+  return rig.spans.get();
+}
+
+// Wires an SRC rig into a run's observability (idempotent per rig): the
+// metrics registry and write-provenance ledger always, op spans per
+// attach_spans, and with `trace` an event timeline. The timeline drops the
+// newest events once full, counted by the "obs.trace.dropped" gauge so
+// truncation is visible in the metrics delta, never silent.
+inline void observe_rig(SrcRig& rig, u64 seed, bool trace,
+                        workload::RunConfig& rc) {
+  rc.registry = &rig.registry;
+  rc.provenance = &rig.cache->provenance();
+  rc.spans = attach_spans(rig, *rig.cache, seed);
+  if (trace && !rig.trace) {
+    rig.trace = std::make_unique<obs::TraceLog>(size_t{1} << 16);
+    rig.cache->set_trace(rig.trace.get(), obs::kTrackSrc);
+    rig.primary->set_trace(rig.trace.get(), obs::kTrackPrimary);
+    for (size_t i = 0; i < rig.ssds.size(); ++i)
+      rig.ssds[i]->set_trace(rig.trace.get(),
+                             obs::kTrackSsdBase + static_cast<u32>(i));
+    obs::TraceLog* log = rig.trace.get();
+    obs::Scope(rig.registry, "obs").gauge_fn("trace.dropped", [log] {
+      return static_cast<double>(log->dropped());
+    });
+  }
+  rc.trace = rig.trace.get();
+}
+
+// Runs one trace group against an SRC rig and reports the paper's metrics,
+// writing a Chrome trace of the run when REPRO_TRACE is set.
 inline workload::RunResult run_group(SrcRig& rig, workload::TraceGroup group,
                                      double k, u64 seed = 42) {
   const Geometry geo = Geometry::at(k);
   workload::TraceSet set =
       workload::make_trace_set(group, geo.group_footprint_bytes, seed);
   workload::Runner runner(rig.cache.get(), rig.ssd_ptrs());
-  workload::RunConfig rc;
-  rc.threads_per_gen = 4;
-  rc.iodepth = 4;
-  rc.duration = run_duration();
-  rc.warmup_bytes = 2 * 3 * geo.region_bytes_per_ssd;
-  rc.registry = &rig.registry;
-  rc.timeseries_interval = repro_timeseries_interval();
-  rc.provenance = &rig.cache->provenance();
-  if (repro_span_sample() > 0.0) {
-    // Span-tracer seed derived (not equal to) the trace seed, so the
-    // sampling stream never aliases the workload's own RNG streams.
-    rc.spans = &enable_spans(rig, common::SplitMix64(seed).next(),
-                             repro_span_sample());
-  }
-  if (repro_trace_path() != nullptr) {
-    rc.trace = &enable_tracing(rig);
-    rc.trace_track = obs::kTrackApp;
-  }
+  workload::RunConfig rc = replay_config(geo);
+  observe_rig(rig, seed, repro_trace_path() != nullptr, rc);
   workload::RunResult res = runner.run(set.generators(), rc);
   if (repro_trace_path() != nullptr)
     write_chrome_trace(rig.trace.get(), rig.spans.get());
@@ -752,8 +641,8 @@ inline workload::RunResult run_engine_sharded(
     const char* bench, const std::string& name, u32 num_domains,
     const engine::DomainFactory& factory) {
   engine::EngineConfig ecfg;
-  ecfg.shards = repro_shards();
-  ecfg.threads = repro_threads();
+  ecfg.shards = static_cast<u32>(knob_num("REPRO_SHARDS"));
+  ecfg.threads = static_cast<u32>(knob_num("REPRO_THREADS"));
   engine::ParallelEngine eng(ecfg);
 
   // Pump every domain's background rebuild at the barrier, so rate-limited
@@ -770,7 +659,16 @@ inline workload::RunResult run_engine_sharded(
     }
   });
 
-  const obs::SloPolicy policy = repro_slo_policy();
+  // Unset REPRO_SLO_* targets stay disarmed; with none armed no watchdog
+  // hook is installed at all.
+  obs::SloPolicy policy;
+  policy.min_throughput_mbps = knob_num("REPRO_SLO_MBPS");
+  policy.max_read_p99_ms = knob_num("REPRO_SLO_READ_P99_MS");
+  policy.max_write_p99_ms = knob_num("REPRO_SLO_WRITE_P99_MS");
+  if (knob_text("REPRO_SLO_MAX_DEGRADED") != nullptr)
+    policy.max_degraded_domains =
+        static_cast<i32>(knob_num("REPRO_SLO_MAX_DEGRADED"));
+  policy.error_budget = knob_num("REPRO_SLO_BUDGET");
   std::shared_ptr<obs::SloWatchdog> watchdog;
   if (policy.any()) {
     watchdog = std::make_shared<obs::SloWatchdog>(policy);
@@ -863,34 +761,21 @@ inline workload::RunResult run_group_sharded(
   std::shared_ptr<EngineDomainRig> traced;
 
   const auto factory = [&overrides, &base_spec, group, dk, seed, want_trace,
-                        tier_bytes, &cfg_tweak, &traced](u32 index, u32 count) {
+                        tier_bytes, &cfg_tweak, &traced](u32 index, u32) {
     auto holder = std::make_shared<EngineDomainRig>();
     holder->rig = make_src_rig(overrides, base_spec, dk, true, cfg_tweak);
-    const Geometry geo = holder->rig->geo;
     const u64 dseed = domain_seed(seed, index);
-    holder->set =
-        workload::make_trace_set(group, geo.group_footprint_bytes, dseed);
-
-    engine::DomainSetup s;
-    s.cache = holder->rig->cache.get();
-    s.ssds = holder->rig->ssd_ptrs();
-    s.gens = holder->set.generators();
-    s.cfg.threads_per_gen = 4;
-    s.cfg.iodepth = 4;
-    s.cfg.duration = run_duration();
-    s.cfg.warmup_bytes = 2 * 3 * geo.region_bytes_per_ssd;
-    s.cfg.registry = &holder->rig->registry;
-    s.cfg.timeseries_interval = repro_timeseries_interval();
-    s.cfg.provenance = &holder->rig->cache->provenance();
+    engine::DomainSetup s = replay_domain(*holder, group, dseed);
     if (tier_bytes > 0) {
       // One tier per domain, budget split evenly — the same 1/kEngineDomains
       // scaling every other capacity gets, so pressure ratios are preserved
       // and the merged outcome stays bit-identical across shard counts.
       tier::TierConfig tc;
       tc.budget_bytes = std::max<u64>(kBlockSize, tier_bytes / kEngineDomains);
-      tc.dirty_pct = repro_tier_dirty_pct();
-      tc.eviction = repro_tier_policy();
-      tc.cpu_ns_per_byte = repro_tier_cpu_nspb();
+      tc.dirty_pct = static_cast<u32>(knob_num("REPRO_TIER_DIRTY_PCT"));
+      tc.eviction =
+          static_cast<policy::EvictionKind>(knob_num("REPRO_TIER_POLICY"));
+      tc.cpu_ns_per_byte = knob_num("REPRO_TIER_CPU_NSPB");
       tc.destage_batch_blocks = static_cast<u32>(
           holder->rig->cache->config().segment_data_slots(true));
       holder->tier = std::make_unique<tier::TierCache>(
@@ -899,14 +784,14 @@ inline workload::RunResult run_group_sharded(
       s.cache = holder->tier.get();
       s.cfg.tier = holder->tier.get();
     }
-    if (repro_span_sample() > 0.0) {
-      s.cfg.spans = &enable_spans(*holder->rig,
-                                  common::SplitMix64(dseed).next(),
-                                  repro_span_sample());
-    }
+    // One domain's worth of timeline is what a Chrome trace can usefully
+    // show; domain 0 is the deterministic choice.
+    const bool traced_domain = want_trace && index == 0;
+    observe_rig(*holder->rig, dseed, traced_domain, s.cfg);
+    if (traced_domain) traced = holder;
     if (repro_fault_plan() != nullptr) {
       // Scripted faults per domain: the plan syntax was validated up front
-      // (validate_repro_knobs); the domain seed feeds the plan's RNG so
+      // (print_header); the domain seed feeds the plan's RNG so
       // seeded-random corruption picks differ (but are fixed) per domain.
       holder->fault = std::make_unique<fault::FaultInjector>(
           fault::FaultPlan::parse_or_die(repro_fault_plan(), dseed));
@@ -914,8 +799,8 @@ inline workload::RunResult run_group_sharded(
       holder->fault->attach_primary(holder->rig->primary.get());
 
       raid::RebuildConfig rbc;
-      rbc.mbps = repro_rebuild_mbps();
-      rbc.spares = repro_rebuild_spares();
+      rbc.mbps = knob_num("REPRO_REBUILD_MBPS");
+      rbc.spares = static_cast<u32>(knob_num("REPRO_REBUILD_SPARES"));
       holder->rebuild =
           std::make_unique<raid::RebuildManager>(rbc, holder->rig->ssd_ptrs());
       src::SrcCache* cache = holder->rig->cache.get();
@@ -955,14 +840,6 @@ inline workload::RunResult run_group_sharded(
       s.cfg.fault = holder->fault.get();
       s.cfg.rebuild = mgr;
     }
-    if (want_trace && index == 0) {
-      // One domain's worth of timeline is what a Chrome trace can usefully
-      // show; domain 0 is the deterministic choice.
-      s.cfg.trace = &enable_tracing(*holder->rig);
-      s.cfg.trace_track = obs::kTrackApp;
-      traced = holder;
-    }
-    (void)count;
     s.owned = holder;
     return s;
   };
@@ -993,61 +870,34 @@ inline workload::RunResult run_baseline_group_sharded(
     const char* bench, const std::string& name, MakeRig make_rig,
     workload::TraceGroup group, double k, u64 seed = 42) {
   const double dk = k / kEngineDomains;
-  const auto factory = [&make_rig, group, dk, seed](u32 index, u32 count) {
+  const auto factory = [&make_rig, group, dk, seed](u32 index, u32) {
     auto holder = std::make_shared<BaselineDomainRig>();
     holder->rig = make_rig(dk);
-    const Geometry geo = holder->rig->geo;
     const u64 dseed = domain_seed(seed, index);
-    holder->set =
-        workload::make_trace_set(group, geo.group_footprint_bytes, dseed);
-
-    engine::DomainSetup s;
-    s.cache = holder->rig->cache.get();
-    s.ssds = holder->rig->ssd_ptrs();
-    s.gens = holder->set.generators();
-    s.cfg.threads_per_gen = 4;
-    s.cfg.iodepth = 4;
-    s.cfg.duration = run_duration();
-    s.cfg.warmup_bytes = 2 * 3 * geo.region_bytes_per_ssd;
-    s.cfg.timeseries_interval = repro_timeseries_interval();
-    if (repro_span_sample() > 0.0) {
-      holder->rig->spans = std::make_unique<obs::SpanTracer>(
-          common::SplitMix64(dseed).next(), repro_span_sample());
-      holder->rig->raid5->set_span(holder->rig->spans.get());
-      for (size_t i = 0; i < holder->rig->ssds.size(); ++i)
-        holder->rig->ssds[i]->set_span(holder->rig->spans.get(),
-                                       static_cast<u32>(i));
-      s.cfg.spans = holder->rig->spans.get();
-    }
-    (void)count;
+    engine::DomainSetup s = replay_domain(*holder, group, dseed);
+    s.cfg.spans = attach_spans(*holder->rig, *holder->rig->raid5, dseed);
     s.owned = holder;
     return s;
   };
   return run_engine_sharded(bench, name, kEngineDomains, factory);
 }
 
+// Refuses to run (exit 2) on any invalid REPRO_* knob, then prints the
+// experiment banner and every knob set in the environment.
 inline void print_header(const char* experiment, const char* paper_ref) {
-  validate_repro_knobs();
-  std::printf("=== %s ===\n", experiment);
-  std::printf("reproduces: %s\n", paper_ref);
-  std::printf("scale=%.3g (REPRO_SCALE), duration=%.3gs virtual (REPRO_SECONDS)\n",
-              scale(), sim::to_seconds(run_duration()));
-  if (repro_shards() > 1) {
-    std::printf("shards=%u (REPRO_SHARDS), threads=%u (REPRO_THREADS, 0=auto)\n",
-                repro_shards(), repro_threads());
+  const KnobSet& ks = knobs();
+  if (!ks.error.empty()) {
+    std::fprintf(stderr, "%s\n", ks.error.c_str());
+    std::exit(2);
   }
-  if (repro_span_sample() > 0.0) {
-    std::printf("span_sample=%.3g (REPRO_SPAN_SAMPLE)\n", repro_span_sample());
+  std::printf("=== %s ===\nreproduces: %s\nknobs:", experiment, paper_ref);
+  for (size_t i = 0; i < kKnobs.size(); ++i) {
+    if (!ks.v[i].set) continue;
+    const std::string& t = ks.v[i].text;
+    const char* q = t.find(' ') == std::string::npos ? "" : "\"";
+    std::printf(" %s=%s%s%s", kKnobs[i].name, q, t.c_str(), q);
   }
-  if (repro_tier_mb() > 0) {
-    std::printf(
-        "tier=%u MiB (REPRO_TIER_MB), policy=%s (REPRO_TIER_POLICY), "
-        "dirty<=%u%% (REPRO_TIER_DIRTY_PCT), cpu=%.3g ns/B "
-        "(REPRO_TIER_CPU_NSPB)\n",
-        repro_tier_mb(), policy::to_string(repro_tier_policy()),
-        repro_tier_dirty_pct(), repro_tier_cpu_nspb());
-  }
-  std::printf("\n");
+  std::printf(" (unset knobs at their defaults)\n\n");
 }
 
 }  // namespace srcache::bench
