@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "block/counter_fields.hpp"
 #include "common/result.hpp"
 #include "common/types.hpp"
 #include "sim/time.hpp"
@@ -48,14 +49,20 @@ struct DeviceStats {
   u64 trim_ops = 0;
   u64 trim_blocks = 0;
 
-  DeviceStats operator-(const DeviceStats& o) const {
-    return DeviceStats{read_ops - o.read_ops,     read_blocks - o.read_blocks,
-                       write_ops - o.write_ops,   write_blocks - o.write_blocks,
-                       flushes - o.flushes,       trim_ops - o.trim_ops,
-                       trim_blocks - o.trim_blocks};
-  }
   [[nodiscard]] u64 total_blocks() const { return read_blocks + write_blocks; }
 };
+
+// The REPRO_JSON "ssd" block (summed over the cache SSDs).
+inline constexpr CounterField<DeviceStats> kDeviceStatsFields[] = {
+    {"read_ops", &DeviceStats::read_ops},
+    {"read_blocks", &DeviceStats::read_blocks},
+    {"write_ops", &DeviceStats::write_ops},
+    {"write_blocks", &DeviceStats::write_blocks},
+    {"flushes", &DeviceStats::flushes},
+    {.name = "trim_ops", .counter = &DeviceStats::trim_ops, .json = false},
+    {"trim_blocks", &DeviceStats::trim_blocks},
+};
+static_assert(names_every_counter(kDeviceStatsFields));
 
 class BlockDevice {
  public:

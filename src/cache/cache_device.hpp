@@ -50,18 +50,34 @@ struct CacheStats {
 
   // Fraction of accessed blocks already present in the cache.
   [[nodiscard]] double hit_ratio() const {
-    const u64 hits = read_hit_blocks + write_hit_blocks;
-    const u64 total = app_read_blocks + app_write_blocks;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
+    return ratio_of(read_hit_blocks + write_hit_blocks, app_blocks());
   }
   [[nodiscard]] double read_hit_ratio() const {
-    return app_read_blocks == 0
-               ? 0.0
-               : static_cast<double>(read_hit_blocks) /
-                     static_cast<double>(app_read_blocks);
+    return ratio_of(read_hit_blocks, app_read_blocks);
   }
-  [[nodiscard]] u64 app_blocks() const { return app_read_blocks + app_write_blocks; }
+  [[nodiscard]] u64 app_blocks() const {
+    return app_read_blocks + app_write_blocks;
+  }
 };
+
+// The REPRO_JSON "cache" block. The closed loop never flushes, so
+// app_flushes is windowed and merged but not printed.
+inline constexpr CounterField<CacheStats> kCacheStatsFields[] = {
+    {"app_read_ops", &CacheStats::app_read_ops},
+    {"app_read_blocks", &CacheStats::app_read_blocks},
+    {"app_write_ops", &CacheStats::app_write_ops},
+    {"app_write_blocks", &CacheStats::app_write_blocks},
+    {"read_hit_blocks", &CacheStats::read_hit_blocks},
+    {"read_miss_blocks", &CacheStats::read_miss_blocks},
+    {"write_hit_blocks", &CacheStats::write_hit_blocks},
+    {"write_new_blocks", &CacheStats::write_new_blocks},
+    {"fetch_blocks", &CacheStats::fetch_blocks},
+    {"destage_blocks", &CacheStats::destage_blocks},
+    {"gc_copy_blocks", &CacheStats::gc_copy_blocks},
+    {"dropped_clean_blocks", &CacheStats::dropped_clean_blocks},
+    {.name = "app_flushes", .counter = &CacheStats::app_flushes, .json = false},
+};
+static_assert(names_every_counter(kCacheStatsFields));
 
 class CacheDevice {
  public:

@@ -12,8 +12,8 @@
 //  * Snapshot/delta. A MetricsSnapshot captures every metric's value; the
 //    delta of two snapshots gives a clean measurement window (counters and
 //    histogram buckets subtract; gauges are point-in-time and keep the later
-//    value). workload::Runner snapshots after warm-up so run metrics exclude
-//    cache-fill traffic.
+//    value). workload::ClosedLoop snapshots after warm-up so run metrics
+//    exclude cache-fill traffic.
 #pragma once
 
 #include <functional>
@@ -60,7 +60,8 @@ struct MetricsSnapshot {
 
   // Metrics recorded between `earlier` and this snapshot. Metrics absent
   // from `earlier` (registered mid-run) are taken whole.
-  [[nodiscard]] MetricsSnapshot delta_since(const MetricsSnapshot& earlier) const;
+  [[nodiscard]] MetricsSnapshot delta_since(
+      const MetricsSnapshot& earlier) const;
 
   // Folds another snapshot in: counters and gauges add, histograms merge.
   // Used by the engine to aggregate per-shard-domain registries, where the

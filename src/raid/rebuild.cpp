@@ -4,26 +4,11 @@
 
 namespace srcache::raid {
 
-void RebuildOutcome::merge_add(const RebuildOutcome& o) {
-  active = active || o.active;
-  rebuilds_started += o.rebuilds_started;
-  rebuilds_completed += o.rebuilds_completed;
-  rebuilds_aborted += o.rebuilds_aborted;
-  spares_total += o.spares_total;
-  spares_used += o.spares_used;
-  blocks_at_risk_peak += o.blocks_at_risk_peak;
-  blocks_copied += o.blocks_copied;
-  blocks_skipped += o.blocks_skipped;
-  blocks_unrecovered += o.blocks_unrecovered;
-  read_bytes += o.read_bytes;
-  write_bytes += o.write_bytes;
-  degraded_ns = std::max(degraded_ns, o.degraded_ns);
-}
-
 RebuildManager::RebuildManager(const RebuildConfig& cfg,
                                std::vector<blockdev::BlockDevice*> ssds)
-    : cfg_(cfg), ssds_(std::move(ssds)), devs_(ssds_.size()),
-      spares_total_(cfg.spares) {}
+    : cfg_(cfg), ssds_(std::move(ssds)), devs_(ssds_.size()) {
+  out_.spares_total = cfg.spares;
+}
 
 // --- interval set -----------------------------------------------------------
 
@@ -161,7 +146,7 @@ void RebuildManager::on_device_replaced(size_t dev, sim::SimTime now) {
   // A replace without a preceding fail still installs a *blank* device: the
   // degraded clock runs until its contents are reconstructed.
   if (degraded_since_ < 0) degraded_since_ = now;
-  out_.spares_used++;  // > spares_total_ reports a spare-pool deficit
+  out_.spares_used++;  // > spares_total reports a spare-pool deficit
   if (!rebuilding()) {
     rate_epoch_ = now;
     budget_spent_bytes_ = 0;
@@ -397,7 +382,6 @@ bool RebuildManager::covers(size_t dev, u64 block) const {
 RebuildOutcome RebuildManager::outcome() const {
   RebuildOutcome o = out_;
   o.active = true;
-  o.spares_total = spares_total_;
   return o;
 }
 

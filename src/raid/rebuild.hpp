@@ -69,22 +69,43 @@ struct RebuildConfig {
 // domain's peak — domains fail simultaneously under the same plan);
 // degraded_ns takes the max (domains degrade in parallel virtual time).
 struct RebuildOutcome {
-  bool active = false;        // a RebuildManager was attached to the run
-  u32 rebuilds_started = 0;
-  u32 rebuilds_completed = 0; // finished with every extent reconstructed
-  u32 rebuilds_aborted = 0;   // finished after losing extents (second fault)
-  u32 spares_total = 0;
-  u32 spares_used = 0;        // > spares_total means a spare deficit
+  bool active = false;         // a RebuildManager was attached to the run
+  u64 rebuilds_started = 0;
+  u64 rebuilds_completed = 0;  // finished with every extent reconstructed
+  u64 rebuilds_aborted = 0;    // finished after losing extents (second fault)
+  u64 spares_total = 0;
+  u64 spares_used = 0;         // > spares_total means a spare deficit
   u64 blocks_at_risk_peak = 0;
   u64 blocks_copied = 0;
-  u64 blocks_skipped = 0;     // SRC-aware savings vs a full device sweep
-  u64 blocks_unrecovered = 0; // lost to a second failure during rebuild
-  u64 read_bytes = 0;         // survivor reads for reconstruction
-  u64 write_bytes = 0;        // writes to the replacement device
+  u64 blocks_skipped = 0;      // SRC-aware savings vs a full device sweep
+  u64 blocks_unrecovered = 0;  // lost to a second failure during rebuild
+  u64 read_bytes = 0;          // survivor reads for reconstruction
+  u64 write_bytes = 0;         // writes to the replacement device
   sim::SimTime degraded_ns = 0;
 
-  void merge_add(const RebuildOutcome& o);
+  [[nodiscard]] double degraded_seconds() const {
+    return static_cast<double>(degraded_ns) / 1e9;
+  }
 };
+
+// The REPRO_JSON "rebuild" block.
+inline constexpr CounterField<RebuildOutcome> kRebuildOutcomeFields[] = {
+    {"rebuilds_started", &RebuildOutcome::rebuilds_started},
+    {"rebuilds_completed", &RebuildOutcome::rebuilds_completed},
+    {"rebuilds_aborted", &RebuildOutcome::rebuilds_aborted},
+    {"spares_total", &RebuildOutcome::spares_total},
+    {"spares_used", &RebuildOutcome::spares_used},
+    {"blocks_at_risk_peak", &RebuildOutcome::blocks_at_risk_peak},
+    {"blocks_copied", &RebuildOutcome::blocks_copied},
+    {"blocks_skipped", &RebuildOutcome::blocks_skipped},
+    {"blocks_unrecovered", &RebuildOutcome::blocks_unrecovered},
+    {"read_bytes", &RebuildOutcome::read_bytes},
+    {"write_bytes", &RebuildOutcome::write_bytes},
+    {.name = "degraded_seconds", .ratio = &RebuildOutcome::degraded_seconds},
+};
+// Besides its counters the struct holds `active` (padded to 8 bytes) and
+// degraded_ns.
+static_assert(names_every_counter(kRebuildOutcomeFields, 2 * sizeof(u64)));
 
 class RebuildManager final : public blockdev::RebuildMask {
  public:
@@ -108,7 +129,7 @@ class RebuildManager final : public blockdev::RebuildMask {
   void set_fault_ledger(fault::FaultLedger* ledger) { ledger_ = ledger; }
   void set_span(obs::SpanTracer* tracer) { span_ = tracer; }
 
-  void add_spares(u32 n) { spares_total_ += n; }
+  void add_spares(u32 n) { out_.spares_total += n; }
 
   // Failure/replace notifications (wire to FaultInjector's callbacks).
   void on_device_failed(size_t dev, sim::SimTime now);
@@ -175,7 +196,6 @@ class RebuildManager final : public blockdev::RebuildMask {
   fault::FaultLedger* ledger_ = nullptr;
   obs::SpanTracer* span_ = nullptr;
 
-  u32 spares_total_ = 0;
   sim::SimTime rate_epoch_ = 0;   // rate-limit clock start (first replace)
   u64 budget_spent_bytes_ = 0;
   sim::SimTime degraded_since_ = -1;  // < 0: array healthy

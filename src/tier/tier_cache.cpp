@@ -42,20 +42,6 @@ u32 TierCache::compressed_size(u8 comp_pct) const {
   return std::max<u32>(1, static_cast<u32>(kBlockSize) * pct / 100);
 }
 
-double TierCache::compression_ratio() const {
-  return tstats_.uncompressed_bytes == 0
-             ? 1.0
-             : static_cast<double>(tstats_.compressed_bytes) /
-                   static_cast<double>(tstats_.uncompressed_bytes);
-}
-
-double TierCache::hit_ratio() const {
-  const u64 total = tstats_.hit_blocks + tstats_.miss_blocks;
-  return total == 0 ? 0.0
-                    : static_cast<double>(tstats_.hit_blocks) /
-                          static_cast<double>(total);
-}
-
 void TierCache::admit(u64 lba, u64 tag, u16 tenant, u32 csize, bool dirty) {
   Entry e;
   e.tag = tag;
@@ -411,23 +397,14 @@ void TierCache::on_power_cut(SimTime now) {
 }
 
 void TierCache::register_metrics(const obs::Scope& scope) {
-  scope.counter_fn("hit_blocks", [this] { return tstats_.hit_blocks; });
-  scope.counter_fn("miss_blocks", [this] { return tstats_.miss_blocks; });
-  scope.counter_fn("admit_blocks", [this] { return tstats_.admit_blocks; });
-  scope.counter_fn("bypass_blocks", [this] { return tstats_.bypass_blocks; });
-  scope.counter_fn("promote_blocks",
-                   [this] { return tstats_.promote_blocks; });
-  scope.counter_fn("destage_blocks",
-                   [this] { return tstats_.destage_blocks; });
-  scope.counter_fn("demote_blocks", [this] { return tstats_.demote_blocks; });
-  scope.counter_fn("drop_blocks", [this] { return tstats_.drop_blocks; });
-  scope.counter_fn("evict_blocks", [this] { return tstats_.evict_blocks; });
-  scope.counter_fn("cpu_compress_ns",
-                   [this] { return tstats_.cpu_compress_ns; });
-  scope.counter_fn("cpu_decompress_ns",
-                   [this] { return tstats_.cpu_decompress_ns; });
-  scope.counter_fn("lost_dirty_blocks",
-                   [this] { return tstats_.lost_dirty_blocks; });
+  // Every TierStats counter except the cumulative byte totals: the
+  // "compressed_bytes" gauge below is the resident compressed size.
+  for (const CounterField<TierStats>& f : kTierStatsFields) {
+    if (f.counter == nullptr || f.counter == &TierStats::uncompressed_bytes ||
+        f.counter == &TierStats::compressed_bytes)
+      continue;
+    scope.counter_fn(f.name, [this, c = f.counter] { return tstats_.*c; });
+  }
   scope.gauge_fn("resident_blocks",
                  [this] { return static_cast<double>(map_.size()); });
   scope.gauge_fn("compressed_bytes",
@@ -441,8 +418,9 @@ void TierCache::register_metrics(const obs::Scope& scope) {
   // Ratio gauges live under the top-level "util." namespace so the engine's
   // merged time series averages them across domains instead of summing.
   const obs::Scope util(scope.registry(), "util." + scope.prefix());
-  util.gauge_fn("hit_ratio", [this] { return hit_ratio(); });
-  util.gauge_fn("compression_ratio", [this] { return compression_ratio(); });
+  util.gauge_fn("hit_ratio", [this] { return tstats_.hit_ratio(); });
+  util.gauge_fn("compression_ratio",
+                [this] { return tstats_.compression_ratio(); });
 }
 
 }  // namespace srcache::tier

@@ -64,7 +64,7 @@ struct TierConfig {
 };
 
 // Monotonic tallies; window deltas and cross-domain merges are exact
-// integer arithmetic (workload::TierOutcome mirrors these fields).
+// integer arithmetic (workload::TierOutcome extends these fields).
 struct TierStats {
   u64 hit_blocks = 0;           // reads served from the tier
   u64 miss_blocks = 0;          // reads forwarded to the inner cache
@@ -80,7 +80,38 @@ struct TierStats {
   u64 cpu_compress_ns = 0;      // virtual CPU time charged to compression
   u64 cpu_decompress_ns = 0;    // ... and decompression
   u64 lost_dirty_blocks = 0;    // dirty blocks in DRAM at a power cut
+
+  [[nodiscard]] double hit_ratio() const {
+    return ratio_of(hit_blocks, hit_blocks + miss_blocks);
+  }
+  // Average compression ratio of everything admitted (compressed /
+  // uncompressed; 1.0 when nothing was admitted).
+  [[nodiscard]] double compression_ratio() const {
+    return ratio_of(compressed_bytes, uncompressed_bytes, 1.0);
+  }
 };
+
+// The windowed counters of the REPRO_JSON "tier" block, with its two ratios
+// in print order (workload::kTierOccupancyFields follows them).
+inline constexpr CounterField<TierStats> kTierStatsFields[] = {
+    {"hit_blocks", &TierStats::hit_blocks},
+    {"miss_blocks", &TierStats::miss_blocks},
+    {.name = "hit_ratio", .ratio = &TierStats::hit_ratio},
+    {"admit_blocks", &TierStats::admit_blocks},
+    {"bypass_blocks", &TierStats::bypass_blocks},
+    {"promote_blocks", &TierStats::promote_blocks},
+    {"destage_blocks", &TierStats::destage_blocks},
+    {"demote_blocks", &TierStats::demote_blocks},
+    {"drop_blocks", &TierStats::drop_blocks},
+    {"evict_blocks", &TierStats::evict_blocks},
+    {"uncompressed_bytes", &TierStats::uncompressed_bytes},
+    {"compressed_bytes", &TierStats::compressed_bytes},
+    {.name = "compression_ratio", .ratio = &TierStats::compression_ratio},
+    {"cpu_compress_ns", &TierStats::cpu_compress_ns},
+    {"cpu_decompress_ns", &TierStats::cpu_decompress_ns},
+    {"lost_dirty_blocks", &TierStats::lost_dirty_blocks},
+};
+static_assert(names_every_counter(kTierStatsFields));
 
 class TierCache final : public cache::CacheDevice {
  public:
@@ -102,13 +133,11 @@ class TierCache final : public cache::CacheDevice {
   [[nodiscard]] const TierConfig& config() const { return cfg_; }
   [[nodiscard]] const TierStats& tier_stats() const { return tstats_; }
   [[nodiscard]] u64 resident_blocks() const { return map_.size(); }
-  [[nodiscard]] u64 resident_compressed_bytes() const { return resident_csize_; }
+  [[nodiscard]] u64 resident_compressed_bytes() const {
+    return resident_csize_;
+  }
   [[nodiscard]] u64 dirty_blocks() const { return dirty_blocks_; }
   [[nodiscard]] u64 dirty_compressed_bytes() const { return dirty_csize_; }
-  // Average compression ratio of everything admitted so far (compressed /
-  // uncompressed; 1.0 when nothing was admitted).
-  [[nodiscard]] double compression_ratio() const;
-  [[nodiscard]] double hit_ratio() const;
 
   // Power cut: DRAM is gone. Dirty residents are counted lost (TierStats::
   // lost_dirty_blocks and, when a ledger is attached, an injected+detected

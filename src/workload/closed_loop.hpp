@@ -1,8 +1,8 @@
-// Resumable closed-loop replay: Runner::run's issue/measure machinery split
-// into explicit phases (warmup -> start -> run_until... -> finish) so a
-// caller can interleave other work at virtual-time boundaries. Runner drives
-// one loop straight through; engine::ParallelEngine drives one loop per
-// shard domain and pauses each at epoch barriers.
+// Resumable closed-loop replay: the issue/measure machinery in explicit
+// phases (warmup -> start -> run_until... -> finish) so a caller can
+// interleave other work at virtual-time boundaries. Runner::run drives one
+// loop straight through; engine::ParallelEngine drives one loop per shard
+// domain and pauses each at epoch barriers.
 //
 // Determinism contract: given identical construction inputs, the sequence of
 // issued requests — and therefore every statistic finish() computes — is a
@@ -31,7 +31,7 @@ class ClosedLoop {
 
   // Opens the measurement window at the next pending completion: snapshots
   // device/cache/registry state and anchors the fault injector and adaptive
-  // controller, exactly like Runner.
+  // controller.
   void start();
 
   [[nodiscard]] sim::SimTime window_start() const { return start_; }

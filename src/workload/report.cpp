@@ -47,37 +47,16 @@ std::string run_json(const std::string& bench, const std::string& name,
   w.end_object();
 
   w.key("cache").begin_object();
-  w.kv("app_read_ops", r.cache.app_read_ops);
-  w.kv("app_read_blocks", r.cache.app_read_blocks);
-  w.kv("app_write_ops", r.cache.app_write_ops);
-  w.kv("app_write_blocks", r.cache.app_write_blocks);
-  w.kv("read_hit_blocks", r.cache.read_hit_blocks);
-  w.kv("read_miss_blocks", r.cache.read_miss_blocks);
-  w.kv("write_hit_blocks", r.cache.write_hit_blocks);
-  w.kv("write_new_blocks", r.cache.write_new_blocks);
-  w.kv("fetch_blocks", r.cache.fetch_blocks);
-  w.kv("destage_blocks", r.cache.destage_blocks);
-  w.kv("gc_copy_blocks", r.cache.gc_copy_blocks);
-  w.kv("dropped_clean_blocks", r.cache.dropped_clean_blocks);
+  emit_counters(w, r.cache, cache::kCacheStatsFields);
   w.end_object();
 
   w.key("ssd").begin_object();
-  w.kv("read_ops", r.ssd.read_ops);
-  w.kv("read_blocks", r.ssd.read_blocks);
-  w.kv("write_ops", r.ssd.write_ops);
-  w.kv("write_blocks", r.ssd.write_blocks);
-  w.kv("flushes", r.ssd.flushes);
-  w.kv("trim_blocks", r.ssd.trim_blocks);
+  emit_counters(w, r.ssd, blockdev::kDeviceStatsFields);
   w.end_object();
 
   if (r.fault.active) {
     w.key("fault").begin_object();
-    w.kv("events_fired", r.fault.events_fired);
-    w.kv("injected", r.fault.injected);
-    w.kv("detected", r.fault.detected);
-    w.kv("repaired", r.fault.repaired);
-    w.kv("repaired_by_rebuild", r.fault.repaired_by_rebuild);
-    w.kv("undetected", r.fault.undetected);
+    emit_counters(w, r.fault, kFaultCounterFields);
     w.kv("first_fault_s", r.fault.first_fault_s);
     w.kv("healthy_mbps", r.fault.healthy_mbps);
     w.kv("degraded_mbps", r.fault.degraded_mbps);
@@ -90,19 +69,7 @@ std::string run_json(const std::string& bench, const std::string& name,
   // attached so v5 documents' shapes stay strict subsets.
   if (r.rebuild.active) {
     w.key("rebuild").begin_object();
-    w.kv("rebuilds_started", static_cast<u64>(r.rebuild.rebuilds_started));
-    w.kv("rebuilds_completed", static_cast<u64>(r.rebuild.rebuilds_completed));
-    w.kv("rebuilds_aborted", static_cast<u64>(r.rebuild.rebuilds_aborted));
-    w.kv("spares_total", static_cast<u64>(r.rebuild.spares_total));
-    w.kv("spares_used", static_cast<u64>(r.rebuild.spares_used));
-    w.kv("blocks_at_risk_peak", r.rebuild.blocks_at_risk_peak);
-    w.kv("blocks_copied", r.rebuild.blocks_copied);
-    w.kv("blocks_skipped", r.rebuild.blocks_skipped);
-    w.kv("blocks_unrecovered", r.rebuild.blocks_unrecovered);
-    w.kv("read_bytes", r.rebuild.read_bytes);
-    w.kv("write_bytes", r.rebuild.write_bytes);
-    w.kv("degraded_seconds",
-         static_cast<double>(r.rebuild.degraded_ns) / 1e9);
+    emit_counters(w, r.rebuild, raid::kRebuildOutcomeFields);
     w.end_object();
   }
 
@@ -110,26 +77,8 @@ std::string run_json(const std::string& bench, const std::string& name,
   // so v6 documents' shapes stay strict subsets.
   if (r.tier.active) {
     w.key("tier").begin_object();
-    w.kv("hit_blocks", r.tier.hit_blocks);
-    w.kv("miss_blocks", r.tier.miss_blocks);
-    w.kv("hit_ratio", r.tier.hit_ratio());
-    w.kv("admit_blocks", r.tier.admit_blocks);
-    w.kv("bypass_blocks", r.tier.bypass_blocks);
-    w.kv("promote_blocks", r.tier.promote_blocks);
-    w.kv("destage_blocks", r.tier.destage_blocks);
-    w.kv("demote_blocks", r.tier.demote_blocks);
-    w.kv("drop_blocks", r.tier.drop_blocks);
-    w.kv("evict_blocks", r.tier.evict_blocks);
-    w.kv("uncompressed_bytes", r.tier.uncompressed_bytes);
-    w.kv("compressed_bytes", r.tier.compressed_bytes);
-    w.kv("compression_ratio", r.tier.compression_ratio());
-    w.kv("cpu_compress_ns", r.tier.cpu_compress_ns);
-    w.kv("cpu_decompress_ns", r.tier.cpu_decompress_ns);
-    w.kv("lost_dirty_blocks", r.tier.lost_dirty_blocks);
-    w.kv("resident_blocks", r.tier.resident_blocks);
-    w.kv("resident_compressed_bytes", r.tier.resident_compressed_bytes);
-    w.kv("dirty_blocks", r.tier.dirty_blocks);
-    w.kv("budget_bytes", r.tier.budget_bytes);
+    emit_counters(w, r.tier, tier::kTierStatsFields);
+    emit_counters(w, r.tier, kTierOccupancyFields);
     w.end_object();
   }
 
@@ -192,15 +141,9 @@ std::string run_json(const std::string& bench, const std::string& name,
   if (!r.tenants.empty()) {
     w.key("tenants").begin_array();
     for (size_t t = 0; t < r.tenants.size(); ++t) {
-      const TenantOutcome& to = r.tenants[t];
       w.begin_object();
       w.kv("tenant", static_cast<u64>(t));
-      w.kv("ops", to.ops);
-      w.kv("bytes", to.bytes);
-      w.kv("hit_blocks", to.hit_blocks);
-      w.kv("miss_blocks", to.miss_blocks);
-      w.kv("hit_ratio", to.hit_ratio());
-      w.kv("target_blocks", to.target_blocks);
+      emit_counters(w, r.tenants[t], kTenantFields);
       w.end_object();
     }
     w.end_array();

@@ -7,8 +7,11 @@
 // document, so the perf trajectory across commits is machine-tracked instead
 // of scraped from text tables.
 //
-// Schema (stable; version bumps change "schema"):
-//   { "schema": "srcache-repro-v3",
+// Schema (stable; version bumps change "schema"). The "cache", "ssd",
+// "fault", "rebuild", "tier" and "tenants" counters are the rows of the
+// CounterField tables beside their structs (kCacheStatsFields, ...), in
+// table order; tests/result_fields_test.cpp pins each block's key list.
+//   { "schema": "srcache-repro-v7",
 //     "scale": 0.25, "virtual_seconds": 10,
 //     "runs": [ { "bench": ..., "name": ...,
 //                 "seconds", "ops", "bytes",
@@ -26,8 +29,7 @@
 // per-interval "timeseries" object (obs/timeseries.hpp). Runs driven with a
 // fault plan (RunConfig::fault) additionally carry a "fault" object — the
 // reconciling ledger counters plus the healthy/degraded window split:
-//   "fault": { "events_fired", "injected", "detected", "repaired",
-//              "undetected", "first_fault_s", "healthy_mbps",
+//   "fault": { <kFaultCounterFields>, "first_fault_s", "healthy_mbps",
 //              "degraded_mbps", "degraded_read": {...},
 //              "degraded_write": {...} }
 // Consumers keyed on the v1 fields keep working against either version.
@@ -35,8 +37,7 @@
 // v3 is a strict superset of v2: every v2 field is unchanged. Multi-tenant
 // runs (RunConfig::num_tenants > 0) add a per-tenant array and the adaptive
 // controller's epoch counters:
-//   "tenants": [ { "tenant", "ops", "bytes", "hit_blocks", "miss_blocks",
-//                  "hit_ratio", "target_blocks" } ],
+//   "tenants": [ { "tenant", <kTenantFields> } ],
 //   "adapt": { "epochs", "rebalances" }
 // Runs replaying a parsed trace file add its provenance:
 //   "trace": { "malformed_lines" }
@@ -70,17 +71,12 @@
 // (epoch SLO watchdog verdicts; see obs/slo.hpp and repro_report --slo).
 //
 // v6 is a strict superset of v5: runs with a background rebuild engine
-// attached add the "rebuild" object (hot-spare reconstruction outcome).
+// attached add the "rebuild" object (hot-spare reconstruction outcome):
+//   "rebuild": { <raid::kRebuildOutcomeFields> }
 //
 // v7 is a strict superset of v6. Runs fronted by the compressed DRAM tier
 // (REPRO_TIER_MB > 0) add a "tier" object:
-//   "tier": { "hit_blocks", "miss_blocks", "hit_ratio", "admit_blocks",
-//             "bypass_blocks", "promote_blocks", "destage_blocks",
-//             "demote_blocks", "drop_blocks", "evict_blocks",
-//             "uncompressed_bytes", "compressed_bytes", "compression_ratio",
-//             "cpu_compress_ns", "cpu_decompress_ns", "lost_dirty_blocks",
-//             "resident_blocks", "resident_compressed_bytes",
-//             "dirty_blocks", "budget_bytes" }
+//   "tier": { <tier::kTierStatsFields>, <kTierOccupancyFields> }
 // and the provenance "by_cause" map gains "tier_destage" / "tier_demote"
 // entries (the map was always open-ended, so v6 consumers keep working).
 #pragma once

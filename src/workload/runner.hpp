@@ -20,11 +20,8 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "raid/rebuild.hpp"
+#include "tier/tier_cache.hpp"
 #include "workload/generators.hpp"
-
-namespace srcache::tier {
-class TierCache;
-}
 
 namespace srcache::workload {
 
@@ -86,15 +83,11 @@ struct RunConfig {
   tier::TierCache* tier = nullptr;
 };
 
-// Fault-scenario outcome of a run (RunConfig::fault). The window is split at
-// the first fired event: before it the array is healthy, from it on the run
-// is the paper's degraded window (§4.3) — failure-handling cost shows up as
-// the throughput drop and the degraded-side latency tail.
-struct FaultOutcome {
-  bool active = false;      // a FaultInjector was attached
+// The fault plan's fired-event count and the FaultLedger counters at the
+// end of the window; the ledger invariant injected == detected + undetected
+// must hold (see fault/ledger.hpp).
+struct FaultCounters {
   u64 events_fired = 0;
-  // FaultLedger counters at the end of the window; the ledger invariant
-  // injected == detected + undetected must hold (see fault/ledger.hpp).
   u64 injected = 0;
   u64 detected = 0;
   u64 repaired = 0;
@@ -102,6 +95,25 @@ struct FaultOutcome {
   // engine (a distinct bucket; see FaultLedger::record_repaired_by_rebuild).
   u64 repaired_by_rebuild = 0;
   u64 undetected = 0;
+};
+
+// The counters that open the REPRO_JSON "fault" block.
+inline constexpr CounterField<FaultCounters> kFaultCounterFields[] = {
+    {"events_fired", &FaultCounters::events_fired},
+    {"injected", &FaultCounters::injected},
+    {"detected", &FaultCounters::detected},
+    {"repaired", &FaultCounters::repaired},
+    {"repaired_by_rebuild", &FaultCounters::repaired_by_rebuild},
+    {"undetected", &FaultCounters::undetected},
+};
+static_assert(names_every_counter(kFaultCounterFields));
+
+// Fault-scenario outcome of a run (RunConfig::fault). The window is split at
+// the first fired event: before it the array is healthy, from it on the run
+// is the paper's degraded window (§4.3) — failure-handling cost shows up as
+// the throughput drop and the degraded-side latency tail.
+struct FaultOutcome : FaultCounters {
+  bool active = false;      // a FaultInjector was attached
   // Seconds into the measurement window of the first fired event; < 0 when
   // no event fired (plan empty or triggers past the window).
   double first_fault_s = -1.0;
@@ -121,66 +133,30 @@ struct FaultOutcome {
 };
 
 // Compressed-DRAM-tier outcome of a run (inactive unless RunConfig::tier
-// was set): integer mirrors of tier::TierStats over the measurement window
-// plus end-of-window occupancy. Everything is exact integer arithmetic so
+// was set): the tier::TierStats counters over the measurement window plus
+// end-of-window occupancy. Everything is exact integer arithmetic so
 // per-shard outcomes merge bit-identically.
-struct TierOutcome {
+struct TierOutcome : tier::TierStats {
   bool active = false;
-  u64 hit_blocks = 0;
-  u64 miss_blocks = 0;
-  u64 admit_blocks = 0;
-  u64 bypass_blocks = 0;
-  u64 promote_blocks = 0;
-  u64 destage_blocks = 0;
-  u64 demote_blocks = 0;
-  u64 drop_blocks = 0;
-  u64 evict_blocks = 0;
-  u64 uncompressed_bytes = 0;
-  u64 compressed_bytes = 0;
-  u64 cpu_compress_ns = 0;
-  u64 cpu_decompress_ns = 0;
-  u64 lost_dirty_blocks = 0;
   // End-of-window occupancy and configuration (budgets sum across domains,
   // like the flash capacity they shadow).
   u64 resident_blocks = 0;
   u64 resident_compressed_bytes = 0;
   u64 dirty_blocks = 0;
   u64 budget_bytes = 0;
-
-  [[nodiscard]] double hit_ratio() const {
-    const u64 total = hit_blocks + miss_blocks;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hit_blocks) /
-                            static_cast<double>(total);
-  }
-  [[nodiscard]] double compression_ratio() const {
-    return uncompressed_bytes == 0
-               ? 1.0
-               : static_cast<double>(compressed_bytes) /
-                     static_cast<double>(uncompressed_bytes);
-  }
-  void merge_add(const TierOutcome& o) {
-    active = active || o.active;
-    hit_blocks += o.hit_blocks;
-    miss_blocks += o.miss_blocks;
-    admit_blocks += o.admit_blocks;
-    bypass_blocks += o.bypass_blocks;
-    promote_blocks += o.promote_blocks;
-    destage_blocks += o.destage_blocks;
-    demote_blocks += o.demote_blocks;
-    drop_blocks += o.drop_blocks;
-    evict_blocks += o.evict_blocks;
-    uncompressed_bytes += o.uncompressed_bytes;
-    compressed_bytes += o.compressed_bytes;
-    cpu_compress_ns += o.cpu_compress_ns;
-    cpu_decompress_ns += o.cpu_decompress_ns;
-    lost_dirty_blocks += o.lost_dirty_blocks;
-    resident_blocks += o.resident_blocks;
-    resident_compressed_bytes += o.resident_compressed_bytes;
-    dirty_blocks += o.dirty_blocks;
-    budget_bytes += o.budget_bytes;
-  }
 };
+
+// The rows of the REPRO_JSON "tier" block after tier::kTierStatsFields.
+inline constexpr CounterField<TierOutcome> kTierOccupancyFields[] = {
+    {"resident_blocks", &TierOutcome::resident_blocks},
+    {"resident_compressed_bytes", &TierOutcome::resident_compressed_bytes},
+    {"dirty_blocks", &TierOutcome::dirty_blocks},
+    {"budget_bytes", &TierOutcome::budget_bytes},
+};
+// Besides the occupancy counters: the TierStats base and `active` (padded to
+// 8 bytes).
+static_assert(names_every_counter(kTierOccupancyFields,
+                                  sizeof(tier::TierStats) + sizeof(u64)));
 
 // Per-tenant slice of the measurement window (RunConfig::num_tenants > 0).
 // Hit/miss blocks are classified runner-side from the cache's miss-counter
@@ -192,12 +168,20 @@ struct TenantOutcome {
   u64 miss_blocks = 0;
   u64 target_blocks = 0;  // final enforced share (0 without a controller)
   [[nodiscard]] double hit_ratio() const {
-    const u64 total = hit_blocks + miss_blocks;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hit_blocks) /
-                            static_cast<double>(total);
+    return ratio_of(hit_blocks, hit_blocks + miss_blocks);
   }
 };
+
+// One REPRO_JSON "tenants" element after its "tenant" index.
+inline constexpr CounterField<TenantOutcome> kTenantFields[] = {
+    {"ops", &TenantOutcome::ops},
+    {"bytes", &TenantOutcome::bytes},
+    {"hit_blocks", &TenantOutcome::hit_blocks},
+    {"miss_blocks", &TenantOutcome::miss_blocks},
+    {.name = "hit_ratio", .ratio = &TenantOutcome::hit_ratio},
+    {"target_blocks", &TenantOutcome::target_blocks},
+};
+static_assert(names_every_counter(kTenantFields));
 
 struct RunResult {
   double seconds = 0.0;
@@ -238,7 +222,7 @@ struct RunResult {
   FaultOutcome fault;
 
   // Background-rebuild outcome (inactive unless RunConfig::rebuild was
-  // set). Merged across shard domains by RebuildOutcome::merge_add.
+  // set).
   raid::RebuildOutcome rebuild;
 
   // Write-provenance ledger delta over the measurement window (empty unless
@@ -249,7 +233,6 @@ struct RunResult {
   obs::SpanOutcome spans;
 
   // Compressed-DRAM-tier outcome (inactive unless RunConfig::tier was set).
-  // Merged across shard domains by TierOutcome::merge_add.
   TierOutcome tier;
 
   // Epoch SLO watchdog outcome (inactive unless a watchdog observed this
@@ -288,6 +271,12 @@ struct RunResult {
   };
   EngineInfo engine;
 };
+
+// Fills r's derived fields (throughput, I/O amplification, hit ratio,
+// latency summaries, the fault window's healthy/degraded split) from its
+// window counters. ClosedLoop::finish and engine::merge_results end with it,
+// so a domain's result and a merged one derive alike.
+void summarize(RunResult& r);
 
 class Runner {
  public:

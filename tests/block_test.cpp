@@ -147,7 +147,8 @@ TEST(MemDisk, StatsAccumulate) {
 TEST(DeviceStatsOps, Subtraction) {
   DeviceStats a{10, 100, 20, 200, 3, 1, 8};
   DeviceStats b{4, 40, 5, 50, 1, 0, 0};
-  const DeviceStats d = a - b;
+  DeviceStats d = a;
+  sub_counters(d, b, kDeviceStatsFields);
   EXPECT_EQ(d.read_ops, 6u);
   EXPECT_EQ(d.write_blocks, 150u);
   EXPECT_EQ(d.total_blocks(), 60u + 150u);

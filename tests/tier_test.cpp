@@ -71,7 +71,7 @@ TEST(TierCache, AbsorbsCompressibleWritesWithoutTouchingFlash) {
   EXPECT_EQ(tier.dirty_blocks(), 16u);
   // Half-compressible: each block costs kBlockSize/2 of budget.
   EXPECT_EQ(tier.resident_compressed_bytes(), 16 * kBlockSize / 2);
-  EXPECT_DOUBLE_EQ(tier.compression_ratio(), 0.5);
+  EXPECT_DOUBLE_EQ(tier.tier_stats().compression_ratio(), 0.5);
   // Below the dirty bound nothing reaches the flash cache.
   EXPECT_EQ(rig.cache->stats().app_write_blocks, inner_before);
   EXPECT_EQ(tier.tier_stats().destage_blocks, 0u);
@@ -114,7 +114,7 @@ TEST(TierCache, ReadHitsDecompressAndReturnTheWrittenTag) {
   EXPECT_EQ(out, tag);
   EXPECT_EQ(tier.tier_stats().hit_blocks, 1u);
   EXPECT_EQ(tier.tier_stats().miss_blocks, 0u);
-  EXPECT_DOUBLE_EQ(tier.hit_ratio(), 1.0);
+  EXPECT_DOUBLE_EQ(tier.tier_stats().hit_ratio(), 1.0);
   EXPECT_GT(tier.tier_stats().cpu_decompress_ns, 0u);
 }
 

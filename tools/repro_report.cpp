@@ -1,7 +1,7 @@
 // repro_report: the regression end of the REPRO_JSON loop.
 //
-// Loads one or two REPRO_JSON documents (schema srcache-repro-v1 or -v2,
-// written by any bench binary with REPRO_JSON=<path>):
+// Loads one or two REPRO_JSON documents (schema srcache-repro-v1 through
+// -v7, written by any bench binary with REPRO_JSON=<path>):
 //
 //   repro_report A.json            per-run summary of one document
 //   repro_report A.json B.json     A/B comparison: A is the baseline, B the
@@ -377,7 +377,8 @@ void print_tenants(const Doc& doc) {
     const JsonValue* tenants = run.json->find("tenants");
     if (tenants == nullptr || !tenants->is_array()) continue;
     const JsonValue* adapt = run.json->find("adapt");
-    const double epochs = adapt == nullptr ? 0.0 : adapt->number_or("epochs", 0.0);
+    const double epochs =
+        adapt == nullptr ? 0.0 : adapt->number_or("epochs", 0.0);
     const double rebal =
         adapt == nullptr ? 0.0 : adapt->number_or("rebalances", 0.0);
     for (const JsonValue& tn : tenants->array) {
@@ -410,7 +411,8 @@ int print_slo(const Doc& doc) {
     if (slo == nullptr) continue;
     const bool bad = slo->number_or("breached", 0.0) != 0.0;
     if (bad) ++breached;
-    t.add_row({run.bench, run.name, Table::num(slo->number_or("epochs", 0.0), 0),
+    t.add_row({run.bench, run.name,
+               Table::num(slo->number_or("epochs", 0.0), 0),
                Table::num(slo->number_or("violations", 0.0), 0),
                Table::num(slo->number_or("degraded_epochs", 0.0), 0),
                Table::num(slo->number_or("burn_rate", 0.0), 2),
