@@ -114,16 +114,16 @@ void BM_LatencyRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencyRecord);
 
-void BM_TraceComplete(benchmark::State& state) {
-  obs::TraceLog trace(4096);
+void BM_SpanTimelineEvent(benchmark::State& state) {
+  obs::SpanTracer tracer(1, 0.0, 1, /*timeline_cap=*/4096);
   sim::SimTime t = 0;
   for (auto _ : state) {
-    trace.complete("req.read", obs::kTrackApp, t, t + 1000, 8);
+    tracer.event("req.read", obs::kLaneApp, t, t + 1000, 8);
     t += 1000;
   }
-  benchmark::DoNotOptimize(trace.size());
+  benchmark::DoNotOptimize(tracer.timeline().size());
 }
-BENCHMARK(BM_TraceComplete);
+BENCHMARK(BM_SpanTimelineEvent);
 
 // One end-to-end SRC run (small scale) so a single `bench_micro` invocation
 // exercises the full stack and — with REPRO_JSON — emits the paper metrics,

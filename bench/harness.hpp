@@ -34,7 +34,6 @@
 #include "obs/provenance.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "raid/raid_device.hpp"
 #include "raid/rebuild.hpp"
 #include "src_cache/src_cache.hpp"
@@ -73,7 +72,7 @@ inline constexpr std::array<Knob, 24> kKnobs = {{
     {"REPRO_JSON", Knob::kPath, 0, 0, nullptr, nullptr,
      "write all measured runs as one JSON document (workload/report.hpp)"},
     {"REPRO_TRACE", Knob::kPath, 0, 0, nullptr, nullptr,
-     "write a Chrome trace-event timeline of the SRC runs"},
+     "write the last SRC run's domain-0 timeline as a Chrome trace"},
     {"REPRO_TIMESERIES_MS", Knob::kFloat, 0, 1e9, "0", "REPRO_JSON",
      "fixed-interval time-series sampling embedded per run"},
     {"REPRO_EPOCH_MS", Knob::kFloat, 1, 1e9, "1000", nullptr,
@@ -287,18 +286,22 @@ inline std::vector<blockdev::BlockDevice*> borrow_ssds(
   return v;
 }
 
-// Writes the event timeline merged with the sampled op-span trees
-// (obs::combined_chrome_json; either input may be null) to REPRO_TRACE as
-// one Chrome trace-event document.
-inline void write_chrome_trace(const obs::TraceLog* log,
-                               const obs::SpanTracer* spans) {
-  const std::string json = obs::combined_chrome_json(log, spans);
+// Writes the tracer's timeline and sampled op-span trees to REPRO_TRACE as
+// one Chrome trace-event document (overwriting the previous run's), and
+// reports its event and drop counts on stdout. Exits 1 if it cannot.
+inline void write_chrome_trace(const obs::SpanTracer& tracer) {
+  const std::string json = tracer.to_chrome_json();
   std::FILE* f = std::fopen(repro_trace_path(), "w");
-  if (f == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), f) != json.size()) {
+  bool ok = f != nullptr &&
+            std::fwrite(json.data(), 1, json.size(), f) == json.size();
+  if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
     std::fprintf(stderr, "REPRO_TRACE: cannot write %s\n", repro_trace_path());
+    std::exit(1);
   }
-  if (f != nullptr) std::fclose(f);
+  std::printf("[trace] %s: events=%zu dropped=%llu\n", repro_trace_path(),
+              tracer.timeline().size(),
+              static_cast<unsigned long long>(tracer.timeline_dropped()));
 }
 
 inline workload::ReproReport& json_report() {
@@ -309,13 +312,15 @@ inline workload::ReproReport& json_report() {
 
 // Records one measured run into the REPRO_JSON document (no-op without the
 // env var). The file is rewritten after every run so a crashed or
-// interrupted bench still leaves valid JSON behind.
+// interrupted bench still leaves valid JSON behind; exits 1 if it cannot.
 inline void report_run(const char* bench, const std::string& name,
                        const workload::RunResult& r) {
   if (repro_json_path() == nullptr) return;
   json_report().add(bench, name, r);
-  if (!json_report().write_file(repro_json_path()))
+  if (!json_report().write_file(repro_json_path())) {
     std::fprintf(stderr, "REPRO_JSON: cannot write %s\n", repro_json_path());
+    std::exit(1);
+  }
 }
 
 // Paper geometry scaled: erase group, chunk, 18-SG cache region.
@@ -367,10 +372,9 @@ struct SrcRig {
   std::unique_ptr<hdd::IscsiTarget> primary;
   std::unique_ptr<src::SrcCache> cache;
   // Registry over the whole stack ("src.*", "ssd.<i>.*", "hdd.*"); wired by
-  // make_src_rig. Event trace and op-span tracer, allocated on demand by
+  // make_src_rig. Op-span tracer and timeline, allocated on demand by
   // observe_rig().
   obs::MetricsRegistry registry;
-  std::unique_ptr<obs::TraceLog> trace;
   std::unique_ptr<obs::SpanTracer> spans;
 
   [[nodiscard]] std::vector<blockdev::BlockDevice*> ssd_ptrs() const {
@@ -538,16 +542,18 @@ engine::DomainSetup replay_domain(DomainRig& h, workload::TraceGroup group,
   return s;
 }
 
-// Under REPRO_SPAN_SAMPLE, attaches an op-span tracer to the rig's top
-// layer (the cache's src.*/backend.* or the RAID's stripe spans) and to
-// each SSD (ssd.*/nand.* descent tagged with its array index), once per rig.
-// Its seed is derived from (not equal to) the trace seed, so the sampling
-// stream never aliases the workload's own RNG streams.
+// Under REPRO_SPAN_SAMPLE, or with a `timeline_cap` > 0, attaches an op-span
+// tracer to the rig's top layer (the cache's src.*/backend.* or the RAID's
+// stripe spans) and to each SSD (ssd.*/nand.* descent tagged with its array
+// index), once per rig. Its seed is derived from (not equal to) the trace
+// seed, so the sampling stream never aliases the workload's own RNG streams.
 template <typename Rig, typename Top>
-obs::SpanTracer* attach_spans(Rig& rig, Top& top, u64 seed) {
-  if (repro_span_sample() > 0.0 && !rig.spans) {
+obs::SpanTracer* attach_spans(Rig& rig, Top& top, u64 seed,
+                              size_t timeline_cap = 0) {
+  if ((repro_span_sample() > 0.0 || timeline_cap > 0) && !rig.spans) {
     rig.spans = std::make_unique<obs::SpanTracer>(
-        common::SplitMix64(seed).next(), repro_span_sample());
+        common::SplitMix64(seed).next(), repro_span_sample(), size_t{1} << 16,
+        timeline_cap);
     top.set_span(rig.spans.get());
     for (size_t i = 0; i < rig.ssds.size(); ++i)
       rig.ssds[i]->set_span(rig.spans.get(), static_cast<u32>(i));
@@ -557,27 +563,15 @@ obs::SpanTracer* attach_spans(Rig& rig, Top& top, u64 seed) {
 
 // Wires an SRC rig into a run's observability (idempotent per rig): the
 // metrics registry and write-provenance ledger always, op spans per
-// attach_spans, and with `trace` an event timeline. The timeline drops the
-// newest events once full, counted by the "obs.trace.dropped" gauge so
-// truncation is visible in the metrics delta, never silent.
+// attach_spans, and with `trace` a timeline of the whole stack, primary
+// included. The timeline drops the newest events once full; the Chrome
+// document and write_chrome_trace's stdout line carry the drop count.
 inline void observe_rig(SrcRig& rig, u64 seed, bool trace,
                         workload::RunConfig& rc) {
   rc.registry = &rig.registry;
   rc.provenance = &rig.cache->provenance();
-  rc.spans = attach_spans(rig, *rig.cache, seed);
-  if (trace && !rig.trace) {
-    rig.trace = std::make_unique<obs::TraceLog>(size_t{1} << 16);
-    rig.cache->set_trace(rig.trace.get(), obs::kTrackSrc);
-    rig.primary->set_trace(rig.trace.get(), obs::kTrackPrimary);
-    for (size_t i = 0; i < rig.ssds.size(); ++i)
-      rig.ssds[i]->set_trace(rig.trace.get(),
-                             obs::kTrackSsdBase + static_cast<u32>(i));
-    obs::TraceLog* log = rig.trace.get();
-    obs::Scope(rig.registry, "obs").gauge_fn("trace.dropped", [log] {
-      return static_cast<double>(log->dropped());
-    });
-  }
-  rc.trace = rig.trace.get();
+  rc.spans = attach_spans(rig, *rig.cache, seed, trace ? size_t{1} << 16 : 0);
+  rig.primary->set_span(rc.spans);
 }
 
 // Runs one trace group against an SRC rig and reports the paper's metrics,
@@ -591,8 +585,7 @@ inline workload::RunResult run_group(SrcRig& rig, workload::TraceGroup group,
   workload::RunConfig rc = replay_config(geo);
   observe_rig(rig, seed, repro_trace_path() != nullptr, rc);
   workload::RunResult res = runner.run(set.generators(), rc);
-  if (repro_trace_path() != nullptr)
-    write_chrome_trace(rig.trace.get(), rig.spans.get());
+  if (repro_trace_path() != nullptr) write_chrome_trace(*rig.spans);
   return res;
 }
 
@@ -848,8 +841,7 @@ inline workload::RunResult run_group_sharded(
       name_override != nullptr ? name_override : workload::to_string(group);
   workload::RunResult res =
       run_engine_sharded(bench, name, kEngineDomains, factory);
-  if (traced)
-    write_chrome_trace(traced->rig->trace.get(), traced->rig->spans.get());
+  if (traced) write_chrome_trace(*traced->rig->spans);
   return res;
 }
 

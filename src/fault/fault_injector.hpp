@@ -1,10 +1,10 @@
 // FaultInjector: arms a FaultPlan against a device stack and fires events
 // as virtual time / measured-op count advance.
 //
-// The injector is driven by workload::Runner (RunConfig::fault): before each
-// measured request it calls advance(now, ops), which fires every due event
-// exactly once, in plan order. Effects go through the BlockDevice fault
-// hooks (fail/heal/corrupt/inject_media_errors/degrade_service), so any
+// The injector is driven by workload::ClosedLoop (RunConfig::fault): before
+// each measured request it calls advance(now, ops), which fires every due
+// event exactly once, in plan order. Effects go through the BlockDevice
+// fault hooks (fail/heal/corrupt/inject_media_errors/degrade_service), so any
 // simulated device participates; the SRC-specific reaction to a fail-stop
 // (drop unprotected blocks, §4.3) is delivered through an optional callback
 // so this layer stays independent of the cache.

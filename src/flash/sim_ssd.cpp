@@ -99,8 +99,9 @@ IoResult SimSsd::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
   const SimTime nand_done = charge_nand(t_iface, ops);
   const SimTime done = admit_to_buffer(t_iface, blocks_to_bytes(n), nand_done);
 
-  if (trace_ != nullptr && (ops.gc_reads > 0 || ops.erases > 0))
-    trace_->complete("ssd.gc", trace_track_, t_iface, nand_done, ops.erases);
+  if (span_ != nullptr && (ops.gc_reads > 0 || ops.erases > 0))
+    span_->event("ssd.gc", obs::kLaneSsdBase + span_dev_, t_iface, nand_done,
+                 ops.erases);
   if (span_ != nullptr && span_->sampling()) {
     const u32 s = span_->begin_span("ssd.write", now, span_dev_);
     if (s != obs::kNoSpan) {
@@ -160,7 +161,8 @@ IoResult SimSsd::flush(SimTime now) {
   for (int lane = 0; lane < controller_.units(); ++lane)
     done = std::max(done, controller_.submit(now, service));
   stats_.flushes++;
-  if (trace_ != nullptr) trace_->complete("ssd.flush", trace_track_, now, done);
+  if (span_ != nullptr)
+    span_->event("ssd.flush", obs::kLaneSsdBase + span_dev_, now, done);
   return {done, ErrorCode::kOk};
 }
 

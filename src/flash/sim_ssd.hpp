@@ -24,7 +24,6 @@
 #include "flash/ssd_specs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "sim/timeline.hpp"
 
 namespace srcache::flash {
@@ -76,16 +75,10 @@ class SimSsd final : public BlockDevice {
   // The callbacks read this device; it must outlive the registry's snapshots.
   void register_metrics(const obs::Scope& scope);
 
-  // Attaches an event trace (nullptr detaches). Emits internal-GC and flush
-  // events on `track`.
-  void set_trace(obs::TraceLog* log, u32 track) {
-    trace_ = log;
-    trace_track_ = track;
-  }
-
   // Attaches an op-span tracer (nullptr detaches). When the ambient op is
   // sampled, reads/writes contribute "ssd.read"/"ssd.write" spans with
-  // NAND-phase children, labelled with this device's array index.
+  // NAND-phase children, labelled with this device's array index; internal
+  // GC and flushes go to the timeline on lane kLaneSsdBase + dev.
   void set_span(obs::SpanTracer* tracer, u32 dev) {
     span_ = tracer;
     span_dev_ = dev;
@@ -114,8 +107,6 @@ class SimSsd final : public BlockDevice {
   DeviceStats stats_;
   bool failed_ = false;
 
-  obs::TraceLog* trace_ = nullptr;
-  u32 trace_track_ = 0;
   obs::SpanTracer* span_ = nullptr;
   u32 span_dev_ = 0;
 };

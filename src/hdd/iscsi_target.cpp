@@ -109,8 +109,8 @@ blockdev::IoResult IscsiTarget::read(SimTime now, u64 lba, u32 n,
     }
     const SimTime done = link_transfer(now + half_rtt(now), blocks_to_bytes(n)) +
                          half_rtt(now);
-    if (trace_ != nullptr)
-      trace_->complete("hdd.read_ram", trace_track_, now, done, n);
+    if (span_ != nullptr)
+      span_->event("hdd.read_ram", obs::kLanePrimary, now, done, n);
     return {done, ErrorCode::kOk};
   }
   ram_misses_ += n;
@@ -119,8 +119,8 @@ blockdev::IoResult IscsiTarget::read(SimTime now, u64 lba, u32 n,
   for (u32 i = 0; i < n; ++i)
     cache_insert(lba + i, tags_out.empty() ? 0 : tags_out[i]);
   const SimTime done = link_transfer(r.done, blocks_to_bytes(n)) + half_rtt(now);
-  if (trace_ != nullptr)
-    trace_->complete("hdd.read_disk", trace_track_, now, done, n);
+  if (span_ != nullptr)
+    span_->event("hdd.read_disk", obs::kLanePrimary, now, done, n);
   return {done, ErrorCode::kOk};
 }
 
@@ -139,8 +139,10 @@ blockdev::IoResult IscsiTarget::write(SimTime now, u64 lba, u32 n,
   volume_->set_background(false);
   const SimTime drained = r.ok() ? r.done : sent;
   const SimTime admitted = absorb_write(sent, drained, blocks_to_bytes(n));
-  if (trace_ != nullptr)
-    trace_->complete("hdd.write", trace_track_, now, admitted + half_rtt(now), n);
+  if (span_ != nullptr) {
+    span_->event("hdd.write", obs::kLanePrimary, now,
+                 admitted + half_rtt(now), n);
+  }
   return {admitted + half_rtt(now), ErrorCode::kOk};
 }
 
@@ -175,8 +177,8 @@ blockdev::IoResult IscsiTarget::flush(SimTime now) {
   blockdev::IoResult r = volume_->flush(drained + half_rtt(now));
   if (!r.ok()) return r;
   stats_.flushes++;
-  if (trace_ != nullptr)
-    trace_->complete("hdd.flush", trace_track_, now, r.done + half_rtt(now));
+  if (span_ != nullptr)
+    span_->event("hdd.flush", obs::kLanePrimary, now, r.done + half_rtt(now));
   return {r.done + half_rtt(now), ErrorCode::kOk};
 }
 

@@ -16,7 +16,7 @@
 #include "block/block_device.hpp"
 #include "hdd/sim_hdd.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "raid/raid_device.hpp"
 #include "sim/timeline.hpp"
 
@@ -87,12 +87,9 @@ class IscsiTarget final : public blockdev::BlockDevice {
   // callbacks read this target; it must outlive the registry's snapshots.
   void register_metrics(const obs::Scope& scope);
 
-  // Attaches an event trace (nullptr detaches): per-command read/write/flush
-  // events are emitted on `track` (opt-in; traced runs only).
-  void set_trace(obs::TraceLog* log, u32 track) {
-    trace_ = log;
-    trace_track_ = track;
-  }
+  // Attaches a tracer (nullptr detaches): per-command read/write/flush
+  // events go to its timeline on lane kLanePrimary.
+  void set_span(obs::SpanTracer* tracer) { span_ = tracer; }
 
  private:
   SimTime link_transfer(SimTime now, u64 bytes);
@@ -121,8 +118,7 @@ class IscsiTarget final : public blockdev::BlockDevice {
   u64 ram_hits_ = 0, ram_misses_ = 0;
   blockdev::DeviceStats stats_;
 
-  obs::TraceLog* trace_ = nullptr;
-  u32 trace_track_ = 0;
+  obs::SpanTracer* span_ = nullptr;
 };
 
 }  // namespace srcache::hdd

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 
 namespace srcache::obs {
 
@@ -21,8 +20,13 @@ void SpanOutcome::merge_add(const SpanOutcome& o) {
   }
 }
 
-SpanTracer::SpanTracer(u64 seed, double rate, size_t cap)
-    : rng_(seed), rate_(rate), cap_(cap == 0 ? 1 : cap) {}
+SpanTracer::SpanTracer(u64 seed, double rate, size_t cap, size_t timeline_cap)
+    : rng_(seed),
+      rate_(rate),
+      cap_(cap == 0 ? 1 : cap),
+      timeline_cap_(timeline_cap) {
+  timeline_.reserve(timeline_cap_);
+}
 
 bool SpanTracer::begin_op(const char* name, sim::SimTime start) {
   ++ops_seen_;
@@ -85,9 +89,21 @@ void SpanTracer::end_span(u32 id, sim::SimTime end, u64 arg) {
   if (it != stack_.end()) stack_.erase(it);
 }
 
+void SpanTracer::event(const char* name, u32 lane, sim::SimTime start,
+                       sim::SimTime end, u64 arg) {
+  if (timeline_cap_ == 0) return;
+  // Drop-newest: the retained prefix stays contiguous from the start of the
+  // run, and the loss is counted instead of silently rewriting history.
+  if (timeline_.size() >= timeline_cap_) {
+    ++timeline_dropped_;
+    return;
+  }
+  timeline_.push_back({name, lane, start, end > start ? end : start, arg});
+}
+
 SpanOutcome SpanTracer::outcome() const {
   SpanOutcome o;
-  o.active = true;
+  o.active = rate_ > 0.0;
   o.rate = rate_;
   o.ops_seen = ops_seen_;
   o.ops_sampled = ops_sampled_;
@@ -101,7 +117,38 @@ SpanOutcome SpanTracer::outcome() const {
   return o;
 }
 
-void SpanTracer::emit_chrome_events(JsonWriter& w) const {
+std::string SpanTracer::to_chrome_json() const {
+  JsonWriter w;
+  w.begin_array();
+  if (timeline_cap_ > 0) {
+    // The drop count travels with the timeline it truncates.
+    w.begin_object();
+    w.kv("name", "trace.dropped");
+    w.kv("ph", "C");
+    w.kv("ts", 0.0);
+    w.kv("pid", u64{0});
+    w.key("args").begin_object().kv("dropped", timeline_dropped_).end_object();
+    w.end_object();
+    // Recording order is per emitter but emitters interleave; a stable sort
+    // by start makes every lane chronological as viewers expect.
+    std::vector<TimelineEvent> evs = timeline_;
+    std::stable_sort(evs.begin(), evs.end(),
+                     [](const TimelineEvent& a, const TimelineEvent& b) {
+                       return a.start < b.start;
+                     });
+    for (const TimelineEvent& e : evs) {
+      w.begin_object();
+      w.kv("name", e.name);
+      w.kv("ph", e.end > e.start ? "X" : "i");
+      w.kv("ts", sim::to_us(e.start));
+      w.kv("pid", u64{0});
+      w.kv("tid", e.lane);
+      if (e.end > e.start) w.kv("dur", sim::to_us(e.end - e.start));
+      else w.kv("s", "t");  // instant scope: thread
+      w.key("args").begin_object().kv("v", e.arg).end_object();
+      w.end_object();
+    }
+  }
   // Lane layout: each sampled trace renders its whole tree on one lane
   // (nesting by containment); four lanes keep concurrent traces apart.
   constexpr u32 kSpanLaneBase = 100;
@@ -149,21 +196,6 @@ void SpanTracer::emit_chrome_events(JsonWriter& w) const {
     w.kv("tid", lane(r));
     w.end_object();
   }
-}
-
-std::string SpanTracer::to_chrome_json() const {
-  JsonWriter w;
-  w.begin_array();
-  emit_chrome_events(w);
-  w.end_array();
-  return w.take();
-}
-
-std::string combined_chrome_json(const TraceLog* log, const SpanTracer* spans) {
-  JsonWriter w;
-  w.begin_array();
-  if (log != nullptr) log->emit_chrome_events(w);
-  if (spans != nullptr) spans->emit_chrome_events(w);
   w.end_array();
   return w.take();
 }

@@ -5,13 +5,13 @@
 // comes from *when* FTL GC and flush stalls fire — but a RunResult only
 // reports window averages, which hides the GC dips and flush plateaus behind
 // Tables 6/8/11. The sampler closes that gap without an event calendar: the
-// closed-loop Runner observes virtual time only at request-completion
+// workload::ClosedLoop observes virtual time only at request-completion
 // boundaries, so it drives the sampler there; whenever time crosses one or
 // more interval boundaries the sampler closes those intervals, snapshotting
 // the MetricsRegistry and deriving per-interval series:
 //
 //  * throughput / IOPS / hit ratio / I/O amplification from the requests
-//    the Runner fed into the interval;
+//    the ClosedLoop fed into the interval;
 //  * GC pressure (summed "ssd.*.gc.erases" / "ssd.*.gc.pages_copied"
 //    counter deltas);
 //  * every registry gauge as a point-in-time series (segment-buffer
@@ -45,7 +45,7 @@ struct TimeSample {
   sim::SimTime start = 0;  // absolute sim time, ns
   sim::SimTime end = 0;    // start + interval, except a shorter tail sample
 
-  // Request-level accumulators fed by the driver (Runner).
+  // Request-level accumulators fed by the driver (ClosedLoop).
   u64 ops = 0;
   u64 bytes = 0;
   u64 app_blocks = 0;

@@ -181,7 +181,7 @@ SimTime SrcCache::flush_all_ssds(SimTime now) {
     if (r.ok()) done = std::max(done, r.done);
   }
   extra_.flushes_issued++;
-  if (trace_ != nullptr) trace_->complete("src.flush", trace_track_, now, done);
+  if (span_ != nullptr) span_->event("src.flush", obs::kLaneSrc, now, done);
   return done;
 }
 
@@ -774,8 +774,8 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
     rebuild_->discard(base, cfg_.chunk_blocks());
 
   extra_.segments_written++;
-  if (trace_ != nullptr)
-    trace_->complete("src.segment_seal", trace_track_, issue, done, count);
+  if (span_ != nullptr)
+    span_->event("src.segment_seal", obs::kLaneSrc, issue, done, count);
   if (dirty_type) {
     extra_.dirty_segments++;
     if (count < capacity) extra_.partial_segments++;
@@ -960,15 +960,15 @@ Result<u64> SrcCache::read_slot(SimTime now, u32 sg, u32 seg, u32 slot,
       extra_.checksum_errors++;
       if (fault_ledger_ != nullptr)
         fault_ledger_->record_detected(static_cast<int>(a.dev), a.block);
-      if (trace_ != nullptr)
-        trace_->instant("src.checksum_error", trace_track_, now, lba);
+      if (span_ != nullptr)
+        span_->event("src.checksum_error", obs::kLaneSrc, now, now, lba);
     } else if (r.error == ErrorCode::kMediaError) {
       if (done != nullptr) *done = std::max(*done, r.done);
       extra_.media_errors++;
       if (fault_ledger_ != nullptr)
         fault_ledger_->record_detected(static_cast<int>(a.dev), a.block);
-      if (trace_ != nullptr)
-        trace_->instant("src.media_error", trace_track_, now, lba);
+      if (span_ != nullptr)
+        span_->event("src.media_error", obs::kLaneSrc, now, now, lba);
     }
   }
   // Mirror copy (RAID-1).
@@ -1011,8 +1011,8 @@ Result<u64> SrcCache::read_slot(SimTime now, u32 sg, u32 seg, u32 slot,
       if (!cfg_.verify_checksums || common::crc32c_of(tag) == want_crc) {
         if (done != nullptr) *done = std::max(*done, t);
         extra_.parity_repairs++;
-        if (trace_ != nullptr)
-          trace_->instant("src.parity_repair", trace_track_, now, lba);
+        if (span_ != nullptr)
+          span_->event("src.parity_repair", obs::kLaneSrc, now, now, lba);
         if (!ssds_[a.dev]->failed()) {
           auto wr = ssds_[a.dev]->write(now, a.block, 1,
                                         std::span<const u64>(&tag, 1));
@@ -1045,14 +1045,14 @@ Result<u64> SrcCache::read_slot(SimTime now, u32 sg, u32 seg, u32 slot,
         if (fault_ledger_ != nullptr)
           fault_ledger_->record_repaired(static_cast<int>(a.dev), a.block);
       }
-      if (trace_ != nullptr)
-        trace_->instant("src.refetch_repair", trace_track_, now, lba);
+      if (span_ != nullptr)
+        span_->event("src.refetch_repair", obs::kLaneSrc, now, now, lba);
       return tag;
     }
   }
   extra_.unrecoverable_blocks++;
-  if (trace_ != nullptr)
-    trace_->instant("src.unrecoverable", trace_track_, now, lba);
+  if (span_ != nullptr)
+    span_->event("src.unrecoverable", obs::kLaneSrc, now, now, lba);
   return Status(ErrorCode::kUnrecoverable, "cached block lost");
 }
 

@@ -28,7 +28,6 @@
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "raid/rebuild.hpp"
 #include "src_cache/segment_meta.hpp"
 #include "src_cache/src_config.hpp"
@@ -203,15 +202,10 @@ class SrcCache final : public cache::CacheDevice {
   // callbacks read this cache; it must outlive the registry's snapshots.
   void register_metrics(const obs::Scope& scope);
 
-  // Attaches an event trace (nullptr detaches): segment seals, SG reclaims,
-  // flushes, repairs and failure handling are emitted on `track`.
-  void set_trace(obs::TraceLog* log, u32 track) {
-    trace_ = log;
-    trace_track_ = track;
-  }
-
   // Attaches an op-span tracer (nullptr detaches): segment fills, reclaims,
-  // destages and backend fetches become child spans of the sampled op.
+  // destages and backend fetches become child spans of the sampled op;
+  // segment seals, SG reclaims, flushes, repairs and failure handling go to
+  // its timeline on lane kLaneSrc.
   void set_span(obs::SpanTracer* tracer) { span_ = tracer; }
 
   // Cumulative write-provenance ledger: every byte this cache wrote to the
@@ -399,8 +393,6 @@ class SrcCache final : public cache::CacheDevice {
   std::vector<TenantStats> tenants_{1};
   bool quotas_enforced_ = false;
 
-  obs::TraceLog* trace_ = nullptr;
-  u32 trace_track_ = 0;
   obs::SpanTracer* span_ = nullptr;
   obs::ProvenanceLedger ledger_;
   // Kept so tenants configured after register_metrics still get per-tenant

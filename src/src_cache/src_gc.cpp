@@ -279,9 +279,9 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
   sgs_[v] = std::move(fresh);
   free_sgs_.push_back(v);
   in_gc_ = was_in_gc;
-  if (trace_ != nullptr)
-    trace_->complete(use_s2d ? "src.sg_reclaim_s2d" : "src.sg_reclaim_s2s",
-                     trace_track_, now, t, v);
+  if (span_ != nullptr)
+    span_->event(use_s2d ? "src.sg_reclaim_s2d" : "src.sg_reclaim_s2s",
+                 obs::kLaneSrc, now, t, v);
   if (reclaim_span != obs::kNoSpan) span_->end_span(reclaim_span, t, v);
   return t;
 }

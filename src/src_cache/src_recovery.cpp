@@ -172,8 +172,8 @@ void SrcCache::on_ssd_failure(size_t ssd) {
   // Fail-stop handling (§4.3): parity-protected blocks stay cached and are
   // reconstructed on access; unprotected ones are dropped — clean blocks
   // refetch on the next miss, dirty ones (RAID-0 only) are lost.
-  if (trace_ != nullptr)
-    trace_->instant("src.ssd_failure", trace_track_, 0, ssd);
+  if (span_ != nullptr)
+    span_->event("src.ssd_failure", obs::kLaneSrc, 0, 0, ssd);
   std::vector<u64> to_drop;
   for (auto& [lba, e] : map_) {
     if (e.buffered()) continue;
@@ -301,8 +301,8 @@ void SrcCache::on_rebuild_lost(size_t dev,
     tenants_[e.tenant].live_blocks--;
     eviction_->on_evict(lba);
   }
-  if (trace_ != nullptr)
-    trace_->instant("src.rebuild_lost", trace_track_, 0, to_drop.size());
+  if (span_ != nullptr)
+    span_->event("src.rebuild_lost", obs::kLaneSrc, 0, 0, to_drop.size());
 }
 
 SrcCache::ScrubReport SrcCache::scrub(SimTime now, SimTime* done) {

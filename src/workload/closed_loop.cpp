@@ -96,9 +96,9 @@ u64 ClosedLoop::issue(sim::SimTime now, size_t g, bool measure) {
     }
     sampler_.record(now, op.is_write, hit, op.nblocks,
                     blocks_to_bytes(op.nblocks));
-    if (cfg_.trace != nullptr) {
-      cfg_.trace->complete(op.is_write ? "req.write" : "req.read",
-                           cfg_.trace_track, now, done, op.nblocks);
+    if (cfg_.spans != nullptr) {
+      cfg_.spans->event(op.is_write ? "req.write" : "req.read", obs::kLaneApp,
+                        now, done, op.nblocks);
     }
   }
   heap_.emplace(done, g);

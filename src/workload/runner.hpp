@@ -18,7 +18,6 @@
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "raid/rebuild.hpp"
 #include "tier/tier_cache.hpp"
 #include "workload/generators.hpp"
@@ -38,10 +37,6 @@ struct RunConfig {
   // after warm-up and at the end; RunResult.metrics holds the delta, so the
   // measurement window excludes cache-fill traffic.
   const obs::MetricsRegistry* registry = nullptr;
-  // Optional: request submit/complete events land here (measurement window
-  // only) as "req.read"/"req.write" complete events on `trace_track`.
-  obs::TraceLog* trace = nullptr;
-  u32 trace_track = obs::kTrackApp;
   // Optional: fixed-interval time-series sampling of the measurement window
   // (0 = off). Derived per-interval series (throughput, hit ratio, per-
   // resource utilization, ...) land in RunResult.timeseries; resource series
@@ -74,6 +69,8 @@ struct RunConfig {
   // Optional op-span tracer. The runner opens a root span ("op.read"/
   // "op.write") around every measured request; components wired to the same
   // tracer attach children. RunResult.spans carries the aggregate outcome.
+  // Every measured request also lands on its timeline as a "req.read"/
+  // "req.write" event on lane kLaneApp.
   obs::SpanTracer* spans = nullptr;
   // Optional compressed DRAM tier sitting above the cache under test
   // (src/tier). The loop snapshots its stats after warm-up and reports the

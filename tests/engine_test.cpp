@@ -16,7 +16,6 @@
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "src_test_util.hpp"
 #include "tier/tier_cache.hpp"
 #include "workload/generators.hpp"
@@ -40,10 +39,9 @@ struct TestDomain {
   src::testutil::Rig rig;
   std::vector<std::unique_ptr<workload::Generator>> gens;
   std::vector<workload::Generator*> gen_ptrs;
-  // Observability sidecars (make_obs_domain only): per-domain event trace
-  // and op-span tracer, owned here so hooks and post-run assertions can
-  // reach them.
-  std::unique_ptr<obs::TraceLog> trace;
+  // Observability sidecar (make_obs_domain only): per-domain op-span tracer
+  // with a timeline, owned here so hooks and post-run assertions can reach
+  // it.
   std::unique_ptr<obs::SpanTracer> spans;
   // Compressed DRAM tier (make_tier_domain only), interposed above the rig.
   std::unique_ptr<tier::TierCache> tier;
@@ -89,19 +87,17 @@ DomainSetup make_test_domain(u32 index, u32 num_tenants = 0,
 }
 
 // Like make_test_domain but with the full observability stack wired in:
-// event trace (runner request events + SRC internals), op-span tracer
-// (deterministic per-domain seed off the same derivation the bench harness
-// uses), and the cache's write-provenance ledger. The trace capacity is
-// sized so the identity runs never drop an event — asserted by the test.
+// op-span tracer (deterministic per-domain seed off the same derivation the
+// bench harness uses) with a timeline (runner request events + SRC
+// internals), and the cache's write-provenance ledger. The timeline
+// capacity is sized so the identity runs never drop an event — asserted by
+// the test.
 DomainSetup make_obs_domain(u32 index) {
   DomainSetup s = make_test_domain(index);
   auto* holder = static_cast<TestDomain*>(s.owned.get());
-  holder->trace = std::make_unique<obs::TraceLog>(1 << 20);
-  holder->rig.cache->set_trace(holder->trace.get(), obs::kTrackSrc);
-  s.cfg.trace = holder->trace.get();
-  s.cfg.trace_track = obs::kTrackApp;
   holder->spans = std::make_unique<obs::SpanTracer>(
-      common::SplitMix64(9000 + index).next(), /*rate=*/0.25);
+      common::SplitMix64(9000 + index).next(), /*rate=*/0.25, size_t{1} << 16,
+      /*timeline_cap=*/size_t{1} << 20);
   holder->rig.cache->set_span(holder->spans.get());
   s.cfg.spans = holder->spans.get();
   s.cfg.provenance = &holder->rig.cache->provenance();
@@ -414,8 +410,8 @@ TEST(ParallelEngine, SpansAndLedgerPreserveIdentityWithZeroTraceDrops) {
     cfg.shards = shards;
     cfg.threads = threads;
     ParallelEngine eng(cfg);
-    // Keep the domain holders alive past run() so the traces and tracers
-    // can be inspected after the engine tears the rigs down.
+    // Keep the domain holders alive past run() so the tracers can be
+    // inspected after the engine tears the rigs down.
     auto holders =
         std::make_shared<std::vector<std::shared_ptr<TestDomain>>>(4);
     const EngineResult r = eng.run(4, [holders](u32 index, u32) {
@@ -426,9 +422,8 @@ TEST(ParallelEngine, SpansAndLedgerPreserveIdentityWithZeroTraceDrops) {
     for (const auto& d : *holders) {
       EXPECT_NE(d, nullptr);
       if (d == nullptr) continue;
-      EXPECT_EQ(d->trace->dropped(), 0u) << "trace ring truncated";
-      EXPECT_GT(d->trace->size(), 0u);
-      EXPECT_EQ(d->trace->total_recorded(), d->trace->size());
+      EXPECT_EQ(d->spans->timeline_dropped(), 0u) << "timeline truncated";
+      EXPECT_GT(d->spans->timeline().size(), 0u);
     }
     // Both observability channels actually fired.
     EXPECT_FALSE(r.merged.provenance.empty());

@@ -18,7 +18,6 @@
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "src_cache/src_cache.hpp"
 #include "workload/report.hpp"
 #include "workload/runner.hpp"
@@ -209,44 +208,54 @@ TEST(Latency, NegativeLatencyClampIsCounted) {
   EXPECT_EQ(rec.clamped(), 0u);
 }
 
-// --- TraceLog --------------------------------------------------------------
+// --- SpanTracer timeline ----------------------------------------------------
 
-TEST(Trace, CapacityDropsNewestAndCounts) {
-  obs::TraceLog log(4);
+TEST(Span, TimelineCapacityDropsNewestAndCounts) {
+  obs::SpanTracer tr(1, 0.0, 1, /*timeline_cap=*/4);
   for (int i = 0; i < 10; ++i)
-    log.instant("e", obs::kTrackApp, i * 100, static_cast<u64>(i));
-  EXPECT_EQ(log.capacity(), 4u);
-  EXPECT_EQ(log.size(), 4u);
-  EXPECT_EQ(log.total_recorded(), 10u);
+    tr.event("e", obs::kLaneApp, i * 100, i * 100, static_cast<u64>(i));
+  EXPECT_EQ(tr.timeline().size(), 4u);
   // Drop-newest: the retained prefix is intact and the overflow is counted
-  // (surfaced as the obs.trace.dropped gauge), never silently overwritten.
-  EXPECT_EQ(log.dropped(), 6u);
-  const auto evs = log.events();
+  // (carried by the Chrome document), never silently overwritten.
+  EXPECT_EQ(tr.timeline_dropped(), 6u);
+  EXPECT_EQ(tr.timeline().size() + tr.timeline_dropped(), 10u);
+  const auto& evs = tr.timeline();
   ASSERT_EQ(evs.size(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(evs[i].arg, static_cast<u64>(i));
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.dropped(), 0u);
+
+  // timeline_cap 0 means no timeline at all: nothing kept, nothing dropped.
+  obs::SpanTracer none(1, 1.0);
+  none.event("x", 0, 0, 10);
+  EXPECT_TRUE(none.timeline().empty());
+  EXPECT_EQ(none.timeline_dropped(), 0u);
 }
 
-TEST(Trace, NegativeDurationClamped) {
-  obs::TraceLog log(8);
-  log.complete("x", 0, 500, 400);
-  EXPECT_EQ(log.events()[0].dur, 0);
+TEST(Span, TimelineNegativeDurationClamped) {
+  obs::SpanTracer tr(1, 0.0, 1, /*timeline_cap=*/8);
+  tr.event("x", 0, 500, 400);
+  ASSERT_EQ(tr.timeline().size(), 1u);
+  EXPECT_EQ(tr.timeline()[0].start, 500);
+  EXPECT_EQ(tr.timeline()[0].end, 500);
 }
 
+// A timeline-only tracer's Chrome document: the drop-count record first,
+// then every event with the trace-event schema fields, sorted by ts.
 TEST(Trace, ChromeJsonSchema) {
-  obs::TraceLog log(64);
-  log.complete("req.read", obs::kTrackApp, 3000, 5000, 8);
-  log.instant("src.ssd_failure", obs::kTrackSrc, 1000, 2);
-  log.complete("ssd.flush", obs::kTrackSsdBase, 2000, 9000);
-  const auto r = obs::parse_json(log.to_chrome_json());
+  obs::SpanTracer tr(1, 0.0, 1, /*timeline_cap=*/64);
+  tr.event("req.read", obs::kLaneApp, 3000, 5000, 8);
+  tr.event("src.ssd_failure", obs::kLaneSrc, 1000, 1000, 2);
+  tr.event("ssd.flush", obs::kLaneSsdBase, 2000, 9000);
+  const auto r = obs::parse_json(tr.to_chrome_json());
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   const obs::JsonValue& v = r.value();
   ASSERT_TRUE(v.is_array());
-  ASSERT_EQ(v.array.size(), 3u);
+  ASSERT_EQ(v.array.size(), 4u);
+  ASSERT_NE(v.array[0].find("ph"), nullptr);
+  EXPECT_EQ(v.array[0].find("ph")->string, "C");
+  EXPECT_EQ(v.array[0].find("args")->find("dropped")->number, 0.0);
   std::map<u32, double> last_ts;
-  for (const auto& e : v.array) {
+  for (size_t i = 1; i < v.array.size(); ++i) {
+    const obs::JsonValue& e = v.array[i];
     ASSERT_TRUE(e.is_object());
     ASSERT_NE(e.find("name"), nullptr);
     EXPECT_TRUE(e.find("name")->is_string());
@@ -260,7 +269,7 @@ TEST(Trace, ChromeJsonSchema) {
     if (ph == "X") {
       EXPECT_NE(e.find("dur"), nullptr);
     }
-    // Chronological per track (and globally: events are sorted by ts).
+    // Chronological per lane (and globally: events are sorted by ts).
     const u32 tid = static_cast<u32>(e.find("tid")->number);
     auto it = last_ts.find(tid);
     if (it != last_ts.end()) {
@@ -269,8 +278,72 @@ TEST(Trace, ChromeJsonSchema) {
     last_ts[tid] = e.find("ts")->number;
   }
   // ts is microseconds: the instant at 1000 ns sorts first at 1 us.
-  EXPECT_DOUBLE_EQ(v.array[0].find("ts")->number, 1.0);
-  EXPECT_EQ(v.array[0].find("name")->string, "src.ssd_failure");
+  EXPECT_DOUBLE_EQ(v.array[1].find("ts")->number, 1.0);
+  EXPECT_EQ(v.array[1].find("name")->string, "src.ssd_failure");
+}
+
+// The timeline never touches the sampling RNG, the span record cap or the
+// outcome: interleaving events leaves the sampled spans bit-identical.
+TEST(Span, TimelineEventsLeaveOutcomeUnchanged) {
+  auto drive = [](obs::SpanTracer& tr, bool events) {
+    for (int i = 0; i < 200; ++i) {
+      const sim::SimTime t = i * 100;
+      if (events) tr.event("req.read", obs::kLaneApp, t, t + 50, 8);
+      if (tr.begin_op("op.read", t)) {
+        if (events) tr.event("src.segment_seal", obs::kLaneSrc, t, t + 10);
+        const u32 c = tr.begin_span("ssd.read", t + 1, 2);
+        tr.end_span(c, t + 40, 8);
+        tr.end_op(t + 50, 8);
+      }
+      if (events) tr.event("ssd.gc", obs::kLaneSsdBase, t, t);
+    }
+  };
+  obs::SpanTracer plain(42, 0.3, /*cap=*/64);
+  obs::SpanTracer timed(42, 0.3, /*cap=*/64, /*timeline_cap=*/256);
+  drive(plain, false);
+  drive(timed, true);
+  const obs::SpanOutcome a = plain.outcome();
+  const obs::SpanOutcome b = timed.outcome();
+  EXPECT_EQ(timed.timeline().size(), 256u);
+  EXPECT_EQ(timed.timeline().size() + timed.timeline_dropped(),
+            400u + b.ops_sampled);
+  EXPECT_GT(a.ops_sampled, 0u);
+  EXPECT_GT(a.span_dropped, 0u);  // the record cap binds in both runs
+  EXPECT_EQ(a.ops_seen, b.ops_seen);
+  EXPECT_EQ(a.ops_sampled, b.ops_sampled);
+  EXPECT_EQ(a.spans, b.spans);
+  EXPECT_EQ(a.span_dropped, b.span_dropped);
+  ASSERT_EQ(a.by_name.size(), b.by_name.size());
+  for (const auto& [name, agg] : a.by_name) {
+    EXPECT_EQ(agg.count, b.by_name.at(name).count) << name;
+    EXPECT_EQ(agg.total_ns, b.by_name.at(name).total_ns) << name;
+  }
+}
+
+// A rate-0 tracer is timeline-only: it records events but its outcome is
+// inactive, so the run's REPRO_JSON carries no "spans" block.
+TEST(Span, RateZeroTracerIsTimelineOnly) {
+  obs::SpanTracer tr(7, 0.0, 1 << 16, /*timeline_cap=*/16);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(tr.begin_op("op.write", i * 10));
+    tr.event("req.write", obs::kLaneApp, i * 10, i * 10 + 5, 8);
+  }
+  EXPECT_EQ(tr.timeline().size(), 5u);
+  workload::RunResult res;
+  res.spans = tr.outcome();
+  EXPECT_FALSE(res.spans.active);
+  const auto doc = obs::parse_json(workload::run_json("obs_test", "r", res));
+  ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
+  EXPECT_EQ(doc.value().find("spans"), nullptr);
+
+  // The same run with a sampling rate does carry the block.
+  obs::SpanTracer sampled(7, 1.0);
+  ASSERT_TRUE(sampled.begin_op("op.write", 0));
+  sampled.end_op(5, 8);
+  res.spans = sampled.outcome();
+  const auto doc2 = obs::parse_json(workload::run_json("obs_test", "r", res));
+  ASSERT_TRUE(doc2.is_ok());
+  EXPECT_NE(doc2.value().find("spans"), nullptr);
 }
 
 // --- TimeSeriesSampler ------------------------------------------------------
@@ -474,8 +547,9 @@ TEST(TimeSeries, JsonRoundTrip) {
 
 // --- End-to-end: instrumented SRC stack ------------------------------------
 
-// Small SimSsd-backed SRC rig with registry + trace wired, mirroring the
-// bench harness at test scale.
+// Small SimSsd-backed SRC rig with registry + a timeline-only (rate-0)
+// tracer wired, mirroring the bench harness's REPRO_TRACE wiring at test
+// scale.
 struct ObsRig {
   flash::SsdSpec spec;
   src::SrcConfig cfg;
@@ -483,7 +557,7 @@ struct ObsRig {
   std::unique_ptr<hdd::IscsiTarget> primary;
   std::unique_ptr<src::SrcCache> cache;
   obs::MetricsRegistry registry;
-  obs::TraceLog trace{1 << 14};
+  obs::SpanTracer tracer{1, 0.0, 1 << 16, /*timeline_cap=*/1 << 14};
 
   ObsRig() {
     spec.capacity_bytes = 8 * MiB;
@@ -504,7 +578,7 @@ struct ObsRig {
       ssds.back()->precondition();
       ssds.back()->register_metrics(
           obs::Scope(registry, "ssd." + std::to_string(i)));
-      ssds.back()->set_trace(&trace, obs::kTrackSsdBase + i);
+      ssds.back()->set_span(&tracer, i);
       devs.push_back(ssds.back().get());
     }
     hdd::IscsiConfig pc;
@@ -513,10 +587,10 @@ struct ObsRig {
     pc.dirty_limit_bytes = 4 * MiB;
     primary = std::make_unique<hdd::IscsiTarget>(pc);
     primary->register_metrics(obs::Scope(registry, "hdd"));
-    primary->set_trace(&trace, obs::kTrackPrimary);
+    primary->set_span(&tracer);
     cache = std::make_unique<src::SrcCache>(cfg, devs, primary.get());
     cache->register_metrics(obs::Scope(registry, "src"));
-    cache->set_trace(&trace, obs::kTrackSrc);
+    cache->set_span(&tracer);
     cache->format(0);
   }
 
@@ -536,7 +610,7 @@ struct ObsRig {
     rc.duration = 2 * sim::kSec;
     rc.warmup_bytes = 8 * MiB;
     rc.registry = &registry;
-    rc.trace = &trace;
+    rc.spans = &tracer;
     rc.timeseries_interval = 100 * sim::kMs;  // 20 intervals per run
     return runner.run({&gen}, rc);
   }
@@ -602,9 +676,9 @@ TEST(ObsEndToEnd, RunnerFillsLatencyAndMetrics) {
     max_nand = std::max(max_nand, sample.series.at("util.ssd.0.nand"));
   EXPECT_GT(max_nand, 0.0);
 
-  // The trace saw application requests and cache internals.
+  // The timeline saw application requests and cache internals.
   std::set<std::string> names;
-  for (const auto& e : rig.trace.events()) names.insert(e.name);
+  for (const auto& e : rig.tracer.timeline()) names.insert(e.name);
   EXPECT_TRUE(names.count("req.read"));
   EXPECT_TRUE(names.count("req.write"));
   EXPECT_TRUE(names.count("src.segment_seal"));
@@ -837,30 +911,77 @@ TEST(Span, OutcomeMergeAddIsExact) {
 }
 
 TEST(Span, CombinedChromeJsonParsesWithFlows) {
-  obs::TraceLog log(16);
-  log.instant("src.seal", obs::kTrackSrc, 5, 1);
-  obs::SpanTracer tr(1, 1.0);
+  // One document: the timeline (slices and instants), the drop-count
+  // record, and the span trees with their flow arrows.
+  obs::SpanTracer tr(1, 1.0, 1 << 16, /*timeline_cap=*/4);
+  tr.event("req.read", obs::kLaneApp, 3000, 5000, 8);
+  tr.event("src.ssd_failure", obs::kLaneSrc, 1000, 1000, 2);
+  tr.event("ssd.flush", obs::kLaneSsdBase, 2000, 9000);
+  tr.event("src.seal", obs::kLaneSrc, 5, 5, 1);
+  tr.event("src.flush", obs::kLaneSrc, 6, 6);  // over the cap: dropped
   ASSERT_TRUE(tr.begin_op("op.write", 0));
   const u32 child = tr.begin_span("ssd.write", 10, 1);
   tr.end_span(child, 90, 8);
   tr.end_op(100, 8);
 
-  const auto r = obs::parse_json(obs::combined_chrome_json(&log, &tr));
+  const auto r = obs::parse_json(tr.to_chrome_json());
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   const obs::JsonValue& v = r.value();
   ASSERT_TRUE(v.is_array());
   int slices = 0, flow_starts = 0, flow_ends = 0, instants = 0;
+  std::vector<const obs::JsonValue*> timeline;
+  const obs::JsonValue* dropped = nullptr;
   for (const auto& e : v.array) {
+    ASSERT_TRUE(e.is_object());
+    ASSERT_NE(e.find("name"), nullptr);
+    EXPECT_TRUE(e.find("name")->is_string());
+    ASSERT_NE(e.find("ph"), nullptr);
+    ASSERT_NE(e.find("ts"), nullptr);
+    EXPECT_TRUE(e.find("ts")->is_number());
+    ASSERT_NE(e.find("pid"), nullptr);
     const std::string& ph = e.find("ph")->string;
     if (ph == "X") ++slices;
     if (ph == "s") ++flow_starts;
     if (ph == "f") ++flow_ends;
     if (ph == "i") ++instants;
+    if (ph == "C") {
+      EXPECT_EQ(e.find("name")->string, "trace.dropped");
+      dropped = &e;
+    } else {
+      ASSERT_NE(e.find("tid"), nullptr);
+    }
+    if (ph == "X") {
+      EXPECT_NE(e.find("dur"), nullptr);
+    }
+    const obs::JsonValue* args = e.find("args");
+    if ((ph == "X" || ph == "i") && args != nullptr &&
+        args->find("trace") == nullptr) {
+      timeline.push_back(&e);
+    }
   }
-  EXPECT_EQ(instants, 1);
-  EXPECT_EQ(slices, 2);      // root + child
+  EXPECT_EQ(instants, 2);
+  EXPECT_EQ(slices, 4);       // two timeline slices + span root + child
   EXPECT_EQ(flow_starts, 1);  // one parent->child arrow
   EXPECT_EQ(flow_ends, 1);
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->find("args")->find("dropped")->number, 1.0);
+
+  // Timeline events are chronological per lane (and globally: sorted by
+  // ts); ts is microseconds, so the instant at 5 ns sorts first.
+  ASSERT_EQ(timeline.size(), 4u);
+  std::map<u32, double> last_ts;
+  for (const obs::JsonValue* e : timeline) {
+    const u32 tid = static_cast<u32>(e->find("tid")->number);
+    auto it = last_ts.find(tid);
+    if (it != last_ts.end()) {
+      EXPECT_GE(e->find("ts")->number, it->second);
+    }
+    last_ts[tid] = e->find("ts")->number;
+  }
+  EXPECT_DOUBLE_EQ(timeline[0]->find("ts")->number, 0.005);
+  EXPECT_EQ(timeline[0]->find("name")->string, "src.seal");
+  EXPECT_DOUBLE_EQ(timeline[1]->find("ts")->number, 1.0);
+  EXPECT_EQ(timeline[1]->find("name")->string, "src.ssd_failure");
 }
 
 // --- SloWatchdog -----------------------------------------------------------
@@ -934,12 +1055,13 @@ TEST(Slo, DegradedDomainsAndBreach) {
 TEST(ObsEndToEnd, ChromeExportOfRealRunParses) {
   ObsRig rig;
   (void)rig.run();
-  ASSERT_GT(rig.trace.size(), 0u);
-  const auto r = obs::parse_json(rig.trace.to_chrome_json());
+  ASSERT_GT(rig.tracer.timeline().size(), 0u);
+  const auto r = obs::parse_json(rig.tracer.to_chrome_json());
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   const obs::JsonValue& v = r.value();
   ASSERT_TRUE(v.is_array());
-  EXPECT_EQ(v.array.size(), rig.trace.size());
+  // Every retained event plus the leading trace.dropped record.
+  EXPECT_EQ(v.array.size(), rig.tracer.timeline().size() + 1);
   double prev = -1.0;
   for (const auto& e : v.array) {
     ASSERT_TRUE(e.is_object());
