@@ -7,27 +7,49 @@ namespace {
 
 constexpr u32 kPoly = 0x82F63B78u;  // reversed Castagnoli polynomial
 
-std::array<u32, 256> make_table() {
-  std::array<u32, 256> t{};
+// Slicing-by-8 tables: kTables[0] is the byte-wise table, and kTables[k][i]
+// is the CRC of byte i followed by k zero bytes, so eight table lookups
+// advance the CRC over eight input bytes at once.
+using Tables = std::array<std::array<u32, 256>, 8>;
+
+constexpr Tables make_tables() {
+  Tables t{};
   for (u32 i = 0; i < 256; ++i) {
     u32 c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? (kPoly ^ (c >> 1)) : (c >> 1);
-    t[i] = c;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (u32 i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
   }
   return t;
 }
 
-const std::array<u32, 256>& table() {
-  static const std::array<u32, 256> t = make_table();
-  return t;
+constexpr Tables kTables = make_tables();
+
+// Little-endian load, whatever the host byte order and alignment.
+u32 load_le32(const u8* p) {
+  return static_cast<u32>(p[0]) | static_cast<u32>(p[1]) << 8 |
+         static_cast<u32>(p[2]) << 16 | static_cast<u32>(p[3]) << 24;
 }
 
 }  // namespace
 
 u32 crc32c(std::span<const u8> data, u32 seed) {
-  const auto& t = table();
+  const auto& t = kTables;
   u32 c = seed ^ 0xFFFFFFFFu;
-  for (u8 b : data) c = t[(c ^ b) & 0xFF] ^ (c >> 8);
+  const u8* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const u32 lo = c ^ load_le32(p);
+    const u32 hi = load_le32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -12,8 +12,10 @@
 // returned operation counts into NAND time.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
+#include "common/result.hpp"
 #include "common/types.hpp"
 
 namespace srcache::flash {
@@ -64,6 +66,58 @@ struct FtlStats {
   }
 };
 
+// Greedy GC victim index: the closed blocks, bucketed by valid-page count,
+// one bitset over block ids per count plus a per-count population. pick()
+// returns the lowest block id in the lowest non-empty bucket, which is the
+// block a linear scan for the fewest valid pages (first found wins) returns.
+// Victim selection is one axis of the FTL design space (EagleTree), so this
+// sits behind Ftl::pick_victim and a different policy replaces only it.
+class VictimIndex {
+ public:
+  static constexpr u32 kNone = ~0u;
+
+  VictimIndex() = default;
+  VictimIndex(u64 blocks, u64 max_valid);
+
+  void insert(u32 blk, u32 valid) {
+    bucket(valid)[blk / 64] |= bit(blk);
+    ++count_[valid];
+    ++size_;
+    min_ = std::min(min_, valid);
+  }
+  void erase(u32 blk, u32 valid) {
+    bucket(valid)[blk / 64] &= ~bit(blk);
+    --count_[valid];
+    --size_;
+  }
+  void move(u32 blk, u32 from, u32 to) {
+    bucket(from)[blk / 64] &= ~bit(blk);
+    bucket(to)[blk / 64] |= bit(blk);
+    --count_[from];
+    ++count_[to];
+    min_ = std::min(min_, to);
+  }
+  // Lowest block id among those with the fewest valid pages, or kNone.
+  [[nodiscard]] u32 pick() const;
+  [[nodiscard]] bool holds(u32 blk, u32 valid) const;
+  [[nodiscard]] u64 size() const { return size_; }
+
+ private:
+  static u64 bit(u32 blk) { return u64{1} << (blk % 64); }
+  u64* bucket(u32 valid) { return &bits_[valid * words_]; }
+  const u64* bucket(u32 valid) const { return &bits_[valid * words_]; }
+
+  // (max_valid + 1) bitsets over block ids, words_ words each, and the
+  // number of blocks in each.
+  u64 words_ = 0;
+  std::vector<u64> bits_;
+  std::vector<u32> count_;
+  u64 size_ = 0;
+  // No non-empty bucket lies below this; pick() advances it past buckets
+  // that emptied since.
+  mutable u32 min_ = 0;
+};
+
 class Ftl {
  public:
   explicit Ftl(const FtlConfig& cfg);
@@ -89,6 +143,12 @@ class Ftl {
   static constexpr u32 kUnmapped = ~0u;
   [[nodiscard]] u32 l2p(u64 lpage) const { return l2p_[lpage]; }
 
+  // Internal-invariant audit for tests: l2p and p2l are inverses, each
+  // block's valid count equals its mapped pages, the free list and block
+  // states agree, and the victim index holds exactly the closed blocks and
+  // picks what a linear scan picks. Returns the first violated invariant.
+  [[nodiscard]] Status verify_consistency() const;
+
  private:
   enum class BlockState : u8 { kFree, kOpen, kClosed };
 
@@ -98,11 +158,22 @@ class Ftl {
     BlockState state = BlockState::kFree;
   };
 
-  u32 allocate_page(std::vector<u32>& open_blocks, u32& rr, NandOps& ops);
-  u32 take_free_block(NandOps& ops);
+  // Takes the next page of a unit's open block and counts it valid; the
+  // block closes, and joins the victim index, with its last page. Pages
+  // are only ever added to open blocks.
+  u32 allocate_page(std::vector<u32>& open_blocks, u32& rr);
+  u32 take_free_block();
+  // Every valid-page loss goes through here, so a closed block moves down
+  // one victim bucket with it.
+  void drop_valid(u32 blk) {
+    BlockInfo& b = blocks_[blk];
+    if (b.state == BlockState::kClosed)
+      victims_.move(blk, b.valid, b.valid - 1);
+    --b.valid;
+  }
   void invalidate(u32 ppage);
   void collect_garbage(NandOps& ops);
-  u32 pick_victim() const;
+  [[nodiscard]] u32 pick_victim() const { return victims_.pick(); }
 
   FtlConfig cfg_;
   FtlStats stats_;
@@ -113,6 +184,7 @@ class Ftl {
   std::vector<u32> host_open_;    // per-unit open blocks for host writes
   std::vector<u32> gc_open_;      // per-unit open blocks for GC writes
   std::vector<u32> write_ptr_;    // next page offset per open block id
+  VictimIndex victims_;           // closed blocks by valid count
   u32 host_rr_ = 0;
   u32 gc_rr_ = 0;
   u64 mapped_pages_ = 0;

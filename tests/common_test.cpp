@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "common/crc32c.hpp"
 #include "common/histogram.hpp"
@@ -67,6 +68,57 @@ TEST(Crc32c, KnownVectorAscending) {
 
 TEST(Crc32c, EmptyIsZero) { EXPECT_EQ(crc32c({}), 0u); }
 
+TEST(Crc32c, CheckValue) {
+  // The standard CRC-32C check value over the ASCII digits "123456789".
+  const std::string digits = "123456789";
+  EXPECT_EQ(crc32c(std::span<const u8>(
+                reinterpret_cast<const u8*>(digits.data()), digits.size())),
+            0xE3069283u);
+}
+
+// Reference CRC-32C, one bit at a time with no tables.
+u32 crc32c_reference(std::span<const u8> data, u32 seed = 0) {
+  u32 c = ~seed;
+  for (u8 b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return ~c;
+}
+
+std::vector<u8> random_bytes(size_t n, u64 seed) {
+  common::Xoshiro256 rng(seed);
+  std::vector<u8> v(n);
+  for (u8& b : v) b = static_cast<u8>(rng.next());
+  return v;
+}
+
+TEST(Crc32c, MatchesReferenceAtEveryOffsetAndLength) {
+  // Start offsets 0-7 make the eight-byte steps unaligned; lengths 0-64
+  // cover the tail loop alone and every tail after whole steps.
+  const std::vector<u8> buf = random_bytes(64 + 8, 11);
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const std::span<const u8> s(buf.data() + off, len);
+      EXPECT_EQ(crc32c(s), crc32c_reference(s))
+          << "off " << off << " len " << len;
+      EXPECT_EQ(crc32c(s, 0x12345678u), crc32c_reference(s, 0x12345678u))
+          << "off " << off << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32c, ChainingEqualsOneShot) {
+  const std::vector<u8> buf = random_bytes(64, 12);
+  const std::span<const u8> all(buf);
+  for (size_t cut = 0; cut <= buf.size(); ++cut) {
+    EXPECT_EQ(crc32c(all.subspan(cut), crc32c(all.first(cut))), crc32c(all))
+        << "cut " << cut;
+  }
+}
+
 TEST(Crc32c, DifferentInputsDiffer) {
   EXPECT_NE(crc32c_of<u64>(1), crc32c_of<u64>(2));
   EXPECT_NE(crc32c_of<u64>(0x1234), crc32c_of<u32>(0x1234));
@@ -111,7 +163,7 @@ TEST(Result, OkStatusRejected) {
   EXPECT_THROW(Result<int>{Status::ok()}, std::logic_error);
 }
 
-// --- rng ----------------------------------------------------------------------
+// --- rng ---------------------------------------------------------------------
 
 TEST(Rng, Deterministic) {
   Xoshiro256 a(7), b(7);
@@ -186,7 +238,7 @@ TEST(Zipf, StaysInRange) {
   for (int i = 0; i < 10000; ++i) EXPECT_LT(z.next(), 50u);
 }
 
-// --- histogram -----------------------------------------------------------------
+// --- histogram ---------------------------------------------------------------
 
 TEST(Histogram, CountsMinMaxMean) {
   Histogram h;
@@ -244,7 +296,7 @@ TEST(Histogram, EmptyIsZero) {
   EXPECT_EQ(h.percentile(99), 0.0);
 }
 
-// --- table ----------------------------------------------------------------------
+// --- table -------------------------------------------------------------------
 
 TEST(Table, AlignsColumns) {
   Table t({"name", "value"});

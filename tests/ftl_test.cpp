@@ -2,6 +2,8 @@
 
 #include "common/rng.hpp"
 #include "flash/ftl.hpp"
+#include "flash/sim_ssd.hpp"
+#include "flash/ssd_specs.hpp"
 
 namespace srcache::flash {
 namespace {
@@ -198,6 +200,101 @@ TEST(Ftl, FreeBlocksStayAboveFloor) {
     ftl.write(rng.below(n));
     ASSERT_GT(ftl.free_blocks(), 0u);
   }
+}
+
+// --- Differential audit: victim index against a linear scan ---------------
+//
+// Seeded random writes and trims, half of the writes from a sequential
+// cursor (whole blocks go invalid: zero-copy victims) and half at random
+// (partly valid victims: copy-back GC). verify_consistency() runs after
+// every op, so the first op that breaks the mapping, a valid count or the
+// victim index's agreement with a linear scan fails at once.
+
+constexpr u64 kAuditedOps = 100'000;
+// 32 units x 64 pages: 2048-page erase groups; four of them exported. At
+// this size the internal minimum spare (two stripes plus 8 blocks) exceeds
+// 7% OPS, so the 0% and 7% setups get the same 200 physical blocks; OPS
+// sets the physical size only past ~1030 exported blocks, too large to
+// audit after every op.
+constexpr u64 kAuditPages = 4 * 32 * 64;
+
+template <typename WriteFn, typename TrimFn, typename AuditFn>
+void run_audited(u64 pages, u64 seed, WriteFn&& write, TrimFn&& trim,
+                 AuditFn&& audit) {
+  common::Xoshiro256 rng(seed);
+  u64 cursor = 0;
+  for (u64 i = 0; i < kAuditedOps; ++i) {
+    const double r = rng.uniform();
+    if (r < 0.02) {
+      trim(rng.below(pages), rng.below(256) + 1);
+    } else if (r < 0.51) {
+      write(cursor);
+      cursor = (cursor + 1) % pages;
+    } else {
+      write(rng.below(pages));
+    }
+    const Status s = audit();
+    ASSERT_TRUE(s.is_ok()) << "op " << i << ": " << s.to_string();
+  }
+}
+
+FtlConfig audit_cfg(int units, u64 exported_pages, double ops) {
+  FtlConfig cfg;
+  cfg.units = units;
+  cfg.pages_per_block = 64;
+  cfg.exported_pages = exported_pages;
+  cfg.ops_fraction = ops;
+  return cfg;
+}
+
+void audit_ftl(const FtlConfig& cfg, u64 seed) {
+  Ftl ftl(cfg);
+  run_audited(
+      cfg.exported_pages, seed, [&](u64 p) { ftl.write(p); },
+      [&](u64 p, u64 n) { ftl.trim(p, n); },
+      [&] { return ftl.verify_consistency(); });
+  // Both GC phases ran: whole-block erases and copy-back.
+  EXPECT_GT(ftl.stats().blocks_erased, 0u);
+  EXPECT_GT(ftl.stats().gc_pages_copied, 0u);
+}
+
+TEST(FtlAudit, VictimIndexMatchesScanAtZeroOps) {
+  audit_ftl(audit_cfg(32, kAuditPages, 0.0), 21);
+}
+
+TEST(FtlAudit, VictimIndexMatchesScanAtSevenPercentOps) {
+  audit_ftl(audit_cfg(32, kAuditPages, 0.07), 22);
+}
+
+TEST(FtlAudit, VictimIndexMatchesScanOnNvmeSpec) {
+  // Table 12's 90-unit NVMe drive, its flash blocks cut to 64 pages so
+  // that two erase groups stay small enough to audit after every op.
+  const SsdSpec nvme = spec_c_mlc_nvme();
+  ASSERT_EQ(nvme.units, 90);
+  audit_ftl(audit_cfg(nvme.units, 2 * 90 * 64, nvme.ops_fraction), 23);
+}
+
+TEST(FtlAudit, VictimIndexMatchesScanAfterReplaceMedia) {
+  // A media swap replaces the FTL wholesale; the new one must start with an
+  // empty index, not the old drive's closed blocks.
+  SsdSpec spec = spec_840pro_128();
+  spec.pages_per_block = 64;
+  spec.capacity_bytes = kAuditPages * kBlockSize;
+  SimSsd ssd(spec, /*track_content=*/false);
+  ssd.precondition();
+  ASSERT_TRUE(ssd.ftl().verify_consistency().is_ok());
+  ssd.replace_media();
+  ASSERT_EQ(ssd.ftl().mapped_pages(), 0u);
+  ASSERT_TRUE(ssd.ftl().verify_consistency().is_ok());
+  SimTime now = 0;
+  run_audited(
+      ssd.capacity_blocks(), 24,
+      [&](u64 p) { now = ssd.write(now, p, 1, {}).done; },
+      [&](u64 p, u64 n) {
+        ssd.trim(now, p, std::min(n, ssd.capacity_blocks() - p));
+      },
+      [&] { return ssd.ftl().verify_consistency(); });
+  EXPECT_GT(ssd.ftl().stats().gc_pages_copied, 0u);
 }
 
 }  // namespace
