@@ -20,25 +20,16 @@ int main() {
     std::vector<std::string> row = {scheme};
     for (auto level : {raid::RaidLevel::kRaid0, raid::RaidLevel::kRaid1,
                        raid::RaidLevel::kRaid4, raid::RaidLevel::kRaid5}) {
-      std::unique_ptr<BaselineRig> rig;
-      if (scheme[0] == 'B') {
-        rig = make_bcache5_rig(flash::spec_840pro_128(), k, level);
-        static_cast<baselines::BcacheLike*>(rig->cache.get());
-      } else {
-        rig = make_flashcache5_rig(flash::spec_840pro_128(), k, level);
-      }
-      workload::FioGen::Config fc;
-      fc.span_blocks = 2 * baseline_cache_blocks(*rig);
-      fc.req_blocks = 1;
-      fc.read_pct = 0;
-      fc.seed = 11;
-      workload::FioGen gen(fc);
-      workload::Runner runner(rig->cache.get(), rig->ssd_ptrs());
-      workload::RunConfig rc;
-      rc.threads_per_gen = 4;
-      rc.iodepth = 32;
-      rc.duration = run_duration();
-      const auto res = runner.run({&gen}, rc);
+      const auto make_rig = [&] {
+        return scheme[0] == 'B'
+                   ? make_bcache5_rig(flash::spec_840pro_128(), k, level)
+                   : make_flashcache5_rig(flash::spec_840pro_128(), k, level);
+      };
+      const std::string name =
+          std::string(scheme) + "/" + raid::to_string(level);
+      const u64 span = 2 * baseline_cache_blocks(Geometry::at(k), level);
+      const auto res = run_fio_write("bench_fig1_baseline_raid", name,
+                                     /*seed=*/11, span, make_rig);
       row.push_back(common::Table::num(res.throughput_mbps, 1));
     }
     t.add_row(std::move(row));

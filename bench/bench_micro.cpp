@@ -118,7 +118,8 @@ void BM_RegistrySnapshot(benchmark::State& state) {
 BENCHMARK(BM_RegistrySnapshot);
 
 // Per-request cost of the latency recorder (the only per-op instrumentation
-// the Runner adds) — a couple of branches and a histogram bucket increment.
+// the closed loop adds) — a couple of branches and a histogram bucket
+// increment.
 void BM_LatencyRecord(benchmark::State& state) {
   obs::LatencyRecorder rec;
   common::Xoshiro256 rng(5);
@@ -147,8 +148,10 @@ BENCHMARK(BM_SpanTimelineEvent);
 void run_end_to_end() {
   using namespace srcache::bench;
   const double k = std::min(scale(), 0.1);
-  auto rig = make_src_rig(default_src_config(), flash::spec_840pro_128(), k);
-  const auto res = run_group(*rig, workload::TraceGroup::kMixed, k);
+  const auto res =
+      run_group_sharded(default_src_config(), flash::spec_840pro_128(),
+                        workload::TraceGroup::kMixed, k, "bench_micro", 42,
+                        "src_mixed");
 
   std::printf("\n=== end-to-end SRC sample (mixed group, scale=%.3g) ===\n", k);
   common::Table t({"Metric", "Value"});
@@ -162,8 +165,6 @@ void run_end_to_end() {
   t.add_row({"write p95 us", common::Table::num(res.write_lat.p95 / 1e3, 1)});
   t.add_row({"write p99 us", common::Table::num(res.write_lat.p99 / 1e3, 1)});
   t.print();
-
-  report_run("bench_micro", "src_mixed", res);
 }
 
 }  // namespace

@@ -66,40 +66,6 @@ MtWorkload make_workload(u64 capacity_blocks, u64 seed) {
   return w;
 }
 
-// A deliberately small cache region (6 erase groups per SSD instead of the
-// paper's 18): partitioning only matters when capacity is the contended
-// resource, and the closed loop at bench scale cannot push enough traffic to
-// contend 18 SGs. Everything else matches make_src_rig.
-std::unique_ptr<SrcRig> make_mt_rig(double k) {
-  auto rig = std::make_unique<SrcRig>();
-  rig->geo = Geometry::at(k);
-  rig->geo.region_bytes_per_ssd = 6 * rig->geo.erase_group_bytes;
-
-  src::SrcConfig cfg = default_src_config();
-  cfg.erase_group_bytes = rig->geo.erase_group_bytes;
-  cfg.chunk_bytes = rig->geo.chunk_bytes;
-  cfg.region_bytes_per_ssd = rig->geo.region_bytes_per_ssd;
-  cfg.verify_checksums = false;
-  cfg.twait = 10 * sim::kMs;
-
-  const flash::SsdSpec spec =
-      sized_spec(flash::spec_840pro_128(), rig->geo.ssd_capacity_bytes, k);
-  for (u32 i = 0; i < cfg.num_ssds; ++i) {
-    rig->ssds.push_back(
-        std::make_unique<flash::SimSsd>(spec, /*track_content=*/false));
-    rig->ssds.back()->precondition();
-    rig->ssds.back()->register_metrics(
-        obs::Scope(rig->registry, "ssd." + std::to_string(i)));
-  }
-  rig->primary = make_primary(k);
-  rig->primary->register_metrics(obs::Scope(rig->registry, "hdd"));
-  rig->cache =
-      std::make_unique<src::SrcCache>(cfg, rig->ssd_ptrs(), rig->primary.get());
-  rig->cache->register_metrics(obs::Scope(rig->registry, "src"));
-  rig->cache->format(0);
-  return rig;
-}
-
 }  // namespace
 
 int main() {
@@ -116,40 +82,64 @@ int main() {
   const StaticSplit splits[] = {
       {"static-25-75", 0.25}, {"static-50-50", 0.50}, {"static-75-25", 0.75}};
 
-  auto run_one = [&](const char* name, double t0_share, bool adaptive) {
-    auto rig = make_mt_rig(k);
-    const u64 cap = rig->cache->config().capacity_blocks();
-    MtWorkload w = make_workload(cap, /*seed=*/42);
-
-    workload::RunConfig rc;
-    rc.threads_per_gen = 8;
-    rc.iodepth = 8;
-    rc.duration = run_duration();
-    rc.warmup_bytes = 2 * 3 * rig->geo.region_bytes_per_ssd;
-    rc.registry = &rig->registry;
-    rc.timeseries_interval = repro_timeseries_interval();
-    rc.num_tenants = 2;
-
+  // A deliberately small cache region (6 erase groups per SSD instead of the
+  // paper's 18): partitioning only matters when capacity is the contended
+  // resource, and the closed loop at bench scale cannot push enough traffic
+  // to contend 18 SGs.
+  const auto small_region = [](src::SrcConfig& cfg, const Geometry&) {
+    cfg.region_bytes_per_ssd = 6 * cfg.erase_group_bytes;
+  };
+  struct MtDomain {
+    std::unique_ptr<SrcRig> rig;
+    MtWorkload w;
     std::unique_ptr<adapt::AdaptiveController> ctrl;
-    if (adaptive) {
-      adapt::AdaptConfig ac;
-      ac.num_tenants = 2;
-      ac.capacity_blocks = cap;
-      ac.epoch = repro_epoch();
-      ac.sampling_rate = repro_shards_rate();
-      ctrl = std::make_unique<adapt::AdaptiveController>(
-          ac, [&rig](const std::vector<u64>& q) {
-            rig->cache->set_tenant_quotas(q);
-          });
-      ctrl->register_metrics(obs::Scope(rig->registry, "adapt"));
-      rc.adapt = ctrl.get();
-    } else {
-      const u64 t0 = static_cast<u64>(static_cast<double>(cap) * t0_share);
-      rig->cache->set_tenant_quotas({t0, cap - t0});
-    }
+  };
 
-    workload::Runner runner(rig->cache.get(), rig->ssd_ptrs());
-    const workload::RunResult res = runner.run({w.mix.get()}, rc);
+  auto run_one = [&](const char* name, double t0_share, bool adaptive) {
+    u64 cap = 0;
+    const auto factory = [&](u32, u32) {
+      auto holder = std::make_shared<MtDomain>();
+      holder->rig = make_src_rig(default_src_config(), flash::spec_840pro_128(),
+                                 k, true, small_region);
+      SrcRig& rig = *holder->rig;
+      cap = rig.cache->config().capacity_blocks();
+      holder->w = make_workload(cap, /*seed=*/42);
+
+      engine::DomainSetup s;
+      s.cache = rig.cache.get();
+      s.ssds = rig.ssd_ptrs();
+      s.gens = {holder->w.mix.get()};
+      workload::RunConfig& rc = s.cfg;
+      rc.threads_per_gen = 8;
+      rc.iodepth = 8;
+      rc.duration = run_duration();
+      rc.warmup_bytes = 2 * 3 * rig.cache->config().region_bytes_per_ssd;
+      rc.registry = &rig.registry;
+      rc.timeseries_interval = repro_timeseries_interval();
+      rc.num_tenants = 2;
+
+      if (adaptive) {
+        adapt::AdaptConfig ac;
+        ac.num_tenants = 2;
+        ac.capacity_blocks = cap;
+        ac.epoch = repro_epoch();
+        ac.sampling_rate = repro_shards_rate();
+        src::SrcCache* cache = rig.cache.get();
+        holder->ctrl = std::make_unique<adapt::AdaptiveController>(
+            ac, [cache](const std::vector<u64>& q) {
+              cache->set_tenant_quotas(q);
+            });
+        holder->ctrl->register_metrics(obs::Scope(rig.registry, "adapt"));
+        rc.adapt = holder->ctrl.get();
+      } else {
+        const u64 t0 = static_cast<u64>(static_cast<double>(cap) * t0_share);
+        rig.cache->set_tenant_quotas({t0, cap - t0});
+      }
+      s.owned = holder;
+      return s;
+    };
+    const workload::RunResult res =
+        run_engine_sharded("bench_multitenant", name, 1, factory);
 
     const double t0_final_share =
         adaptive && !res.tenants.empty()
@@ -163,8 +153,6 @@ int main() {
                common::Table::num(t0_final_share, 2),
                std::to_string(res.adapt_epochs),
                std::to_string(res.adapt_rebalances)});
-    report_run("bench_multitenant", name, res);
-    return res;
   };
 
   for (const StaticSplit& s : splits) run_one(s.name, s.t0_share, false);

@@ -9,26 +9,6 @@
 using namespace srcache;
 using namespace srcache::bench;
 
-namespace {
-
-double run_fio_write(cache::CacheDevice* cache,
-                     std::vector<blockdev::BlockDevice*> ssds, u64 span_blocks) {
-  workload::FioGen::Config fc;
-  fc.span_blocks = span_blocks;
-  fc.req_blocks = 1;  // 4 KiB
-  fc.read_pct = 0;
-  fc.seed = 7;
-  workload::FioGen gen(fc);
-  workload::Runner runner(cache, std::move(ssds));
-  workload::RunConfig rc;
-  rc.threads_per_gen = 4;  // FIO: 4 threads x iodepth 32
-  rc.iodepth = 32;
-  rc.duration = run_duration();
-  return runner.run({&gen}, rc).throughput_mbps;
-}
-
-}  // namespace
-
 int main() {
   print_header("Table 2: write-through vs write-back (single SSD, FIO 4K UR)",
                "Table 2");
@@ -47,27 +27,36 @@ int main() {
   } rows[2] = {{"Bcache"}, {"Flashcache"}};
 
   for (bool write_back : {false, true}) {
-    {
-      auto ssd = std::make_unique<flash::SimSsd>(spec, false);
-      ssd->precondition();
-      auto primary = make_primary(k);
-      baselines::BcacheConfig cfg;
-      cfg.cache_blocks = cache_blocks;
-      cfg.write_back = write_back;
-      baselines::BcacheLike cache(cfg, ssd.get(), primary.get());
-      const double mbps = run_fio_write(&cache, {ssd.get()}, span);
-      (write_back ? rows[0].wb : rows[0].wt) = mbps;
-    }
-    {
-      auto ssd = std::make_unique<flash::SimSsd>(spec, false);
-      ssd->precondition();
-      auto primary = make_primary(k);
-      baselines::FlashcacheConfig cfg;
-      cfg.cache_blocks = cache_blocks;
-      cfg.write_back = write_back;
-      baselines::FlashcacheLike cache(cfg, ssd.get(), primary.get());
-      const double mbps = run_fio_write(&cache, {ssd.get()}, span);
-      (write_back ? rows[1].wb : rows[1].wt) = mbps;
+    for (Cell& row : rows) {
+      const bool bcache = &row == &rows[0];
+      // One preconditioned SSD under the cache, no RAID.
+      const auto make_rig = [&] {
+        auto rig = std::make_unique<BaselineRig>();
+        rig->geo = geo;
+        rig->ssds.push_back(std::make_unique<flash::SimSsd>(spec, false));
+        rig->ssds.back()->precondition();
+        rig->primary = make_primary(k);
+        if (bcache) {
+          baselines::BcacheConfig cfg;
+          cfg.cache_blocks = cache_blocks;
+          cfg.write_back = write_back;
+          rig->cache = std::make_unique<baselines::BcacheLike>(
+              cfg, rig->ssds.back().get(), rig->primary.get());
+        } else {
+          baselines::FlashcacheConfig cfg;
+          cfg.cache_blocks = cache_blocks;
+          cfg.write_back = write_back;
+          rig->cache = std::make_unique<baselines::FlashcacheLike>(
+              cfg, rig->ssds.back().get(), rig->primary.get());
+        }
+        return rig;
+      };
+      const std::string name =
+          std::string(row.name) + (write_back ? "/WB" : "/WT");
+      const double mbps = run_fio_write("bench_table2_writeback", name,
+                                        /*seed=*/7, span, make_rig)
+                              .throughput_mbps;
+      (write_back ? row.wb : row.wt) = mbps;
     }
   }
 

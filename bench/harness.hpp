@@ -476,15 +476,13 @@ inline std::unique_ptr<BaselineRig> make_baseline_devices(
   return rig;
 }
 
-inline u64 baseline_cache_blocks(const BaselineRig& rig) {
-  // Same cache region as SRC: 18 erase groups per SSD worth of data space.
-  const u64 data_ssds =
-      rig.raid5->config().level == raid::RaidLevel::kRaid1
-          ? rig.ssds.size() / 2
-          : (rig.raid5->config().level == raid::RaidLevel::kRaid0
-                 ? rig.ssds.size()
-                 : rig.ssds.size() - 1);
-  return data_ssds * (rig.geo.region_bytes_per_ssd / kBlockSize);
+inline u64 baseline_cache_blocks(const Geometry& geo, raid::RaidLevel level) {
+  // Same cache region as SRC: 18 erase groups per SSD worth of data space,
+  // over the data columns of make_baseline_devices' four SSDs.
+  u64 data_ssds = 3;  // one parity column (RAID-4/5)
+  if (level == raid::RaidLevel::kRaid0) data_ssds = 4;
+  if (level == raid::RaidLevel::kRaid1) data_ssds = 2;
+  return data_ssds * (geo.region_bytes_per_ssd / kBlockSize);
 }
 
 inline std::unique_ptr<BaselineRig> make_bcache5_rig(
@@ -492,7 +490,7 @@ inline std::unique_ptr<BaselineRig> make_bcache5_rig(
     raid::RaidLevel level = raid::RaidLevel::kRaid5) {
   auto rig = make_baseline_devices(spec, k, level);
   baselines::BcacheConfig cfg;
-  cfg.cache_blocks = baseline_cache_blocks(*rig);
+  cfg.cache_blocks = baseline_cache_blocks(rig->geo, level);
   cfg.bucket_blocks = 512;        // 2 MiB buckets
   cfg.writeback_percent = 0.90;   // §5.4 setting
   rig->cache = std::make_unique<baselines::BcacheLike>(cfg, rig->raid5.get(),
@@ -505,7 +503,7 @@ inline std::unique_ptr<BaselineRig> make_flashcache5_rig(
     raid::RaidLevel level = raid::RaidLevel::kRaid5) {
   auto rig = make_baseline_devices(spec, k, level);
   baselines::FlashcacheConfig cfg;
-  cfg.cache_blocks = baseline_cache_blocks(*rig);
+  cfg.cache_blocks = baseline_cache_blocks(rig->geo, level);
   cfg.set_blocks = 512;           // 2 MiB sets
   cfg.dirty_thresh_pct = 0.90;    // §5.4 setting
   rig->cache = std::make_unique<baselines::FlashcacheLike>(
@@ -513,7 +511,7 @@ inline std::unique_ptr<BaselineRig> make_flashcache5_rig(
   return rig;
 }
 
-// The paper's replay settings, shared by every run driver: each trace is
+// The paper's replay settings, shared by every trace replay: each trace is
 // replayed with 4 threads at iodepth 4, and the measurement window starts
 // after an untimed warm-up of about twice the cache's data capacity,
 // approximating the paper's long warm runs.
@@ -574,21 +572,6 @@ inline void observe_rig(SrcRig& rig, u64 seed, bool trace,
   rig.primary->set_span(rc.spans);
 }
 
-// Runs one trace group against an SRC rig and reports the paper's metrics,
-// writing a Chrome trace of the run when REPRO_TRACE is set.
-inline workload::RunResult run_group(SrcRig& rig, workload::TraceGroup group,
-                                     double k, u64 seed = 42) {
-  const Geometry geo = Geometry::at(k);
-  workload::TraceSet set =
-      workload::make_trace_set(group, geo.group_footprint_bytes, seed);
-  workload::Runner runner(rig.cache.get(), rig.ssd_ptrs());
-  workload::RunConfig rc = replay_config(geo);
-  observe_rig(rig, seed, repro_trace_path() != nullptr, rc);
-  workload::RunResult res = runner.run(set.generators(), rc);
-  if (repro_trace_path() != nullptr) write_chrome_trace(*rig.spans);
-  return res;
-}
-
 // --- sharded-engine replay (src/engine) ------------------------------------
 
 // The fixed logical partition bench groups are split into. A property of
@@ -623,10 +606,11 @@ inline u64 domain_seed(u64 seed, u32 index) {
   return dseed;
 }
 
-// Shared tail of every sharded bench run: engine configuration from the
-// REPRO_SHARDS/REPRO_THREADS knobs, the epoch SLO watchdog when any
-// REPRO_SLO_* target is armed, the [engine] stdout line, the REPRO_JSON
-// "perf" record, and the merged-run report. The watchdog hook is a
+// Shared tail of every bench run (a single-stack experiment passes
+// num_domains = 1): engine configuration from the REPRO_SHARDS/
+// REPRO_THREADS knobs, the epoch SLO watchdog when any REPRO_SLO_* target
+// is armed, the [engine] stdout line, the REPRO_JSON "perf" record, and the
+// merged-run report. The watchdog hook is a
 // deterministic function of quiescent index-ordered domain state (exact op/
 // byte sums, bucket-exact histogram merges), so arming it never perturbs the
 // bit-identity contract of the run itself.
@@ -722,7 +706,7 @@ inline workload::RunResult run_engine_sharded(
   return std::move(er.merged);
 }
 
-// Sharded equivalent of run_group(SrcRig&, ...): partitions the group into
+// Replays one trace group over SRC: partitions the group into
 // kEngineDomains independent domains — each a full SRC stack at scale
 // k/kEngineDomains replaying its own seed-derived trace set over its own
 // footprint slice — and drives them through engine::ParallelEngine under
@@ -796,31 +780,10 @@ inline workload::RunResult run_group_sharded(
       rbc.spares = static_cast<u32>(knob_num("REPRO_REBUILD_SPARES"));
       holder->rebuild =
           std::make_unique<raid::RebuildManager>(rbc, holder->rig->ssd_ptrs());
-      src::SrcCache* cache = holder->rig->cache.get();
-      raid::RebuildManager* mgr = holder->rebuild.get();
-      // SRC-aware reconstruction: the cache exports its live-segment map as
-      // the extent source (trimmed/invalid stripes are skipped), diverts
-      // reads of still-blank replacement blocks to the repair path, and
-      // drops-and-counts blocks a second failure makes unrecoverable.
-      mgr->set_extent_source(
-          [cache](size_t dev) { return cache->rebuild_extents(dev); });
-      mgr->set_abort_callback(
-          [cache](size_t dev, const std::vector<raid::RebuildExtent>& lost) {
-            cache->on_rebuild_lost(dev, lost);
-          });
-      mgr->set_provenance(&cache->mutable_provenance());
-      mgr->set_fault_ledger(&holder->fault->ledger());
-      if (holder->rig->spans) mgr->set_span(holder->rig->spans.get());
-      cache->set_rebuild(mgr);
-      holder->fault->set_failure_callback(
-          [cache, mgr](size_t dev, sim::SimTime t) {
-            cache->on_ssd_failure(dev);
-            mgr->on_device_failed(dev, t);
-          });
-      holder->fault->set_replace_callback([mgr](size_t dev, sim::SimTime t) {
-        mgr->on_device_replaced(dev, t);
-      });
-      holder->fault->set_spare_callback([mgr](u32 n) { mgr->add_spares(n); });
+      src::wire_faults(*holder->rig->cache, *holder->fault,
+                       holder->rebuild.get());
+      if (holder->rig->spans)
+        holder->rebuild->set_span(holder->rig->spans.get());
       if (holder->tier) {
         // DRAM vanishes at a power cut: dirty tier blocks are counted lost
         // and ledgered as injected+detected data loss, never silently
@@ -831,7 +794,7 @@ inline workload::RunResult run_group_sharded(
             [tcache](sim::SimTime t) { tcache->on_power_cut(t); });
       }
       s.cfg.fault = holder->fault.get();
-      s.cfg.rebuild = mgr;
+      s.cfg.rebuild = holder->rebuild.get();
     }
     s.owned = holder;
     return s;
@@ -872,6 +835,39 @@ inline workload::RunResult run_baseline_group_sharded(
     return s;
   };
   return run_engine_sharded(bench, name, kEngineDomains, factory);
+}
+
+// Fig. 1 and Table 2's FIO load: 4 threads x iodepth 32 of 4 KiB uniform-
+// random writes over `span_blocks`, seeded by `seed`, against the one stack
+// `make_rig` builds — a single engine domain, since the experiment is one
+// stack.
+inline workload::RunResult run_fio_write(
+    const char* bench, const std::string& name, u64 seed, u64 span_blocks,
+    const std::function<std::unique_ptr<BaselineRig>()>& make_rig) {
+  struct FioDomain {
+    std::unique_ptr<BaselineRig> rig;
+    std::unique_ptr<workload::FioGen> gen;
+  };
+  const auto factory = [&](u32, u32) {
+    auto holder = std::make_shared<FioDomain>();
+    holder->rig = make_rig();
+    workload::FioGen::Config fc;
+    fc.span_blocks = span_blocks;
+    fc.req_blocks = 1;
+    fc.read_pct = 0;
+    fc.seed = seed;
+    holder->gen = std::make_unique<workload::FioGen>(fc);
+    engine::DomainSetup s;
+    s.cache = holder->rig->cache.get();
+    s.ssds = holder->rig->ssd_ptrs();
+    s.gens = {holder->gen.get()};
+    s.cfg.threads_per_gen = 4;
+    s.cfg.iodepth = 32;
+    s.cfg.duration = run_duration();
+    s.owned = holder;
+    return s;
+  };
+  return run_engine_sharded(bench, name, 1, factory);
 }
 
 // Refuses to run (exit 2) on any invalid REPRO_* knob, then prints the

@@ -6,11 +6,11 @@
 #include <memory>
 
 #include "baselines/bcache_like.hpp"
+#include "engine/engine.hpp"
 #include "flash/sim_ssd.hpp"
 #include "hdd/iscsi_target.hpp"
 #include "raid/raid_device.hpp"
 #include "src_cache/src_cache.hpp"
-#include "workload/runner.hpp"
 #include "workload/trace_synth.hpp"
 
 using namespace srcache;
@@ -41,13 +41,16 @@ struct Outcome {
 Outcome run(cache::CacheDevice* cache,
             std::vector<blockdev::BlockDevice*> ssds) {
   workload::TraceSynth trace(exchange_profile());
-  workload::Runner runner(cache, std::move(ssds));
-  workload::RunConfig rc;
-  rc.threads_per_gen = 4;
-  rc.iodepth = 4;
-  rc.duration = 5 * sim::kSec;
-  rc.warmup_bytes = 2 * GiB;
-  const auto res = runner.run({&trace}, rc);
+  engine::DomainSetup run;
+  run.cache = cache;
+  run.ssds = std::move(ssds);
+  run.gens = {&trace};
+  run.cfg.threads_per_gen = 4;
+  run.cfg.iodepth = 4;
+  run.cfg.duration = 5 * sim::kSec;
+  run.cfg.warmup_bytes = 2 * GiB;
+  const auto res =
+      engine::ParallelEngine({}).run(1, [&](u32, u32) { return run; }).merged;
   return {res.throughput_mbps, res.hit_ratio};
 }
 

@@ -4,15 +4,15 @@
 //   $ ./build/examples/quickstart
 //
 // This walks the whole public API surface: SSD specs, devices, SrcConfig,
-// SrcCache, the FIO-style generator and the Runner.
+// SrcCache, the FIO-style generator and the run engine.
 #include <cstdio>
 #include <memory>
 
+#include "engine/engine.hpp"
 #include "flash/sim_ssd.hpp"
 #include "hdd/iscsi_target.hpp"
 #include "src_cache/src_cache.hpp"
 #include "workload/generators.hpp"
-#include "workload/runner.hpp"
 
 using namespace srcache;
 
@@ -67,15 +67,20 @@ int main() {
   fio.seed = 42;
   workload::FioGen gen(fio);
 
-  workload::Runner runner(&cache, ssd_ptrs);
-  workload::RunConfig rc;
-  rc.threads_per_gen = 4;
-  rc.iodepth = 8;
-  rc.duration = 5 * sim::kSec;
-  rc.warmup_bytes = 6 * GiB;  // fill the cache before measuring
-  const workload::RunResult res = runner.run({&gen}, rc);
+  // 5. Replay it closed-loop: one simulation domain, 4 threads x iodepth 8,
+  // measured for 5 virtual seconds after warming the cache.
+  engine::DomainSetup run;
+  run.cache = &cache;
+  run.ssds = ssd_ptrs;
+  run.gens = {&gen};
+  run.cfg.threads_per_gen = 4;
+  run.cfg.iodepth = 8;
+  run.cfg.duration = 5 * sim::kSec;
+  run.cfg.warmup_bytes = 6 * GiB;  // fill the cache before measuring
+  const workload::RunResult res =
+      engine::ParallelEngine({}).run(1, [&](u32, u32) { return run; }).merged;
 
-  // 5. The gauges the paper reports.
+  // 6. The gauges the paper reports.
   std::printf("throughput:        %.1f MB/s\n", res.throughput_mbps);
   std::printf("hit ratio:         %.2f\n", res.hit_ratio);
   std::printf("I/O amplification: %.2f\n", res.io_amplification);

@@ -46,7 +46,7 @@ namespace srcache::engine {
 
 struct EngineConfig {
   // Execution lanes over the domain partition (REPRO_SHARDS). Lanes beyond
-  // the domain count idle; 1 reproduces the serial runner.
+  // the domain count idle; 1 runs every domain on the calling thread.
   u32 shards = 1;
   // Worker threads (REPRO_THREADS); 0 = min(lanes, hardware_concurrency).
   // Fewer threads than lanes just multiplexes lanes onto the pool.

@@ -47,7 +47,7 @@ class FaultInjector {
   // a callback the event is recorded but has no device effect).
   void set_powercut_callback(std::function<void(sim::SimTime)> cb);
 
-  // Triggers are relative to the measurement window; the runner sets the
+  // Triggers are relative to the measurement window; the closed loop sets the
   // window start so plans read "2s into the measured run".
   void set_epoch(sim::SimTime epoch) { epoch_ = epoch; }
 

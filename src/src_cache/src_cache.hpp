@@ -32,6 +32,10 @@
 #include "src_cache/segment_meta.hpp"
 #include "src_cache/src_config.hpp"
 
+namespace srcache::fault {
+class FaultInjector;
+}  // namespace srcache::fault
+
 namespace srcache::src {
 
 using blockdev::BlockDevice;
@@ -400,5 +404,15 @@ class SrcCache final : public cache::CacheDevice {
   std::optional<obs::Scope> metrics_scope_;
   size_t tenants_registered_ = 0;
 };
+
+// Connects a cache to a scripted fault injector and, optionally, the
+// background rebuild engine driven by the plan's replace/spare actions:
+// detections and repairs go to the injector's ledger, a fail-stop reaches
+// on_ssd_failure (then the rebuilder), and the rebuilder draws its extents
+// from rebuild_extents, reports aborted extents to on_rebuild_lost, ledgers
+// its spare writes as rebuild_copy provenance and credits completed
+// rebuilds to the fail-stop's ledger record. `rebuild` may be null.
+void wire_faults(SrcCache& cache, fault::FaultInjector& inj,
+                 raid::RebuildManager* rebuild);
 
 }  // namespace srcache::src

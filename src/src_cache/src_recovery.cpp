@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "common/crc32c.hpp"
+#include "fault/fault_injector.hpp"
 #include "src_cache/src_cache.hpp"
 
 namespace srcache::src {
@@ -166,6 +167,32 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
 
   if (done_out != nullptr) *done_out = t;
   return Status::ok();
+}
+
+void wire_faults(SrcCache& cache, fault::FaultInjector& inj,
+                 raid::RebuildManager* rebuild) {
+  cache.set_fault_ledger(&inj.ledger());
+  inj.set_failure_callback([&cache, rebuild](size_t dev, SimTime t) {
+    cache.on_ssd_failure(dev);
+    if (rebuild != nullptr) rebuild->on_device_failed(dev, t);
+  });
+  if (rebuild == nullptr) return;
+  // SRC-aware reconstruction: the live-segment map is the extent source
+  // (trimmed/invalid stripes are skipped), and blocks a second failure
+  // makes unrecoverable are dropped and counted.
+  rebuild->set_extent_source(
+      [&cache](size_t dev) { return cache.rebuild_extents(dev); });
+  rebuild->set_abort_callback(
+      [&cache](size_t dev, const std::vector<raid::RebuildExtent>& lost) {
+        cache.on_rebuild_lost(dev, lost);
+      });
+  rebuild->set_provenance(&cache.mutable_provenance());
+  rebuild->set_fault_ledger(&inj.ledger());
+  cache.set_rebuild(rebuild);
+  inj.set_replace_callback([rebuild](size_t dev, SimTime t) {
+    rebuild->on_device_replaced(dev, t);
+  });
+  inj.set_spare_callback([rebuild](u32 n) { rebuild->add_spares(n); });
 }
 
 void SrcCache::on_ssd_failure(size_t ssd) {

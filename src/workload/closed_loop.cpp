@@ -163,11 +163,6 @@ bool ClosedLoop::run_until(sim::SimTime until) {
   return !done_;
 }
 
-void ClosedLoop::run_to_end() {
-  // window_end() bounds every issue, so any until past it drains the loop.
-  run_until(window_end() + 1);
-}
-
 sim::SimTime ClosedLoop::next_event() const {
   return heap_.empty() ? window_end() : heap_.top().first;
 }

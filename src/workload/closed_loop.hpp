@@ -1,8 +1,8 @@
 // Resumable closed-loop replay: the issue/measure machinery in explicit
 // phases (warmup -> start -> run_until... -> finish) so a caller can
-// interleave other work at virtual-time boundaries. Runner::run drives one
-// loop straight through; engine::ParallelEngine drives one loop per shard
-// domain and pauses each at epoch barriers.
+// interleave other work at virtual-time boundaries. engine::ParallelEngine
+// is its one driver: one loop per shard domain, paused at epoch barriers
+// (a single-stack run is one domain).
 //
 // Determinism contract: given identical construction inputs, the sequence of
 // issued requests — and therefore every statistic finish() computes — is a
@@ -43,7 +43,6 @@ class ClosedLoop {
   // window_end), respecting cfg.max_ops. Returns false once the loop is
   // finished (window elapsed, op budget hit, or streams drained).
   bool run_until(sim::SimTime until);
-  void run_to_end();
 
   [[nodiscard]] bool finished() const { return done_; }
   [[nodiscard]] u64 ops() const { return res_.ops; }

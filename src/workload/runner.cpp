@@ -1,7 +1,5 @@
 #include "workload/runner.hpp"
 
-#include "workload/closed_loop.hpp"
-
 namespace srcache::workload {
 
 void summarize(RunResult& r) {
@@ -40,19 +38,6 @@ void summarize(RunResult& r) {
     f.degraded_mbps = static_cast<double>(f.degraded_bytes) / 1e6 / degraded_s;
   f.degraded_read_lat = obs::LatencySummary::of(f.degraded_latency.reads());
   f.degraded_write_lat = obs::LatencySummary::of(f.degraded_latency.writes());
-}
-
-Runner::Runner(cache::CacheDevice* cache,
-               std::vector<blockdev::BlockDevice*> ssds)
-    : cache_(cache), ssds_(std::move(ssds)) {}
-
-RunResult Runner::run(const std::vector<Generator*>& gens,
-                      const RunConfig& cfg) {
-  ClosedLoop loop(cache_, ssds_, gens, cfg);
-  loop.warmup();
-  loop.start();
-  loop.run_to_end();
-  return loop.finish();
 }
 
 }  // namespace srcache::workload

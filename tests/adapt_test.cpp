@@ -11,9 +11,9 @@
 #include "adapt/adaptive.hpp"
 #include "adapt/ghost_cache.hpp"
 #include "adapt/partition.hpp"
+#include "engine/engine.hpp"
 #include "src_test_util.hpp"
 #include "workload/generators.hpp"
-#include "workload/runner.hpp"
 #include "workload/trace_synth.hpp"
 
 namespace srcache {
@@ -341,12 +341,15 @@ MtOutcome run_two_tenant(double t0_share) {
     rig.cache->set_tenant_quotas({q0, cap - q0});
   }
 
-  std::vector<blockdev::BlockDevice*> ssds;
-  for (auto& s : rig.ssds) ssds.push_back(s.get());
-  workload::Runner runner(rig.cache.get(), ssds);
+  engine::DomainSetup dom;
+  dom.cache = rig.cache.get();
+  for (auto& s : rig.ssds) dom.ssds.push_back(s.get());
+  dom.gens = {&mix};
+  dom.cfg = rc;
 
   MtOutcome out;
-  out.res = runner.run({&mix}, rc);
+  out.res =
+      engine::ParallelEngine({}).run(1, [&](u32, u32) { return dom; }).merged;
   u64 hits = 0, misses = 0;
   const auto& samples = out.res.timeseries.samples;
   for (size_t i = 3; i < samples.size(); ++i) {

@@ -2,17 +2,21 @@
 // for every REPRO_SHARDS/REPRO_THREADS combination), the epoch-barrier
 // quiescence invariant, deterministic delivery of fault and adapt events at
 // barriers, and the exactness of the per-domain merge.
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "adapt/adaptive.hpp"
 #include "block/block_device.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "engine/engine.hpp"
+#include "fault/fault_injector.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
@@ -45,6 +49,12 @@ struct TestDomain {
   std::unique_ptr<obs::SpanTracer> spans;
   // Compressed DRAM tier (make_tier_domain only), interposed above the rig.
   std::unique_ptr<tier::TierCache> tier;
+  // Single-domain equivalence configs: a registry over the cache, a fault
+  // injector with its rebuilder, and an adaptive partition controller.
+  obs::MetricsRegistry registry;
+  std::unique_ptr<fault::FaultInjector> fault;
+  std::unique_ptr<raid::RebuildManager> rebuild;
+  std::unique_ptr<adapt::AdaptiveController> adapt;
 
   TestDomain() = default;
   explicit TestDomain(const src::SrcConfig& c) : rig(c) {}
@@ -479,6 +489,118 @@ TEST(ParallelEngine, SloWatchdogAtBarriersIsDeterministic) {
     return fingerprint(r);
   };
   EXPECT_EQ(run_slo(1), run_slo(4));
+}
+
+// --- single-domain equivalence ---------------------------------------------
+
+// The same domain driven straight through its ClosedLoop, without the
+// engine: the reference a single-stack run(1, ...) must equal.
+workload::RunResult straight_through(const DomainSetup& s) {
+  workload::ClosedLoop loop(s.cache, s.ssds, s.gens, s.cfg);
+  loop.warmup();
+  loop.start();
+  loop.run_until(loop.window_end() + 1);
+  return loop.finish();
+}
+
+// A single-stack experiment is one engine domain. For every feature a
+// RunConfig can attach, run(1, ...) must serialize exactly like the loop
+// driven straight through, up to the two things the engine adds: the
+// "engine" block, and a time series anchored at the window start (0)
+// rather than at absolute virtual time.
+TEST(ParallelEngine, SingleDomainEqualsStraightThroughLoop) {
+  const auto with_registry = [] {
+    DomainSetup s = make_test_domain(0);
+    auto* h = static_cast<TestDomain*>(s.owned.get());
+    h->rig.cache->register_metrics(obs::Scope(h->registry, "src"));
+    s.cfg.registry = &h->registry;
+    s.cfg.timeseries_interval = kDuration / 10;
+    return s;
+  };
+  const auto with_fault_rebuild = [] {
+    DomainSetup s = make_test_domain(0);
+    auto* h = static_cast<TestDomain*>(s.owned.get());
+    h->fault =
+        std::make_unique<fault::FaultInjector>(fault::FaultPlan::parse_or_die(
+            "at=ops:100 fail dev=ssd1; at=ops:300 replace dev=ssd1", 7));
+    h->fault->attach_ssds(s.ssds);
+    h->fault->attach_primary(h->rig.primary.get());
+    h->rebuild =
+        std::make_unique<raid::RebuildManager>(raid::RebuildConfig{}, s.ssds);
+    src::wire_faults(*h->rig.cache, *h->fault, h->rebuild.get());
+    s.cfg.fault = h->fault.get();
+    s.cfg.rebuild = h->rebuild.get();
+    return s;
+  };
+  const auto with_adapt = [] {
+    DomainSetup s = make_test_domain(0, /*num_tenants=*/2);
+    auto* h = static_cast<TestDomain*>(s.owned.get());
+    adapt::AdaptConfig ac;
+    ac.num_tenants = 2;
+    ac.capacity_blocks = h->rig.cache->config().capacity_blocks();
+    ac.epoch = kDuration / 4;
+    src::SrcCache* cache = h->rig.cache.get();
+    h->adapt = std::make_unique<adapt::AdaptiveController>(
+        ac, [cache](const std::vector<u64>& q) {
+          cache->set_tenant_quotas(q);
+        });
+    s.cfg.adapt = h->adapt.get();
+    return s;
+  };
+  const auto with_max_ops = [] {
+    DomainSetup s = make_test_domain(0);
+    s.cfg.duration = 10 * kDuration;  // the op budget ends the run
+    s.cfg.max_ops = 500;
+    return s;
+  };
+  // Each config with the check that its feature really engaged.
+  struct Config {
+    const char* name;
+    std::function<DomainSetup()> make;
+    std::function<bool(const workload::RunResult&)> engaged;
+  };
+  const Config configs[] = {
+      {"registry+timeseries", with_registry,
+       [](const workload::RunResult& r) {
+         return !r.timeseries.empty() && r.metrics.counters.size() > 1;
+       }},
+      {"fault+rebuild", with_fault_rebuild,
+       [](const workload::RunResult& r) {
+         return r.fault.events_fired == 2 && r.rebuild.rebuilds_started == 1;
+       }},
+      {"adapt+2tenants", with_adapt,
+       [](const workload::RunResult& r) {
+         return r.adapt_epochs > 0 && r.tenants.size() == 2;
+       }},
+      {"provenance+spans", [] { return make_obs_domain(0); },
+       [](const workload::RunResult& r) {
+         return !r.provenance.empty() && r.spans.active;
+       }},
+      {"tier",
+       [] { return make_tier_domain(0, policy::EvictionKind::kPaper); },
+       [](const workload::RunResult& r) { return r.tier.active; }},
+      {"max_ops", with_max_ops,
+       [](const workload::RunResult& r) { return r.ops == 500; }},
+  };
+  for (const auto& [name, make, engaged] : configs) {
+    SCOPED_TRACE(name);
+    const DomainSetup ref_setup = make();
+    workload::RunResult ref = straight_through(ref_setup);
+    EXPECT_TRUE(engaged(ref));
+    obs::TimeSeries& ts = ref.timeseries;
+    for (obs::TimeSample& sample : ts.samples) {
+      sample.start -= ts.window_start;
+      sample.end -= ts.window_start;
+    }
+    ts.window_start = 0;
+
+    EngineResult er =
+        ParallelEngine({}).run(1, [&](u32, u32) { return make(); });
+    EXPECT_TRUE(er.merged.engine.active);
+    er.merged.engine = {};
+    EXPECT_EQ(workload::run_json("engine_test", name, ref),
+              workload::run_json("engine_test", name, er.merged));
+  }
 }
 
 // --- time-series merge edge cases ------------------------------------------

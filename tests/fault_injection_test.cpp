@@ -4,10 +4,10 @@
 // reconciling at every step (fault/ledger.hpp).
 #include <gtest/gtest.h>
 
+#include "engine/engine.hpp"
 #include "fault/fault_injector.hpp"
 #include "src_test_util.hpp"
 #include "workload/generators.hpp"
-#include "workload/runner.hpp"
 
 namespace srcache::src {
 namespace {
@@ -25,9 +25,7 @@ FaultInjector make_injector(Rig& rig, const std::string& plan, u64 seed = 7) {
   for (auto& s : rig.ssds) devs.push_back(s.get());
   inj.attach_ssds(devs);
   inj.attach_primary(rig.primary.get());
-  inj.set_failure_callback(
-      [&rig](size_t ssd, sim::SimTime) { rig.cache->on_ssd_failure(ssd); });
-  rig.cache->set_fault_ledger(&inj.ledger());
+  wire_faults(*rig.cache, inj, nullptr);
   return inj;
 }
 
@@ -201,7 +199,7 @@ TEST(FaultInjection, MediaErrorRepairRemapsTheSector) {
 }
 
 TEST(FaultInjection, RunnerReportsTheDegradedWindow) {
-  // End-to-end through workload::Runner: the injector is anchored at the
+  // End-to-end through a closed-loop run: the injector is anchored at the
   // measurement window, fires mid-run, and the result carries the ledger
   // counters plus the healthy/degraded split.
   SrcConfig cfg = small_config();
@@ -215,14 +213,15 @@ TEST(FaultInjection, RunnerReportsTheDegradedWindow) {
   gc.read_pct = 30;
   workload::FioGen gen(gc);
 
-  std::vector<blockdev::BlockDevice*> devs;
-  for (auto& s : rig.ssds) devs.push_back(s.get());
-  workload::Runner runner(rig.cache.get(), devs);
-  workload::RunConfig rc;
-  rc.duration = 60 * sim::kSec;
-  rc.max_ops = 600;
-  rc.fault = &inj;
-  const workload::RunResult res = runner.run({&gen}, rc);
+  engine::DomainSetup dom;
+  dom.cache = rig.cache.get();
+  for (auto& s : rig.ssds) dom.ssds.push_back(s.get());
+  dom.gens = {&gen};
+  dom.cfg.duration = 60 * sim::kSec;
+  dom.cfg.max_ops = 600;
+  dom.cfg.fault = &inj;
+  const workload::RunResult res =
+      engine::ParallelEngine({}).run(1, [&](u32, u32) { return dom; }).merged;
 
   EXPECT_TRUE(res.fault.active);
   EXPECT_EQ(res.fault.events_fired, 1u);
@@ -233,6 +232,48 @@ TEST(FaultInjection, RunnerReportsTheDegradedWindow) {
   EXPECT_EQ(res.fault.detected, 1u);  // fail-stop is device-reported
   EXPECT_EQ(res.fault.injected, res.fault.detected + res.fault.undetected);
   EXPECT_TRUE(rig.ssds[1]->failed());
+}
+
+TEST(FaultInjection, SharedWiringLedgersLatentErrorsOfARun) {
+  // wire_faults is the one cache/injector/rebuilder wiring the benches and
+  // fault_matrix share. A latent-sector plan run through it must reach the
+  // ledger: every media error the cache hits is a detection, parity repairs
+  // each one, and the ledger reconciles.
+  SrcConfig cfg = small_config();
+  cfg.raid = SrcRaidLevel::kRaid5;
+  Rig rig(cfg);
+  std::vector<blockdev::BlockDevice*> devs;
+  for (auto& s : rig.ssds) devs.push_back(s.get());
+  FaultInjector inj(
+      FaultPlan::parse_or_die("at=ops:200 latent dev=ssd1 lba=0..1024", 7));
+  inj.attach_ssds(devs);
+  inj.attach_primary(rig.primary.get());
+  raid::RebuildManager mgr(raid::RebuildConfig{}, devs);
+  wire_faults(*rig.cache, inj, &mgr);
+
+  workload::FioGen::Config gc;
+  gc.span_blocks = 4096;
+  gc.req_blocks = 4;
+  gc.read_pct = 50;
+  workload::FioGen gen(gc);
+  engine::DomainSetup dom;
+  dom.cache = rig.cache.get();
+  dom.ssds = devs;
+  dom.gens = {&gen};
+  dom.cfg.duration = 60 * sim::kSec;
+  dom.cfg.max_ops = 3000;
+  dom.cfg.fault = &inj;
+  dom.cfg.rebuild = &mgr;
+  const workload::RunResult res =
+      engine::ParallelEngine({}).run(1, [&](u32, u32) { return dom; }).merged;
+
+  EXPECT_EQ(res.fault.events_fired, 1u);
+  EXPECT_GT(res.fault.injected, 0u);
+  EXPECT_GT(res.fault.detected, 0u);
+  EXPECT_EQ(res.fault.detected, rig.cache->extra().media_errors);
+  EXPECT_EQ(res.fault.repaired, res.fault.detected);
+  EXPECT_EQ(res.fault.injected, res.fault.detected + res.fault.undetected);
+  EXPECT_TRUE(inj.ledger().reconciles());
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 #include "baselines/flashcache_like.hpp"
 #include "block/mem_disk.hpp"
 #include "common/rng.hpp"
+#include "engine/engine.hpp"
 #include "src_test_util.hpp"
-#include "workload/runner.hpp"
 #include "workload/trace_synth.hpp"
 
 namespace srcache {
@@ -210,13 +210,16 @@ TEST(Integration, TraceGroupRunsEndToEnd) {
 
   workload::TraceSet set =
       workload::make_trace_set(workload::TraceGroup::kMixed, 64 * MiB, 7);
-  workload::Runner runner(cache.get(), devs);
-  workload::RunConfig rc;
-  rc.threads_per_gen = 2;
-  rc.iodepth = 2;
-  rc.duration = 2 * sim::kSec;
-  rc.max_ops = 20000;
-  const auto res = runner.run(set.generators(), rc);
+  engine::DomainSetup dom;
+  dom.cache = cache.get();
+  dom.ssds = devs;
+  dom.gens = set.generators();
+  dom.cfg.threads_per_gen = 2;
+  dom.cfg.iodepth = 2;
+  dom.cfg.duration = 2 * sim::kSec;
+  dom.cfg.max_ops = 20000;
+  const auto res =
+      engine::ParallelEngine({}).run(1, [&](u32, u32) { return dom; }).merged;
   EXPECT_GT(res.ops, 1000u);
   EXPECT_GT(res.throughput_mbps, 0.0);
   EXPECT_GT(res.io_amplification, 0.5);

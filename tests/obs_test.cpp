@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "flash/sim_ssd.hpp"
 #include "hdd/iscsi_target.hpp"
 #include "obs/json.hpp"
@@ -20,7 +21,6 @@
 #include "obs/timeseries.hpp"
 #include "src_cache/src_cache.hpp"
 #include "workload/report.hpp"
-#include "workload/runner.hpp"
 
 namespace srcache {
 namespace {
@@ -601,18 +601,20 @@ struct ObsRig {
     fc.read_pct = 50;
     fc.seed = 7;
     workload::FioGen gen(fc);
-    workload::Runner runner(cache.get(),
-                            {ssds[0].get(), ssds[1].get(), ssds[2].get(),
-                             ssds[3].get()});
-    workload::RunConfig rc;
-    rc.threads_per_gen = 2;
-    rc.iodepth = 2;
-    rc.duration = 2 * sim::kSec;
-    rc.warmup_bytes = 8 * MiB;
-    rc.registry = &registry;
-    rc.spans = &tracer;
-    rc.timeseries_interval = 100 * sim::kMs;  // 20 intervals per run
-    return runner.run({&gen}, rc);
+    engine::DomainSetup dom;
+    dom.cache = cache.get();
+    dom.ssds = {ssds[0].get(), ssds[1].get(), ssds[2].get(), ssds[3].get()};
+    dom.gens = {&gen};
+    dom.cfg.threads_per_gen = 2;
+    dom.cfg.iodepth = 2;
+    dom.cfg.duration = 2 * sim::kSec;
+    dom.cfg.warmup_bytes = 8 * MiB;
+    dom.cfg.registry = &registry;
+    dom.cfg.spans = &tracer;
+    dom.cfg.timeseries_interval = 100 * sim::kMs;  // 20 intervals per run
+    return engine::ParallelEngine({})
+        .run(1, [&](u32, u32) { return dom; })
+        .merged;
   }
 };
 

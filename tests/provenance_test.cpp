@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "engine/engine.hpp"
 #include "obs/json.hpp"
 #include "obs/provenance.hpp"
 #include "src_test_util.hpp"
 #include "tier/tier_cache.hpp"
-#include "workload/runner.hpp"
 
 namespace srcache::src {
 namespace {
@@ -275,16 +275,17 @@ TEST(ProvenanceBalance, RunnerWindowDeltaMatchesSsdDelta) {
   fc.read_pct = 30;
   fc.seed = 11;
   workload::FioGen gen(fc);
-  std::vector<blockdev::BlockDevice*> devs;
-  for (auto& s : rig.ssds) devs.push_back(s.get());
-  workload::Runner runner(rig.cache.get(), devs);
-  workload::RunConfig rc;
-  rc.threads_per_gen = 2;
-  rc.iodepth = 2;
-  rc.duration = 2 * sim::kSec;
-  rc.warmup_bytes = 4 * MiB;
-  rc.provenance = &rig.cache->provenance();
-  const workload::RunResult res = runner.run({&gen}, rc);
+  engine::DomainSetup dom;
+  dom.cache = rig.cache.get();
+  for (auto& s : rig.ssds) dom.ssds.push_back(s.get());
+  dom.gens = {&gen};
+  dom.cfg.threads_per_gen = 2;
+  dom.cfg.iodepth = 2;
+  dom.cfg.duration = 2 * sim::kSec;
+  dom.cfg.warmup_bytes = 4 * MiB;
+  dom.cfg.provenance = &rig.cache->provenance();
+  const workload::RunResult res =
+      engine::ParallelEngine({}).run(1, [&](u32, u32) { return dom; }).merged;
 
   ASSERT_GT(res.ops, 0u);
   ASSERT_FALSE(res.provenance.empty());

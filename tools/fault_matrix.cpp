@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "block/mem_disk.hpp"
+#include "engine/engine.hpp"
 #include "fault/crash_harness.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/json.hpp"
@@ -32,7 +33,6 @@
 #include "src_cache/src_cache.hpp"
 #include "workload/generators.hpp"
 #include "workload/report.hpp"
-#include "workload/runner.hpp"
 
 namespace {
 
@@ -122,36 +122,16 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
   for (auto& s : rig.ssds) devs.push_back(s.get());
   inj.attach_ssds(devs);
   inj.attach_primary(rig.primary.get());
-  rig.cache->set_fault_ledger(&inj.ledger());
 
-  // Hot-spare rebuild scenarios get the full production wiring: the cache's
-  // SRC-aware extent map feeds the rebuilder, aborted extents flow back as
-  // counted losses, spare writes are ledgered as rebuild_copy provenance,
-  // and a completed rebuild credits the fail-stop's ledger record.
+  // The benches' wiring (src::wire_faults); hot-spare rebuild scenarios add
+  // the rebuilder the plan's replace/spare actions drive.
   std::unique_ptr<raid::RebuildManager> mgr;
   if (sc.rebuild) {
     raid::RebuildConfig rbc;
     rbc.mbps = sc.rebuild_mbps;
     mgr = std::make_unique<raid::RebuildManager>(rbc, devs);
-    src::SrcCache* cache = rig.cache.get();
-    mgr->set_extent_source(
-        [cache](size_t dev) { return cache->rebuild_extents(dev); });
-    mgr->set_abort_callback(
-        [cache](size_t dev, const std::vector<raid::RebuildExtent>& lost) {
-          cache->on_rebuild_lost(dev, lost);
-        });
-    mgr->set_provenance(&cache->mutable_provenance());
-    mgr->set_fault_ledger(&inj.ledger());
-    cache->set_rebuild(mgr.get());
-    inj.set_replace_callback([&mgr](size_t ssd, sim::SimTime t) {
-      mgr->on_device_replaced(ssd, t);
-    });
-    inj.set_spare_callback([&mgr](u32 n) { mgr->add_spares(n); });
   }
-  inj.set_failure_callback([&rig, &mgr](size_t ssd, sim::SimTime t) {
-    rig.cache->on_ssd_failure(ssd);
-    if (mgr) mgr->on_device_failed(ssd, t);
-  });
+  src::wire_faults(*rig.cache, inj, mgr.get());
 
   // Write-heavy mixed workload over ~1.5x the cache capacity: forces GC,
   // misses and destages, so faults land on a busy array.
@@ -162,15 +142,18 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
   gc.seed = 11;
   workload::FioGen gen(gc);
 
-  workload::Runner runner(rig.cache.get(), devs);
-  workload::RunConfig rc;
-  rc.duration = 120 * sim::kSec;  // op budget is the real stop condition
-  rc.max_ops = 6000;
-  rc.fault = &inj;
-  rc.rebuild = mgr.get();
-  workload::RunResult res = runner.run({&gen}, rc);
+  engine::DomainSetup dom;
+  dom.cache = rig.cache.get();
+  dom.ssds = devs;
+  dom.gens = {&gen};
+  dom.cfg.duration = 120 * sim::kSec;  // op budget is the real stop condition
+  dom.cfg.max_ops = 6000;
+  dom.cfg.fault = &inj;
+  dom.cfg.rebuild = mgr.get();
+  workload::RunResult res =
+      engine::ParallelEngine({}).run(1, [&](u32, u32) { return dom; }).merged;
 
-  if (!res.fault.active) fail("runner did not report a fault outcome");
+  if (!res.fault.active) fail("the run did not report a fault outcome");
   if (res.fault.events_fired != inj.plan().events().size())
     fail("not every planned event fired within the run");
 
@@ -202,7 +185,7 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
 
   if (sc.rebuild) {
     out.rebuild = mgr->outcome();
-    if (!res.rebuild.active) fail("runner did not report a rebuild outcome");
+    if (!res.rebuild.active) fail("the run did not report a rebuild outcome");
     // Provenance balance: every byte the rebuilder wrote to the spare must
     // be ledgered as a rebuild_copy write, nothing more, nothing less.
     const u64 prov = rig.cache->provenance().cause_bytes(
