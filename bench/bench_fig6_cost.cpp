@@ -21,7 +21,7 @@ namespace {
 struct ConfigPoint {
   flash::SsdSpec spec;
   int count;
-  src::SrcRaidLevel raid;
+  raid::RaidLevel raid;
 };
 
 // Sums the per-device FTL page counters out of a merged metrics delta and
@@ -51,11 +51,11 @@ int main() {
   const double k = scale();
 
   const std::vector<ConfigPoint> points = {
-      {flash::spec_a_mlc_sata(), 4, src::SrcRaidLevel::kRaid5},
-      {flash::spec_a_tlc_sata(), 4, src::SrcRaidLevel::kRaid5},
-      {flash::spec_b_mlc_sata(), 4, src::SrcRaidLevel::kRaid5},
-      {flash::spec_b_tlc_sata(), 4, src::SrcRaidLevel::kRaid5},
-      {flash::spec_c_mlc_nvme(), 1, src::SrcRaidLevel::kRaid0},
+      {flash::spec_a_mlc_sata(), 4, raid::RaidLevel::kRaid5},
+      {flash::spec_a_tlc_sata(), 4, raid::RaidLevel::kRaid5},
+      {flash::spec_b_mlc_sata(), 4, raid::RaidLevel::kRaid5},
+      {flash::spec_b_tlc_sata(), 4, raid::RaidLevel::kRaid5},
+      {flash::spec_c_mlc_nvme(), 1, raid::RaidLevel::kRaid0},
   };
 
   common::Table t({"Workload", "Config", "MB/s", "(MB/s)/$", "Lifetime(d)",
@@ -81,7 +81,7 @@ int main() {
         half.price_usd /= 2;
         src::SrcConfig c0 = cfg;
         c0.num_ssds = 2;
-        c0.raid = src::SrcRaidLevel::kRaid0;
+        c0.raid = raid::RaidLevel::kRaid0;
         res = run_group_sharded(c0, half, group, k, "fig6", 42, name.c_str());
       }
       const double nand_wa = nand_wa_from(res);

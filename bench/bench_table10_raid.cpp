@@ -22,12 +22,12 @@ int main() {
   for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
                      workload::TraceGroup::kRead}) {
     std::vector<std::string> row = {workload::to_string(group)};
-    for (auto raid : {src::SrcRaidLevel::kRaid0, src::SrcRaidLevel::kRaid4,
-                      src::SrcRaidLevel::kRaid5}) {
+    for (auto raid : {raid::RaidLevel::kRaid0, raid::RaidLevel::kRaid4,
+                      raid::RaidLevel::kRaid5}) {
       src::SrcConfig cfg = default_src_config();
       cfg.raid = raid;
       const std::string name = std::string(workload::to_string(group)) + "/" +
-                               src::to_string(raid);
+                               raid::to_string(raid);
       const auto res = run_group_sharded(cfg, flash::spec_840pro_128(), group,
                                          k, "table10_raid", /*seed=*/42,
                                          name.c_str());

@@ -479,10 +479,7 @@ inline std::unique_ptr<BaselineRig> make_baseline_devices(
 inline u64 baseline_cache_blocks(const Geometry& geo, raid::RaidLevel level) {
   // Same cache region as SRC: 18 erase groups per SSD worth of data space,
   // over the data columns of make_baseline_devices' four SSDs.
-  u64 data_ssds = 3;  // one parity column (RAID-4/5)
-  if (level == raid::RaidLevel::kRaid0) data_ssds = 4;
-  if (level == raid::RaidLevel::kRaid1) data_ssds = 2;
-  return data_ssds * (geo.region_bytes_per_ssd / kBlockSize);
+  return raid::data_cols(level, 4) * (geo.region_bytes_per_ssd / kBlockSize);
 }
 
 inline std::unique_ptr<BaselineRig> make_bcache5_rig(

@@ -8,43 +8,20 @@
 #include <cstdio>
 #include <memory>
 
-#include "block/mem_disk.hpp"
-#include "src_cache/src_cache.hpp"
+#include "src_cache/small_rig.hpp"
 
 using namespace srcache;
 
 namespace {
 
-struct Stack {
-  std::vector<std::unique_ptr<blockdev::MemDisk>> ssds;
-  std::unique_ptr<blockdev::MemDisk> primary;
-  std::unique_ptr<src::SrcCache> cache;
+// Four MemDisk SSDs in RAID-5, 16 segment groups of 1 MiB per SSD.
+src::SrcConfig example_config() {
   src::SrcConfig cfg;
-
-  Stack() {
-    cfg.num_ssds = 4;
-    cfg.chunk_bytes = 64 * KiB;
-    cfg.erase_group_bytes = 1 * MiB;
-    cfg.region_bytes_per_ssd = 16 * MiB;
-    cfg.raid = src::SrcRaidLevel::kRaid5;
-    blockdev::MemDiskConfig fast;
-    fast.capacity_blocks = 20 * MiB / kBlockSize;
-    for (u32 i = 0; i < 4; ++i)
-      ssds.push_back(std::make_unique<blockdev::MemDisk>(fast));
-    blockdev::MemDiskConfig slow;
-    slow.capacity_blocks = 1 * GiB / kBlockSize;
-    slow.op_latency = 5 * sim::kMs;
-    primary = std::make_unique<blockdev::MemDisk>(slow);
-    attach();
-    cache->format(0);
-  }
-
-  void attach() {
-    std::vector<blockdev::BlockDevice*> ptrs;
-    for (auto& s : ssds) ptrs.push_back(s.get());
-    cache = std::make_unique<src::SrcCache>(cfg, ptrs, primary.get());
-  }
-};
+  cfg.chunk_bytes = 64 * KiB;
+  cfg.erase_group_bytes = 1 * MiB;
+  cfg.region_bytes_per_ssd = 16 * MiB;
+  return cfg;
+}
 
 u64 read_block(src::SrcCache& c, u64 lba, sim::SimTime now) {
   u64 tag = 0;
@@ -60,7 +37,7 @@ u64 read_block(src::SrcCache& c, u64 lba, sim::SimTime now) {
 }  // namespace
 
 int main() {
-  Stack s;
+  src::SmallRig s(example_config());
   // Write a full segment's worth of recognisable data.
   const u64 n = s.cfg.segment_data_slots(true) * 4;
   std::vector<u64> tags(n);
@@ -80,7 +57,7 @@ int main() {
               static_cast<unsigned long long>(n));
 
   // --- 1. Crash and recover -------------------------------------------------
-  s.attach();  // all in-memory state gone
+  s.reattach();  // all in-memory state gone
   sim::SimTime recovered_at = 0;
   const Status st = s.cache->recover(t, &recovered_at);
   std::printf("\n[crash] recovery: %s, %llu blocks restored in %.1f ms "

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/runs.hpp"
+
 namespace srcache::baselines {
 
 BcacheLike::BcacheLike(const BcacheConfig& cfg, BlockDevice* ssd,
@@ -97,27 +99,23 @@ SimTime BcacheLike::destage_some(SimTime now, u32 max_blocks) {
   std::sort(batch.begin(), batch.end());
   primary_->set_background(true);  // the writeback thread yields to misses
   SimTime t = now;  // SSD-side time only; background writes do not block
-  size_t i = 0;
-  while (i < batch.size()) {
-    size_t j = i + 1;
-    while (j < batch.size() && batch[j] == batch[j - 1] + 1) ++j;
+  common::for_each_run(batch, common::consecutive, [&](size_t i, size_t n) {
     // Read the run from the cache device, write it to primary storage.
     SimTime rt = now;
-    std::vector<u64> tags(j - i, 0);
-    for (size_t k = i; k < j; ++k) {
-      auto it = map_.find(batch[k]);
-      auto r = ssd_->read(now, it->second.block, 1,
-                          std::span<u64>(&tags[k - i], 1));
+    std::vector<u64> tags(n, 0);
+    for (size_t k = 0; k < n; ++k) {
+      auto it = map_.find(batch[i + k]);
+      auto r =
+          ssd_->read(now, it->second.block, 1, std::span<u64>(&tags[k], 1));
       if (r.ok()) rt = std::max(rt, r.done);
       it->second.dirty = false;
       dirty_count_--;
       stats_.destage_blocks++;
     }
     t = std::max(t, rt);
-    primary_->write(rt, batch[i], static_cast<u32>(j - i),
+    primary_->write(rt, batch[i], static_cast<u32>(n),
                     std::span<const u64>(tags.data(), tags.size()));
-    i = j;
-  }
+  });
   primary_->set_background(false);
   (void)t;  // writeback runs asynchronously; it never gates the app ack
   return std::max(now, journal_commit(now));
@@ -250,20 +248,19 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
   std::sort(hits.begin(), hits.end(),
             [](const HitRead& a, const HitRead& b) { return a.block < b.block; });
   std::vector<u64> buf;
-  size_t i = 0;
-  while (i < hits.size()) {
-    size_t j = i + 1;
-    while (j < hits.size() && hits[j].block == hits[j - 1].block + 1) ++j;
-    buf.resize(j - i);
-    auto r = ssd_->read(now, hits[i].block, static_cast<u32>(j - i),
+  const auto adjacent = [](const HitRead& a, const HitRead& b) {
+    return b.block == a.block + 1;
+  };
+  common::for_each_run(hits, adjacent, [&](size_t i, size_t n) {
+    buf.resize(n);
+    auto r = ssd_->read(now, hits[i].block, static_cast<u32>(n),
                         std::span<u64>(buf.data(), buf.size()));
     if (r.ok()) {
       done = std::max(done, r.done);
       if (req.tags_out != nullptr)
-        for (size_t k = i; k < j; ++k) req.tags_out[hits[k].idx] = buf[k - i];
+        for (size_t k = 0; k < n; ++k) req.tags_out[hits[i + k].idx] = buf[k];
     }
-    i = j;
-  }
+  });
   // Misses: fetch and insert as clean data (in-memory metadata only).
   std::vector<u64> fetched;
   for (const auto& [lba, cnt] : miss_runs) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/runs.hpp"
+
 namespace srcache::baselines {
 
 FlashcacheLike::FlashcacheLike(const FlashcacheConfig& cfg, BlockDevice* ssd,
@@ -69,29 +71,26 @@ SimTime FlashcacheLike::maybe_trickle_destage(SimTime now, u64 set) {
   // sorted victims merge into few primary writes.
   std::sort(dirty.begin(), dirty.end(),
             [&](u64 a, u64 b) { return slots_[a].lba < slots_[b].lba; });
-  size_t i = 0;
-  while (i < dirty.size()) {
-    size_t j = i + 1;
-    while (j < dirty.size() &&
-           slots_[dirty[j]].lba == slots_[dirty[j - 1]].lba + 1) {
-      ++j;
-    }
-    std::vector<u64> tags(j - i, 0);
+  const auto adjacent = [&](u64 a, u64 b) {
+    return slots_[b].lba == slots_[a].lba + 1;
+  };
+  common::for_each_run(dirty, adjacent, [&](size_t i, size_t n) {
+    std::vector<u64> tags(n, 0);
     SimTime rt = now;
-    for (size_t k = i; k < j; ++k) {
-      auto r = ssd_->read(now, dirty[k], 1, std::span<u64>(&tags[k - i], 1));
+    for (size_t k = 0; k < n; ++k) {
+      const u64 slot = dirty[i + k];
+      auto r = ssd_->read(now, slot, 1, std::span<u64>(&tags[k], 1));
       if (r.ok()) rt = std::max(rt, r.done);
-      Slot& s = slots_[dirty[k]];
+      Slot& s = slots_[slot];
       s.dirty = false;
       dirty_count_--;
       stats_.destage_blocks++;
-      t = std::max(t, write_metadata(now, dirty[k]));
+      t = std::max(t, write_metadata(now, slot));
     }
     // Background lane: the cleaner's primary writes never gate foreground.
-    primary_->write(rt, slots_[dirty[i]].lba, static_cast<u32>(j - i),
+    primary_->write(rt, slots_[dirty[i]].lba, static_cast<u32>(n),
                     std::span<const u64>(tags.data(), tags.size()));
-    i = j;
-  }
+  });
   primary_->set_background(false);
   (void)t;  // kcached-style cleaner: asynchronous, never gates the app ack
   return now;

@@ -5,16 +5,14 @@
 #include <memory>
 #include <unordered_map>
 
-#include "block/mem_disk.hpp"
 #include "common/rng.hpp"
+#include "src_cache/small_rig.hpp"
 #include "tier/tier_cache.hpp"
 
 namespace srcache::fault {
 
 namespace {
 
-using blockdev::MemDisk;
-using blockdev::MemDiskConfig;
 using src::SrcCache;
 using CrashPoint = SrcCache::CrashPoint;
 
@@ -99,52 +97,35 @@ Script make_script(const CrashSweepConfig& cfg) {
   return sc;
 }
 
-// A fresh device set + cache, mirroring the small test rig: MemDisks keep
-// the sweep (hundreds of replays) cheap while exercising the full SRC stack.
-struct Rig {
-  std::vector<std::unique_ptr<MemDisk>> ssds;
-  std::unique_ptr<MemDisk> primary;
-  std::unique_ptr<SrcCache> cache;
+// The small MemDisk rig keeps the sweep (hundreds of replays) cheap while
+// exercising the full SRC stack, optionally under a DRAM tier.
+struct Rig : src::SmallRig {
   std::unique_ptr<tier::TierCache> tier;  // optional DRAM tier above cache
-  src::SrcConfig cfg;
   u64 tier_budget;
   u32 tier_dirty_pct;
 
   Rig(const src::SrcConfig& c, u64 tier_budget_bytes, u32 dirty_pct)
-      : cfg(c), tier_budget(tier_budget_bytes), tier_dirty_pct(dirty_pct) {
-    MemDiskConfig fast;
-    fast.capacity_blocks =
-        cfg.region_start_block + cfg.region_bytes_per_ssd / kBlockSize + 64;
-    fast.op_latency = 20 * sim::kUs;
-    fast.bandwidth_mbps = 500.0;
-    fast.flush_latency = 4 * sim::kMs;
-    for (u32 i = 0; i < cfg.num_ssds; ++i)
-      ssds.push_back(std::make_unique<MemDisk>(fast));
-    MemDiskConfig slow;
-    slow.capacity_blocks = 1 * GiB / kBlockSize;
-    slow.op_latency = 5 * sim::kMs;
-    slow.bandwidth_mbps = 110.0;
-    primary = std::make_unique<MemDisk>(slow);
-    reattach();
-    cache->format(0);
+      : SmallRig(c), tier_budget(tier_budget_bytes), tier_dirty_pct(dirty_pct) {
+    attach_tier();
   }
 
   // Reboot: all in-memory cache state is discarded, the media survives.
   // The DRAM tier does not survive a reboot — post-recovery reads go
   // straight to the rebuilt cache.
-  void reattach() {
+  void reboot() {
     tier.reset();
-    std::vector<blockdev::BlockDevice*> devs;
-    for (auto& s : ssds) devs.push_back(s.get());
-    cache = std::make_unique<SrcCache>(cfg, devs, primary.get());
-    if (tier_budget > 0) {
-      tier::TierConfig tc;
-      tc.budget_bytes = tier_budget;
-      tc.dirty_pct = tier_dirty_pct;
-      tc.destage_batch_blocks =
-          static_cast<u32>(cfg.segment_data_slots(true));
-      tier = std::make_unique<tier::TierCache>(tc, cache.get(), cache.get());
-    }
+    reattach();
+    attach_tier();
+  }
+
+ private:
+  void attach_tier() {
+    if (tier_budget == 0) return;
+    tier::TierConfig tc;
+    tc.budget_bytes = tier_budget;
+    tc.dirty_pct = tier_dirty_pct;
+    tc.destage_batch_blocks = static_cast<u32>(cfg.segment_data_slots(true));
+    tier = std::make_unique<tier::TierCache>(tc, cache.get(), cache.get());
   }
 };
 
@@ -275,7 +256,7 @@ CrashSweepResult run_crash_sweep(const CrashSweepConfig& cfg) {
         res.tier_lost_dirty += rig.tier->tier_stats().lost_dirty_blocks;
       }
 
-      rig.reattach();  // reboot
+      rig.reboot();
       sim::SimTime done = 0;
       const Status st = rig.cache->recover(0, &done);
       if (!st.is_ok()) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/runs.hpp"
+
 namespace srcache::raid {
 
 namespace {
@@ -44,27 +46,11 @@ RaidDevice::RaidDevice(const RaidConfig& cfg, std::vector<BlockDevice*> devices)
   for (auto* d : devs_) dev_blocks_ = std::min(dev_blocks_, d->capacity_blocks());
   // Round to whole stripes.
   dev_blocks_ -= dev_blocks_ % cfg_.chunk_blocks;
-  const u64 n = devs_.size();
-  switch (cfg_.level) {
-    case RaidLevel::kRaid0: capacity_blocks_ = dev_blocks_ * n; break;
-    case RaidLevel::kRaid1: capacity_blocks_ = dev_blocks_ * (n / 2); break;
-    case RaidLevel::kRaid4:
-    case RaidLevel::kRaid5: capacity_blocks_ = dev_blocks_ * (n - 1); break;
-  }
-}
-
-u64 RaidDevice::data_cols() const {
-  switch (cfg_.level) {
-    case RaidLevel::kRaid0: return devs_.size();
-    case RaidLevel::kRaid1: return devs_.size() / 2;
-    case RaidLevel::kRaid4:
-    case RaidLevel::kRaid5: return devs_.size() - 1;
-  }
-  return 0;
+  capacity_blocks_ = dev_blocks_ * data_cols(cfg_.level, devs_.size());
 }
 
 u64 RaidDevice::stripe_of(u64 lba) const {
-  return (lba / cfg_.chunk_blocks) / data_cols();
+  return (lba / cfg_.chunk_blocks) / data_cols(cfg_.level, devs_.size());
 }
 
 size_t RaidDevice::parity_dev(u64 stripe) const {
@@ -76,7 +62,7 @@ size_t RaidDevice::parity_dev(u64 stripe) const {
 RaidDevice::Loc RaidDevice::locate(u64 lba) const {
   const u64 chunk = lba / cfg_.chunk_blocks;
   const u64 row = lba % cfg_.chunk_blocks;
-  const u64 cols = data_cols();
+  const u64 cols = data_cols(cfg_.level, devs_.size());
   const u64 stripe = chunk / cols;
   const u64 col = chunk % cols;
   switch (cfg_.level) {
@@ -98,13 +84,8 @@ RaidDevice::Loc RaidDevice::locate(u64 lba) const {
 }
 
 int RaidDevice::redundancy() const {
-  switch (cfg_.level) {
-    case RaidLevel::kRaid0: return 0;
-    case RaidLevel::kRaid1: return 1;  // one per mirror pair, conservatively 1
-    case RaidLevel::kRaid4:
-    case RaidLevel::kRaid5: return 1;
-  }
-  return 0;
+  // RAID-1 survives one loss per mirror pair; conservatively 1.
+  return cfg_.level == RaidLevel::kRaid0 ? 0 : 1;
 }
 
 bool RaidDevice::failed() const {
@@ -127,16 +108,12 @@ namespace {
 template <typename Fn>
 SimTime for_each_run(const std::vector<Cell>& cells, SimTime now, Fn&& fn) {
   SimTime done = now;
-  size_t i = 0;
-  while (i < cells.size()) {
-    size_t j = i + 1;
-    while (j < cells.size() && cells[j].dev == cells[i].dev &&
-           cells[j].off == cells[j - 1].off + 1) {
-      ++j;
-    }
-    done = std::max(done, fn(cells[i].dev, cells[i].off, j - i, i));
-    i = j;
-  }
+  const auto adjacent = [](const Cell& a, const Cell& b) {
+    return b.dev == a.dev && b.off == a.off + 1;
+  };
+  common::for_each_run(cells, adjacent, [&](size_t i, size_t cnt) {
+    done = std::max(done, fn(cells[i].dev, cells[i].off, cnt, i));
+  });
   return done;
 }
 
@@ -255,12 +232,15 @@ IoResult RaidDevice::write(SimTime now, u64 lba, u32 n, std::span<const u64> tag
       for (u32 i = 0; i < n; ++i) {
         const Loc loc = locate(lba + i);
         const u64 tag = tags.empty() ? 0 : tags[i];
+        const size_t placed = cells.size();
         if (!devs_[loc.dev]->failed()) cells.push_back({loc.dev, loc.off, tag});
         if (cfg_.level == RaidLevel::kRaid1 && !devs_[loc.mirror]->failed()) {
           cells.push_back({loc.mirror, loc.off, tag});
         }
+        // A block with no live copy cannot be acknowledged.
+        if (cells.size() == placed)
+          return finish({now, ErrorCode::kDeviceFailed});
       }
-      if (cells.empty()) return finish({now, ErrorCode::kDeviceFailed});
       sort_cells(cells);
       std::vector<u64> buf;
       ErrorCode err = ErrorCode::kOk;
@@ -286,7 +266,7 @@ IoResult RaidDevice::write(SimTime now, u64 lba, u32 n, std::span<const u64> tag
 
 IoResult RaidDevice::write_parity_level(SimTime now, u64 lba, u32 n,
                                         std::span<const u64> tags) {
-  const u64 cols = data_cols();
+  const u64 cols = data_cols(cfg_.level, devs_.size());
   const u64 stripe_data = cols * cfg_.chunk_blocks;
   SimTime done = now;
   u32 pos = 0;
@@ -543,7 +523,8 @@ IoResult RaidDevice::trim(SimTime now, u64 lba, u64 n) {
       cells.push_back({loc.mirror, loc.off, 0});
   }
   if (cfg_.level == RaidLevel::kRaid4 || cfg_.level == RaidLevel::kRaid5) {
-    const u64 stripe_data = data_cols() * cfg_.chunk_blocks;
+    const u64 stripe_data =
+        data_cols(cfg_.level, devs_.size()) * cfg_.chunk_blocks;
     const u64 first_stripe = stripe_of(lba);
     const u64 last_stripe = stripe_of(lba + n - 1);
     for (u64 s = first_stripe; s <= last_stripe; ++s) {
@@ -563,46 +544,6 @@ IoResult RaidDevice::trim(SimTime now, u64 lba, u64 n) {
   });
   stats_.trim_ops++;
   stats_.trim_blocks += n;
-  return {done, ErrorCode::kOk};
-}
-
-IoResult RaidDevice::rebuild(SimTime now, size_t dev) {
-  if (dev >= devs_.size()) return {now, ErrorCode::kInvalidArgument};
-  if (devs_[dev]->failed()) return {now, ErrorCode::kDeviceFailed};
-  if (cfg_.level == RaidLevel::kRaid0) return {now, ErrorCode::kUnrecoverable};
-  SimTime done = now;
-  if (cfg_.level == RaidLevel::kRaid1) {
-    const size_t partner = dev ^ 1;
-    if (devs_[partner]->failed()) return {now, ErrorCode::kUnrecoverable};
-    std::vector<u64> buf(cfg_.chunk_blocks);
-    for (u64 off = 0; off < dev_blocks_; off += cfg_.chunk_blocks) {
-      IoResult r = devs_[partner]->read(now, off, cfg_.chunk_blocks,
-                                        std::span<u64>(buf.data(), buf.size()));
-      if (!r.ok()) return r;
-      IoResult w = devs_[dev]->write(r.done, off, cfg_.chunk_blocks,
-                                     std::span<const u64>(buf.data(), buf.size()));
-      if (!w.ok()) return w;
-      done = std::max(done, w.done);
-    }
-    return {done, ErrorCode::kOk};
-  }
-  // Parity levels: each block is the XOR of the rest of its row.
-  for (u64 off = 0; off < dev_blocks_; ++off) {
-    u64 acc = 0;
-    SimTime t = now;
-    for (size_t d = 0; d < devs_.size(); ++d) {
-      if (d == dev) continue;
-      if (devs_[d]->failed()) return {now, ErrorCode::kUnrecoverable};
-      u64 tag = 0;
-      IoResult r = devs_[d]->read(now, off, 1, std::span<u64>(&tag, 1));
-      if (!r.ok()) return r;
-      acc ^= tag;
-      t = std::max(t, r.done);
-    }
-    IoResult w = devs_[dev]->write(t, off, 1, std::span<const u64>(&acc, 1));
-    if (!w.ok()) return w;
-    done = std::max(done, w.done);
-  }
   return {done, ErrorCode::kOk};
 }
 

@@ -14,6 +14,7 @@
 
 #include "block/block_device.hpp"
 #include "obs/span.hpp"
+#include "raid/raid_level.hpp"
 
 namespace srcache::raid {
 
@@ -22,10 +23,6 @@ using blockdev::DeviceStats;
 using blockdev::IoResult;
 using blockdev::Payload;
 using sim::SimTime;
-
-enum class RaidLevel { kRaid0, kRaid1, kRaid4, kRaid5 };
-
-const char* to_string(RaidLevel level);
 
 struct RaidConfig {
   RaidLevel level = RaidLevel::kRaid5;
@@ -70,10 +67,6 @@ class RaidDevice final : public BlockDevice {
   [[nodiscard]] bool failed() const override;
   void corrupt(u64 lba) override;
 
-  // Rebuilds the (healed) replacement device `dev` from the survivors.
-  // Returns completion time; error if redundancy is insufficient.
-  IoResult rebuild(SimTime now, size_t dev);
-
   // Testing hook: true if every parity block of the stripe containing
   // `lba` equals the XOR of its data blocks (content-tracking devices only).
   [[nodiscard]] bool verify_parity(u64 lba);
@@ -97,7 +90,6 @@ class RaidDevice final : public BlockDevice {
   [[nodiscard]] Loc locate(u64 lba) const;
   [[nodiscard]] size_t parity_dev(u64 stripe) const;
   [[nodiscard]] u64 stripe_of(u64 lba) const;
-  [[nodiscard]] u64 data_cols() const;
 
   IoResult read_parity_level(SimTime now, u64 lba, u32 n, std::span<u64> tags_out);
   IoResult write_parity_level(SimTime now, u64 lba, u32 n, std::span<const u64> tags);

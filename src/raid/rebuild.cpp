@@ -64,16 +64,6 @@ u64 RebuildManager::total(const Intervals& set) {
 
 // --- event handlers ---------------------------------------------------------
 
-std::vector<RebuildExtent> RebuildManager::extents_for(size_t dev) const {
-  if (source_) return source_(dev);
-  // No source wired: full parity sweep of the whole device.
-  std::vector<RebuildExtent> ext;
-  const u64 blocks = ssds_[dev]->capacity_blocks();
-  if (blocks > 0)
-    ext.push_back({0, blocks, RebuildHow::kParityXor, SIZE_MAX, nullptr});
-  return ext;
-}
-
 void RebuildManager::on_device_failed(size_t dev, sim::SimTime now) {
   if (dev >= devs_.size()) return;
   out_.active = true;
@@ -81,7 +71,7 @@ void RebuildManager::on_device_failed(size_t dev, sim::SimTime now) {
   if (degraded_since_ < 0) degraded_since_ = now;
   // Everything live on the failed device is unprotected from this moment.
   u64 risk = 0;
-  for (const RebuildExtent& ex : extents_for(dev)) risk += ex.count;
+  for (const RebuildExtent& ex : source_(dev)) risk += ex.count;
   out_.blocks_at_risk_peak =
       std::max(out_.blocks_at_risk_peak, risk + blocks_at_risk());
   // Second failure while another device rebuilds: every pending extent
@@ -112,30 +102,34 @@ void RebuildManager::abort_dependent(size_t dev, size_t lost_dev) {
       if (k.count > 0) keep.push_back(k);
       continue;
     }
-    const u64 b = ex.block + done;
-    const u64 end = ex.block + ex.count;
-    if (b >= end) continue;
-    // Only still-pending ranges are lost; discarded holes were overwritten
-    // with fresh content that needs no reconstruction.
-    u64 n = 0;
-    auto pit = st.pending.upper_bound(b);
-    if (pit != st.pending.begin()) --pit;
-    while (pit != st.pending.end() && pit->first < end) {
-      const u64 s = std::max(pit->first, b);
-      const u64 e = std::min(pit->second, end);
-      ++pit;
-      if (s >= e) continue;
-      insert(st.dead, s, e);
-      lost.push_back({s, e - s, ex.how, ex.partner, nullptr});
-      n += e - s;
-    }
-    remove(st.pending, b, end);
-    out_.blocks_unrecovered += n;
-    if (n > 0) st.lost_any = true;
+    lose_pending(st, ex, ex.block + done, lost);
   }
   st.queue = std::move(keep);
   st.cursor = 0;
   if (!lost.empty() && on_abort_) on_abort_(dev, lost);
+}
+
+void RebuildManager::lose_pending(DeviceState& st, const RebuildExtent& ex,
+                                  u64 begin,
+                                  std::vector<RebuildExtent>& lost) {
+  // Only still-pending ranges are lost; discarded holes were overwritten
+  // with fresh content that needs no reconstruction.
+  const u64 end = ex.block + ex.count;
+  u64 n = 0;
+  auto it = st.pending.upper_bound(begin);
+  if (it != st.pending.begin()) --it;
+  while (it != st.pending.end() && it->first < end) {
+    const u64 s = std::max(it->first, begin);
+    const u64 e = std::min(it->second, end);
+    ++it;
+    if (s >= e) continue;
+    insert(st.dead, s, e);
+    lost.push_back({s, e - s, ex.how, ex.partner, nullptr});
+    n += e - s;
+  }
+  remove(st.pending, begin, end);
+  out_.blocks_unrecovered += n;
+  if (n > 0) st.lost_any = true;
 }
 
 void RebuildManager::on_device_replaced(size_t dev, sim::SimTime now) {
@@ -156,7 +150,7 @@ void RebuildManager::on_device_replaced(size_t dev, sim::SimTime now) {
   st.lost_any = false;
   st.pending.clear();  // dead ranges survive a re-replace: content is gone
   u64 live = 0;
-  for (const RebuildExtent& ex : extents_for(dev)) {
+  for (const RebuildExtent& ex : source_(dev)) {
     if (ex.count == 0) continue;
     st.queue.push_back(ex);
     insert(st.pending, ex.block, ex.block + ex.count);
@@ -282,25 +276,11 @@ u64 RebuildManager::copy_batch(size_t dev, sim::SimTime now, u64 budget) {
     }
   }
   if (!read_ok) {
-    // A survivor died mid-batch (should have been caught by
-    // on_device_failed; defensive): the still-pending rest of this extent
-    // is lost. Discarded holes hold fresh content and stay alive.
+    // A survivor read failed (a latent sector error, or a death
+    // on_device_failed has not reported yet): the still-pending rest of
+    // this extent is lost.
     std::vector<RebuildExtent> lost;
-    u64 n = 0;
-    auto lit = st.pending.upper_bound(b0);
-    if (lit != st.pending.begin()) --lit;
-    while (lit != st.pending.end() && lit->first < ex_end) {
-      const u64 s = std::max(lit->first, b0);
-      const u64 e = std::min(lit->second, ex_end);
-      ++lit;
-      if (s >= e) continue;
-      insert(st.dead, s, e);
-      lost.push_back({s, e - s, ex.how, ex.partner, nullptr});
-      n += e - s;
-    }
-    remove(st.pending, b0, ex_end);
-    out_.blocks_unrecovered += n;
-    if (n > 0) st.lost_any = true;
+    lose_pending(st, ex, b0, lost);
     if (!lost.empty() && on_abort_) on_abort_(dev, lost);
     st.cursor = 0;
     st.queue.pop_front();

@@ -15,7 +15,8 @@
 // SRC-awareness: the cache exports its live-segment map as RebuildExtents
 // (set_extent_source), so only live stripes are reconstructed and trimmed/
 // invalid ones are skipped — the same trick that makes Sel-GC cheap. Plain
-// baselines fall back to a full device sweep (full_sweep_source).
+// RAID members sweep the whole device (full_sweep_source). Every manager
+// needs a source before its first failure or replace event.
 //
 // The vulnerability window is tracked end to end: degraded duration,
 // blocks-at-risk (unprotected until re-parityed), and the second-failure-
@@ -111,7 +112,7 @@ class RebuildManager final : public blockdev::RebuildMask {
  public:
   // Enumerates the extents a replaced device must be rebuilt from, in copy
   // order (ascending device block). SrcCache::rebuild_extents is the
-  // SRC-aware source; full_sweep_source the baseline fallback.
+  // SRC-aware source; full_sweep_source sweeps a plain RAID member.
   using ExtentSource = std::function<std::vector<RebuildExtent>(size_t dev)>;
   // Invoked when a second failure makes pending extents unreconstructable;
   // the extents passed are the lost (still-uncopied) ranges.
@@ -184,8 +185,11 @@ class RebuildManager final : public blockdev::RebuildMask {
   // Drops every pending extent of rebuilding device `dev` that needs the
   // newly failed device `lost_dev` for reconstruction.
   void abort_dependent(size_t dev, size_t lost_dev);
+  // Moves the still-pending part of [begin, ex end) to `dead`, counts it
+  // unrecovered and appends it to `lost`.
+  void lose_pending(DeviceState& st, const RebuildExtent& ex, u64 begin,
+                    std::vector<RebuildExtent>& lost);
   void maybe_stop_clock(sim::SimTime now);
-  [[nodiscard]] std::vector<RebuildExtent> extents_for(size_t dev) const;
 
   RebuildConfig cfg_;
   std::vector<blockdev::BlockDevice*> ssds_;
@@ -202,7 +206,7 @@ class RebuildManager final : public blockdev::RebuildMask {
   RebuildOutcome out_;
 };
 
-// Baseline fallback extent source: rebuild every device block. RAID-1
+// Extent source for a plain RAID member: rebuild every device block. RAID-1
 // copies from the RaidDevice pair partner (dev ^ 1); parity levels XOR the
 // row; RAID-0 has no redundancy, so the sweep is empty (the device stays
 // masked dead-free but unrecovered — RAID-0 accepts loss by design).

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/crc32c.hpp"
+#include "common/runs.hpp"
 
 namespace srcache::src {
 
@@ -13,6 +14,7 @@ constexpr SimTime kStageCost = 1 * sim::kUs;
 constexpr SimTime kRamReadCost = 500 * sim::kNs;
 
 using obs::WriteCause;
+using raid::RaidLevel;
 
 // Blocks a payload write occupies — must match the devices' rounding
 // (MemDisk/SimSsd: ceil(size / block), at least 1) so the provenance ledger
@@ -31,15 +33,6 @@ const char* to_string(VictimPolicy p) {
     case VictimPolicy::kFifo: return "FIFO";
     case VictimPolicy::kGreedy: return "Greedy";
     case VictimPolicy::kCostBenefit: return "CostBenefit";
-  }
-  return "?";
-}
-const char* to_string(SrcRaidLevel l) {
-  switch (l) {
-    case SrcRaidLevel::kRaid0: return "RAID-0";
-    case SrcRaidLevel::kRaid1: return "RAID-1";
-    case SrcRaidLevel::kRaid4: return "RAID-4";
-    case SrcRaidLevel::kRaid5: return "RAID-5";
   }
   return "?";
 }
@@ -98,11 +91,6 @@ u64 SrcCache::chunk_base_block(u32 sg, u32 seg) const {
   return sg_base_block(sg) + static_cast<u64>(seg) * cfg_.chunk_blocks();
 }
 
-u64 SrcCache::seg_data_cols(const SegmentInfo& si) const {
-  if (cfg_.raid == SrcRaidLevel::kRaid1) return cfg_.num_ssds / 2;
-  return si.has_parity ? cfg_.num_ssds - 1 : cfg_.num_ssds;
-}
-
 SrcCache::SlotAddr SrcCache::addr_of(u32 sg, u32 seg, u32 slot,
                                      const SegmentInfo& si) const {
   const u64 rows = cfg_.slots_per_chunk();
@@ -110,7 +98,7 @@ SrcCache::SlotAddr SrcCache::addr_of(u32 sg, u32 seg, u32 slot,
   const u64 row = slot % rows;
   size_t dev;
   size_t mirror = SIZE_MAX;
-  if (cfg_.raid == SrcRaidLevel::kRaid1) {
+  if (cfg_.raid == RaidLevel::kRaid1) {
     dev = static_cast<size_t>(col);
     mirror = dev + cfg_.num_ssds / 2;
   } else if (si.has_parity && col >= si.parity_col) {
@@ -120,6 +108,12 @@ SrcCache::SlotAddr SrcCache::addr_of(u32 sg, u32 seg, u32 slot,
   }
   // +1 skips the MS block at the chunk head.
   return {dev, chunk_base_block(sg, seg) + 1 + row, mirror};
+}
+
+u64 SrcCache::col_of_dev(size_t dev, const SegmentInfo& si) const {
+  if (cfg_.raid == RaidLevel::kRaid1) return dev % (cfg_.num_ssds / 2);
+  if (!si.has_parity || dev < si.parity_col) return dev;
+  return dev == si.parity_col ? kParityCol : dev - 1;
 }
 
 u64 SrcCache::buffer_capacity(bool dirty_type) const {
@@ -143,14 +137,36 @@ SrcCache::Residence SrcCache::residence(u64 lba) const {
 
 // --- lifecycle --------------------------------------------------------------
 
-SimTime SrcCache::format(SimTime now) {
+blockdev::Payload SrcCache::superblock_payload() const {
   Superblock sb;
   sb.create_seq = 1;
   sb.num_ssds = cfg_.num_ssds;
   sb.erase_group_bytes = cfg_.erase_group_bytes;
   sb.chunk_bytes = cfg_.chunk_bytes;
   sb.region_bytes_per_ssd = cfg_.region_bytes_per_ssd;
-  const auto payload = sb.serialize();
+  return sb.serialize();
+}
+
+SegmentMeta SrcCache::segment_meta(u32 sg, u32 seg,
+                                   const SegmentInfo& si) const {
+  SegmentMeta meta;
+  meta.generation = si.generation;
+  meta.sg = sg;
+  meta.seg = seg;
+  meta.dirty = si.type == SegType::kDirty;
+  meta.has_parity = si.has_parity;
+  meta.parity_col = si.parity_col;
+  meta.entries.resize(si.slot_lba.size());
+  for (u32 k = 0; k < si.slot_lba.size(); ++k) {
+    meta.entries[k].lba = si.slot_lba[k];
+    meta.entries[k].crc = si.slot_crc[k];
+    meta.entries[k].tenant = si.slot_tenant[k];
+  }
+  return meta;
+}
+
+SimTime SrcCache::format(SimTime now) {
+  const auto payload = superblock_payload();
   SimTime done = now;
   for (size_t d = 0; d < ssds_.size(); ++d) {
     auto r = ssds_[d]->write_payload(now, sg_base_block(0), payload);
@@ -505,20 +521,16 @@ SimTime SrcCache::do_write(const cache::AppRequest& req) {
   // Bypassed blocks are acknowledged at primary speed (write-through): the
   // squeezed tenant feels HDD latency, which is exactly the cost its quota
   // says it has not earned the flash to avoid.
-  size_t i = 0;
-  while (i < bypass_lbas.size()) {
-    size_t j = i + 1;
-    while (j < bypass_lbas.size() && bypass_lbas[j] == bypass_lbas[j - 1] + 1)
-      ++j;
-    auto r = primary_->write(now, bypass_lbas[i], static_cast<u32>(j - i),
-                             std::span<const u64>(&bypass_tags[i], j - i));
-    if (r.ok()) {
-      ack = std::max(ack, r.done);
-      ledger_.add(obs::kPrimaryDevice, tenant, WriteCause::kQuotaShed,
-                  (j - i) * kBlockSize);
-    }
-    i = j;
-  }
+  common::for_each_run(
+      bypass_lbas, common::consecutive, [&](size_t i, size_t n) {
+        auto r = primary_->write(now, bypass_lbas[i], static_cast<u32>(n),
+                                 std::span<const u64>(&bypass_tags[i], n));
+        if (r.ok()) {
+          ack = std::max(ack, r.done);
+          ledger_.add(obs::kPrimaryDevice, tenant, WriteCause::kQuotaShed,
+                      n * kBlockSize);
+        }
+      });
   ack = throttle(now, ack);
   return ack;
 }
@@ -632,8 +644,8 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   si.has_parity = cfg_.segment_has_parity(dirty_type);
   si.generation = ++gen_seq_;
   si.parity_col = 0;
-  if (si.has_parity && cfg_.raid != SrcRaidLevel::kRaid1) {
-    si.parity_col = cfg_.raid == SrcRaidLevel::kRaid4
+  if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
+    si.parity_col = cfg_.raid == RaidLevel::kRaid4
                         ? static_cast<u8>(cfg_.num_ssds - 1)
                         : static_cast<u8>(gen_seq_ % cfg_.num_ssds);
   }
@@ -648,41 +660,20 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
     if (taken_lba[s] != kDeadSlot) census_add(sg, taken_tenant[s], 1);
   live_total_ += taken_live;
 
-  // Per-device tag images (column-major slot layout; see addr_of).
+  // Per-device tag images, filled through addr_of.
+  const u64 base = chunk_base_block(active_sg_, seg);
   const u64 rows = cfg_.slots_per_chunk();
-  const u64 ncols = seg_data_cols(si);
   std::vector<std::vector<u64>> images(cfg_.num_ssds,
                                        std::vector<u64>(rows, 0));
-  SegmentMeta meta;
-  meta.generation = si.generation;
-  meta.sg = active_sg_;
-  meta.seg = seg;
-  meta.dirty = dirty_type;
-  meta.has_parity = si.has_parity;
-  meta.parity_col = si.parity_col;
-  meta.entries.resize(capacity);
-
   for (u32 s = 0; s < capacity; ++s) {
     const u64 lba = si.slot_lba[s];
     const u64 tag = s < taken_tag.size() ? taken_tag[s] : 0;
-    const u64 col = s / rows;
-    const u64 row = s % rows;
-    size_t dev;
-    if (cfg_.raid == SrcRaidLevel::kRaid1) {
-      dev = static_cast<size_t>(col);
-    } else if (si.has_parity && col >= si.parity_col) {
-      dev = static_cast<size_t>(col) + 1;
-    } else {
-      dev = static_cast<size_t>(col);
-    }
-    images[dev][row] = tag;
-    if (cfg_.raid == SrcRaidLevel::kRaid1) images[dev + ncols][row] = tag;
-    meta.entries[s].lba = lba;
-    meta.entries[s].tenant = si.slot_tenant[s];
+    const SlotAddr a = addr_of(active_sg_, seg, s, si);
+    const u64 row = a.block - base - 1;  // -1: the MS block heads the chunk
+    images[a.dev][row] = tag;
+    if (a.mirror_dev != SIZE_MAX) images[a.mirror_dev][row] = tag;
     if (lba != kDeadSlot) {
-      const u32 crc = common::crc32c_of(tag);
-      si.slot_crc[s] = crc;
-      meta.entries[s].crc = crc;
+      si.slot_crc[s] = common::crc32c_of(tag);
       // Relocate the mapping from the buffer to the sealed slot.
       MapEntry& e = map_.at(lba);
       e.sg = active_sg_;
@@ -690,7 +681,7 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
       e.slot = s;
     }
   }
-  if (si.has_parity && cfg_.raid != SrcRaidLevel::kRaid1) {
+  if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
     auto& parity = images[si.parity_col];
     for (size_t d = 0; d < ssds_.size(); ++d) {
       if (d == si.parity_col) continue;
@@ -699,7 +690,7 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   }
 
   // Issue the stripe: MS + data + ME per SSD, all in parallel (§4.1).
-  const u64 base = chunk_base_block(active_sg_, seg);
+  SegmentMeta meta = segment_meta(active_sg_, seg, si);
   meta.is_tail = false;
   const auto ms_payload = meta.serialize();
   meta.is_tail = true;
@@ -716,21 +707,13 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   // stay exactly equal to DeviceStats::write_blocks.
   const auto account_data_chunk = [&](size_t d) {
     const u32 dev32 = static_cast<u32>(d);
-    if (cfg_.raid == SrcRaidLevel::kRaid1 && d >= ncols) {
+    const u64 col = col_of_dev(d, si);
+    if (col == kParityCol ||
+        addr_of(active_sg_, seg, static_cast<u32>(col * rows), si).dev != d) {
       ledger_.add(dev32, obs::kSharedTenant, WriteCause::kParity,
                   rows * kBlockSize);
       return;
     }
-    if (si.has_parity && cfg_.raid != SrcRaidLevel::kRaid1 &&
-        d == si.parity_col) {
-      ledger_.add(dev32, obs::kSharedTenant, WriteCause::kParity,
-                  rows * kBlockSize);
-      return;
-    }
-    u64 col = d;
-    if (si.has_parity && cfg_.raid != SrcRaidLevel::kRaid1 &&
-        d > si.parity_col)
-      col = d - 1;
     for (u64 r = 0; r < rows; ++r) {
       const u64 s = col * rows + r;
       if (s < taken_cause.size()) {
@@ -865,14 +848,10 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
               return a.dev != b.dev ? a.dev < b.dev : a.block < b.block;
             });
   std::vector<u64> buf;
-  size_t i = 0;
-  while (i < ssd_reads.size()) {
-    size_t j = i + 1;
-    while (j < ssd_reads.size() && ssd_reads[j].dev == ssd_reads[i].dev &&
-           ssd_reads[j].block == ssd_reads[j - 1].block + 1) {
-      ++j;
-    }
-    const size_t cnt = j - i;
+  const auto adjacent = [](const SsdRead& a, const SsdRead& b) {
+    return b.dev == a.dev && b.block == a.block + 1;
+  };
+  common::for_each_run(ssd_reads, adjacent, [&](size_t i, size_t cnt) {
     buf.resize(cnt);
     auto r = ssds_[ssd_reads[i].dev]->read(now, ssd_reads[i].block,
                                            static_cast<u32>(cnt),
@@ -904,8 +883,7 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
           req.tags_out[sr.idx] = rec.value();
       }
     }
-    i = j;
-  }
+  });
 
   // Misses: fetch from primary storage into the staging/clean buffer (§4.1).
   std::vector<u64> fetched;
@@ -1003,7 +981,7 @@ Result<u64> SrcCache::read_slot(SimTime now, u32 sg, u32 seg, u32 slot,
     }
   }
   // Parity reconstruction across the stripe row.
-  if (si.has_parity && cfg_.raid != SrcRaidLevel::kRaid1) {
+  if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
     SimTime t = now;
     auto rec = reconstruct_from_stripe(now, sg, seg, slot, &t);
     if (rec.is_ok()) {
@@ -1060,9 +1038,7 @@ Result<u64> SrcCache::reconstruct_from_stripe(SimTime now, u32 sg, u32 seg,
                                               u32 slot, SimTime* done) {
   const SegmentInfo& si = sgs_[sg].segs[seg];
   const SlotAddr target = addr_of(sg, seg, slot, si);
-  const u64 rows = cfg_.slots_per_chunk();
-  const u64 row = slot % rows;
-  const u64 block = chunk_base_block(sg, seg) + 1 + row;
+  const u64 block = target.block;  // every device holds the row here
   u64 acc = 0;
   SimTime t = now;
   for (size_t d = 0; d < ssds_.size(); ++d) {

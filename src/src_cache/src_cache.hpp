@@ -298,9 +298,21 @@ class SrcCache final : public cache::CacheDevice {
   // --- geometry ---
   [[nodiscard]] u64 sg_base_block(u32 sg) const;
   [[nodiscard]] u64 chunk_base_block(u32 sg, u32 seg) const;
-  [[nodiscard]] u64 seg_data_cols(const SegmentInfo& si) const;
+  // Slot -> device placement: column-major, each data column one SSD chunk
+  // after the MS block; the parity chunk sits at si.parity_col, and RAID-1
+  // mirrors column c onto SSD c + n/2 (RaidDevice pairs 2c with 2c + 1
+  // instead; moving either would change that layer's outcomes).
   [[nodiscard]] SlotAddr addr_of(u32 sg, u32 seg, u32 slot,
                                  const SegmentInfo& si) const;
+  // Inverse of addr_of: the data column device `dev` holds in segment `si`
+  // (as primary copy or RAID-1 replica), or kParityCol.
+  static constexpr u64 kParityCol = ~0ull;
+  [[nodiscard]] u64 col_of_dev(size_t dev, const SegmentInfo& si) const;
+
+  // --- metadata images (seal and rebuild) ---
+  [[nodiscard]] blockdev::Payload superblock_payload() const;
+  [[nodiscard]] SegmentMeta segment_meta(u32 sg, u32 seg,
+                                         const SegmentInfo& si) const;
 
   // --- tenants ---
   // Clamps an application tenant id into the stats vector, growing it when
@@ -354,6 +366,8 @@ class SrcCache final : public cache::CacheDevice {
     return rebuild_ != nullptr && rebuild_->covers(dev, block);
   }
   void invalidate_slot(u64 lba, const MapEntry& e);
+  // Drops cached blocks whose every copy is gone, counted lost.
+  void drop_lost(const std::vector<u64>& lbas);
   void detach(u64 lba, const MapEntry& e);  // invalidate without erasing map
   SimTime flush_all_ssds(SimTime now);
   [[nodiscard]] u64 buffer_capacity(bool dirty_type) const;

@@ -6,6 +6,7 @@
 
 #include "common/types.hpp"
 #include "policy/policy.hpp"
+#include "raid/raid_level.hpp"
 #include "sim/time.hpp"
 
 namespace srcache::src {
@@ -21,10 +22,6 @@ enum class GcPolicy { kS2D, kSelGc };
 // cold SGs coexist.
 enum class VictimPolicy { kFifo, kGreedy, kCostBenefit };
 
-// Stripe organisation of a segment across the SSD array (§5.2, Table 10;
-// RAID-1 is our extension for parity with the Fig. 1 baseline set).
-enum class SrcRaidLevel { kRaid0, kRaid1, kRaid4, kRaid5 };
-
 // Clean-data redundancy (§4.3): Parity-for-Clean writes parity for clean
 // segments too; No-Parity-for-Clean reclaims that space since clean blocks
 // can always be refetched from primary storage.
@@ -36,7 +33,6 @@ enum class FlushControl { kPerSegment, kPerSegmentGroup };
 
 const char* to_string(GcPolicy p);
 const char* to_string(VictimPolicy p);
-const char* to_string(SrcRaidLevel l);
 const char* to_string(CleanRedundancy c);
 const char* to_string(FlushControl f);
 
@@ -55,7 +51,9 @@ struct SrcConfig {
   // First block of the region on each SSD.
   u64 region_start_block = 0;
 
-  SrcRaidLevel raid = SrcRaidLevel::kRaid5;
+  // Stripe organisation of a segment across the SSD array (§5.2, Table 10;
+  // RAID-1 is our extension for parity with the Fig. 1 baseline set).
+  raid::RaidLevel raid = raid::RaidLevel::kRaid5;
   CleanRedundancy clean_redundancy = CleanRedundancy::kNPC;
   GcPolicy gc = GcPolicy::kSelGc;
   VictimPolicy victim = VictimPolicy::kFifo;
@@ -93,28 +91,19 @@ struct SrcConfig {
   [[nodiscard]] u64 segments_per_sg() const { return eg_blocks() / chunk_blocks(); }
   [[nodiscard]] u64 sg_count() const { return region_bytes_per_ssd / erase_group_bytes; }
 
-  [[nodiscard]] u64 data_cols(bool with_parity) const {
-    switch (raid) {
-      case SrcRaidLevel::kRaid0: return num_ssds;
-      case SrcRaidLevel::kRaid1: return num_ssds / 2;
-      case SrcRaidLevel::kRaid4:
-      case SrcRaidLevel::kRaid5: return with_parity ? num_ssds - 1 : num_ssds;
-    }
-    return 0;
-  }
-
   // Whether segments of the given type carry redundancy.
   [[nodiscard]] bool segment_has_parity(bool dirty) const {
-    if (raid == SrcRaidLevel::kRaid0) return false;
-    if (raid == SrcRaidLevel::kRaid1) return true;  // mirroring
+    if (raid == raid::RaidLevel::kRaid0) return false;
+    if (raid == raid::RaidLevel::kRaid1) return true;  // mirroring
     return dirty || clean_redundancy == CleanRedundancy::kPC;
   }
 
-  // Data slots per segment for the given segment type.
+  // Data slots per segment for the given segment type; a segment without
+  // redundancy stripes like RAID-0.
   [[nodiscard]] u64 segment_data_slots(bool dirty) const {
-    if (raid == SrcRaidLevel::kRaid1) return data_cols(true) * slots_per_chunk();
-    const bool parity = segment_has_parity(dirty);
-    return (parity ? num_ssds - 1 : num_ssds) * slots_per_chunk();
+    const raid::RaidLevel level =
+        segment_has_parity(dirty) ? raid : raid::RaidLevel::kRaid0;
+    return raid::data_cols(level, num_ssds) * slots_per_chunk();
   }
 
   // Conservative cache data capacity in blocks (all-dirty segments), used
@@ -125,7 +114,7 @@ struct SrcConfig {
 
   void validate() const {
     if (num_ssds < 2) throw std::invalid_argument("SRC needs >= 2 SSDs");
-    if (raid == SrcRaidLevel::kRaid1 && num_ssds % 2 != 0)
+    if (raid == raid::RaidLevel::kRaid1 && num_ssds % 2 != 0)
       throw std::invalid_argument("SRC RAID-1 needs an even SSD count");
     if (chunk_bytes % kBlockSize != 0 || chunk_blocks() < 3)
       throw std::invalid_argument("chunk must hold MS, ME and >= 1 data block");

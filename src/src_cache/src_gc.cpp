@@ -2,6 +2,7 @@
 #include <algorithm>
 
 #include "common/crc32c.hpp"
+#include "common/runs.hpp"
 #include "src_cache/src_cache.hpp"
 
 namespace srcache::src {
@@ -223,27 +224,26 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
           ? span_->begin_span("src.destage", t)
           : obs::kNoSpan;
   std::vector<u64> wtags;
-  size_t i = 0;
-  while (i < destages.size()) {
-    size_t j = i + 1;
-    while (j < destages.size() && destages[j].lba == destages[j - 1].lba + 1) ++j;
+  const auto adjacent = [](const Move& a, const Move& b) {
+    return b.lba == a.lba + 1;
+  };
+  common::for_each_run(destages, adjacent, [&](size_t i, size_t n) {
     wtags.clear();
-    for (size_t k = i; k < j; ++k) wtags.push_back(destages[k].tag);
-    auto r = primary_->write(t, destages[i].lba, static_cast<u32>(j - i),
+    for (size_t k = i; k < i + n; ++k) wtags.push_back(destages[k].tag);
+    auto r = primary_->write(t, destages[i].lba, static_cast<u32>(n),
                              std::span<const u64>(wtags.data(), wtags.size()));
     if (r.ok()) {
       destaged_at = std::max(destaged_at, r.done);
-      for (size_t k = i; k < j; ++k)
+      for (size_t k = i; k < i + n; ++k)
         ledger_.add(obs::kPrimaryDevice, destages[k].tenant,
                     destages[k].shed ? WriteCause::kQuotaShed
                                      : WriteCause::kDestage,
                     kBlockSize);
     }
-    stats_.destage_blocks += j - i;
-    for (size_t k = i; k < j; ++k)
+    stats_.destage_blocks += n;
+    for (size_t k = i; k < i + n; ++k)
       tenants_[destages[k].tenant].destage_blocks++;
-    i = j;
-  }
+  });
   if (destage_span != obs::kNoSpan)
     span_->end_span(destage_span, destaged_at, destages.size());
   primary_->set_background(false);

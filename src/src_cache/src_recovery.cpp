@@ -207,7 +207,7 @@ void SrcCache::on_ssd_failure(size_t ssd) {
     const SegmentInfo& si = sgs_[e.sg].segs[e.seg];
     const SlotAddr a = addr_of(e.sg, e.seg, e.slot, si);
     bool affected = a.dev == ssd;
-    if (cfg_.raid == SrcRaidLevel::kRaid1) {
+    if (a.mirror_dev != SIZE_MAX) {
       affected = (a.dev == ssd || a.mirror_dev == ssd) &&
                  ssds_[a.dev]->failed() && ssds_[a.mirror_dev]->failed();
     } else if (si.has_parity) {
@@ -215,7 +215,11 @@ void SrcCache::on_ssd_failure(size_t ssd) {
     }
     if (affected) to_drop.push_back(lba);
   }
-  for (u64 lba : to_drop) {
+  drop_lost(to_drop);
+}
+
+void SrcCache::drop_lost(const std::vector<u64>& lbas) {
+  for (u64 lba : lbas) {
     const MapEntry e = map_.at(lba);
     if (e.dirty()) {
       extra_.lost_dirty_blocks++;
@@ -235,20 +239,8 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
 
   // Superblock replica (SG 0): rewritten from configuration — it is pure
   // metadata and every copy is identical.
-  Superblock sb;
-  sb.create_seq = 1;
-  sb.num_ssds = cfg_.num_ssds;
-  sb.erase_group_bytes = cfg_.erase_group_bytes;
-  sb.chunk_bytes = cfg_.chunk_bytes;
-  sb.region_bytes_per_ssd = cfg_.region_bytes_per_ssd;
   ext.push_back({sg_base_block(0), 1, raid::RebuildHow::kMetadata, SIZE_MAX,
-                 sb.serialize()});
-
-  size_t mirror_partner = SIZE_MAX;
-  if (cfg_.raid == SrcRaidLevel::kRaid1) {
-    const size_t half = cfg_.num_ssds / 2;
-    mirror_partner = dev < half ? dev + half : dev - half;
-  }
+                 superblock_payload()});
 
   for (u32 s = 1; s < cfg_.sg_count(); ++s) {
     const SgInfo& sg = sgs_[s];
@@ -259,28 +251,20 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
       const u64 base = chunk_base_block(s, g);
       // MS/ME replicas are rewritten from in-RAM state (invalidated slots
       // come back as dead, which only sharpens a later recovery scan).
-      SegmentMeta meta;
-      meta.generation = si.generation;
-      meta.sg = s;
-      meta.seg = g;
-      meta.dirty = si.type == SegType::kDirty;
-      meta.has_parity = si.has_parity;
-      meta.parity_col = si.parity_col;
-      meta.entries.resize(si.slot_lba.size());
-      for (u32 k = 0; k < si.slot_lba.size(); ++k) {
-        meta.entries[k].lba = si.slot_lba[k];
-        meta.entries[k].crc = si.slot_crc[k];
-        meta.entries[k].tenant = si.slot_tenant[k];
-      }
+      SegmentMeta meta = segment_meta(s, g, si);
       meta.is_tail = false;
       ext.push_back(
           {base, 1, raid::RebuildHow::kMetadata, SIZE_MAX, meta.serialize()});
       // Data rows decode only where the stripe carries redundancy. NPC
       // clean rows were dropped from the map at fail time: nothing live to
       // restore, the rebuilder skips the whole run.
-      if (cfg_.raid == SrcRaidLevel::kRaid1) {
+      const u64 col = col_of_dev(dev, si);
+      const SlotAddr a = col == kParityCol
+                             ? SlotAddr{}
+                             : addr_of(s, g, static_cast<u32>(col * rows), si);
+      if (a.mirror_dev != SIZE_MAX) {
         ext.push_back({base + 1, rows, raid::RebuildHow::kMirror,
-                       mirror_partner, nullptr});
+                       a.dev == dev ? a.mirror_dev : a.dev, nullptr});
       } else if (si.has_parity) {
         ext.push_back(
             {base + 1, rows, raid::RebuildHow::kParityXor, SIZE_MAX, nullptr});
@@ -316,18 +300,7 @@ void SrcCache::on_rebuild_lost(size_t dev,
       survivor = true;
     if (!survivor) to_drop.push_back(lba);
   }
-  for (u64 lba : to_drop) {
-    const MapEntry e = map_.at(lba);
-    if (e.dirty()) {
-      extra_.lost_dirty_blocks++;
-    } else {
-      extra_.lost_clean_blocks++;
-    }
-    invalidate_slot(lba, e);
-    map_.erase(lba);
-    tenants_[e.tenant].live_blocks--;
-    eviction_->on_evict(lba);
-  }
+  drop_lost(to_drop);
   if (span_ != nullptr)
     span_->event("src.rebuild_lost", obs::kLaneSrc, 0, 0, to_drop.size());
 }

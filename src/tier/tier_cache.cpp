@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/runs.hpp"
+
 namespace srcache::tier {
 
 void TierConfig::validate() const {
@@ -228,22 +230,18 @@ SimTime TierCache::do_write(const cache::AppRequest& req) {
   // Bypass runs go straight down; the inner cache's own classification
   // (hit vs new) carries up so the tier-level ratio stays honest.
   const u64 inner_hit0 = inner_->stats().write_hit_blocks;
-  size_t i = 0;
-  while (i < bypass_lbas.size()) {
-    size_t j = i + 1;
-    while (j < bypass_lbas.size() && bypass_lbas[j] == bypass_lbas[j - 1] + 1)
-      ++j;
-    cache::AppRequest w;
-    w.now = now;
-    w.is_write = true;
-    w.lba = bypass_lbas[i];
-    w.nblocks = static_cast<u32>(j - i);
-    w.tenant = req.tenant;
-    w.comp_pct = req.comp_pct;
-    w.tags = &bypass_tags[i];
-    ack = std::max(ack, inner_->submit(w));
-    i = j;
-  }
+  common::for_each_run(
+      bypass_lbas, common::consecutive, [&](size_t i, size_t n) {
+        cache::AppRequest w;
+        w.now = now;
+        w.is_write = true;
+        w.lba = bypass_lbas[i];
+        w.nblocks = static_cast<u32>(n);
+        w.tenant = req.tenant;
+        w.comp_pct = req.comp_pct;
+        w.tags = &bypass_tags[i];
+        ack = std::max(ack, inner_->submit(w));
+      });
   if (!bypass_lbas.empty()) {
     const u64 inner_hits = inner_->stats().write_hit_blocks - inner_hit0;
     stats_.write_hit_blocks += inner_hits;

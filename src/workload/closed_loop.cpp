@@ -43,7 +43,7 @@ ClosedLoop::ClosedLoop(cache::CacheDevice* cache,
 // `measure` gates latency/trace recording so the warm-up phase stays out
 // of the histograms. Classification reads the cache's own hit counters
 // around the submit — no extra work on the cache's hot path, no per-
-// request allocation here (tagbuf is reused, histograms are preallocated).
+// request allocation here (histograms are preallocated).
 u64 ClosedLoop::issue(sim::SimTime now, size_t g, bool measure) {
   const Op op = gens_[g]->next();
   if (cfg_.adapt != nullptr) cfg_.adapt->observe(op.tenant, op.lba, op.nblocks);
@@ -54,10 +54,6 @@ u64 ClosedLoop::issue(sim::SimTime now, size_t g, bool measure) {
   req.nblocks = op.nblocks;
   req.tenant = op.tenant;
   req.comp_pct = op.comp_pct;
-  if (cfg_.with_tags && !op.is_write) {
-    tagbuf_.resize(op.nblocks);
-    req.tags_out = tagbuf_.data();
-  }
   u64 miss_before = 0;
   if (measure) {
     miss_before = op.is_write ? cache_->stats().write_new_blocks

@@ -76,7 +76,6 @@ class ClosedLoop {
 
   RunResult res_;
   obs::TimeSeriesSampler sampler_;
-  std::vector<u64> tagbuf_;
 
   bool measuring_ = false;
   bool done_ = false;

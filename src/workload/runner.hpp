@@ -30,7 +30,6 @@ struct RunConfig {
   int iodepth = 1;           // outstanding requests per thread (FIO: 32)
   sim::SimTime duration = 10 * sim::kSec;
   u64 max_ops = 0;           // optional hard op budget (0 = unlimited)
-  bool with_tags = false;    // carry content tags through the cache
   // Bytes of untimed workload to run first (cache warm-up); statistics and
   // the measurement window start after it completes.
   u64 warmup_bytes = 0;

@@ -4,15 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "fault/crash_harness.hpp"
-#include "src_test_util.hpp"
+#include "src_cache/small_rig.hpp"
 
 namespace srcache::fault {
 namespace {
 
-CrashSweepConfig sweep_config(src::SrcRaidLevel raid) {
+CrashSweepConfig sweep_config(raid::RaidLevel raid) {
   CrashSweepConfig cfg;
-  cfg.src = src::testutil::small_config();
-  cfg.src.raid = raid;
+  cfg.src = src::small_config(raid);
   cfg.ops = 300;
   cfg.working_set_blocks = 1024;
   cfg.write_fraction = 0.7;
@@ -40,27 +39,27 @@ void check(const CrashSweepResult& res) {
 }
 
 TEST(CrashConsistency, SweepHoldsUnderRaid5) {
-  check(run_crash_sweep(sweep_config(src::SrcRaidLevel::kRaid5)));
+  check(run_crash_sweep(sweep_config(raid::RaidLevel::kRaid5)));
 }
 
 TEST(CrashConsistency, SweepHoldsUnderRaid0) {
-  check(run_crash_sweep(sweep_config(src::SrcRaidLevel::kRaid0)));
+  check(run_crash_sweep(sweep_config(raid::RaidLevel::kRaid0)));
 }
 
 TEST(CrashConsistency, SweepHoldsUnderRaid1) {
-  check(run_crash_sweep(sweep_config(src::SrcRaidLevel::kRaid1)));
+  check(run_crash_sweep(sweep_config(raid::RaidLevel::kRaid1)));
 }
 
 TEST(CrashConsistency, FullSweepOnATinyWorkload) {
   // No subsampling: every seal boundary of a short workload.
-  CrashSweepConfig cfg = sweep_config(src::SrcRaidLevel::kRaid5);
+  CrashSweepConfig cfg = sweep_config(raid::RaidLevel::kRaid5);
   cfg.ops = 120;
   cfg.max_boundaries = 0;
   check(run_crash_sweep(cfg));
 }
 
 TEST(CrashConsistency, DeterministicForASeed) {
-  const CrashSweepConfig cfg = sweep_config(src::SrcRaidLevel::kRaid5);
+  const CrashSweepConfig cfg = sweep_config(raid::RaidLevel::kRaid5);
   const CrashSweepResult a = run_crash_sweep(cfg);
   const CrashSweepResult b = run_crash_sweep(cfg);
   EXPECT_EQ(a.boundaries, b.boundaries);
@@ -72,7 +71,7 @@ TEST(CrashConsistency, DeterministicForASeed) {
 
 // A small tier budget forces constant destaging, so segments still seal and
 // every cut lands with dirty data split between DRAM and flash.
-CrashSweepConfig tier_sweep_config(src::SrcRaidLevel raid) {
+CrashSweepConfig tier_sweep_config(raid::RaidLevel raid) {
   CrashSweepConfig cfg = sweep_config(raid);
   cfg.tier_budget_bytes = 48 * kBlockSize;
   cfg.tier_dirty_pct = 50;
@@ -81,7 +80,7 @@ CrashSweepConfig tier_sweep_config(src::SrcRaidLevel raid) {
 
 TEST(CrashConsistency, SweepHoldsWithCompressedTier) {
   const CrashSweepResult res =
-      run_crash_sweep(tier_sweep_config(src::SrcRaidLevel::kRaid5));
+      run_crash_sweep(tier_sweep_config(raid::RaidLevel::kRaid5));
   check(res);
   // The recovery invariants hold AND the widened loss window is accounted:
   // at least one cut caught dirty blocks in DRAM, and every such loss is a
@@ -92,13 +91,13 @@ TEST(CrashConsistency, SweepHoldsWithCompressedTier) {
 
 TEST(CrashConsistency, TierSweepHoldsUnderRaid0) {
   const CrashSweepResult res =
-      run_crash_sweep(tier_sweep_config(src::SrcRaidLevel::kRaid0));
+      run_crash_sweep(tier_sweep_config(raid::RaidLevel::kRaid0));
   check(res);
   EXPECT_GT(res.tier_lost_dirty, 0u);
 }
 
 TEST(CrashConsistency, TierSweepDeterministicForASeed) {
-  const CrashSweepConfig cfg = tier_sweep_config(src::SrcRaidLevel::kRaid5);
+  const CrashSweepConfig cfg = tier_sweep_config(raid::RaidLevel::kRaid5);
   const CrashSweepResult a = run_crash_sweep(cfg);
   const CrashSweepResult b = run_crash_sweep(cfg);
   EXPECT_EQ(a.boundaries, b.boundaries);

@@ -45,7 +45,7 @@ TEST(FaultInjection, CorruptionDiscoveredDuringDegradedReads) {
   // degraded mode must still detect the corruption via CRC, and the double
   // fault must be counted (parity cannot repair it), never served silently.
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid5;
+  cfg.raid = raid::RaidLevel::kRaid5;
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
   const u64 sg1_base = rig.cfg.eg_blocks();  // SG 0 is the superblock
@@ -83,7 +83,7 @@ TEST(FaultInjection, DegradedCleanReadsRepairByRefetch) {
   // Same double fault, but on a clean (refetchable) block: primary storage
   // still holds the data, so degraded reads repair instead of losing it.
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid5;
+  cfg.raid = raid::RaidLevel::kRaid5;
   cfg.clean_redundancy = CleanRedundancy::kNPC;
   Rig rig(cfg);
 
@@ -126,7 +126,7 @@ TEST(FaultInjection, ScrubRacesAFaultWindow) {
   // into blocks the first pass already repaired: every pass must converge
   // (repair everything it can see) and the ledger must reconcile throughout.
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid5;
+  cfg.raid = raid::RaidLevel::kRaid5;
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
   const u64 sg1_base = rig.cfg.eg_blocks();
@@ -173,7 +173,7 @@ TEST(FaultInjection, MediaErrorRepairRemapsTheSector) {
   // reconstructs the data and the write-back remaps the sector, so the
   // media error is physically gone afterwards (not just masked).
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid4;
+  cfg.raid = raid::RaidLevel::kRaid4;
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
   const u64 sg1_base = rig.cfg.eg_blocks();
@@ -203,7 +203,7 @@ TEST(FaultInjection, RunnerReportsTheDegradedWindow) {
   // measurement window, fires mid-run, and the result carries the ledger
   // counters plus the healthy/degraded split.
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid5;
+  cfg.raid = raid::RaidLevel::kRaid5;
   Rig rig(cfg);
 
   FaultInjector inj(make_injector(rig, "at=ops:200 fail dev=ssd1"));
@@ -240,7 +240,7 @@ TEST(FaultInjection, SharedWiringLedgersLatentErrorsOfARun) {
   // ledger: every media error the cache hits is a detection, parity repairs
   // each one, and the ledger reconciles.
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid5;
+  cfg.raid = raid::RaidLevel::kRaid5;
   Rig rig(cfg);
   std::vector<blockdev::BlockDevice*> devs;
   for (auto& s : rig.ssds) devs.push_back(s.get());

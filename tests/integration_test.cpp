@@ -88,15 +88,15 @@ RigFactory flashcache_factory() {
 }
 
 std::vector<RigFactory> all_factories() {
+  using raid::RaidLevel;
   using src::CleanRedundancy;
   using src::GcPolicy;
   using src::SrcConfig;
-  using src::SrcRaidLevel;
   using src::VictimPolicy;
   std::vector<RigFactory> out;
   SrcConfig base = src::testutil::small_config();
-  for (auto raid : {SrcRaidLevel::kRaid0, SrcRaidLevel::kRaid1,
-                    SrcRaidLevel::kRaid4, SrcRaidLevel::kRaid5}) {
+  for (auto raid : {RaidLevel::kRaid0, RaidLevel::kRaid1, RaidLevel::kRaid4,
+                    RaidLevel::kRaid5}) {
     for (auto gc : {GcPolicy::kS2D, GcPolicy::kSelGc}) {
       SrcConfig cfg = base;
       cfg.raid = raid;
@@ -106,7 +106,7 @@ std::vector<RigFactory> all_factories() {
       cfg.clean_redundancy = gc == GcPolicy::kSelGc ? CleanRedundancy::kNPC
                                                     : CleanRedundancy::kPC;
       out.push_back(src_factory(cfg, std::string("src_") +
-                                         src::to_string(raid) + "_" +
+                                         raid::to_string(raid) + "_" +
                                          src::to_string(gc)));
     }
   }

@@ -164,7 +164,7 @@ TEST(ProvenanceBalance, MixedWorkloadExercisesCausesExactly) {
 
 TEST(ProvenanceBalance, ChecksumRepairIsAttributed) {
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid5;
+  cfg.raid = raid::RaidLevel::kRaid5;
   Rig rig(cfg);
   // Seal one dirty segment with known tags, then corrupt one data block;
   // the checksum-verified read repairs it in place (repair_remap).

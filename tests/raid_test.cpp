@@ -206,6 +206,29 @@ TEST(Raid0, FailureIsFatal) {
   EXPECT_EQ(rig.raid->read(0, 0, 1, out).error, ErrorCode::kDeviceFailed);
 }
 
+// A write that covers a block with no live copy must fail, not ack: the
+// block could never be read back. RAID-0 loses member 0; RAID-1 loses both
+// members of pair 0. Both hold lba 0..3 (chunk 4); lba 4..7 stays placeable.
+class RaidUnplacedWrite : public ::testing::TestWithParam<RaidLevel> {};
+
+TEST_P(RaidUnplacedWrite, FailsInsteadOfAcking) {
+  Rig rig(GetParam(), 4);
+  rig.disks[0]->fail();
+  if (GetParam() == RaidLevel::kRaid1) rig.disks[1]->fail();
+  std::vector<u64> tags(8, 7);
+  EXPECT_EQ(rig.raid->write(0, 0, 8, tags).error, ErrorCode::kDeviceFailed);
+  std::vector<u64> out(8);
+  EXPECT_EQ(rig.raid->read(0, 0, 8, out).error, ErrorCode::kDeviceFailed);
+  EXPECT_TRUE(rig.raid->write(0, 4, 4, std::span(tags).first(4)).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, RaidUnplacedWrite,
+    ::testing::Values(RaidLevel::kRaid0, RaidLevel::kRaid1),
+    [](const auto& info) {
+      return std::string(to_string(info.param)).substr(5);
+    });
+
 TEST(Raid5, WritesContinueDegraded) {
   Rig rig(RaidLevel::kRaid5, 4);
   rig.disks[2]->fail();
@@ -214,27 +237,6 @@ TEST(Raid5, WritesContinueDegraded) {
   std::vector<u64> out(4);
   ASSERT_TRUE(rig.raid->read(0, 0, 4, out).ok());
   for (u64 t : out) EXPECT_EQ(t, 5u);
-}
-
-TEST(Raid5, RebuildRestoresContent) {
-  Rig rig(RaidLevel::kRaid5, 4, 4, 512);
-  common::Xoshiro256 rng(11);
-  std::vector<u64> model(rig.raid->capacity_blocks(), 0);
-  for (u64 lba = 0; lba < rig.raid->capacity_blocks(); ++lba) {
-    std::vector<u64> tag = {rng.next() | 1};
-    model[lba] = tag[0];
-    rig.raid->write(0, lba, 1, tag);
-  }
-  rig.disks[1]->fail();
-  rig.disks[1]->heal();  // replacement drive, but stale/blank content
-  // Wipe the "replacement" to simulate a fresh drive.
-  rig.disks[1]->trim(0, 0, rig.disks[1]->capacity_blocks());
-  ASSERT_TRUE(rig.raid->rebuild(0, 1).ok());
-  for (u64 lba = 0; lba < rig.raid->capacity_blocks(); ++lba) {
-    std::vector<u64> out(1);
-    ASSERT_TRUE(rig.raid->read(0, lba, 1, out).ok());
-    ASSERT_EQ(out[0], model[lba]) << lba;
-  }
 }
 
 // Degraded writes with multi-block chunks: the write path must keep parity
@@ -533,6 +535,57 @@ TEST(Rebuild, SecondFailureAbortsAndMasksDead) {
   // Further pumping is a no-op: nothing is left to rebuild.
   mgr.pump(10 * sim::kSec);
   EXPECT_EQ(mgr.outcome().blocks_copied, copied);
+}
+
+TEST(Rebuild, SurvivorReadErrorLosesPendingRest) {
+  Rig rig(RaidLevel::kRaid5, 4, 4, kDevBlocks);
+  fill_all(rig, 606);
+
+  RebuildConfig cfg;
+  cfg.mbps = 1e6;
+  std::vector<blockdev::BlockDevice*> members;
+  for (auto& d : rig.disks) members.push_back(d.get());
+  RebuildManager mgr(cfg, members);
+  mgr.set_extent_source(full_sweep_source(RaidLevel::kRaid5, kDevBlocks));
+  fault::FaultLedger ledger;
+  ledger.record_injected(fault::FaultKind::kFailStop, 1);
+  mgr.set_fault_ledger(&ledger);
+  size_t lost_dev = SIZE_MAX;
+  std::vector<RebuildExtent> lost;
+  mgr.set_abort_callback(
+      [&](size_t dev, const std::vector<RebuildExtent>& ex) {
+        lost_dev = dev;
+        lost = ex;
+      });
+
+  rig.disks[1]->fail();
+  mgr.on_device_failed(1, 0);
+  rig.disks[1]->replace_media();
+  mgr.on_device_replaced(1, sim::kMs);
+  // Fresh content over [100, 150) needs no decode; a latent sector error on
+  // survivor 2 fails the first batch's reads.
+  mgr.discard(100, 50);
+  rig.disks[2]->inject_media_errors(10, 1);
+  mgr.pump(sim::kSec);
+  EXPECT_FALSE(mgr.rebuilding());
+
+  // Exactly the still-pending rest of the sweep is lost, and stays masked.
+  ASSERT_EQ(lost_dev, 1u);
+  ASSERT_EQ(lost.size(), 2u);
+  EXPECT_EQ(lost[0].block, 0u);
+  EXPECT_EQ(lost[0].count, 100u);
+  EXPECT_EQ(lost[1].block, 150u);
+  EXPECT_EQ(lost[1].count, kDevBlocks - 150);
+  for (u64 b : {u64{0}, u64{10}, u64{99}, u64{150}, kDevBlocks - 1})
+    EXPECT_TRUE(mgr.covers(1, b)) << b;
+  EXPECT_FALSE(mgr.covers(1, 120));
+
+  const RebuildOutcome o = mgr.outcome();
+  EXPECT_EQ(o.blocks_copied, 0u);
+  EXPECT_EQ(o.blocks_unrecovered, kDevBlocks - 50);
+  EXPECT_EQ(o.rebuilds_aborted, 1u);
+  EXPECT_EQ(o.rebuilds_completed, 0u);
+  EXPECT_EQ(ledger.repaired_by_rebuild(), 0u);
 }
 
 TEST(Rebuild, DiscardSkipsFreshlyWrittenBlocks) {

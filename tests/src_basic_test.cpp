@@ -30,14 +30,14 @@ TEST(SrcConfig, NpcCleanSegmentsHaveMoreSlots) {
 
 TEST(SrcConfig, Raid0NoParityAnywhere) {
   SrcConfig cfg;
-  cfg.raid = SrcRaidLevel::kRaid0;
+  cfg.raid = raid::RaidLevel::kRaid0;
   EXPECT_FALSE(cfg.segment_has_parity(true));
   EXPECT_EQ(cfg.segment_data_slots(true), 4u * 126u);
 }
 
 TEST(SrcConfig, Raid1HalvesDataSlots) {
   SrcConfig cfg;
-  cfg.raid = SrcRaidLevel::kRaid1;
+  cfg.raid = raid::RaidLevel::kRaid1;
   EXPECT_EQ(cfg.segment_data_slots(true), 2u * 126u);
 }
 

@@ -29,7 +29,7 @@ std::vector<u64> seal_one_dirty(Rig& rig, u64 lba_base = 0) {
 
 TEST(SrcFailure, SilentCorruptionRepairedByParity) {
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid5;
+  cfg.raid = raid::RaidLevel::kRaid5;
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
   // Corrupt the first data row block on every SSD except one — parity can
@@ -88,7 +88,7 @@ TEST(SrcFailure, CleanCorruptionRefetchedWithoutParity) {
 
 TEST(SrcFailure, DirtyRaid0CorruptionIsUnrecoverable) {
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid0;
+  cfg.raid = raid::RaidLevel::kRaid0;
   Rig rig(cfg);
   seal_one_dirty(rig);
   const u64 sg1_base = rig.cfg.eg_blocks();
@@ -101,7 +101,7 @@ TEST(SrcFailure, DirtyRaid0CorruptionIsUnrecoverable) {
 
 TEST(SrcFailure, SsdFailStopParityReconstruction) {
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid5;
+  cfg.raid = raid::RaidLevel::kRaid5;
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
   rig.ssds[2]->fail();
@@ -156,7 +156,7 @@ TEST(SrcFailure, PcCleanSurvivesSsdFailure) {
 
 TEST(SrcFailure, Raid0FailureLosesDirtyData) {
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid0;
+  cfg.raid = raid::RaidLevel::kRaid0;
   Rig rig(cfg);
   seal_one_dirty(rig);
   rig.ssds[0]->fail();
@@ -167,7 +167,7 @@ TEST(SrcFailure, Raid0FailureLosesDirtyData) {
 
 TEST(SrcFailure, Raid1MirrorServesAfterFailure) {
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid1;
+  cfg.raid = raid::RaidLevel::kRaid1;
   Rig rig(cfg);
   const u64 cap = rig.cfg.segment_data_slots(true);
   std::vector<u64> tags(cap);
@@ -233,7 +233,7 @@ TEST(SrcScrub, FindsAndRepairsCorruption) {
 
 TEST(SrcScrub, ReportsUnrecoverableOnRaid0) {
   SrcConfig cfg = small_config();
-  cfg.raid = SrcRaidLevel::kRaid0;
+  cfg.raid = raid::RaidLevel::kRaid0;
   Rig rig(cfg);
   seal_one_dirty(rig);
   rig.ssds[0]->corrupt(rig.cfg.eg_blocks() + 1);

@@ -1,55 +1,15 @@
-// Shared rig for SRC cache tests: small geometry over MemDisk devices so
-// behaviours (sealing, GC, recovery) trigger quickly.
+// Shared rig for SRC cache tests: the small MemDisk rig
+// (src_cache/small_rig.hpp) plus one-request read/write helpers.
 #pragma once
 
-#include <memory>
-#include <vector>
-
-#include "block/mem_disk.hpp"
-#include "src_cache/src_cache.hpp"
+#include "src_cache/small_rig.hpp"
 
 namespace srcache::src::testutil {
 
-inline SrcConfig small_config() {
-  SrcConfig cfg;
-  cfg.num_ssds = 4;
-  cfg.chunk_bytes = 32 * KiB;          // 8 blocks: MS + 6 slots + ME
-  cfg.erase_group_bytes = 256 * KiB;   // 8 segments per SG
-  cfg.region_bytes_per_ssd = 4 * MiB;  // 16 SGs (SG 0 = superblock)
-  cfg.twait = 1 * sim::kSec;           // effectively off unless tested
-  return cfg;
-}
+using src::small_config;
 
-struct Rig {
-  std::vector<std::unique_ptr<blockdev::MemDisk>> ssds;
-  std::unique_ptr<blockdev::MemDisk> primary;
-  std::unique_ptr<SrcCache> cache;
-  SrcConfig cfg;
-
-  explicit Rig(SrcConfig c = small_config()) : cfg(c) {
-    blockdev::MemDiskConfig fast;
-    fast.capacity_blocks = cfg.region_bytes_per_ssd / kBlockSize + 64;
-    fast.op_latency = 20 * sim::kUs;
-    fast.bandwidth_mbps = 500.0;
-    fast.flush_latency = 4 * sim::kMs;
-    for (u32 i = 0; i < cfg.num_ssds; ++i)
-      ssds.push_back(std::make_unique<blockdev::MemDisk>(fast));
-    blockdev::MemDiskConfig slow;
-    slow.capacity_blocks = 1 * GiB / kBlockSize;
-    slow.op_latency = 5 * sim::kMs;
-    slow.bandwidth_mbps = 110.0;
-    primary = std::make_unique<blockdev::MemDisk>(slow);
-    reattach();
-    cache->format(0);
-  }
-
-  // Builds a fresh SrcCache instance over the same devices (crash model:
-  // all in-memory state is discarded).
-  void reattach() {
-    std::vector<blockdev::BlockDevice*> devs;
-    for (auto& s : ssds) devs.push_back(s.get());
-    cache = std::make_unique<SrcCache>(cfg, devs, primary.get());
-  }
+struct Rig : SmallRig {
+  using SmallRig::SmallRig;
 
   sim::SimTime write(sim::SimTime now, u64 lba, u32 n = 1,
                      const u64* tags = nullptr) {

@@ -24,13 +24,12 @@
 #include <string>
 #include <vector>
 
-#include "block/mem_disk.hpp"
 #include "engine/engine.hpp"
 #include "fault/crash_harness.hpp"
 #include "fault/fault_injector.hpp"
 #include "obs/json.hpp"
 #include "raid/rebuild.hpp"
-#include "src_cache/src_cache.hpp"
+#include "src_cache/small_rig.hpp"
 #include "workload/generators.hpp"
 #include "workload/report.hpp"
 
@@ -38,50 +37,9 @@ namespace {
 
 using namespace srcache;
 
-// Small geometry over content-tracked MemDisks: every behaviour (sealing,
-// GC, repair) triggers within a few thousand requests, and CRC verification
-// has real content to catch corruption against.
-src::SrcConfig matrix_config(src::SrcRaidLevel raid) {
-  src::SrcConfig cfg;
-  cfg.num_ssds = 4;
-  cfg.chunk_bytes = 32 * KiB;          // 8 blocks: MS + 6 slots + ME
-  cfg.erase_group_bytes = 256 * KiB;   // 8 segments per SG
-  cfg.region_bytes_per_ssd = 4 * MiB;  // 16 SGs (SG 0 = superblock)
-  cfg.twait = 1 * sim::kSec;
-  cfg.raid = raid;
-  cfg.verify_checksums = true;
-  return cfg;
-}
-
-struct Rig {
-  std::vector<std::unique_ptr<blockdev::MemDisk>> ssds;
-  std::unique_ptr<blockdev::MemDisk> primary;
-  std::unique_ptr<src::SrcCache> cache;
-
-  explicit Rig(const src::SrcConfig& cfg) {
-    blockdev::MemDiskConfig fast;
-    fast.capacity_blocks =
-        cfg.region_start_block + cfg.region_bytes_per_ssd / kBlockSize + 64;
-    fast.op_latency = 20 * sim::kUs;
-    fast.bandwidth_mbps = 500.0;
-    fast.flush_latency = 4 * sim::kMs;
-    for (u32 i = 0; i < cfg.num_ssds; ++i)
-      ssds.push_back(std::make_unique<blockdev::MemDisk>(fast));
-    blockdev::MemDiskConfig slow;
-    slow.capacity_blocks = 1 * GiB / kBlockSize;
-    slow.op_latency = 5 * sim::kMs;
-    slow.bandwidth_mbps = 110.0;
-    primary = std::make_unique<blockdev::MemDisk>(slow);
-    std::vector<blockdev::BlockDevice*> devs;
-    for (auto& s : ssds) devs.push_back(s.get());
-    cache = std::make_unique<src::SrcCache>(cfg, devs, primary.get());
-    cache->format(0);
-  }
-};
-
 struct Scenario {
   std::string name;
-  src::SrcRaidLevel raid;
+  raid::RaidLevel raid;
   std::string plan;       // fault/fault_plan.hpp syntax
   bool scrub = false;     // run a full scrub after the workload
   bool expect_detect = true;  // at least one fault must be detected
@@ -114,12 +72,11 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
   out.name = sc.name;
   auto fail = [&out](const std::string& why) { out.violations.push_back(why); };
 
-  const src::SrcConfig cfg = matrix_config(sc.raid);
-  Rig rig(cfg);
+  const src::SrcConfig cfg = src::small_config(sc.raid);
+  src::SmallRig rig(cfg);
 
   fault::FaultInjector inj(fault::FaultPlan::parse_or_die(sc.plan, /*seed=*/7));
-  std::vector<blockdev::BlockDevice*> devs;
-  for (auto& s : rig.ssds) devs.push_back(s.get());
+  const std::vector<blockdev::BlockDevice*> devs = rig.ssd_ptrs();
   inj.attach_ssds(devs);
   inj.attach_primary(rig.primary.get());
 
@@ -230,22 +187,22 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
 }
 
 std::vector<Scenario> build_grid() {
-  using src::SrcRaidLevel;
+  using raid::RaidLevel;
   const struct {
-    SrcRaidLevel raid;
+    RaidLevel raid;
     const char* tag;
   } raids[] = {
-      {SrcRaidLevel::kRaid0, "raid0"},
-      {SrcRaidLevel::kRaid1, "raid1"},
-      {SrcRaidLevel::kRaid4, "raid4"},
-      {SrcRaidLevel::kRaid5, "raid5"},
+      {RaidLevel::kRaid0, "raid0"},
+      {RaidLevel::kRaid1, "raid1"},
+      {RaidLevel::kRaid4, "raid4"},
+      {RaidLevel::kRaid5, "raid5"},
   };
   // Device-LBA range of the cache region (region_start_block = 0 here).
   const std::string region = "lba=0..1024";
 
   std::vector<Scenario> grid;
   for (const auto& r : raids) {
-    const bool protected_stripe = r.raid != SrcRaidLevel::kRaid0;
+    const bool protected_stripe = r.raid != RaidLevel::kRaid0;
     // Whole-device fail-stop mid-run. RAID-0 drops the failed device's
     // blocks (dirty ones are lost by design); every other level keeps
     // serving via mirror or parity.
@@ -267,7 +224,7 @@ std::vector<Scenario> build_grid() {
                     /*scrub=*/true, /*expect_detect=*/true, protected_stripe});
   }
   // Link degradation is stripe-independent; one level suffices.
-  grid.push_back({"degrade/raid5", src::SrcRaidLevel::kRaid5,
+  grid.push_back({"degrade/raid5", RaidLevel::kRaid5,
                   "at=ops:1000 degrade dev=primary factor=8 for=5s",
                   /*scrub=*/false, /*expect_detect=*/true, true});
   // Combined: corruption and latent errors discovered by reads running
@@ -275,13 +232,13 @@ std::vector<Scenario> build_grid() {
   // double fault (a second device's blocks go bad while one is already
   // down), which single parity cannot repair: the gate requires the damage
   // to be *detected and counted*, not survived.
-  grid.push_back({"combined/raid5", src::SrcRaidLevel::kRaid5,
+  grid.push_back({"combined/raid5", RaidLevel::kRaid5,
                   "at=ops:1000 fail dev=ssd1; "
                   "at=ops:1500 corrupt dev=ssd0 " + region + " count=32; "
                   "at=ops:2000 latent dev=ssd2 lba=0..256",
                   /*scrub=*/true, /*expect_detect=*/true,
                   /*expect_no_dirty_loss=*/false});
-  grid.push_back({"combined/raid1", src::SrcRaidLevel::kRaid1,
+  grid.push_back({"combined/raid1", RaidLevel::kRaid1,
                   "at=ops:1000 fail dev=ssd1; "
                   "at=ops:1500 corrupt dev=ssd0 " + region + " count=32",
                   /*scrub=*/true, /*expect_detect=*/true, true});
@@ -291,8 +248,8 @@ std::vector<Scenario> build_grid() {
   // rebuilt device back through the verified path. The raid4 plan also
   // provisions an extra spare first, exercising the `spare` action.
   for (const auto& r : raids) {
-    if (r.raid == SrcRaidLevel::kRaid0) continue;  // nothing to rebuild from
-    const bool extra_spare = r.raid == SrcRaidLevel::kRaid4;
+    if (r.raid == RaidLevel::kRaid0) continue;  // nothing to rebuild from
+    const bool extra_spare = r.raid == RaidLevel::kRaid4;
     Scenario sc{std::string("rebuild/") + r.tag, r.raid,
                 std::string(extra_spare ? "at=ops:900 spare count=1; " : "") +
                     "at=ops:1000 fail dev=ssd1; at=ops:2000 replace dev=ssd1",
@@ -308,7 +265,7 @@ std::vector<Scenario> build_grid() {
   // them. Expected outcome is an aborted rebuild with counted, detected-
   // unrepairable losses — not completion, and never silent garbage.
   {
-    Scenario sc{"rebuild-second-fault/raid5", SrcRaidLevel::kRaid5,
+    Scenario sc{"rebuild-second-fault/raid5", RaidLevel::kRaid5,
                 "at=ops:1000 fail dev=ssd1; at=ops:1500 replace dev=ssd1; "
                 "at=ops:1550 fail dev=ssd3",
                 /*scrub=*/false, /*expect_detect=*/true,
@@ -377,7 +334,7 @@ int main(int argc, char** argv) {
   // Crash-consistency sweep: a power cut at every segment-seal boundary
   // (subsampled with --quick), three cut points each.
   fault::CrashSweepConfig cc;
-  cc.src = matrix_config(src::SrcRaidLevel::kRaid5);
+  cc.src = src::small_config(raid::RaidLevel::kRaid5);
   cc.ops = 400;
   cc.working_set_blocks = 2048;
   cc.max_boundaries = quick ? 12 : 0;
