@@ -250,8 +250,14 @@ CrashSweepResult run_crash_sweep(const CrashSweepConfig& cfg) {
       }
 
       // DRAM dies with the power: dirty tier residents are lost and each
-      // loss is ledgered before the reboot discards the tier.
+      // loss is ledgered before the reboot discards the tier. Its
+      // bookkeeping is audited first, as the cut found it.
       if (rig.tier != nullptr) {
+        const Status tier_audit = rig.tier->verify_consistency();
+        if (!tier_audit.is_ok()) {
+          res.violations.push_back(ctx + ": pre-cut tier audit: " +
+                                   tier_audit.to_string());
+        }
         rig.tier->on_power_cut(1);
         res.tier_lost_dirty += rig.tier->tier_stats().lost_dirty_blocks;
       }

@@ -26,6 +26,17 @@
 //    cache (tier_demote) unless it is still resident there, in which case
 //    it is simply dropped.
 //
+// FIFO bookkeeping: every admission (and every second chance) takes the
+// next slot of a ring numbered by a monotone sequence number, so a block's
+// FIFO position is its entry's `seq` and older means smaller. A removed
+// block leaves a hole in its slot; holes at the front are popped, and the
+// ring is renumbered when holes outnumber live slots. A dirty bitset over
+// the same seqs (one bit per slot, one summary bit per 64-bit word) plus a
+// cursor below which no bit is set lets the dirty-bound walk and flush
+// visit only dirty slots, oldest first: an overwrite re-dirties its block
+// in place and pulls the cursor back, a second chance moves the block and
+// its bit to the back. No per-op cost grows with residency.
+//
 // Determinism: one tier per engine domain, no clocks, no RNG — every
 // decision is a function of the request stream and the (deterministic)
 // policy state, so merged REPRO_JSON stays bit-identical across
@@ -37,12 +48,13 @@
 // the FaultLedger, so the ledger still reconciles.
 #pragma once
 
-#include <list>
+#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/cache_device.hpp"
+#include "common/result.hpp"
 #include "fault/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "policy/policy.hpp"
@@ -153,15 +165,31 @@ class TierCache final : public cache::CacheDevice {
   // cost per interval like any other registry series.
   void register_metrics(const obs::Scope& scope);
 
+  // Audits the bookkeeping: byte and block counters against a recount,
+  // entries against ring slots, dirty bits against entries and the walk
+  // cursor, and the budget and dirty bounds (which hold between submits).
+  [[nodiscard]] Status verify_consistency() const;
+
+  // Ring slots and bitset words the dirty walk (dirty bound and flush) has
+  // visited so far; a work counter for tests, not a registry metric.
+  [[nodiscard]] u64 dirty_walk_visits() const { return walk_visits_; }
+  // Ring slots in use, holes included: at most twice the resident blocks
+  // plus one summary span.
+  [[nodiscard]] u64 ring_slots() const { return ring_.size(); }
+
  private:
   struct Entry {
     u64 tag = 0;
-    std::list<u64>::iterator pos;  // position in fifo_ (front = oldest)
-    u32 csize = 0;                 // compressed bytes
+    u64 seq = 0;       // ring slot, i.e. FIFO position (smaller = older)
+    u32 csize = 0;     // compressed bytes
     u16 tenant = 0;
     bool dirty = false;
-    bool hot = false;              // second-chance bit (paper policy input)
+    bool hot = false;  // second-chance bit (paper policy input)
   };
+  // Ring value of a vacated slot; never a block address.
+  static constexpr u64 kHole = ~u64{0};
+  // Slots covered by one summary word of the dirty bitset.
+  static constexpr u64 kSummarySpan = 64 * 64;
 
   SimTime do_read(const cache::AppRequest& req);
   SimTime do_write(const cache::AppRequest& req);
@@ -170,21 +198,57 @@ class TierCache final : public cache::CacheDevice {
   void admit(u64 lba, u64 tag, u16 tenant, u32 csize, bool dirty);
   void remove_entry(u64 lba, Entry& e);
 
+  // Ring and dirty index. push_slot appends at the back and returns the
+  // slot's seq; vacate holes a slot and pops holes off the front;
+  // next_dirty returns the oldest dirty seq >= from (end_seq() if none);
+  // compact renumbers the live slots when holes outnumber them.
+  [[nodiscard]] u64 end_seq() const { return base_ + ring_.size(); }
+  u64 push_slot(u64 lba);
+  void vacate(u64 seq);
+  void mark_dirty(u64 seq);
+  void mark_clean(u64 seq);
+  [[nodiscard]] bool dirty_bit(u64 seq) const;
+  u64 next_dirty(u64 from);
+  void reset_ring();
+  void compact();
+
+  [[nodiscard]] u64 dirty_limit() const {
+    return cfg_.budget_bytes / 100 * cfg_.dirty_pct;
+  }
   // Destages the oldest dirty blocks in place (they stay resident, clean)
-  // until the dirty share is within bound.
-  SimTime enforce_dirty_bound(SimTime now);
+  // until the dirty bytes are at most `limit`.
+  SimTime destage_oldest(SimTime now, u64 limit);
   // Evicts (policy second chance) until compressed size fits the budget.
   SimTime enforce_budget(SimTime now);
-  SimTime destage_batch(SimTime now, std::vector<u64>& lbas,
-                        std::vector<u64>& tags, std::vector<u16>& tenants);
+  // Queues one block for write-back; a full batch goes down at once.
+  SimTime queue_destage(SimTime now, u64 lba, const Entry& e);
+  // Writes the queued batch down and empties it.
+  SimTime destage_batch(SimTime now);
 
   TierConfig cfg_;
   cache::CacheDevice* inner_;
   src::SrcCache* src_;
 
   std::unordered_map<u64, Entry> map_;
-  std::list<u64> fifo_;
+  // Slot seq holds ring_[seq - base_]: an LBA or kHole.
+  std::deque<u64> ring_;
+  u64 base_ = 0;
+  // Bit (seq - bits_base_) of dirty_words_ is set iff that slot is dirty;
+  // bit w of dirty_summary_[s] is set iff dirty_words_[64 * s + w] != 0.
+  // bits_base_ is a multiple of kSummarySpan.
+  std::deque<u64> dirty_words_;
+  std::deque<u64> dirty_summary_;
+  u64 bits_base_ = 0;
+  u64 dirty_cursor_ = 0;  // no dirty slot lies below this seq
+  u64 walk_visits_ = 0;
   std::unique_ptr<policy::EvictionPolicy> eviction_;
+
+  // Per-call scratch, kept to avoid allocating on every request.
+  std::vector<u64> batch_lbas_, batch_tags_;
+  std::vector<u16> batch_tenants_;
+  std::vector<u64> bypass_lbas_, bypass_tags_;
+  std::vector<u64> read_tags_;
+  std::vector<u8> below_;
 
   u64 resident_csize_ = 0;
   u64 dirty_csize_ = 0;

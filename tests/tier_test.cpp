@@ -1,13 +1,18 @@
 // tier::TierCache: compressed DRAM tier unit semantics — write absorption,
 // compressed-size budgeting, incompressible bypass, dirty-bound destaging,
 // read hits with CPU charges, demotion vs drop, and power-cut loss
-// accounting. The inner cache is the small SRC test rig throughout, so
-// destages and demotes ride the real provenance-attributed staging paths.
+// accounting. The inner cache is mostly the small SRC test rig, so destages
+// and demotes ride the real provenance-attributed staging paths; the golden
+// destage-order and dirty-walk work tests record a plain inner cache.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/crc32c.hpp"
+#include "common/rng.hpp"
 #include "fault/ledger.hpp"
 #include "src_test_util.hpp"
 #include "tier/tier_cache.hpp"
@@ -25,6 +30,12 @@ TierConfig small_tier(u64 budget_blocks = 64) {
   return tc;
 }
 
+// Every submit in this file is followed by a full audit of the tier.
+void audit(const TierCache& t) {
+  const Status st = t.verify_consistency();
+  EXPECT_TRUE(st.is_ok()) << st.to_string();
+}
+
 sim::SimTime twrite(TierCache& t, sim::SimTime now, u64 lba, u8 comp_pct,
                     u32 n = 1, const u64* tags = nullptr) {
   cache::AppRequest r;
@@ -34,7 +45,9 @@ sim::SimTime twrite(TierCache& t, sim::SimTime now, u64 lba, u8 comp_pct,
   r.nblocks = n;
   r.comp_pct = comp_pct;
   r.tags = tags;
-  return t.submit(r);
+  const sim::SimTime done = t.submit(r);
+  audit(t);
+  return done;
 }
 
 sim::SimTime tread(TierCache& t, sim::SimTime now, u64 lba, u8 comp_pct,
@@ -45,7 +58,9 @@ sim::SimTime tread(TierCache& t, sim::SimTime now, u64 lba, u8 comp_pct,
   r.nblocks = n;
   r.comp_pct = comp_pct;
   r.tags_out = out;
-  return t.submit(r);
+  const sim::SimTime done = t.submit(r);
+  audit(t);
+  return done;
 }
 
 TEST(TierConfig, ValidateRejectsBadKnobs) {
@@ -236,6 +251,189 @@ TEST(TierCache, GenericInnerCacheWorksWithoutSrcHooks) {
   EXPECT_GT(rig.cache->stats().app_write_blocks, 0u);
   EXPECT_EQ(tier.tier_stats().demote_blocks, 0u);
   EXPECT_LE(tier.resident_compressed_bytes(), tc.budget_bytes);
+}
+
+// --- golden destage order ---------------------------------------------------
+
+// An inner cache that folds every write it receives (lba, tag, in arrival
+// order) into a running CRC-32C and serves reads from what was written.
+class RecordingCache final : public cache::CacheDevice {
+ public:
+  sim::SimTime submit(const cache::AppRequest& req) override {
+    for (u32 i = 0; i < req.nblocks; ++i) {
+      const u64 lba = req.lba + i;
+      if (req.is_write) {
+        const u64 tag = req.tags != nullptr ? req.tags[i] : 0;
+        const bool fresh = content_.insert_or_assign(lba, tag).second;
+        (fresh ? stats_.write_new_blocks : stats_.write_hit_blocks)++;
+        crc_ = common::crc32c_of(lba, crc_);
+        crc_ = common::crc32c_of(tag, crc_);
+        continue;
+      }
+      auto it = content_.find(lba);
+      const bool hit = it != content_.end();
+      (hit ? stats_.read_hit_blocks : stats_.read_miss_blocks)++;
+      if (req.tags_out != nullptr)
+        req.tags_out[i] = hit ? it->second : blockdev::make_tag(lba, 0);
+    }
+    (req.is_write ? stats_.app_write_blocks : stats_.app_read_blocks) +=
+        req.nblocks;
+    return req.now + 50 * sim::kUs;
+  }
+  sim::SimTime flush(sim::SimTime now) override { return now; }
+  [[nodiscard]] const cache::CacheStats& stats() const override {
+    return stats_;
+  }
+  [[nodiscard]] u64 cached_blocks() const override { return content_.size(); }
+  [[nodiscard]] u32 write_crc() const { return crc_; }
+
+ private:
+  std::unordered_map<u64, u64> content_;
+  cache::CacheStats stats_;
+  u32 crc_ = 0;
+};
+
+struct GoldenRun {
+  u32 write_crc = 0;  // inner write stream: (lba, tag) in order
+  u32 state_crc = 0;  // TierStats, tier CacheStats and final residency
+  TierStats ts;
+};
+
+// A seeded random script over a 48-block tier: compressible and
+// incompressible writes (overwrites re-dirty clean blocks), read fills,
+// flushes and power cuts. The tier is audited after every op.
+GoldenRun run_golden_script(policy::EvictionKind kind, u64 seed,
+                            u32 dirty_pct) {
+  RecordingCache inner;
+  TierConfig tc = small_tier(/*budget_blocks=*/48);
+  tc.dirty_pct = dirty_pct;
+  tc.eviction = kind;
+  TierCache tier(tc, &inner);
+  common::Xoshiro256 rng(seed);
+  sim::SimTime now = 0;
+  for (int op = 0; op < 3000; ++op) {
+    now += 10 * sim::kUs;
+    const u64 dice = rng.below(100);
+    const u64 lba = rng.below(160);
+    const u32 n = 1 + static_cast<u32>(rng.below(4));
+    const u8 pct = static_cast<u8>(rng.range(5, 90));
+    if (dice < 45) {
+      twrite(tier, now, lba, pct, n);
+    } else if (dice < 55) {
+      twrite(tier, now, lba, dice % 2 == 0 ? 0 : 97, n);
+    } else if (dice < 97) {
+      tread(tier, now, lba, dice % 8 == 0 ? 100 : pct, n);
+    } else if (dice < 99) {
+      tier.flush(now);
+    } else {
+      tier.on_power_cut(now);
+    }
+    audit(tier);
+  }
+  GoldenRun r;
+  r.write_crc = inner.write_crc();
+  r.ts = tier.tier_stats();
+  for (const CounterField<TierStats>& f : kTierStatsFields)
+    if (f.counter != nullptr)
+      r.state_crc = common::crc32c_of(r.ts.*f.counter, r.state_crc);
+  for (const CounterField<cache::CacheStats>& f : cache::kCacheStatsFields)
+    r.state_crc = common::crc32c_of(tier.stats().*f.counter, r.state_crc);
+  for (u64 v : {tier.resident_blocks(), tier.resident_compressed_bytes(),
+                tier.dirty_blocks(), tier.dirty_compressed_bytes()})
+    r.state_crc = common::crc32c_of(v, r.state_crc);
+  return r;
+}
+
+// Pins the exact destage/eviction order of the tier: any drift in which
+// block is written back when, or in what the tier counts, moves a CRC.
+TEST(TierCache, GoldenDestageOrderPerPolicy) {
+  struct Pin {
+    policy::EvictionKind kind;
+    u64 seed;
+    u32 dirty_pct;  // 80 lets dirty blocks reach the FIFO front
+    u32 write_crc;
+    u32 state_crc;
+  };
+  const Pin pins[] = {
+      {policy::EvictionKind::kPaper, 1, 25, 0x6f847316, 0xd3cae1bf},
+      {policy::EvictionKind::kPaper, 2, 25, 0x9bb48b13, 0x3fc4b132},
+      {policy::EvictionKind::kPaper, 3, 80, 0x547fd4a5, 0xde89c4ee},
+      {policy::EvictionKind::kS3Fifo, 1, 25, 0xee5753cd, 0x42119743},
+      {policy::EvictionKind::kS3Fifo, 2, 25, 0x223f0e5d, 0x51ceeb7f},
+      {policy::EvictionKind::kS3Fifo, 3, 80, 0x3d1dcc95, 0xb6b8bcf9},
+      {policy::EvictionKind::kSieve, 1, 25, 0x6f847316, 0xd3cae1bf},
+      {policy::EvictionKind::kSieve, 2, 25, 0x9bb48b13, 0x3fc4b132},
+      {policy::EvictionKind::kSieve, 3, 80, 0x9627cb97, 0x73240ea5},
+  };
+  for (const Pin& p : pins) {
+    const GoldenRun r = run_golden_script(p.kind, p.seed, p.dirty_pct);
+    std::string ctx = policy::to_string(p.kind);
+    ctx += " seed " + std::to_string(p.seed);
+    ctx += " dirty " + std::to_string(p.dirty_pct);
+    EXPECT_EQ(r.write_crc, p.write_crc) << ctx;
+    EXPECT_EQ(r.state_crc, p.state_crc) << ctx;
+    // The script reaches every path the pins are meant to cover.
+    EXPECT_GT(r.ts.destage_blocks, 0u) << ctx;
+    EXPECT_GT(r.ts.drop_blocks, 0u) << ctx;
+    EXPECT_GT(r.ts.bypass_blocks, 0u) << ctx;
+    EXPECT_GT(r.ts.hit_blocks, 0u) << ctx;
+    EXPECT_GT(r.ts.lost_dirty_blocks, 0u) << ctx;
+    EXPECT_GT(r.ts.evict_blocks, r.ts.lost_dirty_blocks) << ctx;
+  }
+}
+
+// Dirty-walk work per destaged block at a residency of `blocks`, under
+// random overwrites that re-dirty clean blocks anywhere in the FIFO (each
+// one pulls the walk cursor back behind long clean stretches).
+double dirty_walk_visits_per_destage(u64 blocks) {
+  RecordingCache inner;
+  TierConfig tc = small_tier(/*budget_blocks=*/blocks / 2);  // fits at 50%
+  tc.dirty_pct = 25;
+  TierCache tier(tc, &inner);
+  // Plain submits: a per-op audit would cost O(residency) itself.
+  cache::AppRequest w;
+  w.is_write = true;
+  w.comp_pct = 50;
+  for (w.lba = 0; w.lba < blocks; ++w.lba, ++w.now) tier.submit(w);
+  EXPECT_EQ(tier.resident_blocks(), blocks);
+  const u64 visits0 = tier.dirty_walk_visits();
+  const u64 destaged0 = tier.tier_stats().destage_blocks;
+  common::Xoshiro256 rng(7);
+  for (int i = 0; i < 65536; ++i, ++w.now) {
+    w.lba = rng.below(blocks);
+    tier.submit(w);
+  }
+  audit(tier);
+  EXPECT_EQ(tier.tier_stats().evict_blocks, 0u);
+  const u64 destaged = tier.tier_stats().destage_blocks - destaged0;
+  EXPECT_GT(destaged, 10000u);
+  return static_cast<double>(tier.dirty_walk_visits() - visits0) /
+         static_cast<double>(destaged);
+}
+
+TEST(TierCache, DirtyWalkWorkPerDestageIsFlatInResidency) {
+  const double small = dirty_walk_visits_per_destage(1024);
+  const double large = dirty_walk_visits_per_destage(16 * 1024);
+  EXPECT_LE(large, 2 * small) << "small " << small << " large " << large;
+}
+
+// Holes left behind a front that never moves (no budget pressure, every
+// admitted block soon overwritten incompressible) must not grow the ring.
+TEST(TierCache, RingStaysBoundedWhenHolesPileUpBehindTheFront) {
+  RecordingCache inner;
+  TierCache tier(small_tier(), &inner);
+  twrite(tier, 0, 1000, /*comp_pct=*/50);  // dirty, at the front throughout
+  for (u64 i = 0; i < 20000; ++i) {
+    twrite(tier, 2 * i + 1, i % 8, /*comp_pct=*/50);
+    twrite(tier, 2 * i + 2, i % 8, /*comp_pct=*/100);  // leaves a hole
+  }
+  EXPECT_EQ(tier.resident_blocks(), 1u);
+  EXPECT_EQ(tier.tier_stats().evict_blocks, 20000u);
+  EXPECT_LE(tier.ring_slots(), 2 * tier.resident_blocks() + 4096);
+  // The renumbered front block is still found by the dirty walk.
+  tier.flush(50000);
+  EXPECT_EQ(tier.dirty_blocks(), 0u);
+  EXPECT_EQ(tier.tier_stats().destage_blocks, 1u);
 }
 
 }  // namespace
