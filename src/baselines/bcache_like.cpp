@@ -48,17 +48,16 @@ SimTime BcacheLike::reclaim_bucket(SimTime now, u64 bucket) {
   SimTime t = now;
   bool journaled = false;
   for (u64 lba : bk.lbas) {
-    auto it = map_.find(lba);
-    if (it == map_.end()) continue;
-    const u64 loc = it->second.block;
-    if (loc / cfg_.bucket_blocks != bucket) continue;  // moved since
-    if (it->second.dirty) {
+    const Entry* e = map_.find(lba);
+    if (e == nullptr) continue;
+    if (e->block / cfg_.bucket_blocks != bucket) continue;  // moved since
+    if (e->dirty) {
       t = std::max(t, destage_lba(now, lba));
       journaled = true;
     } else {
       stats_.dropped_clean_blocks++;
     }
-    map_.erase(it);
+    map_.erase(lba);
   }
   if (journaled) t = std::max(t, journal_commit(t));
   bk.fill = 0;
@@ -69,14 +68,14 @@ SimTime BcacheLike::reclaim_bucket(SimTime now, u64 bucket) {
 }
 
 SimTime BcacheLike::destage_lba(SimTime now, u64 lba) {
-  auto it = map_.find(lba);
-  if (it == map_.end() || !it->second.dirty) return now;
+  Entry* e = map_.find(lba);
+  if (e == nullptr || !e->dirty) return now;
   u64 tag = 0;
-  auto r = ssd_->read(now, it->second.block, 1, std::span<u64>(&tag, 1));
+  auto r = ssd_->read(now, e->block, 1, std::span<u64>(&tag, 1));
   SimTime t = r.ok() ? r.done : now;
   auto w = primary_->write(t, lba, 1, std::span<const u64>(&tag, 1));
   if (w.ok()) t = w.done;
-  it->second.dirty = false;
+  e->dirty = false;
   dirty_count_--;
   stats_.destage_blocks++;
   return t;
@@ -91,8 +90,8 @@ SimTime BcacheLike::destage_some(SimTime now, u32 max_blocks) {
          dirty_ratio() > cfg_.writeback_percent && !dirty_fifo_.empty()) {
     const u64 lba = dirty_fifo_.front();
     dirty_fifo_.pop_front();
-    auto it = map_.find(lba);
-    if (it == map_.end() || !it->second.dirty) continue;  // stale entry
+    const Entry* e = map_.find(lba);
+    if (e == nullptr || !e->dirty) continue;  // stale entry
     batch.push_back(lba);
   }
   if (batch.empty()) return now;
@@ -104,11 +103,10 @@ SimTime BcacheLike::destage_some(SimTime now, u32 max_blocks) {
     SimTime rt = now;
     std::vector<u64> tags(n, 0);
     for (size_t k = 0; k < n; ++k) {
-      auto it = map_.find(batch[i + k]);
-      auto r =
-          ssd_->read(now, it->second.block, 1, std::span<u64>(&tags[k], 1));
+      Entry& e = map_.at(batch[i + k]);
+      auto r = ssd_->read(now, e.block, 1, std::span<u64>(&tags[k], 1));
       if (r.ok()) rt = std::max(rt, r.done);
-      it->second.dirty = false;
+      e.dirty = false;
       dirty_count_--;
       stats_.destage_blocks++;
     }
@@ -184,12 +182,11 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
     }
     // Invalidate any previous versions, then append the run to the log.
     for (u32 i = 0; i < req.nblocks; ++i) {
-      auto it = map_.find(req.lba + i);
-      if (it != map_.end()) {
+      if (const Entry* e = map_.find(req.lba + i)) {
         stats_.write_hit_blocks++;
-        buckets_[it->second.block / cfg_.bucket_blocks].live--;
-        if (it->second.dirty) dirty_count_--;
-        map_.erase(it);
+        buckets_[e->block / cfg_.bucket_blocks].live--;
+        if (e->dirty) dirty_count_--;
+        map_.erase(req.lba + i);
       } else {
         stats_.write_new_blocks++;
       }
@@ -230,10 +227,9 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
   std::vector<std::pair<u64, u32>> miss_runs;
   for (u32 i = 0; i < req.nblocks; ++i) {
     const u64 lba = req.lba + i;
-    auto it = map_.find(lba);
-    if (it != map_.end()) {
+    if (const Entry* e = map_.find(lba)) {
       stats_.read_hit_blocks++;
-      hits.push_back({it->second.block, i});
+      hits.push_back({e->block, i});
     } else {
       stats_.read_miss_blocks++;
       if (!miss_runs.empty() &&

@@ -13,11 +13,11 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "block/block_device.hpp"
 #include "cache/cache_device.hpp"
+#include "common/flat_map.hpp"
 
 namespace srcache::baselines {
 
@@ -77,7 +77,7 @@ class BcacheLike final : public cache::CacheDevice {
   std::vector<Bucket> buckets_;
   std::deque<u64> free_buckets_;
   u64 open_bucket_ = ~0ull;
-  std::unordered_map<u64, Entry> map_;
+  common::FlatMap<Entry> map_;
   std::deque<u64> dirty_fifo_;
   u64 dirty_count_ = 0;
   u64 alloc_seq_ = 0;

@@ -146,14 +146,14 @@ SimTime FlashcacheLike::submit(const cache::AppRequest& req) {
 
   for (u32 i = 0; i < req.nblocks; ++i) {
     const u64 lba = req.lba + i;
-    auto it = map_.find(lba);
+    const u64* cached = map_.find(lba);
     if (req.is_write) {
       const u64 tag = req.tags != nullptr ? req.tags[i]
                                           : blockdev::make_tag(lba, ++tick_);
       u64 slot;
-      if (it != map_.end()) {
+      if (cached != nullptr) {
         stats_.write_hit_blocks++;
-        slot = it->second;
+        slot = *cached;
         slots_[slot].tick = ++tick_;
       } else {
         stats_.write_new_blocks++;
@@ -180,9 +180,9 @@ SimTime FlashcacheLike::submit(const cache::AppRequest& req) {
         if (f.ok()) done = std::max(done, f.done);
       }
     } else {  // read
-      if (it != map_.end()) {
+      if (cached != nullptr) {
         stats_.read_hit_blocks++;
-        const u64 slot = it->second;
+        const u64 slot = *cached;
         slots_[slot].tick = ++tick_;
         u64 tag = 0;
         auto r = ssd_->read(now, slot, 1, std::span<u64>(&tag, 1));

@@ -8,11 +8,11 @@
 //  * application flush commands are ignored entirely.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "block/block_device.hpp"
 #include "cache/cache_device.hpp"
+#include "common/flat_map.hpp"
 
 namespace srcache::baselines {
 
@@ -69,7 +69,7 @@ class FlashcacheLike final : public cache::CacheDevice {
   BlockDevice* ssd_;
   BlockDevice* primary_;
   std::vector<Slot> slots_;
-  std::unordered_map<u64, u64> map_;  // lba -> slot index
+  common::FlatMap<u64> map_;  // lba -> slot index
   u64 dirty_count_ = 0;
   u64 tick_ = 0;
   u64 md_base_;  // metadata partition start block on the SSD

@@ -6,11 +6,14 @@ namespace srcache::src {
 
 namespace {
 
-void put_u64(std::vector<u8>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
+// Little-endian stores at a cursor into a pre-sized buffer.
+u8* store_u64(u8* p, u64 v) {
+  for (int i = 0; i < 8; ++i) *p++ = static_cast<u8>(v >> (8 * i));
+  return p;
 }
-void put_u32(std::vector<u8>& out, u32 v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
+u8* store_u32(u8* p, u32 v) {
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<u8>(v >> (8 * i));
+  return p;
 }
 
 class Reader {
@@ -37,9 +40,9 @@ class Reader {
   size_t pos_ = 0;
 };
 
-void append_crc(std::vector<u8>& buf) {
-  const u32 crc = common::crc32c(std::span<const u8>(buf.data(), buf.size()));
-  put_u32(buf, crc);
+// Stores the CRC-32C of data[0, body) as the trailer at data + body.
+void store_crc(u8* data, size_t body) {
+  store_u32(data + body, common::crc32c(std::span<const u8>(data, body)));
 }
 
 bool check_crc(const std::vector<u8>& buf) {
@@ -56,21 +59,24 @@ bool check_crc(const std::vector<u8>& buf) {
 }  // namespace
 
 blockdev::Payload SegmentMeta::serialize() const {
-  auto buf = std::make_shared<std::vector<u8>>();
-  buf->reserve(48 + entries.size() * 16 + 4);
-  put_u64(*buf, kSegmentMetaMagic);
-  put_u64(*buf, generation);
-  put_u32(*buf, sg);
-  put_u32(*buf, seg);
-  put_u32(*buf, (dirty ? 1u : 0u) | (has_parity ? 2u : 0u) |
-                    (is_tail ? 4u : 0u) | (static_cast<u32>(parity_col) << 8));
-  put_u32(*buf, static_cast<u32>(entries.size()));
+  // Header (32 bytes), 16 bytes per entry, trailing CRC-32C.
+  const size_t body = 32 + entries.size() * 16;
+  auto buf = std::make_shared<std::vector<u8>>(body + 4);
+  u8* p = buf->data();
+  p = store_u64(p, kSegmentMetaMagic);
+  p = store_u64(p, generation);
+  p = store_u32(p, sg);
+  p = store_u32(p, seg);
+  p = store_u32(p, (dirty ? 1u : 0u) | (has_parity ? 2u : 0u) |
+                       (is_tail ? 4u : 0u) |
+                       (static_cast<u32>(parity_col) << 8));
+  p = store_u32(p, static_cast<u32>(entries.size()));
   for (const Entry& e : entries) {
-    put_u64(*buf, e.lba);
-    put_u32(*buf, e.crc);
-    put_u32(*buf, e.tenant);
+    p = store_u64(p, e.lba);
+    p = store_u32(p, e.crc);
+    p = store_u32(p, e.tenant);
   }
-  append_crc(*buf);
+  store_crc(buf->data(), body);
   return buf;
 }
 
@@ -100,14 +106,16 @@ std::optional<SegmentMeta> SegmentMeta::deserialize(const blockdev::Payload& p) 
 }
 
 blockdev::Payload Superblock::serialize() const {
-  auto buf = std::make_shared<std::vector<u8>>();
-  put_u64(*buf, kSuperblockMagic);
-  put_u64(*buf, create_seq);
-  put_u32(*buf, num_ssds);
-  put_u64(*buf, erase_group_bytes);
-  put_u64(*buf, chunk_bytes);
-  put_u64(*buf, region_bytes_per_ssd);
-  append_crc(*buf);
+  const size_t body = 44;
+  auto buf = std::make_shared<std::vector<u8>>(body + 4);
+  u8* p = buf->data();
+  p = store_u64(p, kSuperblockMagic);
+  p = store_u64(p, create_seq);
+  p = store_u32(p, num_ssds);
+  p = store_u64(p, erase_group_bytes);
+  p = store_u64(p, chunk_bytes);
+  p = store_u64(p, region_bytes_per_ssd);
+  store_crc(buf->data(), body);
   return buf;
 }
 

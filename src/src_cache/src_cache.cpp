@@ -127,12 +127,11 @@ double SrcCache::utilization() const {
 }
 
 SrcCache::Residence SrcCache::residence(u64 lba) const {
-  auto it = map_.find(lba);
-  if (it == map_.end()) return Residence::kAbsent;
-  const MapEntry& e = it->second;
-  if (e.buffered())
-    return e.dirty() ? Residence::kDirtyBuffer : Residence::kCleanBuffer;
-  return e.dirty() ? Residence::kCachedDirty : Residence::kCachedClean;
+  const MapEntry* e = map_.find(lba);
+  if (e == nullptr) return Residence::kAbsent;
+  if (e->buffered())
+    return e->dirty() ? Residence::kDirtyBuffer : Residence::kCleanBuffer;
+  return e->dirty() ? Residence::kCachedDirty : Residence::kCachedClean;
 }
 
 // --- lifecycle --------------------------------------------------------------
@@ -360,7 +359,7 @@ void SrcCache::invalidate_slot(u64 lba, const MapEntry& e) {
   (void)lba;
   if (e.buffered()) {
     SegBuffer& buf = e.dirty() ? dirty_buf_ : clean_buf_;
-    buf.lbas[e.slot] = kDeadSlot;
+    buf.lbas[buf.index(e.slot)] = kDeadSlot;
     buf.live--;
     return;
   }
@@ -408,17 +407,17 @@ SimTime SrcCache::throttle(SimTime now, SimTime ack) {
 
 void SrcCache::stage_dirty(u64 lba, u64 tag, u16 tenant, SimTime now,
                            obs::WriteCause cause) {
-  auto it = map_.find(lba);
-  if (it != map_.end()) {
-    MapEntry& e = it->second;
+  if (MapEntry* found = map_.find(lba)) {
+    MapEntry& e = *found;
     if (e.tenant != tenant) {  // ownership follows the last writer
       tenants_[e.tenant].live_blocks--;
       tenants_[tenant].live_blocks++;
     }
     if (e.buffered() && e.dirty()) {
-      dirty_buf_.tags[e.slot] = tag;  // overwrite in place
-      dirty_buf_.tenants[e.slot] = tenant;
-      dirty_buf_.causes[e.slot] = static_cast<u8>(cause);
+      const u32 i = dirty_buf_.index(e.slot);
+      dirty_buf_.tags[i] = tag;  // overwrite in place
+      dirty_buf_.tenants[i] = tenant;
+      dirty_buf_.causes[i] = static_cast<u8>(cause);
       e.tenant = tenant;
       e.flags |= kFlagHot;
       if (cause != WriteCause::kGcRewrite) eviction_->on_access(lba);
@@ -427,14 +426,14 @@ void SrcCache::stage_dirty(u64 lba, u64 tag, u16 tenant, SimTime now,
     invalidate_slot(lba, e);
     e.sg = kBufferSg;
     e.seg = 0;
-    e.slot = static_cast<u32>(dirty_buf_.lbas.size());
+    e.slot = dirty_buf_.next_ticket();
     e.tenant = tenant;
     e.flags = kFlagDirty | kFlagHot;  // a rewrite makes the block hot
     if (cause != WriteCause::kGcRewrite) eviction_->on_access(lba);
   } else {
     MapEntry e;
     e.sg = kBufferSg;
-    e.slot = static_cast<u32>(dirty_buf_.lbas.size());
+    e.slot = dirty_buf_.next_ticket();
     e.tenant = tenant;
     e.flags = kFlagDirty;
     map_.emplace(lba, e);
@@ -454,14 +453,13 @@ void SrcCache::stage_dirty(u64 lba, u64 tag, u16 tenant, SimTime now,
 void SrcCache::stage_clean(u64 lba, u64 tag, u16 tenant, SimTime now,
                            obs::WriteCause cause) {
   (void)now;
-  auto it = map_.find(lba);
-  if (it != map_.end()) {
+  if (map_.contains(lba)) {
     // Raced with a write or a duplicate fetch; the cached copy wins.
     return;
   }
   MapEntry e;
   e.sg = kBufferSg;
-  e.slot = static_cast<u32>(clean_buf_.lbas.size());
+  e.slot = clean_buf_.next_ticket();
   e.tenant = tenant;
   e.flags = 0;
   map_.emplace(lba, e);
@@ -492,8 +490,8 @@ SimTime SrcCache::do_write(const cache::AppRequest& req) {
   // toward the quota as GC drains what is already resident. Overwrites of
   // resident blocks still stage — bypassing those would leave stale data in
   // the cache — but they do not grow the footprint.
-  std::vector<u64> bypass_lbas;
-  std::vector<u64> bypass_tags;
+  bypass_lbas_.clear();
+  bypass_tags_.clear();
   for (u32 i = 0; i < req.nblocks; ++i) {
     const u64 lba = req.lba + i;
     const u64 tag = req.tags != nullptr
@@ -506,8 +504,8 @@ SimTime SrcCache::do_write(const cache::AppRequest& req) {
       // hit/miss classification honest: the op paid primary latency.
       stats_.write_new_blocks++;
       tenants_[tenant].write_bypass_blocks++;
-      bypass_lbas.push_back(lba);
-      bypass_tags.push_back(tag);
+      bypass_lbas_.push_back(lba);
+      bypass_tags_.push_back(tag);
       continue;
     } else {
       stats_.write_new_blocks++;
@@ -522,9 +520,9 @@ SimTime SrcCache::do_write(const cache::AppRequest& req) {
   // squeezed tenant feels HDD latency, which is exactly the cost its quota
   // says it has not earned the flash to avoid.
   common::for_each_run(
-      bypass_lbas, common::consecutive, [&](size_t i, size_t n) {
-        auto r = primary_->write(now, bypass_lbas[i], static_cast<u32>(n),
-                                 std::span<const u64>(&bypass_tags[i], n));
+      bypass_lbas_, common::consecutive, [&](size_t i, size_t n) {
+        auto r = primary_->write(now, bypass_lbas_[i], static_cast<u32>(n),
+                                 std::span<const u64>(&bypass_tags_[i], n));
         if (r.ok()) {
           ack = std::max(ack, r.done);
           ledger_.add(obs::kPrimaryDevice, tenant, WriteCause::kQuotaShed,
@@ -559,8 +557,8 @@ SimTime SrcCache::tier_demote(SimTime now, u64 lba, u64 tag, u16 tenant) {
 }
 
 bool SrcCache::hot_hint(u64 lba) const {
-  const auto it = map_.find(lba);
-  return it != map_.end() && it->second.hot();
+  const MapEntry* e = map_.find(lba);
+  return e != nullptr && e->hot();
 }
 
 // --- segment sealing --------------------------------------------------------
@@ -606,32 +604,30 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   }
   seal_count_++;
 
-  // Take the front `count` entries by value; re-index what remains so GC
-  // appends (during SG allocation) see a consistent buffer.
-  std::vector<u64> taken_lba(buf.lbas.begin(),
-                             buf.lbas.begin() + static_cast<long>(count));
-  std::vector<u64> taken_tag(buf.tags.begin(),
-                             buf.tags.begin() + static_cast<long>(count));
-  std::vector<u16> taken_tenant(buf.tenants.begin(),
-                                buf.tenants.begin() + static_cast<long>(count));
-  std::vector<u8> taken_cause(buf.causes.begin(),
-                              buf.causes.begin() + static_cast<long>(count));
-  buf.lbas.erase(buf.lbas.begin(), buf.lbas.begin() + static_cast<long>(count));
-  buf.tags.erase(buf.tags.begin(), buf.tags.begin() + static_cast<long>(count));
-  buf.tenants.erase(buf.tenants.begin(),
-                    buf.tenants.begin() + static_cast<long>(count));
-  buf.causes.erase(buf.causes.begin(),
-                   buf.causes.begin() + static_cast<long>(count));
+  // Take the front `count` entries by value. What remains keeps its tickets
+  // (SegBuffer::base moves past the taken ones), so GC appends during SG
+  // allocation see a consistent buffer.
+  const auto front = static_cast<long>(count);
+  taken_.lbas.assign(buf.lbas.begin(), buf.lbas.begin() + front);
+  taken_.tags.assign(buf.tags.begin(), buf.tags.begin() + front);
+  taken_.tenants.assign(buf.tenants.begin(), buf.tenants.begin() + front);
+  taken_.causes.assign(buf.causes.begin(), buf.causes.begin() + front);
+  const std::vector<u64>& taken_lba = taken_.lbas;
+  const std::vector<u64>& taken_tag = taken_.tags;
+  const std::vector<u16>& taken_tenant = taken_.tenants;
+  const std::vector<u8>& taken_cause = taken_.causes;
+  buf.lbas.erase(buf.lbas.begin(), buf.lbas.begin() + front);
+  buf.tags.erase(buf.tags.begin(), buf.tags.begin() + front);
+  buf.tenants.erase(buf.tenants.begin(), buf.tenants.begin() + front);
+  buf.causes.erase(buf.causes.begin(), buf.causes.begin() + front);
   u32 taken_live = 0;
   for (u64 lba : taken_lba)
     if (lba != kDeadSlot) ++taken_live;
   buf.live -= taken_live;
-  for (u32 i = 0; i < buf.lbas.size(); ++i) {
-    if (buf.lbas[i] != kDeadSlot) map_.at(buf.lbas[i]).slot = i;
-  }
+  buf.base += static_cast<u32>(count);
 
   // Allocating the SG may run GC; by now the taken entries are private and
-  // GC can only touch the (re-indexed) buffer tail.
+  // GC can only touch the buffer tail.
   if (active_sg_ == kBufferSg) active_sg_ = allocate_sg(now);
   SgInfo& sg = sgs_[active_sg_];
   // A freshly reclaimed SG is only writable once its destages reached
@@ -649,10 +645,10 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
                         ? static_cast<u8>(cfg_.num_ssds - 1)
                         : static_cast<u8>(gen_seq_ % cfg_.num_ssds);
   }
-  si.slot_lba = taken_lba;
+  si.slot_lba.assign(taken_lba.begin(), taken_lba.end());
   si.slot_lba.resize(capacity, kDeadSlot);
   si.slot_crc.assign(capacity, 0);
-  si.slot_tenant = taken_tenant;
+  si.slot_tenant.assign(taken_tenant.begin(), taken_tenant.end());
   si.slot_tenant.resize(capacity, 0);
   si.live = taken_live;
   sg.live += taken_live;
@@ -660,18 +656,19 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
     if (taken_lba[s] != kDeadSlot) census_add(sg, taken_tenant[s], 1);
   live_total_ += taken_live;
 
-  // Per-device tag images, filled through addr_of.
+  // Per-device tag images (device d's rows at image(d)), filled through
+  // addr_of.
   const u64 base = chunk_base_block(active_sg_, seg);
   const u64 rows = cfg_.slots_per_chunk();
-  std::vector<std::vector<u64>> images(cfg_.num_ssds,
-                                       std::vector<u64>(rows, 0));
+  images_.assign(cfg_.num_ssds * rows, 0);
+  const auto image = [&](size_t d) { return images_.data() + d * rows; };
   for (u32 s = 0; s < capacity; ++s) {
     const u64 lba = si.slot_lba[s];
     const u64 tag = s < taken_tag.size() ? taken_tag[s] : 0;
     const SlotAddr a = addr_of(active_sg_, seg, s, si);
     const u64 row = a.block - base - 1;  // -1: the MS block heads the chunk
-    images[a.dev][row] = tag;
-    if (a.mirror_dev != SIZE_MAX) images[a.mirror_dev][row] = tag;
+    image(a.dev)[row] = tag;
+    if (a.mirror_dev != SIZE_MAX) image(a.mirror_dev)[row] = tag;
     if (lba != kDeadSlot) {
       si.slot_crc[s] = common::crc32c_of(tag);
       // Relocate the mapping from the buffer to the sealed slot.
@@ -682,10 +679,10 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
     }
   }
   if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
-    auto& parity = images[si.parity_col];
+    u64* parity = image(si.parity_col);
     for (size_t d = 0; d < ssds_.size(); ++d) {
       if (d == si.parity_col) continue;
-      for (u64 r = 0; r < rows; ++r) parity[r] ^= images[d][r];
+      for (u64 r = 0; r < rows; ++r) parity[r] ^= image(d)[r];
     }
   }
 
@@ -737,7 +734,7 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
     }
     if (point == CrashPoint::kAfterMs) continue;
     auto rdata = dev->write(issue, base + 1, static_cast<u32>(rows),
-                            std::span<const u64>(images[d].data(), rows));
+                            std::span<const u64>(image(d), rows));
     if (rdata.ok()) {
       done = std::max(done, rdata.done);
       account_data_chunk(d);
@@ -801,8 +798,8 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
 
   for (u32 i = 0; i < req.nblocks; ++i) {
     const u64 lba = req.lba + i;
-    auto it = map_.find(lba);
-    if (it == map_.end()) {
+    MapEntry* found = map_.find(lba);
+    if (found == nullptr) {
       stats_.read_miss_blocks++;
       tenants_[tenant].read_miss_blocks++;
       if (!miss_runs.empty() &&
@@ -813,14 +810,15 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
       }
       continue;
     }
-    MapEntry& e = it->second;
+    MapEntry& e = *found;
     e.flags |= kFlagHot;
     eviction_->on_access(lba);
     stats_.read_hit_blocks++;
     tenants_[tenant].read_hit_blocks++;
     if (e.buffered()) {
       const SegBuffer& buf = e.dirty() ? dirty_buf_ : clean_buf_;
-      if (req.tags_out != nullptr) req.tags_out[i] = buf.tags[e.slot];
+      if (req.tags_out != nullptr)
+        req.tags_out[i] = buf.tags[buf.index(e.slot)];
       continue;
     }
     const SegmentInfo& si = sgs_[e.sg].segs[e.seg];

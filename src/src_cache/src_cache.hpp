@@ -19,11 +19,11 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "block/block_device.hpp"
 #include "cache/cache_device.hpp"
+#include "common/flat_map.hpp"
 #include "fault/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
@@ -280,12 +280,21 @@ class SrcCache final : public cache::CacheDevice {
     // seal so the flash bytes it turns into are attributed at stage time.
     std::vector<u8> causes;
     u32 live = 0;
+    // A buffered block's MapEntry::slot is a ticket, base + its index here
+    // (mod 2^32). A seal drops entries off the front and advances base, so
+    // the blocks left behind keep their tickets: no map re-index.
+    u32 base = 0;
+    [[nodiscard]] u32 index(u32 ticket) const { return ticket - base; }
+    [[nodiscard]] u32 next_ticket() const {
+      return base + static_cast<u32>(lbas.size());
+    }
     void clear() {
       lbas.clear();
       tags.clear();
       tenants.clear();
       causes.clear();
       live = 0;
+      base = 0;
     }
   };
 
@@ -382,13 +391,22 @@ class SrcCache final : public cache::CacheDevice {
   std::unique_ptr<policy::EvictionPolicy> eviction_;
   std::unique_ptr<policy::AdmissionPolicy> admission_;
 
-  std::unordered_map<u64, MapEntry> map_;
+  common::FlatMap<MapEntry> map_;
   std::vector<SgInfo> sgs_;
   std::deque<u32> free_sgs_;
   u32 active_sg_ = kBufferSg;
 
   SegBuffer dirty_buf_;
   SegBuffer clean_buf_;
+
+  // Per-call scratch, refilled on every use so the seal, reclaim and write
+  // paths do not allocate. Neither write_one_segment nor reclaim_one
+  // re-enters itself: GC only stages blocks, it never seals.
+  SegBuffer taken_;          // write_one_segment: the entries being sealed
+  std::vector<u64> images_;  // write_one_segment: num_ssds x rows tag images
+  std::vector<char> gc_need_, gc_keep_;  // reclaim_one: per-slot verdicts
+  std::vector<u64> gc_tag_, gc_buf_;     // reclaim_one: slot tags, read run
+  std::vector<u64> bypass_lbas_, bypass_tags_;  // do_write: quota bypass
 
   std::deque<SimTime> inflight_;  // outstanding segment-write completions
   u64 live_total_ = 0;            // live blocks on SSDs (not buffered)

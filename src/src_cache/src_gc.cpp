@@ -113,9 +113,12 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
     // flip while loop 2 drains live_blocks, so re-deriving the decision
     // later is not allowed. S2D mode and quota sheds bypass the policy:
     // those are whole-victim decisions, not per-block ones.
-    std::vector<char> need(nslots, 0);
-    std::vector<char> keepv(nslots, 0);
-    std::vector<u64> tag(nslots, 0);
+    std::vector<char>& need = gc_need_;
+    std::vector<char>& keepv = gc_keep_;
+    std::vector<u64>& tag = gc_tag_;
+    need.assign(nslots, 0);
+    keepv.assign(nslots, 0);
+    tag.assign(nslots, 0);
     for (u32 s = 0; s < nslots; ++s) {
       const u64 lba = si.slot_lba[s];
       if (lba == kDeadSlot) continue;
@@ -139,7 +142,8 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
       u32 e = s + 1;
       while (e < nslots && need[e] && e / rows == s / rows) ++e;
       const SlotAddr a = addr_of(v, g, s, si);
-      std::vector<u64> buf(e - s, 0);
+      std::vector<u64>& buf = gc_buf_;
+      buf.assign(e - s, 0);
       bool slow = false;
       for (u32 k = s; k < e && !slow; ++k)
         slow = dev_dead(a.dev, a.block + (k - s));

@@ -1,6 +1,7 @@
 // Crash recovery, failure handling, and internal-invariant auditing (§4.1).
 #include <algorithm>
 #include <optional>
+#include <unordered_map>
 
 #include "common/crc32c.hpp"
 #include "fault/fault_injector.hpp"
@@ -202,7 +203,7 @@ void SrcCache::on_ssd_failure(size_t ssd) {
   if (span_ != nullptr)
     span_->event("src.ssd_failure", obs::kLaneSrc, 0, 0, ssd);
   std::vector<u64> to_drop;
-  for (auto& [lba, e] : map_) {
+  for (const auto& [lba, e] : map_) {
     if (e.buffered()) continue;
     const SegmentInfo& si = sgs_[e.sg].segs[e.seg];
     const SlotAddr a = addr_of(e.sg, e.seg, e.slot, si);
@@ -347,10 +348,10 @@ Status SrcCache::verify_consistency() const {
         const u64 lba = si.slot_lba[slot];
         if (lba == kDeadSlot) continue;
         ++seg_live;
-        auto it = map_.find(lba);
-        if (it == map_.end())
+        const MapEntry* found = map_.find(lba);
+        if (found == nullptr)
           return Status(ErrorCode::kCorrupted, "live slot without map entry");
-        const MapEntry& e = it->second;
+        const MapEntry& e = *found;
         if (e.buffered() || e.sg != s || e.seg != g || e.slot != slot)
           return Status(ErrorCode::kCorrupted, "map entry does not point back");
         if (e.dirty() != (si.type == SegType::kDirty))
@@ -374,6 +375,11 @@ Status SrcCache::verify_consistency() const {
     for (size_t i = 0; i < buf->lbas.size(); ++i) {
       if (buf->lbas[i] == kDeadSlot) continue;
       ++live;
+      const MapEntry* e = map_.find(buf->lbas[i]);
+      if (e == nullptr || !e->buffered() ||
+          e->dirty() != (buf == &dirty_buf_) || buf->index(e->slot) != i)
+        return Status(ErrorCode::kCorrupted,
+                      "buffered block's map entry does not point back");
       if (buf->tenants[i] >= tenant_live.size())
         return Status(ErrorCode::kCorrupted, "buffered tenant out of range");
       tenant_live[buf->tenants[i]]++;

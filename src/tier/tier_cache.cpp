@@ -279,10 +279,10 @@ SimTime TierCache::do_write(const cache::AppRequest& req) {
     if (incompressible) {
       // An incompressible overwrite of a tier-resident block must not leave
       // a stale compressed copy behind.
-      if (auto it = map_.find(lba); it != map_.end()) {
+      if (Entry* e = map_.find(lba)) {
         eviction_->on_evict(lba);
         tstats_.drop_blocks++;
-        remove_entry(lba, it->second);
+        remove_entry(lba, *e);
       }
       tstats_.bypass_blocks++;
       bypass_lbas_.push_back(lba);
@@ -290,8 +290,8 @@ SimTime TierCache::do_write(const cache::AppRequest& req) {
       continue;
     }
     cpu += compress_ns_;
-    if (auto it = map_.find(lba); it != map_.end()) {
-      Entry& e = it->second;
+    if (Entry* found = map_.find(lba)) {
+      Entry& e = *found;
       stats_.write_hit_blocks++;
       // Subtract-then-add: the deltas are unsigned, so a shrinking
       // overwrite must never form `csize - e.csize` directly.
@@ -366,8 +366,8 @@ SimTime TierCache::do_read(const cache::AppRequest& req) {
   u32 k = 0;
   while (k < req.nblocks) {
     const u64 lba = req.lba + k;
-    if (auto it = map_.find(lba); it != map_.end()) {
-      Entry& e = it->second;
+    if (Entry* found = map_.find(lba)) {
+      Entry& e = *found;
       tstats_.hit_blocks++;
       stats_.read_hit_blocks++;
       cpu += decompress_ns_;

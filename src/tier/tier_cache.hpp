@@ -50,10 +50,10 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_device.hpp"
+#include "common/flat_map.hpp"
 #include "common/result.hpp"
 #include "fault/ledger.hpp"
 #include "obs/metrics.hpp"
@@ -196,6 +196,8 @@ class TierCache final : public cache::CacheDevice {
 
   [[nodiscard]] u32 compressed_size(u8 comp_pct) const;
   void admit(u64 lba, u64 tag, u16 tenant, u32 csize, bool dirty);
+  // `e` is map_'s entry for lba; the erase leaves it (and every other
+  // reference into map_) dangling.
   void remove_entry(u64 lba, Entry& e);
 
   // Ring and dirty index. push_slot appends at the back and returns the
@@ -229,7 +231,7 @@ class TierCache final : public cache::CacheDevice {
   cache::CacheDevice* inner_;
   src::SrcCache* src_;
 
-  std::unordered_map<u64, Entry> map_;
+  common::FlatMap<Entry> map_;
   // Slot seq holds ring_[seq - base_]: an LBA or kHole.
   std::deque<u64> ring_;
   u64 base_ = 0;

@@ -100,6 +100,52 @@ TEST(SegmentMeta, CorruptionDetected) {
   EXPECT_FALSE(SegmentMeta::deserialize(broken).has_value());
 }
 
+// The MS/ME and superblock bytes are an on-SSD format: any serializer must
+// reproduce them. Pinned as the CRC-32C of each payload's body (everything
+// before the trailer) plus the trailer itself, which must store that CRC
+// little-endian — the CRC of a whole payload is the CRC-32C residue, the
+// same for any body.
+void expect_pinned(const blockdev::Payload& p, size_t size, u32 body_crc) {
+  ASSERT_EQ(p->size(), size);
+  const size_t body = size - 4;
+  EXPECT_EQ(common::crc32c(std::span<const u8>(p->data(), body)), body_crc);
+  u32 trailer = 0;
+  for (int i = 0; i < 4; ++i) trailer |= u32{(*p)[body + i]} << (8 * i);
+  EXPECT_EQ(trailer, body_crc);
+}
+
+TEST(SegmentMeta, SerializedBytesArePinned) {
+  SegmentMeta m;
+  m.generation = 0x0123456789ABCDEFull;
+  m.sg = 17;
+  m.seg = 511;
+  m.dirty = true;
+  m.has_parity = true;
+  m.parity_col = 3;
+  for (u32 k = 0; k < 378; ++k) {
+    SegmentMeta::Entry e;  // every 7th slot stays dead
+    if (k % 7 != 3) {
+      e.lba = 0x1000 + 37 * u64{k};
+      e.crc = 0x9E3779B9u * (k + 1);
+      e.tenant = k % 5;
+    }
+    m.entries.push_back(e);
+  }
+  const size_t size = 32 + 378 * 16 + 4;
+  m.is_tail = false;
+  expect_pinned(m.serialize(), size, 0x99d96f5au);
+  m.is_tail = true;
+  expect_pinned(m.serialize(), size, 0x376b69fcu);
+
+  Superblock sb;
+  sb.create_seq = 0x1122334455667788ull;
+  sb.num_ssds = 6;
+  sb.erase_group_bytes = 256 * MiB;
+  sb.chunk_bytes = 512 * KiB;
+  sb.region_bytes_per_ssd = 0x0000001234567000ull;
+  expect_pinned(sb.serialize(), 48, 0xf8083015u);
+}
+
 TEST(SegmentMeta, RejectsWrongMagic) {
   Superblock sb;
   EXPECT_FALSE(SegmentMeta::deserialize(sb.serialize()).has_value());
