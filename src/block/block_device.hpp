@@ -139,23 +139,19 @@ class BlockDevice {
   virtual void set_background(bool background) { (void)background; }
 };
 
+// Blocks a payload write occupies: ceil(size / 4 KiB), at least one (a
+// null or empty payload still writes a block). Every device rounds with
+// this, so layers that account payload writes stay balanced against
+// DeviceStats::write_blocks by construction.
+inline u64 payload_blocks(const Payload& payload) {
+  const u64 n = bytes_to_blocks(payload ? payload->size() : 1);
+  return n == 0 ? 1 : n;
+}
+
 // Tag helpers: writers stamp data blocks with tags derived from (lba,
 // version) so that integrity checks and parity reconstruction are testable.
 constexpr u64 make_tag(u64 lba, u64 version) {
   return (version << 40) ^ (lba + 1) * 0x9E3779B97F4A7C15ull;
 }
-
-// A rebuild-in-progress mask over an array of devices. A replaced (blank)
-// member must not serve reads for block ranges the rebuilder has not copied
-// yet — a blank device would happily return tag 0, which is silent
-// corruption. Read paths consult covers(dev, block) and treat covered
-// blocks exactly like a failed device (reconstruct via mirror/parity).
-// Blocks that lost their redundancy to a second failure stay covered
-// forever. Implemented by raid::RebuildManager; declared here so both the
-// RAID layer and the SRC cache can consume it without new dependencies.
-struct RebuildMask {
-  virtual ~RebuildMask() = default;
-  [[nodiscard]] virtual bool covers(size_t dev, u64 block) const = 0;
-};
 
 }  // namespace srcache::blockdev

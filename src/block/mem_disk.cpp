@@ -45,13 +45,13 @@ IoResult MemDisk::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) 
 }
 
 IoResult MemDisk::write_payload(SimTime now, u64 lba, Payload payload) {
-  const u32 n = static_cast<u32>(bytes_to_blocks(payload ? payload->size() : 1));
-  IoResult r = transfer(now, lba, n == 0 ? 1 : n);
+  const auto n = static_cast<u32>(payload_blocks(payload));
+  IoResult r = transfer(now, lba, n);
   if (!r.ok()) return r;
-  media_.on_write(lba, n == 0 ? 1 : n);
-  content_.write_payload(lba, n == 0 ? 1 : n, std::move(payload));
+  media_.on_write(lba, n);
+  content_.write_payload(lba, n, std::move(payload));
   stats_.write_ops++;
-  stats_.write_blocks += n == 0 ? 1 : n;
+  stats_.write_blocks += n;
   return r;
 }
 

@@ -120,8 +120,7 @@ IoResult SimSsd::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
 }
 
 IoResult SimSsd::write_payload(SimTime now, u64 lba, Payload payload) {
-  const u32 n = std::max<u32>(
-      1, static_cast<u32>(bytes_to_blocks(payload ? payload->size() : 1)));
+  const auto n = static_cast<u32>(blockdev::payload_blocks(payload));
   IoResult c = check(now, lba, n);
   if (!c.ok()) return c;
   const SimTime t_ctrl = controller_.submit(now, spec_.command_overhead);

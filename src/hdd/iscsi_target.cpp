@@ -149,13 +149,15 @@ blockdev::IoResult IscsiTarget::write(SimTime now, u64 lba, u32 n,
 blockdev::IoResult IscsiTarget::write_payload(SimTime now, u64 lba,
                                               blockdev::Payload payload) {
   if (failed_) return {now, ErrorCode::kDeviceFailed};
+  // The link carries the payload's bytes; the volume stores whole blocks.
   const u64 bytes = payload ? payload->size() : 1;
+  const u64 blocks = blockdev::payload_blocks(payload);
   const SimTime sent = link_transfer(now, bytes) + half_rtt(now);
-  for (u64 i = 0; i < bytes_to_blocks(bytes); ++i) gen_cur_.erase(lba + i);
+  for (u64 i = 0; i < blocks; ++i) gen_cur_.erase(lba + i);
   blockdev::IoResult r = volume_->write_payload(sent, lba, std::move(payload));
   if (!r.ok()) return r;
   stats_.write_ops++;
-  stats_.write_blocks += bytes_to_blocks(bytes);
+  stats_.write_blocks += blocks;
   return {r.done + half_rtt(now), ErrorCode::kOk};
 }
 

@@ -60,8 +60,7 @@ IoResult SimHdd::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
 }
 
 IoResult SimHdd::write_payload(SimTime now, u64 lba, Payload payload) {
-  const u32 n = std::max<u32>(
-      1, static_cast<u32>(bytes_to_blocks(payload ? payload->size() : 1)));
+  const auto n = static_cast<u32>(blockdev::payload_blocks(payload));
   IoResult r = access(now, lba, n);
   if (!r.ok()) return r;
   media_.on_write(lba, n);

@@ -9,18 +9,61 @@ namespace srcache::raid {
 
 namespace {
 
-// One block-granular device access; runs are merged before submission.
+// One block-granular member access; runs are merged before submission.
 struct Cell {
   size_t dev;
   u64 off;
-  u64 tag = 0;    // value to write
+  u64 tag = 0;         // value to write
   u64* out = nullptr;  // destination for reads
 };
 
-void sort_cells(std::vector<Cell>& cells) {
+enum class MemberOp { kRead, kWrite, kTrim };
+
+// Sorts `cells` by (device, offset) and issues each contiguous run as one
+// member command at `now`: reads land in Cell::out, writes carry Cell::tag.
+// A failed run does not stop the later ones; the result is the latest
+// completion of the runs that succeeded plus the last member error. Read
+// and write runs count in `stats`; the caller counts a trim request once.
+IoResult run_members(MemberOp op, std::vector<Cell>& cells,
+                     std::span<BlockDevice* const> devs, DeviceStats& stats,
+                     SimTime now) {
   std::sort(cells.begin(), cells.end(), [](const Cell& a, const Cell& b) {
     return a.dev != b.dev ? a.dev < b.dev : a.off < b.off;
   });
+  const auto adjacent = [](const Cell& a, const Cell& b) {
+    return b.dev == a.dev && b.off == a.off + 1;
+  };
+  IoResult out{now, ErrorCode::kOk};
+  std::vector<u64> buf;
+  common::for_each_run(cells, adjacent, [&](size_t first, size_t cnt) {
+    const std::span<Cell> run(cells.data() + first, cnt);
+    BlockDevice* dev = devs[run[0].dev];
+    const auto n = static_cast<u32>(cnt);
+    buf.resize(cnt);
+    IoResult r;
+    if (op == MemberOp::kRead) {
+      r = dev->read(now, run[0].off, n, buf);
+    } else if (op == MemberOp::kWrite) {
+      for (size_t k = 0; k < cnt; ++k) buf[k] = run[k].tag;
+      r = dev->write(now, run[0].off, n, buf);
+    } else {
+      r = dev->trim(now, run[0].off, cnt);
+    }
+    if (!r.ok()) {
+      out.error = r.error;
+      return;
+    }
+    out.done = std::max(out.done, r.done);
+    if (op == MemberOp::kRead) {
+      for (size_t k = 0; k < cnt; ++k) *run[k].out = buf[k];
+      stats.read_ops++;
+      stats.read_blocks += cnt;
+    } else if (op == MemberOp::kWrite) {
+      stats.write_ops++;
+      stats.write_blocks += cnt;
+    }
+  });
+  return out;
 }
 
 }  // namespace
@@ -99,26 +142,6 @@ void RaidDevice::corrupt(u64 lba) {
   devs_[loc.dev]->corrupt(loc.off);
 }
 
-// --- batched member access -------------------------------------------------
-
-namespace {
-
-// Merges sorted cells into contiguous per-device runs and applies `fn`
-// (dev, off, count, first-cell-index). Returns max completion.
-template <typename Fn>
-SimTime for_each_run(const std::vector<Cell>& cells, SimTime now, Fn&& fn) {
-  SimTime done = now;
-  const auto adjacent = [](const Cell& a, const Cell& b) {
-    return b.dev == a.dev && b.off == a.off + 1;
-  };
-  common::for_each_run(cells, adjacent, [&](size_t i, size_t cnt) {
-    done = std::max(done, fn(cells[i].dev, cells[i].off, cnt, i));
-  });
-  return done;
-}
-
-}  // namespace
-
 IoResult RaidDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) {
   if (lba + n > capacity_blocks_) return {now, ErrorCode::kInvalidArgument};
   const u32 sp = (span_ != nullptr && span_->sampling())
@@ -151,20 +174,9 @@ IoResult RaidDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) 
     }
     cells.push_back({loc.dev, loc.off, 0, &tags_out[i]});
   }
-  sort_cells(cells);
-  std::vector<u64> buf;
-  ErrorCode err = ErrorCode::kOk;
-  SimTime done = for_each_run(cells, now, [&](size_t dev, u64 off, size_t cnt, size_t first) {
-    buf.resize(cnt);
-    IoResult r = devs_[dev]->read(now, off, static_cast<u32>(cnt),
-                                  std::span<u64>(buf.data(), cnt));
-    if (!r.ok()) { err = r.error; return now; }
-    for (size_t k = 0; k < cnt; ++k) *cells[first + k].out = buf[k];
-    stats_.read_ops++;
-    stats_.read_blocks += cnt;
-    return r.done;
-  });
-  if (err != ErrorCode::kOk) return finish({now, err});
+  const IoResult r = run_members(MemberOp::kRead, cells, devs_, stats_, now);
+  if (!r.ok()) return finish({now, r.error});
+  SimTime done = r.done;
 
   if (any_dead) {
     if (cfg_.level == RaidLevel::kRaid0)
@@ -224,255 +236,151 @@ IoResult RaidDevice::write(SimTime now, u64 lba, u32 n, std::span<const u64> tag
     if (sp != obs::kNoSpan) span_->end_span(sp, r.done, n);
     return r;
   };
-  switch (cfg_.level) {
-    case RaidLevel::kRaid0:
-    case RaidLevel::kRaid1: {
-      std::vector<Cell> cells;
-      cells.reserve(n * 2);
-      for (u32 i = 0; i < n; ++i) {
-        const Loc loc = locate(lba + i);
-        const u64 tag = tags.empty() ? 0 : tags[i];
-        const size_t placed = cells.size();
-        if (!devs_[loc.dev]->failed()) cells.push_back({loc.dev, loc.off, tag});
-        if (cfg_.level == RaidLevel::kRaid1 && !devs_[loc.mirror]->failed()) {
-          cells.push_back({loc.mirror, loc.off, tag});
-        }
-        // A block with no live copy cannot be acknowledged.
-        if (cells.size() == placed)
-          return finish({now, ErrorCode::kDeviceFailed});
-      }
-      sort_cells(cells);
-      std::vector<u64> buf;
-      ErrorCode err = ErrorCode::kOk;
-      SimTime done = for_each_run(cells, now, [&](size_t dev, u64 off, size_t cnt, size_t first) {
-        buf.resize(cnt);
-        for (size_t k = 0; k < cnt; ++k) buf[k] = cells[first + k].tag;
-        IoResult r = devs_[dev]->write(now, off, static_cast<u32>(cnt),
-                                       std::span<const u64>(buf.data(), cnt));
-        if (!r.ok()) { err = r.error; return now; }
-        stats_.write_ops++;
-        stats_.write_blocks += cnt;
-        return r.done;
-      });
-      if (err != ErrorCode::kOk) return finish({now, err});
-      return finish({done, ErrorCode::kOk});
+  if (cfg_.level == RaidLevel::kRaid4 || cfg_.level == RaidLevel::kRaid5)
+    return finish(write_parity_level(now, lba, n, tags));
+  std::vector<Cell> cells;
+  cells.reserve(n * 2);
+  for (u32 i = 0; i < n; ++i) {
+    const Loc loc = locate(lba + i);
+    const u64 tag = tags.empty() ? 0 : tags[i];
+    const size_t placed = cells.size();
+    if (!devs_[loc.dev]->failed()) cells.push_back({loc.dev, loc.off, tag});
+    if (cfg_.level == RaidLevel::kRaid1 && !devs_[loc.mirror]->failed()) {
+      cells.push_back({loc.mirror, loc.off, tag});
     }
-    case RaidLevel::kRaid4:
-    case RaidLevel::kRaid5:
-      return finish(write_parity_level(now, lba, n, tags));
+    // A block with no live copy cannot be acknowledged.
+    if (cells.size() == placed) return finish({now, ErrorCode::kDeviceFailed});
   }
-  return finish({now, ErrorCode::kInvalidArgument});
+  const IoResult r = run_members(MemberOp::kWrite, cells, devs_, stats_, now);
+  return finish(r.ok() ? r : IoResult{now, r.error});
 }
 
+// The parity-write planner, one stripe at a time. A stripe is a grid of
+// data cells (index col * chunk + row) plus one parity block per row; the
+// write covers the cells [first, first + cnt) and so touches min(cnt,
+// chunk) rows. The plan fixes what to read:
+//   - RMW (every member up, and no more reads than reconstruct-write): the
+//     covered cells and the touched rows' parity;
+//   - reconstruct-write otherwise: the live untouched cells of touched rows,
+//     plus every live cell and the parity when an untouched cell sits on
+//     the dead member (only the old parity remembers its value). A
+//     full-stripe write is a reconstruct-write with nothing to read.
+// A touched row's new parity is the XOR of its new contents: covered cells
+// give their new tag, untouched cells that were read their old value, and
+// the untouched cells left unread (all of them under RMW, the dead one
+// otherwise) come in one piece as the old parity XOR every old value read.
+// Dead members are not written: parity carries a dead cell's new value.
 IoResult RaidDevice::write_parity_level(SimTime now, u64 lba, u32 n,
                                         std::span<const u64> tags) {
+  size_t dead_members = 0;
+  for (auto* d : devs_) dead_members += d->failed() ? 1 : 0;
+  // With a second member down every stripe holds a cell with no live copy:
+  // a covered cell with nowhere to land, or an untouched one parity can no
+  // longer solve. An explicit error beats quietly corrupting the stripe.
+  if (dead_members > 1) return {now, ErrorCode::kDeviceFailed};
+
+  const u64 chunk = cfg_.chunk_blocks;
   const u64 cols = data_cols(cfg_.level, devs_.size());
-  const u64 stripe_data = cols * cfg_.chunk_blocks;
+  const u64 stripe_data = cols * chunk;
+  std::vector<u64> old_val(stripe_data + chunk);  // cells, then parity rows
+  std::vector<Cell> reads, writes;
   SimTime done = now;
-  u32 pos = 0;
-  while (pos < n) {
+  for (u32 pos = 0; pos < n;) {
     const u64 stripe = stripe_of(lba + pos);
-    u32 cnt = 1;
-    while (pos + cnt < n && stripe_of(lba + pos + cnt) == stripe) ++cnt;
-
-    const size_t pdev = parity_dev(stripe);
-    const u64 pbase = stripe * cfg_.chunk_blocks;  // parity chunk offset
-
-    // Cell grid for this stripe: index = col * chunk + row.
-    std::vector<u64> new_tag(stripe_data, 0);
-    std::vector<char> written(stripe_data, 0);
-    for (u32 i = 0; i < cnt; ++i) {
-      const u64 b = lba + pos + i;
-      const u64 chunk = b / cfg_.chunk_blocks;
-      const u64 col = chunk % cols;
-      const u64 row = b % cfg_.chunk_blocks;
-      new_tag[col * cfg_.chunk_blocks + row] = tags.empty() ? 0 : tags[pos + i];
-      written[col * cfg_.chunk_blocks + row] = 1;
-    }
-    const bool full =
-        static_cast<u64>(std::count(written.begin(), written.end(), 1)) == stripe_data;
-
-    bool degraded = devs_[pdev]->failed();
-    for (size_t d = 0; d < devs_.size() && !degraded; ++d) degraded = devs_[d]->failed();
-
-    auto data_dev = [&](u64 col) {
-      return col >= pdev ? static_cast<size_t>(col) + 1 : static_cast<size_t>(col);
+    const u64 first = (lba + pos) % stripe_data;
+    const auto cnt =
+        static_cast<u32>(std::min<u64>(n - pos, stripe_data - first));
+    const auto covered = [&](u64 idx) {
+      return idx >= first && idx < first + cnt;
     };
-    auto dev_off = [&](u64 row) { return pbase + row; };
+    const auto new_tag = [&](u64 idx) {
+      return tags.empty() ? 0 : tags[pos + idx - first];
+    };
+    const auto touched = [&](u64 row) {
+      return (row + chunk - first % chunk) % chunk < cnt;
+    };
+    const size_t pdev = parity_dev(stripe);
+    const u64 base = stripe * chunk;  // member offset of the stripe's row 0
+    const auto dev_of = [&](u64 col) {
+      return static_cast<size_t>(col >= pdev ? col + 1 : col);
+    };
 
-    std::vector<u64> parity(cfg_.chunk_blocks, 0);
-    std::vector<Cell> reads, writes;
-    SimTime t_read = now;
-    const char* strategy = "raid.full_stripe";
-
-    if (full) {
-      // Degraded members are skipped: a dead data cell's value lives in
-      // parity (reads reconstruct it), a dead parity chunk simply stays
-      // unwritten until rebuild.
-      for (u64 c = 0; c < cols; ++c)
-        for (u64 row = 0; row < cfg_.chunk_blocks; ++row) {
-          const u64 tag = new_tag[c * cfg_.chunk_blocks + row];
-          parity[row] ^= tag;
-          if (!devs_[data_dev(c)]->failed())
-            writes.push_back({data_dev(c), dev_off(row), tag});
-        }
-      if (!devs_[pdev]->failed())
-        for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-          writes.push_back({pdev, dev_off(row), parity[row]});
+    u64 dead_col = cols;  // none
+    bool solve_dead = false;
+    for (u64 c = 0; c < cols; ++c) {
+      if (!devs_[dev_of(c)]->failed()) continue;
+      dead_col = c;
+      for (u64 row = 0; row < chunk; ++row)
+        solve_dead |= touched(row) && !covered(c * chunk + row);
+    }
+    const u64 rows = std::min<u64>(cnt, chunk);
+    const bool rmw = dead_members == 0 && cnt + rows <= rows * cols - cnt;
+    const bool read_covered = rmw || solve_dead;  // and the old parity
+    const char* strategy = "raid.reconstruct_write";
+    if (cnt == stripe_data) {
       rstats_.full_stripe_writes++;
+      strategy = "raid.full_stripe";
+    } else if (rmw) {
+      rstats_.rmw_writes++;
+      strategy = "raid.rmw";
     } else {
-      // Rows needing a parity update.
-      std::vector<char> row_touched(cfg_.chunk_blocks, 0);
-      u64 written_cells = 0, untouched_in_rows = 0, rows = 0;
-      for (u64 c = 0; c < cols; ++c)
-        for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-          if (written[c * cfg_.chunk_blocks + row]) {
-            row_touched[row] = 1;
-            ++written_cells;
-          }
-      for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-        if (row_touched[row]) ++rows;
-      for (u64 c = 0; c < cols; ++c)
-        for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-          if (row_touched[row] && !written[c * cfg_.chunk_blocks + row])
-            ++untouched_in_rows;
-
-      std::vector<u64> old_vals(stripe_data, 0);
-      std::vector<u64> old_parity(cfg_.chunk_blocks, 0);
-      const bool use_rmw = written_cells + rows <= untouched_in_rows;
-      // Degraded reconstruct-write: the dead data column (if any) and
-      // whether its untouched cells must be solved from the old parity.
-      size_t dead_col = SIZE_MAX;
-      bool solve_dead = false;
-
-      if (use_rmw && !degraded) {
-        for (u64 c = 0; c < cols; ++c)
-          for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-            if (written[c * cfg_.chunk_blocks + row])
-              reads.push_back({data_dev(c), dev_off(row), 0,
-                               &old_vals[c * cfg_.chunk_blocks + row]});
-        for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-          if (row_touched[row]) reads.push_back({pdev, dev_off(row), 0, &old_parity[row]});
-        rstats_.rmw_writes++;
-        strategy = "raid.rmw";
-      } else {
-        // Reconstruct-write (also the degraded fall-back: read what is
-        // alive, recompute parity from scratch). A dead data cell left
-        // untouched in a touched row holds a value only the old parity
-        // remembers — it must be solved from parity + the other cells' old
-        // values, never treated as zero (that would silently destroy it).
-        size_t dead_members = 0;
-        for (size_t d = 0; d < devs_.size(); ++d)
-          if (devs_[d]->failed()) ++dead_members;
-        for (u64 c = 0; c < cols; ++c)
-          if (devs_[data_dev(c)]->failed()) dead_col = c;
-        if (dead_col != SIZE_MAX)
-          for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-            if (row_touched[row] &&
-                !written[dead_col * cfg_.chunk_blocks + row])
-              solve_dead = true;
-        // With a second member down the lost value is unrecoverable; an
-        // explicit error beats quietly corrupting the stripe.
-        if (solve_dead && dead_members > 1)
-          return {now, ErrorCode::kDeviceFailed};
-        for (u64 c = 0; c < cols; ++c)
-          for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-            if (row_touched[row] && !devs_[data_dev(c)]->failed() &&
-                (solve_dead || !written[c * cfg_.chunk_blocks + row]))
-              reads.push_back({data_dev(c), dev_off(row), 0,
-                               &old_vals[c * cfg_.chunk_blocks + row]});
-        if (solve_dead)
-          for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-            if (row_touched[row])
-              reads.push_back({pdev, dev_off(row), 0, &old_parity[row]});
-        rstats_.reconstruct_writes++;
-        strategy = "raid.reconstruct_write";
-      }
-
-      sort_cells(reads);
-      std::vector<u64> buf;
-      ErrorCode err = ErrorCode::kOk;
-      t_read = for_each_run(reads, now, [&](size_t dev, u64 off, size_t rcnt, size_t first) {
-        buf.resize(rcnt);
-        IoResult r = devs_[dev]->read(now, off, static_cast<u32>(rcnt),
-                                      std::span<u64>(buf.data(), rcnt));
-        if (!r.ok()) { err = r.error; return now; }
-        for (size_t k = 0; k < rcnt; ++k) *reads[first + k].out = buf[k];
-        stats_.read_ops++;
-        stats_.read_blocks += rcnt;
-        return r.done;
-      });
-      if (err != ErrorCode::kOk) return {now, err};
-
-      for (u64 row = 0; row < cfg_.chunk_blocks; ++row) {
-        if (!row_touched[row]) continue;
-        if (use_rmw && !degraded) {
-          u64 p = old_parity[row];
-          for (u64 c = 0; c < cols; ++c) {
-            const u64 idx = c * cfg_.chunk_blocks + row;
-            if (written[idx]) p ^= old_vals[idx] ^ new_tag[idx];
-          }
-          parity[row] = p;
-        } else {
-          u64 p = 0;
-          for (u64 c = 0; c < cols; ++c) {
-            const u64 idx = c * cfg_.chunk_blocks + row;
-            if (written[idx]) {
-              p ^= new_tag[idx];
-            } else if (c == dead_col && solve_dead) {
-              // The dead cell's value = old parity ^ every other cell's old
-              // value (all read above because solve_dead widened the reads).
-              u64 v = old_parity[row];
-              for (u64 c2 = 0; c2 < cols; ++c2)
-                if (c2 != dead_col) v ^= old_vals[c2 * cfg_.chunk_blocks + row];
-              p ^= v;
-            } else {
-              p ^= old_vals[idx];
-            }
-          }
-          parity[row] = p;
-        }
-      }
-
-      for (u64 c = 0; c < cols; ++c)
-        for (u64 row = 0; row < cfg_.chunk_blocks; ++row) {
-          const u64 idx = c * cfg_.chunk_blocks + row;
-          if (written[idx] && !devs_[data_dev(c)]->failed())
-            writes.push_back({data_dev(c), dev_off(row), new_tag[idx]});
-        }
-      if (!devs_[pdev]->failed())
-        for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-          if (row_touched[row]) writes.push_back({pdev, dev_off(row), parity[row]});
+      rstats_.reconstruct_writes++;
     }
 
-    sort_cells(writes);
-    std::vector<u64> wbuf;
-    ErrorCode werr = ErrorCode::kOk;
-    const SimTime t_write =
-        for_each_run(writes, t_read, [&](size_t dev, u64 off, size_t wcnt, size_t first) {
-          wbuf.resize(wcnt);
-          for (size_t k = 0; k < wcnt; ++k) wbuf[k] = writes[first + k].tag;
-          IoResult r = devs_[dev]->write(t_read, off, static_cast<u32>(wcnt),
-                                         std::span<const u64>(wbuf.data(), wcnt));
-          if (!r.ok()) { werr = r.error; return t_read; }
-          stats_.write_ops++;
-          stats_.write_blocks += wcnt;
-          return r.done;
-        });
-    if (werr != ErrorCode::kOk) return {now, werr};
+    std::fill(old_val.begin(), old_val.end(), 0);
+    reads.clear();
+    writes.clear();
+    for (u64 c = 0; c < cols; ++c) {
+      if (c == dead_col) continue;
+      for (u64 row = 0; row < chunk; ++row) {
+        const u64 idx = c * chunk + row;
+        if (covered(idx))
+          writes.push_back({dev_of(c), base + row, new_tag(idx)});
+        if (touched(row) && (covered(idx) ? read_covered : !rmw))
+          reads.push_back({dev_of(c), base + row, 0, &old_val[idx]});
+      }
+    }
+    if (read_covered)
+      for (u64 row = 0; row < chunk; ++row)
+        if (touched(row))
+          reads.push_back({pdev, base + row, 0, &old_val[stripe_data + row]});
+    const IoResult rd = run_members(MemberOp::kRead, reads, devs_, stats_, now);
+    if (!rd.ok()) return {now, rd.error};
+
+    // A dead parity member stays stale until rebuild.
+    for (u64 row = 0; row < chunk && !devs_[pdev]->failed(); ++row) {
+      if (!touched(row)) continue;
+      u64 fresh = 0;                            // new contents, as read
+      u64 unread = old_val[stripe_data + row];  // old parity ^ old values read
+      bool from_parity = rmw;
+      for (u64 c = 0; c < cols; ++c) {
+        const u64 idx = c * chunk + row;
+        unread ^= old_val[idx];
+        if (covered(idx)) {
+          fresh ^= new_tag(idx);
+        } else {
+          fresh ^= old_val[idx];
+          from_parity |= c == dead_col;
+        }
+      }
+      writes.push_back(
+          {pdev, base + row, from_parity ? fresh ^ unread : fresh});
+    }
+    const IoResult wr =
+        run_members(MemberOp::kWrite, writes, devs_, stats_, rd.done);
+    if (!wr.ok()) return {now, wr.error};
     if (span_ != nullptr && span_->sampling()) {
       const u32 ss = span_->begin_span(strategy, now);
-      if (ss != obs::kNoSpan) span_->end_span(ss, t_write, cnt);
+      if (ss != obs::kNoSpan) span_->end_span(ss, wr.done, cnt);
     }
-    done = std::max(done, t_write);
+    done = std::max(done, wr.done);
     pos += cnt;
   }
   return {done, ErrorCode::kOk};
 }
 
 IoResult RaidDevice::write_payload(SimTime now, u64 lba, Payload payload) {
-  const u32 n = std::max<u32>(
-      1, static_cast<u32>(bytes_to_blocks(payload ? payload->size() : 1)));
+  const auto n = static_cast<u32>(blockdev::payload_blocks(payload));
   // The payload must land contiguously on one member (single chunk run).
   const Loc first = locate(lba);
   const Loc last = locate(lba + n - 1);
@@ -517,10 +425,10 @@ IoResult RaidDevice::trim(SimTime now, u64 lba, u64 n) {
   std::vector<Cell> cells;
   for (u64 i = 0; i < n; ++i) {
     const Loc loc = locate(lba + i);
-    if (!devs_[loc.dev]->failed()) cells.push_back({loc.dev, loc.off, 0});
+    if (!devs_[loc.dev]->failed()) cells.push_back({loc.dev, loc.off});
     if (cfg_.level == RaidLevel::kRaid1 && loc.mirror != SIZE_MAX &&
         !devs_[loc.mirror]->failed())
-      cells.push_back({loc.mirror, loc.off, 0});
+      cells.push_back({loc.mirror, loc.off});
   }
   if (cfg_.level == RaidLevel::kRaid4 || cfg_.level == RaidLevel::kRaid5) {
     const u64 stripe_data =
@@ -533,35 +441,34 @@ IoResult RaidDevice::trim(SimTime now, u64 lba, u64 n) {
         const size_t pdev = parity_dev(s);
         if (!devs_[pdev]->failed())
           for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-            cells.push_back({pdev, s * cfg_.chunk_blocks + row, 0});
+            cells.push_back({pdev, s * cfg_.chunk_blocks + row});
       }
     }
   }
-  sort_cells(cells);
-  SimTime done = for_each_run(cells, now, [&](size_t dev, u64 off, size_t cnt, size_t) {
-    IoResult r = devs_[dev]->trim(now, off, cnt);
-    return r.ok() ? r.done : now;
-  });
+  // Member trims are advisory: a failed one is not the caller's error.
+  const IoResult r = run_members(MemberOp::kTrim, cells, devs_, stats_, now);
   stats_.trim_ops++;
   stats_.trim_blocks += n;
-  return {done, ErrorCode::kOk};
+  return {r.done, ErrorCode::kOk};
 }
 
 bool RaidDevice::verify_parity(u64 lba) {
   if (cfg_.level != RaidLevel::kRaid4 && cfg_.level != RaidLevel::kRaid5) return true;
-  const u64 stripe = stripe_of(lba);
-  const size_t pdev = parity_dev(stripe);
-  for (u64 row = 0; row < cfg_.chunk_blocks; ++row) {
-    const u64 off = stripe * cfg_.chunk_blocks + row;
+  // Every member's chunk of the stripe in one read; each row of a
+  // consistent stripe, parity included, XORs to zero.
+  const u64 chunk = cfg_.chunk_blocks;
+  const u64 base = stripe_of(lba) * chunk;
+  std::vector<u64> grid(devs_.size() * chunk, 0);
+  std::vector<Cell> cells;
+  for (size_t d = 0; d < devs_.size(); ++d)
+    for (u64 row = 0; row < chunk; ++row)
+      cells.push_back({d, base + row, 0, &grid[d * chunk + row]});
+  DeviceStats uncounted;  // a testing hook stays out of the array's stats
+  run_members(MemberOp::kRead, cells, devs_, uncounted, 0);
+  for (u64 row = 0; row < chunk; ++row) {
     u64 acc = 0;
-    for (size_t d = 0; d < devs_.size(); ++d) {
-      u64 tag = 0;
-      devs_[d]->read(0, off, 1, std::span<u64>(&tag, 1));
-      if (d != pdev) acc ^= tag; else acc ^= 0;
-    }
-    u64 ptag = 0;
-    devs_[pdev]->read(0, off, 1, std::span<u64>(&ptag, 1));
-    if (acc != ptag) return false;
+    for (size_t d = 0; d < devs_.size(); ++d) acc ^= grid[d * chunk + row];
+    if (acc != 0) return false;
   }
   return true;
 }

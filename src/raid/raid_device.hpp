@@ -8,6 +8,13 @@
 // parity); the device picks whichever needs fewer reads. Full-stripe writes
 // need neither. SRC's log-structured stripe formation exists precisely to
 // turn every cache write into the full-stripe case.
+//
+// One data path: every member access (data, parity and trim) is a list of
+// block cells that one routine sorts and issues as per-member runs, and
+// every RAID-4/5 write goes through one per-stripe planner that picks the
+// strategy, then runs one read pass, one parity formula and one write
+// pass; a full-stripe write is a reconstruct-write with nothing to read.
+// A write covering a block with no live copy fails instead of acking.
 #pragma once
 
 #include <vector>
@@ -91,7 +98,6 @@ class RaidDevice final : public BlockDevice {
   [[nodiscard]] size_t parity_dev(u64 stripe) const;
   [[nodiscard]] u64 stripe_of(u64 lba) const;
 
-  IoResult read_parity_level(SimTime now, u64 lba, u32 n, std::span<u64> tags_out);
   IoResult write_parity_level(SimTime now, u64 lba, u32 n, std::span<const u64> tags);
   // Reconstructs one block of a failed device from the rest of its row.
   Result<u64> reconstruct_block(SimTime now, size_t dead_dev, u64 off, SimTime* done);

@@ -214,11 +214,9 @@ u64 RebuildManager::copy_batch(size_t dev, sim::SimTime now, u64 budget) {
     target->write_payload(now, ex.block, ex.payload);
     target->set_background(false);
     remove(st.pending, ex.block, ex.block + ex.count);
-    // Devices round payload writes up to whole blocks; mirror that rounding
-    // so the provenance ledger stays balanced against write_blocks.
-    const u64 psize = ex.payload ? ex.payload->size() : 1;
-    const u64 pblocks = std::max<u64>(1, (psize + kBlockSize - 1) / kBlockSize);
-    const u64 bytes = pblocks * kBlockSize;
+    // Ledgered in the devices' own payload rounding, so the provenance
+    // ledger stays balanced against write_blocks.
+    const u64 bytes = blocks_to_bytes(blockdev::payload_blocks(ex.payload));
     out_.blocks_copied += ex.count;
     out_.write_bytes += bytes;
     budget_spent_bytes_ += bytes;

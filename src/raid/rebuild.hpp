@@ -108,7 +108,7 @@ inline constexpr CounterField<RebuildOutcome> kRebuildOutcomeFields[] = {
 // degraded_ns.
 static_assert(names_every_counter(kRebuildOutcomeFields, 2 * sizeof(u64)));
 
-class RebuildManager final : public blockdev::RebuildMask {
+class RebuildManager {
  public:
   // Enumerates the extents a replaced device must be rebuilt from, in copy
   // order (ascending device block). SrcCache::rebuild_extents is the
@@ -155,9 +155,13 @@ class RebuildManager final : public blockdev::RebuildMask {
   // Blocks still unprotected: pending (uncopied) extents across all devices.
   [[nodiscard]] u64 blocks_at_risk() const;
 
-  // blockdev::RebuildMask: true while `block` of `dev` must not be read
-  // from the device itself (still blank, or lost forever).
-  [[nodiscard]] bool covers(size_t dev, u64 block) const override;
+  // True while `block` of `dev` must not be read from the device itself
+  // (still blank, or lost forever). A blank spare would return tag 0 for a
+  // range not copied yet, which is silent corruption, so read paths treat
+  // covered blocks exactly like a failed device (reconstruct via mirror or
+  // parity). Blocks that lost their redundancy to a second failure stay
+  // covered forever.
+  [[nodiscard]] bool covers(size_t dev, u64 block) const;
 
   [[nodiscard]] RebuildOutcome outcome() const;
 

@@ -16,13 +16,6 @@ constexpr SimTime kRamReadCost = 500 * sim::kNs;
 using obs::WriteCause;
 using raid::RaidLevel;
 
-// Blocks a payload write occupies — must match the devices' rounding
-// (MemDisk/SimSsd: ceil(size / block), at least 1) so the provenance ledger
-// balances bit-exactly against DeviceStats::write_blocks.
-u64 payload_blocks(const blockdev::Payload& p) {
-  const u64 n = bytes_to_blocks(p ? p->size() : 1);
-  return n == 0 ? 1 : n;
-}
 }  // namespace
 
 const char* to_string(GcPolicy p) {
@@ -172,7 +165,7 @@ SimTime SrcCache::format(SimTime now) {
     if (r.ok()) {
       done = std::max(done, r.done);
       ledger_.add(static_cast<u32>(d), obs::kSharedTenant, WriteCause::kParity,
-                  payload_blocks(payload) * kBlockSize);
+                  blockdev::payload_blocks(payload) * kBlockSize);
     }
   }
   // SG 0 holds the superblock and is never written again (§4.1).
@@ -597,7 +590,7 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
 
   // Scheduled power cut (crash-consistency harness): the Nth seal tears at
   // the chosen point, and from then on nothing reaches the devices.
-  CrashPoint point = crash_point_;
+  CrashPoint point = CrashPoint::kNone;
   if (crash_scheduled_ && seal_count_ == crash_at_seal_) {
     point = crash_at_point_;
     crashed_ = true;
@@ -730,7 +723,7 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
     if (rms.ok()) {
       done = std::max(done, rms.done);
       ledger_.add(static_cast<u32>(d), obs::kSharedTenant, WriteCause::kParity,
-                  payload_blocks(ms_payload) * kBlockSize);
+                  blockdev::payload_blocks(ms_payload) * kBlockSize);
     }
     if (point == CrashPoint::kAfterMs) continue;
     auto rdata = dev->write(issue, base + 1, static_cast<u32>(rows),
@@ -744,7 +737,7 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
     if (rme.ok()) {
       done = std::max(done, rme.done);
       ledger_.add(static_cast<u32>(d), obs::kSharedTenant, WriteCause::kParity,
-                  payload_blocks(me_payload) * kBlockSize);
+                  blockdev::payload_blocks(me_payload) * kBlockSize);
     }
   }
   if (fill_span != obs::kNoSpan) span_->end_span(fill_span, done, count);

@@ -166,8 +166,6 @@ class SrcCache final : public cache::CacheDevice {
   // live counters. Returns the first violated invariant.
   [[nodiscard]] Status verify_consistency() const;
 
-  void set_crash_point(CrashPoint p) { crash_point_ = p; }
-
   // Crash-consistency harness hooks: power-cut exactly at the `nth_seal`-th
   // segment write (0-indexed), at the chosen point within the stripe. Once
   // the cut fires, no further I/O of any kind reaches the devices; the
@@ -415,7 +413,6 @@ class SrcCache final : public cache::CacheDevice {
   u64 tag_version_ = 0;
   SimTime last_dirty_stage_ = 0;
   bool in_gc_ = false;
-  CrashPoint crash_point_ = CrashPoint::kNone;
   bool crash_scheduled_ = false;
   u64 crash_at_seal_ = 0;
   CrashPoint crash_at_point_ = CrashPoint::kNone;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "block/mem_disk.hpp"
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "raid/raid_device.hpp"
 #include "raid/rebuild.hpp"
@@ -335,6 +337,44 @@ INSTANTIATE_TEST_SUITE_P(Levels, RaidDoubleFault,
                            return std::string(to_string(info.param)).substr(5);
                          });
 
+// A parity-level write must not acknowledge a block that has no live copy.
+// With two members down, a covered cell on a dead member could live only in
+// parity, and the second failure leaves that parity unsolvable. The write
+// must fail, and the stripe's old contents must survive it.
+class RaidDoubleFaultWrite : public ::testing::TestWithParam<RaidLevel> {};
+
+TEST_P(RaidDoubleFaultWrite, FailsAndKeepsOldValue) {
+  struct Case {
+    size_t dead_a, dead_b;  // failed members
+    u64 lba;                // single-block write target on dead_a
+    size_t healed;          // member brought back before the read-back
+  };
+  // Chunk 4, stripe 0: lba 0..3 on disk 0, lba 4..7 on disk 1, parity on
+  // disk 3. The second case loses data and parity together.
+  for (const Case c : {Case{0, 1, 4, 0}, Case{0, 3, 0, 3}}) {
+    Rig rig(GetParam(), 4);
+    std::vector<u64> fives(12, 5);
+    ASSERT_TRUE(rig.raid->write(0, 0, 12, fives).ok());
+    rig.disks[c.dead_a]->fail();
+    rig.disks[c.dead_b]->fail();
+    std::vector<u64> tag = {77};
+    EXPECT_EQ(rig.raid->write(0, c.lba, 1, tag).error,
+              ErrorCode::kDeviceFailed)
+        << "lba " << c.lba;
+    rig.disks[c.healed]->heal();
+    std::vector<u64> out(1, 0);
+    ASSERT_TRUE(rig.raid->read(0, c.lba, 1, out).ok()) << "lba " << c.lba;
+    EXPECT_EQ(out[0], 5u) << "lba " << c.lba;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, RaidDoubleFaultWrite,
+    ::testing::Values(RaidLevel::kRaid4, RaidLevel::kRaid5),
+    [](const auto& info) {
+      return std::string(to_string(info.param)).substr(5);
+    });
+
 TEST(Raid1, ReadsBalanceAcrossMirrors) {
   Rig rig(RaidLevel::kRaid1, 4);
   rig.raid->write(0, 0, 1, {});
@@ -369,6 +409,222 @@ TEST(Raid, TimingOverlapsAcrossDevices) {
   std::vector<u64> tags(4, 1);
   const auto r = rig.raid->write(0, 0, 4, tags);
   EXPECT_LT(r.done, 2 * (10 * sim::kUs + 5 * sim::kUs));
+}
+
+// --- golden member I/O ------------------------------------------------------
+
+// A member that forwards to a MemDisk and folds every call it receives
+// (member, op, issue time, offset, count, tags, completion, error) into a
+// CRC-32C shared by the whole array, in arrival order.
+class RecordingDisk final : public blockdev::BlockDevice {
+ public:
+  RecordingDisk(u64 id, const MemDiskConfig& cfg, u32* crc)
+      : id_(id), disk_(cfg), crc_(crc) {}
+
+  [[nodiscard]] u64 capacity_blocks() const override {
+    return disk_.capacity_blocks();
+  }
+  IoResult read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) override {
+    const IoResult r = disk_.read(now, lba, n, tags_out);
+    record(1, now, lba, n, r);
+    if (r.ok())
+      for (u64 t : tags_out) fold(t);
+    return r;
+  }
+  IoResult write(SimTime now, u64 lba, u32 n,
+                 std::span<const u64> tags) override {
+    const IoResult r = disk_.write(now, lba, n, tags);
+    record(2, now, lba, n, r);
+    for (u64 t : tags) fold(t);
+    return r;
+  }
+  IoResult write_payload(SimTime now, u64 lba, Payload payload) override {
+    const u64 bytes = payload ? payload->size() : 0;
+    const IoResult r = disk_.write_payload(now, lba, std::move(payload));
+    record(3, now, lba, bytes, r);
+    return r;
+  }
+  Result<Payload> read_payload(SimTime now, u64 lba, SimTime* done) override {
+    SimTime t = now;
+    auto r = disk_.read_payload(now, lba, &t);
+    record(4, now, lba, r.is_ok() && r.value() ? r.value()->size() : 0,
+           {t, r.code()});
+    if (done != nullptr) *done = t;
+    return r;
+  }
+  IoResult flush(SimTime now) override {
+    const IoResult r = disk_.flush(now);
+    record(5, now, 0, 0, r);
+    return r;
+  }
+  IoResult trim(SimTime now, u64 lba, u64 n) override {
+    const IoResult r = disk_.trim(now, lba, n);
+    record(6, now, lba, n, r);
+    return r;
+  }
+  [[nodiscard]] const DeviceStats& stats() const override {
+    return disk_.stats();
+  }
+  void fail() override { disk_.fail(); }
+  void heal() override { disk_.heal(); }
+  [[nodiscard]] bool failed() const override { return disk_.failed(); }
+  void corrupt(u64 lba) override { disk_.corrupt(lba); }
+  void inject_media_errors(u64 lba, u64 n) override {
+    disk_.inject_media_errors(lba, n);
+  }
+  void clear_media_errors() override { disk_.clear_media_errors(); }
+
+ private:
+  void fold(u64 v) { *crc_ = common::crc32c_of(v, *crc_); }
+  void record(u64 op, SimTime now, u64 lba, u64 n, IoResult r) {
+    for (u64 v : {id_, op, static_cast<u64>(now), lba, n,
+                  static_cast<u64>(r.done), static_cast<u64>(r.error)})
+      fold(v);
+  }
+
+  u64 id_;
+  MemDisk disk_;
+  u32* crc_;
+};
+
+struct GoldenIo {
+  u32 member_crc = 0;  // every member call, in arrival order
+  u32 state_crc = 0;   // RAID results and read tags, RaidStats, DeviceStats
+  RaidStats rs;
+};
+
+u32 fold_stats(const DeviceStats& s, u32 crc) {
+  for (const auto& f : blockdev::kDeviceStatsFields)
+    crc = common::crc32c_of(s.*f.counter, crc);
+  return crc;
+}
+
+// A seeded random script of overlapping reads, writes (up to two stripes
+// and a bit), trims (half of them stripe-aligned), payload round trips and
+// flushes on a 4-member array, with a window of latent sector errors on
+// member 2. `degraded` fails member 1 first.
+GoldenIo run_member_io_script(RaidLevel level, u32 chunk, bool degraded) {
+  GoldenIo g;
+  MemDiskConfig cfg;
+  cfg.capacity_blocks = 256;
+  cfg.op_latency = 10 * sim::kUs;
+  std::vector<std::unique_ptr<RecordingDisk>> disks;
+  std::vector<blockdev::BlockDevice*> members;
+  for (u64 i = 0; i < 4; ++i) {
+    disks.push_back(std::make_unique<RecordingDisk>(i, cfg, &g.member_crc));
+    members.push_back(disks.back().get());
+  }
+  RaidDevice raid(RaidConfig{level, chunk}, members);
+  if (degraded) disks[1]->fail();
+  const u64 cap = raid.capacity_blocks();
+  const u64 stripe = data_cols(level, 4) * chunk;
+  auto fold = [&g](u64 v) { g.state_crc = common::crc32c_of(v, g.state_crc); };
+  auto fold_result = [&](IoResult r) {
+    fold(static_cast<u64>(r.done));
+    fold(static_cast<u64>(r.error));
+  };
+  common::Xoshiro256 rng(100 * static_cast<u64>(level) + chunk);
+  SimTime now = 0;
+  for (int op = 0; op < 800; ++op) {
+    if (op == 250) disks[2]->inject_media_errors(32, 8);
+    if (op == 500) disks[2]->clear_media_errors();
+    now += static_cast<SimTime>(rng.below(40)) * sim::kUs;
+    const u64 dice = rng.below(100);
+    u32 n = 1 + static_cast<u32>(rng.below(7 * chunk));
+    u64 lba = rng.below(cap - n + 1);
+    if (dice < 45) {
+      std::vector<u64> tags(n);
+      for (u64& t : tags) t = rng.next();
+      fold_result(raid.write(now, lba, n, tags));
+    } else if (dice < 85) {
+      std::vector<u64> out(n, 0);
+      const IoResult r = raid.read(now, lba, n, out);
+      fold_result(r);
+      if (r.ok())
+        for (u64 t : out) fold(t);
+    } else if (dice < 94) {
+      if (dice % 2 == 0) {
+        lba -= lba % stripe;
+        n = static_cast<u32>(std::min<u64>(stripe * (1 + n % 2), cap - lba));
+      }
+      fold_result(raid.trim(now, lba, n));
+    } else if (dice < 98) {
+      lba -= lba % chunk;  // a payload lands within one chunk
+      const auto bytes = static_cast<size_t>(rng.range(1, chunk * kBlockSize));
+      auto p = std::make_shared<std::vector<u8>>(bytes, static_cast<u8>(op));
+      fold_result(raid.write_payload(now, lba, p));
+      SimTime t = now;
+      const auto back = raid.read_payload(now, lba, &t);
+      fold(static_cast<u64>(t));
+      fold(back.is_ok() && back.value() ? back.value()->size() : 0);
+    } else {
+      fold_result(raid.flush(now));
+    }
+  }
+  g.rs = raid.raid_stats();
+  for (u64 v : {g.rs.full_stripe_writes, g.rs.rmw_writes,
+                g.rs.reconstruct_writes, g.rs.degraded_reads})
+    fold(v);
+  g.state_crc = fold_stats(raid.stats(), g.state_crc);
+  for (const auto& d : disks) g.state_crc = fold_stats(d->stats(), g.state_crc);
+  return g;
+}
+
+// Pins which member commands every RAID level issues, in what order and
+// when, for each chunk size, healthy and with member 1 failed: any drift in
+// run merging, parity strategy or degraded handling moves a CRC.
+TEST(Raid, GoldenMemberIo) {
+  struct Pin {
+    RaidLevel level;
+    u32 chunk;
+    bool degraded;
+    u32 member_crc;
+    u32 state_crc;
+  };
+  const Pin pins[] = {
+      {RaidLevel::kRaid0, 1, false, 0x6d14e4d2, 0x32345a75},
+      {RaidLevel::kRaid0, 1, true, 0x8ab9e24d, 0xd88e3e14},
+      {RaidLevel::kRaid0, 4, false, 0xfe9be5a4, 0x6e012b20},
+      {RaidLevel::kRaid0, 4, true, 0x987d8c12, 0x94ba02cf},
+      {RaidLevel::kRaid0, 16, false, 0xf9e5db6f, 0x3a58c76a},
+      {RaidLevel::kRaid0, 16, true, 0x5a7e1231, 0x0676e205},
+      {RaidLevel::kRaid1, 1, false, 0xbfca4032, 0x717b3b22},
+      {RaidLevel::kRaid1, 1, true, 0x2986fe9c, 0x220443cb},
+      {RaidLevel::kRaid1, 4, false, 0x459951dc, 0x1b4dd29a},
+      {RaidLevel::kRaid1, 4, true, 0xe3c9f9b6, 0x305a886d},
+      {RaidLevel::kRaid1, 16, false, 0xab7abc0c, 0x965b8352},
+      {RaidLevel::kRaid1, 16, true, 0xde734a10, 0x34f552d9},
+      {RaidLevel::kRaid4, 1, false, 0x4d58c6ab, 0x0656dbcd},
+      {RaidLevel::kRaid4, 1, true, 0x45991bbe, 0x45ca9909},
+      {RaidLevel::kRaid4, 4, false, 0x0d53380a, 0x21a4dde5},
+      {RaidLevel::kRaid4, 4, true, 0xb7ed9baa, 0xeff344de},
+      {RaidLevel::kRaid4, 16, false, 0x30cbefed, 0xe23e8b62},
+      {RaidLevel::kRaid4, 16, true, 0x2ce60c3f, 0x18304c63},
+      {RaidLevel::kRaid5, 1, false, 0xa4cb0a8a, 0xa3681282},
+      {RaidLevel::kRaid5, 1, true, 0x6b1888ac, 0xd8ade691},
+      {RaidLevel::kRaid5, 4, false, 0x326742e4, 0x70a02114},
+      {RaidLevel::kRaid5, 4, true, 0xece7ea0c, 0x623975b0},
+      {RaidLevel::kRaid5, 16, false, 0x537346cc, 0x8a91bbf1},
+      {RaidLevel::kRaid5, 16, true, 0x46049269, 0xa417541d},
+  };
+  for (const Pin& p : pins) {
+    const GoldenIo g = run_member_io_script(p.level, p.chunk, p.degraded);
+    std::string ctx = to_string(p.level);
+    ctx += " chunk " + std::to_string(p.chunk);
+    ctx += p.degraded ? " degraded" : " healthy";
+    EXPECT_EQ(g.member_crc, p.member_crc) << ctx;
+    EXPECT_EQ(g.state_crc, p.state_crc) << ctx;
+    // The script reaches every parity strategy the pins are meant to cover.
+    if (p.level == RaidLevel::kRaid4 || p.level == RaidLevel::kRaid5) {
+      EXPECT_GT(g.rs.full_stripe_writes, 0u) << ctx;
+      EXPECT_GT(g.rs.reconstruct_writes, 0u) << ctx;
+      if (p.degraded) {
+        EXPECT_GT(g.rs.degraded_reads, 0u) << ctx;
+      } else {
+        EXPECT_GT(g.rs.rmw_writes, 0u) << ctx;
+      }
+    }
+  }
 }
 
 // --- background rebuild engine (raid/rebuild.hpp) ---------------------------

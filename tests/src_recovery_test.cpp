@@ -88,7 +88,8 @@ TEST(SrcRecovery, TornSegmentDiscarded) {
   // First, a complete segment.
   for (u64 i = 0; i < cap; ++i) rig.write(0, i);
   // Then a torn one: crash after MS, before data/ME.
-  rig.cache->set_crash_point(SrcCache::CrashPoint::kAfterMs);
+  rig.cache->schedule_crash(rig.cache->seals(),
+                            SrcCache::CrashPoint::kAfterMs);
   for (u64 i = 0; i < cap; ++i) rig.write(1, 5000 + i);
   rig.reattach();
   ASSERT_TRUE(rig.cache->recover(0).is_ok());
@@ -101,7 +102,8 @@ TEST(SrcRecovery, TornSegmentDiscarded) {
 TEST(SrcRecovery, TornAfterDataAlsoDiscarded) {
   Rig rig;
   const u64 cap = rig.cfg.segment_data_slots(true);
-  rig.cache->set_crash_point(SrcCache::CrashPoint::kAfterData);
+  rig.cache->schedule_crash(rig.cache->seals(),
+                            SrcCache::CrashPoint::kAfterData);
   for (u64 i = 0; i < cap; ++i) rig.write(0, i);
   rig.reattach();
   ASSERT_TRUE(rig.cache->recover(0).is_ok());
