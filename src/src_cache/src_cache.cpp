@@ -157,17 +157,20 @@ SegmentMeta SrcCache::segment_meta(u32 sg, u32 seg,
   return meta;
 }
 
+void SrcCache::write_meta(SimTime now, size_t d, u64 block,
+                          const blockdev::Payload& payload, SimTime& done) {
+  const auto r = ssds_[d]->write_payload(now, block, payload);
+  if (!r.ok()) return;
+  done = std::max(done, r.done);
+  ledger_.add(static_cast<u32>(d), obs::kSharedTenant, WriteCause::kParity,
+              blockdev::payload_blocks(payload) * kBlockSize);
+}
+
 SimTime SrcCache::format(SimTime now) {
   const auto payload = superblock_payload();
   SimTime done = now;
-  for (size_t d = 0; d < ssds_.size(); ++d) {
-    auto r = ssds_[d]->write_payload(now, sg_base_block(0), payload);
-    if (r.ok()) {
-      done = std::max(done, r.done);
-      ledger_.add(static_cast<u32>(d), obs::kSharedTenant, WriteCause::kParity,
-                  blockdev::payload_blocks(payload) * kBlockSize);
-    }
-  }
+  for (size_t d = 0; d < ssds_.size(); ++d)
+    write_meta(now, d, sg_base_block(0), payload, done);
   // SG 0 holds the superblock and is never written again (§4.1).
   sgs_[0].state = SgState::kSuper;
   free_sgs_.clear();
@@ -348,8 +351,7 @@ void SrcCache::set_tenant_quotas(const std::vector<u64>& quotas) {
 
 // --- bookkeeping ------------------------------------------------------------
 
-void SrcCache::invalidate_slot(u64 lba, const MapEntry& e) {
-  (void)lba;
+void SrcCache::invalidate_slot(const MapEntry& e) {
   if (e.buffered()) {
     SegBuffer& buf = e.dirty() ? dirty_buf_ : clean_buf_;
     buf.lbas[buf.index(e.slot)] = kDeadSlot;
@@ -416,7 +418,7 @@ void SrcCache::stage_dirty(u64 lba, u64 tag, u16 tenant, SimTime now,
       if (cause != WriteCause::kGcRewrite) eviction_->on_access(lba);
       return;
     }
-    invalidate_slot(lba, e);
+    invalidate_slot(e);
     e.sg = kBufferSg;
     e.seg = 0;
     e.slot = dirty_buf_.next_ticket();
@@ -443,9 +445,8 @@ void SrcCache::stage_dirty(u64 lba, u64 tag, u16 tenant, SimTime now,
   last_dirty_stage_ = now;
 }
 
-void SrcCache::stage_clean(u64 lba, u64 tag, u16 tenant, SimTime now,
+void SrcCache::stage_clean(u64 lba, u64 tag, u16 tenant,
                            obs::WriteCause cause) {
-  (void)now;
   if (map_.contains(lba)) {
     // Raced with a write or a duplicate fetch; the cached copy wins.
     return;
@@ -544,7 +545,7 @@ SimTime SrcCache::tier_destage(SimTime now, std::span<const u64> lbas,
 
 SimTime SrcCache::tier_demote(SimTime now, u64 lba, u64 tag, u16 tenant) {
   if (crashed_) return now;
-  stage_clean(lba, tag, norm_tenant(tenant), now, WriteCause::kTierDemote);
+  stage_clean(lba, tag, norm_tenant(tenant), WriteCause::kTierDemote);
   drain_buffers(now);
   return throttle(now, now + kStageCost);
 }
@@ -716,29 +717,18 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
     }
   };
   for (size_t d = 0; d < ssds_.size(); ++d) {
-    BlockDevice* dev = ssds_[d];
-    if (dev->failed()) continue;
+    if (ssds_[d]->failed()) continue;
     if (point == CrashPoint::kBeforeSeg) break;
-    auto rms = dev->write_payload(issue, base, ms_payload);
-    if (rms.ok()) {
-      done = std::max(done, rms.done);
-      ledger_.add(static_cast<u32>(d), obs::kSharedTenant, WriteCause::kParity,
-                  blockdev::payload_blocks(ms_payload) * kBlockSize);
-    }
+    write_meta(issue, d, base, ms_payload, done);
     if (point == CrashPoint::kAfterMs) continue;
-    auto rdata = dev->write(issue, base + 1, static_cast<u32>(rows),
-                            std::span<const u64>(image(d), rows));
+    auto rdata = ssds_[d]->write(issue, base + 1, static_cast<u32>(rows),
+                                 std::span<const u64>(image(d), rows));
     if (rdata.ok()) {
       done = std::max(done, rdata.done);
       account_data_chunk(d);
     }
     if (point == CrashPoint::kAfterData) continue;
-    auto rme = dev->write_payload(issue, base + 1 + rows, me_payload);
-    if (rme.ok()) {
-      done = std::max(done, rme.done);
-      ledger_.add(static_cast<u32>(d), obs::kSharedTenant, WriteCause::kParity,
-                  blockdev::payload_blocks(me_payload) * kBlockSize);
-    }
+    write_meta(issue, d, base + 1 + rows, me_payload, done);
   }
   if (fill_span != obs::kNoSpan) span_->end_span(fill_span, done, count);
   // A fresh stripe just landed on every non-failed device, including a
@@ -780,13 +770,10 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
   stats_.app_read_blocks += req.nblocks;
   SimTime done = now + kRamReadCost * req.nblocks;
 
-  struct SsdRead {
-    size_t dev;
-    u64 block;
-    u32 idx;  // request block index
-    u32 sg, seg, slot;
-  };
-  std::vector<SsdRead> ssd_reads;
+  std::vector<SlotRead>& hits = reads_;
+  std::vector<SlotRead>& dead = dead_reads_;
+  hits.clear();
+  dead.clear();
   std::vector<std::pair<u64, u32>> miss_runs;  // (lba, count)
 
   for (u32 i = 0; i < req.nblocks; ++i) {
@@ -820,61 +807,21 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
         !dev_dead(a.mirror_dev, a.block)) {
       a.dev = a.mirror_dev;
     }
-    if (dev_dead(a.dev, a.block)) {
-      // Failed, or a blank replacement not yet rebuilt here — the device
-      // would serve garbage, not an error. Straight to the repair path.
-      SimTime t = now;
-      auto rec = read_slot(now, e.sg, e.seg, e.slot, &t);
-      done = std::max(done, t);
-      if (rec.is_ok() && req.tags_out != nullptr)
-        req.tags_out[i] = rec.value();
-      continue;
-    }
-    ssd_reads.push_back({a.dev, a.block, i, e.sg, e.seg, e.slot});
+    // A dead copy (failed, or a blank replacement not yet rebuilt here)
+    // would serve garbage, not an error: such hits go straight to the
+    // repair path, in request order, ahead of the batched reads.
+    (dev_dead(a.dev, a.block) ? dead : hits)
+        .push_back({a.dev, a.block, e.sg, e.seg, e.slot, i});
   }
 
+  const std::span<u64> tags(req.tags_out,
+                            req.tags_out != nullptr ? req.nblocks : 0);
+  done = std::max(done, read_slots(now, dead, tags, {}));
   // Batched cache-hit reads: contiguous per-device runs become one command.
-  std::sort(ssd_reads.begin(), ssd_reads.end(),
-            [](const SsdRead& a, const SsdRead& b) {
-              return a.dev != b.dev ? a.dev < b.dev : a.block < b.block;
-            });
-  std::vector<u64> buf;
-  const auto adjacent = [](const SsdRead& a, const SsdRead& b) {
-    return b.dev == a.dev && b.block == a.block + 1;
-  };
-  common::for_each_run(ssd_reads, adjacent, [&](size_t i, size_t cnt) {
-    buf.resize(cnt);
-    auto r = ssds_[ssd_reads[i].dev]->read(now, ssd_reads[i].block,
-                                           static_cast<u32>(cnt),
-                                           std::span<u64>(buf.data(), cnt));
-    bool need_slow_path = !r.ok();
-    if (r.ok()) {
-      done = std::max(done, r.done);
-      if (cfg_.verify_checksums) {
-        for (size_t k = 0; k < cnt && !need_slow_path; ++k) {
-          const SsdRead& sr = ssd_reads[i + k];
-          const SegmentInfo& si = sgs_[sr.sg].segs[sr.seg];
-          if (common::crc32c_of(buf[k]) != si.slot_crc[sr.slot])
-            need_slow_path = true;
-        }
-      }
-    }
-    if (!need_slow_path) {
-      if (req.tags_out != nullptr)
-        for (size_t k = 0; k < cnt; ++k)
-          req.tags_out[ssd_reads[i + k].idx] = buf[k];
-    } else {
-      // Per-block verified read with repair (§4.1 failure handling).
-      for (size_t k = 0; k < cnt; ++k) {
-        const SsdRead& sr = ssd_reads[i + k];
-        SimTime t = now;
-        auto rec = read_slot(now, sr.sg, sr.seg, sr.slot, &t);
-        done = std::max(done, t);
-        if (rec.is_ok() && req.tags_out != nullptr)
-          req.tags_out[sr.idx] = rec.value();
-      }
-    }
+  std::sort(hits.begin(), hits.end(), [](const SlotRead& a, const SlotRead& b) {
+    return a.dev != b.dev ? a.dev < b.dev : a.block < b.block;
   });
+  done = std::max(done, read_slots(now, hits, tags, {}));
 
   // Misses: fetch from primary storage into the staging/clean buffer (§4.1).
   std::vector<u64> fetched;
@@ -903,7 +850,7 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
       // remembers the lba and admits its next miss.
       for (u32 k = 0; k < cnt; ++k) {
         if (!admission_->admit(lba + k)) continue;
-        stage_clean(lba + k, fetched[k], tenant, now, WriteCause::kMissFill);
+        stage_clean(lba + k, fetched[k], tenant, WriteCause::kMissFill);
       }
     }
   }
@@ -912,121 +859,136 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
   return throttle(now, done);
 }
 
+SimTime SrcCache::read_slots(SimTime now, std::span<const SlotRead> reads,
+                             std::span<u64> tags, std::span<char> lost) {
+  SimTime done = now;
+  const auto adjacent = [](const SlotRead& a, const SlotRead& b) {
+    return b.dev == a.dev && b.block == a.block + 1;
+  };
+  common::for_each_run(reads, adjacent, [&](size_t i, size_t n) {
+    const std::span<const SlotRead> run = reads.subspan(i, n);
+    bool ok = std::none_of(run.begin(), run.end(), [&](const SlotRead& r) {
+      return dev_dead(r.dev, r.block);
+    });
+    if (ok) {
+      run_buf_.resize(n);
+      const auto r = ssds_[run[0].dev]->read(now, run[0].block,
+                                             static_cast<u32>(n), run_buf_);
+      ok = r.ok();
+      if (ok) done = std::max(done, r.done);
+      for (size_t k = 0; k < n && ok && cfg_.verify_checksums; ++k) {
+        const SegmentInfo& si = sgs_[run[k].sg].segs[run[k].seg];
+        ok = common::crc32c_of(run_buf_[k]) == si.slot_crc[run[k].slot];
+      }
+    }
+    for (size_t k = 0; k < n; ++k) {
+      const SlotRead& r = run[k];
+      if (ok) {
+        if (!tags.empty()) tags[r.idx] = run_buf_[k];
+        continue;
+      }
+      const auto rec = read_slot(now, r.sg, r.seg, r.slot, done);
+      if (rec.is_ok() && !tags.empty()) tags[r.idx] = rec.value();
+      if (!rec.is_ok() && !lost.empty()) lost[r.idx] = 1;
+    }
+  });
+  return done;
+}
+
 Result<u64> SrcCache::read_slot(SimTime now, u32 sg, u32 seg, u32 slot,
-                                SimTime* done) {
+                                SimTime& done) {
   const SegmentInfo& si = sgs_[sg].segs[seg];
   const u64 lba = si.slot_lba[slot];
   const SlotAddr a = addr_of(sg, seg, slot, si);
-  const u32 want_crc = si.slot_crc[slot];
-
+  const auto verified = [&](u64 tag) {
+    return !cfg_.verify_checksums ||
+           common::crc32c_of(tag) == si.slot_crc[slot];
+  };
+  const auto trace = [&](const char* what) {
+    if (span_ != nullptr) span_->event(what, obs::kLaneSrc, now, now, lba);
+  };
+  u64 tag = 0;
   if (!dev_dead(a.dev, a.block)) {
-    u64 tag = 0;
-    auto r = ssds_[a.dev]->read(now, a.block, 1, std::span<u64>(&tag, 1));
-    if (r.ok()) {
-      if (done != nullptr) *done = std::max(*done, r.done);
-      if (!cfg_.verify_checksums || common::crc32c_of(tag) == want_crc)
-        return tag;
-      extra_.checksum_errors++;
-      if (fault_ledger_ != nullptr)
-        fault_ledger_->record_detected(static_cast<int>(a.dev), a.block);
-      if (span_ != nullptr)
-        span_->event("src.checksum_error", obs::kLaneSrc, now, now, lba);
-    } else if (r.error == ErrorCode::kMediaError) {
-      if (done != nullptr) *done = std::max(*done, r.done);
-      extra_.media_errors++;
-      if (fault_ledger_ != nullptr)
-        fault_ledger_->record_detected(static_cast<int>(a.dev), a.block);
-      if (span_ != nullptr)
-        span_->event("src.media_error", obs::kLaneSrc, now, now, lba);
+    const auto r = ssds_[a.dev]->read(now, a.block, 1, std::span<u64>(&tag, 1));
+    if (r.ok() && verified(tag)) {
+      done = std::max(done, r.done);
+      return tag;
+    }
+    if (note_bad_read(a.dev, a.block, r.error)) {
+      done = std::max(done, r.done);
+      trace(r.ok() ? "src.checksum_error" : "src.media_error");
     }
   }
   // Mirror copy (RAID-1).
   if (a.mirror_dev != SIZE_MAX && !dev_dead(a.mirror_dev, a.block)) {
-    u64 tag = 0;
-    auto r = ssds_[a.mirror_dev]->read(now, a.block, 1, std::span<u64>(&tag, 1));
-    if (r.ok() &&
-        (!cfg_.verify_checksums || common::crc32c_of(tag) == want_crc)) {
-      if (done != nullptr) *done = std::max(*done, r.done);
+    const auto r =
+        ssds_[a.mirror_dev]->read(now, a.block, 1, std::span<u64>(&tag, 1));
+    if (r.ok() && verified(tag)) {
+      done = std::max(done, r.done);
       extra_.parity_repairs++;
-      if (!ssds_[a.dev]->failed()) {
-        // The write-back overwrites the bad copy (remap-on-write also clears
-        // a latent sector error), so the fault is genuinely gone.
-        auto wr =
-            ssds_[a.dev]->write(now, a.block, 1, std::span<const u64>(&tag, 1));
-        if (wr.ok())
-          ledger_.add(static_cast<u32>(a.dev), si.slot_tenant[slot],
-                      WriteCause::kRepairRemap, kBlockSize);
-        if (fault_ledger_ != nullptr)
-          fault_ledger_->record_repaired(static_cast<int>(a.dev), a.block);
-      }
+      rewrite_slot(now, a, si.slot_tenant[slot], tag);
       return tag;
     }
-    if (r.ok()) {
-      extra_.checksum_errors++;
-      if (fault_ledger_ != nullptr)
-        fault_ledger_->record_detected(static_cast<int>(a.mirror_dev), a.block);
-    } else if (r.error == ErrorCode::kMediaError) {
-      extra_.media_errors++;
-      if (fault_ledger_ != nullptr)
-        fault_ledger_->record_detected(static_cast<int>(a.mirror_dev), a.block);
-    }
+    note_bad_read(a.mirror_dev, a.block, r.error);
   }
   // Parity reconstruction across the stripe row.
   if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
     SimTime t = now;
-    auto rec = reconstruct_from_stripe(now, sg, seg, slot, &t);
-    if (rec.is_ok()) {
-      const u64 tag = rec.value();
-      if (!cfg_.verify_checksums || common::crc32c_of(tag) == want_crc) {
-        if (done != nullptr) *done = std::max(*done, t);
-        extra_.parity_repairs++;
-        if (span_ != nullptr)
-          span_->event("src.parity_repair", obs::kLaneSrc, now, now, lba);
-        if (!ssds_[a.dev]->failed()) {
-          auto wr = ssds_[a.dev]->write(now, a.block, 1,
-                                        std::span<const u64>(&tag, 1));
-          if (wr.ok())
-            ledger_.add(static_cast<u32>(a.dev), si.slot_tenant[slot],
-                        WriteCause::kRepairRemap, kBlockSize);
-          if (fault_ledger_ != nullptr)
-            fault_ledger_->record_repaired(static_cast<int>(a.dev), a.block);
-        }
-        return tag;
-      }
+    const auto rec = reconstruct_from_stripe(now, sg, seg, slot, t);
+    if (rec.is_ok() && verified(rec.value())) {
+      done = std::max(done, t);
+      extra_.parity_repairs++;
+      trace("src.parity_repair");
+      rewrite_slot(now, a, si.slot_tenant[slot], rec.value());
+      return rec.value();
     }
   }
   // Clean data can always be refetched from primary storage (§4.3).
   if (si.type == SegType::kClean && lba != kDeadSlot) {
-    u64 tag = 0;
-    auto r = primary_->read(now, lba, 1, std::span<u64>(&tag, 1));
+    const auto r = primary_->read(now, lba, 1, std::span<u64>(&tag, 1));
     if (r.ok()) {
-      if (done != nullptr) *done = std::max(*done, r.done);
+      done = std::max(done, r.done);
       extra_.refetch_repairs++;
-      if (!ssds_[a.dev]->failed()) {
-        // Rewrite the slot so the repair sticks: remap-on-write clears a
-        // latent sector error and the good tag replaces the corrupt one
-        // (without this every later read re-pays the refetch).
-        auto wr =
-            ssds_[a.dev]->write(now, a.block, 1, std::span<const u64>(&tag, 1));
-        if (wr.ok())
-          ledger_.add(static_cast<u32>(a.dev), si.slot_tenant[slot],
-                      WriteCause::kRepairRemap, kBlockSize);
-        if (fault_ledger_ != nullptr)
-          fault_ledger_->record_repaired(static_cast<int>(a.dev), a.block);
-      }
-      if (span_ != nullptr)
-        span_->event("src.refetch_repair", obs::kLaneSrc, now, now, lba);
+      rewrite_slot(now, a, si.slot_tenant[slot], tag);
+      trace("src.refetch_repair");
       return tag;
     }
   }
   extra_.unrecoverable_blocks++;
-  if (span_ != nullptr)
-    span_->event("src.unrecoverable", obs::kLaneSrc, now, now, lba);
+  trace("src.unrecoverable");
   return Status(ErrorCode::kUnrecoverable, "cached block lost");
 }
 
+void SrcCache::rewrite_slot(SimTime now, const SlotAddr& a, u16 tenant,
+                            u64 tag) {
+  // Overwriting the bad copy makes the repair stick: remap-on-write clears
+  // a latent sector error and the good tag replaces a corrupt one (without
+  // it every later read re-pays the repair).
+  if (ssds_[a.dev]->failed()) return;
+  const auto r =
+      ssds_[a.dev]->write(now, a.block, 1, std::span<const u64>(&tag, 1));
+  if (r.ok())
+    ledger_.add(static_cast<u32>(a.dev), tenant, WriteCause::kRepairRemap,
+                kBlockSize);
+  if (fault_ledger_ != nullptr)
+    fault_ledger_->record_repaired(static_cast<int>(a.dev), a.block);
+}
+
+bool SrcCache::note_bad_read(size_t dev, u64 block, ErrorCode error) {
+  if (error == ErrorCode::kOk) {
+    extra_.checksum_errors++;
+  } else if (error == ErrorCode::kMediaError) {
+    extra_.media_errors++;
+  } else {
+    return false;
+  }
+  if (fault_ledger_ != nullptr)
+    fault_ledger_->record_detected(static_cast<int>(dev), block);
+  return true;
+}
+
 Result<u64> SrcCache::reconstruct_from_stripe(SimTime now, u32 sg, u32 seg,
-                                              u32 slot, SimTime* done) {
+                                              u32 slot, SimTime& done) {
   const SegmentInfo& si = sgs_[sg].segs[seg];
   const SlotAddr target = addr_of(sg, seg, slot, si);
   const u64 block = target.block;  // every device holds the row here
@@ -1037,19 +999,15 @@ Result<u64> SrcCache::reconstruct_from_stripe(SimTime now, u32 sg, u32 seg,
     if (dev_dead(d, block))
       return Status(ErrorCode::kDeviceFailed, "double failure in stripe");
     u64 tag = 0;
-    auto r = ssds_[d]->read(now, block, 1, std::span<u64>(&tag, 1));
+    const auto r = ssds_[d]->read(now, block, 1, std::span<u64>(&tag, 1));
     if (!r.ok()) {
-      if (r.error == ErrorCode::kMediaError) {
-        extra_.media_errors++;
-        if (fault_ledger_ != nullptr)
-          fault_ledger_->record_detected(static_cast<int>(d), block);
-      }
+      note_bad_read(d, block, r.error);
       return Status(r.error);
     }
     acc ^= tag;
     t = std::max(t, r.done);
   }
-  if (done != nullptr) *done = std::max(*done, t);
+  done = std::max(done, t);
   return acc;
 }
 

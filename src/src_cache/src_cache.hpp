@@ -302,6 +302,15 @@ class SrcCache final : public cache::CacheDevice {
     size_t mirror_dev = SIZE_MAX;  // RAID-1 replica
   };
 
+  // One cached slot to read: the device block to read it from (a hit on a
+  // failed RAID-1 primary reads the mirror) and the caller's output index.
+  struct SlotRead {
+    size_t dev;
+    u64 block;
+    u32 sg, seg, slot;
+    u32 idx;
+  };
+
   // --- geometry ---
   [[nodiscard]] u64 sg_base_block(u32 sg) const;
   [[nodiscard]] u64 chunk_base_block(u32 sg, u32 seg) const;
@@ -320,6 +329,10 @@ class SrcCache final : public cache::CacheDevice {
   [[nodiscard]] blockdev::Payload superblock_payload() const;
   [[nodiscard]] SegmentMeta segment_meta(u32 sg, u32 seg,
                                          const SegmentInfo& si) const;
+  // Writes one metadata payload (superblock, MS or ME) to SSD `d`; a write
+  // that lands is ledgered as shared redundancy overhead and raises `done`.
+  void write_meta(SimTime now, size_t d, u64 block,
+                  const blockdev::Payload& payload, SimTime& done);
 
   // --- tenants ---
   // Clamps an application tenant id into the stats vector, growing it when
@@ -338,8 +351,7 @@ class SrcCache final : public cache::CacheDevice {
   // seal_buffer so that GC-induced appends can never re-enter a seal.
   void stage_dirty(u64 lba, u64 tag, u16 tenant, SimTime now,
                    obs::WriteCause cause);
-  void stage_clean(u64 lba, u64 tag, u16 tenant, SimTime now,
-                   obs::WriteCause cause);
+  void stage_clean(u64 lba, u64 tag, u16 tenant, obs::WriteCause cause);
   // Drains every full segment from the buffer (and, when force_partial, a
   // trailing partial one). GC triggered by SG allocation may append more
   // entries; the drain loop absorbs them.
@@ -351,13 +363,30 @@ class SrcCache final : public cache::CacheDevice {
   SimTime throttle(SimTime now, SimTime ack);
   void maybe_timeout_partial(SimTime now);
 
-  // --- read path ---
+  // --- read path (§4.1 failure handling) ---
   SimTime do_read(const cache::AppRequest& req);
-  // Reads one cached slot with checksum verification and repair; used by
-  // both the degraded/corrupt read path and GC.
-  Result<u64> read_slot(SimTime now, u32 sg, u32 seg, u32 slot, SimTime* done);
+  // The one verified reader of cached slots for hits and GC: each run of
+  // entries adjacent on one device is one read command, checked against
+  // the slot CRCs. A run that touches a dead block, fails or mismatches is
+  // re-read slot by slot through read_slot. Writes tags[r.idx] for every
+  // slot recovered and sets lost[r.idx] for every unrecoverable one (an
+  // empty span: not wanted). Returns the latest completion, at least now.
+  SimTime read_slots(SimTime now, std::span<const SlotRead> reads,
+                     std::span<u64> tags, std::span<char> lost);
+  // Reads one cached slot with checksum verification and repair: its own
+  // copy, then the RAID-1 mirror, the stripe's parity, and (clean data
+  // only) primary storage. A repaired copy is written back (rewrite_slot).
+  // Raises `done` to the completion of the reads that served it.
+  Result<u64> read_slot(SimTime now, u32 sg, u32 seg, u32 slot, SimTime& done);
   Result<u64> reconstruct_from_stripe(SimTime now, u32 sg, u32 seg, u32 slot,
-                                      SimTime* done);
+                                      SimTime& done);
+  // Writes a repaired tag over the slot's own copy unless its device is
+  // failed, ledgered as repair_remap, and reports the repair.
+  void rewrite_slot(SimTime now, const SlotAddr& a, u16 tenant, u64 tag);
+  // Accounts a bad read of (dev, block): kOk means a checksum mismatch,
+  // kMediaError a latent sector error; both are counted and reported to
+  // the fault ledger. Returns false (nothing counted) for other errors.
+  bool note_bad_read(size_t dev, u64 block, ErrorCode error);
 
   // --- reclamation ---
   SimTime ensure_free_sg(SimTime now);
@@ -372,10 +401,9 @@ class SrcCache final : public cache::CacheDevice {
     if (ssds_[dev]->failed()) return true;
     return rebuild_ != nullptr && rebuild_->covers(dev, block);
   }
-  void invalidate_slot(u64 lba, const MapEntry& e);
+  void invalidate_slot(const MapEntry& e);
   // Drops cached blocks whose every copy is gone, counted lost.
   void drop_lost(const std::vector<u64>& lbas);
-  void detach(u64 lba, const MapEntry& e);  // invalidate without erasing map
   SimTime flush_all_ssds(SimTime now);
   [[nodiscard]] u64 buffer_capacity(bool dirty_type) const;
 
@@ -397,13 +425,16 @@ class SrcCache final : public cache::CacheDevice {
   SegBuffer dirty_buf_;
   SegBuffer clean_buf_;
 
-  // Per-call scratch, refilled on every use so the seal, reclaim and write
-  // paths do not allocate. Neither write_one_segment nor reclaim_one
-  // re-enters itself: GC only stages blocks, it never seals.
+  // Per-call scratch, refilled on every use so the seal, reclaim, read and
+  // write paths do not allocate. Neither write_one_segment nor reclaim_one
+  // re-enters itself: GC only stages blocks, it never seals; and a read
+  // finishes with its slots before draining the buffers into GC.
   SegBuffer taken_;          // write_one_segment: the entries being sealed
   std::vector<u64> images_;  // write_one_segment: num_ssds x rows tag images
-  std::vector<char> gc_need_, gc_keep_;  // reclaim_one: per-slot verdicts
-  std::vector<u64> gc_tag_, gc_buf_;     // reclaim_one: slot tags, read run
+  std::vector<char> gc_keep_, gc_lost_;  // reclaim_one: per-slot verdicts
+  std::vector<u64> gc_tag_;              // reclaim_one: slot tags
+  std::vector<SlotRead> reads_, dead_reads_;  // do_read / reclaim_one
+  std::vector<u64> run_buf_;                  // read_slots: one run's tags
   std::vector<u64> bypass_lbas_, bypass_tags_;  // do_write: quota bypass
 
   std::deque<SimTime> inflight_;  // outstanding segment-write completions

@@ -1,7 +1,6 @@
 // Free-space reclamation (§4.2): S2D destaging vs Sel-GC selective copying.
 #include <algorithm>
 
-#include "common/crc32c.hpp"
 #include "common/runs.hpp"
 #include "src_cache/src_cache.hpp"
 
@@ -98,7 +97,6 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
   std::vector<Move> destages;
   std::vector<Move> copies;
 
-  const u64 rows = cfg_.slots_per_chunk();
   for (u32 g = 0; g < sg.next_seg; ++g) {
     SegmentInfo& si = sg.segs[g];
     if (si.type == SegType::kNone) continue;
@@ -113,12 +111,14 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
     // flip while loop 2 drains live_blocks, so re-deriving the decision
     // later is not allowed. S2D mode and quota sheds bypass the policy:
     // those are whole-victim decisions, not per-block ones.
-    std::vector<char>& need = gc_need_;
     std::vector<char>& keepv = gc_keep_;
+    std::vector<char>& lost = gc_lost_;
     std::vector<u64>& tag = gc_tag_;
-    need.assign(nslots, 0);
+    std::vector<SlotRead>& reads = reads_;
     keepv.assign(nslots, 0);
+    lost.assign(nslots, 0);
     tag.assign(nslots, 0);
+    reads.clear();
     for (u32 s = 0; s < nslots; ++s) {
       const u64 lba = si.slot_lba[s];
       if (lba == kDeadSlot) continue;
@@ -129,65 +129,22 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
       if (!use_s2d && !over_quota(e.tenant))
         keep = eviction_->keep_on_gc(lba, e.hot(), e.dirty());
       keepv[s] = keep ? 1 : 0;
-      need[s] = (e.dirty() || keep) ? 1 : 0;
-    }
-
-    // Batched reads: column-major slots are contiguous on one device.
-    u32 s = 0;
-    while (s < nslots) {
-      if (!need[s]) {
-        ++s;
-        continue;
-      }
-      u32 e = s + 1;
-      while (e < nslots && need[e] && e / rows == s / rows) ++e;
+      if (!e.dirty() && !keep) continue;
       const SlotAddr a = addr_of(v, g, s, si);
-      std::vector<u64>& buf = gc_buf_;
-      buf.assign(e - s, 0);
-      bool slow = false;
-      for (u32 k = s; k < e && !slow; ++k)
-        slow = dev_dead(a.dev, a.block + (k - s));
-      if (!slow) {
-        auto r = ssds_[a.dev]->read(now, a.block, e - s,
-                                    std::span<u64>(buf.data(), buf.size()));
-        if (!r.ok()) {
-          slow = true;
-        } else {
-          t = std::max(t, r.done);
-          if (cfg_.verify_checksums) {
-            for (u32 k = s; k < e && !slow; ++k) {
-              if (si.slot_lba[k] != kDeadSlot &&
-                  common::crc32c_of(buf[k - s]) != si.slot_crc[k])
-                slow = true;
-            }
-          }
-        }
-      }
-      if (!slow) {
-        for (u32 k = s; k < e; ++k) tag[k] = buf[k - s];
-      } else {
-        for (u32 k = s; k < e; ++k) {
-          SimTime rt = now;
-          auto rec = read_slot(now, v, g, k, &rt);
-          t = std::max(t, rt);
-          if (rec.is_ok()) {
-            tag[k] = rec.value();
-          } else {
-            need[k] = 2;  // unrecoverable: drop below
-          }
-        }
-      }
-      s = e;
+      reads.push_back({a.dev, a.block, v, g, s, s});
     }
+    // Slot order is column-major, so each run of needed slots in a column
+    // is one read command.
+    t = std::max(t, read_slots(now, reads, tag, lost));
 
     for (u32 k = 0; k < nslots; ++k) {
       const u64 lba = si.slot_lba[k];
       if (lba == kDeadSlot) continue;
       const MapEntry e = map_.at(lba);
-      invalidate_slot(lba, e);
+      invalidate_slot(e);
       map_.erase(lba);
       tenants_[e.tenant].live_blocks--;
-      if (need[k] == 2) {
+      if (lost[k]) {
         if (e.dirty()) extra_.lost_dirty_blocks++;
         eviction_->on_evict(lba);
         continue;
@@ -261,7 +218,7 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
       stage_dirty(m.lba, m.tag, m.tenant, now, WriteCause::kGcRewrite);
       map_.at(m.lba).flags &= static_cast<u8>(~kFlagHot);
     } else {
-      stage_clean(m.lba, m.tag, m.tenant, now, WriteCause::kGcRewrite);
+      stage_clean(m.lba, m.tag, m.tenant, WriteCause::kGcRewrite);
     }
   }
 

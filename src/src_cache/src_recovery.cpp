@@ -227,7 +227,7 @@ void SrcCache::drop_lost(const std::vector<u64>& lbas) {
     } else {
       extra_.lost_clean_blocks++;
     }
-    invalidate_slot(lba, e);
+    invalidate_slot(e);
     map_.erase(lba);
     tenants_[e.tenant].live_blocks--;
     eviction_->on_evict(lba);
@@ -318,9 +318,8 @@ SrcCache::ScrubReport SrcCache::scrub(SimTime now, SimTime* done) {
       for (u32 slot = 0; slot < si.slot_lba.size(); ++slot) {
         if (si.slot_lba[slot] == kDeadSlot) continue;
         ++rep.scanned;
-        SimTime rt = t;
-        (void)read_slot(t, s, g, slot, &rt);
-        t = std::max(t, rt);
+        const SimTime issue = t;  // each read waits for the previous one
+        (void)read_slot(issue, s, g, slot, t);
       }
     }
   }

@@ -109,8 +109,9 @@ TEST(FaultInjection, DegradedCleanReadsRepairByRefetch) {
     u64 out = 0;
     rig.read(3 * sim::kSec + sim::kMs * static_cast<sim::SimTime>(i), i, 1,
              &out);
-    if (rig.cache->residence(i) != SrcCache::Residence::kAbsent)
+    if (rig.cache->residence(i) != SrcCache::Residence::kAbsent) {
       EXPECT_EQ(out, tags[i]) << "lba " << i;
+    }
   }
   EXPECT_EQ(rig.cache->extra().unrecoverable_blocks,
             before.unrecoverable_blocks);

@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
+#include "fault/fault_injector.hpp"
+#include "raid/rebuild.hpp"
+#include "recording_disk.hpp"
 #include "src_test_util.hpp"
 
 namespace srcache::src {
@@ -252,6 +259,196 @@ TEST(SrcScrub, RefetchesCorruptNpcClean) {
   const auto rep = rig.cache->scrub(t);
   EXPECT_GE(rep.refetched, 1u);
   EXPECT_EQ(rep.unrecoverable, 0u);
+}
+
+// --- golden device I/O ------------------------------------------------------
+
+enum class GoldenCase { kHealthy, kFaulty, kFailed, kRebuilt };
+
+struct GoldenSrc {
+  u32 device_crc = 0;  // every SSD and primary call, in arrival order
+  u32 state_crc = 0;   // returned tags, stats, ledgers, timeline events
+  SrcCache::ExtraStats extra;
+};
+
+// A seeded script of reads, writes and flushes over 3x the cache on the
+// small rig's geometry, with every SSD and the primary recorded, then a
+// full scrub. The fault cases go through a FaultInjector wired as in a
+// run: latent errors on ssd2 plus silent corruption on ssd2 and ssd0;
+// ssd1 fail-stopped; or ssd1 fail-stopped, then replaced and rebuilt by a
+// RebuildManager pumped once per op while GC keeps running. A timeline-only
+// span tracer records the cache's flat events; the devices fold how many
+// had been recorded at each call.
+GoldenSrc run_device_io_script(raid::RaidLevel level, GoldenCase c) {
+  GoldenSrc g;
+  const SrcConfig cfg = small_config(level);
+  blockdev::MemDiskConfig fast;
+  fast.capacity_blocks =
+      cfg.region_start_block + cfg.region_bytes_per_ssd / kBlockSize + 64;
+  fast.op_latency = 20 * sim::kUs;
+  fast.bandwidth_mbps = 500.0;
+  fast.flush_latency = 4 * sim::kMs;
+  blockdev::MemDiskConfig slow;
+  slow.capacity_blocks = 1 * GiB / kBlockSize;
+  slow.op_latency = 5 * sim::kMs;
+  slow.bandwidth_mbps = 110.0;
+  std::vector<std::unique_ptr<blockdev::RecordingDisk>> ssds;
+  std::vector<blockdev::BlockDevice*> devs;
+  for (u64 i = 0; i < cfg.num_ssds; ++i) {
+    ssds.push_back(
+        std::make_unique<blockdev::RecordingDisk>(i, fast, &g.device_crc));
+    devs.push_back(ssds.back().get());
+  }
+  blockdev::RecordingDisk primary(cfg.num_ssds, slow, &g.device_crc);
+  obs::SpanTracer tracer(/*seed=*/1, /*rate=*/0.0, /*cap=*/0,
+                         /*timeline_cap=*/1 << 20);
+  for (auto& d : ssds) d->watch(&tracer);
+  primary.watch(&tracer);
+  SrcCache cache(cfg, devs, &primary);
+  cache.set_span(&tracer);
+  cache.format(0);
+
+  const u64 sg = cfg.eg_blocks();
+  const auto range = [](u64 a, u64 b) {
+    return std::to_string(a) + ".." + std::to_string(b);
+  };
+  std::string plan;
+  switch (c) {
+    case GoldenCase::kHealthy: break;
+    case GoldenCase::kFaulty:
+      plan = "at=ops:300 latent dev=ssd2 lba=" + range(3 * sg, 6 * sg) +
+             "; at=ops:700 corrupt dev=ssd2 lba=" + range(sg, 16 * sg) +
+             " count=48; at=ops:1500 corrupt dev=ssd0 lba=" +
+             range(sg, 16 * sg) + " count=48";
+      break;
+    case GoldenCase::kFailed: plan = "at=ops:600 fail dev=ssd1"; break;
+    case GoldenCase::kRebuilt:
+      plan = "at=ops:600 fail dev=ssd1; at=ops:1200 replace dev=ssd1";
+      break;
+  }
+  fault::FaultInjector inj(fault::FaultPlan::parse_or_die(plan, 7));
+  inj.attach_ssds(devs);
+  inj.attach_primary(&primary);
+  std::unique_ptr<raid::RebuildManager> mgr;
+  if (c == GoldenCase::kRebuilt) {
+    raid::RebuildConfig rc;
+    rc.mbps = 2.0;  // slow enough that the rebuild spans many reclaims
+    mgr = std::make_unique<raid::RebuildManager>(rc, devs);
+  }
+  wire_faults(cache, inj, mgr.get());
+
+  auto fold = [&g](u64 v) { g.state_crc = common::crc32c_of(v, g.state_crc); };
+  const u64 span = 3 * cfg.capacity_blocks();
+  common::Xoshiro256 rng(17 * static_cast<u64>(level) + static_cast<u64>(c));
+  sim::SimTime now = 0;
+  for (u64 op = 0; op < 3000; ++op) {
+    now += static_cast<sim::SimTime>(rng.below(400)) * sim::kUs;
+    inj.advance(now, op);
+    if (mgr) mgr->pump(now);
+    const u64 dice = rng.below(100);
+    if (dice < 2) {
+      fold(static_cast<u64>(cache.flush(now)));
+      continue;
+    }
+    cache::AppRequest r;
+    r.now = now;
+    r.nblocks = 1 + static_cast<u32>(rng.below(8));
+    r.lba = rng.below(span - r.nblocks + 1);
+    std::vector<u64> tags(r.nblocks, 0);
+    if (dice < 50) {
+      for (u64& t : tags) t = rng.next();
+      r.is_write = true;
+      r.tags = tags.data();
+      fold(static_cast<u64>(cache.submit(r)));
+    } else {
+      r.tags_out = tags.data();
+      fold(static_cast<u64>(cache.submit(r)));
+      for (u64 t : tags) fold(t);
+    }
+  }
+  sim::SimTime t = now;
+  const SrcCache::ScrubReport rep = cache.scrub(now, &t);
+  for (u64 v : {static_cast<u64>(t), rep.scanned, rep.repaired, rep.refetched,
+                rep.unrecoverable})
+    fold(v);
+
+  for (const auto& f : cache::kCacheStatsFields) {
+    if (f.counter != nullptr) fold(cache.stats().*f.counter);
+  }
+  g.extra = cache.extra();
+  std::array<u64, sizeof(SrcCache::ExtraStats) / sizeof(u64)> extra{};
+  static_assert(sizeof(extra) == sizeof(SrcCache::ExtraStats));
+  std::memcpy(extra.data(), &g.extra, sizeof(extra));
+  for (u64 v : extra) fold(v);
+  for (const auto& [key, cell] : cache.provenance().cells()) {
+    fold(key.first);
+    fold(key.second);
+    for (u64 bytes : cell) fold(bytes);
+  }
+  for (u64 v : {inj.ledger().injected(), inj.ledger().detected(),
+                inj.ledger().repaired(), inj.ledger().repaired_by_rebuild()})
+    fold(v);
+  if (mgr) {
+    const raid::RebuildOutcome o = mgr->outcome();
+    for (u64 v : {o.rebuilds_completed, o.blocks_copied, o.write_bytes})
+      fold(v);
+  }
+  for (const obs::TimelineEvent& ev : tracer.timeline()) {
+    g.state_crc = common::crc32c(
+        {reinterpret_cast<const u8*>(ev.name), std::strlen(ev.name)},
+        g.state_crc);
+    for (u64 v : {static_cast<u64>(ev.lane), static_cast<u64>(ev.start),
+                  static_cast<u64>(ev.end), ev.arg})
+      fold(v);
+  }
+  for (const auto& d : ssds) g.state_crc = fold_stats(d->stats(), g.state_crc);
+  g.state_crc = fold_stats(primary.stats(), g.state_crc);
+  return g;
+}
+
+// Pins which commands SrcCache sends its SSDs and primary storage — hit
+// reads, GC reads, repairs, write-backs, refetches, seals, destages, trims,
+// flushes and scrub — in what order and when, and what it reports, for
+// every RAID level healthy, under latent errors and silent corruption,
+// degraded, and across an online rebuild. Any drift in the read, repair or
+// reclaim paths moves a CRC.
+TEST(Src, GoldenDeviceIo) {
+  struct Pin {
+    raid::RaidLevel level;
+    GoldenCase c;
+    u32 device_crc;
+    u32 state_crc;
+  };
+  const Pin pins[] = {
+      {raid::RaidLevel::kRaid0, GoldenCase::kHealthy, 0x9ec5d765, 0xff0b1706},
+      {raid::RaidLevel::kRaid0, GoldenCase::kFaulty, 0x69062e1e, 0x874de801},
+      {raid::RaidLevel::kRaid0, GoldenCase::kFailed, 0x65e18a17, 0x61870fd5},
+      {raid::RaidLevel::kRaid0, GoldenCase::kRebuilt, 0x0cf4335c, 0x80680c42},
+      {raid::RaidLevel::kRaid1, GoldenCase::kHealthy, 0xf487d9f3, 0x9bd15e4d},
+      {raid::RaidLevel::kRaid1, GoldenCase::kFaulty, 0x71690acf, 0xec2a0a17},
+      {raid::RaidLevel::kRaid1, GoldenCase::kFailed, 0x7dbf45bb, 0x40921870},
+      {raid::RaidLevel::kRaid1, GoldenCase::kRebuilt, 0x763eb821, 0x83e9240c},
+      {raid::RaidLevel::kRaid4, GoldenCase::kHealthy, 0xd7c4462f, 0xbd5f13d6},
+      {raid::RaidLevel::kRaid4, GoldenCase::kFaulty, 0xddaf6f36, 0xcd6cc742},
+      {raid::RaidLevel::kRaid4, GoldenCase::kFailed, 0x5d0059a0, 0xbf55ef81},
+      {raid::RaidLevel::kRaid4, GoldenCase::kRebuilt, 0xbeec7e09, 0xa3a75fe3},
+      {raid::RaidLevel::kRaid5, GoldenCase::kHealthy, 0xf1ca1cdc, 0x13497dcd},
+      {raid::RaidLevel::kRaid5, GoldenCase::kFaulty, 0xdaaa4695, 0x20683339},
+      {raid::RaidLevel::kRaid5, GoldenCase::kFailed, 0x26644043, 0x2f560239},
+      {raid::RaidLevel::kRaid5, GoldenCase::kRebuilt, 0xde91df8b, 0xa880c9e5},
+  };
+  const char* names[] = {"healthy", "faulty", "failed", "rebuilt"};
+  for (const Pin& p : pins) {
+    const GoldenSrc g = run_device_io_script(p.level, p.c);
+    std::string ctx = raid::to_string(p.level);
+    ctx += " ";
+    ctx += names[static_cast<int>(p.c)];
+    EXPECT_EQ(g.device_crc, p.device_crc) << ctx;
+    EXPECT_EQ(g.state_crc, p.state_crc) << ctx;
+    // The script reaches both reclaim modes.
+    EXPECT_GT(g.extra.s2s_reclaims, 0u) << ctx;
+    EXPECT_GT(g.extra.s2d_reclaims, 0u) << ctx;
+  }
 }
 
 }  // namespace
