@@ -52,6 +52,16 @@ void sub_counters(T& into, const T& before, const Rows& rows) {
     if (f.counter != nullptr) into.*f.counter -= before.*f.counter;
 }
 
+// Registers each json counter row as a pull counter reading `s` through
+// `scope.counter_fn(name, fn)` (an obs::Scope); `s` must outlive the
+// registry's snapshots.
+template <class Scope, class T, class Rows>
+void register_counters(const Scope& scope, const T& s, const Rows& rows) {
+  for (const auto& f : rows)
+    if (f.json && f.counter != nullptr)
+      scope.counter_fn(f.name, [&s, c = f.counter] { return s.*c; });
+}
+
 // Writes the json rows in order through `w.kv(name, value)`.
 template <class W, class T, class Rows>
 void emit_counters(W& w, const T& s, const Rows& rows) {

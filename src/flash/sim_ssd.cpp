@@ -4,6 +4,8 @@
 
 namespace srcache::flash {
 
+using blockdev::DeviceOp;
+
 namespace {
 FtlConfig make_ftl_config(const SsdSpec& spec) {
   FtlConfig cfg;
@@ -16,19 +18,13 @@ FtlConfig make_ftl_config(const SsdSpec& spec) {
 }  // namespace
 
 SimSsd::SimSsd(const SsdSpec& spec, bool track_content)
-    : spec_(spec),
-      exported_blocks_(spec.capacity_bytes / kBlockSize),
+    : SimDevice(spec.capacity_bytes / kBlockSize, track_content),
+      spec_(spec),
       ftl_(make_ftl_config(spec)),
-      content_(track_content),
       controller_(spec.controller_lanes),
       interface_(spec.interface_mbps),
-      nand_(spec.units) {}
-
-IoResult SimSsd::check(SimTime now, u64 lba, u64 n) const {
-  if (failed_) return {now, ErrorCode::kDeviceFailed};
-  if (lba + n > exported_blocks_) return {now, ErrorCode::kInvalidArgument};
-  return {now, ErrorCode::kOk};
-}
+      nand_(spec.units),
+      buffer_(spec.write_buffer_bytes) {}
 
 SimTime SimSsd::charge_nand(SimTime start, const NandOps& ops) {
   SimTime done = start;
@@ -41,36 +37,32 @@ SimTime SimSsd::charge_nand(SimTime start, const NandOps& ops) {
   return done;
 }
 
-SimTime SimSsd::admit_to_buffer(SimTime ready, u64 bytes, SimTime nand_done) {
-  // Reclaim space for writes whose NAND programs already finished.
-  while (!pending_.empty() && pending_.front().first <= ready) {
-    pending_bytes_ -= pending_.front().second;
-    pending_.pop_front();
+SimTime SimSsd::service(DeviceOp op, SimTime now, u64 lba, u64 n) {
+  switch (op) {
+    case DeviceOp::kRead:
+      return read_time(now, lba, n);
+    case DeviceOp::kWrite:
+    case DeviceOp::kWritePayload:
+      return write_time(op, now, lba, n);
+    case DeviceOp::kFlush:
+      return flush_time(now);
+    case DeviceOp::kTrim:
+      break;
   }
-  // If the buffer cannot hold this write, stall until enough drains.
-  while (pending_bytes_ + bytes > spec_.write_buffer_bytes && !pending_.empty()) {
-    ready = std::max(ready, pending_.front().first);
-    pending_bytes_ -= pending_.front().second;
-    pending_.pop_front();
-  }
-  pending_.emplace_back(nand_done, bytes);
-  pending_bytes_ += bytes;
-  return ready;
+  const SimTime done = controller_.submit(now, spec_.command_overhead);
+  ftl_.trim(lba, n);
+  return done;
 }
 
-IoResult SimSsd::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) {
-  IoResult c = check(now, lba, n);
-  if (!c.ok()) return c;
+SimTime SimSsd::read_time(SimTime now, u64 lba, u64 n) {
   const SimTime t_ctrl = controller_.submit(now, spec_.command_overhead);
   // Count mapped pages; unmapped reads return zeroes without NAND work.
   u64 mapped = 0;
-  for (u32 i = 0; i < n; ++i)
+  for (u64 i = 0; i < n; ++i)
     if (ftl_.is_mapped(lba + i)) ++mapped;
   const SimTime t_nand = nand_.submit_batch(t_ctrl, mapped, spec_.read_latency);
   const SimTime done = interface_.transfer(std::max(t_ctrl, t_nand),
                                            blocks_to_bytes(n));
-  stats_.read_ops++;
-  stats_.read_blocks += n;
   if (span_ != nullptr && span_->sampling()) {
     const u32 s = span_->begin_span("ssd.read", now, span_dev_);
     if (s != obs::kNoSpan) {
@@ -81,28 +73,22 @@ IoResult SimSsd::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) {
       span_->end_span(s, done, n);
     }
   }
-  // A latent sector error is reported only after the device has attempted
-  // the read (ECC retries), so timing is charged before failing.
-  if (media_.affects(lba, n)) return {done, ErrorCode::kMediaError};
-  content_.read(lba, n, tags_out);
-  return {done, ErrorCode::kOk};
+  return done;
 }
 
-IoResult SimSsd::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
-  IoResult c = check(now, lba, n);
-  if (!c.ok()) return c;
+SimTime SimSsd::write_time(DeviceOp op, SimTime now, u64 lba, u64 n) {
   const SimTime t_ctrl = controller_.submit(now, spec_.command_overhead);
   const SimTime t_iface = interface_.transfer(t_ctrl, blocks_to_bytes(n));
-
   NandOps ops;
-  for (u32 i = 0; i < n; ++i) ops += ftl_.write(lba + i);
+  for (u64 i = 0; i < n; ++i) ops += ftl_.write(lba + i);
   const SimTime nand_done = charge_nand(t_iface, ops);
-  const SimTime done = admit_to_buffer(t_iface, blocks_to_bytes(n), nand_done);
-
-  if (span_ != nullptr && (ops.gc_reads > 0 || ops.erases > 0))
+  const SimTime done = buffer_.admit(t_iface, blocks_to_bytes(n), nand_done);
+  // Payload writes are traced by neither the GC event nor a span.
+  if (op == DeviceOp::kWritePayload || span_ == nullptr) return done;
+  if (ops.gc_reads > 0 || ops.erases > 0)
     span_->event("ssd.gc", obs::kLaneSsdBase + span_dev_, t_iface, nand_done,
                  ops.erases);
-  if (span_ != nullptr && span_->sampling()) {
+  if (span_->sampling()) {
     const u32 s = span_->begin_span("ssd.write", now, span_dev_);
     if (s != obs::kNoSpan) {
       if (ops.programs > 0) {
@@ -112,78 +98,24 @@ IoResult SimSsd::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
       span_->end_span(s, done, n);
     }
   }
-  media_.on_write(lba, n);
-  content_.write(lba, n, tags);
-  stats_.write_ops++;
-  stats_.write_blocks += n;
-  return {done, ErrorCode::kOk};
+  return done;
 }
 
-IoResult SimSsd::write_payload(SimTime now, u64 lba, Payload payload) {
-  const auto n = static_cast<u32>(blockdev::payload_blocks(payload));
-  IoResult c = check(now, lba, n);
-  if (!c.ok()) return c;
-  const SimTime t_ctrl = controller_.submit(now, spec_.command_overhead);
-  const SimTime t_iface = interface_.transfer(t_ctrl, blocks_to_bytes(n));
-  NandOps ops;
-  for (u32 i = 0; i < n; ++i) ops += ftl_.write(lba + i);
-  const SimTime nand_done = charge_nand(t_iface, ops);
-  const SimTime done = admit_to_buffer(t_iface, blocks_to_bytes(n), nand_done);
-  media_.on_write(lba, n);
-  content_.write_payload(lba, n, std::move(payload));
-  stats_.write_ops++;
-  stats_.write_blocks += n;
-  return {done, ErrorCode::kOk};
-}
-
-Result<Payload> SimSsd::read_payload(SimTime now, u64 lba, SimTime* done) {
-  if (failed_) return Status(ErrorCode::kDeviceFailed);
-  if (lba >= exported_blocks_) return Status(ErrorCode::kInvalidArgument);
-  u64 tag;
-  IoResult r = read(now, lba, 1, std::span<u64>(&tag, 1));
-  if (done != nullptr) *done = r.done;
-  if (!r.ok()) return Status(r.error);
-  return content_.read_payload(lba);
-}
-
-IoResult SimSsd::flush(SimTime now) {
-  if (failed_) return {now, ErrorCode::kDeviceFailed};
+SimTime SimSsd::flush_time(SimTime now) {
   // Drain: every buffered write must reach NAND; then a fixed barrier while
   // the controller persists its mapping state. The controller is occupied
   // for the whole period, so queued reads/writes stall behind the flush.
-  SimTime drain = now;
-  if (!pending_.empty()) drain = std::max(drain, pending_.back().first);
-  pending_.clear();
-  pending_bytes_ = 0;
-  const SimTime service = (drain - now) + spec_.flush_barrier;
+  const SimTime service = (buffer_.drain(now) - now) + spec_.flush_barrier;
   SimTime done = now;
   for (int lane = 0; lane < controller_.units(); ++lane)
     done = std::max(done, controller_.submit(now, service));
-  stats_.flushes++;
   if (span_ != nullptr)
     span_->event("ssd.flush", obs::kLaneSsdBase + span_dev_, now, done);
-  return {done, ErrorCode::kOk};
-}
-
-IoResult SimSsd::trim(SimTime now, u64 lba, u64 n) {
-  IoResult c = check(now, lba, n);
-  if (!c.ok()) return c;
-  const SimTime done = controller_.submit(now, spec_.command_overhead);
-  ftl_.trim(lba, n);
-  media_.on_write(lba, n);
-  content_.discard(lba, n);
-  stats_.trim_ops++;
-  stats_.trim_blocks += n;
-  return {done, ErrorCode::kOk};
+  return done;
 }
 
 void SimSsd::register_metrics(const obs::Scope& scope) {
-  scope.counter_fn("read_ops", [this] { return stats_.read_ops; });
-  scope.counter_fn("read_blocks", [this] { return stats_.read_blocks; });
-  scope.counter_fn("write_ops", [this] { return stats_.write_ops; });
-  scope.counter_fn("write_blocks", [this] { return stats_.write_blocks; });
-  scope.counter_fn("flushes", [this] { return stats_.flushes; });
-  scope.counter_fn("trim_blocks", [this] { return stats_.trim_blocks; });
+  register_counters(scope, stats(), blockdev::kDeviceStatsFields);
   scope.counter_fn("gc.pages_copied",
                    [this] { return ftl_.stats().gc_pages_copied; });
   scope.counter_fn("gc.erases", [this] { return ftl_.stats().blocks_erased; });
@@ -216,36 +148,30 @@ void SimSsd::register_metrics(const obs::Scope& scope) {
   scope.gauge_fn("write_amplification",
                  [this] { return ftl_.stats().write_amplification(); });
   scope.gauge_fn("write_buffer_bytes",
-                 [this] { return static_cast<double>(pending_bytes_); });
+                 [this] { return static_cast<double>(buffer_.bytes()); });
   scope.gauge_fn("media_error_blocks",
-                 [this] { return static_cast<double>(media_.size()); });
+                 [this] { return static_cast<double>(media_error_blocks()); });
 }
 
 void SimSsd::precondition() {
-  for (u64 lba = 0; lba < exported_blocks_; ++lba) ftl_.write(lba);
+  for (u64 lba = 0; lba < capacity_blocks(); ++lba) ftl_.write(lba);
   reset_timing();
 }
 
 void SimSsd::replace_media() {
-  // A physical drive swap: the replacement arrives blank with a fresh FTL.
-  // Timing pipelines and cumulative I/O stats belong to the array slot, not
-  // the media, so they survive — provenance balances against cumulative
-  // write_blocks across the swap.
-  failed_ = false;
-  content_.clear();
-  media_.clear();
+  // Cumulative I/O stats survive the swap, so provenance balances against
+  // cumulative write_blocks across it.
+  SimDevice::replace_media();
   ftl_ = Ftl(ftl_.config());
-  pending_.clear();
-  pending_bytes_ = 0;
+  buffer_.clear();
 }
 
 void SimSsd::reset_timing() {
   controller_.reset();
   interface_.reset();
   nand_.reset();
-  pending_.clear();
-  pending_bytes_ = 0;
-  stats_ = DeviceStats{};
+  buffer_.clear();
+  reset_stats();
 }
 
 }  // namespace srcache::flash

@@ -14,53 +14,30 @@
 //  * the host interface caps reads (SATA vs NVMe price/perf split, §3.3).
 #pragma once
 
-#include <deque>
-#include <memory>
-
-#include "block/block_device.hpp"
-#include "block/content_store.hpp"
-#include "block/media_errors.hpp"
+#include "block/sim_device.hpp"
 #include "flash/ftl.hpp"
 #include "flash/ssd_specs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "sim/timeline.hpp"
+#include "sim/write_back_buffer.hpp"
 
 namespace srcache::flash {
 
-using blockdev::BlockDevice;
-using blockdev::DeviceStats;
-using blockdev::IoResult;
-using blockdev::Payload;
 using sim::SimTime;
 
-class SimSsd final : public BlockDevice {
+class SimSsd final : public blockdev::SimDevice {
  public:
   // `track_content` disables the per-block tag store for large perf-only
   // runs (reads then report tag 0).
   explicit SimSsd(const SsdSpec& spec, bool track_content = true);
 
-  [[nodiscard]] u64 capacity_blocks() const override { return exported_blocks_; }
   [[nodiscard]] const SsdSpec& spec() const { return spec_; }
   [[nodiscard]] const Ftl& ftl() const { return ftl_; }
 
-  IoResult read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) override;
-  IoResult write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) override;
-  IoResult write_payload(SimTime now, u64 lba, Payload payload) override;
-  Result<Payload> read_payload(SimTime now, u64 lba, SimTime* done) override;
-  IoResult flush(SimTime now) override;
-  IoResult trim(SimTime now, u64 lba, u64 n) override;
-
-  [[nodiscard]] const DeviceStats& stats() const override { return stats_; }
-
-  void fail() override { failed_ = true; }
-  void heal() override { failed_ = false; }
+  // The replacement drive also arrives with a fresh FTL and an empty write
+  // buffer.
   void replace_media() override;
-  [[nodiscard]] bool failed() const override { return failed_; }
-  void corrupt(u64 lba) override { content_.corrupt(lba); }
-  void inject_media_errors(u64 lba, u64 n) override { media_.add(lba, n); }
-  void clear_media_errors() override { media_.clear(); }
-  [[nodiscard]] u64 media_error_blocks() const { return media_.size(); }
 
   // Fills the whole exported LBA space with dummy data, then resets timing
   // and statistics — the paper's preconditioning step (§5.1) that brings the
@@ -85,27 +62,21 @@ class SimSsd final : public BlockDevice {
   }
 
  private:
-  IoResult check(SimTime now, u64 lba, u64 n) const;
+  SimTime service(blockdev::DeviceOp op, SimTime now, u64 lba, u64 n) override;
+  SimTime read_time(SimTime now, u64 lba, u64 n);
+  SimTime write_time(blockdev::DeviceOp op, SimTime now, u64 lba, u64 n);
+  SimTime flush_time(SimTime now);
   // Applies FTL-reported NAND work to the die servers; returns completion.
   SimTime charge_nand(SimTime start, const NandOps& ops);
-  SimTime admit_to_buffer(SimTime ready, u64 bytes, SimTime nand_done);
 
   SsdSpec spec_;
-  u64 exported_blocks_;
   Ftl ftl_;
-  blockdev::ContentStore content_;
-  blockdev::MediaErrorSet media_;
 
   sim::MultiServer controller_;
   sim::BandwidthPipe interface_;
   sim::MultiServer nand_;
-
-  // Write-buffer occupancy: (drain completion, bytes) per admitted write.
-  std::deque<std::pair<SimTime, u64>> pending_;
-  u64 pending_bytes_ = 0;
-
-  DeviceStats stats_;
-  bool failed_ = false;
+  // DRAM write buffer: writes ack once admitted and drain to NAND.
+  sim::WriteBackBuffer buffer_;
 
   obs::SpanTracer* span_ = nullptr;
   u32 span_dev_ = 0;

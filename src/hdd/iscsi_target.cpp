@@ -4,7 +4,8 @@
 
 namespace srcache::hdd {
 
-IscsiTarget::IscsiTarget(const IscsiConfig& cfg) : cfg_(cfg) {
+IscsiTarget::IscsiTarget(const IscsiConfig& cfg)
+    : cfg_(cfg), dirty_(cfg.dirty_limit_bytes) {
   for (int i = 0; i < cfg_.num_disks; ++i)
     disks_.push_back(std::make_unique<SimHdd>(cfg_.disk));
   std::vector<blockdev::BlockDevice*> members;
@@ -36,7 +37,7 @@ void IscsiTarget::register_metrics(const obs::Scope& scope) {
                      });
   }
   scope.gauge_fn("dirty_backlog_bytes",
-                 [this] { return static_cast<double>(pending_bytes_); });
+                 [this] { return static_cast<double>(dirty_.bytes()); });
 }
 
 SimTime IscsiTarget::link_transfer(SimTime now, u64 bytes) {
@@ -72,23 +73,6 @@ void IscsiTarget::cache_insert(u64 lba, u64 tag) {
     gen_prev_ = std::move(gen_cur_);
     gen_cur_.clear();
   }
-}
-
-SimTime IscsiTarget::absorb_write(SimTime now, SimTime drained_at, u64 bytes) {
-  if (bytes > cfg_.dirty_limit_bytes) return drained_at;  // cannot absorb
-  while (!pending_.empty() && pending_.front().first <= now) {
-    pending_bytes_ -= pending_.front().second;
-    pending_.pop_front();
-  }
-  SimTime admitted = now;
-  while (pending_bytes_ + bytes > cfg_.dirty_limit_bytes && !pending_.empty()) {
-    admitted = std::max(admitted, pending_.front().first);
-    pending_bytes_ -= pending_.front().second;
-    pending_.pop_front();
-  }
-  pending_.emplace_back(drained_at, bytes);
-  pending_bytes_ += bytes;
-  return admitted;
 }
 
 blockdev::IoResult IscsiTarget::read(SimTime now, u64 lba, u32 n,
@@ -138,7 +122,12 @@ blockdev::IoResult IscsiTarget::write(SimTime now, u64 lba, u32 n,
   blockdev::IoResult r = volume_->write(sent, lba, n, tags);
   volume_->set_background(false);
   const SimTime drained = r.ok() ? r.done : sent;
-  const SimTime admitted = absorb_write(sent, drained, blocks_to_bytes(n));
+  // A write larger than the dirty limit cannot be absorbed: it completes
+  // at disk speed.
+  const u64 bytes = blocks_to_bytes(n);
+  const SimTime admitted = bytes > cfg_.dirty_limit_bytes
+                               ? drained
+                               : dirty_.admit(sent, bytes, drained);
   if (span_ != nullptr) {
     span_->event("hdd.write", obs::kLanePrimary, now,
                  admitted + half_rtt(now), n);
@@ -172,11 +161,7 @@ Result<blockdev::Payload> IscsiTarget::read_payload(SimTime now, u64 lba,
 blockdev::IoResult IscsiTarget::flush(SimTime now) {
   if (failed_) return {now, ErrorCode::kDeviceFailed};
   // Drain the server's dirty pages, then flush the disks.
-  SimTime drained = now;
-  if (!pending_.empty()) drained = std::max(drained, pending_.back().first);
-  pending_.clear();
-  pending_bytes_ = 0;
-  blockdev::IoResult r = volume_->flush(drained + half_rtt(now));
+  blockdev::IoResult r = volume_->flush(dirty_.drain(now) + half_rtt(now));
   if (!r.ok()) return r;
   stats_.flushes++;
   if (span_ != nullptr)

@@ -8,7 +8,6 @@
 // destage rates the paper sustains.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "obs/span.hpp"
 #include "raid/raid_device.hpp"
 #include "sim/timeline.hpp"
+#include "sim/write_back_buffer.hpp"
 
 namespace srcache::hdd {
 
@@ -98,9 +98,6 @@ class IscsiTarget final : public blockdev::BlockDevice {
   // Two-generation LRU approximation over 4 KiB blocks (lba -> tag).
   [[nodiscard]] bool cache_lookup(u64 lba, u64* tag) const;
   void cache_insert(u64 lba, u64 tag);
-  // Admission-controlled write-back: absorbs bytes into server RAM, drains
-  // to the volume in the background; returns the admission time.
-  SimTime absorb_write(SimTime now, SimTime drained_at, u64 bytes);
 
   IscsiConfig cfg_;
   std::vector<std::unique_ptr<SimHdd>> disks_;
@@ -113,8 +110,9 @@ class IscsiTarget final : public blockdev::BlockDevice {
 
   std::unordered_map<u64, u64> gen_cur_, gen_prev_;
   u64 gen_capacity_blocks_;
-  std::deque<std::pair<SimTime, u64>> pending_;  // (drain done, bytes)
-  u64 pending_bytes_ = 0;
+  // Dirty pages: writes complete once absorbed into server RAM and drain
+  // to the volume in the background.
+  sim::WriteBackBuffer dirty_;
   u64 ram_hits_ = 0, ram_misses_ = 0;
   blockdev::DeviceStats stats_;
 

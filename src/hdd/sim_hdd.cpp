@@ -5,16 +5,18 @@
 
 namespace srcache::hdd {
 
+using blockdev::DeviceOp;
+
 SimHdd::SimHdd(const HddConfig& cfg)
-    : cfg_(cfg),
-      blocks_(cfg.capacity_bytes / kBlockSize),
-      content_(cfg.track_content) {
-  if (blocks_ == 0) throw std::invalid_argument("SimHdd capacity too small");
+    : SimDevice(cfg.capacity_bytes / kBlockSize, cfg.track_content),
+      cfg_(cfg) {
+  if (capacity_blocks() == 0)
+    throw std::invalid_argument("SimHdd capacity too small");
 }
 
-IoResult SimHdd::access(SimTime now, u64 lba, u32 n) {
-  if (failed_) return {now, ErrorCode::kDeviceFailed};
-  if (lba + n > blocks_) return {now, ErrorCode::kInvalidArgument};
+SimTime SimHdd::service(DeviceOp op, SimTime now, u64 lba, u64 n) {
+  if (op == DeviceOp::kFlush) return arm_.submit(now, 0, background_);
+  if (op == DeviceOp::kTrim) return now + cfg_.command_overhead;
   SimTime service = cfg_.command_overhead +
                     sim::transfer_time(blocks_to_bytes(n), cfg_.transfer_mbps);
   if (lba != head_pos_) {
@@ -23,7 +25,8 @@ IoResult SimHdd::access(SimTime now, u64 lba, u32 n) {
     // (elevator-sorted destage sweeps) see rotational-position-ordered
     // scheduling: half the average rotational latency.
     const u64 gap = lba > head_pos_ ? lba - head_pos_ : head_pos_ - lba;
-    const double dist = static_cast<double>(gap) / static_cast<double>(blocks_);
+    const double dist =
+        static_cast<double>(gap) / static_cast<double>(capacity_blocks());
     const auto seek = static_cast<SimTime>(
         static_cast<double>(cfg_.avg_seek) * (0.1 + 0.9 * std::sqrt(dist)));
     const SimTime rotation =
@@ -36,64 +39,7 @@ IoResult SimHdd::access(SimTime now, u64 lba, u32 n) {
     service += std::min(seek + rotation, stream_over);
   }
   head_pos_ = lba + n;
-  return {arm_.submit(now, service, background_), ErrorCode::kOk};
-}
-
-IoResult SimHdd::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) {
-  IoResult r = access(now, lba, n);
-  if (!r.ok()) return r;
-  stats_.read_ops++;
-  stats_.read_blocks += n;
-  if (media_.affects(lba, n)) return {r.done, ErrorCode::kMediaError};
-  content_.read(lba, n, tags_out);
-  return r;
-}
-
-IoResult SimHdd::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
-  IoResult r = access(now, lba, n);
-  if (!r.ok()) return r;
-  media_.on_write(lba, n);
-  content_.write(lba, n, tags);
-  stats_.write_ops++;
-  stats_.write_blocks += n;
-  return r;
-}
-
-IoResult SimHdd::write_payload(SimTime now, u64 lba, Payload payload) {
-  const auto n = static_cast<u32>(blockdev::payload_blocks(payload));
-  IoResult r = access(now, lba, n);
-  if (!r.ok()) return r;
-  media_.on_write(lba, n);
-  content_.write_payload(lba, n, std::move(payload));
-  stats_.write_ops++;
-  stats_.write_blocks += n;
-  return r;
-}
-
-Result<Payload> SimHdd::read_payload(SimTime now, u64 lba, SimTime* done) {
-  if (failed_) return Status(ErrorCode::kDeviceFailed);
-  IoResult r = access(now, lba, 1);
-  if (done != nullptr) *done = r.done;
-  stats_.read_ops++;
-  stats_.read_blocks++;
-  if (media_.affects(lba, 1)) return Status(ErrorCode::kMediaError);
-  return content_.read_payload(lba);
-}
-
-IoResult SimHdd::flush(SimTime now) {
-  if (failed_) return {now, ErrorCode::kDeviceFailed};
-  stats_.flushes++;
-  // Drain the on-disk write cache: wait for the arm to go idle.
-  return {arm_.submit(now, 0, background_), ErrorCode::kOk};
-}
-
-IoResult SimHdd::trim(SimTime now, u64 lba, u64 n) {
-  if (failed_) return {now, ErrorCode::kDeviceFailed};
-  media_.on_write(lba, n);
-  content_.discard(lba, n);
-  stats_.trim_ops++;
-  stats_.trim_blocks += n;
-  return {now + cfg_.command_overhead, ErrorCode::kOk};
+  return arm_.submit(now, service, background_);
 }
 
 }  // namespace srcache::hdd

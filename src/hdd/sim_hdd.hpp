@@ -3,17 +3,11 @@
 // behind a 1 Gbps link form the paper's primary storage (Table 1).
 #pragma once
 
-#include "block/block_device.hpp"
-#include "block/content_store.hpp"
-#include "block/media_errors.hpp"
+#include "block/sim_device.hpp"
 #include "sim/timeline.hpp"
 
 namespace srcache::hdd {
 
-using blockdev::BlockDevice;
-using blockdev::DeviceStats;
-using blockdev::IoResult;
-using blockdev::Payload;
 using sim::SimTime;
 
 struct HddConfig {
@@ -25,28 +19,10 @@ struct HddConfig {
   bool track_content = true;
 };
 
-class SimHdd final : public BlockDevice {
+class SimHdd final : public blockdev::SimDevice {
  public:
   explicit SimHdd(const HddConfig& cfg);
 
-  [[nodiscard]] u64 capacity_blocks() const override { return blocks_; }
-
-  IoResult read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) override;
-  IoResult write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) override;
-  IoResult write_payload(SimTime now, u64 lba, Payload payload) override;
-  Result<Payload> read_payload(SimTime now, u64 lba, SimTime* done) override;
-  IoResult flush(SimTime now) override;
-  IoResult trim(SimTime now, u64 lba, u64 n) override;
-
-  [[nodiscard]] const DeviceStats& stats() const override { return stats_; }
-
-  void fail() override { failed_ = true; }
-  void heal() override { failed_ = false; }
-  [[nodiscard]] bool failed() const override { return failed_; }
-  void corrupt(u64 lba) override { content_.corrupt(lba); }
-  void inject_media_errors(u64 lba, u64 n) override { media_.add(lba, n); }
-  void clear_media_errors() override { media_.clear(); }
-  [[nodiscard]] u64 media_error_blocks() const { return media_.size(); }
   // Background ops (destage sweeps) yield to foreground ones on the arm.
   void set_background(bool background) override { background_ = background; }
 
@@ -55,17 +31,14 @@ class SimHdd final : public BlockDevice {
   [[nodiscard]] SimTime arm_busy_time() const { return arm_.busy_time(); }
 
  private:
-  IoResult access(SimTime now, u64 lba, u32 n);
+  // Reads and writes position the arm and stream; a flush drains the
+  // on-disk write cache (waits for the arm); a trim costs one command.
+  SimTime service(blockdev::DeviceOp op, SimTime now, u64 lba, u64 n) override;
 
   HddConfig cfg_;
-  u64 blocks_;
-  blockdev::ContentStore content_;
-  blockdev::MediaErrorSet media_;
   sim::PriorityTimeline arm_;
   u64 head_pos_ = 0;  // LBA after the last access (sequentiality detection)
   bool background_ = false;
-  DeviceStats stats_;
-  bool failed_ = false;
 };
 
 }  // namespace srcache::hdd

@@ -197,30 +197,7 @@ SimTime SrcCache::flush_all_ssds(SimTime now) {
 }
 
 void SrcCache::register_metrics(const obs::Scope& scope) {
-  scope.counter_fn("segments_written",
-                   [this] { return extra_.segments_written; });
-  scope.counter_fn("partial_segments",
-                   [this] { return extra_.partial_segments; });
-  scope.counter_fn("clean_segments", [this] { return extra_.clean_segments; });
-  scope.counter_fn("dirty_segments", [this] { return extra_.dirty_segments; });
-  scope.counter_fn("sg_reclaims", [this] { return extra_.sg_reclaims; });
-  scope.counter_fn("s2d_reclaims", [this] { return extra_.s2d_reclaims; });
-  scope.counter_fn("s2s_reclaims", [this] { return extra_.s2s_reclaims; });
-  scope.counter_fn("flushes", [this] { return extra_.flushes_issued; });
-  scope.counter_fn("checksum_errors",
-                   [this] { return extra_.checksum_errors; });
-  scope.counter_fn("media_errors", [this] { return extra_.media_errors; });
-  scope.counter_fn("parity_repairs", [this] { return extra_.parity_repairs; });
-  scope.counter_fn("refetch_repairs",
-                   [this] { return extra_.refetch_repairs; });
-  scope.counter_fn("unrecoverable_blocks",
-                   [this] { return extra_.unrecoverable_blocks; });
-  scope.counter_fn("lost_clean_blocks",
-                   [this] { return extra_.lost_clean_blocks; });
-  scope.counter_fn("lost_dirty_blocks",
-                   [this] { return extra_.lost_dirty_blocks; });
-  scope.counter_fn("torn_segments_discarded",
-                   [this] { return extra_.torn_segments_discarded; });
+  register_counters(scope, extra_, kExtraStatsFields);
   scope.counter_fn("segment_seals", [this] { return seal_count_; });
   scope.counter_fn("fetch_blocks", [this] { return stats_.fetch_blocks; });
   scope.counter_fn("destage_blocks", [this] { return stats_.destage_blocks; });

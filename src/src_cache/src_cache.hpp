@@ -465,6 +465,29 @@ class SrcCache final : public cache::CacheDevice {
   size_t tenants_registered_ = 0;
 };
 
+// SrcCache::ExtraStats as registered metrics ("src.<name>"); flushes_issued
+// registers as "flushes".
+inline constexpr CounterField<SrcCache::ExtraStats> kExtraStatsFields[] = {
+    {"segments_written", &SrcCache::ExtraStats::segments_written},
+    {"partial_segments", &SrcCache::ExtraStats::partial_segments},
+    {"clean_segments", &SrcCache::ExtraStats::clean_segments},
+    {"dirty_segments", &SrcCache::ExtraStats::dirty_segments},
+    {"sg_reclaims", &SrcCache::ExtraStats::sg_reclaims},
+    {"s2d_reclaims", &SrcCache::ExtraStats::s2d_reclaims},
+    {"s2s_reclaims", &SrcCache::ExtraStats::s2s_reclaims},
+    {"flushes", &SrcCache::ExtraStats::flushes_issued},
+    {"checksum_errors", &SrcCache::ExtraStats::checksum_errors},
+    {"media_errors", &SrcCache::ExtraStats::media_errors},
+    {"parity_repairs", &SrcCache::ExtraStats::parity_repairs},
+    {"refetch_repairs", &SrcCache::ExtraStats::refetch_repairs},
+    {"unrecoverable_blocks", &SrcCache::ExtraStats::unrecoverable_blocks},
+    {"lost_clean_blocks", &SrcCache::ExtraStats::lost_clean_blocks},
+    {"lost_dirty_blocks", &SrcCache::ExtraStats::lost_dirty_blocks},
+    {"torn_segments_discarded",
+     &SrcCache::ExtraStats::torn_segments_discarded},
+};
+static_assert(names_every_counter(kExtraStatsFields));
+
 // Connects a cache to a scripted fault injector and, optionally, the
 // background rebuild engine driven by the plan's replace/spare actions:
 // detections and repairs go to the injector's ledger, a fail-stop reaches
