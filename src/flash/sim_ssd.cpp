@@ -43,7 +43,7 @@ SimTime SimSsd::service(DeviceOp op, SimTime now, u64 lba, u64 n) {
       return read_time(now, lba, n);
     case DeviceOp::kWrite:
     case DeviceOp::kWritePayload:
-      return write_time(op, now, lba, n);
+      return write_time(now, lba, n);
     case DeviceOp::kFlush:
       return flush_time(now);
     case DeviceOp::kTrim:
@@ -76,15 +76,14 @@ SimTime SimSsd::read_time(SimTime now, u64 lba, u64 n) {
   return done;
 }
 
-SimTime SimSsd::write_time(DeviceOp op, SimTime now, u64 lba, u64 n) {
+SimTime SimSsd::write_time(SimTime now, u64 lba, u64 n) {
   const SimTime t_ctrl = controller_.submit(now, spec_.command_overhead);
   const SimTime t_iface = interface_.transfer(t_ctrl, blocks_to_bytes(n));
   NandOps ops;
   for (u64 i = 0; i < n; ++i) ops += ftl_.write(lba + i);
   const SimTime nand_done = charge_nand(t_iface, ops);
   const SimTime done = buffer_.admit(t_iface, blocks_to_bytes(n), nand_done);
-  // Payload writes are traced by neither the GC event nor a span.
-  if (op == DeviceOp::kWritePayload || span_ == nullptr) return done;
+  if (span_ == nullptr) return done;
   if (ops.gc_reads > 0 || ops.erases > 0)
     span_->event("ssd.gc", obs::kLaneSsdBase + span_dev_, t_iface, nand_done,
                  ops.erases);

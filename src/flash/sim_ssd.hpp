@@ -64,7 +64,7 @@ class SimSsd final : public blockdev::SimDevice {
  private:
   SimTime service(blockdev::DeviceOp op, SimTime now, u64 lba, u64 n) override;
   SimTime read_time(SimTime now, u64 lba, u64 n);
-  SimTime write_time(blockdev::DeviceOp op, SimTime now, u64 lba, u64 n);
+  SimTime write_time(SimTime now, u64 lba, u64 n);
   SimTime flush_time(SimTime now);
   // Applies FTL-reported NAND work to the die servers; returns completion.
   SimTime charge_nand(SimTime start, const NandOps& ops);

@@ -153,6 +153,8 @@ blockdev::IoResult IscsiTarget::write_payload(SimTime now, u64 lba,
 Result<blockdev::Payload> IscsiTarget::read_payload(SimTime now, u64 lba,
                                                     SimTime* done) {
   if (failed_) return Status(ErrorCode::kDeviceFailed);
+  stats_.read_ops++;
+  stats_.read_blocks++;
   auto r = volume_->read_payload(now + half_rtt(now), lba, done);
   if (done != nullptr) *done += half_rtt(now);
   return r;

@@ -4,31 +4,6 @@
 
 namespace srcache::obs {
 
-HistogramStats HistogramStats::of(const common::Histogram& h) {
-  HistogramStats s;
-  s.count = h.count();
-  s.min = h.min();
-  s.max = h.max();
-  s.mean = h.mean();
-  s.p50 = h.percentile(50);
-  s.p95 = h.percentile(95);
-  s.p99 = h.percentile(99);
-  s.p999 = h.percentile(99.9);
-  return s;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-common::Histogram& MetricsRegistry::histogram(const std::string& name) {
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<common::Histogram>();
-  return *slot;
-}
-
 void MetricsRegistry::counter_fn(const std::string& name,
                                  std::function<u64()> fn) {
   counter_fns_[name] = std::move(fn);
@@ -41,16 +16,9 @@ void MetricsRegistry::gauge_fn(const std::string& name,
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot s;
-  for (const auto& [name, c] : counters_) s.counters[name] = c->value();
   for (const auto& [name, fn] : counter_fns_) s.counters[name] = fn();
   for (const auto& [name, fn] : gauge_fns_) s.gauges[name] = fn();
-  for (const auto& [name, h] : histograms_) s.histograms[name] = *h;
   return s;
-}
-
-size_t MetricsRegistry::size() const {
-  return counters_.size() + counter_fns_.size() + gauge_fns_.size() +
-         histograms_.size();
 }
 
 MetricsSnapshot MetricsSnapshot::delta_since(
@@ -62,21 +30,12 @@ MetricsSnapshot MetricsSnapshot::delta_since(
     d.counters[name] = v >= before ? v - before : 0;
   }
   d.gauges = gauges;  // instantaneous: the window ends at `this`
-  for (const auto& [name, h] : histograms) {
-    auto it = earlier.histograms.find(name);
-    d.histograms[name] =
-        it == earlier.histograms.end() ? h : h.minus(it->second);
-  }
   return d;
 }
 
 void MetricsSnapshot::merge_add(const MetricsSnapshot& other) {
   for (const auto& [name, v] : other.counters) counters[name] += v;
   for (const auto& [name, v] : other.gauges) gauges[name] += v;
-  for (const auto& [name, h] : other.histograms) {
-    auto [it, inserted] = histograms.try_emplace(name, h);
-    if (!inserted) it->second.merge(h);
-  }
 }
 
 std::string MetricsSnapshot::to_json() const {
@@ -88,21 +47,7 @@ std::string MetricsSnapshot::to_json() const {
   w.key("gauges").begin_object();
   for (const auto& [name, v] : gauges) w.kv(name, v);
   w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms) {
-    const HistogramStats s = HistogramStats::of(h);
-    w.key(name).begin_object();
-    w.kv("count", s.count);
-    w.kv("min", s.min);
-    w.kv("max", s.max);
-    w.kv("mean", s.mean);
-    w.kv("p50", s.p50);
-    w.kv("p95", s.p95);
-    w.kv("p99", s.p99);
-    w.kv("p999", s.p999);
-    w.end_object();
-  }
-  w.end_object();
+  w.key("histograms").begin_object().end_object();
   w.end_object();
   return w.take();
 }

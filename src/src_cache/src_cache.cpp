@@ -109,8 +109,8 @@ u64 SrcCache::col_of_dev(size_t dev, const SegmentInfo& si) const {
   return dev == si.parity_col ? kParityCol : dev - 1;
 }
 
-u64 SrcCache::buffer_capacity(bool dirty_type) const {
-  return cfg_.segment_data_slots(dirty_type);
+u64 SrcCache::buffer_capacity(const SegBuffer& buf) const {
+  return cfg_.segment_data_slots(buf.dirty);
 }
 
 double SrcCache::utilization() const {
@@ -210,24 +210,17 @@ void SrcCache::register_metrics(const obs::Scope& scope) {
                  [this] { return static_cast<double>(map_.size()); });
   // Segment-buffer occupancy (staged blocks and fill fraction): sampled over
   // time this shows the stage-seal-flush rhythm behind the flush plateaus.
-  scope.gauge_fn("dirty_buffer_blocks", [this] {
-    return static_cast<double>(dirty_buf_.lbas.size());
-  });
-  scope.gauge_fn("clean_buffer_blocks", [this] {
-    return static_cast<double>(clean_buf_.lbas.size());
-  });
-  scope.gauge_fn("dirty_buffer_frac", [this] {
-    const u64 cap = buffer_capacity(/*dirty_type=*/true);
-    return cap == 0 ? 0.0
-                    : static_cast<double>(dirty_buf_.lbas.size()) /
-                          static_cast<double>(cap);
-  });
-  scope.gauge_fn("clean_buffer_frac", [this] {
-    const u64 cap = buffer_capacity(/*dirty_type=*/false);
-    return cap == 0 ? 0.0
-                    : static_cast<double>(clean_buf_.lbas.size()) /
-                          static_cast<double>(cap);
-  });
+  for (const SegBuffer* buf : {&dirty_buf_, &clean_buf_}) {
+    const std::string kind = buf->dirty ? "dirty" : "clean";
+    scope.gauge_fn(kind + "_buffer_blocks",
+                   [buf] { return static_cast<double>(buf->slots.size()); });
+    scope.gauge_fn(kind + "_buffer_frac", [this, buf] {
+      const u64 cap = buffer_capacity(*buf);
+      return cap == 0 ? 0.0
+                      : static_cast<double>(buf->slots.size()) /
+                            static_cast<double>(cap);
+    });
+  }
   // Policy tallies (src/policy). The lambdas read through the unique_ptrs
   // at snapshot time, so recover() swapping in fresh policies is safe.
   const obs::Scope ps = scope.scope("policy");
@@ -331,7 +324,7 @@ void SrcCache::set_tenant_quotas(const std::vector<u64>& quotas) {
 void SrcCache::invalidate_slot(const MapEntry& e) {
   if (e.buffered()) {
     SegBuffer& buf = e.dirty() ? dirty_buf_ : clean_buf_;
-    buf.lbas[buf.index(e.slot)] = kDeadSlot;
+    buf.slots[buf.index(e.slot)].lba = kDeadSlot;
     buf.live--;
     return;
   }
@@ -344,6 +337,7 @@ void SrcCache::invalidate_slot(const MapEntry& e) {
   live_total_--;
 }
 
+
 // --- app entry points -------------------------------------------------------
 
 SimTime SrcCache::submit(const cache::AppRequest& req) {
@@ -355,14 +349,14 @@ SimTime SrcCache::submit(const cache::AppRequest& req) {
 void SrcCache::maybe_timeout_partial(SimTime now) {
   // Partial-segment timeout (§4.1): if no write arrived for TWAIT and dirty
   // data is buffered, seal what we have to bound the loss window.
-  if (dirty_buf_.lbas.empty()) return;
+  if (dirty_buf_.slots.empty()) return;
   if (now - last_dirty_stage_ <= cfg_.twait) return;
-  seal_buffer(now, /*dirty_type=*/true, /*force_partial=*/true);
+  seal_buffer(now, dirty_buf_, /*force_partial=*/true);
 }
 
 SimTime SrcCache::flush(SimTime now) {
   stats_.app_flushes++;
-  seal_buffer(now, /*dirty_type=*/true, /*force_partial=*/true);
+  seal_buffer(now, dirty_buf_, /*force_partial=*/true);
   return flush_all_ssds(now);
 }
 
@@ -377,76 +371,66 @@ SimTime SrcCache::throttle(SimTime now, SimTime ack) {
 
 // --- write path -------------------------------------------------------------
 
-void SrcCache::stage_dirty(u64 lba, u64 tag, u16 tenant, SimTime now,
-                           obs::WriteCause cause) {
-  if (MapEntry* found = map_.find(lba)) {
-    MapEntry& e = *found;
-    if (e.tenant != tenant) {  // ownership follows the last writer
-      tenants_[e.tenant].live_blocks--;
-      tenants_[tenant].live_blocks++;
-    }
-    if (e.buffered() && e.dirty()) {
-      const u32 i = dirty_buf_.index(e.slot);
-      dirty_buf_.tags[i] = tag;  // overwrite in place
-      dirty_buf_.tenants[i] = tenant;
-      dirty_buf_.causes[i] = static_cast<u8>(cause);
-      e.tenant = tenant;
-      e.flags |= kFlagHot;
-      if (cause != WriteCause::kGcRewrite) eviction_->on_access(lba);
+void SrcCache::stage(u64 lba, u64 tag, u16 tenant, bool dirty,
+                     WriteCause cause, SimTime now) {
+  SegBuffer& buf = dirty ? dirty_buf_ : clean_buf_;
+  const bool notify_policy = cause != WriteCause::kGcRewrite;
+  if (MapEntry* e = map_.find(lba)) {
+    // A fill raced with a write or a duplicate fetch: the cached copy wins.
+    if (!dirty) return;
+    tenants_[e->tenant].live_blocks--;  // ownership follows the last writer
+    tenants_[tenant].live_blocks++;
+    if (notify_policy) eviction_->on_access(lba);
+    if (e->buffered() && e->dirty()) {
+      buf.slots[buf.index(e->slot)] = {lba, tag, tenant, cause};  // in place
+      e->tenant = tenant;
+      e->flags |= kFlagHot;
       return;
     }
-    invalidate_slot(e);
-    e.sg = kBufferSg;
-    e.seg = 0;
-    e.slot = dirty_buf_.next_ticket();
-    e.tenant = tenant;
-    e.flags = kFlagDirty | kFlagHot;  // a rewrite makes the block hot
-    if (cause != WriteCause::kGcRewrite) eviction_->on_access(lba);
+    invalidate_slot(*e);
+    // A rewrite makes the block hot.
+    *e = {kBufferSg, 0, buf.next_ticket(), tenant, kFlagDirty | kFlagHot};
   } else {
-    MapEntry e;
-    e.sg = kBufferSg;
-    e.slot = dirty_buf_.next_ticket();
-    e.tenant = tenant;
-    e.flags = kFlagDirty;
-    map_.emplace(lba, e);
+    map_.emplace(lba, MapEntry{kBufferSg, 0, buf.next_ticket(), tenant,
+                               dirty ? kFlagDirty : u8{0}});
     tenants_[tenant].live_blocks++;
-    // GC rewrites keep their policy entry (the block never left the cache);
-    // everything else is a (re)admission.
-    if (cause != WriteCause::kGcRewrite) eviction_->on_admit(lba);
+    if (notify_policy) eviction_->on_admit(lba);
   }
-  dirty_buf_.lbas.push_back(lba);
-  dirty_buf_.tags.push_back(tag);
-  dirty_buf_.tenants.push_back(tenant);
-  dirty_buf_.causes.push_back(static_cast<u8>(cause));
-  dirty_buf_.live++;
-  last_dirty_stage_ = now;
+  buf.slots.push_back({lba, tag, tenant, cause});
+  buf.live++;
+  if (dirty) last_dirty_stage_ = now;
 }
 
-void SrcCache::stage_clean(u64 lba, u64 tag, u16 tenant,
-                           obs::WriteCause cause) {
-  if (map_.contains(lba)) {
-    // Raced with a write or a duplicate fetch; the cached copy wins.
-    return;
-  }
-  MapEntry e;
-  e.sg = kBufferSg;
-  e.slot = clean_buf_.next_ticket();
-  e.tenant = tenant;
-  e.flags = 0;
-  map_.emplace(lba, e);
-  tenants_[tenant].live_blocks++;
-  if (cause != WriteCause::kGcRewrite) eviction_->on_admit(lba);
-  clean_buf_.lbas.push_back(lba);
-  clean_buf_.tags.push_back(tag);
-  clean_buf_.tenants.push_back(tenant);
-  clean_buf_.causes.push_back(static_cast<u8>(cause));
-  clean_buf_.live++;
+void SrcCache::drain_buffers(SimTime now) {
+  seal_buffer(now, dirty_buf_, false);
+  seal_buffer(now, clean_buf_, false);
 }
 
-SimTime SrcCache::drain_buffers(SimTime now) {
-  SimTime done = now;
-  done = std::max(done, seal_buffer(now, /*dirty_type=*/true, false));
-  done = std::max(done, seal_buffer(now, /*dirty_type=*/false, false));
+SimTime SrcCache::write_primary(SimTime at, std::vector<BlockWrite>& writes,
+                                bool background) {
+  if (writes.empty()) return at;
+  std::sort(writes.begin(), writes.end(),
+            [](const BlockWrite& a, const BlockWrite& b) {
+              return a.lba < b.lba;
+            });
+  primary_->set_background(background);
+  SimTime done = at;
+  std::vector<u64>& tags = run_buf_;
+  const auto adjacent = [](const BlockWrite& a, const BlockWrite& b) {
+    return b.lba == a.lba + 1;
+  };
+  common::for_each_run(writes, adjacent, [&](size_t i, size_t n) {
+    tags.clear();
+    for (size_t k = i; k < i + n; ++k) tags.push_back(writes[k].tag);
+    const auto r =
+        primary_->write(at, writes[i].lba, static_cast<u32>(n), tags);
+    if (!r.ok()) return;
+    done = std::max(done, r.done);
+    for (size_t k = i; k < i + n; ++k)
+      ledger_.add(obs::kPrimaryDevice, writes[k].tenant, writes[k].cause,
+                  kBlockSize);
+  });
+  primary_->set_background(false);
   return done;
 }
 
@@ -461,8 +445,7 @@ SimTime SrcCache::do_write(const cache::AppRequest& req) {
   // toward the quota as GC drains what is already resident. Overwrites of
   // resident blocks still stage — bypassing those would leave stale data in
   // the cache — but they do not grow the footprint.
-  bypass_lbas_.clear();
-  bypass_tags_.clear();
+  bypass_.clear();
   for (u32 i = 0; i < req.nblocks; ++i) {
     const u64 lba = req.lba + i;
     const u64 tag = req.tags != nullptr
@@ -470,18 +453,18 @@ SimTime SrcCache::do_write(const cache::AppRequest& req) {
                         : blockdev::make_tag(lba, ++tag_version_);
     if (map_.contains(lba)) {
       stats_.write_hit_blocks++;
-    } else if (over_quota(tenant)) {
-      // Still a new-block write — it just was not admitted. Counting it keeps
-      // hit/miss classification honest: the op paid primary latency.
-      stats_.write_new_blocks++;
-      tenants_[tenant].write_bypass_blocks++;
-      bypass_lbas_.push_back(lba);
-      bypass_tags_.push_back(tag);
-      continue;
     } else {
+      // A bypassed block is still a new-block write — it just was not
+      // admitted. Counting it keeps hit/miss classification honest: the op
+      // paid primary latency.
       stats_.write_new_blocks++;
+      if (over_quota(tenant)) {
+        tenants_[tenant].write_bypass_blocks++;
+        bypass_.push_back({lba, tag, tenant, WriteCause::kQuotaShed});
+        continue;
+      }
     }
-    stage_dirty(lba, tag, tenant, now, WriteCause::kUserWrite);
+    stage(lba, tag, tenant, /*dirty=*/true, WriteCause::kUserWrite, now);
   }
   drain_buffers(now);
   // Writes are acknowledged once staged in the segment buffer (§4.1); the
@@ -489,19 +472,10 @@ SimTime SrcCache::do_write(const cache::AppRequest& req) {
   SimTime ack = now + kStageCost * req.nblocks;
   // Bypassed blocks are acknowledged at primary speed (write-through): the
   // squeezed tenant feels HDD latency, which is exactly the cost its quota
-  // says it has not earned the flash to avoid.
-  common::for_each_run(
-      bypass_lbas_, common::consecutive, [&](size_t i, size_t n) {
-        auto r = primary_->write(now, bypass_lbas_[i], static_cast<u32>(n),
-                                 std::span<const u64>(&bypass_tags_[i], n));
-        if (r.ok()) {
-          ack = std::max(ack, r.done);
-          ledger_.add(obs::kPrimaryDevice, tenant, WriteCause::kQuotaShed,
-                      n * kBlockSize);
-        }
-      });
-  ack = throttle(now, ack);
-  return ack;
+  // says it has not earned the flash to avoid. They are issued after the
+  // drain, behind any GC destages it triggered.
+  ack = std::max(ack, write_primary(now, bypass_, /*background=*/false));
+  return throttle(now, ack);
 }
 
 // --- compressed DRAM tier hand-off ------------------------------------------
@@ -513,8 +487,8 @@ SimTime SrcCache::tier_destage(SimTime now, std::span<const u64> lbas,
   // Destages carry dirty data that only the tier holds, so they stage
   // unconditionally — the quota gate applies to admissions, not durability.
   for (size_t i = 0; i < lbas.size(); ++i) {
-    stage_dirty(lbas[i], tags[i], norm_tenant(tenants[i]), now,
-                WriteCause::kTierDestage);
+    stage(lbas[i], tags[i], norm_tenant(tenants[i]), /*dirty=*/true,
+          WriteCause::kTierDestage, now);
   }
   drain_buffers(now);
   return throttle(now, now + kStageCost * static_cast<SimTime>(lbas.size()));
@@ -522,7 +496,8 @@ SimTime SrcCache::tier_destage(SimTime now, std::span<const u64> lbas,
 
 SimTime SrcCache::tier_demote(SimTime now, u64 lba, u64 tag, u16 tenant) {
   if (crashed_) return now;
-  stage_clean(lba, tag, norm_tenant(tenant), WriteCause::kTierDemote);
+  stage(lba, tag, norm_tenant(tenant), /*dirty=*/false, WriteCause::kTierDemote,
+        now);
   drain_buffers(now);
   return throttle(now, now + kStageCost);
 }
@@ -546,24 +521,22 @@ u32 SrcCache::allocate_sg(SimTime now) {
   return sg;
 }
 
-SimTime SrcCache::seal_buffer(SimTime now, bool dirty_type, bool force_partial) {
-  SegBuffer& buf = dirty_type ? dirty_buf_ : clean_buf_;
-  const u64 cap = buffer_capacity(dirty_type);
+SimTime SrcCache::seal_buffer(SimTime now, SegBuffer& buf, bool force_partial) {
+  const u64 cap = buffer_capacity(buf);
   SimTime done = now;
   // Drain full segments; GC triggered by SG allocation below may append
   // further entries, which this loop absorbs.
-  while (buf.lbas.size() >= cap)
-    done = std::max(done, write_one_segment(now, dirty_type, cap));
-  if (force_partial && !buf.lbas.empty())
-    done = std::max(done, write_one_segment(now, dirty_type, buf.lbas.size()));
+  while (buf.slots.size() >= cap)
+    done = std::max(done, write_one_segment(now, buf, cap));
+  if (force_partial && !buf.slots.empty())
+    done = std::max(done, write_one_segment(now, buf, buf.slots.size()));
   return done;
 }
 
-SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
+SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   if (crashed_) return now;  // power is off
-  SegBuffer& buf = dirty_type ? dirty_buf_ : clean_buf_;
-  const u64 capacity = buffer_capacity(dirty_type);
-  count = std::min<u64>({count, capacity, buf.lbas.size()});
+  const u64 capacity = buffer_capacity(buf);
+  count = std::min<u64>({count, capacity, buf.slots.size()});
   if (count == 0) return now;
 
   // Scheduled power cut (crash-consistency harness): the Nth seal tears at
@@ -575,27 +548,9 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   }
   seal_count_++;
 
-  // Take the front `count` entries by value. What remains keeps its tickets
-  // (SegBuffer::base moves past the taken ones), so GC appends during SG
-  // allocation see a consistent buffer.
-  const auto front = static_cast<long>(count);
-  taken_.lbas.assign(buf.lbas.begin(), buf.lbas.begin() + front);
-  taken_.tags.assign(buf.tags.begin(), buf.tags.begin() + front);
-  taken_.tenants.assign(buf.tenants.begin(), buf.tenants.begin() + front);
-  taken_.causes.assign(buf.causes.begin(), buf.causes.begin() + front);
-  const std::vector<u64>& taken_lba = taken_.lbas;
-  const std::vector<u64>& taken_tag = taken_.tags;
-  const std::vector<u16>& taken_tenant = taken_.tenants;
-  const std::vector<u8>& taken_cause = taken_.causes;
-  buf.lbas.erase(buf.lbas.begin(), buf.lbas.begin() + front);
-  buf.tags.erase(buf.tags.begin(), buf.tags.begin() + front);
-  buf.tenants.erase(buf.tenants.begin(), buf.tenants.begin() + front);
-  buf.causes.erase(buf.causes.begin(), buf.causes.begin() + front);
-  u32 taken_live = 0;
-  for (u64 lba : taken_lba)
-    if (lba != kDeadSlot) ++taken_live;
-  buf.live -= taken_live;
-  buf.base += static_cast<u32>(count);
+  // Take the front `count` entries by value. What remains keeps its tickets,
+  // so GC appends during SG allocation see a consistent buffer.
+  buf.take_front(count, taken_);
 
   // Allocating the SG may run GC; by now the taken entries are private and
   // GC can only touch the buffer tail.
@@ -607,8 +562,8 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   const u32 seg = sg.next_seg++;
   SegmentInfo& si = sg.segs[seg];
 
-  si.type = dirty_type ? SegType::kDirty : SegType::kClean;
-  si.has_parity = cfg_.segment_has_parity(dirty_type);
+  si.type = buf.dirty ? SegType::kDirty : SegType::kClean;
+  si.has_parity = cfg_.segment_has_parity(buf.dirty);
   si.generation = ++gen_seq_;
   si.parity_col = 0;
   if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
@@ -616,16 +571,10 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
                         ? static_cast<u8>(cfg_.num_ssds - 1)
                         : static_cast<u8>(gen_seq_ % cfg_.num_ssds);
   }
-  si.slot_lba.assign(taken_lba.begin(), taken_lba.end());
-  si.slot_lba.resize(capacity, kDeadSlot);
+  si.slot_lba.assign(capacity, kDeadSlot);
   si.slot_crc.assign(capacity, 0);
-  si.slot_tenant.assign(taken_tenant.begin(), taken_tenant.end());
-  si.slot_tenant.resize(capacity, 0);
-  si.live = taken_live;
-  sg.live += taken_live;
-  for (u64 s = 0; s < taken_lba.size(); ++s)
-    if (taken_lba[s] != kDeadSlot) census_add(sg, taken_tenant[s], 1);
-  live_total_ += taken_live;
+  si.slot_tenant.assign(capacity, 0);
+  si.live = 0;
 
   // Per-device tag images (device d's rows at image(d)), filled through
   // addr_of.
@@ -633,20 +582,20 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   const u64 rows = cfg_.slots_per_chunk();
   images_.assign(cfg_.num_ssds * rows, 0);
   const auto image = [&](size_t d) { return images_.data() + d * rows; };
+  // Slots past the taken entries are padding: dead, tag 0.
   for (u32 s = 0; s < capacity; ++s) {
-    const u64 lba = si.slot_lba[s];
-    const u64 tag = s < taken_tag.size() ? taken_tag[s] : 0;
+    const BlockWrite w =
+        s < taken_.size() ? taken_[s] : BlockWrite{kDeadSlot, 0, 0, {}};
     const SlotAddr a = addr_of(active_sg_, seg, s, si);
     const u64 row = a.block - base - 1;  // -1: the MS block heads the chunk
-    image(a.dev)[row] = tag;
-    if (a.mirror_dev != SIZE_MAX) image(a.mirror_dev)[row] = tag;
-    if (lba != kDeadSlot) {
-      si.slot_crc[s] = common::crc32c_of(tag);
+    image(a.dev)[row] = w.tag;
+    if (a.mirror_dev != SIZE_MAX) image(a.mirror_dev)[row] = w.tag;
+    si.slot_lba[s] = w.lba;
+    si.slot_tenant[s] = w.tenant;
+    if (w.lba != kDeadSlot) {
+      si.slot_crc[s] = common::crc32c_of(w.tag);
       // Relocate the mapping from the buffer to the sealed slot.
-      MapEntry& e = map_.at(lba);
-      e.sg = active_sg_;
-      e.seg = seg;
-      e.slot = s;
+      place_slot(map_.at(w.lba), active_sg_, seg, s);
     }
   }
   if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
@@ -668,11 +617,12 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
                             ? span_->begin_span("src.segment_fill", issue)
                             : obs::kNoSpan;
   // Ledger attribution of one device's data chunk: every row of a data
-  // column carries its slot's staged cause/tenant (dead and padding slots
-  // are layout overhead -> parity/shared); mirror and parity columns are
-  // redundancy overhead wholesale. Co-located with the device writes and
-  // gated on the same success/crash conditions, so per-device ledger bytes
-  // stay exactly equal to DeviceStats::write_blocks.
+  // column carries its staged entry's cause/tenant, even one invalidated
+  // since staging (padding slots are layout overhead -> parity/shared);
+  // mirror and parity columns are redundancy overhead wholesale.
+  // Co-located with the device writes and gated on the same success/crash
+  // conditions, so per-device ledger bytes stay exactly equal to
+  // DeviceStats::write_blocks.
   const auto account_data_chunk = [&](size_t d) {
     const u32 dev32 = static_cast<u32>(d);
     const u64 col = col_of_dev(d, si);
@@ -682,15 +632,11 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
                   rows * kBlockSize);
       return;
     }
-    for (u64 r = 0; r < rows; ++r) {
-      const u64 s = col * rows + r;
-      if (s < taken_cause.size()) {
-        ledger_.add(dev32, taken_tenant[s],
-                    static_cast<WriteCause>(taken_cause[s]), kBlockSize);
-      } else {
-        ledger_.add(dev32, obs::kSharedTenant, WriteCause::kParity,
-                    kBlockSize);
-      }
+    for (u64 s = col * rows; s < (col + 1) * rows; ++s) {
+      if (s < taken_.size())
+        ledger_.add(dev32, taken_[s].tenant, taken_[s].cause, kBlockSize);
+      else
+        ledger_.add(dev32, obs::kSharedTenant, WriteCause::kParity, kBlockSize);
     }
   };
   for (size_t d = 0; d < ssds_.size(); ++d) {
@@ -716,7 +662,7 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   extra_.segments_written++;
   if (span_ != nullptr)
     span_->event("src.segment_seal", obs::kLaneSrc, issue, done, count);
-  if (dirty_type) {
+  if (buf.dirty) {
     extra_.dirty_segments++;
     if (count < capacity) extra_.partial_segments++;
   } else {
@@ -724,11 +670,8 @@ SimTime SrcCache::write_one_segment(SimTime now, bool dirty_type, u64 count) {
   }
 
   const bool sg_full = sg.next_seg >= cfg_.segments_per_sg();
-  if (cfg_.flush_control == FlushControl::kPerSegment) {
+  if (sg_full || cfg_.flush_control == FlushControl::kPerSegment)
     done = flush_all_ssds(done);
-  } else if (sg_full) {
-    done = flush_all_ssds(done);
-  }
   if (sg_full) {
     sg.state = SgState::kSealed;
     sg.seal_seq = ++seal_seq_;
@@ -775,7 +718,7 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
     if (e.buffered()) {
       const SegBuffer& buf = e.dirty() ? dirty_buf_ : clean_buf_;
       if (req.tags_out != nullptr)
-        req.tags_out[i] = buf.tags[buf.index(e.slot)];
+        req.tags_out[i] = buf.slots[buf.index(e.slot)].tag;
       continue;
     }
     const SegmentInfo& si = sgs_[e.sg].segs[e.seg];
@@ -827,7 +770,8 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
       // remembers the lba and admits its next miss.
       for (u32 k = 0; k < cnt; ++k) {
         if (!admission_->admit(lba + k)) continue;
-        stage_clean(lba + k, fetched[k], tenant, WriteCause::kMissFill);
+        stage(lba + k, fetched[k], tenant, /*dirty=*/false,
+              WriteCause::kMissFill, now);
       }
     }
   }

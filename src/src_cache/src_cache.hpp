@@ -15,6 +15,7 @@
 // handling.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -270,13 +271,21 @@ class SrcCache final : public cache::CacheDevice {
     std::vector<u32> live_by_tenant;
   };
 
+  // One block on its way to flash or primary storage, with its provenance:
+  // a staged segment-buffer entry (lba kDeadSlot once invalidated) or a
+  // destage / quota-bypass write. The cause rides along so the bytes it
+  // turns into are attributed at stage time.
+  struct BlockWrite {
+    u64 lba;
+    u64 tag;
+    u16 tenant;
+    obs::WriteCause cause;
+  };
+
   struct SegBuffer {
-    std::vector<u64> lbas;  // kDeadSlot marks an invalidated staged block
-    std::vector<u64> tags;
-    std::vector<u16> tenants;
-    // Why each staged block exists (obs::WriteCause); rides along to the
-    // seal so the flash bytes it turns into are attributed at stage time.
-    std::vector<u8> causes;
+    explicit SegBuffer(bool seals_dirty = false) : dirty(seals_dirty) {}
+    bool dirty;  // which segment type it seals into
+    std::vector<BlockWrite> slots;
     u32 live = 0;
     // A buffered block's MapEntry::slot is a ticket, base + its index here
     // (mod 2^32). A seal drops entries off the front and advances base, so
@@ -284,13 +293,20 @@ class SrcCache final : public cache::CacheDevice {
     u32 base = 0;
     [[nodiscard]] u32 index(u32 ticket) const { return ticket - base; }
     [[nodiscard]] u32 next_ticket() const {
-      return base + static_cast<u32>(lbas.size());
+      return base + static_cast<u32>(slots.size());
+    }
+    // Moves the front `count` entries into `out`.
+    void take_front(u64 count, std::vector<BlockWrite>& out) {
+      const auto end = slots.begin() + static_cast<long>(count);
+      out.assign(slots.begin(), end);
+      slots.erase(slots.begin(), end);
+      live -= static_cast<u32>(std::count_if(
+          out.begin(), out.end(),
+          [](const BlockWrite& w) { return w.lba != kDeadSlot; }));
+      base += static_cast<u32>(count);
     }
     void clear() {
-      lbas.clear();
-      tags.clear();
-      tenants.clear();
-      causes.clear();
+      slots.clear();
       live = 0;
       base = 0;
     }
@@ -347,21 +363,32 @@ class SrcCache final : public cache::CacheDevice {
 
   // --- write path ---
   SimTime do_write(const cache::AppRequest& req);
-  // Staging only appends to a segment buffer; sealing is driven by
-  // seal_buffer so that GC-induced appends can never re-enter a seal.
-  void stage_dirty(u64 lba, u64 tag, u16 tenant, SimTime now,
-                   obs::WriteCause cause);
-  void stage_clean(u64 lba, u64 tag, u16 tenant, obs::WriteCause cause);
+  // The one staging routine: points the block's map entry at a new slot at
+  // the tail of the dirty or clean buffer (a dirty block already in the
+  // dirty buffer is overwritten in place) and keeps tenant occupancy and
+  // the eviction policy in step. A clean fill of a resident block is a
+  // no-op: the cached copy wins. GC rewrites skip the policy hooks (the
+  // block never left the cache). Staging never seals; seal_buffer does,
+  // so GC-induced appends can never re-enter a seal.
+  void stage(u64 lba, u64 tag, u16 tenant, bool dirty, obs::WriteCause cause,
+             SimTime now);
   // Drains every full segment from the buffer (and, when force_partial, a
   // trailing partial one). GC triggered by SG allocation may append more
   // entries; the drain loop absorbs them.
-  SimTime seal_buffer(SimTime now, bool dirty_type, bool force_partial);
+  SimTime seal_buffer(SimTime now, SegBuffer& buf, bool force_partial);
   // Writes exactly one segment from the buffer front (count entries).
-  SimTime write_one_segment(SimTime now, bool dirty_type, u64 count);
-  SimTime drain_buffers(SimTime now);
+  SimTime write_one_segment(SimTime now, SegBuffer& buf, u64 count);
+  void drain_buffers(SimTime now);
   u32 allocate_sg(SimTime now);
   SimTime throttle(SimTime now, SimTime ack);
   void maybe_timeout_partial(SimTime now);
+
+  // The one primary write-back (GC destages and quota bypass): sorts
+  // `writes` by LBA, issues each consecutive run as one write at `at`
+  // (flagged background traffic when asked) and ledgers every block of a
+  // run that lands. Returns the latest completion, at least `at`.
+  SimTime write_primary(SimTime at, std::vector<BlockWrite>& writes,
+                        bool background);
 
   // --- read path (§4.1 failure handling) ---
   SimTime do_read(const cache::AppRequest& req);
@@ -401,11 +428,35 @@ class SrcCache final : public cache::CacheDevice {
     if (ssds_[dev]->failed()) return true;
     return rebuild_ != nullptr && rebuild_->covers(dev, block);
   }
+  // Residency ledger. invalidate_slot uncounts the slot an entry points at
+  // (buffer or sealed segment); place_slot points an entry at a sealed slot
+  // and counts it live in the segment, the SG, its tenant census and
+  // live_total_; forget invalidates, erases and uncounts the tenant's
+  // occupancy, returning the old entry.
+  // Both run once per sealed or reclaimed slot, from three source files,
+  // so they are defined here to stay inlinable.
   void invalidate_slot(const MapEntry& e);
+  void place_slot(MapEntry& e, u32 sg, u32 seg, u32 slot) {
+    e.sg = sg;
+    e.seg = seg;
+    e.slot = slot;
+    SgInfo& g = sgs_[sg];
+    g.segs[seg].live++;
+    g.live++;
+    census_add(g, e.tenant, 1);
+    live_total_++;
+  }
+  MapEntry forget(u64 lba) {
+    const MapEntry e = map_.at(lba);
+    invalidate_slot(e);
+    map_.erase(lba);
+    tenants_[e.tenant].live_blocks--;
+    return e;
+  }
   // Drops cached blocks whose every copy is gone, counted lost.
   void drop_lost(const std::vector<u64>& lbas);
   SimTime flush_all_ssds(SimTime now);
-  [[nodiscard]] u64 buffer_capacity(bool dirty_type) const;
+  [[nodiscard]] u64 buffer_capacity(const SegBuffer& buf) const;
 
   SrcConfig cfg_;
   std::vector<BlockDevice*> ssds_;
@@ -422,20 +473,20 @@ class SrcCache final : public cache::CacheDevice {
   std::deque<u32> free_sgs_;
   u32 active_sg_ = kBufferSg;
 
-  SegBuffer dirty_buf_;
+  SegBuffer dirty_buf_{/*seals_dirty=*/true};
   SegBuffer clean_buf_;
 
   // Per-call scratch, refilled on every use so the seal, reclaim, read and
   // write paths do not allocate. Neither write_one_segment nor reclaim_one
   // re-enters itself: GC only stages blocks, it never seals; and a read
   // finishes with its slots before draining the buffers into GC.
-  SegBuffer taken_;          // write_one_segment: the entries being sealed
+  std::vector<BlockWrite> taken_;  // write_one_segment: entries being sealed
   std::vector<u64> images_;  // write_one_segment: num_ssds x rows tag images
   std::vector<char> gc_keep_, gc_lost_;  // reclaim_one: per-slot verdicts
   std::vector<u64> gc_tag_;              // reclaim_one: slot tags
   std::vector<SlotRead> reads_, dead_reads_;  // do_read / reclaim_one
-  std::vector<u64> run_buf_;                  // read_slots: one run's tags
-  std::vector<u64> bypass_lbas_, bypass_tags_;  // do_write: quota bypass
+  std::vector<u64> run_buf_;  // read_slots / write_primary: one run's tags
+  std::vector<BlockWrite> bypass_;            // do_write: quota bypass
 
   std::deque<SimTime> inflight_;  // outstanding segment-write completions
   u64 live_total_ = 0;            // live blocks on SSDs (not buffered)

@@ -1,7 +1,6 @@
 // Free-space reclamation (§4.2): S2D destaging vs Sel-GC selective copying.
 #include <algorithm>
 
-#include "common/runs.hpp"
 #include "src_cache/src_cache.hpp"
 
 namespace srcache::src {
@@ -87,15 +86,14 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
                                ? span_->begin_span("src.reclaim", now)
                                : obs::kNoSpan;
 
-  struct Move {
+  struct Copy {
     u64 lba;
     u64 tag;
     u16 tenant;
     bool dirty;
-    bool shed;  // destaged to squeeze an over-quota tenant, not for space
   };
-  std::vector<Move> destages;
-  std::vector<Move> copies;
+  std::vector<BlockWrite> destages;
+  std::vector<Copy> copies;
 
   for (u32 g = 0; g < sg.next_seg; ++g) {
     SegmentInfo& si = sg.segs[g];
@@ -140,10 +138,7 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
     for (u32 k = 0; k < nslots; ++k) {
       const u64 lba = si.slot_lba[k];
       if (lba == kDeadSlot) continue;
-      const MapEntry e = map_.at(lba);
-      invalidate_slot(e);
-      map_.erase(lba);
-      tenants_[e.tenant].live_blocks--;
+      const MapEntry e = forget(lba);
       if (lost[k]) {
         if (e.dirty()) extra_.lost_dirty_blocks++;
         eviction_->on_evict(lba);
@@ -157,13 +152,16 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
         // recopied at every future reclaim.
         if (use_s2d || shed || !keepv[k]) {
           if (!use_s2d && shed) tenants_[e.tenant].gc_shed_blocks++;
-          destages.push_back({lba, tag[k], e.tenant, true, shed && !use_s2d});
+          // A shed destage squeezes an over-quota tenant, not for space.
+          destages.push_back({lba, tag[k], e.tenant,
+                              shed && !use_s2d ? WriteCause::kQuotaShed
+                                               : WriteCause::kDestage});
           eviction_->on_evict(lba);
         } else {
-          copies.push_back({lba, tag[k], e.tenant, true, false});
+          copies.push_back({lba, tag[k], e.tenant, true});
         }
       } else if (keepv[k]) {
-        copies.push_back({lba, tag[k], e.tenant, false, false});
+        copies.push_back({lba, tag[k], e.tenant, false});
       } else {
         if (shed && !use_s2d && e.hot()) tenants_[e.tenant].gc_shed_blocks++;
         stats_.dropped_clean_blocks++;
@@ -176,50 +174,22 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
   // issued as background traffic (the real destager is a worker thread that
   // yields to foreground misses). Their completion times stay on the
   // background lane and must not feed back into SSD-side scheduling.
-  std::sort(destages.begin(), destages.end(),
-            [](const Move& a, const Move& b) { return a.lba < b.lba; });
-  primary_->set_background(true);
-  SimTime destaged_at = t;
   const u32 destage_span =
       (!destages.empty() && span_ != nullptr && span_->sampling())
           ? span_->begin_span("src.destage", t)
           : obs::kNoSpan;
-  std::vector<u64> wtags;
-  const auto adjacent = [](const Move& a, const Move& b) {
-    return b.lba == a.lba + 1;
-  };
-  common::for_each_run(destages, adjacent, [&](size_t i, size_t n) {
-    wtags.clear();
-    for (size_t k = i; k < i + n; ++k) wtags.push_back(destages[k].tag);
-    auto r = primary_->write(t, destages[i].lba, static_cast<u32>(n),
-                             std::span<const u64>(wtags.data(), wtags.size()));
-    if (r.ok()) {
-      destaged_at = std::max(destaged_at, r.done);
-      for (size_t k = i; k < i + n; ++k)
-        ledger_.add(obs::kPrimaryDevice, destages[k].tenant,
-                    destages[k].shed ? WriteCause::kQuotaShed
-                                     : WriteCause::kDestage,
-                    kBlockSize);
-    }
-    stats_.destage_blocks += n;
-    for (size_t k = i; k < i + n; ++k)
-      tenants_[destages[k].tenant].destage_blocks++;
-  });
+  const SimTime destaged_at = write_primary(t, destages, /*background=*/true);
+  stats_.destage_blocks += destages.size();
+  for (const BlockWrite& w : destages) tenants_[w.tenant].destage_blocks++;
   if (destage_span != obs::kNoSpan)
     span_->end_span(destage_span, destaged_at, destages.size());
-  primary_->set_background(false);
 
   // S2S copies re-enter the segment buffers cold (second chance). They are
   // staged only; the seal_buffer drain loop that triggered this reclaim
   // writes them out (staging never re-enters a seal).
-  for (const Move& m : copies) {
+  for (const Copy& c : copies) {
     stats_.gc_copy_blocks++;
-    if (m.dirty) {
-      stage_dirty(m.lba, m.tag, m.tenant, now, WriteCause::kGcRewrite);
-      map_.at(m.lba).flags &= static_cast<u8>(~kFlagHot);
-    } else {
-      stage_clean(m.lba, m.tag, m.tenant, WriteCause::kGcRewrite);
-    }
+    stage(c.lba, c.tag, c.tenant, c.dirty, WriteCause::kGcRewrite, now);
   }
 
   // The whole SG is dead: TRIM it so the SSDs reclaim the erase groups

@@ -150,18 +150,12 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
           continue;
         }
         MapEntry e;
-        e.sg = s;
-        e.seg = g;
-        e.slot = slot;
         e.tenant = si.slot_tenant[slot];
         e.flags = si.type == SegType::kDirty ? kFlagDirty : 0;
+        place_slot(e, s, g, slot);
         map_.emplace(lba, e);
         eviction_->on_admit(lba);
-        si.live++;
-        sg.live++;
-        census_add(sg, e.tenant, 1);
         tenants_[e.tenant].live_blocks++;
-        live_total_++;
       }
     }
   }
@@ -221,15 +215,12 @@ void SrcCache::on_ssd_failure(size_t ssd) {
 
 void SrcCache::drop_lost(const std::vector<u64>& lbas) {
   for (u64 lba : lbas) {
-    const MapEntry e = map_.at(lba);
+    const MapEntry e = forget(lba);
     if (e.dirty()) {
       extra_.lost_dirty_blocks++;
     } else {
       extra_.lost_clean_blocks++;
     }
-    invalidate_slot(e);
-    map_.erase(lba);
-    tenants_[e.tenant].live_blocks--;
     eviction_->on_evict(lba);
   }
 }
@@ -371,17 +362,18 @@ Status SrcCache::verify_consistency() const {
   std::vector<u64> tenant_live(tenants_.size(), 0);
   for (const SegBuffer* buf : {&dirty_buf_, &clean_buf_}) {
     u64 live = 0;
-    for (size_t i = 0; i < buf->lbas.size(); ++i) {
-      if (buf->lbas[i] == kDeadSlot) continue;
+    for (size_t i = 0; i < buf->slots.size(); ++i) {
+      const BlockWrite& w = buf->slots[i];
+      if (w.lba == kDeadSlot) continue;
       ++live;
-      const MapEntry* e = map_.find(buf->lbas[i]);
+      const MapEntry* e = map_.find(w.lba);
       if (e == nullptr || !e->buffered() ||
-          e->dirty() != (buf == &dirty_buf_) || buf->index(e->slot) != i)
+          e->dirty() != buf->dirty || buf->index(e->slot) != i)
         return Status(ErrorCode::kCorrupted,
                       "buffered block's map entry does not point back");
-      if (buf->tenants[i] >= tenant_live.size())
+      if (w.tenant >= tenant_live.size())
         return Status(ErrorCode::kCorrupted, "buffered tenant out of range");
-      tenant_live[buf->tenants[i]]++;
+      tenant_live[w.tenant]++;
     }
     if (live != buf->live)
       return Status(ErrorCode::kCorrupted, "buffer live count drift");

@@ -262,6 +262,45 @@ TYPED_TEST(LeafDevice, ReplaceMediaComesBackBlank) {
   EXPECT_TRUE(d->read(0, 20, 2, {}).ok());
 }
 
+hdd::IscsiConfig leaf_iscsi_config() {
+  hdd::IscsiConfig ic;
+  ic.disk.capacity_bytes = 32 * MiB;
+  ic.server_cache_bytes = 16 * MiB;
+  ic.dirty_limit_bytes = 1 * MiB;
+  return ic;
+}
+
+template <>
+std::unique_ptr<hdd::IscsiTarget> make_leaf() {
+  return std::make_unique<hdd::IscsiTarget>(leaf_iscsi_config());
+}
+
+// Every device SRC stores metadata payloads on, the primary included.
+template <class D>
+class PayloadDevice : public ::testing::Test {};
+using PayloadTypes =
+    ::testing::Types<MemDisk, hdd::SimHdd, flash::SimSsd, hdd::IscsiTarget>;
+TYPED_TEST_SUITE(PayloadDevice, PayloadTypes);
+
+// A payload write and a payload read each count as one command of one
+// block, whichever device serves them.
+TYPED_TEST(PayloadDevice, PayloadWriteAndReadCountOneOpEach) {
+  auto d = make_leaf<TypeParam>();
+  ASSERT_TRUE(
+      d->write_payload(0, 10, std::make_shared<std::vector<u8>>(8, u8{9}))
+          .ok());
+  SimTime done = 0;
+  const auto p = d->read_payload(0, 10, &done);
+  ASSERT_TRUE(p.is_ok());
+  EXPECT_EQ(p.value()->size(), 8u);
+  EXPECT_GT(done, 0);
+  const DeviceStats& s = d->stats();
+  EXPECT_EQ(s.write_ops, 1u);
+  EXPECT_EQ(s.write_blocks, 1u);
+  EXPECT_EQ(s.read_ops, 1u);
+  EXPECT_EQ(s.read_blocks, 1u);
+}
+
 struct LeafRun {
   u32 crc = 0;
   u64 errors[8] = {};  // results seen per ErrorCode
@@ -404,17 +443,14 @@ TEST(Block, GoldenLeafIo) {
   EXPECT_EQ(s.crc, 0x5308d74fu);
   EXPECT_EQ(golden_ssd_run(false).crc, 0x620a2a1du);
 
-  hdd::IscsiConfig ic;
-  ic.disk.capacity_bytes = 32 * MiB;
-  ic.server_cache_bytes = 16 * MiB;
-  ic.dirty_limit_bytes = 1 * MiB;
-  hdd::IscsiTarget iscsi(ic);
+  hdd::IscsiTarget iscsi(leaf_iscsi_config());
   obs::MetricsRegistry reg;
   iscsi.register_metrics(obs::Scope(reg, "hdd"));
   const LeafRun i = run_leaf_io_script(iscsi, true, [&reg] {
     return reg.snapshot().gauges.at("hdd.dirty_backlog_bytes");
   });
-  EXPECT_EQ(fold_metrics(reg, i.crc), 0x94f9247eu);
+  // Re-pinned when IscsiTarget::read_payload began counting its read.
+  EXPECT_EQ(fold_metrics(reg, i.crc), 0x136cee53u);
 
   // The script reaches what the pins are meant to cover: fail-stops and
   // latent errors on every leaf, and both write buffers filling up.

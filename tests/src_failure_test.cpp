@@ -269,7 +269,78 @@ struct GoldenSrc {
   u32 device_crc = 0;  // every SSD and primary call, in arrival order
   u32 state_crc = 0;   // returned tags, stats, ledgers, timeline events
   SrcCache::ExtraStats extra;
+  SrcCache::TenantStats tenant_sum;  // every tenant's counters added up
 };
+
+// The golden scripts' devices: the small rig's geometry over RecordingDisks
+// (ids 0..n-1 the SSDs, n the primary) folding every call into one CRC, and
+// a timeline-only span tracer whose event count each call also folds.
+struct GoldenRig {
+  std::vector<std::unique_ptr<blockdev::RecordingDisk>> ssds;
+  std::vector<blockdev::BlockDevice*> devs;
+  std::unique_ptr<blockdev::RecordingDisk> primary;
+  obs::SpanTracer tracer{/*seed=*/1, /*rate=*/0.0, /*cap=*/0,
+                         /*timeline_cap=*/1 << 20};
+
+  GoldenRig(const SrcConfig& cfg, u32* device_crc) {
+    blockdev::MemDiskConfig fast;
+    fast.capacity_blocks =
+        cfg.region_start_block + cfg.region_bytes_per_ssd / kBlockSize + 64;
+    fast.op_latency = 20 * sim::kUs;
+    fast.bandwidth_mbps = 500.0;
+    fast.flush_latency = 4 * sim::kMs;
+    blockdev::MemDiskConfig slow;
+    slow.capacity_blocks = 1 * GiB / kBlockSize;
+    slow.op_latency = 5 * sim::kMs;
+    slow.bandwidth_mbps = 110.0;
+    for (u64 i = 0; i < cfg.num_ssds; ++i) {
+      ssds.push_back(
+          std::make_unique<blockdev::RecordingDisk>(i, fast, device_crc));
+      devs.push_back(ssds.back().get());
+    }
+    primary = std::make_unique<blockdev::RecordingDisk>(cfg.num_ssds, slow,
+                                                        device_crc);
+    for (auto& d : ssds) d->watch(&tracer);
+    primary->watch(&tracer);
+  }
+  // The devices hold the tracer's address.
+  GoldenRig(const GoldenRig&) = delete;
+  GoldenRig& operator=(const GoldenRig&) = delete;
+};
+
+// Folds the cache's CacheStats, ExtraStats and provenance ledger.
+void fold_cache(const SrcCache& cache, GoldenSrc& g) {
+  auto fold = [&g](u64 v) { g.state_crc = common::crc32c_of(v, g.state_crc); };
+  for (const auto& f : cache::kCacheStatsFields) {
+    if (f.counter != nullptr) fold(cache.stats().*f.counter);
+  }
+  g.extra = cache.extra();
+  std::array<u64, sizeof(SrcCache::ExtraStats) / sizeof(u64)> extra{};
+  static_assert(sizeof(extra) == sizeof(SrcCache::ExtraStats));
+  std::memcpy(extra.data(), &g.extra, sizeof(extra));
+  for (u64 v : extra) fold(v);
+  for (const auto& [key, cell] : cache.provenance().cells()) {
+    fold(key.first);
+    fold(key.second);
+    for (u64 bytes : cell) fold(bytes);
+  }
+}
+
+// Folds the tracer's timeline events and every device's DeviceStats.
+void fold_devices(const GoldenRig& rig, GoldenSrc& g) {
+  auto fold = [&g](u64 v) { g.state_crc = common::crc32c_of(v, g.state_crc); };
+  for (const obs::TimelineEvent& ev : rig.tracer.timeline()) {
+    g.state_crc = common::crc32c(
+        {reinterpret_cast<const u8*>(ev.name), std::strlen(ev.name)},
+        g.state_crc);
+    for (u64 v : {static_cast<u64>(ev.lane), static_cast<u64>(ev.start),
+                  static_cast<u64>(ev.end), ev.arg})
+      fold(v);
+  }
+  for (const auto& d : rig.ssds)
+    g.state_crc = blockdev::fold_stats(d->stats(), g.state_crc);
+  g.state_crc = blockdev::fold_stats(rig.primary->stats(), g.state_crc);
+}
 
 // A seeded script of reads, writes and flushes over 3x the cache on the
 // small rig's geometry, with every SSD and the primary recorded, then a
@@ -282,30 +353,9 @@ struct GoldenSrc {
 GoldenSrc run_device_io_script(raid::RaidLevel level, GoldenCase c) {
   GoldenSrc g;
   const SrcConfig cfg = small_config(level);
-  blockdev::MemDiskConfig fast;
-  fast.capacity_blocks =
-      cfg.region_start_block + cfg.region_bytes_per_ssd / kBlockSize + 64;
-  fast.op_latency = 20 * sim::kUs;
-  fast.bandwidth_mbps = 500.0;
-  fast.flush_latency = 4 * sim::kMs;
-  blockdev::MemDiskConfig slow;
-  slow.capacity_blocks = 1 * GiB / kBlockSize;
-  slow.op_latency = 5 * sim::kMs;
-  slow.bandwidth_mbps = 110.0;
-  std::vector<std::unique_ptr<blockdev::RecordingDisk>> ssds;
-  std::vector<blockdev::BlockDevice*> devs;
-  for (u64 i = 0; i < cfg.num_ssds; ++i) {
-    ssds.push_back(
-        std::make_unique<blockdev::RecordingDisk>(i, fast, &g.device_crc));
-    devs.push_back(ssds.back().get());
-  }
-  blockdev::RecordingDisk primary(cfg.num_ssds, slow, &g.device_crc);
-  obs::SpanTracer tracer(/*seed=*/1, /*rate=*/0.0, /*cap=*/0,
-                         /*timeline_cap=*/1 << 20);
-  for (auto& d : ssds) d->watch(&tracer);
-  primary.watch(&tracer);
-  SrcCache cache(cfg, devs, &primary);
-  cache.set_span(&tracer);
+  GoldenRig rig(cfg, &g.device_crc);
+  SrcCache cache(cfg, rig.devs, rig.primary.get());
+  cache.set_span(&rig.tracer);
   cache.format(0);
 
   const u64 sg = cfg.eg_blocks();
@@ -327,13 +377,13 @@ GoldenSrc run_device_io_script(raid::RaidLevel level, GoldenCase c) {
       break;
   }
   fault::FaultInjector inj(fault::FaultPlan::parse_or_die(plan, 7));
-  inj.attach_ssds(devs);
-  inj.attach_primary(&primary);
+  inj.attach_ssds(rig.devs);
+  inj.attach_primary(rig.primary.get());
   std::unique_ptr<raid::RebuildManager> mgr;
   if (c == GoldenCase::kRebuilt) {
     raid::RebuildConfig rc;
     rc.mbps = 2.0;  // slow enough that the rebuild spans many reclaims
-    mgr = std::make_unique<raid::RebuildManager>(rc, devs);
+    mgr = std::make_unique<raid::RebuildManager>(rc, rig.devs);
   }
   wire_faults(cache, inj, mgr.get());
 
@@ -372,19 +422,7 @@ GoldenSrc run_device_io_script(raid::RaidLevel level, GoldenCase c) {
                 rep.unrecoverable})
     fold(v);
 
-  for (const auto& f : cache::kCacheStatsFields) {
-    if (f.counter != nullptr) fold(cache.stats().*f.counter);
-  }
-  g.extra = cache.extra();
-  std::array<u64, sizeof(SrcCache::ExtraStats) / sizeof(u64)> extra{};
-  static_assert(sizeof(extra) == sizeof(SrcCache::ExtraStats));
-  std::memcpy(extra.data(), &g.extra, sizeof(extra));
-  for (u64 v : extra) fold(v);
-  for (const auto& [key, cell] : cache.provenance().cells()) {
-    fold(key.first);
-    fold(key.second);
-    for (u64 bytes : cell) fold(bytes);
-  }
+  fold_cache(cache, g);
   for (u64 v : {inj.ledger().injected(), inj.ledger().detected(),
                 inj.ledger().repaired(), inj.ledger().repaired_by_rebuild()})
     fold(v);
@@ -393,16 +431,7 @@ GoldenSrc run_device_io_script(raid::RaidLevel level, GoldenCase c) {
     for (u64 v : {o.rebuilds_completed, o.blocks_copied, o.write_bytes})
       fold(v);
   }
-  for (const obs::TimelineEvent& ev : tracer.timeline()) {
-    g.state_crc = common::crc32c(
-        {reinterpret_cast<const u8*>(ev.name), std::strlen(ev.name)},
-        g.state_crc);
-    for (u64 v : {static_cast<u64>(ev.lane), static_cast<u64>(ev.start),
-                  static_cast<u64>(ev.end), ev.arg})
-      fold(v);
-  }
-  for (const auto& d : ssds) g.state_crc = fold_stats(d->stats(), g.state_crc);
-  g.state_crc = fold_stats(primary.stats(), g.state_crc);
+  fold_devices(rig, g);
   return g;
 }
 
@@ -446,6 +475,173 @@ TEST(Src, GoldenDeviceIo) {
     EXPECT_EQ(g.device_crc, p.device_crc) << ctx;
     EXPECT_EQ(g.state_crc, p.state_crc) << ctx;
     // The script reaches both reclaim modes.
+    EXPECT_GT(g.extra.s2s_reclaims, 0u) << ctx;
+    EXPECT_GT(g.extra.s2d_reclaims, 0u) << ctx;
+  }
+}
+
+// --- golden write path ------------------------------------------------------
+
+struct WritePathCase {
+  policy::EvictionKind eviction;
+  policy::AdmissionKind admission;
+  bool pc_per_segment;  // PC with per-segment flush, else NPC with per-SG
+};
+
+// A seeded two-tenant script over 3x the cache on the healthy RAID-5 small
+// rig: writes, reads, flushes, tier destages and demotes, with a 2 ms TWAIT
+// and occasional longer gaps so partial segments seal. At op 1000 a quota
+// puts tenant 1 over its share, so its new writes and misses bypass the
+// cache and GC sheds its blocks. Folds every SSD and primary call and the
+// returned times and tags, then the stats, ledgers, every registered
+// metric (tenant and policy counters included) and the timeline.
+GoldenSrc run_write_path_script(const WritePathCase& wc) {
+  GoldenSrc g;
+  SrcConfig cfg = small_config();
+  cfg.eviction = wc.eviction;
+  cfg.admission = wc.admission;
+  if (wc.pc_per_segment) {
+    cfg.clean_redundancy = CleanRedundancy::kPC;
+    cfg.flush_control = FlushControl::kPerSegment;
+  }
+  cfg.twait = 2 * sim::kMs;
+  cfg.umax = 0.75;  // low enough that every policy pair also reclaims S2D
+  GoldenRig rig(cfg, &g.device_crc);
+  SrcCache cache(cfg, rig.devs, rig.primary.get());
+  cache.set_span(&rig.tracer);
+  obs::MetricsRegistry reg;
+  cache.register_metrics(obs::Scope(reg, "src"));
+  cache.format(0);
+
+  auto fold = [&g](u64 v) { g.state_crc = common::crc32c_of(v, g.state_crc); };
+  const u64 cap = cfg.capacity_blocks();
+  const u64 span = 3 * cap;
+  common::Xoshiro256 rng(31 + static_cast<u64>(wc.eviction) * 7 +
+                         static_cast<u64>(wc.admission) * 3 +
+                         (wc.pc_per_segment ? 1 : 0));
+  sim::SimTime now = 0;
+  std::vector<u64> lbas, tags;
+  std::vector<u16> owners;
+  for (u64 op = 0; op < 6000; ++op) {
+    now += static_cast<sim::SimTime>(rng.below(400)) * sim::kUs;
+    if (rng.below(40) == 0) now += 5 * sim::kMs;  // past TWAIT
+    if (op == 1000) cache.set_tenant_quotas({cap, cap / 16});
+    const u16 tenant = rng.below(3) == 0 ? 1 : 0;
+    const u32 n = 1 + static_cast<u32>(rng.below(8));
+    const u64 lba = rng.below(span - n + 1);
+    const u64 dice = rng.below(100);
+    if (dice < 2) {
+      fold(static_cast<u64>(cache.flush(now)));
+    } else if (dice < 7) {
+      lbas.clear();
+      tags.clear();
+      for (u32 k = 0; k < n; ++k) {
+        lbas.push_back(lba + k);
+        tags.push_back(rng.next());
+      }
+      owners.assign(n, tenant);
+      fold(static_cast<u64>(cache.tier_destage(now, lbas, tags, owners)));
+    } else if (dice < 12) {
+      fold(static_cast<u64>(cache.tier_demote(now, lba, rng.next(), tenant)));
+    } else {
+      cache::AppRequest r;
+      r.now = now;
+      r.tenant = tenant;
+      r.lba = lba;
+      r.nblocks = n;
+      tags.assign(n, 0);
+      r.is_write = dice < 55;
+      if (r.is_write) {
+        for (u64& t : tags) t = rng.next();
+        r.tags = tags.data();
+      } else {
+        r.tags_out = tags.data();
+      }
+      fold(static_cast<u64>(cache.submit(r)));
+      if (!r.is_write)
+        for (u64 t : tags) fold(t);
+    }
+  }
+  EXPECT_TRUE(cache.verify_consistency().is_ok());
+  fold(cache.seals());
+  fold(cache.cached_blocks());
+
+  fold_cache(cache, g);
+  for (const SrcCache::TenantStats& t : cache.tenant_stats()) {
+    for (u64 v : {t.read_hit_blocks, t.read_miss_blocks, t.write_blocks,
+                  t.fetch_bypass_blocks, t.write_bypass_blocks,
+                  t.gc_shed_blocks, t.destage_blocks, t.live_blocks,
+                  t.quota_blocks})
+      fold(v);
+    g.tenant_sum.write_bypass_blocks += t.write_bypass_blocks;
+    g.tenant_sum.fetch_bypass_blocks += t.fetch_bypass_blocks;
+    g.tenant_sum.gc_shed_blocks += t.gc_shed_blocks;
+  }
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  for (const auto& [name, v] : snap.counters) {
+    g.state_crc = common::crc32c(
+        {reinterpret_cast<const u8*>(name.data()), name.size()}, g.state_crc);
+    fold(v);
+  }
+  for (const auto& [name, v] : snap.gauges) {
+    g.state_crc = common::crc32c(
+        {reinterpret_cast<const u8*>(name.data()), name.size()}, g.state_crc);
+    u64 bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    fold(bits);
+  }
+  fold_devices(rig, g);
+  return g;
+}
+
+// Pins the write side: which commands staging, sealing (full and partial,
+// NPC and PC, per-SG and per-segment flush), S2S copies, S2D and shed
+// destages, quota bypass and the tier hand-off send to the SSDs and primary
+// storage, in what order and when, and the stats, provenance, tenant and
+// policy counters they leave, under three eviction/admission pairs.
+TEST(Src, GoldenWritePathIo) {
+  using policy::AdmissionKind;
+  using policy::EvictionKind;
+  struct Pin {
+    WritePathCase c;
+    u32 device_crc;
+    u32 state_crc;
+  };
+  const Pin pins[] = {
+      {{EvictionKind::kPaper, AdmissionKind::kAlways, false},
+       0xeb7f6a4f,
+       0x60365235},
+      {{EvictionKind::kPaper, AdmissionKind::kAlways, true},
+       0x96b168f3,
+       0x8d3c4a13},
+      {{EvictionKind::kS3Fifo, AdmissionKind::kGhost, false},
+       0x81d5eb17,
+       0xf08e3b17},
+      {{EvictionKind::kS3Fifo, AdmissionKind::kGhost, true},
+       0x91b60908,
+       0x2e35981e},
+      {{EvictionKind::kSieve, AdmissionKind::kAlways, false},
+       0xdab257e0,
+       0xe5439e27},
+      {{EvictionKind::kSieve, AdmissionKind::kAlways, true},
+       0xf2c990d1,
+       0x962958b1},
+  };
+  for (const Pin& p : pins) {
+    const GoldenSrc g = run_write_path_script(p.c);
+    std::string ctx = policy::to_string(p.c.eviction);
+    ctx += "+";
+    ctx += policy::to_string(p.c.admission);
+    ctx += p.c.pc_per_segment ? " PC per-segment" : " NPC per-SG";
+    EXPECT_EQ(g.device_crc, p.device_crc)
+        << ctx << std::hex << " device 0x" << g.device_crc;
+    EXPECT_EQ(g.state_crc, p.state_crc)
+        << ctx << std::hex << " state 0x" << g.state_crc;
+    // The script reaches every write-path branch it pins.
+    EXPECT_GT(g.tenant_sum.write_bypass_blocks, 0u) << ctx;
+    EXPECT_GT(g.tenant_sum.fetch_bypass_blocks, 0u) << ctx;
+    EXPECT_GT(g.tenant_sum.gc_shed_blocks, 0u) << ctx;
+    EXPECT_GT(g.extra.partial_segments, 0u) << ctx;
     EXPECT_GT(g.extra.s2s_reclaims, 0u) << ctx;
     EXPECT_GT(g.extra.s2d_reclaims, 0u) << ctx;
   }
