@@ -12,20 +12,45 @@ FlashcacheLike::FlashcacheLike(const FlashcacheConfig& cfg, BlockDevice* ssd,
     : cfg_(cfg), ssd_(ssd), primary_(primary) {
   if (cfg_.cache_blocks == 0 || cfg_.set_blocks == 0)
     throw std::invalid_argument("Flashcache: empty cache");
+  // Slot links are u32, with ~0u as the end of a list.
+  if (cfg_.cache_blocks > kNil)
+    throw std::invalid_argument("Flashcache: cache_blocks must be < 2^32");
   cfg_.cache_blocks -= cfg_.cache_blocks % cfg_.set_blocks;
   md_base_ = cfg_.cache_blocks;
   const u64 md_blocks = div_ceil(cfg_.cache_blocks, cfg_.md_entries_per_block);
   if (ssd_->capacity_blocks() < md_base_ + md_blocks)
     throw std::invalid_argument("Flashcache: device too small for metadata");
   slots_.resize(cfg_.cache_blocks);
+  sets_.resize(cfg_.cache_blocks / cfg_.set_blocks);
 }
 
 u64 FlashcacheLike::set_of(u64 lba) const {
-  const u64 num_sets = cfg_.cache_blocks / cfg_.set_blocks;
   // dm-flashcache maps consecutive backing regions to one set
   // (dbn / associativity), preserving spatial locality within a set so
   // per-set destaging can merge neighbouring blocks.
-  return (lba / cfg_.set_blocks) % num_sets;
+  return (lba / cfg_.set_blocks) % sets_.size();
+}
+
+void FlashcacheLike::move_to(u32 slot, List list) {
+  Slot& s = slots_[slot];
+  Set& set = sets_[slot / cfg_.set_blocks];
+  if (s.lba != kInvalid) {  // resident: unlink from its list
+    (s.prev == kNil ? set.head[s.list] : slots_[s.prev].next) = s.next;
+    (s.next == kNil ? set.tail[s.list] : slots_[s.next].prev) = s.prev;
+    if (s.list == kDirty) {
+      set.dirty--;
+      dirty_count_--;
+    }
+  }
+  s.prev = set.tail[list];
+  s.next = kNil;
+  (s.prev == kNil ? set.head[list] : slots_[s.prev].next) = slot;
+  set.tail[list] = slot;
+  s.list = list;
+  if (list == kDirty) {
+    set.dirty++;
+    dirty_count_++;
+  }
 }
 
 SimTime FlashcacheLike::write_metadata(SimTime now, u64 slot) {
@@ -36,15 +61,13 @@ SimTime FlashcacheLike::write_metadata(SimTime now, u64 slot) {
 }
 
 SimTime FlashcacheLike::destage_slot(SimTime now, u64 slot) {
-  Slot& s = slots_[slot];
   u64 tag = 0;
   auto r = ssd_->read(now, slot, 1, std::span<u64>(&tag, 1));
   SimTime t = r.ok() ? r.done : now;
-  auto w = primary_->write(t, s.lba, 1, std::span<const u64>(&tag, 1));
+  auto w =
+      primary_->write(t, slots_[slot].lba, 1, std::span<const u64>(&tag, 1));
   if (w.ok()) t = w.done;
   stats_.destage_blocks++;
-  s.dirty = false;
-  dirty_count_--;
   return std::max(t, write_metadata(t, slot));
 }
 
@@ -52,81 +75,71 @@ SimTime FlashcacheLike::maybe_trickle_destage(SimTime now, u64 set) {
   // Flashcache cleans the accessed set toward dirty_thresh_pct (per-set
   // accounting, like flashcache_clean_set); it tolerates overshoot rather
   // than blocking the foreground write.
-  const u64 base = set * cfg_.set_blocks;
-  SimTime t = now;
-  // Oldest dirty blocks of the set first.
-  std::vector<u64> dirty;
-  for (u64 i = base; i < base + cfg_.set_blocks; ++i)
-    if (slots_[i].lba != kInvalid && slots_[i].dirty) dirty.push_back(i);
-  if (static_cast<double>(dirty.size()) <=
+  const Set& st = sets_[set];
+  if (static_cast<double>(st.dirty) <=
       cfg_.dirty_thresh_pct * static_cast<double>(cfg_.set_blocks)) {
     return now;
   }
-  std::sort(dirty.begin(), dirty.end(), [&](u64 a, u64 b) {
-    return slots_[a].tick < slots_[b].tick;
-  });
-  dirty.resize(std::min<size_t>(dirty.size(), cfg_.destage_batch));
+  // Oldest dirty blocks of the set first.
+  batch_.clear();
+  for (u32 i = st.head[kDirty]; i != kNil && batch_.size() < cfg_.destage_batch;
+       i = slots_[i].next)
+    batch_.push_back(i);
+  set_slot_visits_ += batch_.size();
+  for (u32 slot : batch_) move_to(slot, kCleaned);  // keeping their ticks
   primary_->set_background(true);  // kcached-style background cleaner
   // Write back in dbn order: the set holds a contiguous backing region, so
   // sorted victims merge into few primary writes.
-  std::sort(dirty.begin(), dirty.end(),
-            [&](u64 a, u64 b) { return slots_[a].lba < slots_[b].lba; });
-  const auto adjacent = [&](u64 a, u64 b) {
+  std::sort(batch_.begin(), batch_.end(),
+            [&](u32 a, u32 b) { return slots_[a].lba < slots_[b].lba; });
+  const auto adjacent = [&](u32 a, u32 b) {
     return slots_[b].lba == slots_[a].lba + 1;
   };
-  common::for_each_run(dirty, adjacent, [&](size_t i, size_t n) {
-    std::vector<u64> tags(n, 0);
+  common::for_each_run(batch_, adjacent, [&](size_t i, size_t n) {
+    tags_.assign(n, 0);
     SimTime rt = now;
     for (size_t k = 0; k < n; ++k) {
-      const u64 slot = dirty[i + k];
-      auto r = ssd_->read(now, slot, 1, std::span<u64>(&tags[k], 1));
+      const u64 slot = batch_[i + k];
+      auto r = ssd_->read(now, slot, 1, std::span<u64>(&tags_[k], 1));
       if (r.ok()) rt = std::max(rt, r.done);
-      Slot& s = slots_[slot];
-      s.dirty = false;
-      dirty_count_--;
       stats_.destage_blocks++;
-      t = std::max(t, write_metadata(now, slot));
+      write_metadata(now, slot);
     }
     // Background lane: the cleaner's primary writes never gate foreground.
-    primary_->write(rt, slots_[dirty[i]].lba, static_cast<u32>(n),
-                    std::span<const u64>(tags.data(), tags.size()));
+    primary_->write(rt, slots_[batch_[i]].lba, static_cast<u32>(n), tags_);
   });
   primary_->set_background(false);
-  (void)t;  // kcached-style cleaner: asynchronous, never gates the app ack
+  // kcached-style cleaner: asynchronous, never gates the app ack.
   return now;
 }
 
 u64 FlashcacheLike::allocate_slot(SimTime now, u64 lba, SimTime* done) {
   const u64 set = set_of(lba);
-  const u64 base = set * cfg_.set_blocks;
-  u64 victim = kInvalid;
-  // Prefer an invalid slot, then the LRU clean slot, then the LRU dirty.
-  u64 best_clean = kInvalid, best_dirty = kInvalid;
-  for (u64 i = base; i < base + cfg_.set_blocks; ++i) {
-    Slot& s = slots_[i];
-    if (s.lba == kInvalid) {
-      victim = i;
-      break;
+  Set& st = sets_[set];
+  // Prefer an unused slot, then the LRU clean slot, then the LRU dirty.
+  u32 victim = kNil;
+  if (st.used < cfg_.set_blocks) {
+    victim = static_cast<u32>(set * cfg_.set_blocks + st.used++);
+    set_slot_visits_++;
+  } else {
+    for (List list : {kClean, kCleaned}) {
+      const u32 head = st.head[list];
+      if (head == kNil) continue;
+      set_slot_visits_++;
+      if (victim == kNil || slots_[head].tick < slots_[victim].tick)
+        victim = head;
     }
-    if (!s.dirty) {
-      if (best_clean == kInvalid || s.tick < slots_[best_clean].tick)
-        best_clean = i;
-    } else {
-      if (best_dirty == kInvalid || s.tick < slots_[best_dirty].tick)
-        best_dirty = i;
+    if (victim == kNil) {
+      victim = st.head[kDirty];
+      set_slot_visits_++;
+      *done = std::max(*done, destage_slot(now, victim));
     }
+    // A dirty victim is clean once destaged, so it counts as dropped too.
+    map_.erase(slots_[victim].lba);
+    stats_.dropped_clean_blocks++;
   }
-  if (victim == kInvalid) victim = best_clean;
-  if (victim == kInvalid) {
-    victim = best_dirty;
-    *done = std::max(*done, destage_slot(now, victim));
-  }
+  move_to(victim, kClean);
   Slot& s = slots_[victim];
-  if (s.lba != kInvalid) {
-    map_.erase(s.lba);
-    if (!s.dirty) stats_.dropped_clean_blocks++;
-  }
-  s = Slot{};
   s.lba = lba;
   s.tick = ++tick_;
   map_[lba] = victim;
@@ -159,15 +172,10 @@ SimTime FlashcacheLike::submit(const cache::AppRequest& req) {
         stats_.write_new_blocks++;
         slot = allocate_slot(now, lba, &done);
       }
-      Slot& s = slots_[slot];
-      s.tag = tag;
+      move_to(static_cast<u32>(slot), cfg_.write_back ? kDirty : kClean);
       auto w = ssd_->write(now, slot, 1, std::span<const u64>(&tag, 1));
       if (w.ok()) done = std::max(done, w.done);
       if (cfg_.write_back) {
-        if (!s.dirty) {
-          s.dirty = true;
-          dirty_count_++;
-        }
         done = std::max(done, write_metadata(now, slot));
         done = std::max(done, maybe_trickle_destage(now, set_of(lba)));
       } else {
@@ -184,6 +192,8 @@ SimTime FlashcacheLike::submit(const cache::AppRequest& req) {
         stats_.read_hit_blocks++;
         const u64 slot = *cached;
         slots_[slot].tick = ++tick_;
+        move_to(static_cast<u32>(slot),
+                slots_[slot].list == kDirty ? kDirty : kClean);
         u64 tag = 0;
         auto r = ssd_->read(now, slot, 1, std::span<u64>(&tag, 1));
         if (r.ok()) done = std::max(done, r.done);
@@ -198,7 +208,6 @@ SimTime FlashcacheLike::submit(const cache::AppRequest& req) {
         // Load into the cache: a clean-data write plus an in-memory
         // metadata update only (§3.1).
         const u64 slot = allocate_slot(now, lba, &done);
-        slots_[slot].tag = tag;
         ssd_->write(now, slot, 1, std::span<const u64>(&tag, 1));
       }
     }

@@ -47,13 +47,33 @@ class FlashcacheLike final : public cache::CacheDevice {
                      static_cast<double>(cfg_.cache_blocks);
   }
   [[nodiscard]] u64 cache_blocks() const { return cfg_.cache_blocks; }
+  // Slots the per-set bookkeeping has examined to place fills, pick victims
+  // and pick trickle batches: a deterministic work count.
+  [[nodiscard]] u64 set_slot_visits() const { return set_slot_visits_; }
 
  private:
+  // Every resident slot of a set sits on one list, oldest tick at the head:
+  // kDirty, kClean (fills and clean touches) or kCleaned (trickle-destaged,
+  // keeping their old ticks). Fills and touches take a fresh tick, so they
+  // append. A trickle batch is the head of kDirty, and a slot turns dirty
+  // only with a fresh tick, so each batch is younger than every slot
+  // already on kCleaned and appends in order too. The LRU clean slot is the
+  // older of the two clean heads.
+  enum List : u8 { kDirty, kClean, kCleaned, kLists };
+  static constexpr u32 kNil = ~0u;
   struct Slot {
     u64 lba = kInvalid;
-    bool dirty = false;
-    u64 tag = 0;
-    u64 tick = 0;  // LRU within the set
+    u64 tick = 0;  // LRU within the set; unique
+    u32 prev = kNil;
+    u32 next = kNil;
+    List list = kClean;
+  };
+  static_assert(sizeof(Slot) == 32);
+  struct Set {
+    u32 head[kLists] = {kNil, kNil, kNil};
+    u32 tail[kLists] = {kNil, kNil, kNil};
+    u32 used = 0;   // unused slots are filled lowest index first
+    u32 dirty = 0;  // slots on kDirty
   };
   static constexpr u64 kInvalid = ~0ull;
 
@@ -61,6 +81,8 @@ class FlashcacheLike final : public cache::CacheDevice {
   // Finds or allocates a slot for lba in its set; destages/evicts as
   // needed. Returns the slot index and the time all required I/O finished.
   u64 allocate_slot(SimTime now, u64 lba, SimTime* done);
+  // Moves a slot to the tail of `list` in its set, keeping the dirty counts.
+  void move_to(u32 slot, List list);
   SimTime destage_slot(SimTime now, u64 slot);
   SimTime write_metadata(SimTime now, u64 slot);
   SimTime maybe_trickle_destage(SimTime now, u64 set);
@@ -69,10 +91,14 @@ class FlashcacheLike final : public cache::CacheDevice {
   BlockDevice* ssd_;
   BlockDevice* primary_;
   std::vector<Slot> slots_;
+  std::vector<Set> sets_;
   common::FlatMap<u64> map_;  // lba -> slot index
   u64 dirty_count_ = 0;
   u64 tick_ = 0;
   u64 md_base_;  // metadata partition start block on the SSD
+  u64 set_slot_visits_ = 0;
+  std::vector<u32> batch_;  // trickle scratch: slots being destaged
+  std::vector<u64> tags_;   // trickle scratch: one run's tags
   cache::CacheStats stats_;
 };
 

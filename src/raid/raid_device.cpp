@@ -7,67 +7,6 @@
 
 namespace srcache::raid {
 
-namespace {
-
-// One block-granular member access; runs are merged before submission.
-struct Cell {
-  size_t dev;
-  u64 off;
-  u64 tag = 0;         // value to write
-  u64* out = nullptr;  // destination for reads
-};
-
-enum class MemberOp { kRead, kWrite, kTrim };
-
-// Sorts `cells` by (device, offset) and issues each contiguous run as one
-// member command at `now`: reads land in Cell::out, writes carry Cell::tag.
-// A failed run does not stop the later ones; the result is the latest
-// completion of the runs that succeeded plus the last member error. Read
-// and write runs count in `stats`; the caller counts a trim request once.
-IoResult run_members(MemberOp op, std::vector<Cell>& cells,
-                     std::span<BlockDevice* const> devs, DeviceStats& stats,
-                     SimTime now) {
-  std::sort(cells.begin(), cells.end(), [](const Cell& a, const Cell& b) {
-    return a.dev != b.dev ? a.dev < b.dev : a.off < b.off;
-  });
-  const auto adjacent = [](const Cell& a, const Cell& b) {
-    return b.dev == a.dev && b.off == a.off + 1;
-  };
-  IoResult out{now, ErrorCode::kOk};
-  std::vector<u64> buf;
-  common::for_each_run(cells, adjacent, [&](size_t first, size_t cnt) {
-    const std::span<Cell> run(cells.data() + first, cnt);
-    BlockDevice* dev = devs[run[0].dev];
-    const auto n = static_cast<u32>(cnt);
-    buf.resize(cnt);
-    IoResult r;
-    if (op == MemberOp::kRead) {
-      r = dev->read(now, run[0].off, n, buf);
-    } else if (op == MemberOp::kWrite) {
-      for (size_t k = 0; k < cnt; ++k) buf[k] = run[k].tag;
-      r = dev->write(now, run[0].off, n, buf);
-    } else {
-      r = dev->trim(now, run[0].off, cnt);
-    }
-    if (!r.ok()) {
-      out.error = r.error;
-      return;
-    }
-    out.done = std::max(out.done, r.done);
-    if (op == MemberOp::kRead) {
-      for (size_t k = 0; k < cnt; ++k) *run[k].out = buf[k];
-      stats.read_ops++;
-      stats.read_blocks += cnt;
-    } else if (op == MemberOp::kWrite) {
-      stats.write_ops++;
-      stats.write_blocks += cnt;
-    }
-  });
-  return out;
-}
-
-}  // namespace
-
 const char* to_string(RaidLevel level) {
   switch (level) {
     case RaidLevel::kRaid0: return "RAID-0";
@@ -142,6 +81,49 @@ void RaidDevice::corrupt(u64 lba) {
   devs_[loc.dev]->corrupt(loc.off);
 }
 
+IoResult RaidDevice::run_members(MemberOp op, std::vector<Cell>& cells,
+                                 DeviceStats& stats, SimTime now,
+                                 const Payload* payload) {
+  std::sort(cells.begin(), cells.end(), [](const Cell& a, const Cell& b) {
+    return a.dev != b.dev ? a.dev < b.dev : a.off < b.off;
+  });
+  const auto adjacent = [](const Cell& a, const Cell& b) {
+    return b.dev == a.dev && b.off == a.off + 1;
+  };
+  IoResult out{now, ErrorCode::kOk};
+  common::for_each_run(cells, adjacent, [&](size_t first, size_t cnt) {
+    const std::span<Cell> run(cells.data() + first, cnt);
+    BlockDevice* dev = devs_[run[0].dev];
+    const auto n = static_cast<u32>(cnt);
+    run_buf_.resize(cnt);
+    IoResult r;
+    if (op == MemberOp::kRead) {
+      r = dev->read(now, run[0].off, n, run_buf_);
+    } else if (op == MemberOp::kWrite) {
+      for (size_t k = 0; k < cnt; ++k) run_buf_[k] = run[k].tag;
+      r = dev->write(now, run[0].off, n, run_buf_);
+    } else if (op == MemberOp::kPayload) {
+      r = dev->write_payload(now, run[0].off, *payload);
+    } else {
+      r = dev->trim(now, run[0].off, cnt);
+    }
+    if (!r.ok()) {
+      out.error = r.error;
+      return;
+    }
+    out.done = std::max(out.done, r.done);
+    if (op == MemberOp::kRead) {
+      for (size_t k = 0; k < cnt; ++k) *run[k].out = run_buf_[k];
+      stats.read_ops++;
+      stats.read_blocks += cnt;
+    } else if (op != MemberOp::kTrim) {
+      stats.write_ops++;
+      stats.write_blocks += cnt;
+    }
+  });
+  return out;
+}
+
 IoResult RaidDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) {
   if (lba + n > capacity_blocks_) return {now, ErrorCode::kInvalidArgument};
   const u32 sp = (span_ != nullptr && span_->sampling())
@@ -151,13 +133,11 @@ IoResult RaidDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) 
     if (sp != obs::kNoSpan) span_->end_span(sp, r.done, n);
     return r;
   };
-  std::vector<u64> scratch;
   if (tags_out.empty()) {
-    scratch.assign(n, 0);
-    tags_out = scratch;
+    discard_.resize(n);
+    tags_out = discard_;
   }
-  std::vector<Cell> cells;
-  cells.reserve(n);
+  cells_.clear();
   bool any_dead = false;
   for (u32 i = 0; i < n; ++i) {
     Loc loc = locate(lba + i);
@@ -172,9 +152,9 @@ IoResult RaidDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) 
                (mirror_rr_++ & 1) != 0) {
       loc.dev = loc.mirror;  // balance reads across mirrors
     }
-    cells.push_back({loc.dev, loc.off, 0, &tags_out[i]});
+    cells_.push_back({loc.dev, loc.off, 0, &tags_out[i]});
   }
-  const IoResult r = run_members(MemberOp::kRead, cells, devs_, stats_, now);
+  const IoResult r = run_members(MemberOp::kRead, cells_, stats_, now);
   if (!r.ok()) return finish({now, r.error});
   SimTime done = r.done;
 
@@ -228,6 +208,12 @@ Result<u64> RaidDevice::reconstruct_block(SimTime now, size_t dead_dev, u64 off,
 }
 
 IoResult RaidDevice::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
+  return write_blocks(now, lba, n, tags, nullptr);
+}
+
+IoResult RaidDevice::write_blocks(SimTime now, u64 lba, u32 n,
+                                  std::span<const u64> tags,
+                                  const Payload* payload) {
   if (lba + n > capacity_blocks_) return {now, ErrorCode::kInvalidArgument};
   const u32 sp = (span_ != nullptr && span_->sampling())
                      ? span_->begin_span("raid.write", now)
@@ -237,21 +223,22 @@ IoResult RaidDevice::write(SimTime now, u64 lba, u32 n, std::span<const u64> tag
     return r;
   };
   if (cfg_.level == RaidLevel::kRaid4 || cfg_.level == RaidLevel::kRaid5)
-    return finish(write_parity_level(now, lba, n, tags));
-  std::vector<Cell> cells;
-  cells.reserve(n * 2);
+    return finish(write_parity_level(now, lba, n, tags, payload));
+  cells_.clear();
   for (u32 i = 0; i < n; ++i) {
     const Loc loc = locate(lba + i);
     const u64 tag = tags.empty() ? 0 : tags[i];
-    const size_t placed = cells.size();
-    if (!devs_[loc.dev]->failed()) cells.push_back({loc.dev, loc.off, tag});
+    const size_t placed = cells_.size();
+    if (!devs_[loc.dev]->failed()) cells_.push_back({loc.dev, loc.off, tag});
     if (cfg_.level == RaidLevel::kRaid1 && !devs_[loc.mirror]->failed()) {
-      cells.push_back({loc.mirror, loc.off, tag});
+      cells_.push_back({loc.mirror, loc.off, tag});
     }
     // A block with no live copy cannot be acknowledged.
-    if (cells.size() == placed) return finish({now, ErrorCode::kDeviceFailed});
+    if (cells_.size() == placed) return finish({now, ErrorCode::kDeviceFailed});
   }
-  const IoResult r = run_members(MemberOp::kWrite, cells, devs_, stats_, now);
+  const IoResult r = run_members(payload != nullptr ? MemberOp::kPayload
+                                                    : MemberOp::kWrite,
+                                  cells_, stats_, now, payload);
   return finish(r.ok() ? r : IoResult{now, r.error});
 }
 
@@ -269,9 +256,12 @@ IoResult RaidDevice::write(SimTime now, u64 lba, u32 n, std::span<const u64> tag
 // give their new tag, untouched cells that were read their old value, and
 // the untouched cells left unread (all of them under RMW, the dead one
 // otherwise) come in one piece as the old parity XOR every old value read.
-// Dead members are not written: parity carries a dead cell's new value.
+// Dead members are not written: parity carries a dead cell's new value. A
+// payload's covered cells are one member payload write, issued with the
+// parity once the reads are in, and count as tag 0 in the parity.
 IoResult RaidDevice::write_parity_level(SimTime now, u64 lba, u32 n,
-                                        std::span<const u64> tags) {
+                                        std::span<const u64> tags,
+                                        const Payload* payload) {
   size_t dead_members = 0;
   for (auto* d : devs_) dead_members += d->failed() ? 1 : 0;
   // With a second member down every stripe holds a cell with no live copy:
@@ -282,8 +272,7 @@ IoResult RaidDevice::write_parity_level(SimTime now, u64 lba, u32 n,
   const u64 chunk = cfg_.chunk_blocks;
   const u64 cols = data_cols(cfg_.level, devs_.size());
   const u64 stripe_data = cols * chunk;
-  std::vector<u64> old_val(stripe_data + chunk);  // cells, then parity rows
-  std::vector<Cell> reads, writes;
+  old_val_.resize(stripe_data + chunk);  // cells, then parity rows
   SimTime done = now;
   for (u32 pos = 0; pos < n;) {
     const u64 stripe = stripe_of(lba + pos);
@@ -327,47 +316,54 @@ IoResult RaidDevice::write_parity_level(SimTime now, u64 lba, u32 n,
       rstats_.reconstruct_writes++;
     }
 
-    std::fill(old_val.begin(), old_val.end(), 0);
-    reads.clear();
-    writes.clear();
+    std::fill(old_val_.begin(), old_val_.end(), 0);
+    reads_.clear();
+    writes_.clear();
+    cells_.clear();  // a payload's data cells
     for (u64 c = 0; c < cols; ++c) {
       if (c == dead_col) continue;
       for (u64 row = 0; row < chunk; ++row) {
         const u64 idx = c * chunk + row;
         if (covered(idx))
-          writes.push_back({dev_of(c), base + row, new_tag(idx)});
+          (payload != nullptr ? cells_ : writes_)
+              .push_back({dev_of(c), base + row, new_tag(idx)});
         if (touched(row) && (covered(idx) ? read_covered : !rmw))
-          reads.push_back({dev_of(c), base + row, 0, &old_val[idx]});
+          reads_.push_back({dev_of(c), base + row, 0, &old_val_[idx]});
       }
     }
     if (read_covered)
       for (u64 row = 0; row < chunk; ++row)
         if (touched(row))
-          reads.push_back({pdev, base + row, 0, &old_val[stripe_data + row]});
-    const IoResult rd = run_members(MemberOp::kRead, reads, devs_, stats_, now);
+          reads_.push_back({pdev, base + row, 0, &old_val_[stripe_data + row]});
+    const IoResult rd = run_members(MemberOp::kRead, reads_, stats_, now);
     if (!rd.ok()) return {now, rd.error};
 
     // A dead parity member stays stale until rebuild.
     for (u64 row = 0; row < chunk && !devs_[pdev]->failed(); ++row) {
       if (!touched(row)) continue;
       u64 fresh = 0;                            // new contents, as read
-      u64 unread = old_val[stripe_data + row];  // old parity ^ old values read
+      u64 unread = old_val_[stripe_data + row];  // old parity ^ old values read
       bool from_parity = rmw;
       for (u64 c = 0; c < cols; ++c) {
         const u64 idx = c * chunk + row;
-        unread ^= old_val[idx];
+        unread ^= old_val_[idx];
         if (covered(idx)) {
           fresh ^= new_tag(idx);
         } else {
-          fresh ^= old_val[idx];
+          fresh ^= old_val_[idx];
           from_parity |= c == dead_col;
         }
       }
-      writes.push_back(
+      writes_.push_back(
           {pdev, base + row, from_parity ? fresh ^ unread : fresh});
     }
-    const IoResult wr =
-        run_members(MemberOp::kWrite, writes, devs_, stats_, rd.done);
+    if (payload != nullptr) {
+      const IoResult pw =
+          run_members(MemberOp::kPayload, cells_, stats_, rd.done, payload);
+      if (!pw.ok()) return {now, pw.error};
+      done = std::max(done, pw.done);
+    }
+    const IoResult wr = run_members(MemberOp::kWrite, writes_, stats_, rd.done);
     if (!wr.ok()) return {now, wr.error};
     if (span_ != nullptr && span_->sampling()) {
       const u32 ss = span_->begin_span(strategy, now);
@@ -387,14 +383,7 @@ IoResult RaidDevice::write_payload(SimTime now, u64 lba, Payload payload) {
   if (first.dev != last.dev || last.off != first.off + n - 1) {
     return {now, ErrorCode::kInvalidArgument};
   }
-  IoResult r = write(now, lba, n, {});  // timing + parity bookkeeping
-  if (!r.ok()) return r;
-  devs_[first.dev]->write_payload(r.done, first.off, payload);
-  if (cfg_.level == RaidLevel::kRaid1 && first.mirror != SIZE_MAX &&
-      !devs_[first.mirror]->failed()) {
-    devs_[first.mirror]->write_payload(r.done, first.off, payload);
-  }
-  return r;
+  return write_blocks(now, lba, n, {}, &payload);
 }
 
 Result<Payload> RaidDevice::read_payload(SimTime now, u64 lba, SimTime* done) {
@@ -422,13 +411,13 @@ IoResult RaidDevice::flush(SimTime now) {
 IoResult RaidDevice::trim(SimTime now, u64 lba, u64 n) {
   // Trim per member run; parity chunks of fully-trimmed stripes are trimmed
   // too (the cache layers only trim whole stripes / segment groups).
-  std::vector<Cell> cells;
+  cells_.clear();
   for (u64 i = 0; i < n; ++i) {
     const Loc loc = locate(lba + i);
-    if (!devs_[loc.dev]->failed()) cells.push_back({loc.dev, loc.off});
+    if (!devs_[loc.dev]->failed()) cells_.push_back({loc.dev, loc.off});
     if (cfg_.level == RaidLevel::kRaid1 && loc.mirror != SIZE_MAX &&
         !devs_[loc.mirror]->failed())
-      cells.push_back({loc.mirror, loc.off});
+      cells_.push_back({loc.mirror, loc.off});
   }
   if (cfg_.level == RaidLevel::kRaid4 || cfg_.level == RaidLevel::kRaid5) {
     const u64 stripe_data =
@@ -441,12 +430,12 @@ IoResult RaidDevice::trim(SimTime now, u64 lba, u64 n) {
         const size_t pdev = parity_dev(s);
         if (!devs_[pdev]->failed())
           for (u64 row = 0; row < cfg_.chunk_blocks; ++row)
-            cells.push_back({pdev, s * cfg_.chunk_blocks + row});
+            cells_.push_back({pdev, s * cfg_.chunk_blocks + row});
       }
     }
   }
   // Member trims are advisory: a failed one is not the caller's error.
-  const IoResult r = run_members(MemberOp::kTrim, cells, devs_, stats_, now);
+  const IoResult r = run_members(MemberOp::kTrim, cells_, stats_, now);
   stats_.trim_ops++;
   stats_.trim_blocks += n;
   return {r.done, ErrorCode::kOk};
@@ -464,7 +453,7 @@ bool RaidDevice::verify_parity(u64 lba) {
     for (u64 row = 0; row < chunk; ++row)
       cells.push_back({d, base + row, 0, &grid[d * chunk + row]});
   DeviceStats uncounted;  // a testing hook stays out of the array's stats
-  run_members(MemberOp::kRead, cells, devs_, uncounted, 0);
+  run_members(MemberOp::kRead, cells, uncounted, 0);
   for (u64 row = 0; row < chunk; ++row) {
     u64 acc = 0;
     for (size_t d = 0; d < devs_.size(); ++d) acc ^= grid[d * chunk + row];

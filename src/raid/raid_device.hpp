@@ -93,12 +93,38 @@ class RaidDevice final : public BlockDevice {
     u64 off;     // block offset on the device
     size_t mirror = SIZE_MAX;  // RAID-1 partner
   };
+  // One block-granular member access; runs are merged before submission.
+  struct Cell {
+    size_t dev;
+    u64 off;
+    u64 tag = 0;         // value to write
+    u64* out = nullptr;  // destination for reads
+  };
+  enum class MemberOp { kRead, kWrite, kPayload, kTrim };
 
   [[nodiscard]] Loc locate(u64 lba) const;
   [[nodiscard]] size_t parity_dev(u64 stripe) const;
   [[nodiscard]] u64 stripe_of(u64 lba) const;
 
-  IoResult write_parity_level(SimTime now, u64 lba, u32 n, std::span<const u64> tags);
+  // Sorts `cells` by (device, offset) and issues each contiguous run as one
+  // member command at `now`: reads land in Cell::out, writes carry
+  // Cell::tag, and a kPayload run (one payload's blocks on one member)
+  // stores `*payload`. A failed run does not stop the later ones; the
+  // result is the latest completion of the runs that succeeded plus the
+  // last member error. Read and write runs count in `stats`; the caller
+  // counts a trim request once.
+  IoResult run_members(MemberOp op, std::vector<Cell>& cells,
+                       DeviceStats& stats, SimTime now,
+                       const Payload* payload = nullptr);
+  // The write path of write() and write_payload(). With `payload`, the n
+  // blocks hold one payload that lies in one run on each member: every
+  // live data copy is one member payload write, and parity is planned as
+  // for tag 0, which is what a payload block reads as.
+  IoResult write_blocks(SimTime now, u64 lba, u32 n, std::span<const u64> tags,
+                        const Payload* payload);
+  IoResult write_parity_level(SimTime now, u64 lba, u32 n,
+                              std::span<const u64> tags,
+                              const Payload* payload);
   // Reconstructs one block of a failed device from the rest of its row.
   Result<u64> reconstruct_block(SimTime now, size_t dead_dev, u64 off, SimTime* done);
 
@@ -110,6 +136,12 @@ class RaidDevice final : public BlockDevice {
   RaidStats rstats_;
   u32 mirror_rr_ = 0;
   obs::SpanTracer* span_ = nullptr;
+  // Scratch reused across calls, so the data path does not allocate once
+  // warm: member cells of a read, write, trim or the planner's payload
+  // copy, the planner's read and write cells and old values, one member
+  // run's tags, and the destination of a read whose caller wants no tags.
+  std::vector<Cell> cells_, reads_, writes_;
+  std::vector<u64> old_val_, run_buf_, discard_;
 };
 
 }  // namespace srcache::raid

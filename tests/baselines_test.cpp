@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <queue>
+#include <string>
 
 #include "baselines/bcache_like.hpp"
 #include "baselines/flashcache_like.hpp"
 #include "block/mem_disk.hpp"
+#include "common/crc32c.hpp"
 #include "common/rng.hpp"
+#include "raid/raid_device.hpp"
+#include "recording_disk.hpp"
 
 namespace srcache::baselines {
 namespace {
@@ -174,6 +180,296 @@ TEST(Flashcache, SetConflictEvictsWithinSet) {
   for (u64 i = 0; i < 5000; ++i) t = fc.submit(rreq(t, i));
   EXPECT_LE(fc.cached_blocks(), 1024u);
   EXPECT_GT(fc.stats().dropped_clean_blocks, 0u);
+}
+
+// The per-set bookkeeping visits only the slots it fills, evicts or
+// destages, so its work per written block does not grow with the set size.
+TEST(Flashcache, SetWorkIsConstantPerBlock) {
+  for (const u32 set_blocks : {512u, 8192u}) {
+    FlashcacheConfig cfg;
+    cfg.set_blocks = set_blocks;
+    cfg.cache_blocks = 4ull * set_blocks;
+    MemDiskConfig dcfg;
+    dcfg.capacity_blocks = 2 * cfg.cache_blocks;
+    MemDisk ssd(dcfg);
+    dcfg.capacity_blocks = 4 * cfg.cache_blocks;
+    MemDisk primary(dcfg);
+    FlashcacheLike fc(cfg, &ssd, &primary);
+    common::Xoshiro256 rng(7);
+    for (u64 op = 0; op < 4 * cfg.cache_blocks; ++op) {
+      const u64 lba = rng.below(3 * cfg.cache_blocks);
+      fc.submit(rng.below(10) != 0 ? wreq(0, lba) : rreq(0, lba));
+    }
+    ASSERT_GT(fc.stats().destage_blocks, 0u);
+    ASSERT_GT(fc.stats().dropped_clean_blocks, 0u);
+    const double per_block = static_cast<double>(fc.set_slot_visits()) /
+                             static_cast<double>(fc.stats().app_write_blocks);
+    EXPECT_LT(per_block, 4.0) << "set_blocks " << set_blocks;
+  }
+}
+
+// --- golden Flashcache I/O -----------------------------------------------
+
+// A reference model of Flashcache's per-set replacement, run beside the
+// golden script to count which cases the script reaches. Each resident block
+// keeps its LRU tick and the order in which it last joined the clean blocks:
+// a block trickle-destaged with an old tick joins after newer clean fills,
+// so the LRU clean victim and the first block to turn clean can differ. A
+// dirty victim is destaged first, so the cache counts it dropped clean too.
+struct FcModel {
+  struct Entry {
+    u64 lba;
+    u64 tick;
+    bool dirty;
+    u64 clean_seq;
+  };
+
+  explicit FcModel(const FlashcacheConfig& c) : cfg(c) {
+    cfg.cache_blocks -= cfg.cache_blocks % cfg.set_blocks;
+    sets.resize(cfg.cache_blocks / cfg.set_blocks);
+  }
+
+  std::vector<Entry>& set_of(u64 lba) {
+    return sets[(lba / cfg.set_blocks) % sets.size()];
+  }
+  Entry* find(u64 lba) {
+    for (Entry& e : set_of(lba))
+      if (e.lba == lba) return &e;
+    return nullptr;
+  }
+  void touch(Entry& e) {
+    e.tick = ++tick;
+    if (!e.dirty) e.clean_seq = ++seq;
+  }
+  void allocate(u64 lba) {
+    std::vector<Entry>& set = set_of(lba);
+    const Entry fresh{lba, ++tick, false, ++seq};
+    if (set.size() < cfg.set_blocks) {
+      fills++;
+      set.push_back(fresh);
+      return;
+    }
+    Entry* lru_clean = nullptr;
+    Entry* first_clean = nullptr;
+    Entry* lru_dirty = nullptr;
+    for (Entry& e : set) {
+      Entry*& best = e.dirty ? lru_dirty : lru_clean;
+      if (best == nullptr || e.tick < best->tick) best = &e;
+      if (!e.dirty &&
+          (first_clean == nullptr || e.clean_seq < first_clean->clean_seq))
+        first_clean = &e;
+    }
+    if (lru_clean != nullptr) {
+      clean_evictions++;
+      destaged_victim_first += lru_clean != first_clean ? 1 : 0;
+      *lru_clean = fresh;
+    } else {
+      dirty_evictions++;
+      *lru_dirty = fresh;
+    }
+  }
+  void trickle(u64 lba) {
+    std::vector<Entry*> dirty;
+    for (Entry& e : set_of(lba))
+      if (e.dirty) dirty.push_back(&e);
+    if (static_cast<double>(dirty.size()) <=
+        cfg.dirty_thresh_pct * static_cast<double>(cfg.set_blocks))
+      return;
+    std::sort(dirty.begin(), dirty.end(),
+              [](const Entry* a, const Entry* b) { return a->tick < b->tick; });
+    dirty.resize(std::min<size_t>(dirty.size(), cfg.destage_batch));
+    for (Entry* e : dirty) {
+      e->dirty = false;
+      e->clean_seq = ++seq;
+    }
+    trickled += dirty.size();
+  }
+  void write(u64 lba) {
+    Entry* e = find(lba);
+    if (e != nullptr) {
+      touch(*e);
+    } else {
+      allocate(lba);
+      e = find(lba);
+    }
+    if (!cfg.write_back) return;
+    e->dirty = true;
+    trickle(lba);
+  }
+  void read(u64 lba) {
+    Entry* e = find(lba);
+    if (e != nullptr) {
+      read_hits++;
+      touch(*e);
+    } else {
+      allocate(lba);
+    }
+  }
+  [[nodiscard]] u64 dirty_blocks() const {
+    u64 n = 0;
+    for (const auto& set : sets)
+      for (const Entry& e : set) n += e.dirty ? 1 : 0;
+    return n;
+  }
+
+  FlashcacheConfig cfg;
+  std::vector<std::vector<Entry>> sets;
+  u64 tick = 0;
+  u64 seq = 0;
+  u64 fills = 0;
+  u64 clean_evictions = 0;
+  u64 dirty_evictions = 0;
+  u64 trickled = 0;
+  u64 read_hits = 0;
+  // Clean evictions whose LRU victim turned clean after a newer clean block.
+  u64 destaged_victim_first = 0;
+};
+
+struct GoldenFc {
+  u32 io_crc = 0;     // every SSD-member and primary call, in arrival order
+  u32 state_crc = 0;  // acks, read tags, CacheStats, dirty_ratio, DeviceStats
+  FcModel model;
+  cache::CacheStats stats;
+};
+
+// A seeded script of 1-3 block reads and writes (with and without tags)
+// over 4 sets of 32 slots, three quarters of them in a hot region that
+// spans every set, run on FlashcacheLike over a RAID-5 of four recording
+// members or over one recording device, with a recording primary.
+GoldenFc run_flashcache_script(bool raid5, const FlashcacheConfig& cfg) {
+  GoldenFc g{.model = FcModel(cfg), .stats = {}};
+  MemDiskConfig ssd_cfg;
+  ssd_cfg.op_latency = 20 * sim::kUs;
+  MemDiskConfig primary_cfg;
+  primary_cfg.capacity_blocks = 4096;
+  primary_cfg.op_latency = 2 * sim::kMs;
+  std::vector<std::unique_ptr<blockdev::RecordingDisk>> disks;
+  std::unique_ptr<raid::RaidDevice> array;
+  blockdev::BlockDevice* ssd = nullptr;
+  if (raid5) {
+    ssd_cfg.capacity_blocks = 64;
+    std::vector<blockdev::BlockDevice*> members;
+    for (u64 i = 0; i < 4; ++i) {
+      disks.push_back(
+          std::make_unique<blockdev::RecordingDisk>(i, ssd_cfg, &g.io_crc));
+      members.push_back(disks.back().get());
+    }
+    array = std::make_unique<raid::RaidDevice>(
+        raid::RaidConfig{raid::RaidLevel::kRaid5, 1}, members);
+    ssd = array.get();
+  } else {
+    ssd_cfg.capacity_blocks = 160;
+    disks.push_back(
+        std::make_unique<blockdev::RecordingDisk>(0, ssd_cfg, &g.io_crc));
+    ssd = disks.back().get();
+  }
+  disks.push_back(
+      std::make_unique<blockdev::RecordingDisk>(9, primary_cfg, &g.io_crc));
+  FlashcacheLike fc(cfg, ssd, disks.back().get());
+
+  auto fold = [&g](u64 v) { g.state_crc = common::crc32c_of(v, g.state_crc); };
+  common::Xoshiro256 rng(raid5 ? 24 : 42);
+  sim::SimTime now = 0;
+  for (int op = 0; op < 3000; ++op) {
+    now += static_cast<sim::SimTime>(rng.below(200)) * sim::kUs;
+    const bool write = rng.below(100) < 55;
+    const auto n = static_cast<u32>(1 + rng.below(3));
+    const u64 lba = rng.below(4) != 0 ? rng.below(160) : rng.below(1024);
+    std::vector<u64> tags(n);
+    for (u64& t : tags) t = rng.next();
+    const bool with_tags = rng.below(4) != 0;
+    if (write) {
+      fold(static_cast<u64>(
+          fc.submit(wreq(now, lba, n, with_tags ? tags.data() : nullptr))));
+      for (u32 i = 0; i < n; ++i) g.model.write(lba + i);
+    } else {
+      fold(static_cast<u64>(
+          fc.submit(rreq(now, lba, n, with_tags ? tags.data() : nullptr))));
+      if (with_tags)
+        for (u64 t : tags) fold(t);
+      for (u32 i = 0; i < n; ++i) g.model.read(lba + i);
+    }
+  }
+  g.stats = fc.stats();
+  for (const auto& f : cache::kCacheStatsFields) fold(g.stats.*f.counter);
+  fold(std::bit_cast<u64>(fc.dirty_ratio()));
+  fold(fc.cached_blocks());
+  if (array) {
+    const raid::RaidStats& rs = array->raid_stats();
+    for (u64 v : {rs.full_stripe_writes, rs.rmw_writes, rs.reconstruct_writes,
+                  rs.degraded_reads})
+      fold(v);
+    g.state_crc = blockdev::fold_stats(array->stats(), g.state_crc);
+  }
+  for (const auto& d : disks)
+    g.state_crc = blockdev::fold_stats(d->stats(), g.state_crc);
+  // The model agrees with what the cache reports.
+  EXPECT_EQ(g.model.read_hits, g.stats.read_hit_blocks);
+  EXPECT_EQ(g.model.clean_evictions + g.model.dirty_evictions,
+            g.stats.dropped_clean_blocks);
+  EXPECT_EQ(g.model.trickled + g.model.dirty_evictions, g.stats.destage_blocks);
+  EXPECT_EQ(static_cast<double>(g.model.dirty_blocks()) /
+                static_cast<double>(fc.cache_blocks()),
+            fc.dirty_ratio());
+  return g;
+}
+
+// Pins which commands FlashcacheLike sends the SSD (or the RAID-5 members
+// under it) and primary storage, in what order and when, and what it
+// reports: unused-slot fills, clean and dirty evictions (a dirty one
+// destages synchronously), trickle destages, read hits and misses, and
+// write-through. Any drift in victim choice, trickle order or metadata
+// writes moves a CRC.
+TEST(Baselines, GoldenFlashcacheIo) {
+  enum Mode { kTrickle, kAllDirty, kWriteThrough };
+  struct Pin {
+    bool raid5;
+    Mode mode;
+    u32 io_crc;
+    u32 state_crc;
+  };
+  const Pin pins[] = {
+      {true, kTrickle, 0x167617f7, 0xfa515c36},
+      {true, kAllDirty, 0x82e80080, 0x1637d3b9},
+      {true, kWriteThrough, 0x4053055f, 0x254c4a8f},
+      {false, kTrickle, 0x42b97ed1, 0x6aa965fd},
+      {false, kAllDirty, 0x80169c67, 0xdf9b2794},
+      {false, kWriteThrough, 0xdc996593, 0xe578ea3b},
+  };
+  for (const Pin& p : pins) {
+    FlashcacheConfig cfg;
+    cfg.cache_blocks = 4 * 32 + 5;  // rounds down to 4 sets
+    cfg.set_blocks = 32;
+    cfg.md_entries_per_block = 16;
+    cfg.destage_batch = 4;
+    cfg.dirty_thresh_pct = p.mode == kAllDirty ? 1.0 : 0.25;
+    cfg.write_back = p.mode != kWriteThrough;
+    const GoldenFc g = run_flashcache_script(p.raid5, cfg);
+    const std::string ctx = std::string(p.raid5 ? "raid5" : "single") +
+                            " mode " + std::to_string(p.mode);
+    EXPECT_EQ(g.io_crc, p.io_crc) << ctx;
+    EXPECT_EQ(g.state_crc, p.state_crc) << ctx;
+    // The script reaches every case the pins are meant to cover.
+    EXPECT_GT(g.model.fills, 0u) << ctx;
+    EXPECT_GT(g.model.clean_evictions, 0u) << ctx;
+    EXPECT_GT(g.stats.read_hit_blocks, 0u) << ctx;
+    EXPECT_GT(g.stats.read_miss_blocks, 0u) << ctx;
+    EXPECT_GT(g.stats.write_hit_blocks, 0u) << ctx;
+    for (const auto& set : g.model.sets) EXPECT_FALSE(set.empty()) << ctx;
+    switch (p.mode) {
+      case kTrickle:
+        EXPECT_GT(g.model.trickled, 0u) << ctx;
+        EXPECT_GT(g.model.destaged_victim_first, 0u) << ctx;
+        break;
+      case kAllDirty:
+        EXPECT_EQ(g.model.trickled, 0u) << ctx;
+        EXPECT_GT(g.model.dirty_evictions, 0u) << ctx;
+        break;
+      case kWriteThrough:
+        EXPECT_EQ(g.stats.destage_blocks, 0u) << ctx;
+        break;
+    }
+  }
 }
 
 // --- Bcache ----------------------------------------------------------------------

@@ -449,8 +449,9 @@ TEST(Block, GoldenLeafIo) {
   const LeafRun i = run_leaf_io_script(iscsi, true, [&reg] {
     return reg.snapshot().gauges.at("hdd.dirty_backlog_bytes");
   });
-  // Re-pinned when IscsiTarget::read_payload began counting its read.
-  EXPECT_EQ(fold_metrics(reg, i.crc), 0x136cee53u);
+  // Re-pinned when IscsiTarget::read_payload began counting its read, and
+  // when RaidDevice::write_payload began writing each copy once.
+  EXPECT_EQ(fold_metrics(reg, i.crc), 0x7f979664u);
 
   // The script reaches what the pins are meant to cover: fail-stops and
   // latent errors on every leaf, and both write buffers filling up.

@@ -406,6 +406,31 @@ TEST(Raid, PayloadWithinChunkRoundTrips) {
   EXPECT_EQ(*r.value(), (std::vector<u8>{1, 2, 3}));
 }
 
+// A payload lands once per copy: one member write on RAID-0, one per mirror
+// on RAID-1, and on RAID-5 the data block plus its parity.
+TEST(Raid, PayloadWritesEachCopyOnce) {
+  const std::pair<RaidLevel, u64> cases[] = {
+      {RaidLevel::kRaid0, 1}, {RaidLevel::kRaid1, 2}, {RaidLevel::kRaid5, 2}};
+  for (const auto& [level, copies] : cases) {
+    Rig rig(level, 1);
+    auto p = std::make_shared<std::vector<u8>>(8, u8{7});
+    ASSERT_TRUE(rig.raid->write_payload(0, 5, p).ok());
+    u64 write_ops = 0;
+    u64 write_blocks = 0;
+    for (const auto& d : rig.disks) {
+      write_ops += d->stats().write_ops;
+      write_blocks += d->stats().write_blocks;
+    }
+    EXPECT_EQ(write_ops, copies) << to_string(level);
+    EXPECT_EQ(write_blocks, copies) << to_string(level);
+    EXPECT_EQ(rig.raid->stats().write_ops, copies) << to_string(level);
+    EXPECT_TRUE(rig.raid->verify_parity(5)) << to_string(level);
+    const auto back = rig.raid->read_payload(0, 5, nullptr);
+    ASSERT_TRUE(back.is_ok()) << to_string(level);
+    EXPECT_EQ(*back.value(), *p) << to_string(level);
+  }
+}
+
 TEST(Raid, TimingOverlapsAcrossDevices) {
   // A full-stripe write should take about one device-op time, not four.
   Rig rig(RaidLevel::kRaid0, 4);
@@ -495,7 +520,8 @@ GoldenIo run_member_io_script(RaidLevel level, u32 chunk, bool degraded) {
 
 // Pins which member commands every RAID level issues, in what order and
 // when, for each chunk size, healthy and with member 1 failed: any drift in
-// run merging, parity strategy or degraded handling moves a CRC.
+// run merging, parity strategy or degraded handling moves a CRC. (Re-pinned
+// when write_payload began writing each payload copy once.)
 TEST(Raid, GoldenMemberIo) {
   struct Pin {
     RaidLevel level;
@@ -505,30 +531,30 @@ TEST(Raid, GoldenMemberIo) {
     u32 state_crc;
   };
   const Pin pins[] = {
-      {RaidLevel::kRaid0, 1, false, 0x6d14e4d2, 0x32345a75},
-      {RaidLevel::kRaid0, 1, true, 0x8ab9e24d, 0xd88e3e14},
-      {RaidLevel::kRaid0, 4, false, 0xfe9be5a4, 0x6e012b20},
-      {RaidLevel::kRaid0, 4, true, 0x987d8c12, 0x94ba02cf},
-      {RaidLevel::kRaid0, 16, false, 0xf9e5db6f, 0x3a58c76a},
-      {RaidLevel::kRaid0, 16, true, 0x5a7e1231, 0x0676e205},
-      {RaidLevel::kRaid1, 1, false, 0xbfca4032, 0x717b3b22},
-      {RaidLevel::kRaid1, 1, true, 0x2986fe9c, 0x220443cb},
-      {RaidLevel::kRaid1, 4, false, 0x459951dc, 0x1b4dd29a},
-      {RaidLevel::kRaid1, 4, true, 0xe3c9f9b6, 0x305a886d},
-      {RaidLevel::kRaid1, 16, false, 0xab7abc0c, 0x965b8352},
-      {RaidLevel::kRaid1, 16, true, 0xde734a10, 0x34f552d9},
-      {RaidLevel::kRaid4, 1, false, 0x4d58c6ab, 0x0656dbcd},
-      {RaidLevel::kRaid4, 1, true, 0x45991bbe, 0x45ca9909},
-      {RaidLevel::kRaid4, 4, false, 0x0d53380a, 0x21a4dde5},
-      {RaidLevel::kRaid4, 4, true, 0xb7ed9baa, 0xeff344de},
-      {RaidLevel::kRaid4, 16, false, 0x30cbefed, 0xe23e8b62},
-      {RaidLevel::kRaid4, 16, true, 0x2ce60c3f, 0x18304c63},
-      {RaidLevel::kRaid5, 1, false, 0xa4cb0a8a, 0xa3681282},
-      {RaidLevel::kRaid5, 1, true, 0x6b1888ac, 0xd8ade691},
-      {RaidLevel::kRaid5, 4, false, 0x326742e4, 0x70a02114},
-      {RaidLevel::kRaid5, 4, true, 0xece7ea0c, 0x623975b0},
-      {RaidLevel::kRaid5, 16, false, 0x537346cc, 0x8a91bbf1},
-      {RaidLevel::kRaid5, 16, true, 0x46049269, 0xa417541d},
+      {RaidLevel::kRaid0, 1, false, 0x982a65e3, 0x3f5cceb3},
+      {RaidLevel::kRaid0, 1, true, 0x5306467e, 0x2cb16ea2},
+      {RaidLevel::kRaid0, 4, false, 0x04b85482, 0x331364c5},
+      {RaidLevel::kRaid0, 4, true, 0xbfd4dfe1, 0x12d2f29a},
+      {RaidLevel::kRaid0, 16, false, 0x5d32acb5, 0x708b0b2d},
+      {RaidLevel::kRaid0, 16, true, 0x27387566, 0x193efbab},
+      {RaidLevel::kRaid1, 1, false, 0x5f009526, 0xbb205fe5},
+      {RaidLevel::kRaid1, 1, true, 0xbad9b5a2, 0xc3994c7b},
+      {RaidLevel::kRaid1, 4, false, 0x51feeb3d, 0x8fa9e45a},
+      {RaidLevel::kRaid1, 4, true, 0xb422c702, 0x7332883c},
+      {RaidLevel::kRaid1, 16, false, 0x6346ce11, 0x88eae0a2},
+      {RaidLevel::kRaid1, 16, true, 0x15a47f98, 0x8c62c2d8},
+      {RaidLevel::kRaid4, 1, false, 0x439122f1, 0xe9ed1095},
+      {RaidLevel::kRaid4, 1, true, 0xb6fc312a, 0x62f5800d},
+      {RaidLevel::kRaid4, 4, false, 0xcbf4015d, 0xa9c54c30},
+      {RaidLevel::kRaid4, 4, true, 0xb9f91b70, 0x1844bbff},
+      {RaidLevel::kRaid4, 16, false, 0x356de24b, 0x51989051},
+      {RaidLevel::kRaid4, 16, true, 0x49723f96, 0x96ec41f9},
+      {RaidLevel::kRaid5, 1, false, 0x705adfde, 0xd86b8887},
+      {RaidLevel::kRaid5, 1, true, 0xbd56de0e, 0xaac6d528},
+      {RaidLevel::kRaid5, 4, false, 0x43506b22, 0x3629ce83},
+      {RaidLevel::kRaid5, 4, true, 0xf6169352, 0xe0866077},
+      {RaidLevel::kRaid5, 16, false, 0x7ad31344, 0xed8fefc2},
+      {RaidLevel::kRaid5, 16, true, 0xdd40e3a7, 0x7b186e1f},
   };
   for (const Pin& p : pins) {
     const GoldenIo g = run_member_io_script(p.level, p.chunk, p.degraded);
