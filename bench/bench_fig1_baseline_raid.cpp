@@ -21,9 +21,9 @@ int main() {
     for (auto level : {raid::RaidLevel::kRaid0, raid::RaidLevel::kRaid1,
                        raid::RaidLevel::kRaid4, raid::RaidLevel::kRaid5}) {
       const auto make_rig = [&] {
-        return scheme[0] == 'B'
-                   ? make_bcache5_rig(flash::spec_840pro_128(), k, level)
-                   : make_flashcache5_rig(flash::spec_840pro_128(), k, level);
+        return make_baseline_rig(
+            scheme[0] == 'B' ? Baseline::kBcache : Baseline::kFlashcache,
+            flash::spec_840pro_128(), k, level);
       };
       const std::string name =
           std::string(scheme) + "/" + raid::to_string(level);

@@ -54,7 +54,10 @@ int main() {
     {
       auto res = run_baseline_group_sharded(
           "fig7", name_for(group, "Bcache5"),
-          [&spec](double dk) { return make_bcache5_rig(spec, dk); }, group, k);
+          [&spec](double dk) {
+            return make_baseline_rig(Baseline::kBcache, spec, dk);
+          },
+          group, k);
       rows.push_back({group, "Bcache5", res.throughput_mbps,
                       res.io_amplification, res.hit_ratio});
     }
@@ -62,8 +65,10 @@ int main() {
     {
       auto res = run_baseline_group_sharded(
           "fig7", name_for(group, "Flashcache5"),
-          [&spec](double dk) { return make_flashcache5_rig(spec, dk); }, group,
-          k);
+          [&spec](double dk) {
+            return make_baseline_rig(Baseline::kFlashcache, spec, dk);
+          },
+          group, k);
       rows.push_back({group, "Flashcache5", res.throughput_mbps,
                       res.io_amplification, res.hit_ratio});
     }

@@ -442,10 +442,11 @@ inline src::SrcConfig default_src_config() {
 
 // Bcache5 / Flashcache5: the baseline over a RAID-5 of the same four SSDs
 // (§5.4 settings: 4 KiB RAID chunk, 2 MiB sets/buckets, 90% thresholds).
+// Fig. 1 puts the same caches over RAID-0/1/4 as well.
 struct BaselineRig {
   Geometry geo;
   std::vector<std::unique_ptr<flash::SimSsd>> ssds;
-  std::unique_ptr<raid::RaidDevice> raid5;
+  std::unique_ptr<raid::RaidDevice> raid;
   std::unique_ptr<hdd::IscsiTarget> primary;
   std::unique_ptr<cache::CacheDevice> cache;
   // Op-span tracer (REPRO_SPAN_SAMPLE): the RAID layer contributes stripe-
@@ -457,54 +458,45 @@ struct BaselineRig {
   }
 };
 
-inline std::unique_ptr<BaselineRig> make_baseline_devices(
-    const flash::SsdSpec& base_spec, double k,
-    raid::RaidLevel level = raid::RaidLevel::kRaid5, int num_ssds = 4) {
+inline u64 baseline_cache_blocks(const Geometry& geo, raid::RaidLevel level) {
+  // Same cache region as SRC: 18 erase groups per SSD worth of data space,
+  // over the data columns of make_baseline_rig's four SSDs.
+  return raid::data_cols(level, 4) * (geo.region_bytes_per_ssd / kBlockSize);
+}
+
+enum class Baseline { kBcache, kFlashcache };
+
+inline std::unique_ptr<BaselineRig> make_baseline_rig(
+    Baseline kind, const flash::SsdSpec& base_spec, double k,
+    raid::RaidLevel level = raid::RaidLevel::kRaid5) {
   auto rig = std::make_unique<BaselineRig>();
   rig->geo = Geometry::at(k);
   const flash::SsdSpec spec =
       sized_spec(base_spec, rig->geo.ssd_capacity_bytes);
-  for (int i = 0; i < num_ssds; ++i) {
+  for (int i = 0; i < 4; ++i) {
     rig->ssds.push_back(
         std::make_unique<flash::SimSsd>(spec, /*track_content=*/false));
     rig->ssds.back()->precondition();
   }
   raid::RaidConfig rc{level, 1};  // 4 KiB chunks (paper's optimal for 4K RW)
-  std::vector<blockdev::BlockDevice*> members = rig->ssd_ptrs();
-  rig->raid5 = std::make_unique<raid::RaidDevice>(rc, members);
+  rig->raid = std::make_unique<raid::RaidDevice>(rc, rig->ssd_ptrs());
   rig->primary = make_primary(k);
-  return rig;
-}
-
-inline u64 baseline_cache_blocks(const Geometry& geo, raid::RaidLevel level) {
-  // Same cache region as SRC: 18 erase groups per SSD worth of data space,
-  // over the data columns of make_baseline_devices' four SSDs.
-  return raid::data_cols(level, 4) * (geo.region_bytes_per_ssd / kBlockSize);
-}
-
-inline std::unique_ptr<BaselineRig> make_bcache5_rig(
-    const flash::SsdSpec& spec, double k,
-    raid::RaidLevel level = raid::RaidLevel::kRaid5) {
-  auto rig = make_baseline_devices(spec, k, level);
-  baselines::BcacheConfig cfg;
-  cfg.cache_blocks = baseline_cache_blocks(rig->geo, level);
-  cfg.bucket_blocks = 512;        // 2 MiB buckets
-  cfg.writeback_percent = 0.90;   // §5.4 setting
-  rig->cache = std::make_unique<baselines::BcacheLike>(cfg, rig->raid5.get(),
-                                                       rig->primary.get());
-  return rig;
-}
-
-inline std::unique_ptr<BaselineRig> make_flashcache5_rig(
-    const flash::SsdSpec& spec, double k,
-    raid::RaidLevel level = raid::RaidLevel::kRaid5) {
-  auto rig = make_baseline_devices(spec, k, level);
-  baselines::FlashcacheConfig cfg;
-  cfg.cache_blocks = baseline_cache_blocks(rig->geo, level);
-  cfg.set_blocks = 512;           // 2 MiB sets
-  cfg.dirty_thresh_pct = 0.90;    // §5.4 setting
-  rig->cache = std::make_unique<baselines::FlashcacheLike>(
-      cfg, rig->raid5.get(), rig->primary.get());
+  const u64 cache_blocks = baseline_cache_blocks(rig->geo, level);
+  if (kind == Baseline::kBcache) {
+    baselines::BcacheConfig cfg;
+    cfg.cache_blocks = cache_blocks;
+    cfg.bucket_blocks = 512;        // 2 MiB buckets
+    cfg.writeback_percent = 0.90;   // §5.4 setting
+    rig->cache = std::make_unique<baselines::BcacheLike>(
+        cfg, rig->raid.get(), rig->primary.get());
+  } else {
+    baselines::FlashcacheConfig cfg;
+    cfg.cache_blocks = cache_blocks;
+    cfg.set_blocks = 512;           // 2 MiB sets
+    cfg.dirty_thresh_pct = 0.90;    // §5.4 setting
+    rig->cache = std::make_unique<baselines::FlashcacheLike>(
+        cfg, rig->raid.get(), rig->primary.get());
+  }
   return rig;
 }
 
@@ -827,7 +819,7 @@ inline workload::RunResult run_baseline_group_sharded(
     holder->rig = make_rig(dk);
     const u64 dseed = domain_seed(seed, index);
     engine::DomainSetup s = replay_domain(*holder, group, dseed);
-    s.cfg.spans = attach_spans(*holder->rig, *holder->rig->raid5, dseed);
+    s.cfg.spans = attach_spans(*holder->rig, *holder->rig->raid, dseed);
     s.owned = holder;
     return s;
   };

@@ -10,36 +10,24 @@ namespace srcache::baselines {
 BcacheLike::BcacheLike(const BcacheConfig& cfg, BlockDevice* ssd,
                        BlockDevice* primary)
     : cfg_(cfg), ssd_(ssd), primary_(primary) {
-  if (cfg_.cache_blocks == 0 || cfg_.bucket_blocks == 0)
-    throw std::invalid_argument("Bcache: empty cache");
+  if (cfg_.bucket_blocks == 0)
+    throw std::invalid_argument("Bcache: zero bucket size");
   cfg_.cache_blocks -= cfg_.cache_blocks % cfg_.bucket_blocks;
+  if (cfg_.cache_blocks == 0)
+    throw std::invalid_argument("Bcache: cache smaller than one bucket");
   journal_base_ = cfg_.cache_blocks;
   if (ssd_->capacity_blocks() < journal_base_ + cfg_.journal_blocks)
     throw std::invalid_argument("Bcache: device too small for journal");
-  const u64 n = cfg_.cache_blocks / cfg_.bucket_blocks;
-  buckets_.resize(n);
-  for (u64 b = 0; b < n; ++b) free_buckets_.push_back(b);
+  buckets_.resize(cfg_.cache_blocks / cfg_.bucket_blocks);
 }
 
 u64 BcacheLike::take_bucket(SimTime now, SimTime* done) {
-  if (free_buckets_.empty()) {
-    // Invalidate the LRU bucket (oldest allocation), destaging its dirty
-    // blocks first (§3.1).
-    u64 victim = ~0ull;
-    for (u64 b = 0; b < buckets_.size(); ++b) {
-      if (b == open_bucket_ || buckets_[b].fill == 0) continue;
-      if (victim == ~0ull || buckets_[b].alloc_seq < buckets_[victim].alloc_seq)
-        victim = b;
-    }
-    if (victim == ~0ull) throw std::logic_error("Bcache: no reclaimable bucket");
-    *done = std::max(*done, reclaim_bucket(now, victim));
-  }
-  const u64 b = free_buckets_.front();
-  free_buckets_.pop_front();
-  buckets_[b].fill = 0;
-  buckets_[b].live = 0;
-  buckets_[b].lbas.clear();
-  buckets_[b].alloc_seq = ++alloc_seq_;
+  // Invalidate the LRU bucket (the next in the log), destaging its dirty
+  // blocks first (§3.1).
+  const u64 b = (open_bucket_ + 1) % buckets_.size();
+  if (b == open_bucket_)
+    throw std::logic_error("Bcache: no reclaimable bucket");
+  if (buckets_[b].fill > 0) *done = std::max(*done, reclaim_bucket(now, b));
   return b;
 }
 
@@ -52,7 +40,9 @@ SimTime BcacheLike::reclaim_bucket(SimTime now, u64 bucket) {
     if (e == nullptr) continue;
     if (e->block / cfg_.bucket_blocks != bucket) continue;  // moved since
     if (e->dirty) {
-      t = std::max(t, destage_lba(now, lba));
+      t = std::max(t, destage_one(*ssd_, *primary_, now, lba, e->block));
+      dirty_count_--;
+      stats_.destage_blocks++;
       journaled = true;
     } else {
       stats_.dropped_clean_blocks++;
@@ -61,23 +51,7 @@ SimTime BcacheLike::reclaim_bucket(SimTime now, u64 bucket) {
   }
   if (journaled) t = std::max(t, journal_commit(t));
   bk.fill = 0;
-  bk.live = 0;
   bk.lbas.clear();
-  free_buckets_.push_back(bucket);
-  return t;
-}
-
-SimTime BcacheLike::destage_lba(SimTime now, u64 lba) {
-  Entry* e = map_.find(lba);
-  if (e == nullptr || !e->dirty) return now;
-  u64 tag = 0;
-  auto r = ssd_->read(now, e->block, 1, std::span<u64>(&tag, 1));
-  SimTime t = r.ok() ? r.done : now;
-  auto w = primary_->write(t, lba, 1, std::span<const u64>(&tag, 1));
-  if (w.ok()) t = w.done;
-  e->dirty = false;
-  dirty_count_--;
-  stats_.destage_blocks++;
   return t;
 }
 
@@ -85,45 +59,31 @@ SimTime BcacheLike::destage_some(SimTime now, u32 max_blocks) {
   // Like the real writeback thread, victims are processed in disk-offset
   // order (bcache keys its writeback keybuf by backing-device offset), so
   // contiguous dirty blocks merge into single primary writes.
-  std::vector<u64> batch;
-  while (batch.size() < max_blocks &&
+  victims_.clear();
+  while (victims_.size() < max_blocks &&
          dirty_ratio() > cfg_.writeback_percent && !dirty_fifo_.empty()) {
     const u64 lba = dirty_fifo_.front();
     dirty_fifo_.pop_front();
     const Entry* e = map_.find(lba);
     if (e == nullptr || !e->dirty) continue;  // stale entry
-    batch.push_back(lba);
+    victims_.push_back({lba, e->block});
   }
-  if (batch.empty()) return now;
-  std::sort(batch.begin(), batch.end());
-  primary_->set_background(true);  // the writeback thread yields to misses
-  SimTime t = now;  // SSD-side time only; background writes do not block
-  common::for_each_run(batch, common::consecutive, [&](size_t i, size_t n) {
-    // Read the run from the cache device, write it to primary storage.
-    SimTime rt = now;
-    std::vector<u64> tags(n, 0);
-    for (size_t k = 0; k < n; ++k) {
-      Entry& e = map_.at(batch[i + k]);
-      auto r = ssd_->read(now, e.block, 1, std::span<u64>(&tags[k], 1));
-      if (r.ok()) rt = std::max(rt, r.done);
-      e.dirty = false;
-      dirty_count_--;
-      stats_.destage_blocks++;
-    }
-    t = std::max(t, rt);
-    primary_->write(rt, batch[i], static_cast<u32>(n),
-                    std::span<const u64>(tags.data(), tags.size()));
+  if (victims_.empty()) return now;
+  destage_runs(*ssd_, *primary_, now, victims_, tags_, [&](const Victim& v) {
+    Entry& e = map_.at(v.lba);
+    e.dirty = false;
+    dirty_count_--;
+    stats_.destage_blocks++;
   });
-  primary_->set_background(false);
-  (void)t;  // writeback runs asynchronously; it never gates the app ack
   return std::max(now, journal_commit(now));
 }
 
-u64 BcacheLike::append(SimTime now, u64 lba0, u32 n, const u64* tags,
+u64 BcacheLike::append(SimTime now, u64 lba0, std::span<const u64> tags,
                        SimTime* done) {
   // The log may wrap buckets; for simplicity requests never straddle one:
   // if the open bucket cannot hold the run, it is closed with dead space
   // (bcache similarly allocates whole-extent).
+  const auto n = static_cast<u32>(tags.size());
   if (open_bucket_ == ~0ull ||
       buckets_[open_bucket_].fill + n > cfg_.bucket_blocks) {
     open_bucket_ = take_bucket(now, done);
@@ -131,10 +91,7 @@ u64 BcacheLike::append(SimTime now, u64 lba0, u32 n, const u64* tags,
   Bucket& bk = buckets_[open_bucket_];
   const u64 block = open_bucket_ * cfg_.bucket_blocks + bk.fill;
   bk.fill += n;
-  bk.live += n;
-  auto w = ssd_->write(now, block, n,
-                       tags != nullptr ? std::span<const u64>(tags, n)
-                                       : std::span<const u64>{});
+  auto w = ssd_->write(now, block, n, tags);
   if (w.ok()) *done = std::max(*done, w.done);
   for (u32 i = 0; i < n; ++i) bk.lbas.push_back(lba0 + i);
   return block;
@@ -184,14 +141,13 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
     for (u32 i = 0; i < req.nblocks; ++i) {
       if (const Entry* e = map_.find(req.lba + i)) {
         stats_.write_hit_blocks++;
-        buckets_[e->block / cfg_.bucket_blocks].live--;
         if (e->dirty) dirty_count_--;
         map_.erase(req.lba + i);
       } else {
         stats_.write_new_blocks++;
       }
     }
-    const u64 block = append(now, req.lba, req.nblocks, tags.data(), &done);
+    const u64 block = append(now, req.lba, tags, &done);
     for (u32 i = 0; i < req.nblocks; ++i) {
       map_[req.lba + i] = Entry{block + i, cfg_.write_back};
       if (cfg_.write_back) {
@@ -206,12 +162,7 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
       done = std::max(done, journal_commit(now));
       done = std::max(done, destage_some(now, cfg_.destage_batch));
     } else {
-      // Write-through with FUA semantics: durable on the spindles.
-      auto p = primary_->write(now, req.lba, req.nblocks,
-                               std::span<const u64>(tags.data(), tags.size()));
-      if (p.ok()) done = std::max(done, p.done);
-      auto f = primary_->flush(done);
-      if (f.ok()) done = std::max(done, f.done);
+      done = write_through(*primary_, now, req.lba, tags, done);
     }
     return done;
   }
@@ -268,7 +219,7 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
     if (req.tags_out != nullptr)
       for (u32 k = 0; k < cnt; ++k) req.tags_out[lba - req.lba + k] = fetched[k];
     SimTime fill_done = now;  // off the ack path
-    const u64 block = append(now, lba, cnt, fetched.data(), &fill_done);
+    const u64 block = append(now, lba, fetched, &fill_done);
     for (u32 k = 0; k < cnt; ++k) map_[lba + k] = Entry{block + k, false};
   }
   return done;

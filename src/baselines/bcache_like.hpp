@@ -1,7 +1,7 @@
 // BcacheLike: a model of Bcache at the level the paper analyses it (§3.1,
 // Table 5):
 //  * bucket-based log layout (2 MiB buckets): writes append sequentially
-//    into the open bucket;
+//    into the open bucket, and the buckets form one circular log;
 //  * write-back: dirty data is written to the cache, then the metadata is
 //    journaled **with a flush command** — group-committed like the real
 //    B+tree journal, and the dominant cost on commodity SSDs;
@@ -15,14 +15,11 @@
 #include <deque>
 #include <vector>
 
-#include "block/block_device.hpp"
+#include "baselines/write_back.hpp"
 #include "cache/cache_device.hpp"
 #include "common/flat_map.hpp"
 
 namespace srcache::baselines {
-
-using blockdev::BlockDevice;
-using sim::SimTime;
 
 struct BcacheConfig {
   u64 cache_blocks = 0;
@@ -55,18 +52,18 @@ class BcacheLike final : public cache::CacheDevice {
   };
   struct Bucket {
     u32 fill = 0;   // blocks appended so far
-    u32 live = 0;
-    u64 alloc_seq = 0;
     std::vector<u64> lbas;  // inserted lbas (validated against map_ on use)
   };
 
-  // Appends `n` blocks to the log; returns the first device block and the
-  // completion of the involved writes.
-  u64 append(SimTime now, u64 lba0, u32 n, const u64* tags, SimTime* done);
+  // Appends tags.size() blocks to the log; returns the first device block
+  // and the completion of the involved writes.
+  u64 append(SimTime now, u64 lba0, std::span<const u64> tags, SimTime* done);
+  // Returns the bucket after the open one, reclaiming it first if it holds
+  // blocks. Buckets are taken in cyclic order, so that bucket is always the
+  // oldest allocation.
   u64 take_bucket(SimTime now, SimTime* done);
   SimTime reclaim_bucket(SimTime now, u64 bucket);
   SimTime destage_some(SimTime now, u32 max_blocks);
-  SimTime destage_lba(SimTime now, u64 lba);
   // Group-committed journal write (+flush); returns the ack time for a
   // request joining the commit at `now`.
   SimTime journal_commit(SimTime now);
@@ -75,17 +72,17 @@ class BcacheLike final : public cache::CacheDevice {
   BlockDevice* ssd_;
   BlockDevice* primary_;
   std::vector<Bucket> buckets_;
-  std::deque<u64> free_buckets_;
-  u64 open_bucket_ = ~0ull;
+  u64 open_bucket_ = ~0ull;  // none yet, so the first bucket taken is 0
   common::FlatMap<Entry> map_;
   std::deque<u64> dirty_fifo_;
   u64 dirty_count_ = 0;
-  u64 alloc_seq_ = 0;
   u64 journal_base_;
   u32 journal_cursor_ = 0;
   SimTime commit_inflight_done_ = 0;  // commit currently on the device
   SimTime commit_pending_done_ = 0;   // group commit queued behind it
   u64 tag_seq_ = 0;
+  std::vector<Victim> victims_;  // writeback scratch
+  std::vector<u64> tags_;        // writeback scratch: one run's tags
   cache::CacheStats stats_;
 };
 

@@ -3,19 +3,19 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/runs.hpp"
-
 namespace srcache::baselines {
 
 FlashcacheLike::FlashcacheLike(const FlashcacheConfig& cfg, BlockDevice* ssd,
                                BlockDevice* primary)
     : cfg_(cfg), ssd_(ssd), primary_(primary) {
-  if (cfg_.cache_blocks == 0 || cfg_.set_blocks == 0)
-    throw std::invalid_argument("Flashcache: empty cache");
+  if (cfg_.set_blocks == 0)
+    throw std::invalid_argument("Flashcache: zero set size");
   // Slot links are u32, with ~0u as the end of a list.
   if (cfg_.cache_blocks > kNil)
     throw std::invalid_argument("Flashcache: cache_blocks must be < 2^32");
   cfg_.cache_blocks -= cfg_.cache_blocks % cfg_.set_blocks;
+  if (cfg_.cache_blocks == 0)
+    throw std::invalid_argument("Flashcache: cache smaller than one set");
   md_base_ = cfg_.cache_blocks;
   const u64 md_blocks = div_ceil(cfg_.cache_blocks, cfg_.md_entries_per_block);
   if (ssd_->capacity_blocks() < md_base_ + md_blocks)
@@ -60,57 +60,30 @@ SimTime FlashcacheLike::write_metadata(SimTime now, u64 slot) {
   return r.ok() ? r.done : now;
 }
 
-SimTime FlashcacheLike::destage_slot(SimTime now, u64 slot) {
-  u64 tag = 0;
-  auto r = ssd_->read(now, slot, 1, std::span<u64>(&tag, 1));
-  SimTime t = r.ok() ? r.done : now;
-  auto w =
-      primary_->write(t, slots_[slot].lba, 1, std::span<const u64>(&tag, 1));
-  if (w.ok()) t = w.done;
-  stats_.destage_blocks++;
-  return std::max(t, write_metadata(t, slot));
-}
-
-SimTime FlashcacheLike::maybe_trickle_destage(SimTime now, u64 set) {
+void FlashcacheLike::maybe_trickle_destage(SimTime now, u64 set) {
   // Flashcache cleans the accessed set toward dirty_thresh_pct (per-set
   // accounting, like flashcache_clean_set); it tolerates overshoot rather
   // than blocking the foreground write.
   const Set& st = sets_[set];
   if (static_cast<double>(st.dirty) <=
       cfg_.dirty_thresh_pct * static_cast<double>(cfg_.set_blocks)) {
-    return now;
+    return;
   }
   // Oldest dirty blocks of the set first.
-  batch_.clear();
-  for (u32 i = st.head[kDirty]; i != kNil && batch_.size() < cfg_.destage_batch;
-       i = slots_[i].next)
-    batch_.push_back(i);
-  set_slot_visits_ += batch_.size();
-  for (u32 slot : batch_) move_to(slot, kCleaned);  // keeping their ticks
-  primary_->set_background(true);  // kcached-style background cleaner
-  // Write back in dbn order: the set holds a contiguous backing region, so
-  // sorted victims merge into few primary writes.
-  std::sort(batch_.begin(), batch_.end(),
-            [&](u32 a, u32 b) { return slots_[a].lba < slots_[b].lba; });
-  const auto adjacent = [&](u32 a, u32 b) {
-    return slots_[b].lba == slots_[a].lba + 1;
-  };
-  common::for_each_run(batch_, adjacent, [&](size_t i, size_t n) {
-    tags_.assign(n, 0);
-    SimTime rt = now;
-    for (size_t k = 0; k < n; ++k) {
-      const u64 slot = batch_[i + k];
-      auto r = ssd_->read(now, slot, 1, std::span<u64>(&tags_[k], 1));
-      if (r.ok()) rt = std::max(rt, r.done);
-      stats_.destage_blocks++;
-      write_metadata(now, slot);
-    }
-    // Background lane: the cleaner's primary writes never gate foreground.
-    primary_->write(rt, slots_[batch_[i]].lba, static_cast<u32>(n), tags_);
+  victims_.clear();
+  for (u32 i = st.head[kDirty];
+       i != kNil && victims_.size() < cfg_.destage_batch; i = slots_[i].next)
+    victims_.push_back({slots_[i].lba, i});
+  set_slot_visits_ += victims_.size();
+  for (const Victim& v : victims_)  // keeping their ticks
+    move_to(static_cast<u32>(v.block), kCleaned);
+  // A kcached-style cleaner writing back in dbn order: the set holds a
+  // contiguous backing region, so sorted victims merge into few primary
+  // writes.
+  destage_runs(*ssd_, *primary_, now, victims_, tags_, [&](const Victim& v) {
+    stats_.destage_blocks++;
+    write_metadata(now, v.block);
   });
-  primary_->set_background(false);
-  // kcached-style cleaner: asynchronous, never gates the app ack.
-  return now;
 }
 
 u64 FlashcacheLike::allocate_slot(SimTime now, u64 lba, SimTime* done) {
@@ -132,7 +105,10 @@ u64 FlashcacheLike::allocate_slot(SimTime now, u64 lba, SimTime* done) {
     if (victim == kNil) {
       victim = st.head[kDirty];
       set_slot_visits_++;
-      *done = std::max(*done, destage_slot(now, victim));
+      const SimTime t =
+          destage_one(*ssd_, *primary_, now, slots_[victim].lba, victim);
+      stats_.destage_blocks++;
+      *done = std::max({*done, t, write_metadata(t, victim)});
     }
     // A dirty victim is clean once destaged, so it counts as dropped too.
     map_.erase(slots_[victim].lba);
@@ -177,15 +153,10 @@ SimTime FlashcacheLike::submit(const cache::AppRequest& req) {
       if (w.ok()) done = std::max(done, w.done);
       if (cfg_.write_back) {
         done = std::max(done, write_metadata(now, slot));
-        done = std::max(done, maybe_trickle_destage(now, set_of(lba)));
+        maybe_trickle_destage(now, set_of(lba));
       } else {
-        // Write-through: the write must be durable on primary before the
-        // ack (FUA semantics), so the target's volatile cache cannot
-        // absorb it.
-        auto p = primary_->write(now, lba, 1, std::span<const u64>(&tag, 1));
-        if (p.ok()) done = std::max(done, p.done);
-        auto f = primary_->flush(done);
-        if (f.ok()) done = std::max(done, f.done);
+        done = write_through(*primary_, now, lba,
+                             std::span<const u64>(&tag, 1), done);
       }
     } else {  // read
       if (cached != nullptr) {

@@ -10,14 +10,11 @@
 
 #include <vector>
 
-#include "block/block_device.hpp"
+#include "baselines/write_back.hpp"
 #include "cache/cache_device.hpp"
 #include "common/flat_map.hpp"
 
 namespace srcache::baselines {
-
-using blockdev::BlockDevice;
-using sim::SimTime;
 
 struct FlashcacheConfig {
   u64 cache_blocks = 0;        // data blocks on the cache device
@@ -41,10 +38,8 @@ class FlashcacheLike final : public cache::CacheDevice {
   [[nodiscard]] u64 cached_blocks() const override { return map_.size(); }
 
   [[nodiscard]] double dirty_ratio() const {
-    return cache_blocks() == 0
-               ? 0.0
-               : static_cast<double>(dirty_count_) /
-                     static_cast<double>(cfg_.cache_blocks);
+    return static_cast<double>(dirty_count_) /
+           static_cast<double>(cfg_.cache_blocks);
   }
   [[nodiscard]] u64 cache_blocks() const { return cfg_.cache_blocks; }
   // Slots the per-set bookkeeping has examined to place fills, pick victims
@@ -83,9 +78,9 @@ class FlashcacheLike final : public cache::CacheDevice {
   u64 allocate_slot(SimTime now, u64 lba, SimTime* done);
   // Moves a slot to the tail of `list` in its set, keeping the dirty counts.
   void move_to(u32 slot, List list);
-  SimTime destage_slot(SimTime now, u64 slot);
   SimTime write_metadata(SimTime now, u64 slot);
-  SimTime maybe_trickle_destage(SimTime now, u64 set);
+  // Starts the set's background cleaner; it never gates the app ack.
+  void maybe_trickle_destage(SimTime now, u64 set);
 
   FlashcacheConfig cfg_;
   BlockDevice* ssd_;
@@ -97,8 +92,8 @@ class FlashcacheLike final : public cache::CacheDevice {
   u64 tick_ = 0;
   u64 md_base_;  // metadata partition start block on the SSD
   u64 set_slot_visits_ = 0;
-  std::vector<u32> batch_;  // trickle scratch: slots being destaged
-  std::vector<u64> tags_;   // trickle scratch: one run's tags
+  std::vector<Victim> victims_;  // trickle scratch: slots being destaged
+  std::vector<u64> tags_;        // trickle scratch: one run's tags
   cache::CacheStats stats_;
 };
 

@@ -383,6 +383,12 @@ IoResult RaidDevice::write_payload(SimTime now, u64 lba, Payload payload) {
   if (first.dev != last.dev || last.off != first.off + n - 1) {
     return {now, ErrorCode::kInvalidArgument};
   }
+  // Parity counts a payload's cells as tag 0, so it cannot stand in for a
+  // payload whose member is down: that write has no live copy.
+  if ((cfg_.level == RaidLevel::kRaid4 || cfg_.level == RaidLevel::kRaid5) &&
+      devs_[first.dev]->failed()) {
+    return {now, ErrorCode::kDeviceFailed};
+  }
   return write_blocks(now, lba, n, {}, &payload);
 }
 

@@ -33,8 +33,7 @@ struct SmallRig {
   // Builds the devices and a freshly formatted cache.
   explicit SmallRig(const SrcConfig& c = small_config()) : cfg(c) {
     blockdev::MemDiskConfig fast;
-    fast.capacity_blocks =
-        cfg.region_start_block + cfg.region_bytes_per_ssd / kBlockSize + 64;
+    fast.capacity_blocks = cfg.region_bytes_per_ssd / kBlockSize + 64;
     fast.op_latency = 20 * sim::kUs;
     fast.bandwidth_mbps = 500.0;
     fast.flush_latency = 4 * sim::kMs;

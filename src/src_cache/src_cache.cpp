@@ -65,7 +65,7 @@ SrcCache::SrcCache(const SrcConfig& cfg, std::vector<BlockDevice*> ssds,
     throw std::invalid_argument("SRC: device count != config");
   const u64 region_blocks = cfg_.region_bytes_per_ssd / kBlockSize;
   for (auto* d : ssds_) {
-    if (d->capacity_blocks() < cfg_.region_start_block + region_blocks)
+    if (d->capacity_blocks() < region_blocks)
       throw std::invalid_argument("SRC: SSD smaller than cache region");
   }
   sgs_.resize(cfg_.sg_count());
@@ -77,7 +77,7 @@ SrcCache::SrcCache(const SrcConfig& cfg, std::vector<BlockDevice*> ssds,
 // --- geometry ---------------------------------------------------------------
 
 u64 SrcCache::sg_base_block(u32 sg) const {
-  return cfg_.region_start_block + static_cast<u64>(sg) * cfg_.eg_blocks();
+  return static_cast<u64>(sg) * cfg_.eg_blocks();
 }
 
 u64 SrcCache::chunk_base_block(u32 sg, u32 seg) const {

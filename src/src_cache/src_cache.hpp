@@ -91,8 +91,8 @@ class SrcCache final : public cache::CacheDevice {
   // kBeforeSeg cuts power before anything of the segment reaches media.
   enum class CrashPoint { kNone, kAfterMs, kAfterData, kBeforeSeg };
 
-  // `ssds` are borrowed and must each expose at least
-  // region_start_block + region blocks. `primary` is the backing store.
+  // `ssds` are borrowed and must each expose at least the region's blocks,
+  // which start at block 0. `primary` is the backing store.
   SrcCache(const SrcConfig& cfg, std::vector<BlockDevice*> ssds,
            BlockDevice* primary);
 

@@ -45,11 +45,10 @@ struct SrcConfig {
   // Per-SSD share of one segment (512 KiB in the paper: the largest unit
   // transferable to the device in one request).
   u64 chunk_bytes = 512 * KiB;
-  // Per-SSD cache region size; region/erase_group = segment-group count
-  // (the paper uses 18 SGs: 18 GB of cache over 4 SSDs).
+  // Per-SSD cache region size, from block 0 of each SSD; region/erase_group
+  // = segment-group count (the paper uses 18 SGs: 18 GB of cache over 4
+  // SSDs).
   u64 region_bytes_per_ssd = 4608ull * MiB;
-  // First block of the region on each SSD.
-  u64 region_start_block = 0;
 
   // Stripe organisation of a segment across the SSD array (§5.2, Table 10;
   // RAID-1 is our extension for parity with the Fig. 1 baseline set).

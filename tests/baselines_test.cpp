@@ -82,6 +82,13 @@ TEST(Flashcache, RejectsEmpty) {
                std::invalid_argument);
 }
 
+// A cache smaller than one set rounds down to no sets at all.
+TEST(Flashcache, RejectsCacheSmallerThanOneSet) {
+  Rig rig;
+  EXPECT_THROW(FlashcacheLike(fc_cfg(511), rig.ssd.get(), rig.primary.get()),
+               std::invalid_argument);
+}
+
 TEST(Flashcache, WriteThenReadHits) {
   Rig rig;
   FlashcacheLike fc(fc_cfg(), rig.ssd.get(), rig.primary.get());
@@ -325,6 +332,57 @@ struct FcModel {
   u64 destaged_victim_first = 0;
 };
 
+// The golden scripts' devices: a cache device that is a RAID-5 of four
+// recording members or one recording disk, and a recording primary, every
+// call folding into `*crc`.
+struct RecordingRig {
+  RecordingRig(bool raid5, u64 member_blocks, u64 single_blocks, u32* crc) {
+    MemDiskConfig ssd_cfg;
+    ssd_cfg.op_latency = 20 * sim::kUs;
+    if (raid5) {
+      ssd_cfg.capacity_blocks = member_blocks;
+      std::vector<blockdev::BlockDevice*> members;
+      for (u64 i = 0; i < 4; ++i) {
+        disks.push_back(
+            std::make_unique<blockdev::RecordingDisk>(i, ssd_cfg, crc));
+        members.push_back(disks.back().get());
+      }
+      array = std::make_unique<raid::RaidDevice>(
+          raid::RaidConfig{raid::RaidLevel::kRaid5, 1}, members);
+      ssd = array.get();
+    } else {
+      ssd_cfg.capacity_blocks = single_blocks;
+      disks.push_back(
+          std::make_unique<blockdev::RecordingDisk>(0, ssd_cfg, crc));
+      ssd = disks.back().get();
+    }
+    MemDiskConfig primary_cfg;
+    primary_cfg.capacity_blocks = 4096;
+    primary_cfg.op_latency = 2 * sim::kMs;
+    disks.push_back(
+        std::make_unique<blockdev::RecordingDisk>(9, primary_cfg, crc));
+    primary = disks.back().get();
+  }
+
+  // Folds the RAID counters and every DeviceStats into `crc`.
+  [[nodiscard]] u32 fold_device_stats(u32 crc) const {
+    if (array) {
+      const raid::RaidStats& rs = array->raid_stats();
+      for (u64 v : {rs.full_stripe_writes, rs.rmw_writes, rs.reconstruct_writes,
+                    rs.degraded_reads})
+        crc = common::crc32c_of(v, crc);
+      crc = blockdev::fold_stats(array->stats(), crc);
+    }
+    for (const auto& d : disks) crc = blockdev::fold_stats(d->stats(), crc);
+    return crc;
+  }
+
+  std::vector<std::unique_ptr<blockdev::RecordingDisk>> disks;  // primary last
+  std::unique_ptr<raid::RaidDevice> array;
+  blockdev::BlockDevice* ssd = nullptr;
+  blockdev::BlockDevice* primary = nullptr;
+};
+
 struct GoldenFc {
   u32 io_crc = 0;     // every SSD-member and primary call, in arrival order
   u32 state_crc = 0;  // acks, read tags, CacheStats, dirty_ratio, DeviceStats
@@ -338,34 +396,8 @@ struct GoldenFc {
 // members or over one recording device, with a recording primary.
 GoldenFc run_flashcache_script(bool raid5, const FlashcacheConfig& cfg) {
   GoldenFc g{.model = FcModel(cfg), .stats = {}};
-  MemDiskConfig ssd_cfg;
-  ssd_cfg.op_latency = 20 * sim::kUs;
-  MemDiskConfig primary_cfg;
-  primary_cfg.capacity_blocks = 4096;
-  primary_cfg.op_latency = 2 * sim::kMs;
-  std::vector<std::unique_ptr<blockdev::RecordingDisk>> disks;
-  std::unique_ptr<raid::RaidDevice> array;
-  blockdev::BlockDevice* ssd = nullptr;
-  if (raid5) {
-    ssd_cfg.capacity_blocks = 64;
-    std::vector<blockdev::BlockDevice*> members;
-    for (u64 i = 0; i < 4; ++i) {
-      disks.push_back(
-          std::make_unique<blockdev::RecordingDisk>(i, ssd_cfg, &g.io_crc));
-      members.push_back(disks.back().get());
-    }
-    array = std::make_unique<raid::RaidDevice>(
-        raid::RaidConfig{raid::RaidLevel::kRaid5, 1}, members);
-    ssd = array.get();
-  } else {
-    ssd_cfg.capacity_blocks = 160;
-    disks.push_back(
-        std::make_unique<blockdev::RecordingDisk>(0, ssd_cfg, &g.io_crc));
-    ssd = disks.back().get();
-  }
-  disks.push_back(
-      std::make_unique<blockdev::RecordingDisk>(9, primary_cfg, &g.io_crc));
-  FlashcacheLike fc(cfg, ssd, disks.back().get());
+  const RecordingRig rig(raid5, 64, 160, &g.io_crc);
+  FlashcacheLike fc(cfg, rig.ssd, rig.primary);
 
   auto fold = [&g](u64 v) { g.state_crc = common::crc32c_of(v, g.state_crc); };
   common::Xoshiro256 rng(raid5 ? 24 : 42);
@@ -394,15 +426,7 @@ GoldenFc run_flashcache_script(bool raid5, const FlashcacheConfig& cfg) {
   for (const auto& f : cache::kCacheStatsFields) fold(g.stats.*f.counter);
   fold(std::bit_cast<u64>(fc.dirty_ratio()));
   fold(fc.cached_blocks());
-  if (array) {
-    const raid::RaidStats& rs = array->raid_stats();
-    for (u64 v : {rs.full_stripe_writes, rs.rmw_writes, rs.reconstruct_writes,
-                  rs.degraded_reads})
-      fold(v);
-    g.state_crc = blockdev::fold_stats(array->stats(), g.state_crc);
-  }
-  for (const auto& d : disks)
-    g.state_crc = blockdev::fold_stats(d->stats(), g.state_crc);
+  g.state_crc = rig.fold_device_stats(g.state_crc);
   // The model agrees with what the cache reports.
   EXPECT_EQ(g.model.read_hits, g.stats.read_hit_blocks);
   EXPECT_EQ(g.model.clean_evictions + g.model.dirty_evictions,
@@ -473,6 +497,13 @@ TEST(Baselines, GoldenFlashcacheIo) {
 }
 
 // --- Bcache ----------------------------------------------------------------------
+
+// A cache smaller than one bucket rounds down to no buckets at all.
+TEST(Bcache, RejectsCacheSmallerThanOneBucket) {
+  Rig rig;
+  EXPECT_THROW(BcacheLike(bc_cfg(511), rig.ssd.get(), rig.primary.get()),
+               std::invalid_argument);
+}
 
 TEST(Bcache, WriteThenReadHits) {
   Rig rig;
@@ -579,6 +610,217 @@ TEST(Bcache, WriteThroughGoesToPrimary) {
   rig.primary->read(0, 9, 1, out);
   EXPECT_EQ(out[0], 11u);
   EXPECT_EQ(bc.dirty_ratio(), 0.0);
+}
+
+// --- golden Bcache I/O ---------------------------------------------------
+
+// Forwards every call to `inner` unchanged and logs the block commands with
+// the background flag in force, so the golden Bcache script can tell which
+// cases it reached: log appends and their wrap-around, journal commits,
+// merged hit reads, and writeback-thread versus foreground destages.
+class Tap final : public blockdev::BlockDevice {
+ public:
+  struct Op {
+    u8 op;  // 1 read, 2 write, 5 flush
+    u64 lba;
+    u32 n;
+    bool background;
+  };
+
+  explicit Tap(BlockDevice* inner) : inner_(inner) {}
+
+  [[nodiscard]] u64 capacity_blocks() const override {
+    return inner_->capacity_blocks();
+  }
+  blockdev::IoResult read(sim::SimTime now, u64 lba, u32 n,
+                          std::span<u64> tags_out) override {
+    ops.push_back({1, lba, n, background_});
+    return inner_->read(now, lba, n, tags_out);
+  }
+  blockdev::IoResult write(sim::SimTime now, u64 lba, u32 n,
+                           std::span<const u64> tags) override {
+    ops.push_back({2, lba, n, background_});
+    return inner_->write(now, lba, n, tags);
+  }
+  blockdev::IoResult write_payload(sim::SimTime now, u64 lba,
+                                   blockdev::Payload payload) override {
+    return inner_->write_payload(now, lba, std::move(payload));
+  }
+  Result<blockdev::Payload> read_payload(sim::SimTime now, u64 lba,
+                                         sim::SimTime* done) override {
+    return inner_->read_payload(now, lba, done);
+  }
+  blockdev::IoResult flush(sim::SimTime now) override {
+    ops.push_back({5, 0, 0, background_});
+    return inner_->flush(now);
+  }
+  blockdev::IoResult trim(sim::SimTime now, u64 lba, u64 n) override {
+    return inner_->trim(now, lba, n);
+  }
+  [[nodiscard]] const blockdev::DeviceStats& stats() const override {
+    return inner_->stats();
+  }
+  void fail() override { inner_->fail(); }
+  void heal() override { inner_->heal(); }
+  [[nodiscard]] bool failed() const override { return inner_->failed(); }
+  void corrupt(u64 lba) override { inner_->corrupt(lba); }
+  void set_background(bool background) override {
+    if (background && !background_) background_sessions++;
+    background_ = background;
+    inner_->set_background(background);
+  }
+
+  std::vector<Op> ops;
+  u64 background_sessions = 0;
+
+ private:
+  BlockDevice* inner_;
+  bool background_ = false;
+};
+
+struct GoldenBc {
+  u32 io_crc = 0;     // every SSD-member and primary call, in arrival order
+  u32 state_crc = 0;  // acks, read tags, CacheStats, dirty_ratio, DeviceStats
+  cache::CacheStats stats;
+  u64 wraps = 0;             // log appends below the one before
+  u64 journal_writes = 0;    // commits issued
+  u64 merged_hit_reads = 0;  // multi-block reads of the log
+  u64 cache_flushes = 0;
+  u64 bg_destage_blocks = 0;  // writeback thread (over writeback_percent)
+  u64 fg_destage_blocks = 0;  // bucket reclaim
+  u64 bg_sessions = 0;
+  u64 primary_flushes = 0;
+};
+
+// A seeded script of 1-3 block reads and writes (with and without tags) and
+// flushes over a hot region of twice the cache's 6 buckets of 16 blocks, run
+// on BcacheLike over a RAID-5 of four recording members or over one
+// recording device, with a recording primary.
+GoldenBc run_bcache_script(bool raid5, const BcacheConfig& cfg) {
+  GoldenBc g;
+  const RecordingRig rig(raid5, 40, 120, &g.io_crc);
+  Tap ssd_tap(rig.ssd);
+  Tap primary_tap(rig.primary);
+  BcacheLike bc(cfg, &ssd_tap, &primary_tap);
+
+  auto fold = [&g](u64 v) { g.state_crc = common::crc32c_of(v, g.state_crc); };
+  common::Xoshiro256 rng(raid5 ? 25 : 52);
+  sim::SimTime now = 0;
+  for (int op = 0; op < 3000; ++op) {
+    now += static_cast<sim::SimTime>(rng.below(120)) * sim::kUs;
+    const bool write = rng.below(100) < 55;
+    const auto n = static_cast<u32>(1 + rng.below(3));
+    const u64 lba = rng.below(4) != 0 ? rng.below(192) : rng.below(1024);
+    std::vector<u64> tags(n);
+    for (u64& t : tags) t = rng.next();
+    const bool with_tags = rng.below(4) != 0;
+    if (rng.below(50) == 0) {
+      fold(static_cast<u64>(bc.flush(now)));
+    } else if (write) {
+      fold(static_cast<u64>(
+          bc.submit(wreq(now, lba, n, with_tags ? tags.data() : nullptr))));
+    } else {
+      fold(static_cast<u64>(
+          bc.submit(rreq(now, lba, n, with_tags ? tags.data() : nullptr))));
+      if (with_tags)
+        for (u64 t : tags) fold(t);
+    }
+  }
+  g.stats = bc.stats();
+  for (const auto& f : cache::kCacheStatsFields) fold(g.stats.*f.counter);
+  fold(std::bit_cast<u64>(bc.dirty_ratio()));
+  fold(bc.cached_blocks());
+  g.state_crc = rig.fold_device_stats(g.state_crc);
+
+  const u64 journal_base =
+      cfg.cache_blocks - cfg.cache_blocks % cfg.bucket_blocks;
+  u64 last_append = 0;
+  for (const Tap::Op& o : ssd_tap.ops) {
+    if (o.op == 5) g.cache_flushes++;
+    if (o.op == 1 && o.n > 1) g.merged_hit_reads++;
+    if (o.op != 2) continue;
+    if (o.lba >= journal_base) {
+      g.journal_writes++;
+      continue;
+    }
+    g.wraps += o.lba < last_append ? 1 : 0;
+    last_append = o.lba;
+  }
+  for (const Tap::Op& o : primary_tap.ops) {
+    if (o.op == 5) g.primary_flushes++;
+    if (o.op != 2 || !cfg.write_back) continue;
+    (o.background ? g.bg_destage_blocks : g.fg_destage_blocks) += o.n;
+  }
+  g.bg_sessions = primary_tap.background_sessions;
+  return g;
+}
+
+// Pins which commands BcacheLike sends the SSD (or the RAID-5 members under
+// it) and primary storage, in what order and when, and what it reports:
+// log appends wrapping around the buckets, reclaims that drop clean blocks
+// and destage dirty ones, writeback-thread destages over writeback_percent,
+// group-committed journal writes (with and without their flush), merged
+// hit reads, miss fills, and write-through. Any drift in bucket order,
+// victim choice, destage runs or commits moves a CRC.
+TEST(Baselines, GoldenBcacheIo) {
+  enum Mode { kFlushCommit, kNoFlushCommit, kWriteThrough };
+  struct Pin {
+    bool raid5;
+    Mode mode;
+    u32 io_crc;
+    u32 state_crc;
+  };
+  const Pin pins[] = {
+      {true, kFlushCommit, 0xa3450430, 0xf643dcaf},
+      {true, kNoFlushCommit, 0x0f8ae47d, 0x1925609f},
+      {true, kWriteThrough, 0x5c34dde3, 0xa246b9eb},
+      {false, kFlushCommit, 0x36fbeaf1, 0xbfcef1c0},
+      {false, kNoFlushCommit, 0x69e9ede4, 0xcb3a2fef},
+      {false, kWriteThrough, 0xf558e65a, 0x003ff149},
+  };
+  for (const Pin& p : pins) {
+    BcacheConfig cfg;
+    cfg.cache_blocks = 6 * 16 + 5;  // rounds down to 6 buckets
+    cfg.bucket_blocks = 16;
+    cfg.journal_blocks = 8;
+    cfg.destage_batch = 3;
+    cfg.writeback_percent = 0.4;
+    cfg.write_back = p.mode != kWriteThrough;
+    cfg.flush_on_commit = p.mode == kFlushCommit;
+    const GoldenBc g = run_bcache_script(p.raid5, cfg);
+    const std::string ctx = std::string(p.raid5 ? "raid5" : "single") +
+                            " mode " + std::to_string(p.mode);
+    EXPECT_EQ(g.io_crc, p.io_crc) << ctx;
+    EXPECT_EQ(g.state_crc, p.state_crc) << ctx;
+    // The script reaches every case the pins are meant to cover.
+    EXPECT_GT(g.wraps, 0u) << ctx;
+    EXPECT_GT(g.stats.dropped_clean_blocks, 0u) << ctx;
+    EXPECT_GT(g.merged_hit_reads, 0u) << ctx;
+    EXPECT_GT(g.stats.read_hit_blocks, 0u) << ctx;
+    EXPECT_GT(g.stats.fetch_blocks, 0u) << ctx;
+    EXPECT_GT(g.stats.write_hit_blocks, 0u) << ctx;
+    if (p.mode == kWriteThrough) {
+      EXPECT_EQ(g.stats.destage_blocks, 0u) << ctx;
+      EXPECT_EQ(g.journal_writes, 0u) << ctx;
+      EXPECT_EQ(g.primary_flushes,
+                g.stats.app_write_ops + g.stats.app_flushes)
+          << ctx;
+      continue;
+    }
+    EXPECT_GT(g.bg_destage_blocks, 0u) << ctx;
+    EXPECT_GT(g.fg_destage_blocks, 0u) << ctx;
+    EXPECT_EQ(g.bg_destage_blocks + g.fg_destage_blocks,
+              g.stats.destage_blocks)
+        << ctx;
+    // Every write-back write and every writeback-thread pass asks for a
+    // commit; fewer journal writes means some requests shared one.
+    EXPECT_LT(g.journal_writes, g.stats.app_write_ops + g.bg_sessions) << ctx;
+    EXPECT_GT(g.stats.app_flushes, 0u) << ctx;
+    EXPECT_EQ(g.cache_flushes,
+              g.stats.app_flushes +
+                  (p.mode == kFlushCommit ? g.journal_writes : 0u))
+        << ctx;
+  }
 }
 
 // --- shared write-back property: WB beats WT on a slow primary (Table 2) ----------

@@ -431,6 +431,36 @@ TEST(Raid, PayloadWritesEachCopyOnce) {
   }
 }
 
+// With a member down, every acknowledged payload reads back, and one whose
+// only copy would land on the dead member fails without a member write.
+TEST(Raid, PayloadWriteFailsWithoutLiveCopy) {
+  for (const RaidLevel level : {RaidLevel::kRaid0, RaidLevel::kRaid1,
+                                RaidLevel::kRaid4, RaidLevel::kRaid5}) {
+    Rig rig(level, 1);
+    rig.disks[1]->fail();
+    u64 refused = 0;
+    for (u64 lba = 0; lba < 12; ++lba) {
+      u64 writes_before = 0;
+      for (const auto& d : rig.disks) writes_before += d->stats().write_ops;
+      auto p = std::make_shared<std::vector<u8>>(8, static_cast<u8>(lba));
+      const IoResult w = rig.raid->write_payload(0, lba, p);
+      u64 writes_after = 0;
+      for (const auto& d : rig.disks) writes_after += d->stats().write_ops;
+      if (!w.ok()) {
+        EXPECT_EQ(w.error, ErrorCode::kDeviceFailed) << to_string(level);
+        EXPECT_EQ(writes_after, writes_before) << to_string(level);
+        refused++;
+        continue;
+      }
+      const auto back = rig.raid->read_payload(0, lba, nullptr);
+      ASSERT_TRUE(back.is_ok()) << to_string(level) << " lba " << lba;
+      EXPECT_EQ(*back.value(), *p) << to_string(level) << " lba " << lba;
+    }
+    // RAID-1 keeps the mirror copy; the other levels lose member 1's cells.
+    EXPECT_EQ(refused > 0, level != RaidLevel::kRaid1) << to_string(level);
+  }
+}
+
 TEST(Raid, TimingOverlapsAcrossDevices) {
   // A full-stripe write should take about one device-op time, not four.
   Rig rig(RaidLevel::kRaid0, 4);
@@ -521,7 +551,9 @@ GoldenIo run_member_io_script(RaidLevel level, u32 chunk, bool degraded) {
 // Pins which member commands every RAID level issues, in what order and
 // when, for each chunk size, healthy and with member 1 failed: any drift in
 // run merging, parity strategy or degraded handling moves a CRC. (Re-pinned
-// when write_payload began writing each payload copy once.)
+// when write_payload began writing each payload copy once, and its degraded
+// RAID-4/5 rows again when a payload bound for the dead member began to
+// fail instead of being acknowledged.)
 TEST(Raid, GoldenMemberIo) {
   struct Pin {
     RaidLevel level;
@@ -544,17 +576,17 @@ TEST(Raid, GoldenMemberIo) {
       {RaidLevel::kRaid1, 16, false, 0x6346ce11, 0x88eae0a2},
       {RaidLevel::kRaid1, 16, true, 0x15a47f98, 0x8c62c2d8},
       {RaidLevel::kRaid4, 1, false, 0x439122f1, 0xe9ed1095},
-      {RaidLevel::kRaid4, 1, true, 0xb6fc312a, 0x62f5800d},
+      {RaidLevel::kRaid4, 1, true, 0x662546d8, 0xacc83e42},
       {RaidLevel::kRaid4, 4, false, 0xcbf4015d, 0xa9c54c30},
-      {RaidLevel::kRaid4, 4, true, 0xb9f91b70, 0x1844bbff},
+      {RaidLevel::kRaid4, 4, true, 0x0bbdd554, 0x0a30594a},
       {RaidLevel::kRaid4, 16, false, 0x356de24b, 0x51989051},
-      {RaidLevel::kRaid4, 16, true, 0x49723f96, 0x96ec41f9},
+      {RaidLevel::kRaid4, 16, true, 0x73a4aa4b, 0x1f228a3f},
       {RaidLevel::kRaid5, 1, false, 0x705adfde, 0xd86b8887},
-      {RaidLevel::kRaid5, 1, true, 0xbd56de0e, 0xaac6d528},
+      {RaidLevel::kRaid5, 1, true, 0x123b9dd7, 0x7ddf0f79},
       {RaidLevel::kRaid5, 4, false, 0x43506b22, 0x3629ce83},
-      {RaidLevel::kRaid5, 4, true, 0xf6169352, 0xe0866077},
+      {RaidLevel::kRaid5, 4, true, 0xfb611e69, 0x56333200},
       {RaidLevel::kRaid5, 16, false, 0x7ad31344, 0xed8fefc2},
-      {RaidLevel::kRaid5, 16, true, 0xdd40e3a7, 0x7b186e1f},
+      {RaidLevel::kRaid5, 16, true, 0x23a0fb79, 0x86897a87},
   };
   for (const Pin& p : pins) {
     const GoldenIo g = run_member_io_script(p.level, p.chunk, p.degraded);

@@ -197,7 +197,7 @@ std::vector<Scenario> build_grid() {
       {RaidLevel::kRaid4, "raid4"},
       {RaidLevel::kRaid5, "raid5"},
   };
-  // Device-LBA range of the cache region (region_start_block = 0 here).
+  // Device-LBA range of the cache region, which starts at block 0.
   const std::string region = "lba=0..1024";
 
   std::vector<Scenario> grid;
