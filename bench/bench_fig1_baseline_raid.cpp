@@ -13,25 +13,28 @@ int main() {
   print_header("Figure 1: baselines over RAID levels (FIO 4K UR write)",
                "Fig. 1");
   const double k = scale();
-  common::Table t(
-      {"Scheme", "RAID-0", "RAID-1", "RAID-4", "RAID-5", "(MB/s)"});
-
-  for (const char* scheme : {"Bcache", "Flashcache"}) {
-    std::vector<std::string> row = {scheme};
+  const char* schemes[] = {"Bcache", "Flashcache"};
+  std::vector<Cell> cells;
+  for (const char* scheme : schemes) {
+    const Baseline kind =
+        scheme == schemes[0] ? Baseline::kBcache : Baseline::kFlashcache;
     for (auto level : {raid::RaidLevel::kRaid0, raid::RaidLevel::kRaid1,
                        raid::RaidLevel::kRaid4, raid::RaidLevel::kRaid5}) {
-      const auto make_rig = [&] {
-        return make_baseline_rig(
-            scheme[0] == 'B' ? Baseline::kBcache : Baseline::kFlashcache,
-            flash::spec_840pro_128(), k, level);
-      };
-      const std::string name =
-          std::string(scheme) + "/" + raid::to_string(level);
-      const u64 span = 2 * baseline_cache_blocks(Geometry::at(k), level);
-      const auto res = run_fio_write("bench_fig1_baseline_raid", name,
-                                     /*seed=*/11, span, make_rig);
-      row.push_back(common::Table::num(res.throughput_mbps, 1));
+      cells.push_back(fio_cell(
+          std::string(scheme) + "/" + raid::to_string(level), /*seed=*/11,
+          2 * baseline_cache_blocks(Geometry::at(k), level), [=] {
+            return make_baseline_rig(kind, flash::spec_840pro_128(), k, level);
+          }));
     }
+  }
+  const auto res = run_sweep("bench_fig1_baseline_raid", cells);
+
+  common::Table t(
+      {"Scheme", "RAID-0", "RAID-1", "RAID-4", "RAID-5", "(MB/s)"});
+  for (size_t s = 0; s < 2; ++s) {
+    std::vector<std::string> row = {schemes[s]};
+    for (size_t l = 0; l < 4; ++l)
+      row.push_back(common::Table::num(res[s * 4 + l].throughput_mbps, 1));
     t.add_row(std::move(row));
   }
   t.print();

@@ -5,12 +5,12 @@
 // device's erase group (256 MB), while cache-level I/O amplification is
 // lowest at small sizes (small SGs are more often fully dead).
 //
-// Runs on the sharded engine (run_group_sharded): the swept segment-group
-// size is geometry-coupled, so it goes in through make_src_rig's cfg_tweak
-// hook — applied after the per-domain geometry is derived, keeping the
-// cache region fixed while the SG size varies. Sizes are computed against
-// the *domain* geometry (scale k/kEngineDomains), since that is the region
-// each stack actually manages.
+// Every point is one cell of a single sweep (run_sweep). The swept
+// segment-group size is geometry-coupled, so it goes in through
+// make_src_rig's cfg_tweak hook — applied after the per-domain geometry is
+// derived, keeping the cache region fixed while the SG size varies. Sizes
+// are computed against the *domain* geometry (scale k/kEngineDomains),
+// since that is the region each stack actually manages.
 #include "harness.hpp"
 
 using namespace srcache;
@@ -36,24 +36,28 @@ int main() {
     sizes.push_back(s);
   }
 
-  common::Table t({"Workload", "SG size (MiB/SSD)", "MB/s", "I/O amp"});
-  for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
-                     workload::TraceGroup::kRead}) {
+  src::SrcConfig cfg = default_src_config();
+  cfg.umax = 0.90;
+  std::vector<Cell> cells;
+  for (auto group : kTraceGroups) {
     for (u64 s : sizes) {
-      src::SrcConfig cfg = default_src_config();
-      cfg.umax = 0.90;
-      const std::string name = std::string(workload::to_string(group)) +
-                               "/sg-" + std::to_string(s / MiB) + "MiB";
-      const auto res = run_group_sharded(
-          cfg, flash::spec_840pro_128(), group, k, "bench_fig4_src_erase_group",
-          42, name.c_str(), -1,
+      cells.push_back(src_cell(
+          std::string(workload::to_string(group)) + "/sg-" +
+              std::to_string(s / MiB) + "MiB",
+          cfg, flash::spec_840pro_128(), group, k, -1,
           [s](src::SrcConfig& c, const Geometry&) {
             c.erase_group_bytes = s;  // sweep the SG size, region fixed
-          });
-      t.add_row({workload::to_string(group), std::to_string(s / MiB),
-                 common::Table::num(res.throughput_mbps, 1),
-                 common::Table::num(res.io_amplification, 2)});
+          }));
     }
+  }
+  const auto res = run_sweep("bench_fig4_src_erase_group", cells);
+
+  common::Table t({"Workload", "SG size (MiB/SSD)", "MB/s", "I/O amp"});
+  for (size_t i = 0; i < res.size(); ++i) {
+    t.add_row({workload::to_string(kTraceGroups[i / sizes.size()]),
+               std::to_string(sizes[i % sizes.size()] / MiB),
+               common::Table::num(res[i].throughput_mbps, 1),
+               common::Table::num(res[i].io_amplification, 2)});
   }
   t.print();
   std::printf("\npaper shape: throughput rises with SG size and saturates at"

@@ -4,8 +4,8 @@
 // (keeping hot data pays until the cache is too full to copy); I/O
 // amplification rises monotonically with UMAX.
 //
-// Runs on the sharded engine (run_group_sharded), so REPRO_SHARDS/
-// REPRO_THREADS parallelize the fifteen points and every run lands in
+// The fifteen points are the cells of one sweep (run_sweep), so
+// REPRO_SHARDS/REPRO_THREADS parallelize them all and every run lands in
 // REPRO_JSON with the full observability surface.
 #include "harness.hpp"
 
@@ -16,24 +16,28 @@ int main() {
   print_header("Figure 5: impact of UMAX on Sel-GC", "Fig. 5");
   const double k = scale();
 
-  common::Table t({"Workload", "UMAX", "MB/s", "I/O amp"});
-  for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
-                     workload::TraceGroup::kRead}) {
-    for (double umax : {0.30, 0.50, 0.70, 0.90, 0.95}) {
+  const double umaxes[] = {0.30, 0.50, 0.70, 0.90, 0.95};
+  std::vector<Cell> cells;
+  for (auto group : kTraceGroups) {
+    for (double umax : umaxes) {
       src::SrcConfig cfg = default_src_config();
       cfg.gc = src::GcPolicy::kSelGc;
       cfg.umax = umax;
-      const std::string name =
-          std::string(workload::to_string(group)) + "/umax-" +
-          std::to_string(static_cast<int>(umax * 100));
-      const auto res =
-          run_group_sharded(cfg, flash::spec_840pro_128(), group, k,
-                            "bench_fig5_umax", 42, name.c_str());
-      t.add_row({workload::to_string(group),
-                 std::to_string(static_cast<int>(umax * 100)) + "%",
-                 common::Table::num(res.throughput_mbps, 1),
-                 common::Table::num(res.io_amplification, 2)});
+      cells.push_back(src_cell(std::string(workload::to_string(group)) +
+                                   "/umax-" +
+                                   std::to_string(static_cast<int>(umax * 100)),
+                               cfg, flash::spec_840pro_128(), group, k));
     }
+  }
+  const auto res = run_sweep("bench_fig5_umax", cells);
+
+  common::Table t({"Workload", "UMAX", "MB/s", "I/O amp"});
+  for (size_t i = 0; i < res.size(); ++i) {
+    const double umax = umaxes[i % std::size(umaxes)];
+    t.add_row({workload::to_string(kTraceGroups[i / std::size(umaxes)]),
+               std::to_string(static_cast<int>(umax * 100)) + "%",
+               common::Table::num(res[i].throughput_mbps, 1),
+               common::Table::num(res[i].io_amplification, 2)});
   }
   t.print();
   std::printf("\npaper shape: throughput peaks at UMAX=90%% then drops at "

@@ -5,12 +5,12 @@
 // Paper result: the NVMe drive wins raw performance slightly; TLC arrays
 // win MB/s per dollar; MLC arrays win lifetime and lifetime per dollar.
 //
-// Every config point runs through the sharded engine (run_group_sharded).
-// NAND write amplification is derived from the merged metrics-registry
-// delta ("ssd.<i>.host_pages_written" / "ssd.<i>.pages_programmed" summed
-// across devices and domains) — the per-domain FTLs are not reachable after
-// the engine tears the rigs down, and the window delta is the honest input
-// to a lifetime model anyway.
+// Every config point is one cell of a single sweep (run_sweep). NAND write
+// amplification is derived from the merged metrics-registry delta
+// ("ssd.<i>.host_pages_written" / "ssd.<i>.pages_programmed" summed across
+// devices and domains) — the per-domain FTLs are not reachable after the
+// engine tears the rigs down, and the window delta is the honest input to a
+// lifetime model anyway.
 #include "harness.hpp"
 
 using namespace srcache;
@@ -58,54 +58,56 @@ int main() {
       {flash::spec_c_mlc_nvme(), 1, raid::RaidLevel::kRaid0},
   };
 
-  common::Table t({"Workload", "Config", "MB/s", "(MB/s)/$", "Lifetime(d)",
-                   "Lifetime(d)/$x100", "eff GB/$"});
-  for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
-                     workload::TraceGroup::kRead}) {
+  std::vector<Cell> cells;
+  for (auto group : kTraceGroups) {
     for (const auto& p : points) {
       src::SrcConfig cfg = default_src_config();
       cfg.raid = p.raid;
-      const std::string name =
-          std::string(workload::to_string(group)) + "/" + p.spec.name;
-      workload::RunResult res;
-      if (p.count == 4) {
-        res = run_group_sharded(cfg, p.spec, group, k, "fig6", 42,
-                                name.c_str());
-      } else {
+      flash::SsdSpec spec = p.spec;
+      if (p.count == 1) {
         // Single NVMe drive: a 2-device RAID-0 SRC is the closest layout;
         // the paper runs SRC without parity on one device. We model one
         // large device as two half-capacity "channels" of the same spec.
-        flash::SsdSpec half = p.spec;
-        half.capacity_bytes /= 2;
-        half.units /= 2;
-        half.price_usd /= 2;
-        src::SrcConfig c0 = cfg;
-        c0.num_ssds = 2;
-        c0.raid = raid::RaidLevel::kRaid0;
-        res = run_group_sharded(c0, half, group, k, "fig6", 42, name.c_str());
+        spec.capacity_bytes /= 2;
+        spec.units /= 2;
+        spec.price_usd /= 2;
+        cfg.num_ssds = 2;
+        cfg.raid = raid::RaidLevel::kRaid0;
       }
-      const double nand_wa = nand_wa_from(res);
-      cost::ArrayConfig array{p.spec, p.count};
-      // The paper assumes 512 GB of workload writes per day.
-      const auto report =
-          cost::evaluate(array, res.throughput_mbps, 512e9,
-                         std::max(0.25, nand_wa));
-      // Effective cache capacity per dollar: with REPRO_TIER_MB set, the
-      // compressed DRAM tier stretches its budget by the measured
-      // compression ratio and its price is added to the array's.
-      const double eff_gb =
-          res.tier.active
-              ? cost::effective_gb_per_dollar(
-                    array, static_cast<double>(res.tier.budget_bytes),
-                    res.tier.compression_ratio())
-              : array.gb_per_dollar();
-      t.add_row({workload::to_string(group), p.spec.name,
-                 common::Table::num(report.throughput_mbps, 0),
-                 common::Table::num(report.mbps_per_dollar, 2),
-                 common::Table::num(report.lifetime_days, 0),
-                 common::Table::num(report.lifetime_days_per_dollar * 100, 1),
-                 common::Table::num(eff_gb, 2)});
+      cells.push_back(src_cell(
+          std::string(workload::to_string(group)) + "/" + p.spec.name, cfg,
+          spec, group, k));
     }
+  }
+  const auto runs = run_sweep("fig6", cells);
+
+  common::Table t({"Workload", "Config", "MB/s", "(MB/s)/$", "Lifetime(d)",
+                   "Lifetime(d)/$x100", "eff GB/$"});
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const auto group = kTraceGroups[i / points.size()];
+    const ConfigPoint& p = points[i % points.size()];
+    const workload::RunResult& res = runs[i];
+    const double nand_wa = nand_wa_from(res);
+    cost::ArrayConfig array{p.spec, p.count};
+    // The paper assumes 512 GB of workload writes per day.
+    const auto report =
+        cost::evaluate(array, res.throughput_mbps, 512e9,
+                       std::max(0.25, nand_wa));
+    // Effective cache capacity per dollar: with REPRO_TIER_MB set, the
+    // compressed DRAM tier stretches its budget by the measured
+    // compression ratio and its price is added to the array's.
+    const double eff_gb =
+        res.tier.active
+            ? cost::effective_gb_per_dollar(
+                  array, static_cast<double>(res.tier.budget_bytes),
+                  res.tier.compression_ratio())
+            : array.gb_per_dollar();
+    t.add_row({workload::to_string(group), p.spec.name,
+               common::Table::num(report.throughput_mbps, 0),
+               common::Table::num(report.mbps_per_dollar, 2),
+               common::Table::num(report.lifetime_days, 0),
+               common::Table::num(report.lifetime_days_per_dollar * 100, 1),
+               common::Table::num(eff_gb, 2)});
   }
   t.print();
   std::printf(

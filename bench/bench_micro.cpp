@@ -148,10 +148,10 @@ BENCHMARK(BM_SpanTimelineEvent);
 void run_end_to_end() {
   using namespace srcache::bench;
   const double k = std::min(scale(), 0.1);
-  const auto res =
-      run_group_sharded(default_src_config(), flash::spec_840pro_128(),
-                        workload::TraceGroup::kMixed, k, "bench_micro", 42,
-                        "src_mixed");
+  const auto res = run_sweep(
+      "bench_micro",
+      {src_cell("src_mixed", default_src_config(), flash::spec_840pro_128(),
+                workload::TraceGroup::kMixed, k)})[0];
 
   std::printf("\n=== end-to-end SRC sample (mixed group, scale=%.3g) ===\n", k);
   common::Table t({"Metric", "Value"});

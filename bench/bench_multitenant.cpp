@@ -14,6 +14,8 @@
 // REPRO_SHARDS_RATE (MRC sampling rate, default 0.1) on top of the usual
 // REPRO_SCALE / REPRO_SECONDS / REPRO_JSON. CI asserts adaptive beats
 // static-50-50 via `repro_report --assert-hit-gt`.
+#include <atomic>
+
 #include "harness.hpp"
 
 #include "adapt/adaptive.hpp"
@@ -75,12 +77,14 @@ int main() {
 
   common::Table t({"Run", "MB/s", "hit", "t0 hit", "t1 hit", "t0 share",
                    "epochs", "rebal"});
-  struct StaticSplit {
+  struct Split {
     const char* name;
-    double t0_share;
+    double t0_share;  // < 0: the adaptive controller sets the shares
   };
-  const StaticSplit splits[] = {
-      {"static-25-75", 0.25}, {"static-50-50", 0.50}, {"static-75-25", 0.75}};
+  const Split splits[] = {{"static-25-75", 0.25},
+                          {"static-50-50", 0.50},
+                          {"static-75-25", 0.75},
+                          {"adaptive", -1.0}};
 
   // A deliberately small cache region (6 erase groups per SSD instead of the
   // paper's 18): partitioning only matters when capacity is the contended
@@ -95,30 +99,29 @@ int main() {
     std::unique_ptr<adapt::AdaptiveController> ctrl;
   };
 
-  auto run_one = [&](const char* name, double t0_share, bool adaptive) {
-    u64 cap = 0;
-    const auto factory = [&](u32, u32) {
+  // One single-domain cell per split. Every cell builds the same geometry,
+  // so each stores the same capacity.
+  std::atomic<u64> capacity{0};
+  std::vector<Cell> cells;
+  for (const Split& split : splits) {
+    const double t0_share = split.t0_share;
+    cells.push_back({split.name, 1, false, [=, &capacity](u32, u64, bool) {
       auto holder = std::make_shared<MtDomain>();
       holder->rig = make_src_rig(default_src_config(), flash::spec_840pro_128(),
                                  k, true, small_region);
       SrcRig& rig = *holder->rig;
-      cap = rig.cache->config().capacity_blocks();
+      const u64 cap = rig.cache->config().capacity_blocks();
+      capacity = cap;
       holder->w = make_workload(cap, /*seed=*/42);
 
-      engine::DomainSetup s;
-      s.cache = rig.cache.get();
-      s.ssds = rig.ssd_ptrs();
-      s.gens = {holder->w.mix.get()};
+      engine::DomainSetup s = domain_over(rig, {holder->w.mix.get()}, 8, 8);
       workload::RunConfig& rc = s.cfg;
-      rc.threads_per_gen = 8;
-      rc.iodepth = 8;
-      rc.duration = run_duration();
       rc.warmup_bytes = 2 * 3 * rig.cache->config().region_bytes_per_ssd;
       rc.registry = &rig.registry;
       rc.timeseries_interval = repro_timeseries_interval();
       rc.num_tenants = 2;
 
-      if (adaptive) {
+      if (t0_share < 0) {
         adapt::AdaptConfig ac;
         ac.num_tenants = 2;
         ac.capacity_blocks = cap;
@@ -137,26 +140,25 @@ int main() {
       }
       s.owned = holder;
       return s;
-    };
-    const workload::RunResult res =
-        run_engine_sharded("bench_multitenant", name, 1, factory);
+    }});
+  }
+  const auto runs = run_sweep("bench_multitenant", cells);
 
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const workload::RunResult& res = runs[i];
     const double t0_final_share =
-        adaptive && !res.tenants.empty()
-            ? static_cast<double>(res.tenants[0].target_blocks) /
-                  static_cast<double>(cap)
-            : t0_share;
-    t.add_row({name, common::Table::num(res.throughput_mbps, 1),
+        splits[i].t0_share >= 0
+            ? splits[i].t0_share
+            : static_cast<double>(res.tenants[0].target_blocks) /
+                  static_cast<double>(capacity);
+    t.add_row({cells[i].name, common::Table::num(res.throughput_mbps, 1),
                common::Table::num(res.hit_ratio, 3),
                common::Table::num(res.tenants[0].hit_ratio(), 3),
                common::Table::num(res.tenants[1].hit_ratio(), 3),
                common::Table::num(t0_final_share, 2),
                std::to_string(res.adapt_epochs),
                std::to_string(res.adapt_rebalances)});
-  };
-
-  for (const StaticSplit& s : splits) run_one(s.name, s.t0_share, false);
-  run_one("adaptive", 0.0, true);
+  }
   t.print();
   return 0;
 }

@@ -5,7 +5,7 @@
 // of cost-effective flash caching is really one point on a hit-ratio vs
 // flash-write frontier (ECI-Cache's argument — policy should answer to
 // endurance, not hit ratio alone). This bench maps that frontier: each run
-// is one (trace group, eviction+admission) cell on the sharded engine, and
+// is one (trace group, eviction+admission) cell of one sweep, and
 // NAND WA = NAND pages programmed (host + device GC, summed over the
 // array) per application block — the endurance cost of one unit of served
 // traffic. tools/repro_report --frontier turns the REPRO_JSON document
@@ -59,27 +59,29 @@ int main() {
       {policy::EvictionKind::kSieve, policy::AdmissionKind::kAlways},
   };
 
-  common::Table t({"Set", "Policy", "MB/s", "Hit%", "NAND WA", "I/O amp"});
-  for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
-                     workload::TraceGroup::kRead}) {
+  std::vector<Cell> cells;
+  for (auto group : kTraceGroups) {
     for (const Combo& c : combos) {
       src::SrcConfig cfg = default_src_config();
       cfg.eviction = c.ev;
       cfg.admission = c.ad;
-      const std::string name = std::string(workload::to_string(group)) + "/" +
-                               policy::to_string(c.ev) + "+" +
-                               policy::to_string(c.ad);
-      const auto res =
-          run_group_sharded(cfg, flash::spec_840pro_128(), group, k,
-                            "bench_policy_frontier", 42, name.c_str());
-      t.add_row({workload::to_string(group),
-                 std::string(policy::to_string(c.ev)) + "+" +
-                     policy::to_string(c.ad),
-                 common::Table::num(res.throughput_mbps, 0),
-                 common::Table::num(res.hit_ratio * 100.0, 1),
-                 common::Table::num(nand_wa(res), 3),
-                 common::Table::num(res.io_amplification, 2)});
+      cells.push_back(src_cell(std::string(workload::to_string(group)) + "/" +
+                                   policy::to_string(c.ev) + "+" +
+                                   policy::to_string(c.ad),
+                               cfg, flash::spec_840pro_128(), group, k));
     }
+  }
+  const auto runs = run_sweep("bench_policy_frontier", cells);
+
+  common::Table t({"Set", "Policy", "MB/s", "Hit%", "NAND WA", "I/O amp"});
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const workload::RunResult& res = runs[i];
+    const std::string& name = cells[i].name;  // "<group>/<policy>"
+    t.add_row({name.substr(0, name.find('/')), name.substr(name.find('/') + 1),
+               common::Table::num(res.throughput_mbps, 0),
+               common::Table::num(res.hit_ratio * 100.0, 1),
+               common::Table::num(nand_wa(res), 3),
+               common::Table::num(res.io_amplification, 2)});
   }
   t.print();
   std::printf(

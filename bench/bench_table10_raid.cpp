@@ -4,8 +4,8 @@
 // slightly above RAID-4 (parity distribution smooths load), RAID-5 about
 // 20% below RAID-0.
 //
-// Runs on the sharded engine (run_group_sharded), so REPRO_SHARDS/
-// REPRO_THREADS parallelize each cell and REPRO_FAULT_PLAN can script a
+// The nine cells run in one sweep (run_sweep), so REPRO_SHARDS/
+// REPRO_THREADS parallelize them all and REPRO_FAULT_PLAN can script a
 // fail/replace/rebuild scenario against any protection level — this is the
 // bench the rebuild CI matrix drives.
 #include "harness.hpp"
@@ -17,25 +17,22 @@ int main() {
   print_header("Table 10: RAID level performance (SRC)", "Table 10");
   const double k = scale();
 
-  common::Table t({"Workload", "RAID-0", "RAID-4", "RAID-5",
-                   "(MB/s, amp in parens)"});
-  for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
-                     workload::TraceGroup::kRead}) {
-    std::vector<std::string> row = {workload::to_string(group)};
+  std::vector<Cell> cells;
+  for (auto group : kTraceGroups) {
     for (auto raid : {raid::RaidLevel::kRaid0, raid::RaidLevel::kRaid4,
                       raid::RaidLevel::kRaid5}) {
       src::SrcConfig cfg = default_src_config();
       cfg.raid = raid;
-      const std::string name = std::string(workload::to_string(group)) + "/" +
-                               raid::to_string(raid);
-      const auto res = run_group_sharded(cfg, flash::spec_840pro_128(), group,
-                                         k, "table10_raid", /*seed=*/42,
-                                         name.c_str());
-      row.push_back(common::Table::num(res.throughput_mbps, 0) + " (" +
-                    common::Table::num(res.io_amplification, 2) + ")");
+      cells.push_back(src_cell(std::string(workload::to_string(group)) + "/" +
+                                   raid::to_string(raid),
+                               cfg, flash::spec_840pro_128(), group, k));
     }
-    t.add_row(std::move(row));
   }
+  const auto res = run_sweep("table10_raid", cells);
+
+  common::Table t({"Workload", "RAID-0", "RAID-4", "RAID-5",
+                   "(MB/s, amp in parens)"});
+  add_group_rows(t, res);
   t.print();
   std::printf("\npaper: Write 650/482/508, Mixed 686/521/547, Read 791/699/726"
               " MB/s (RAID-0/-4/-5).\n");

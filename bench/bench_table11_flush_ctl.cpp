@@ -4,9 +4,9 @@
 // Paper result: per-segment flushing costs ~10% on Write workloads and
 // more than 40% on Read workloads (flush barriers stall reads too).
 //
-// Runs on the sharded engine (run_group_sharded), so REPRO_SHARDS/
-// REPRO_THREADS parallelize the six points and every run lands in
-// REPRO_JSON with the full observability surface.
+// The six points are the cells of one sweep (run_sweep), so REPRO_SHARDS/
+// REPRO_THREADS parallelize them all and every run lands in REPRO_JSON
+// with the full observability surface.
 #include "harness.hpp"
 
 using namespace srcache;
@@ -16,14 +16,8 @@ int main() {
   print_header("Table 11: flush command control", "Table 11");
   const double k = scale();
 
-  common::Table t({"Workload", "Per segment", "Per SG",
-                   "(MB/s, amp in parens)", "paper per-seg", "paper per-SG"});
-  const char* paper_seg[] = {"462.53", "480.74", "418.03"};
-  const char* paper_sg[] = {"507.89", "547.36", "725.95"};
-  int row = 0;
-  for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
-                     workload::TraceGroup::kRead}) {
-    std::vector<std::string> cells = {workload::to_string(group)};
+  std::vector<Cell> cells;
+  for (auto group : kTraceGroups) {
     for (auto fc : {src::FlushControl::kPerSegment,
                     src::FlushControl::kPerSegmentGroup}) {
       src::SrcConfig cfg = default_src_config();
@@ -31,18 +25,17 @@ int main() {
       const std::string name =
           std::string(workload::to_string(group)) +
           (fc == src::FlushControl::kPerSegment ? "/per-seg" : "/per-sg");
-      const auto res =
-          run_group_sharded(cfg, flash::spec_840pro_128(), group, k,
-                            "bench_table11_flush_ctl", 42, name.c_str());
-      cells.push_back(common::Table::num(res.throughput_mbps, 0) + " (" +
-                      common::Table::num(res.io_amplification, 2) + ")");
+      cells.push_back(src_cell(name, cfg, flash::spec_840pro_128(), group, k));
     }
-    cells.push_back("");
-    cells.push_back(paper_seg[row]);
-    cells.push_back(paper_sg[row]);
-    t.add_row(std::move(cells));
-    ++row;
   }
+  const auto res = run_sweep("bench_table11_flush_ctl", cells);
+
+  common::Table t({"Workload", "Per segment", "Per SG",
+                   "(MB/s, amp in parens)", "paper per-seg", "paper per-SG"});
+  add_group_rows(t, res,
+                 {{"", "462.53", "507.89"},
+                  {"", "480.74", "547.36"},
+                  {"", "418.03", "725.95"}});
   t.print();
   return 0;
 }

@@ -19,18 +19,15 @@ int main() {
   // FIO span: twice the cache (uniform random over a volume larger than
   // the cache, as in the paper's setup).
   const u64 cache_blocks = geo.region_bytes_per_ssd / kBlockSize;
-  const u64 span = 2 * cache_blocks;
+  const char* schemes[] = {"Bcache", "Flashcache"};
 
-  struct Cell {
-    const char* name;
-    double wt = 0, wb = 0;
-  } rows[2] = {{"Bcache"}, {"Flashcache"}};
-
+  // Cells in run order: WT for both schemes, then WB for both.
+  std::vector<Cell> cells;
   for (bool write_back : {false, true}) {
-    for (Cell& row : rows) {
-      const bool bcache = &row == &rows[0];
+    for (const char* scheme : schemes) {
+      const bool bcache = scheme == schemes[0];
       // One preconditioned SSD under the cache, no RAID.
-      const auto make_rig = [&] {
+      const auto make_rig = [=] {
         auto rig = std::make_unique<BaselineRig>();
         rig->geo = geo;
         rig->ssds.push_back(std::make_unique<flash::SimSsd>(spec, false));
@@ -51,25 +48,23 @@ int main() {
         }
         return rig;
       };
-      const std::string name =
-          std::string(row.name) + (write_back ? "/WB" : "/WT");
-      const double mbps = run_fio_write("bench_table2_writeback", name,
-                                        /*seed=*/7, span, make_rig)
-                              .throughput_mbps;
-      (write_back ? row.wb : row.wt) = mbps;
+      cells.push_back(fio_cell(
+          std::string(scheme) + (write_back ? "/WB" : "/WT"), /*seed=*/7,
+          2 * cache_blocks, make_rig));
     }
   }
+  const auto res = run_sweep("bench_table2_writeback", cells);
 
   common::Table t({"Type", "WT (MB/s)", "WB (MB/s)", "Improvement (x)",
                    "paper WT", "paper WB", "paper (x)"});
-  t.add_row({"Bcache", common::Table::num(rows[0].wt, 1),
-             common::Table::num(rows[0].wb, 1),
-             common::Table::num(rows[0].wb / rows[0].wt, 1), "15.3", "65.9",
-             "4.3"});
-  t.add_row({"Flashcache", common::Table::num(rows[1].wt, 1),
-             common::Table::num(rows[1].wb, 1),
-             common::Table::num(rows[1].wb / rows[1].wt, 1), "5.7", "100.3",
-             "17.5"});
+  const char* paper[2][3] = {{"15.3", "65.9", "4.3"}, {"5.7", "100.3", "17.5"}};
+  for (size_t s = 0; s < 2; ++s) {
+    const double wt = res[s].throughput_mbps;
+    const double wb = res[2 + s].throughput_mbps;
+    t.add_row({schemes[s], common::Table::num(wt, 1),
+               common::Table::num(wb, 1), common::Table::num(wb / wt, 1),
+               paper[s][0], paper[s][1], paper[s][2]});
+  }
   t.print();
   return 0;
 }

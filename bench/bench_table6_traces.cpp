@@ -14,8 +14,7 @@ int main() {
   common::Table t({"Set", "Trace", "target KB", "measured KB", "target R%",
                    "measured R%", "footprint MiB"});
   const double k = scale();
-  for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
-                     workload::TraceGroup::kRead}) {
+  for (auto group : kTraceGroups) {
     workload::TraceSet set = workload::make_trace_set(
         group, Geometry::at(k).group_footprint_bytes, 1);
     for (const auto& tr : set.traces) {
@@ -41,21 +40,22 @@ int main() {
   }
   t.print();
 
-  // Measured replay runs through the sharded engine: the group is split
-  // into kEngineDomains independent array slices and executed under
-  // REPRO_SHARDS/REPRO_THREADS (results are bit-identical across both; see
-  // src/engine/engine.hpp). run_group_sharded reports into REPRO_JSON
-  // itself, wall-clock numbers included.
+  // Measured replay: the three groups run as one sweep, each split into
+  // kEngineDomains independent array slices (bit-identical across
+  // REPRO_SHARDS/REPRO_THREADS); run_sweep also writes REPRO_JSON.
   std::printf("\nmeasured replay against the SRC stack (%u domains):\n",
               kEngineDomains);
+  std::vector<Cell> cells;
+  for (auto group : kTraceGroups)
+    cells.push_back(src_cell(workload::to_string(group), default_src_config(),
+                             flash::spec_840pro_128(), group, k));
+  const auto runs = run_sweep("bench_table6_traces", cells);
+
   common::Table m({"Set", "MB/s", "IOA", "hit", "r p50us", "r p95us",
                    "r p99us", "w p50us", "w p95us", "w p99us"});
-  for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
-                     workload::TraceGroup::kRead}) {
-    const auto res = run_group_sharded(default_src_config(),
-                                       flash::spec_840pro_128(), group, k,
-                                       "bench_table6_traces");
-    m.add_row({workload::to_string(group),
+  for (size_t g = 0; g < runs.size(); ++g) {
+    const workload::RunResult& res = runs[g];
+    m.add_row({workload::to_string(kTraceGroups[g]),
                common::Table::num(res.throughput_mbps, 1),
                common::Table::num(res.io_amplification, 2),
                common::Table::num(res.hit_ratio, 3),

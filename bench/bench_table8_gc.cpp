@@ -5,10 +5,10 @@
 // S2S copies pays off) at the cost of higher I/O amplification; FIFO and
 // Greedy trade places by workload (Greedy wins the Read group).
 //
-// Runs on the sharded engine (run_group_sharded): each of the twelve
-// (group x gc x victim) cells replays the fixed kEngineDomains partition
-// under REPRO_SHARDS/REPRO_THREADS, so the wall clock is a knob while the
-// merged numbers stay bit-identical across execution configurations.
+// The twelve (group x gc x victim) cells run in one sweep (run_sweep), each
+// replaying the fixed kEngineDomains partition under REPRO_SHARDS/
+// REPRO_THREADS, so the wall clock is a knob while the merged numbers stay
+// bit-identical across execution configurations.
 #include "harness.hpp"
 
 using namespace srcache;
@@ -18,11 +18,8 @@ int main() {
   print_header("Table 8: free space management performance", "Table 8");
   const double k = scale();
 
-  common::Table t({"Workload", "S2D/FIFO", "S2D/Greedy", "SelGC/FIFO",
-                   "SelGC/Greedy", "(MB/s, amp in parens)"});
-  for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
-                     workload::TraceGroup::kRead}) {
-    std::vector<std::string> row = {workload::to_string(group)};
+  std::vector<Cell> cells;
+  for (auto group : kTraceGroups) {
     for (auto gc : {src::GcPolicy::kS2D, src::GcPolicy::kSelGc}) {
       for (auto victim : {src::VictimPolicy::kFifo, src::VictimPolicy::kGreedy}) {
         src::SrcConfig cfg = default_src_config();
@@ -33,15 +30,16 @@ int main() {
             std::string(workload::to_string(group)) + "/" +
             (gc == src::GcPolicy::kS2D ? "S2D" : "SelGC") + "/" +
             (victim == src::VictimPolicy::kFifo ? "FIFO" : "Greedy");
-        const auto res =
-            run_group_sharded(cfg, flash::spec_840pro_128(), group, k,
-                              "bench_table8_gc", 42, name.c_str());
-        row.push_back(common::Table::num(res.throughput_mbps, 0) + " (" +
-                      common::Table::num(res.io_amplification, 2) + ")");
+        cells.push_back(
+            src_cell(name, cfg, flash::spec_840pro_128(), group, k));
       }
     }
-    t.add_row(std::move(row));
   }
+  const auto res = run_sweep("bench_table8_gc", cells);
+
+  common::Table t({"Workload", "S2D/FIFO", "S2D/Greedy", "SelGC/FIFO",
+                   "SelGC/Greedy", "(MB/s, amp in parens)"});
+  add_group_rows(t, res);
   t.print();
   std::printf(
       "\npaper: Write 301/312/522/507, Mixed 491/466/581/547, "

@@ -30,51 +30,52 @@ int main() {
   std::printf("tier budget: %llu MiB total across %u domains\n\n",
               static_cast<unsigned long long>(tier_mb), kEngineDomains);
 
+  std::vector<Cell> cells;
+  for (auto group : kTraceGroups) {
+    for (const bool tier_on : {false, true}) {
+      cells.push_back(src_cell(
+          std::string(workload::to_string(group)) +
+              (tier_on ? "/tier-on" : "/tier-off"),
+          default_src_config(), flash::spec_840pro_128(), group, k,
+          tier_on ? static_cast<i64>(tier_mb) : 0));
+    }
+  }
+  const auto runs = run_sweep("bench_tier", cells);
+
   const cost::ArrayConfig array{flash::spec_840pro_128(), 4};
   common::Table t({"Run", "MB/s", "hit", "flash wr MiB", "tier hit",
                    "comp ratio", "cpu ms", "eff GB/$"});
-  for (auto group : {workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
-                     workload::TraceGroup::kRead}) {
-    const std::string base = workload::to_string(group);
-    u64 off_write_blocks = 0;
-    double off_hit = 0.0;
-    for (const bool tier_on : {false, true}) {
-      const std::string name = base + (tier_on ? "/tier-on" : "/tier-off");
-      const auto res = run_group_sharded(
-          default_src_config(), flash::spec_840pro_128(), group, k,
-          "bench_tier", 42, name.c_str(),
-          tier_on ? static_cast<i64>(tier_mb) : 0);
-      const double eff =
-          tier_on ? cost::effective_gb_per_dollar(
-                        array, static_cast<double>(res.tier.budget_bytes),
-                        res.tier.compression_ratio())
-                  : array.gb_per_dollar();
-      t.add_row({name, common::Table::num(res.throughput_mbps, 1),
-                 common::Table::num(res.hit_ratio, 3),
-                 common::Table::num(static_cast<double>(res.ssd.write_blocks) *
-                                        kBlockSize / (1 << 20),
-                                    1),
-                 tier_on ? common::Table::num(res.tier.hit_ratio(), 3) : "-",
-                 tier_on ? common::Table::num(res.tier.compression_ratio(), 3)
-                         : "-",
-                 tier_on ? common::Table::num(
-                               static_cast<double>(res.tier.cpu_compress_ns +
-                                                   res.tier.cpu_decompress_ns) /
-                                   1e6,
-                               1)
-                         : "-",
-                 common::Table::num(eff, 2)});
-      if (!tier_on) {
-        off_write_blocks = res.ssd.write_blocks;
-        off_hit = res.hit_ratio;
-      } else {
-        std::printf("[tier] %s: flash writes %llu -> %llu blocks, hit %.3f -> "
-                    "%.3f\n",
-                    base.c_str(),
-                    static_cast<unsigned long long>(off_write_blocks),
-                    static_cast<unsigned long long>(res.ssd.write_blocks),
-                    off_hit, res.hit_ratio);
-      }
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const bool tier_on = i % 2 == 1;
+    const workload::RunResult& res = runs[i];
+    const double eff =
+        tier_on ? cost::effective_gb_per_dollar(
+                      array, static_cast<double>(res.tier.budget_bytes),
+                      res.tier.compression_ratio())
+                : array.gb_per_dollar();
+    t.add_row({cells[i].name, common::Table::num(res.throughput_mbps, 1),
+               common::Table::num(res.hit_ratio, 3),
+               common::Table::num(static_cast<double>(res.ssd.write_blocks) *
+                                      kBlockSize / (1 << 20),
+                                  1),
+               tier_on ? common::Table::num(res.tier.hit_ratio(), 3) : "-",
+               tier_on ? common::Table::num(res.tier.compression_ratio(), 3)
+                       : "-",
+               tier_on ? common::Table::num(
+                             static_cast<double>(res.tier.cpu_compress_ns +
+                                                 res.tier.cpu_decompress_ns) /
+                                 1e6,
+                             1)
+                       : "-",
+               common::Table::num(eff, 2)});
+    if (tier_on) {
+      const workload::RunResult& off = runs[i - 1];
+      std::printf("[tier] %s: flash writes %llu -> %llu blocks, hit %.3f -> "
+                  "%.3f\n",
+                  workload::to_string(kTraceGroups[i / 2]),
+                  static_cast<unsigned long long>(off.ssd.write_blocks),
+                  static_cast<unsigned long long>(res.ssd.write_blocks),
+                  off.hit_ratio, res.hit_ratio);
     }
   }
   t.print();

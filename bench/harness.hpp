@@ -10,6 +10,7 @@
 // depends-on, doc); print_header() checks them all before any run.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cmath>
@@ -80,7 +81,7 @@ inline constexpr std::array<Knob, 24> kKnobs = {{
     {"REPRO_SHARDS_RATE", Knob::kFloat, 1e-4, 1, "0.1", nullptr,
      "SHARDS spatial sampling rate of the MRC profilers"},
     {"REPRO_SHARDS", Knob::kInt, 1, 256, "1", nullptr,
-     "engine execution lanes over the fixed kEngineDomains partition"},
+     "engine execution lanes over all of a bench's cells' domains"},
     {"REPRO_THREADS", Knob::kInt, 0, 256, "0", nullptr,
      "worker-pool cap; 0 = min(lanes, hardware threads)"},
     {"REPRO_POLICY", Knob::kEviction, 0, 0, "paper", nullptr,
@@ -433,7 +434,7 @@ inline std::unique_ptr<SrcRig> make_src_rig(
 
 inline src::SrcConfig default_src_config() {
   src::SrcConfig cfg;  // paper defaults (Table 7 bold entries)
-  // Benches pass this config into make_src_rig / run_group_sharded, so the
+  // Benches pass this config into make_src_rig / src_cell, so the
   // knob-selected policies propagate into every engine domain's stack.
   cfg.eviction = static_cast<policy::EvictionKind>(knob_num("REPRO_POLICY"));
   cfg.admission = static_cast<policy::AdmissionKind>(knob_num("REPRO_ADMIT"));
@@ -500,35 +501,6 @@ inline std::unique_ptr<BaselineRig> make_baseline_rig(
   return rig;
 }
 
-// The paper's replay settings, shared by every trace replay: each trace is
-// replayed with 4 threads at iodepth 4, and the measurement window starts
-// after an untimed warm-up of about twice the cache's data capacity,
-// approximating the paper's long warm runs.
-inline workload::RunConfig replay_config(const Geometry& geo) {
-  workload::RunConfig rc;
-  rc.threads_per_gen = 4;
-  rc.iodepth = 4;
-  rc.duration = run_duration();
-  rc.warmup_bytes = 2 * 3 * geo.region_bytes_per_ssd;
-  rc.timeseries_interval = repro_timeseries_interval();
-  return rc;
-}
-
-// One engine domain's replay over `h.rig`: the trace set of the domain's
-// seed and the paper's replay settings.
-template <typename DomainRig>
-engine::DomainSetup replay_domain(DomainRig& h, workload::TraceGroup group,
-                                  u64 dseed) {
-  h.set = workload::make_trace_set(group, h.rig->geo.group_footprint_bytes,
-                                   dseed);
-  engine::DomainSetup s;
-  s.cache = h.rig->cache.get();
-  s.ssds = h.rig->ssd_ptrs();
-  s.gens = h.set.generators();
-  s.cfg = replay_config(h.rig->geo);
-  return s;
-}
-
 // Under REPRO_SPAN_SAMPLE, or with a `timeline_cap` > 0, attaches an op-span
 // tracer to the rig's top layer (the cache's src.*/backend.* or the RAID's
 // stripe spans) and to each SSD (ssd.*/nand.* descent tagged with its array
@@ -561,7 +533,7 @@ inline void observe_rig(SrcRig& rig, u64 seed, bool trace,
   rig.primary->set_span(rc.spans);
 }
 
-// --- sharded-engine replay (src/engine) ------------------------------------
+// --- sweeps: every cell of a bench in one engine job (src/engine) ---------
 
 // The fixed logical partition bench groups are split into. A property of
 // the experiment, NOT of REPRO_SHARDS: every execution configuration runs
@@ -571,20 +543,10 @@ inline void observe_rig(SrcRig& rig, u64 seed, bool trace,
 // floor rather than below it).
 inline constexpr u32 kEngineDomains = 8;
 
-// One engine domain's rig: a full (1/kEngineDomains-scale) SRC stack plus
-// the trace set whose generators the domain replays. Owned via
-// DomainSetup::owned so it outlives the engine run.
-struct EngineDomainRig {
-  std::unique_ptr<SrcRig> rig;
-  workload::TraceSet set;
-  // Armed only under REPRO_FAULT_PLAN: the domain's scripted injector and
-  // the rebuild engine its replace/spare actions drive.
-  std::unique_ptr<fault::FaultInjector> fault;
-  std::unique_ptr<raid::RebuildManager> rebuild;
-  // Armed only with a tier budget (REPRO_TIER_MB or a bench override): the
-  // compressed DRAM tier fronting this domain's SRC stack.
-  std::unique_ptr<tier::TierCache> tier;
-};
+// The Table 6 trace groups, in the order every bench tabulates them.
+inline constexpr workload::TraceGroup kTraceGroups[] = {
+    workload::TraceGroup::kWrite, workload::TraceGroup::kMixed,
+    workload::TraceGroup::kRead};
 
 // Per-domain seed stream: expand the group seed so domains replay distinct
 // (but fixed) trace sets regardless of build order or lane placement.
@@ -595,142 +557,84 @@ inline u64 domain_seed(u64 seed, u32 index) {
   return dseed;
 }
 
-// Shared tail of every bench run (a single-stack experiment passes
-// num_domains = 1): engine configuration from the REPRO_SHARDS/
-// REPRO_THREADS knobs, the epoch SLO watchdog when any REPRO_SLO_* target
-// is armed, the [engine] stdout line, the REPRO_JSON "perf" record, and the
-// merged-run report. The watchdog hook is a
-// deterministic function of quiescent index-ordered domain state (exact op/
-// byte sums, bucket-exact histogram merges), so arming it never perturbs the
-// bit-identity contract of the run itself.
-inline workload::RunResult run_engine_sharded(
-    const char* bench, const std::string& name, u32 num_domains,
-    const engine::DomainFactory& factory) {
-  engine::EngineConfig ecfg;
-  ecfg.shards = static_cast<u32>(knob_num("REPRO_SHARDS"));
-  ecfg.threads = static_cast<u32>(knob_num("REPRO_THREADS"));
-  engine::ParallelEngine eng(ecfg);
+// One cell of a bench's table: `domains` engine domains that merge into the
+// run reported as `name`. build(local, dseed, trace) builds domain `local`,
+// dseed = domain_seed(42, local); it may run on a worker thread, so it reads
+// only what it captured. `trace` asks for a timeline (REPRO_TRACE): a sweep
+// sets it on domain 0 of its last `traceable` cell only and writes the
+// tracer that domain's RunConfig::spans names.
+struct Cell {
+  std::string name;
+  u32 domains = 1;
+  bool traceable = false;
+  std::function<engine::DomainSetup(u32 local, u64 dseed, bool trace)> build;
+};
 
-  // Pump every domain's background rebuild at the barrier, so rate-limited
-  // reconstruction advances through op-sparse stretches too. pump(now) is
-  // monotone and idempotent, the barrier time is a fixed window-relative
-  // virtual time, and domains are walked in index order — the hook is a
-  // deterministic function of quiescent domain state, as the engine
-  // contract requires. Registered first so an SLO hook at the same barrier
-  // judges the post-pump state.
-  eng.add_epoch_hook([](const engine::EpochView& v) {
-    for (const auto& dom : *v.domains) {
-      raid::RebuildManager* mgr = dom->config().rebuild;
-      if (mgr != nullptr) mgr->pump(dom->window_start() + v.rel_end);
-    }
-  });
+// What one domain owns (DomainSetup::owned): its rig, the trace set or FIO
+// stream it replays, and the fault injector, rebuild engine and DRAM tier a
+// knob or a cell arms.
+template <typename Rig>
+struct Domain {
+  std::unique_ptr<Rig> rig;
+  workload::TraceSet set;
+  std::unique_ptr<workload::FioGen> fio;
+  std::unique_ptr<fault::FaultInjector> fault;
+  std::unique_ptr<raid::RebuildManager> rebuild;
+  std::unique_ptr<tier::TierCache> tier;
+};
 
-  // Unset REPRO_SLO_* targets stay disarmed; with none armed no watchdog
-  // hook is installed at all.
-  obs::SloPolicy policy;
-  policy.min_throughput_mbps = knob_num("REPRO_SLO_MBPS");
-  policy.max_read_p99_ms = knob_num("REPRO_SLO_READ_P99_MS");
-  policy.max_write_p99_ms = knob_num("REPRO_SLO_WRITE_P99_MS");
-  if (knob_text("REPRO_SLO_MAX_DEGRADED") != nullptr)
-    policy.max_degraded_domains =
-        static_cast<i32>(knob_num("REPRO_SLO_MAX_DEGRADED"));
-  policy.error_budget = knob_num("REPRO_SLO_BUDGET");
-  std::shared_ptr<obs::SloWatchdog> watchdog;
-  if (policy.any()) {
-    watchdog = std::make_shared<obs::SloWatchdog>(policy);
-    eng.add_epoch_hook([watchdog](const engine::EpochView& v) {
-      u64 ops = 0;
-      u64 bytes = 0;
-      common::Histogram reads;
-      common::Histogram writes;
-      u32 degraded = 0;
-      for (const auto& dom : *v.domains) {
-        ops += dom->ops();
-        bytes += dom->bytes();
-        reads.merge(dom->latency().reads());
-        writes.merge(dom->latency().writes());
-        bool any_degraded = false;
-        for (const blockdev::BlockDevice* d : dom->ssds())
-          any_degraded = any_degraded || d->failed();
-        // A domain mid-rebuild is degraded too: the replacement is installed
-        // but still serves reconstructed reads until the copy completes.
-        const raid::RebuildManager* mgr = dom->config().rebuild;
-        if (mgr != nullptr && mgr->rebuilding()) any_degraded = true;
-        if (any_degraded) ++degraded;
-      }
-      watchdog->observe_epoch(v.rel_end, ops, bytes, reads, writes, degraded);
-    });
-  }
-
-  engine::EngineResult er = eng.run(num_domains, factory);
-  // Assigned on the merged result (not merged per-domain): the verdicts are
-  // properties of the whole fleet at each barrier.
-  if (watchdog) er.merged.slo = watchdog->outcome();
-
-  std::printf(
-      "[engine] %s: domains=%u shards=%u threads=%u epochs=%u "
-      "wall=%.2fs sim-ops/s=%.0f\n",
-      name.c_str(), er.domains, er.shards, er.threads, er.epochs,
-      er.wall_seconds, er.sim_ops_per_sec);
-  if (watchdog && er.merged.slo.active) {
-    std::printf("[slo] %s: epochs=%u violations=%u burn=%.2f %s\n",
-                name.c_str(), er.merged.slo.epochs, er.merged.slo.violations,
-                er.merged.slo.burn_rate,
-                er.merged.slo.breached ? "BREACHED" : "ok");
-  }
-
-  if (repro_json_path() != nullptr) {
-    json_report().set_perf_config(er.shards, er.threads);
-    workload::PerfRun pr;
-    pr.bench = bench;
-    pr.name = name;
-    pr.wall_seconds = er.wall_seconds;
-    pr.sim_ops_per_sec = er.sim_ops_per_sec;
-    pr.per_shard.reserve(er.per_shard.size());
-    for (const engine::ShardPerf& sp : er.per_shard)
-      pr.per_shard.push_back({sp.ops, sp.wall_seconds});
-    json_report().add_perf(std::move(pr));
-  }
-  report_run(bench, name, er.merged);
-  return std::move(er.merged);
+// A domain over `rig` driving `gens`, each with `threads` streams at
+// `iodepth`, for the REPRO_SECONDS window.
+template <typename Rig>
+engine::DomainSetup domain_over(const Rig& rig,
+                                std::vector<workload::Generator*> gens,
+                                u32 threads, u32 iodepth) {
+  engine::DomainSetup s;
+  s.cache = rig.cache.get();
+  s.ssds = rig.ssd_ptrs();
+  s.gens = std::move(gens);
+  s.cfg.threads_per_gen = threads;
+  s.cfg.iodepth = iodepth;
+  s.cfg.duration = run_duration();
+  return s;
 }
 
-// Replays one trace group over SRC: partitions the group into
-// kEngineDomains independent domains — each a full SRC stack at scale
-// k/kEngineDomains replaying its own seed-derived trace set over its own
-// footprint slice — and drives them through engine::ParallelEngine under
-// REPRO_SHARDS/REPRO_THREADS. The write-provenance ledger is always wired;
-// op-span tracing follows REPRO_SPAN_SAMPLE with a per-domain tracer (seeded
-// from the domain seed, merged exactly). Returns the deterministically
-// merged result; wall-clock numbers go to the REPRO_JSON "perf" section and
-// stdout. `name_override` labels the run in reports (default: the group
-// name), letting one bench report several schemes over the same group.
-// `tier_mb` overrides the compressed-DRAM-tier budget: -1 follows the
-// REPRO_TIER_MB knob, 0 forces the tier off, >0 forces that many MiB summed
-// across the domain partition — bench_tier uses the override to A/B
-// tier-on/tier-off in one process. `cfg_tweak` is forwarded to every
+// One engine domain's replay over `h.rig`: the trace set of the domain's
+// seed and the paper's replay settings, shared by every trace replay: each
+// trace is replayed with 4 threads at iodepth 4, and the measurement window
+// starts after an untimed warm-up of about twice the cache's data capacity,
+// approximating the paper's long warm runs.
+template <typename Rig>
+engine::DomainSetup replay_domain(Domain<Rig>& h, workload::TraceGroup group,
+                                  u64 dseed) {
+  h.set = workload::make_trace_set(group, h.rig->geo.group_footprint_bytes,
+                                   dseed);
+  engine::DomainSetup s = domain_over(*h.rig, h.set.generators(), 4, 4);
+  s.cfg.warmup_bytes = 2 * 3 * h.rig->geo.region_bytes_per_ssd;
+  s.cfg.timeseries_interval = repro_timeseries_interval();
+  return s;
+}
+
+// One trace group replayed over SRC: kEngineDomains full SRC stacks at
+// scale k/kEngineDomains, each replaying its own seed-derived trace set,
+// with the provenance ledger wired and spans per REPRO_SPAN_SAMPLE.
+// `tier_mb` is the DRAM tier budget summed across the domains: -1 follows
+// REPRO_TIER_MB, 0 forces the tier off. `cfg_tweak` is forwarded to every
 // domain's make_src_rig (see there).
-inline workload::RunResult run_group_sharded(
-    const src::SrcConfig& overrides, const flash::SsdSpec& base_spec,
-    workload::TraceGroup group, double k, const char* bench, u64 seed = 42,
-    const char* name_override = nullptr, i64 tier_mb = -1,
-    const std::function<void(src::SrcConfig&, const Geometry&)>& cfg_tweak =
-        {}) {
+inline Cell src_cell(
+    std::string name, const src::SrcConfig& overrides,
+    const flash::SsdSpec& base_spec, workload::TraceGroup group, double k,
+    i64 tier_mb = -1,
+    std::function<void(src::SrcConfig&, const Geometry&)> cfg_tweak = {}) {
   const double dk = k / kEngineDomains;
-  const bool want_trace = repro_trace_path() != nullptr;
   const u64 tier_bytes =
       (tier_mb < 0 ? static_cast<u64>(repro_tier_mb())
                    : static_cast<u64>(tier_mb)) *
       MiB;
-  // Keeps domain 0's rig (the only traced one) alive past the engine run so
-  // the trace can be written afterwards.
-  std::shared_ptr<EngineDomainRig> traced;
-
-  const auto factory = [&overrides, &base_spec, group, dk, seed, want_trace,
-                        tier_bytes, &cfg_tweak, &traced](u32 index, u32) {
-    auto holder = std::make_shared<EngineDomainRig>();
+  return {std::move(name), kEngineDomains, /*traceable=*/true,
+          [=](u32, u64 dseed, bool trace) {
+    auto holder = std::make_shared<Domain<SrcRig>>();
     holder->rig = make_src_rig(overrides, base_spec, dk, true, cfg_tweak);
-    const u64 dseed = domain_seed(seed, index);
     engine::DomainSetup s = replay_domain(*holder, group, dseed);
     if (tier_bytes > 0) {
       // One tier per domain, budget split evenly — the same 1/kEngineDomains
@@ -750,11 +654,7 @@ inline workload::RunResult run_group_sharded(
       s.cache = holder->tier.get();
       s.cfg.tier = holder->tier.get();
     }
-    // One domain's worth of timeline is what a Chrome trace can usefully
-    // show; domain 0 is the deterministic choice.
-    const bool traced_domain = want_trace && index == 0;
-    observe_rig(*holder->rig, dseed, traced_domain, s.cfg);
-    if (traced_domain) traced = holder;
+    observe_rig(*holder->rig, dseed, trace, s.cfg);
     if (repro_fault_plan() != nullptr) {
       // Scripted faults per domain: the plan syntax was validated up front
       // (print_header); the domain seed feeds the plan's RNG so
@@ -787,76 +687,207 @@ inline workload::RunResult run_group_sharded(
     }
     s.owned = holder;
     return s;
-  };
-
-  const std::string name =
-      name_override != nullptr ? name_override : workload::to_string(group);
-  workload::RunResult res =
-      run_engine_sharded(bench, name, kEngineDomains, factory);
-  if (traced) write_chrome_trace(*traced->rig->spans);
-  return res;
+  }};
 }
 
-// One engine domain's baseline rig (Bcache5/Flashcache5 over RAID), owned
-// via DomainSetup::owned.
-struct BaselineDomainRig {
-  std::unique_ptr<BaselineRig> rig;
-  workload::TraceSet set;
-};
-
-// Sharded replay for the baseline schemes: same fixed kEngineDomains
-// partition and per-domain seed stream as run_group_sharded, with
-// `make_rig(dk)` building each domain's cache stack. With REPRO_SPAN_SAMPLE
-// on, each domain's RAID layer and SSDs contribute spans under the op roots
-// (baselines have no provenance ledger — that is an SRC-cache property).
-template <typename MakeRig>
-inline workload::RunResult run_baseline_group_sharded(
-    const char* bench, const std::string& name, MakeRig make_rig,
-    workload::TraceGroup group, double k, u64 seed = 42) {
+// One trace group replayed over Bcache5 or Flashcache5, partitioned like
+// src_cell. Spans (REPRO_SPAN_SAMPLE) come from each domain's RAID layer
+// and SSDs; baselines have no provenance ledger.
+inline Cell baseline_cell(std::string name, Baseline kind,
+                          const flash::SsdSpec& spec,
+                          workload::TraceGroup group, double k) {
   const double dk = k / kEngineDomains;
-  const auto factory = [&make_rig, group, dk, seed](u32 index, u32) {
-    auto holder = std::make_shared<BaselineDomainRig>();
-    holder->rig = make_rig(dk);
-    const u64 dseed = domain_seed(seed, index);
+  return {std::move(name), kEngineDomains, false,
+          [=](u32, u64 dseed, bool) {
+    auto holder = std::make_shared<Domain<BaselineRig>>();
+    holder->rig = make_baseline_rig(kind, spec, dk);
     engine::DomainSetup s = replay_domain(*holder, group, dseed);
     s.cfg.spans = attach_spans(*holder->rig, *holder->rig->raid, dseed);
     s.owned = holder;
     return s;
-  };
-  return run_engine_sharded(bench, name, kEngineDomains, factory);
+  }};
 }
 
 // Fig. 1 and Table 2's FIO load: 4 threads x iodepth 32 of 4 KiB uniform-
-// random writes over `span_blocks`, seeded by `seed`, against the one stack
-// `make_rig` builds — a single engine domain, since the experiment is one
-// stack.
-inline workload::RunResult run_fio_write(
-    const char* bench, const std::string& name, u64 seed, u64 span_blocks,
-    const std::function<std::unique_ptr<BaselineRig>()>& make_rig) {
-  struct FioDomain {
-    std::unique_ptr<BaselineRig> rig;
-    std::unique_ptr<workload::FioGen> gen;
-  };
-  const auto factory = [&](u32, u32) {
-    auto holder = std::make_shared<FioDomain>();
+// random writes over `span_blocks`, seeded by `seed`, against the single
+// stack `make_rig` builds (one domain).
+inline Cell fio_cell(std::string name, u64 seed, u64 span_blocks,
+                     std::function<std::unique_ptr<BaselineRig>()> make_rig) {
+  return {std::move(name), 1, false, [=](u32, u64, bool) {
+    auto holder = std::make_shared<Domain<BaselineRig>>();
     holder->rig = make_rig();
     workload::FioGen::Config fc;
     fc.span_blocks = span_blocks;
     fc.req_blocks = 1;
     fc.read_pct = 0;
     fc.seed = seed;
-    holder->gen = std::make_unique<workload::FioGen>(fc);
-    engine::DomainSetup s;
-    s.cache = holder->rig->cache.get();
-    s.ssds = holder->rig->ssd_ptrs();
-    s.gens = {holder->gen.get()};
-    s.cfg.threads_per_gen = 4;
-    s.cfg.iodepth = 32;
-    s.cfg.duration = run_duration();
+    holder->fio = std::make_unique<workload::FioGen>(fc);
+    engine::DomainSetup s =
+        domain_over(*holder->rig, {holder->fio.get()}, 4, 32);
     s.owned = holder;
     return s;
-  };
-  return run_engine_sharded(bench, name, 1, factory);
+  }};
+}
+
+// A sweep's outcome: each cell's run in declaration order, the engine job
+// (for its wall-clock side), and the REPRO_TRACE domain's tracer.
+struct Sweep {
+  std::vector<workload::RunResult> runs;
+  engine::EngineResult engine;
+  std::shared_ptr<const obs::SpanTracer> traced;
+};
+
+// Runs every cell in one ParallelEngine job over `ecfg`'s lanes; cell c owns
+// global domains [first[c], first[c + 1]). Each cell comes out exactly as if
+// it ran alone: it is live through the first barrier at which all its
+// domains have finished (or the window ends), and only live cells are
+// counted (engine.epochs), pumped and judged, so nothing touches a cell
+// after it stops.
+inline Sweep run_sweep(const engine::EngineConfig& ecfg,
+                       const std::vector<Cell>& cells) {
+  std::vector<u32> first = {0};
+  size_t traced_cell = cells.size();
+  for (size_t c = 0; c < cells.size(); ++c) {
+    first.push_back(first.back() + cells[c].domains);
+    if (cells[c].traceable && repro_trace_path() != nullptr) traced_cell = c;
+  }
+
+  // Unset REPRO_SLO_* targets stay disarmed; with none armed there is no
+  // watchdog at all.
+  obs::SloPolicy policy;
+  policy.min_throughput_mbps = knob_num("REPRO_SLO_MBPS");
+  policy.max_read_p99_ms = knob_num("REPRO_SLO_READ_P99_MS");
+  policy.max_write_p99_ms = knob_num("REPRO_SLO_WRITE_P99_MS");
+  if (knob_text("REPRO_SLO_MAX_DEGRADED") != nullptr)
+    policy.max_degraded_domains =
+        static_cast<i32>(knob_num("REPRO_SLO_MAX_DEGRADED"));
+  policy.error_budget = knob_num("REPRO_SLO_BUDGET");
+  std::vector<obs::SloWatchdog> watchdogs;
+  if (policy.any()) watchdogs.assign(cells.size(), obs::SloWatchdog(policy));
+
+  // At each barrier, per live cell: pump its domains' rebuilds, so
+  // rate-limited reconstruction advances through op-sparse stretches too
+  // (pump(now) is monotone and idempotent); feed its watchdog the post-pump
+  // exact sums; retire it once all its domains have finished. All of it is
+  // a deterministic function of quiescent domain state, as the engine
+  // contract requires.
+  std::vector<u32> epochs(cells.size(), 0);
+  std::vector<bool> live(cells.size(), true);
+  engine::ParallelEngine eng(ecfg);
+  eng.add_epoch_hook([&](const engine::EpochView& v) {
+    for (size_t c = 0; c < cells.size(); ++c) {
+      if (!live[c]) continue;
+      ++epochs[c];
+      u64 ops = 0, bytes = 0;
+      common::Histogram reads, writes;
+      u32 degraded = 0;
+      bool done = true;
+      for (u32 d = first[c]; d < first[c + 1]; ++d) {
+        const engine::ShardDomain& dom = *(*v.domains)[d];
+        raid::RebuildManager* mgr = dom.config().rebuild;
+        if (mgr != nullptr) mgr->pump(dom.window_start() + v.rel_end);
+        done = done && dom.finished();
+        ops += dom.ops();
+        bytes += dom.bytes();
+        reads.merge(dom.latency().reads());
+        writes.merge(dom.latency().writes());
+        // A domain mid-rebuild is degraded too: the replacement is
+        // installed but still serves reconstructed reads until the copy
+        // completes.
+        bool any_degraded = mgr != nullptr && mgr->rebuilding();
+        for (const blockdev::BlockDevice* dev : dom.ssds())
+          any_degraded = any_degraded || dev->failed();
+        if (any_degraded) ++degraded;
+      }
+      if (!watchdogs.empty())
+        watchdogs[c].observe_epoch(v.rel_end, ops, bytes, reads, writes,
+                                   degraded);
+      live[c] = !done;
+    }
+  });
+
+  Sweep sw;
+  sw.engine = eng.run(first.back(), [&](u32 index, u32) {
+    const size_t c =
+        std::upper_bound(first.begin(), first.end(), index) - first.begin() - 1;
+    const u32 local = index - first[c];
+    const bool trace = c == traced_cell && local == 0;
+    engine::DomainSetup s =
+        cells[c].build(local, domain_seed(42, local), trace);
+    if (trace) sw.traced = {s.owned, s.cfg.spans};
+    return s;
+  });
+
+  const auto& parts = sw.engine.per_domain;
+  for (size_t c = 0; c < cells.size(); ++c) {
+    const std::vector<workload::RunResult> mine(parts.begin() + first[c],
+                                                parts.begin() + first[c + 1]);
+    workload::RunResult r = engine::merge_results(mine);
+    r.engine = {true, cells[c].domains, epochs[c], {}};
+    for (const workload::RunResult& p : mine)
+      r.engine.per_domain.push_back({p.ops, p.bytes});
+    // The verdicts are properties of the whole cell at each barrier.
+    if (!watchdogs.empty()) r.slo = watchdogs[c].outcome();
+    sw.runs.push_back(std::move(r));
+  }
+  return sw;
+}
+
+// A bench's one engine job on the REPRO_SHARDS/REPRO_THREADS lanes: one
+// [engine] line and one REPRO_JSON "perf" record for the job, an [slo] line
+// per judged cell, each cell's run reported in declaration order, then the
+// REPRO_TRACE file. Returns the cells' runs in declaration order.
+inline std::vector<workload::RunResult> run_sweep(
+    const char* bench, const std::vector<Cell>& cells) {
+  engine::EngineConfig ecfg;
+  ecfg.shards = static_cast<u32>(knob_num("REPRO_SHARDS"));
+  ecfg.threads = static_cast<u32>(knob_num("REPRO_THREADS"));
+  Sweep sw = run_sweep(ecfg, cells);
+  const engine::EngineResult& er = sw.engine;
+
+  std::printf(
+      "[engine] %s: cells=%zu domains=%u shards=%u threads=%u epochs=%u "
+      "wall=%.2fs sim-ops/s=%.0f\n",
+      bench, cells.size(), er.domains, er.shards, er.threads, er.epochs,
+      er.wall_seconds, er.sim_ops_per_sec);
+  if (repro_json_path() != nullptr) {
+    json_report().set_perf_config(er.shards, er.threads);
+    std::vector<workload::PerfShard> lanes;
+    for (const engine::ShardPerf& sp : er.per_shard)
+      lanes.push_back({sp.ops, sp.wall_seconds});
+    json_report().add_perf({bench, static_cast<u32>(cells.size()),
+                            er.wall_seconds, er.sim_ops_per_sec,
+                            std::move(lanes)});
+  }
+  for (size_t c = 0; c < cells.size(); ++c) {
+    const obs::SloOutcome& slo = sw.runs[c].slo;
+    if (slo.active)
+      std::printf("[slo] %s: epochs=%u violations=%u burn=%.2f %s\n",
+                  cells[c].name.c_str(), slo.epochs, slo.violations,
+                  slo.burn_rate, slo.breached ? "BREACHED" : "ok");
+    report_run(bench, cells[c].name, sw.runs[c]);
+  }
+  if (sw.traced) write_chrome_trace(*sw.traced);
+  return std::move(sw.runs);
+}
+
+// Adds one row per trace group to a group-by-variant table: the group, then
+// "<MB/s> (<I/O amp>)" for each of its runs (`runs` holds every group's
+// runs, in kTraceGroups order), then the row's `tails` entries, if any.
+inline void add_group_rows(common::Table& t,
+                           const std::vector<workload::RunResult>& runs,
+                           const std::vector<std::vector<std::string>>& tails =
+                               {}) {
+  const size_t per = runs.size() / std::size(kTraceGroups);
+  for (size_t g = 0; g < std::size(kTraceGroups); ++g) {
+    std::vector<std::string> row = {workload::to_string(kTraceGroups[g])};
+    for (size_t i = g * per; i < (g + 1) * per; ++i)
+      row.push_back(common::Table::num(runs[i].throughput_mbps, 0) + " (" +
+                    common::Table::num(runs[i].io_amplification, 2) + ")");
+    if (g < tails.size())
+      row.insert(row.end(), tails[g].begin(), tails[g].end());
+    t.add_row(std::move(row));
+  }
 }
 
 // Refuses to run (exit 2) on any invalid REPRO_* knob, then prints the

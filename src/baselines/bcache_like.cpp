@@ -78,23 +78,34 @@ SimTime BcacheLike::destage_some(SimTime now, u32 max_blocks) {
   return std::max(now, journal_commit(now));
 }
 
-u64 BcacheLike::append(SimTime now, u64 lba0, std::span<const u64> tags,
-                       SimTime* done) {
-  // The log may wrap buckets; for simplicity requests never straddle one:
-  // if the open bucket cannot hold the run, it is closed with dead space
-  // (bcache similarly allocates whole-extent).
-  const auto n = static_cast<u32>(tags.size());
-  if (open_bucket_ == ~0ull ||
-      buckets_[open_bucket_].fill + n > cfg_.bucket_blocks) {
-    open_bucket_ = take_bucket(now, done);
+void BcacheLike::append(SimTime now, u64 lba0, std::span<const u64> tags,
+                        bool dirty, SimTime* done) {
+  // The log may wrap buckets; for simplicity a piece never straddles one:
+  // if the open bucket cannot hold it, it is closed with dead space (bcache
+  // similarly allocates whole-extent). A run longer than a bucket goes in
+  // bucket-sized pieces, each mapped at its own blocks.
+  for (size_t off = 0; off < tags.size(); off += cfg_.bucket_blocks) {
+    const auto n = static_cast<u32>(
+        std::min<size_t>(cfg_.bucket_blocks, tags.size() - off));
+    if (open_bucket_ == ~0ull ||
+        buckets_[open_bucket_].fill + n > cfg_.bucket_blocks) {
+      open_bucket_ = take_bucket(now, done);
+    }
+    Bucket& bk = buckets_[open_bucket_];
+    const u64 block = open_bucket_ * cfg_.bucket_blocks + bk.fill;
+    bk.fill += n;
+    auto w = ssd_->write(now, block, n, tags.subspan(off, n));
+    if (w.ok()) *done = std::max(*done, w.done);
+    for (u32 i = 0; i < n; ++i) {
+      const u64 lba = lba0 + off + i;
+      bk.lbas.push_back(lba);
+      map_[lba] = Entry{block + i, dirty};
+      if (dirty) {
+        dirty_count_++;
+        dirty_fifo_.push_back(lba);
+      }
+    }
   }
-  Bucket& bk = buckets_[open_bucket_];
-  const u64 block = open_bucket_ * cfg_.bucket_blocks + bk.fill;
-  bk.fill += n;
-  auto w = ssd_->write(now, block, n, tags);
-  if (w.ok()) *done = std::max(*done, w.done);
-  for (u32 i = 0; i < n; ++i) bk.lbas.push_back(lba0 + i);
-  return block;
 }
 
 SimTime BcacheLike::journal_commit(SimTime now) {
@@ -147,14 +158,7 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
         stats_.write_new_blocks++;
       }
     }
-    const u64 block = append(now, req.lba, tags, &done);
-    for (u32 i = 0; i < req.nblocks; ++i) {
-      map_[req.lba + i] = Entry{block + i, cfg_.write_back};
-      if (cfg_.write_back) {
-        dirty_count_++;
-        dirty_fifo_.push_back(req.lba + i);
-      }
-    }
+    append(now, req.lba, tags, cfg_.write_back, &done);
     if (cfg_.write_back) {
       // Metadata is durable before the ack: journal + flush (§3.1). The
       // commit is joined at arrival time (requests in flight together share
@@ -219,8 +223,7 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
     if (req.tags_out != nullptr)
       for (u32 k = 0; k < cnt; ++k) req.tags_out[lba - req.lba + k] = fetched[k];
     SimTime fill_done = now;  // off the ack path
-    const u64 block = append(now, lba, fetched, &fill_done);
-    for (u32 k = 0; k < cnt; ++k) map_[lba + k] = Entry{block + k, false};
+    append(now, lba, fetched, /*dirty=*/false, &fill_done);
   }
   return done;
 }

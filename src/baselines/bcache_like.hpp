@@ -55,9 +55,11 @@ class BcacheLike final : public cache::CacheDevice {
     std::vector<u64> lbas;  // inserted lbas (validated against map_ on use)
   };
 
-  // Appends tags.size() blocks to the log; returns the first device block
-  // and the completion of the involved writes.
-  u64 append(SimTime now, u64 lba0, std::span<const u64> tags, SimTime* done);
+  // Appends tags.size() blocks to the log and maps lba0.. to them, dirty
+  // (queued for writeback) or clean; folds the writes' completion into
+  // *done.
+  void append(SimTime now, u64 lba0, std::span<const u64> tags, bool dirty,
+              SimTime* done);
   // Returns the bucket after the open one, reclaiming it first if it holds
   // blocks. Buckets are taken in cyclic order, so that bucket is always the
   // oldest allocation.

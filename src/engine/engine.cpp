@@ -211,9 +211,6 @@ workload::RunResult merge_results(
     // max keeps the invariant when a domain ran out of ops early.
     m.adapt_epochs = std::max(m.adapt_epochs, p.adapt_epochs);
     m.adapt_rebalances += p.adapt_rebalances;
-
-    m.trace_info.present = m.trace_info.present || p.trace_info.present;
-    m.trace_info.malformed_lines += p.trace_info.malformed_lines;
   }
 
   workload::summarize(m);

@@ -153,12 +153,6 @@ std::string run_json(const std::string& bench, const std::string& name,
     w.end_object();
   }
 
-  if (r.trace_info.present) {
-    w.key("trace").begin_object();
-    w.kv("malformed_lines", r.trace_info.malformed_lines);
-    w.end_object();
-  }
-
   // Deterministic shape of an engine-merged run. Wall-clock data lives in
   // the document-level "perf" section, never here (see report.hpp).
   if (r.engine.active) {
@@ -199,7 +193,7 @@ std::string ReproReport::to_json() const {
     for (const PerfRun& p : perf_runs_) {
       w.begin_object();
       w.kv("bench", p.bench);
-      w.kv("name", p.name);
+      w.kv("cells", static_cast<u64>(p.cells));
       w.kv("wall_seconds", p.wall_seconds);
       w.kv("sim_ops_per_sec", p.sim_ops_per_sec);
       w.key("per_shard").begin_array();

@@ -39,8 +39,6 @@
 // controller's epoch counters:
 //   "tenants": [ { "tenant", <kTenantFields> } ],
 //   "adapt": { "epochs", "rebalances" }
-// Runs replaying a parsed trace file add its provenance:
-//   "trace": { "malformed_lines" }
 //
 // v4 is a strict superset of v3. Runs merged by the sharded engine
 // (engine::ParallelEngine) add the deterministic partition shape:
@@ -49,9 +47,13 @@
 // and the document gains an optional top-level "perf" section with the
 // wall-clock side of those runs:
 //   "perf": { "shards", "threads",
-//             "runs": [ { "bench", "name", "wall_seconds",
+//             "runs": [ { "bench", "cells", "wall_seconds",
 //                         "sim_ops_per_sec",
 //                         "per_shard": [ { "ops", "wall_seconds" } ] } ] }
+// A bench runs all its cells in one engine job, so "perf" holds one record
+// per bench: "cells" counts the runs it reported, and every wall-clock
+// figure is the whole job's. (Older documents hold one record per run,
+// keyed by "name".)
 // Everything under "perf" depends on the execution configuration and host
 // load; it is the ONLY part of the document excluded from the engine's
 // bit-identical-across-shard-counts contract (tools/repro_report --digest
@@ -92,15 +94,15 @@ namespace srcache::workload {
 std::string run_json(const std::string& bench, const std::string& name,
                      const RunResult& r);
 
-// Wall-clock record of one engine-driven run for the "perf" section. Kept
-// as plain values so workload does not depend on the engine library.
+// Wall-clock record of one engine job for the "perf" section. Kept as
+// plain values so workload does not depend on the engine library.
 struct PerfShard {
   u64 ops = 0;
   double wall_seconds = 0.0;
 };
 struct PerfRun {
   std::string bench;
-  std::string name;
+  u32 cells = 0;  // runs the job reported
   double wall_seconds = 0.0;
   double sim_ops_per_sec = 0.0;
   std::vector<PerfShard> per_shard;

@@ -242,14 +242,6 @@ struct RunResult {
   u32 adapt_epochs = 0;
   u32 adapt_rebalances = 0;
 
-  // Trace-file provenance, filled by benches replaying parsed traces so the
-  // malformed-line count surfaces in REPRO_JSON instead of being swallowed.
-  struct TraceInfo {
-    bool present = false;
-    u64 malformed_lines = 0;
-  };
-  TraceInfo trace_info;
-
   // Deterministic shape of a sharded engine run (engine::ParallelEngine
   // fills it on merged results). Only shard-count-invariant facts live here
   // — the domain partition and per-domain slices are a property of the

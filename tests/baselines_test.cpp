@@ -559,6 +559,35 @@ TEST(Bcache, SequentialAppendsIntoBucket) {
   EXPECT_EQ(bc.stats().read_hit_blocks, 4u);
 }
 
+// A run longer than a bucket is appended one bucket at a time, so the
+// next bucket's appends never overwrite its tail: written blocks and miss
+// fills both read back their own tags.
+TEST(Bcache, RunLongerThanBucketKeepsItsTail) {
+  Rig rig;
+  BcacheConfig cfg = bc_cfg(6 * 16);
+  cfg.bucket_blocks = 16;
+  BcacheLike bc(cfg, rig.ssd.get(), rig.primary.get());
+  std::vector<u64> tags(20);
+  for (u64 i = 0; i < tags.size(); ++i) tags[i] = 1000 + i;
+  bc.submit(wreq(0, 100, 20, tags.data()));
+  const u64 other[4] = {7, 7, 7, 7};
+  bc.submit(wreq(1, 500, 4, other));
+  std::vector<u64> out(20);
+  bc.submit(rreq(2, 100, 20, out.data()));
+  EXPECT_EQ(bc.stats().read_hit_blocks, 20u);
+  EXPECT_EQ(out, tags);
+
+  // A 20-block miss fill, then another append, then the same read as hits.
+  for (u64 i = 0; i < tags.size(); ++i) tags[i] = 2000 + i;
+  rig.primary->write(3, 300, 20, tags);
+  bc.submit(rreq(4, 300, 20, out.data()));
+  bc.submit(wreq(5, 600, 4, other));
+  std::fill(out.begin(), out.end(), 0);
+  bc.submit(rreq(6, 300, 20, out.data()));
+  EXPECT_EQ(bc.stats().read_hit_blocks, 40u);
+  EXPECT_EQ(out, tags);
+}
+
 TEST(Bcache, CleanFillsSkipJournal) {
   Rig rig;
   BcacheLike bc(bc_cfg(), rig.ssd.get(), rig.primary.get());

@@ -47,7 +47,7 @@
 //                        two documents are given) as one CSV for artifacts
 //
 // Comparison is by field name, so a v2 baseline checks cleanly against a v3
-// candidate: the added "tenants"/"adapt"/"trace" blocks are simply ignored.
+// candidate: the added "tenants"/"adapt" blocks are simply ignored.
 // Documents carrying a v4 "perf" section additionally get a wall-clock
 // summary (simulated-ops/sec, per-shard breakdown) and, in A/B mode, a
 // speedup line — informational only, wall clock never gates.
@@ -277,9 +277,16 @@ srcache::u32 digest_minus_perf(const Doc& doc) {
       reinterpret_cast<const srcache::u8*>(canon.data()), canon.size()));
 }
 
-// Wall-clock summary of a v4 "perf" section: simulated-ops/sec per run plus
-// the per-shard lane breakdown. Informational only — never gates, never
-// digested.
+// A perf record's label: the run it timed in documents with one record per
+// run, else the number of cells of the bench's one-job sweep.
+std::string perf_label(const JsonValue& r) {
+  if (const JsonValue* name = r.find("name")) return name->string;
+  return Table::num(r.number_or("cells", 0.0), 0) + " cells";
+}
+
+// Wall-clock summary of a v4 "perf" section: simulated-ops/sec per record
+// plus the per-shard lane breakdown. Informational only — never gates,
+// never digested.
 void print_perf(const Doc& doc) {
   const JsonValue* perf = doc.root.find("perf");
   if (perf == nullptr) return;
@@ -298,9 +305,7 @@ void print_perf(const Doc& doc) {
       }
     }
     const JsonValue* bench = r.find("bench");
-    const JsonValue* name = r.find("name");
-    t.add_row({bench != nullptr ? bench->string : "?",
-               name != nullptr ? name->string : "?",
+    t.add_row({bench != nullptr ? bench->string : "?", perf_label(r),
                Table::num(r.number_or("wall_seconds", 0.0), 2),
                Table::num(r.number_or("sim_ops_per_sec", 0.0), 0), lanes});
   }
@@ -325,17 +330,15 @@ void print_speedup(const Doc& base, const Doc& cand) {
   Table t({"bench", "run", "base ops/s", "cand ops/s", "speedup"});
   for (const JsonValue& a : ra->array) {
     const JsonValue* ab = a.find("bench");
-    const JsonValue* an = a.find("name");
-    if (ab == nullptr || an == nullptr) continue;
+    if (ab == nullptr) continue;
+    const std::string label = perf_label(a);
     for (const JsonValue& b : rb->array) {
       const JsonValue* bb = b.find("bench");
-      const JsonValue* bn = b.find("name");
-      if (bb == nullptr || bn == nullptr || bb->string != ab->string ||
-          bn->string != an->string)
+      if (bb == nullptr || bb->string != ab->string || perf_label(b) != label)
         continue;
       const double oa = a.number_or("sim_ops_per_sec", 0.0);
       const double ob = b.number_or("sim_ops_per_sec", 0.0);
-      t.add_row({ab->string, an->string, Table::num(oa, 0), Table::num(ob, 0),
+      t.add_row({ab->string, label, Table::num(oa, 0), Table::num(ob, 0),
                  oa > 0.0 ? Table::num(ob / oa, 2) + "x" : "-"});
       break;
     }
