@@ -5,8 +5,8 @@
 // amplification rises monotonically with UMAX.
 //
 // The fifteen points are the cells of one sweep (run_sweep), so
-// REPRO_SHARDS/REPRO_THREADS parallelize them all and every run lands in
-// REPRO_JSON with the full observability surface.
+// REPRO_THREADS parallelizes them all and every run lands in REPRO_JSON
+// with the full observability surface.
 #include "harness.hpp"
 
 using namespace srcache;

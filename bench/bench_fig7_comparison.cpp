@@ -7,7 +7,7 @@
 //
 // All twelve (group x scheme) cells run in one sweep (run_sweep): the same
 // fixed kEngineDomains partition and per-domain seed stream for every
-// scheme, so REPRO_SHARDS/REPRO_THREADS change wall-clock only and every
+// scheme, so REPRO_THREADS changes wall-clock only and every
 // run lands in REPRO_JSON as "<group>/<scheme>".
 #include "harness.hpp"
 

@@ -4,10 +4,10 @@
 // slightly above RAID-4 (parity distribution smooths load), RAID-5 about
 // 20% below RAID-0.
 //
-// The nine cells run in one sweep (run_sweep), so REPRO_SHARDS/
-// REPRO_THREADS parallelize them all and REPRO_FAULT_PLAN can script a
-// fail/replace/rebuild scenario against any protection level — this is the
-// bench the rebuild CI matrix drives.
+// The nine cells run in one sweep (run_sweep), so REPRO_THREADS
+// parallelizes them all and REPRO_FAULT_PLAN can script a fail/replace/
+// rebuild scenario against any protection level — this is the bench the
+// rebuild CI matrix drives.
 #include "harness.hpp"
 
 using namespace srcache;

@@ -4,9 +4,9 @@
 // Paper result: per-segment flushing costs ~10% on Write workloads and
 // more than 40% on Read workloads (flush barriers stall reads too).
 //
-// The six points are the cells of one sweep (run_sweep), so REPRO_SHARDS/
-// REPRO_THREADS parallelize them all and every run lands in REPRO_JSON
-// with the full observability surface.
+// The six points are the cells of one sweep (run_sweep), so REPRO_THREADS
+// parallelizes them all and every run lands in REPRO_JSON with the full
+// observability surface.
 #include "harness.hpp"
 
 using namespace srcache;

@@ -42,7 +42,7 @@ int main() {
 
   // Measured replay: the three groups run as one sweep, each split into
   // kEngineDomains independent array slices (bit-identical across
-  // REPRO_SHARDS/REPRO_THREADS); run_sweep also writes REPRO_JSON.
+  // REPRO_THREADS); run_sweep also writes REPRO_JSON.
   std::printf("\nmeasured replay against the SRC stack (%u domains):\n",
               kEngineDomains);
   std::vector<Cell> cells;

@@ -6,9 +6,9 @@
 // Greedy trade places by workload (Greedy wins the Read group).
 //
 // The twelve (group x gc x victim) cells run in one sweep (run_sweep), each
-// replaying the fixed kEngineDomains partition under REPRO_SHARDS/
-// REPRO_THREADS, so the wall clock is a knob while the merged numbers stay
-// bit-identical across execution configurations.
+// replaying the fixed kEngineDomains partition under REPRO_THREADS, so the
+// wall clock is a knob while the merged numbers stay bit-identical across
+// execution configurations.
 #include "harness.hpp"
 
 using namespace srcache;

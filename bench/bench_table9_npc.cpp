@@ -3,9 +3,9 @@
 // Paper result: NPC beats PC for all groups (508 vs 431 on Write: +18%),
 // because clean segments without parity carry one extra data chunk.
 //
-// The six points are the cells of one sweep (run_sweep), so REPRO_SHARDS/
-// REPRO_THREADS parallelize them all and every run lands in REPRO_JSON
-// with the full observability surface.
+// The six points are the cells of one sweep (run_sweep), so REPRO_THREADS
+// parallelizes them all and every run lands in REPRO_JSON with the full
+// observability surface.
 #include "harness.hpp"
 
 using namespace srcache;

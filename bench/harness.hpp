@@ -16,11 +16,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include <unistd.h>
 
 #include "baselines/bcache_like.hpp"
 #include "baselines/flashcache_like.hpp"
@@ -65,7 +68,7 @@ struct Knob {
 // The single declaration of every REPRO_* knob. EXPERIMENTS.md's "REPRO_*
 // knob reference" mirrors it row for row (tests/knob_table_test.cpp).
 // clang-format off
-inline constexpr std::array<Knob, 24> kKnobs = {{
+inline constexpr std::array<Knob, 23> kKnobs = {{
     {"REPRO_SCALE", Knob::kFloat, 1e-3, 64, "0.25", nullptr,
      "geometry/footprint scale factor vs the paper's testbed"},
     {"REPRO_SECONDS", Knob::kFloat, 1e-3, 86400, "10", nullptr,
@@ -80,10 +83,8 @@ inline constexpr std::array<Knob, 24> kKnobs = {{
      "adaptive-partition epoch length (bench_multitenant)"},
     {"REPRO_SHARDS_RATE", Knob::kFloat, 1e-4, 1, "0.1", nullptr,
      "SHARDS spatial sampling rate of the MRC profilers"},
-    {"REPRO_SHARDS", Knob::kInt, 1, 256, "1", nullptr,
-     "engine execution lanes over all of a bench's cells' domains"},
-    {"REPRO_THREADS", Knob::kInt, 0, 256, "0", nullptr,
-     "worker-pool cap; 0 = min(lanes, hardware threads)"},
+    {"REPRO_THREADS", Knob::kInt, 0, 256, "1", nullptr,
+     "worker threads over a bench's domains; 0 = min(domains, hardware)"},
     {"REPRO_POLICY", Knob::kEviction, 0, 0, "paper", nullptr,
      "GC replacement policy (src/policy) for the single-policy benches"},
     {"REPRO_ADMIT", Knob::kAdmission, 0, 0, "always", nullptr,
@@ -202,9 +203,20 @@ struct KnobSet {
 };
 
 // Parses and cross-checks every knob; an empty value counts as unset.
+// `names` lists the REPRO_* variables present in the environment: one that
+// is no kKnobs row (a typo, or a retired knob) would be silently ignored,
+// so it is refused.
 inline KnobSet resolve_knobs(
-    const std::function<const char*(const char* name)>& env) {
+    const std::function<const char*(const char* name)>& env,
+    const std::vector<std::string>& names) {
   KnobSet ks;
+  for (const std::string& name : names) {
+    const char* s = env(name.c_str());
+    if (s != nullptr && *s != '\0' &&
+        std::none_of(kKnobs.begin(), kKnobs.end(),
+                     [&](const Knob& k) { return name == k.name; }))
+      return {{}, name + " is not a REPRO_* knob; refusing to run with it"};
+  }
   for (size_t i = 0; i < kKnobs.size(); ++i) {
     const char* s = env(kKnobs[i].name);
     ks.v[i].set = s != nullptr && *s != '\0';
@@ -230,8 +242,6 @@ inline KnobSet resolve_knobs(
   }
   const KnobValue& json = ks["REPRO_JSON"];
   const KnobValue& trace = ks["REPRO_TRACE"];
-  const double threads = ks["REPRO_THREADS"].num;
-  const double shards = ks["REPRO_SHARDS"].num;
   if (json.set && trace.set && json.text == trace.text) {
     ks.error = "REPRO_JSON and REPRO_TRACE both name " + json.text +
                ": the two outputs would overwrite each other";
@@ -239,8 +249,6 @@ inline KnobSet resolve_knobs(
              static_cast<sim::SimTime>(ks["REPRO_SECONDS"].num * 1e9)) {
     ks.error =
         "REPRO_TIMESERIES_MS exceeds REPRO_SECONDS: no interval would close";
-  } else if (threads > 0 && (threads > shards || shards == 1)) {
-    ks.error = "REPRO_THREADS must be 0 with one shard, else <= REPRO_SHARDS";
   }
   return ks;
 }
@@ -248,8 +256,13 @@ inline KnobSet resolve_knobs(
 // The process environment's knobs, resolved on first use. print_header()
 // refuses to run when they are invalid.
 inline const KnobSet& knobs() {
-  static const KnobSet ks =
-      resolve_knobs([](const char* name) { return std::getenv(name); });
+  static const KnobSet ks = [] {
+    std::vector<std::string> names;
+    for (char** e = environ; *e != nullptr; ++e)
+      if (std::string_view(*e).starts_with("REPRO_"))
+        names.emplace_back(*e, std::strcspn(*e, "="));
+    return resolve_knobs([](const char* n) { return std::getenv(n); }, names);
+  }();
   return ks;
 }
 
@@ -536,9 +549,9 @@ inline void observe_rig(SrcRig& rig, u64 seed, bool trace,
 // --- sweeps: every cell of a bench in one engine job (src/engine) ---------
 
 // The fixed logical partition bench groups are split into. A property of
-// the experiment, NOT of REPRO_SHARDS: every execution configuration runs
+// the experiment, NOT of REPRO_THREADS: every execution configuration runs
 // these same domains, which is what makes the merged output bit-identical
-// across shard counts. 8 matches the paper-scale geometry exactly (at the
+// across thread counts. 8 matches the paper-scale geometry exactly (at the
 // default REPRO_SCALE=0.25 each domain's erase group lands on the 8 MiB
 // floor rather than below it).
 inline constexpr u32 kEngineDomains = 8;
@@ -639,7 +652,7 @@ inline Cell src_cell(
     if (tier_bytes > 0) {
       // One tier per domain, budget split evenly — the same 1/kEngineDomains
       // scaling every other capacity gets, so pressure ratios are preserved
-      // and the merged outcome stays bit-identical across shard counts.
+      // and the merged outcome stays bit-identical across thread counts.
       tier::TierConfig tc;
       tc.budget_bytes = std::max<u64>(kBlockSize, tier_bytes / kEngineDomains);
       tc.dirty_pct = static_cast<u32>(knob_num("REPRO_TIER_DIRTY_PCT"));
@@ -737,14 +750,15 @@ struct Sweep {
   std::shared_ptr<const obs::SpanTracer> traced;
 };
 
-// Runs every cell in one ParallelEngine job over `ecfg`'s lanes; cell c owns
-// global domains [first[c], first[c + 1]). Each cell comes out exactly as if
-// it ran alone: it is live through the first barrier at which all its
-// domains have finished (or the window ends), and only live cells are
-// counted (engine.epochs), pumped and judged, so nothing touches a cell
-// after it stops.
-inline Sweep run_sweep(const engine::EngineConfig& ecfg,
-                       const std::vector<Cell>& cells) {
+// Runs every cell in one ParallelEngine job on `threads` workers (0 =
+// min(domains, hardware threads)); cell c owns global domains [first[c],
+// first[c + 1]). Every domain is its own lane, so the pool hands domains to
+// threads as they free up and a heavy cell spreads over all of them. Each
+// cell comes out exactly as if it ran alone: it is live through the first
+// barrier at which all its domains have finished (or the window ends), and
+// only live cells are counted (engine.epochs), pumped and judged, so
+// nothing touches a cell after it stops.
+inline Sweep run_sweep(u32 threads, const std::vector<Cell>& cells) {
   std::vector<u32> first = {0};
   size_t traced_cell = cells.size();
   for (size_t c = 0; c < cells.size(); ++c) {
@@ -773,7 +787,7 @@ inline Sweep run_sweep(const engine::EngineConfig& ecfg,
   // contract requires.
   std::vector<u32> epochs(cells.size(), 0);
   std::vector<bool> live(cells.size(), true);
-  engine::ParallelEngine eng(ecfg);
+  engine::ParallelEngine eng({first.back(), threads});
   eng.add_epoch_hook([&](const engine::EpochView& v) {
     for (size_t c = 0; c < cells.size(); ++c) {
       if (!live[c]) continue;
@@ -833,31 +847,28 @@ inline Sweep run_sweep(const engine::EngineConfig& ecfg,
   return sw;
 }
 
-// A bench's one engine job on the REPRO_SHARDS/REPRO_THREADS lanes: one
-// [engine] line and one REPRO_JSON "perf" record for the job, an [slo] line
-// per judged cell, each cell's run reported in declaration order, then the
-// REPRO_TRACE file. Returns the cells' runs in declaration order.
+// A bench's one engine job on REPRO_THREADS workers: one [engine] line and
+// one REPRO_JSON "perf" record for the job, an [slo] line per judged cell,
+// each cell's run reported in declaration order, then the REPRO_TRACE file.
+// Returns the cells' runs in declaration order.
 inline std::vector<workload::RunResult> run_sweep(
     const char* bench, const std::vector<Cell>& cells) {
-  engine::EngineConfig ecfg;
-  ecfg.shards = static_cast<u32>(knob_num("REPRO_SHARDS"));
-  ecfg.threads = static_cast<u32>(knob_num("REPRO_THREADS"));
-  Sweep sw = run_sweep(ecfg, cells);
+  Sweep sw = run_sweep(static_cast<u32>(knob_num("REPRO_THREADS")), cells);
   const engine::EngineResult& er = sw.engine;
 
   std::printf(
-      "[engine] %s: cells=%zu domains=%u shards=%u threads=%u epochs=%u "
-      "wall=%.2fs sim-ops/s=%.0f\n",
-      bench, cells.size(), er.domains, er.shards, er.threads, er.epochs,
-      er.wall_seconds, er.sim_ops_per_sec);
+      "[engine] %s: cells=%zu domains=%u threads=%u epochs=%u wall=%.2fs "
+      "sim-ops/s=%.0f\n",
+      bench, cells.size(), er.domains, er.threads, er.epochs, er.wall_seconds,
+      er.sim_ops_per_sec);
   if (repro_json_path() != nullptr) {
-    json_report().set_perf_config(er.shards, er.threads);
-    std::vector<workload::PerfShard> lanes;
+    json_report().set_perf_config(er.threads);
+    std::vector<workload::PerfShard> domains;
     for (const engine::ShardPerf& sp : er.per_shard)
-      lanes.push_back({sp.ops, sp.wall_seconds});
+      domains.push_back({sp.ops, sp.wall_seconds});
     json_report().add_perf({bench, static_cast<u32>(cells.size()),
                             er.wall_seconds, er.sim_ops_per_sec,
-                            std::move(lanes)});
+                            std::move(domains)});
   }
   for (size_t c = 0; c < cells.size(); ++c) {
     const obs::SloOutcome& slo = sw.runs[c].slo;

@@ -12,8 +12,6 @@ void AdaptConfig::validate() const {
   if (capacity_blocks == 0)
     throw std::invalid_argument("AdaptConfig: capacity_blocks must be > 0");
   if (epoch <= 0) throw std::invalid_argument("AdaptConfig: epoch must be > 0");
-  if (mrc_points == 0)
-    throw std::invalid_argument("AdaptConfig: mrc_points must be > 0");
   if (ghost_max_entries == 0)
     throw std::invalid_argument("AdaptConfig: ghost_max_entries must be > 0");
   PartitionController::Config pc;
@@ -37,17 +35,21 @@ PartitionController::Config partition_config(const AdaptConfig& cfg) {
   return pc;
 }
 
+// MRC resolution: candidate sizes at capacity * k / kMrcPoints.
+constexpr u32 kMrcPoints = 32;
+constexpr double kGhostDecay = 0.5;
+
 GhostCache::Config ghost_config(const AdaptConfig& cfg) {
   GhostCache::Config gc;
   gc.sampling_rate = cfg.sampling_rate;
   gc.max_entries = cfg.ghost_max_entries;
-  gc.decay = cfg.ghost_decay;
-  // Candidate ladder: capacity * k / mrc_points for k = 1..mrc_points. The
+  gc.decay = kGhostDecay;
+  // Candidate ladder: capacity * k / kMrcPoints for k = 1..kMrcPoints. The
   // deepest point is full capacity — one tenant owning everything is a
   // feasible (if extreme) split the solver must be able to price.
-  gc.sizes.reserve(cfg.mrc_points);
-  for (u32 k = 1; k <= cfg.mrc_points; ++k) {
-    const u64 s = cfg.capacity_blocks * k / cfg.mrc_points;
+  gc.sizes.reserve(kMrcPoints);
+  for (u32 k = 1; k <= kMrcPoints; ++k) {
+    const u64 s = cfg.capacity_blocks * k / kMrcPoints;
     if (gc.sizes.empty() || s > gc.sizes.back()) gc.sizes.push_back(s);
   }
   if (gc.sizes.empty()) gc.sizes.push_back(cfg.capacity_blocks);

@@ -36,9 +36,6 @@ struct AdaptConfig {
   double sampling_rate = 0.1;
   // Hard per-tenant ghost memory budget (entries).
   u64 ghost_max_entries = 1 << 16;
-  // MRC resolution: candidate sizes at capacity * k / mrc_points.
-  u32 mrc_points = 32;
-  double ghost_decay = 0.5;
 
   // Partitioner stabilizers (see partition.hpp).
   double min_share = 0.05;

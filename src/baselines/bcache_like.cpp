@@ -66,6 +66,11 @@ SimTime BcacheLike::destage_some(SimTime now, u32 max_blocks) {
     dirty_fifo_.pop_front();
     const Entry* e = map_.find(lba);
     if (e == nullptr || !e->dirty) continue;  // stale entry
+    // A block rewritten while dirty has one FIFO entry per write; take it
+    // once, or its destage would count it clean twice.
+    if (std::any_of(victims_.begin(), victims_.end(),
+                    [lba](const Victim& v) { return v.lba == lba; }))
+      continue;
     victims_.push_back({lba, e->block});
   }
   if (victims_.empty()) return now;
@@ -76,6 +81,17 @@ SimTime BcacheLike::destage_some(SimTime now, u32 max_blocks) {
     stats_.destage_blocks++;
   });
   return std::max(now, journal_commit(now));
+}
+
+Status BcacheLike::verify_consistency() const {
+  u64 dirty = 0;
+  for (const auto& [lba, e] : map_) dirty += e.dirty ? 1 : 0;
+  if (dirty != dirty_count_)
+    return Status(ErrorCode::kCorrupted, "dirty count drifted from the map");
+  for (const Bucket& bk : buckets_)
+    if (bk.fill > cfg_.bucket_blocks)
+      return Status(ErrorCode::kCorrupted, "bucket filled past its end");
+  return Status::ok();
 }
 
 void BcacheLike::append(SimTime now, u64 lba0, std::span<const u64> tags,

@@ -18,6 +18,7 @@
 #include "baselines/write_back.hpp"
 #include "cache/cache_device.hpp"
 #include "common/flat_map.hpp"
+#include "common/result.hpp"
 
 namespace srcache::baselines {
 
@@ -44,6 +45,10 @@ class BcacheLike final : public cache::CacheDevice {
     return static_cast<double>(dirty_count_) /
            static_cast<double>(cfg_.cache_blocks);
   }
+
+  // Checks that the dirty count equals the dirty map entries and that no
+  // bucket is filled past its end.
+  [[nodiscard]] Status verify_consistency() const;
 
  private:
   struct Entry {

@@ -52,9 +52,6 @@ struct CacheStats {
   [[nodiscard]] double hit_ratio() const {
     return ratio_of(read_hit_blocks + write_hit_blocks, app_blocks());
   }
-  [[nodiscard]] double read_hit_ratio() const {
-    return ratio_of(read_hit_blocks, app_read_blocks);
-  }
   [[nodiscard]] u64 app_blocks() const {
     return app_read_blocks + app_write_blocks;
   }

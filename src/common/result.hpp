@@ -48,7 +48,6 @@ class Status {
 
   [[nodiscard]] bool is_ok() const { return code_ == ErrorCode::kOk; }
   [[nodiscard]] ErrorCode code() const { return code_; }
-  [[nodiscard]] const std::string& message() const { return msg_; }
 
   [[nodiscard]] std::string to_string() const {
     std::string s = srcache::to_string(code_);

@@ -15,6 +15,9 @@ namespace srcache::engine {
 
 namespace {
 
+// Epoch barriers per measurement window.
+constexpr sim::SimTime kEpochsPerWindow = 8;
+
 // Fixed pool of workers executing "fn(lane) for every lane" phases. Lanes
 // are claimed dynamically — placement is free because domains never share
 // state; only the wall-clock a thread charges to a lane depends on it.
@@ -265,7 +268,6 @@ EngineResult ParallelEngine::run(u32 num_domains,
     for (u32 d = lane; d < num_domains; d += lanes) {
       auto dom = std::make_unique<ShardDomain>();
       dom->index_ = d;
-      dom->lane_ = lane;
       dom->setup_ = factory(d, num_domains);
       if (dom->setup_.cache == nullptr)
         throw std::invalid_argument("engine: domain factory returned no cache");
@@ -284,7 +286,7 @@ EngineResult ParallelEngine::run(u32 num_domains,
     if (dom->setup_.cfg.duration != duration)
       throw std::invalid_argument("engine: domains disagree on duration");
   }
-  sim::SimTime epoch_len = cfg_.epoch > 0 ? cfg_.epoch : duration / 8;
+  sim::SimTime epoch_len = duration / kEpochsPerWindow;
   if (epoch_len <= 0) epoch_len = duration;
 
   // Epoch-barrier loop. Barriers are window-relative virtual times, so each
@@ -305,7 +307,6 @@ EngineResult ParallelEngine::run(u32 num_domains,
     EpochView view;
     view.epoch = epochs - 1;
     view.rel_end = rel_end;
-    view.epoch_length = epoch_len;
     view.domains = &domains;
     for (const EpochHook& h : hooks_) h(view);
     bool all_done = true;
@@ -345,12 +346,10 @@ EngineResult ParallelEngine::run(u32 num_domains,
   out.per_shard.resize(lanes);
   for (u32 lane = 0; lane < lanes; ++lane) {
     ShardPerf& sp = out.per_shard[lane];
-    sp.lane = lane;
     sp.wall_seconds = lane_wall[lane];
     for (u32 d = lane; d < num_domains; d += lanes) {
       sp.domains++;
       sp.ops += parts[d].ops;
-      sp.bytes += parts[d].bytes;
     }
   }
   out.per_domain = std::move(parts);

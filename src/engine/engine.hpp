@@ -13,8 +13,8 @@
 // thread against quiescent domains.
 //
 // Determinism contract (what makes this a simulation engine rather than a
-// thread-pool hack): the merged result is bit-identical regardless of
-// REPRO_SHARDS and REPRO_THREADS.
+// thread-pool hack): the merged result is bit-identical regardless of the
+// lane and thread counts.
 //  1. The domain partition is a property of the experiment (num_domains in
 //     run()), never of the execution configuration. Shards are execution
 //     lanes over that fixed partition; lane d runs domains {d, d+shards,
@@ -45,14 +45,13 @@
 namespace srcache::engine {
 
 struct EngineConfig {
-  // Execution lanes over the domain partition (REPRO_SHARDS). Lanes beyond
-  // the domain count idle; 1 runs every domain on the calling thread.
+  // Execution lanes over the domain partition. Lanes beyond the domain
+  // count idle; 1 runs every domain on the calling thread. The bench sweep
+  // gives every domain its own lane, so the pool balances domains.
   u32 shards = 1;
   // Worker threads (REPRO_THREADS); 0 = min(lanes, hardware_concurrency).
   // Fewer threads than lanes just multiplexes lanes onto the pool.
   u32 threads = 0;
-  // Virtual time between epoch barriers; 0 = duration / 8.
-  sim::SimTime epoch = 0;
 };
 
 // Everything one shard domain needs: a cache stack, the devices whose
@@ -78,7 +77,6 @@ using DomainFactory = std::function<DomainSetup(u32 index, u32 count)>;
 class ShardDomain {
  public:
   [[nodiscard]] u32 index() const { return index_; }
-  [[nodiscard]] u32 lane() const { return lane_; }
   [[nodiscard]] u64 ops() const { return loop_->ops(); }
   [[nodiscard]] u64 bytes() const { return loop_->bytes(); }
   [[nodiscard]] bool finished() const { return loop_->finished(); }
@@ -91,7 +89,6 @@ class ShardDomain {
   [[nodiscard]] sim::SimTime rel_next_event() const {
     return loop_->next_event() - loop_->window_start();
   }
-  [[nodiscard]] cache::CacheDevice* cache() const { return setup_.cache; }
   // Cumulative measured-window latency of this domain so far — the input an
   // epoch SLO watchdog deltas at barriers.
   [[nodiscard]] const obs::LatencyRecorder& latency() const {
@@ -112,14 +109,12 @@ class ShardDomain {
   DomainSetup setup_;
   std::optional<workload::ClosedLoop> loop_;
   u32 index_ = 0;
-  u32 lane_ = 0;
 };
 
 // Barrier context handed to epoch hooks.
 struct EpochView {
   u32 epoch = 0;                // 0-based barrier index
   sim::SimTime rel_end = 0;     // window-relative virtual time of the barrier
-  sim::SimTime epoch_length = 0;
   const std::vector<std::unique_ptr<ShardDomain>>* domains = nullptr;
 };
 
@@ -129,10 +124,8 @@ using EpochHook = std::function<void(const EpochView&)>;
 
 // Wall-clock view of one execution lane (nondeterministic by nature).
 struct ShardPerf {
-  u32 lane = 0;
   u32 domains = 0;
   u64 ops = 0;
-  u64 bytes = 0;
   double wall_seconds = 0.0;  // lane busy time across all phases
 };
 

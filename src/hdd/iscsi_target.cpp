@@ -4,14 +4,20 @@
 
 namespace srcache::hdd {
 
+// The Table 1 testbed.
+constexpr int kNumDisks = 8;
+constexpr double kLinkMbps = 117.0;       // 1 Gbps effective
+constexpr SimTime kRtt = 300 * sim::kUs;  // per-command network round trip
+constexpr u32 kChunkBlocks = 16;          // RAID-10 chunk (64 KiB)
+
 IscsiTarget::IscsiTarget(const IscsiConfig& cfg)
     : cfg_(cfg), dirty_(cfg.dirty_limit_bytes) {
-  for (int i = 0; i < cfg_.num_disks; ++i)
+  for (int i = 0; i < kNumDisks; ++i)
     disks_.push_back(std::make_unique<SimHdd>(cfg_.disk));
   std::vector<blockdev::BlockDevice*> members;
   members.reserve(disks_.size());
   for (auto& d : disks_) members.push_back(d.get());
-  raid::RaidConfig rc{raid::RaidLevel::kRaid1, cfg_.chunk_blocks};
+  raid::RaidConfig rc{raid::RaidLevel::kRaid1, kChunkBlocks};
   volume_ = std::make_unique<raid::RaidDevice>(rc, std::move(members));
   gen_capacity_blocks_ = std::max<u64>(1, cfg_.server_cache_bytes / kBlockSize / 2);
 }
@@ -41,7 +47,7 @@ void IscsiTarget::register_metrics(const obs::Scope& scope) {
 }
 
 SimTime IscsiTarget::link_transfer(SimTime now, u64 bytes) {
-  SimTime service = sim::transfer_time(bytes, cfg_.link_mbps);
+  SimTime service = sim::transfer_time(bytes, kLinkMbps);
   if (degraded(now))
     service = static_cast<SimTime>(static_cast<double>(service) *
                                    degrade_factor_);
@@ -49,7 +55,7 @@ SimTime IscsiTarget::link_transfer(SimTime now, u64 bytes) {
 }
 
 SimTime IscsiTarget::half_rtt(SimTime now) const {
-  const SimTime half = cfg_.rtt / 2;
+  const SimTime half = kRtt / 2;
   if (!degraded(now)) return half;
   return static_cast<SimTime>(static_cast<double>(half) * degrade_factor_);
 }

@@ -23,11 +23,7 @@
 namespace srcache::hdd {
 
 struct IscsiConfig {
-  int num_disks = 8;
   HddConfig disk;
-  double link_mbps = 117.0;             // 1 Gbps effective
-  sim::SimTime rtt = 300 * sim::kUs;    // per-command network round trip
-  u32 chunk_blocks = 16;                // RAID-10 chunk (64 KiB)
   // Server page cache (the paper's target host has 32 GB RAM).
   u64 server_cache_bytes = 24 * GiB;
   // Writes beyond this un-drained backlog block at disk speed.
@@ -74,13 +70,11 @@ class IscsiTarget final : public blockdev::BlockDevice {
     return now < degrade_until_ && degrade_factor_ > 1.0;
   }
 
-  [[nodiscard]] raid::RaidDevice& volume() { return *volume_; }
   // Member-disk access for fault-injection tests.
   [[nodiscard]] SimHdd& disk(size_t i) { return *disks_.at(i); }
   [[nodiscard]] size_t num_disks() const { return disks_.size(); }
-  // Server page-cache hit counters (for model sanity checks).
+  // Server page-cache hits (for model sanity checks).
   [[nodiscard]] u64 ram_hits() const { return ram_hits_; }
-  [[nodiscard]] u64 ram_misses() const { return ram_misses_; }
 
   // Registers pull-style observability metrics (link busy time, page-cache
   // hits, I/O and dirty-backlog accounting) under `scope`, e.g. "hdd". The

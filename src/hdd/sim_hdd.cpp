@@ -7,6 +7,11 @@ namespace srcache::hdd {
 
 using blockdev::DeviceOp;
 
+constexpr double kTransferMbps = 150.0;     // media streaming rate
+constexpr SimTime kAvgSeek = 8 * sim::kMs;  // 7.2K RPM class
+// Half a revolution at 7200 rpm.
+constexpr SimTime kAvgRotation = 4170 * sim::kUs;
+
 SimHdd::SimHdd(const HddConfig& cfg)
     : SimDevice(cfg.capacity_bytes / kBlockSize, cfg.track_content),
       cfg_(cfg) {
@@ -18,7 +23,7 @@ SimTime SimHdd::service(DeviceOp op, SimTime now, u64 lba, u64 n) {
   if (op == DeviceOp::kFlush) return arm_.submit(now, 0, background_);
   if (op == DeviceOp::kTrim) return now + cfg_.command_overhead;
   SimTime service = cfg_.command_overhead +
-                    sim::transfer_time(blocks_to_bytes(n), cfg_.transfer_mbps);
+                    sim::transfer_time(blocks_to_bytes(n), kTransferMbps);
   if (lba != head_pos_) {
     // Positioning: seek distance scales the seek time down to a
     // track-to-track floor, plus rotational delay. Background batches
@@ -28,13 +33,12 @@ SimTime SimHdd::service(DeviceOp op, SimTime now, u64 lba, u64 n) {
     const double dist =
         static_cast<double>(gap) / static_cast<double>(capacity_blocks());
     const auto seek = static_cast<SimTime>(
-        static_cast<double>(cfg_.avg_seek) * (0.1 + 0.9 * std::sqrt(dist)));
-    const SimTime rotation =
-        background_ ? cfg_.avg_rotation / 2 : cfg_.avg_rotation;
+        static_cast<double>(kAvgSeek) * (0.1 + 0.9 * std::sqrt(dist)));
+    const SimTime rotation = background_ ? kAvgRotation / 2 : kAvgRotation;
     // Near-contiguous forward skips do not pay a mechanical seek at all:
     // the head streams over the gap.
     const SimTime stream_over =
-        sim::transfer_time(blocks_to_bytes(gap), cfg_.transfer_mbps) +
+        sim::transfer_time(blocks_to_bytes(gap), kTransferMbps) +
         500 * sim::kUs;
     service += std::min(seek + rotation, stream_over);
   }

@@ -11,10 +11,7 @@ namespace srcache::hdd {
 using sim::SimTime;
 
 struct HddConfig {
-  u64 capacity_bytes = 64 * GiB;      // scaled stand-in for a 2 TB spindle
-  double transfer_mbps = 150.0;       // media streaming rate
-  sim::SimTime avg_seek = 8 * sim::kMs;        // 7.2K RPM class
-  sim::SimTime avg_rotation = 4170 * sim::kUs; // half a revolution at 7200 rpm
+  u64 capacity_bytes = 64 * GiB;  // scaled stand-in for a 2 TB spindle
   sim::SimTime command_overhead = 200 * sim::kUs;
   bool track_content = true;
 };

@@ -11,8 +11,8 @@
 //
 // Determinism: cells live in an ordered map and hold only u64 counts, so
 // window deltas (delta_since) and cross-domain merges (merge_add) are exact
-// integer arithmetic — the ledger is bit-identical across
-// REPRO_SHARDS/REPRO_THREADS by construction.
+// integer arithmetic — the ledger is bit-identical across REPRO_THREADS by
+// construction.
 #pragma once
 
 #include <array>

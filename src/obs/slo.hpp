@@ -12,8 +12,7 @@
 //
 // Determinism: verdict inputs are exact integers/bucket counts computed at
 // barriers from merged domain state, and the derived doubles are pure
-// functions of them, so the outcome is bit-identical across
-// REPRO_SHARDS/REPRO_THREADS.
+// functions of them, so the outcome is bit-identical across REPRO_THREADS.
 #pragma once
 
 #include <string>

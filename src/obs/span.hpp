@@ -18,8 +18,8 @@
 // Determinism contract: the sampling decision consumes exactly one
 // RNG draw per *measured* op, in op issue order, from a generator seeded by
 // the per-domain seed stream — so which ops are sampled, the span trees, and
-// the aggregated SpanOutcome are bit-identical across REPRO_SHARDS /
-// REPRO_THREADS. SpanOutcome holds only exact integers (plus the configured
+// the aggregated SpanOutcome are bit-identical across REPRO_THREADS.
+// SpanOutcome holds only exact integers (plus the configured
 // rate) and merges with integer sums in domain-index order. The timeline
 // never draws from the sampling RNG, never counts against the span record
 // cap and never enters the SpanOutcome.

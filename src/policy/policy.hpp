@@ -47,8 +47,7 @@
 // call sequence (no clocks, no RNG), and SrcCache owns one instance per
 // cache — under the sharded engine each domain's cache carries its own
 // policy state, so merged REPRO_JSON stays bit-identical across
-// REPRO_SHARDS/REPRO_THREADS for every policy choice (engine_test proves
-// it).
+// REPRO_THREADS for every policy choice (engine_test proves it).
 #pragma once
 
 #include <list>

@@ -4,6 +4,8 @@
 
 namespace srcache::raid {
 
+constexpr u64 kBatchBlocks = 64;  // blocks decoded per copy batch
+
 RebuildManager::RebuildManager(const RebuildConfig& cfg,
                                std::vector<blockdev::BlockDevice*> ssds)
     : cfg_(cfg), ssds_(std::move(ssds)), devs_(ssds_.size()) {
@@ -252,8 +254,7 @@ u64 RebuildManager::copy_batch(size_t dev, sim::SimTime now, u64 budget) {
 
   const u64 budget_blocks = std::max<u64>(
       1, (budget - budget_spent_bytes_ + kBlockSize - 1) / kBlockSize);
-  const u64 m = std::min(
-      {static_cast<u64>(cfg_.batch_blocks), run_end - b0, budget_blocks});
+  const u64 m = std::min({kBatchBlocks, run_end - b0, budget_blocks});
   std::vector<u64> acc(m, 0);
   bool read_ok = true;
   if (ex.how == RebuildHow::kMirror) {

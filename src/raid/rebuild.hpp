@@ -10,7 +10,7 @@
 // measured op and the engine makes at epoch barriers. pump(now) is monotone
 // and idempotent in `now` (budget = rate x elapsed, copy until caught up),
 // so double-pumping never changes the outcome and the result stays
-// bit-identical across REPRO_SHARDS/REPRO_THREADS.
+// bit-identical across REPRO_THREADS.
 //
 // SRC-awareness: the cache exports its live-segment map as RebuildExtents
 // (set_extent_source), so only live stripes are reconstructed and trimmed/
@@ -59,9 +59,8 @@ struct RebuildExtent {
 };
 
 struct RebuildConfig {
-  double mbps = 256.0;   // background copy rate limit (REPRO_REBUILD_MBPS)
-  u32 spares = 1;        // initial hot-spare pool (REPRO_REBUILD_SPARES)
-  u32 batch_blocks = 64; // blocks decoded per copy batch
+  double mbps = 256.0;  // background copy rate limit (REPRO_REBUILD_MBPS)
+  u32 spares = 1;       // initial hot-spare pool (REPRO_REBUILD_SPARES)
 };
 
 // What lands in the REPRO_JSON "rebuild" block. Exact integers only, so

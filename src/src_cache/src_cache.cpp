@@ -25,7 +25,6 @@ const char* to_string(VictimPolicy p) {
   switch (p) {
     case VictimPolicy::kFifo: return "FIFO";
     case VictimPolicy::kGreedy: return "Greedy";
-    case VictimPolicy::kCostBenefit: return "CostBenefit";
   }
   return "?";
 }
@@ -362,7 +361,7 @@ SimTime SrcCache::flush(SimTime now) {
 
 SimTime SrcCache::throttle(SimTime now, SimTime ack) {
   while (!inflight_.empty() && inflight_.front() <= now) inflight_.pop_front();
-  while (inflight_.size() >= cfg_.max_inflight_segment_writes) {
+  while (inflight_.size() >= kMaxInflightSegmentWrites) {
     ack = std::max(ack, inflight_.front());
     inflight_.pop_front();
   }

@@ -44,6 +44,11 @@ using sim::SimTime;
 
 class SrcCache final : public cache::CacheDevice {
  public:
+  // Segment writes allowed in flight before write acks are throttled.
+  static constexpr u32 kMaxInflightSegmentWrites = 4;
+  // Free segment groups maintained by GC.
+  static constexpr u32 kFreeSgReserve = 2;
+
   // Counters beyond the generic CacheStats.
   struct ExtraStats {
     u64 segments_written = 0;
@@ -121,9 +126,6 @@ class SrcCache final : public cache::CacheDevice {
   void set_tenant_quotas(const std::vector<u64>& quotas);
   [[nodiscard]] const std::vector<TenantStats>& tenant_stats() const {
     return tenants_;
-  }
-  [[nodiscard]] u32 tenant_count() const {
-    return static_cast<u32>(tenants_.size());
   }
   [[nodiscard]] double utilization() const;
   [[nodiscard]] u64 free_sg_count() const { return free_sgs_.size(); }

@@ -16,11 +16,8 @@ namespace srcache::src {
 // SSD-to-SSD while utilization is below UMAX.
 enum class GcPolicy { kS2D, kSelGc };
 
-// Victim segment-group selection (§4.2). kCostBenefit is our
-// implementation of the paper's §6 future-work direction: the classic LFS
-// age x free-space benefit ratio, which beats pure Greedy when hot and
-// cold SGs coexist.
-enum class VictimPolicy { kFifo, kGreedy, kCostBenefit };
+// Victim segment-group selection (§4.2).
+enum class VictimPolicy { kFifo, kGreedy };
 
 // Clean-data redundancy (§4.3): Parity-for-Clean writes parity for clean
 // segments too; No-Parity-for-Clean reclaims that space since clean blocks
@@ -76,11 +73,6 @@ struct SrcConfig {
   // Verify per-block CRCs on cache-hit reads (§4.1 silent-corruption
   // handling). Disable for runs whose devices don't track content.
   bool verify_checksums = true;
-
-  // Segment writes allowed in flight before write acks are throttled.
-  u32 max_inflight_segment_writes = 4;
-  // Free segment groups maintained by GC.
-  u32 free_sg_reserve = 2;
 
   // --- derived geometry -----------------------------------------------
 

@@ -28,21 +28,6 @@ u32 SrcCache::pick_victim() const {
           best = s;
         }
         break;
-      case VictimPolicy::kCostBenefit: {
-        // LFS cost-benefit: maximize age x (1 - u) / (1 + u). Older, less
-        // utilized groups win; young hot groups get time to decay.
-        auto score = [&](u32 g) {
-          const double cap = static_cast<double>(
-              cfg_.segments_per_sg() * cfg_.segment_data_slots(true));
-          const double u =
-              static_cast<double>(reclaimable_live(sgs_[g])) / cap;
-          const double age =
-              static_cast<double>(seal_seq_ - sgs_[g].seal_seq + 1);
-          return age * (1.0 - u) / (1.0 + u);
-        };
-        if (score(s) > score(best)) best = s;
-        break;
-      }
     }
   }
   return best;
@@ -50,7 +35,7 @@ u32 SrcCache::pick_victim() const {
 
 SimTime SrcCache::ensure_free_sg(SimTime now) {
   SimTime t = now;
-  while (free_sgs_.size() <= cfg_.free_sg_reserve) {
+  while (free_sgs_.size() <= kFreeSgReserve) {
     const size_t before = free_sgs_.size();
     t = std::max(t, reclaim_one(now, /*force_s2d=*/false));
     if (free_sgs_.size() == before) break;  // nothing reclaimable

@@ -9,6 +9,8 @@
 
 namespace srcache::tier {
 
+constexpr u8 kIncompressiblePct = 95;  // comp_pct above this bypasses the tier
+
 void TierConfig::validate() const {
   if (budget_bytes == 0)
     throw std::invalid_argument("tier: budget_bytes must be > 0");
@@ -18,8 +20,6 @@ void TierConfig::validate() const {
     throw std::invalid_argument("tier: cpu_ns_per_byte must be >= 0");
   if (destage_batch_blocks == 0)
     throw std::invalid_argument("tier: destage_batch_blocks must be > 0");
-  if (incompressible_pct > 100)
-    throw std::invalid_argument("tier: incompressible_pct must be in [0, 100]");
 }
 
 TierCache::TierCache(const TierConfig& cfg, cache::CacheDevice* inner,
@@ -265,7 +265,7 @@ SimTime TierCache::do_write(const cache::AppRequest& req) {
   stats_.app_write_blocks += req.nblocks;
   const u32 csize = compressed_size(req.comp_pct);
   const bool incompressible =
-      req.comp_pct == 0 || req.comp_pct > cfg_.incompressible_pct;
+      req.comp_pct == 0 || req.comp_pct > kIncompressiblePct;
   SimTime ack = now;
   SimTime cpu = 0;
 
@@ -350,7 +350,7 @@ SimTime TierCache::do_read(const cache::AppRequest& req) {
   stats_.app_read_blocks += req.nblocks;
   const u32 csize = compressed_size(req.comp_pct);
   const bool compressible =
-      req.comp_pct != 0 && req.comp_pct <= cfg_.incompressible_pct;
+      req.comp_pct != 0 && req.comp_pct <= kIncompressiblePct;
   SimTime ack = now;
   SimTime cpu = 0;
 

@@ -18,7 +18,7 @@
 //  * Read misses forward to the inner cache; blocks filled from primary are
 //    admitted (read-miss fill), blocks that hit in the inner cache are
 //    promoted up only when the inner cache's hot hint says they earn DRAM.
-//  * Incompressible blocks (comp_pct > incompressible_pct) bypass the tier
+//  * Incompressible blocks (comp_pct > kIncompressiblePct) bypass the tier
 //    entirely — holding them would spend DRAM at ~1x.
 //  * Budget overflow evicts in FIFO order with a policy second chance
 //    (src/policy: paper / s3fifo / sieve all work here); an evicted dirty
@@ -40,7 +40,7 @@
 // Determinism: one tier per engine domain, no clocks, no RNG — every
 // decision is a function of the request stream and the (deterministic)
 // policy state, so merged REPRO_JSON stays bit-identical across
-// REPRO_SHARDS/REPRO_THREADS.
+// REPRO_THREADS.
 //
 // Crash model: DRAM vanishes at a power cut. Dirty blocks resident in the
 // tier at the cut are *lost*, never silently corrupted: on_power_cut counts
@@ -68,9 +68,8 @@ struct TierConfig {
   u64 budget_bytes = 64 * MiB;   // bound on total *compressed* resident size
   u32 dirty_pct = 50;            // max dirty share of the budget, percent
   policy::EvictionKind eviction = policy::EvictionKind::kPaper;
-  double cpu_ns_per_byte = 1.0;  // compression cost; decompression at half
-  u32 destage_batch_blocks = 24; // segment-sized write-back batches
-  u8 incompressible_pct = 95;    // comp_pct above this bypasses the tier
+  double cpu_ns_per_byte = 1.0;   // compression cost; decompression at half
+  u32 destage_batch_blocks = 24;  // segment-sized write-back batches
 
   void validate() const;
 };

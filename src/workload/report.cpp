@@ -187,7 +187,6 @@ std::string ReproReport::to_json() const {
   w.end_array();
   if (!perf_runs_.empty()) {
     w.key("perf").begin_object();
-    w.kv("shards", static_cast<u64>(perf_shards_));
     w.kv("threads", static_cast<u64>(perf_threads_));
     w.key("runs").begin_array();
     for (const PerfRun& p : perf_runs_) {

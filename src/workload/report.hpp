@@ -46,17 +46,18 @@
 //               "per_domain": [ { "ops", "bytes" } ] }
 // and the document gains an optional top-level "perf" section with the
 // wall-clock side of those runs:
-//   "perf": { "shards", "threads",
+//   "perf": { "threads",
 //             "runs": [ { "bench", "cells", "wall_seconds",
 //                         "sim_ops_per_sec",
 //                         "per_shard": [ { "ops", "wall_seconds" } ] } ] }
 // A bench runs all its cells in one engine job, so "perf" holds one record
-// per bench: "cells" counts the runs it reported, and every wall-clock
-// figure is the whole job's. (Older documents hold one record per run,
-// keyed by "name".)
+// per bench: "cells" counts the runs it reported, every wall-clock figure
+// is the whole job's, and "per_shard" holds one record per engine domain
+// (each domain is its own lane). (Older documents hold one record per run,
+// keyed by "name", and a "shards" lane count.)
 // Everything under "perf" depends on the execution configuration and host
 // load; it is the ONLY part of the document excluded from the engine's
-// bit-identical-across-shard-counts contract (tools/repro_report --digest
+// bit-identical-across-thread-counts contract (tools/repro_report --digest
 // hashes the document minus "perf" for exactly this reason).
 //
 // v5 is a strict superset of v4. Runs with the causal observability layer
@@ -118,13 +119,10 @@ class ReproReport {
     runs_.push_back(run_json(bench, name, r));
   }
 
-  // Execution configuration for the "perf" section (REPRO_SHARDS /
-  // REPRO_THREADS as resolved by the engine). The section is emitted once
-  // any perf run was added.
-  void set_perf_config(u32 shards, u32 threads) {
-    perf_shards_ = shards;
-    perf_threads_ = threads;
-  }
+  // Execution configuration for the "perf" section (REPRO_THREADS as
+  // resolved by the engine). The section is emitted once any perf run was
+  // added.
+  void set_perf_config(u32 threads) { perf_threads_ = threads; }
   void add_perf(PerfRun run) { perf_runs_.push_back(std::move(run)); }
 
   [[nodiscard]] size_t size() const { return runs_.size(); }
@@ -136,7 +134,6 @@ class ReproReport {
   double scale_;
   double virtual_seconds_;
   std::vector<std::string> runs_;  // pre-serialized run objects
-  u32 perf_shards_ = 0;
   u32 perf_threads_ = 0;
   std::vector<PerfRun> perf_runs_;
 };

@@ -1,7 +1,7 @@
 // engine::ParallelEngine: the determinism contract (bit-identical results
-// for every REPRO_SHARDS/REPRO_THREADS combination), the epoch-barrier
-// quiescence invariant, deterministic delivery of fault and adapt events at
-// barriers, and the exactness of the per-domain merge.
+// for every lane and thread count), the epoch-barrier quiescence invariant,
+// deterministic delivery of fault and adapt events at barriers, and the
+// exactness of the per-domain merge.
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -319,7 +319,6 @@ TEST(ParallelEngine, EpochBarrierQuiescenceAndOrdering) {
   auto run_with_probe = [](u32 shards) {
     EngineConfig cfg;
     cfg.shards = shards;
-    cfg.epoch = kDuration / 4;
     ParallelEngine eng(cfg);
     std::vector<std::string> seq;
     eng.add_epoch_hook([&seq](const EpochView& v) {
@@ -338,7 +337,7 @@ TEST(ParallelEngine, EpochBarrierQuiescenceAndOrdering) {
     });
     const EngineResult r =
         eng.run(4, [](u32 index, u32) { return make_test_domain(index); });
-    EXPECT_EQ(r.epochs, 4u);
+    EXPECT_EQ(r.epochs, 8u);  // one barrier per eighth of the window
     // Hooks ran in registration order at every barrier.
     EXPECT_EQ(seq.size(), 2u * r.epochs);
     for (u32 e = 0; e < r.epochs; ++e) {
@@ -359,7 +358,6 @@ TEST(ParallelEngine, FaultDeliveryAtBarrierIsDeterministic) {
   auto run_with_fault = [](u32 shards) {
     EngineConfig cfg;
     cfg.shards = shards;
-    cfg.epoch = kDuration / 4;
     ParallelEngine eng(cfg);
     eng.add_epoch_hook([](const EpochView& v) {
       if (v.epoch != 1) return;
@@ -381,7 +379,6 @@ TEST(ParallelEngine, AdaptQuotaDeliveryAtBarrierIsDeterministic) {
   auto run_with_quotas = [](u32 shards) {
     EngineConfig cfg;
     cfg.shards = shards;
-    cfg.epoch = kDuration / 4;
     ParallelEngine eng(cfg);
     // The factory records each domain's concrete SrcCache so the hook can
     // reach set_tenant_quotas (ShardDomain exposes the CacheDevice base).
@@ -454,7 +451,6 @@ TEST(ParallelEngine, SloWatchdogAtBarriersIsDeterministic) {
   auto run_slo = [](u32 shards) {
     EngineConfig cfg;
     cfg.shards = shards;
-    cfg.epoch = kDuration / 4;
     ParallelEngine eng(cfg);
     obs::SloPolicy policy;
     policy.min_throughput_mbps = 1e9;  // unreachable: every epoch violates

@@ -1,6 +1,7 @@
 // The REPRO_* knob table (bench/harness.hpp): strict per-type parsing with
 // the knob's name in every refusal, empty-as-unset, the depends-on and
-// two-knob rules, and the EXPERIMENTS.md knob reference matching the table.
+// two-knob rules, the refusal of REPRO_* names that are no knob, and the
+// EXPERIMENTS.md knob reference matching the table.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -16,11 +17,16 @@ namespace {
 
 using Env = std::map<std::string, std::string>;
 
+// Resolves the knobs of a fake environment holding exactly `env`.
 KnobSet resolve(const Env& env) {
-  return resolve_knobs([&env](const char* name) -> const char* {
-    const auto it = env.find(name);
-    return it == env.end() ? nullptr : it->second.c_str();
-  });
+  std::vector<std::string> names;
+  for (const auto& [name, value] : env) names.push_back(name);
+  return resolve_knobs(
+      [&env](const char* name) -> const char* {
+        const auto it = env.find(name);
+        return it == env.end() ? nullptr : it->second.c_str();
+      },
+      names);
 }
 
 bool mentions(const std::string& error, const char* name) {
@@ -184,16 +190,20 @@ TEST(KnobTable, TimeseriesIntervalMustFitTheRun) {
   EXPECT_EQ(resolve(env).error, "");
 }
 
-TEST(KnobTable, ThreadsAreCheckedAgainstShards) {
-  const auto error = [](const char* shards, const char* threads) {
-    return resolve({{"REPRO_SHARDS", shards}, {"REPRO_THREADS", threads}})
-        .error;
-  };
-  EXPECT_TRUE(mentions(error("2", "4"), "REPRO_THREADS"));
-  EXPECT_TRUE(mentions(error("1", "1"), "REPRO_THREADS"));
-  EXPECT_EQ(error("4", "4"), "");
-  EXPECT_EQ(error("4", "2"), "");
-  EXPECT_EQ(error("1", "0"), "");
+// A REPRO_* variable that is no knob would be silently ignored: a retired
+// knob (REPRO_SHARDS, replaced by one lane per domain) and a typo are both
+// refused by name. Matching is exact, so a knob whose name extends the
+// retired one still passes, and every row of the table is accepted.
+TEST(KnobTable, UnknownReproVariablesAreRefusedByName) {
+  for (const char* name : {"REPRO_SHARDS", "REPRO_SCALES", "REPRO_"}) {
+    const std::string error = resolve({{name, "4"}}).error;
+    EXPECT_TRUE(mentions(error, name)) << name;
+    EXPECT_TRUE(mentions(error, "not a REPRO_* knob")) << name;
+  }
+  EXPECT_EQ(resolve({{"REPRO_SHARDS_RATE", "0.5"}}).error, "");
+  for (const Knob& k : kKnobs)
+    EXPECT_FALSE(mentions(resolve({{k.name, "x"}}).error, "not a REPRO_* knob"))
+        << k.name;
 }
 
 // EXPERIMENTS.md documents every knob; its reference table must agree with

@@ -334,15 +334,16 @@ TEST(SrcCache, MultiBlockRequestsSplitCorrectly) {
 }
 
 TEST(SrcCache, ThrottleBoundsInflightSegments) {
-  SrcConfig cfg = small_config();
-  cfg.max_inflight_segment_writes = 1;
-  Rig rig(cfg);
+  Rig rig;
   const u64 cap = rig.cfg.segment_data_slots(true);
-  // Two buffers' worth issued at t=0: the second must wait for the first
-  // segment write to complete.
-  sim::SimTime last = 0;
-  for (u64 i = 0; i < 2 * cap; ++i) last = std::max(last, rig.write(0, i));
-  EXPECT_GT(last, 100 * sim::kUs);
+  // Writes issued at t=0: each full buffer seals into a segment write still
+  // in flight. No ack waits until the bound is reached; the write sealing
+  // the buffer that reaches it waits for the first segment write.
+  const u64 sealing = SrcCache::kMaxInflightSegmentWrites * cap - 1;
+  sim::SimTime before = 0;
+  for (u64 i = 0; i < sealing; ++i) before = std::max(before, rig.write(0, i));
+  EXPECT_LT(before, 100 * sim::kUs);
+  EXPECT_GT(rig.write(0, sealing), 100 * sim::kUs);
 }
 
 TEST(SrcCache, ConsistencyAcrossMixedWorkload) {

@@ -1,7 +1,7 @@
 // bench::run_sweep: every cell of a sweep must come out exactly as if it
 // ran alone as its own engine job — same ReproReport JSON, engine block and
-// epoch count included — at any lane count, whatever its neighbours' domain
-// counts, op budgets or background rebuilds.
+// epoch count included — at any thread count, whatever its neighbours'
+// domain counts, op budgets or background rebuilds.
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,10 +84,8 @@ std::string solo_json(const Cell& c) {
 }
 
 std::vector<std::string> sweep_json(const std::vector<Cell>& cells,
-                                    u32 lanes) {
-  engine::EngineConfig ecfg;
-  ecfg.shards = lanes;
-  const Sweep sw = run_sweep(ecfg, cells);
+                                    u32 threads) {
+  const Sweep sw = run_sweep(threads, cells);
   std::vector<std::string> out;
   for (size_t c = 0; c < cells.size(); ++c)
     out.push_back(workload::run_json("sweep_test", cells[c].name, sw.runs[c]));
@@ -104,9 +102,9 @@ TEST(Sweep, EachCellMatchesItsSoloRun) {
   std::vector<std::string> solo;
   for (const Cell& c : cells) solo.push_back(solo_json(c));
 
-  for (u32 lanes : {1u, 3u}) {
-    SCOPED_TRACE(lanes);
-    const std::vector<std::string> swept = sweep_json(cells, lanes);
+  for (u32 threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    const std::vector<std::string> swept = sweep_json(cells, threads);
     for (size_t c = 0; c < cells.size(); ++c)
       EXPECT_EQ(solo[c], swept[c]) << cells[c].name;
   }
@@ -114,8 +112,7 @@ TEST(Sweep, EachCellMatchesItsSoloRun) {
   // The cases the comparison must cover really occur: the budgeted cells
   // stop barriers before their neighbours, and the rebuild is still copying
   // when its cell stops.
-  engine::EngineConfig ecfg;
-  const Sweep sw = run_sweep(ecfg, cells);
+  const Sweep sw = run_sweep(1, cells);
   EXPECT_EQ(sw.runs[0].engine.domains, 3u);
   EXPECT_EQ(sw.runs[0].engine.epochs, 8u);
   EXPECT_LT(sw.runs[1].engine.epochs, sw.runs[0].engine.epochs);

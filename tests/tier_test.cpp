@@ -73,7 +73,6 @@ TEST(TierConfig, ValidateRejectsBadKnobs) {
   bad([](TierConfig& tc) { tc.dirty_pct = 101; });
   bad([](TierConfig& tc) { tc.cpu_ns_per_byte = -1.0; });
   bad([](TierConfig& tc) { tc.destage_batch_blocks = 0; });
-  bad([](TierConfig& tc) { tc.incompressible_pct = 101; });
   EXPECT_NO_THROW(TierConfig{}.validate());
 }
 
@@ -97,7 +96,7 @@ TEST(TierCache, IncompressibleWritesBypassStraightDown) {
   Rig rig;
   TierCache tier(small_tier(), rig.cache.get(), rig.cache.get());
   const u64 inner_before = rig.cache->stats().app_write_blocks;
-  twrite(tier, 0, 0, /*comp_pct=*/100, 4);  // above incompressible_pct
+  twrite(tier, 0, 0, /*comp_pct=*/100, 4);  // above kIncompressiblePct (95)
   twrite(tier, 1, 10, /*comp_pct=*/0, 2);   // unstamped: treated the same
   EXPECT_EQ(tier.resident_blocks(), 0u);
   EXPECT_EQ(tier.tier_stats().bypass_blocks, 6u);

@@ -28,7 +28,7 @@
 //   --digest             print crc32c of each document minus its "perf"
 //                        section (the only execution-dependent part, v4);
 //                        with two files, exit 1 on digest mismatch — the CI
-//                        gate for "sharded == serial, bit for bit"
+//                        gate for "threaded == serial, bit for bit"
 //   --slo                per-run SLO watchdog summary of every run carrying
 //                        a v5 "slo" block (policy, per-epoch verdicts, burn
 //                        rate); exits 1 when any run's SLO is breached — the
@@ -49,7 +49,7 @@
 // Comparison is by field name, so a v2 baseline checks cleanly against a v3
 // candidate: the added "tenants"/"adapt" blocks are simply ignored.
 // Documents carrying a v4 "perf" section additionally get a wall-clock
-// summary (simulated-ops/sec, per-shard breakdown) and, in A/B mode, a
+// summary (simulated-ops/sec, per-lane breakdown) and, in A/B mode, a
 // speedup line — informational only, wall clock never gates.
 //
 // Exit codes: 0 = ok, 1 = regression (or baseline run missing from B, or a
@@ -264,8 +264,8 @@ bool export_csv(const Doc& doc, const std::string& dir) {
 
 // crc32c over the canonical serialization of the document minus its "perf"
 // section. Everything else in a REPRO_JSON document is deterministic, so two
-// runs of the same experiment — at any REPRO_SHARDS/REPRO_THREADS — must
-// produce the same digest.
+// runs of the same experiment — at any REPRO_THREADS — must produce the
+// same digest.
 srcache::u32 digest_minus_perf(const Doc& doc) {
   JsonValue stripped = doc.root;
   if (stripped.is_object()) {
@@ -284,17 +284,36 @@ std::string perf_label(const JsonValue& r) {
   return Table::num(r.number_or("cells", 0.0), 0) + " cells";
 }
 
+// A "perf" section's execution configuration: its worker threads, and the
+// domains its records' "per_shard" lists cover (one per domain). Documents
+// written before every domain got its own lane carry a "shards" lane count
+// instead, which is shown as is.
+std::string perf_config(const JsonValue& perf) {
+  std::string out = "threads=" + Table::num(perf.number_or("threads", 0.0), 0);
+  if (perf.find("shards") != nullptr)
+    return out + " shards=" + Table::num(perf.number_or("shards", 0.0), 0);
+  size_t domains = 0;
+  if (const JsonValue* runs = perf.find("runs");
+      runs != nullptr && runs->is_array()) {
+    for (const JsonValue& r : runs->array)
+      if (const JsonValue* ps = r.find("per_shard");
+          ps != nullptr && ps->is_array())
+        domains += ps->array.size();
+  }
+  return out + " domains=" + std::to_string(domains);
+}
+
 // Wall-clock summary of a v4 "perf" section: simulated-ops/sec per record
-// plus the per-shard lane breakdown. Informational only — never gates,
-// never digested.
+// plus the per-lane (per-domain) breakdown. Informational only — never
+// gates, never digested.
 void print_perf(const Doc& doc) {
   const JsonValue* perf = doc.root.find("perf");
   if (perf == nullptr) return;
-  std::printf("perf: shards=%.0f threads=%.0f (wall-clock; outside --digest)\n",
-              perf->number_or("shards", 0.0), perf->number_or("threads", 0.0));
+  std::printf("perf: %s (wall-clock; outside --digest)\n",
+              perf_config(*perf).c_str());
   const JsonValue* runs = perf->find("runs");
   if (runs == nullptr || !runs->is_array()) return;
-  Table t({"bench", "run", "wall s", "sim-ops/s", "per-shard wall s"});
+  Table t({"bench", "run", "wall s", "sim-ops/s", "per-lane wall s"});
   for (const JsonValue& r : runs->array) {
     std::string lanes;
     if (const JsonValue* ps = r.find("per_shard");
@@ -313,7 +332,7 @@ void print_perf(const Doc& doc) {
 }
 
 // A/B wall-clock speedup over matched perf runs (v4). Kept out of the
-// regression verdict: host load and shard counts legitimately differ
+// regression verdict: host load and thread counts legitimately differ
 // between the two documents.
 void print_speedup(const Doc& base, const Doc& cand) {
   const JsonValue* pa = base.root.find("perf");
@@ -324,9 +343,8 @@ void print_speedup(const Doc& base, const Doc& cand) {
   if (ra == nullptr || !ra->is_array() || rb == nullptr || !rb->is_array())
     return;
   std::printf(
-      "\nwall-clock speedup, baseline shards=%.0f vs candidate shards=%.0f "
-      "(informational):\n",
-      pa->number_or("shards", 0.0), pb->number_or("shards", 0.0));
+      "\nwall-clock speedup, baseline %s vs candidate %s (informational):\n",
+      perf_config(*pa).c_str(), perf_config(*pb).c_str());
   Table t({"bench", "run", "base ops/s", "cand ops/s", "speedup"});
   for (const JsonValue& a : ra->array) {
     const JsonValue* ab = a.find("bench");
