@@ -9,8 +9,15 @@
 
 namespace srcache::common {
 
-// One-shot CRC-32C over a byte span. seed allows chaining.
+// One-shot CRC-32C over a byte span. seed allows chaining. Runs on the
+// SSE4.2 crc32 instruction where the host has it (checked once), else on
+// the portable table path.
 u32 crc32c(std::span<const u8> data, u32 seed = 0);
+
+namespace detail {
+// The portable slicing-by-8 path, exposed so tests check it on any host.
+u32 crc32c_table(std::span<const u8> data, u32 seed = 0);
+}  // namespace detail
 
 // Convenience: checksum of a trivially-copyable value (e.g. a block tag).
 template <typename T>

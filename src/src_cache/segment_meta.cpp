@@ -22,14 +22,16 @@ class Reader {
   bool u64v(u64* v) {
     if (pos_ + 8 > buf_.size()) return false;
     *v = 0;
-    for (int i = 0; i < 8; ++i) *v |= static_cast<u64>(buf_[pos_ + i]) << (8 * i);
+    for (int i = 0; i < 8; ++i)
+      *v |= static_cast<u64>(buf_[pos_ + i]) << (8 * i);
     pos_ += 8;
     return true;
   }
   bool u32v(u32* v) {
     if (pos_ + 4 > buf_.size()) return false;
     *v = 0;
-    for (int i = 0; i < 4; ++i) *v |= static_cast<u32>(buf_[pos_ + i]) << (8 * i);
+    for (int i = 0; i < 4; ++i)
+      *v |= static_cast<u32>(buf_[pos_ + i]) << (8 * i);
     pos_ += 4;
     return true;
   }
@@ -80,7 +82,8 @@ blockdev::Payload SegmentMeta::serialize() const {
   return buf;
 }
 
-std::optional<SegmentMeta> SegmentMeta::deserialize(const blockdev::Payload& p) {
+std::optional<SegmentMeta> SegmentMeta::deserialize(
+    const blockdev::Payload& p) {
   if (!p || !check_crc(*p)) return std::nullopt;
   Reader r(*p);
   u64 magic = 0;

@@ -138,22 +138,18 @@ blockdev::Payload SrcCache::superblock_payload() const {
   return sb.serialize();
 }
 
-SegmentMeta SrcCache::segment_meta(u32 sg, u32 seg,
-                                   const SegmentInfo& si) const {
-  SegmentMeta meta;
+void SrcCache::fill_meta(SegmentMeta& meta, u32 sg, u32 seg,
+                         const SegmentInfo& si) const {
   meta.generation = si.generation;
   meta.sg = sg;
   meta.seg = seg;
   meta.dirty = si.type == SegType::kDirty;
   meta.has_parity = si.has_parity;
   meta.parity_col = si.parity_col;
+  meta.is_tail = false;
   meta.entries.resize(si.slot_lba.size());
-  for (u32 k = 0; k < si.slot_lba.size(); ++k) {
-    meta.entries[k].lba = si.slot_lba[k];
-    meta.entries[k].crc = si.slot_crc[k];
-    meta.entries[k].tenant = si.slot_tenant[k];
-  }
-  return meta;
+  for (u32 k = 0; k < si.slot_lba.size(); ++k)
+    meta.entries[k] = {si.slot_lba[k], si.slot_crc[k], si.slot_tenant[k]};
 }
 
 void SrcCache::write_meta(SimTime now, size_t d, u64 block,
@@ -290,7 +286,8 @@ bool SrcCache::over_quota(u16 tenant) const {
 }
 
 void SrcCache::census_add(SgInfo& sg, u16 tenant, u32 n) {
-  if (tenant >= sg.live_by_tenant.size()) sg.live_by_tenant.resize(tenant + 1, 0);
+  if (tenant >= sg.live_by_tenant.size())
+    sg.live_by_tenant.resize(tenant + 1, 0);
   sg.live_by_tenant[tenant] += n;
 }
 
@@ -373,31 +370,35 @@ SimTime SrcCache::throttle(SimTime now, SimTime ack) {
 void SrcCache::stage(u64 lba, u64 tag, u16 tenant, bool dirty,
                      WriteCause cause, SimTime now) {
   SegBuffer& buf = dirty ? dirty_buf_ : clean_buf_;
-  const bool notify_policy = cause != WriteCause::kGcRewrite;
+  const BlockWrite w{lba, tag, tenant, cause};
   if (MapEntry* e = map_.find(lba)) {
     // A fill raced with a write or a duplicate fetch: the cached copy wins.
     if (!dirty) return;
     tenants_[e->tenant].live_blocks--;  // ownership follows the last writer
     tenants_[tenant].live_blocks++;
-    if (notify_policy) eviction_->on_access(lba);
+    eviction_->on_access(lba);
     if (e->buffered() && e->dirty()) {
-      buf.slots[buf.index(e->slot)] = {lba, tag, tenant, cause};  // in place
+      buf.slots[buf.index(e->slot)] = w;  // in place
       e->tenant = tenant;
       e->flags |= kFlagHot;
       return;
     }
     invalidate_slot(*e);
     // A rewrite makes the block hot.
-    *e = {kBufferSg, 0, buf.next_ticket(), tenant, kFlagDirty | kFlagHot};
-  } else {
-    map_.emplace(lba, MapEntry{kBufferSg, 0, buf.next_ticket(), tenant,
-                               dirty ? kFlagDirty : u8{0}});
-    tenants_[tenant].live_blocks++;
-    if (notify_policy) eviction_->on_admit(lba);
+    append(buf, *e, w, kFlagDirty | kFlagHot, now);
+    return;
   }
-  buf.slots.push_back({lba, tag, tenant, cause});
+  append(buf, map_[lba], w, dirty ? kFlagDirty : u8{0}, now);
+  tenants_[tenant].live_blocks++;
+  eviction_->on_admit(lba);
+}
+
+void SrcCache::append(SegBuffer& buf, MapEntry& e, const BlockWrite& w,
+                      u8 flags, SimTime now) {
+  e = {kBufferSg, 0, buf.next_ticket(), w.tenant, flags};
+  buf.slots.push_back(w);
   buf.live++;
-  if (dirty) last_dirty_stage_ = now;
+  if (buf.dirty) last_dirty_stage_ = now;
 }
 
 void SrcCache::drain_buffers(SimTime now) {
@@ -575,23 +576,27 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   si.slot_tenant.assign(capacity, 0);
   si.live = 0;
 
-  // Per-device tag images (device d's rows at image(d)), filled through
-  // addr_of.
+  // Per-device tag images (device d's rows at image(d)). Slots are
+  // column-major, so addr_of places each column once and its slots fill
+  // consecutive rows. Slots past the taken entries are padding: dead, tag 0.
   const u64 base = chunk_base_block(active_sg_, seg);
   const u64 rows = cfg_.slots_per_chunk();
   images_.assign(cfg_.num_ssds * rows, 0);
   const auto image = [&](size_t d) { return images_.data() + d * rows; };
-  // Slots past the taken entries are padding: dead, tag 0.
-  for (u32 s = 0; s < capacity; ++s) {
-    const BlockWrite w =
-        s < taken_.size() ? taken_[s] : BlockWrite{kDeadSlot, 0, 0, {}};
-    const SlotAddr a = addr_of(active_sg_, seg, s, si);
-    const u64 row = a.block - base - 1;  // -1: the MS block heads the chunk
-    image(a.dev)[row] = w.tag;
-    if (a.mirror_dev != SIZE_MAX) image(a.mirror_dev)[row] = w.tag;
-    si.slot_lba[s] = w.lba;
-    si.slot_tenant[s] = w.tenant;
-    if (w.lba != kDeadSlot) {
+  for (u32 first = 0; first < taken_.size(); first += rows) {
+    const SlotAddr a = addr_of(active_sg_, seg, first, si);
+    u64* const col = image(a.dev);
+    u64* const mirror =
+        a.mirror_dev != SIZE_MAX ? image(a.mirror_dev) : nullptr;
+    const u32 end =
+        static_cast<u32>(std::min<u64>(first + rows, taken_.size()));
+    for (u32 s = first; s < end; ++s) {
+      const BlockWrite& w = taken_[s];
+      col[s - first] = w.tag;
+      if (mirror != nullptr) mirror[s - first] = w.tag;
+      si.slot_lba[s] = w.lba;
+      si.slot_tenant[s] = w.tenant;
+      if (w.lba == kDeadSlot) continue;
       si.slot_crc[s] = common::crc32c_of(w.tag);
       // Relocate the mapping from the buffer to the sealed slot.
       place_slot(map_.at(w.lba), active_sg_, seg, s);
@@ -606,11 +611,10 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   }
 
   // Issue the stripe: MS + data + ME per SSD, all in parallel (§4.1).
-  SegmentMeta meta = segment_meta(active_sg_, seg, si);
-  meta.is_tail = false;
-  const auto ms_payload = meta.serialize();
-  meta.is_tail = true;
-  const auto me_payload = meta.serialize();
+  fill_meta(seal_meta_, active_sg_, seg, si);
+  const auto ms_payload = seal_meta_.serialize();
+  seal_meta_.is_tail = true;
+  const auto me_payload = seal_meta_.serialize();
   SimTime done = issue;
   const u32 fill_span = span_ != nullptr && span_->sampling()
                             ? span_->begin_span("src.segment_fill", issue)
@@ -618,7 +622,8 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   // Ledger attribution of one device's data chunk: every row of a data
   // column carries its staged entry's cause/tenant, even one invalidated
   // since staging (padding slots are layout overhead -> parity/shared);
-  // mirror and parity columns are redundancy overhead wholesale.
+  // mirror and parity columns are redundancy overhead wholesale. Each run
+  // of rows with one (tenant, cause) is one ledger add.
   // Co-located with the device writes and gated on the same success/crash
   // conditions, so per-device ledger bytes stay exactly equal to
   // DeviceStats::write_blocks.
@@ -631,12 +636,17 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
                   rows * kBlockSize);
       return;
     }
-    for (u64 s = col * rows; s < (col + 1) * rows; ++s) {
-      if (s < taken_.size())
-        ledger_.add(dev32, taken_[s].tenant, taken_[s].cause, kBlockSize);
-      else
-        ledger_.add(dev32, obs::kSharedTenant, WriteCause::kParity, kBlockSize);
-    }
+    const size_t first = std::min<size_t>(col * rows, taken_.size());
+    const size_t end = std::min<size_t>((col + 1) * rows, taken_.size());
+    const auto staged = std::span(taken_).subspan(first, end - first);
+    const auto same_owner = [](const BlockWrite& a, const BlockWrite& b) {
+      return a.tenant == b.tenant && a.cause == b.cause;
+    };
+    common::for_each_run(staged, same_owner, [&](size_t i, size_t n) {
+      ledger_.add(dev32, staged[i].tenant, staged[i].cause, n * kBlockSize);
+    });
+    ledger_.add(dev32, obs::kSharedTenant, WriteCause::kParity,
+                (rows - staged.size()) * kBlockSize);
   };
   for (size_t d = 0; d < ssds_.size(); ++d) {
     if (ssds_[d]->failed()) continue;

@@ -111,7 +111,9 @@ class SrcCache final : public cache::CacheDevice {
 
   SimTime submit(const cache::AppRequest& req) override;
   SimTime flush(SimTime now) override;
-  [[nodiscard]] const cache::CacheStats& stats() const override { return stats_; }
+  [[nodiscard]] const cache::CacheStats& stats() const override {
+    return stats_;
+  }
   [[nodiscard]] u64 cached_blocks() const override { return map_.size(); }
 
   [[nodiscard]] const SrcConfig& config() const { return cfg_; }
@@ -345,8 +347,10 @@ class SrcCache final : public cache::CacheDevice {
 
   // --- metadata images (seal and rebuild) ---
   [[nodiscard]] blockdev::Payload superblock_payload() const;
-  [[nodiscard]] SegmentMeta segment_meta(u32 sg, u32 seg,
-                                         const SegmentInfo& si) const;
+  // Fills `meta` (entries resized in place, so a reused image does not
+  // allocate) with segment `si`'s MS image; the caller sets is_tail.
+  void fill_meta(SegmentMeta& meta, u32 sg, u32 seg,
+                 const SegmentInfo& si) const;
   // Writes one metadata payload (superblock, MS or ME) to SSD `d`; a write
   // that lands is ledgered as shared redundancy overhead and raises `done`.
   void write_meta(SimTime now, size_t d, u64 block,
@@ -369,11 +373,16 @@ class SrcCache final : public cache::CacheDevice {
   // the tail of the dirty or clean buffer (a dirty block already in the
   // dirty buffer is overwritten in place) and keeps tenant occupancy and
   // the eviction policy in step. A clean fill of a resident block is a
-  // no-op: the cached copy wins. GC rewrites skip the policy hooks (the
-  // block never left the cache). Staging never seals; seal_buffer does,
+  // no-op: the cached copy wins. Staging never seals; seal_buffer does,
   // so GC-induced appends can never re-enter a seal.
   void stage(u64 lba, u64 tag, u16 tenant, bool dirty, obs::WriteCause cause,
              SimTime now);
+  // Points `e` at a new ticket at the tail of `buf` with `flags` and
+  // appends `w` there: stage's buffer half, and the repoint of a Sel-GC
+  // S2S copy, whose map entry stays in place and which skips the policy
+  // hooks (the block never left the cache).
+  void append(SegBuffer& buf, MapEntry& e, const BlockWrite& w, u8 flags,
+              SimTime now);
   // Drains every full segment from the buffer (and, when force_partial, a
   // trailing partial one). GC triggered by SG allocation may append more
   // entries; the drain loop absorbs them.
@@ -433,10 +442,9 @@ class SrcCache final : public cache::CacheDevice {
   // Residency ledger. invalidate_slot uncounts the slot an entry points at
   // (buffer or sealed segment); place_slot points an entry at a sealed slot
   // and counts it live in the segment, the SG, its tenant census and
-  // live_total_; forget invalidates, erases and uncounts the tenant's
-  // occupancy, returning the old entry.
-  // Both run once per sealed or reclaimed slot, from three source files,
-  // so they are defined here to stay inlinable.
+  // live_total_. place_slot runs once per sealed slot, from two source
+  // files, so it is defined here to stay inlinable. reclaim_one uncounts
+  // its victim's slots itself: it resets the SG wholesale.
   void invalidate_slot(const MapEntry& e);
   void place_slot(MapEntry& e, u32 sg, u32 seg, u32 slot) {
     e.sg = sg;
@@ -447,13 +455,6 @@ class SrcCache final : public cache::CacheDevice {
     g.live++;
     census_add(g, e.tenant, 1);
     live_total_++;
-  }
-  MapEntry forget(u64 lba) {
-    const MapEntry e = map_.at(lba);
-    invalidate_slot(e);
-    map_.erase(lba);
-    tenants_[e.tenant].live_blocks--;
-    return e;
   }
   // Drops cached blocks whose every copy is gone, counted lost.
   void drop_lost(const std::vector<u64>& lbas);
@@ -484,8 +485,11 @@ class SrcCache final : public cache::CacheDevice {
   // finishes with its slots before draining the buffers into GC.
   std::vector<BlockWrite> taken_;  // write_one_segment: entries being sealed
   std::vector<u64> images_;  // write_one_segment: num_ssds x rows tag images
+  // write_one_segment: the MS/ME image, reused across seals.
+  SegmentMeta seal_meta_;
   std::vector<char> gc_keep_, gc_lost_;  // reclaim_one: per-slot verdicts
   std::vector<u64> gc_tag_;              // reclaim_one: slot tags
+  std::vector<MapEntry> gc_entry_;       // reclaim_one: slot map entries
   std::vector<SlotRead> reads_, dead_reads_;  // do_read / reclaim_one
   std::vector<u64> run_buf_;  // read_slots / write_primary: one run's tags
   std::vector<BlockWrite> bypass_;            // do_write: quota bypass

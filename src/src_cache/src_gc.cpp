@@ -1,11 +1,17 @@
 // Free-space reclamation (§4.2): S2D destaging vs Sel-GC selective copying.
 #include <algorithm>
+#include <vector>
 
 #include "src_cache/src_cache.hpp"
 
 namespace srcache::src {
 
 using obs::WriteCause;
+
+namespace {
+// How far reclaim_one's first loop looks ahead to prefetch map entries.
+constexpr u32 kPrefetchSlots = 16;
+}  // namespace
 
 u32 SrcCache::pick_victim() const {
   u32 best = kBufferSg;
@@ -71,14 +77,16 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
                                ? span_->begin_span("src.reclaim", now)
                                : obs::kNoSpan;
 
-  struct Copy {
-    u64 lba;
-    u64 tag;
-    u16 tenant;
-    bool dirty;
-  };
+  // Each victim slot's map entry is looked up in loop 1 and snapshotted
+  // for loop 2. Only dropped and destaged blocks leave the map: an S2S copy
+  // keeps its entry, found again in loop 2 (its cache line still warm) and
+  // repointed, cold and with no policy hook, at its segment-buffer ticket. The SG's segments, census and live
+  // counts are reset wholesale at the end, so loop 2 uncounts only what
+  // outlives the call: live_total_ and the tenants' occupancy, in slot
+  // order, ahead of each shed decision. Copies count back into their
+  // tenant's occupancy (`relive`) once every decision is made.
   std::vector<BlockWrite> destages;
-  std::vector<Copy> copies;
+  std::vector<u64> relive(tenants_.size(), 0);
 
   for (u32 g = 0; g < sg.next_seg; ++g) {
     SegmentInfo& si = sg.segs[g];
@@ -97,15 +105,20 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
     std::vector<char>& keepv = gc_keep_;
     std::vector<char>& lost = gc_lost_;
     std::vector<u64>& tag = gc_tag_;
+    std::vector<MapEntry>& entry = gc_entry_;
     std::vector<SlotRead>& reads = reads_;
     keepv.assign(nslots, 0);
     lost.assign(nslots, 0);
     tag.assign(nslots, 0);
+    entry.resize(nslots);
     reads.clear();
     for (u32 s = 0; s < nslots; ++s) {
+      // The victim's blocks are scattered over the map: fetch ahead.
+      if (s + kPrefetchSlots < nslots)
+        map_.prefetch(si.slot_lba[s + kPrefetchSlots]);
       const u64 lba = si.slot_lba[s];
       if (lba == kDeadSlot) continue;
-      const MapEntry& e = map_.at(lba);
+      const MapEntry& e = entry[s] = map_.at(lba);
       // Over-quota tenants' blocks are shed even when hot: the quota
       // squeeze works by attrition through GC, never by bulk eviction.
       bool keep = false;
@@ -123,10 +136,25 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
     for (u32 k = 0; k < nslots; ++k) {
       const u64 lba = si.slot_lba[k];
       if (lba == kDeadSlot) continue;
-      const MapEntry e = forget(lba);
+      const MapEntry& e = entry[k];
+      live_total_--;
+      tenants_[e.tenant].live_blocks--;
+      const auto evict = [&] {
+        map_.erase(lba);
+        eviction_->on_evict(lba);
+      };
+      // Copies are staged only; the seal_buffer drain loop that triggered
+      // this reclaim writes them out (staging never re-enters a seal).
+      const auto copy = [&](bool dirty) {
+        stats_.gc_copy_blocks++;
+        relive[e.tenant]++;
+        const BlockWrite w{lba, tag[k], e.tenant, WriteCause::kGcRewrite};
+        SegBuffer& buf = dirty ? dirty_buf_ : clean_buf_;
+        append(buf, map_.at(lba), w, dirty ? kFlagDirty : u8{0}, now);
+      };
       if (lost[k]) {
         if (e.dirty()) extra_.lost_dirty_blocks++;
-        eviction_->on_evict(lba);
+        evict();
         continue;
       }
       const bool shed = over_quota(e.tenant);
@@ -141,16 +169,16 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
           destages.push_back({lba, tag[k], e.tenant,
                               shed && !use_s2d ? WriteCause::kQuotaShed
                                                : WriteCause::kDestage});
-          eviction_->on_evict(lba);
+          evict();
         } else {
-          copies.push_back({lba, tag[k], e.tenant, true});
+          copy(/*dirty=*/true);
         }
       } else if (keepv[k]) {
-        copies.push_back({lba, tag[k], e.tenant, false});
+        copy(/*dirty=*/false);
       } else {
         if (shed && !use_s2d && e.hot()) tenants_[e.tenant].gc_shed_blocks++;
         stats_.dropped_clean_blocks++;
-        eviction_->on_evict(lba);
+        evict();
       }
     }
   }
@@ -169,13 +197,8 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
   if (destage_span != obs::kNoSpan)
     span_->end_span(destage_span, destaged_at, destages.size());
 
-  // S2S copies re-enter the segment buffers cold (second chance). They are
-  // staged only; the seal_buffer drain loop that triggered this reclaim
-  // writes them out (staging never re-enters a seal).
-  for (const Copy& c : copies) {
-    stats_.gc_copy_blocks++;
-    stage(c.lba, c.tag, c.tenant, c.dirty, WriteCause::kGcRewrite, now);
-  }
+  for (size_t t = 0; t < relive.size(); ++t)
+    tenants_[t].live_blocks += relive[t];
 
   // The whole SG is dead: TRIM it so the SSDs reclaim the erase groups
   // without copying (the log-structured payoff, §4.1).
@@ -185,7 +208,8 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
     if (r.ok()) t = std::max(t, r.done);
   }
   // The whole SG is garbage now: pending rebuild copies into it are stale.
-  if (rebuild_ != nullptr) rebuild_->discard(sg_base_block(v), cfg_.eg_blocks());
+  if (rebuild_ != nullptr)
+    rebuild_->discard(sg_base_block(v), cfg_.eg_blocks());
 
   SgInfo fresh;
   fresh.segs.resize(cfg_.segments_per_sg());

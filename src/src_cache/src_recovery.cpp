@@ -215,7 +215,10 @@ void SrcCache::on_ssd_failure(size_t ssd) {
 
 void SrcCache::drop_lost(const std::vector<u64>& lbas) {
   for (u64 lba : lbas) {
-    const MapEntry e = forget(lba);
+    const MapEntry e = map_.at(lba);
+    invalidate_slot(e);
+    map_.erase(lba);
+    tenants_[e.tenant].live_blocks--;
     if (e.dirty()) {
       extra_.lost_dirty_blocks++;
     } else {
@@ -234,6 +237,7 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
   ext.push_back({sg_base_block(0), 1, raid::RebuildHow::kMetadata, SIZE_MAX,
                  superblock_payload()});
 
+  SegmentMeta meta;
   for (u32 s = 1; s < cfg_.sg_count(); ++s) {
     const SgInfo& sg = sgs_[s];
     if (sg.state == SgState::kFree) continue;
@@ -243,8 +247,7 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
       const u64 base = chunk_base_block(s, g);
       // MS/ME replicas are rewritten from in-RAM state (invalidated slots
       // come back as dead, which only sharpens a later recovery scan).
-      SegmentMeta meta = segment_meta(s, g, si);
-      meta.is_tail = false;
+      fill_meta(meta, s, g, si);
       ext.push_back(
           {base, 1, raid::RebuildHow::kMetadata, SIZE_MAX, meta.serialize()});
       // Data rows decode only where the stripe carries redundancy. NPC

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "common/crc32c.hpp"
 #include "common/histogram.hpp"
@@ -96,17 +97,28 @@ std::vector<u8> random_bytes(size_t n, u64 seed) {
 }
 
 TEST(Crc32c, MatchesReferenceAtEveryOffsetAndLength) {
-  // Start offsets 0-7 make the eight-byte steps unaligned; lengths 0-64
-  // cover the tail loop alone and every tail after whole steps.
+  // Both the portable table path and the one crc32c dispatches to (the
+  // SSE4.2 instruction where the host has it). Start offsets 0-7 make the
+  // eight-byte steps unaligned; lengths 0-64 cover the tail loop alone and
+  // every tail after whole steps; 6,084 bytes is a bench MS/ME payload.
+  using Fn = u32 (*)(std::span<const u8>, u32);
+  const std::pair<const char*, Fn> paths[] = {
+      {"table", common::detail::crc32c_table}, {"dispatched", crc32c}};
   const std::vector<u8> buf = random_bytes(64 + 8, 11);
-  for (size_t off = 0; off < 8; ++off) {
-    for (size_t len = 0; len <= 64; ++len) {
-      const std::span<const u8> s(buf.data() + off, len);
-      EXPECT_EQ(crc32c(s), crc32c_reference(s))
-          << "off " << off << " len " << len;
-      EXPECT_EQ(crc32c(s, 0x12345678u), crc32c_reference(s, 0x12345678u))
-          << "off " << off << " len " << len;
+  const std::vector<u8> meta = random_bytes(6084, 13);
+  for (const auto& [name, fn] : paths) {
+    for (size_t off = 0; off < 8; ++off) {
+      for (size_t len = 0; len <= 64; ++len) {
+        const std::span<const u8> s(buf.data() + off, len);
+        for (u32 seed : {0u, 0x12345678u}) {
+          EXPECT_EQ(fn(s, seed), crc32c_reference(s, seed))
+              << name << " off " << off << " len " << len << " seed " << seed;
+        }
+      }
     }
+    for (u32 seed : {0u, 0x12345678u})
+      EXPECT_EQ(fn(meta, seed), crc32c_reference(meta, seed))
+          << name << " 6084 bytes, seed " << seed;
   }
 }
 

@@ -493,7 +493,8 @@ struct WritePathCase {
 // puts tenant 1 over its share, so its new writes and misses bypass the
 // cache and GC sheds its blocks. Folds every SSD and primary call and the
 // returned times and tags, then the stats, ledgers, every registered
-// metric (tenant and policy counters included) and the timeline.
+// metric (tenant and policy counters included) and the timeline, and
+// audits verify_consistency() after every op.
 GoldenSrc run_write_path_script(const WritePathCase& wc) {
   GoldenSrc g;
   SrcConfig cfg = small_config();
@@ -560,8 +561,12 @@ GoldenSrc run_write_path_script(const WritePathCase& wc) {
       if (!r.is_write)
         for (u64 t : tags) fold(t);
     }
+    // Audit the map, buffers, segment census and tenant occupancy at every
+    // op boundary, not only at the end.
+    const Status audit = cache.verify_consistency();
+    EXPECT_TRUE(audit.is_ok()) << "op " << op << ": " << audit.to_string();
+    if (!audit.is_ok()) break;
   }
-  EXPECT_TRUE(cache.verify_consistency().is_ok());
   fold(cache.seals());
   fold(cache.cached_blocks());
 
