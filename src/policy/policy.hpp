@@ -26,11 +26,13 @@
 //                 promoted to "main"; a ghost hit on re-admission goes
 //                 straight to main. Main blocks survive GC while their
 //                 (capped) access count lets them.
-//      - kSieve:  one visited bit per resident block; GC keeps a visited
-//                 block once (clearing the bit), evicts unvisited ones.
-//    The log itself provides the FIFO order (GC reclaims in log order), so
-//    the policies keep membership metadata only — no duplicate queues of
-//    the data path.
+//      - kSieve:  keep iff the block was visited since it was staged or
+//                 last kept — which is exactly the cache's hot flag, so,
+//                 like kPaper, it keeps no state of its own.
+//    The log itself provides the FIFO order (GC reclaims in log order),
+//    and per-block bits live in the cache's entry for the block (see the
+//    flag layout below), so no policy shadows the cache's residency: only
+//    S3-FIFO's ghost of evicted blocks is policy-owned.
 //
 //  * AdmissionPolicy — consulted once per block on the read-miss fill path
 //    ("cache this fetched block or serve it through?"). Dirty user writes
@@ -86,33 +88,52 @@ struct AdmissionStats {
   u64 ghost_hits = 0;    // admits justified by ghost-LRU reuse evidence
 };
 
-// Replacement decisions for clean resident blocks. SrcCache drives the
-// lifecycle hooks from the data path; `keep_on_gc` is the decision point.
+// Per-block flags: one byte in the cache's own entry for each resident
+// block (SrcCache's MapEntry::flags, TierCache's Entry::flags). The cache
+// owns kFlagDirty and kFlagHot; the kPolicyFlags bits belong to the
+// eviction policy, and the cache carries them over whenever it repoints
+// the entry (an S2S copy, a rewrite, a second chance). An evicted block's
+// entry is dropped with its bits; a new entry starts with them clear.
+inline constexpr u8 kFlagDirty = 1;  // newer than primary storage
+inline constexpr u8 kFlagHot = 2;    // hit since staged or last kept by GC
+inline constexpr u8 kFlagMain = 4;   // S3-FIFO: main queue (else small)
+inline constexpr u8 kFreqShift = 3;  // S3-FIFO: capped access count
+inline constexpr u8 kFlagFreq = 3 << kFreqShift;
+inline constexpr u8 kPolicyFlags = kFlagMain | kFlagFreq;
+
+// Replacement decisions for resident blocks. The cache drives the hooks
+// from the data path with the block's flags; `keep_on_gc` is the decision
+// point.
 class EvictionPolicy {
  public:
   virtual ~EvictionPolicy() = default;
   [[nodiscard]] virtual EvictionKind kind() const = 0;
 
-  // A block became resident (miss fill or new user write). try_emplace
-  // semantics: re-admitting a tracked block is a no-op access.
-  virtual void on_admit(u64 lba) = 0;
+  // A block became resident (miss fill or new user write); its entry is
+  // new, so `flags` holds no policy bits yet.
+  virtual void on_admit(u64 lba, u8& flags) {
+    (void)lba;
+    (void)flags;
+  }
   // A resident block was hit (read hit or rewrite).
-  virtual void on_access(u64 lba) = 0;
+  virtual void on_access(u8& flags) { (void)flags; }
   // GC is reclaiming this live block's segment group: keep (copy forward)
   // or evict (drop if clean, destage to primary if dirty)? Called exactly
-  // once per live block per reclaim — the call may transition internal
-  // state (S3-FIFO queue moves, SIEVE bit clear, ghost insertion on
-  // evict), so callers must not re-ask. `hot` is the cache's second-chance
-  // flag (the paper policy's only input); `dirty` lets the paper policy
-  // reproduce Sel-GC's unconditional dirty copy.
-  [[nodiscard]] virtual bool keep_on_gc(u64 lba, bool hot, bool dirty) = 0;
-  // The block left the cache without a keep_on_gc verdict (S2D drop,
-  // destage, quota shed, unrecoverable read, SSD failure). Idempotent.
-  virtual void on_evict(u64 lba) = 0;
+  // once per live block per reclaim, on the live entry's flags — the call
+  // may move the block between queues or put it in a ghost, so callers
+  // must not re-ask. A kept block's hot flag is the cache's to clear; an
+  // evicted block's entry goes.
+  [[nodiscard]] virtual bool keep_on_gc(u64 lba, u8& flags) = 0;
 
   [[nodiscard]] const EvictionStats& stats() const { return stats_; }
 
  protected:
+  // Counts a verdict into gc_kept / gc_evicted and returns it.
+  bool verdict(bool keep) {
+    (keep ? stats_.gc_kept : stats_.gc_evicted)++;
+    return keep;
+  }
+
   EvictionStats stats_;
 };
 
@@ -131,70 +152,56 @@ class AdmissionPolicy {
 
 // --- concrete policies (public so policy_test can introspect) --------------
 
-// The paper's hot-flag second chance, stateless by construction: SrcCache
-// already keeps the hot bit in its map entries, so this class only turns it
-// into a verdict (and tallies).
+// The paper's hot-flag second chance: dirty blocks are copied
+// unconditionally, clean ones kept iff hot.
 class PaperEviction final : public EvictionPolicy {
  public:
   [[nodiscard]] EvictionKind kind() const override {
     return EvictionKind::kPaper;
   }
-  void on_admit(u64 lba) override { (void)lba; }
-  void on_access(u64 lba) override { (void)lba; }
-  [[nodiscard]] bool keep_on_gc(u64 lba, bool hot, bool dirty) override;
-  void on_evict(u64 lba) override { (void)lba; }
+  [[nodiscard]] bool keep_on_gc(u64 lba, u8& flags) override;
 };
 
 class S3FifoEviction final : public EvictionPolicy {
  public:
-  // Which structure tracks an lba right now (testing/introspection).
-  enum class Queue { kNone, kSmall, kMain, kGhost };
-
   explicit S3FifoEviction(u64 capacity_blocks);
   [[nodiscard]] EvictionKind kind() const override {
     return EvictionKind::kS3Fifo;
   }
-  void on_admit(u64 lba) override;
-  void on_access(u64 lba) override;
-  [[nodiscard]] bool keep_on_gc(u64 lba, bool hot, bool dirty) override;
-  void on_evict(u64 lba) override;
+  void on_admit(u64 lba, u8& flags) override;
+  void on_access(u8& flags) override;
+  [[nodiscard]] bool keep_on_gc(u64 lba, u8& flags) override;
 
-  [[nodiscard]] Queue queue_of(u64 lba) const;
+  [[nodiscard]] static bool in_main(u8 flags) {
+    return (flags & kFlagMain) != 0;
+  }
+  [[nodiscard]] static u8 freq(u8 flags) {
+    return static_cast<u8>((flags & kFlagFreq) >> kFreqShift);
+  }
+  [[nodiscard]] bool in_ghost(u64 lba) const {
+    return ghost_index_.contains(lba);
+  }
   [[nodiscard]] u64 ghost_capacity() const { return ghost_capacity_; }
 
  private:
-  struct Entry {
-    bool main = false;   // false: small queue; true: main queue
-    u8 freq = 0;         // capped access count (kFreqCap)
-  };
   static constexpr u8 kFreqCap = 3;
 
   void ghost_insert(u64 lba);
 
   u64 ghost_capacity_;
-  std::unordered_map<u64, Entry> resident_;
-  // Ghost FIFO of recently evicted small-queue lbas: list front = newest.
+  // Ghost FIFO of recently evicted lbas: list front = newest.
   std::list<u64> ghost_fifo_;
   std::unordered_map<u64, std::list<u64>::iterator> ghost_index_;
 };
 
+// SIEVE over the log: the hand is GC's reclaim order and the visited bit is
+// the cache's hot flag, which the cache clears when it keeps a block.
 class SieveEviction final : public EvictionPolicy {
  public:
   [[nodiscard]] EvictionKind kind() const override {
     return EvictionKind::kSieve;
   }
-  void on_admit(u64 lba) override;
-  void on_access(u64 lba) override;
-  [[nodiscard]] bool keep_on_gc(u64 lba, bool hot, bool dirty) override;
-  void on_evict(u64 lba) override;
-
-  [[nodiscard]] bool visited(u64 lba) const;
-  [[nodiscard]] bool tracked(u64 lba) const {
-    return visited_.contains(lba);
-  }
-
- private:
-  std::unordered_map<u64, bool> visited_;
+  [[nodiscard]] bool keep_on_gc(u64 lba, u8& flags) override;
 };
 
 class AlwaysAdmission final : public AdmissionPolicy {

@@ -51,7 +51,8 @@ void TierCache::admit(u64 lba, u64 tag, u16 tenant, u32 csize, bool dirty) {
   e.tag = tag;
   e.csize = csize;
   e.tenant = tenant;
-  e.dirty = dirty;
+  e.flags = dirty ? policy::kFlagDirty : u8{0};
+  eviction_->on_admit(lba, e.flags);
   e.seq = push_slot(lba);
   map_.emplace(lba, e);
   resident_csize_ += csize;
@@ -63,12 +64,11 @@ void TierCache::admit(u64 lba, u64 tag, u16 tenant, u32 csize, bool dirty) {
   tstats_.admit_blocks++;
   tstats_.uncompressed_bytes += kBlockSize;
   tstats_.compressed_bytes += csize;
-  eviction_->on_admit(lba);
 }
 
 void TierCache::remove_entry(u64 lba, Entry& e) {
   resident_csize_ -= e.csize;
-  if (e.dirty) {
+  if (e.dirty()) {
     dirty_csize_ -= e.csize;
     dirty_blocks_--;
     mark_clean(e.seq);
@@ -162,7 +162,7 @@ void TierCache::compact() {
     if (lba == kHole) continue;
     Entry& e = map_.at(lba);
     e.seq = push_slot(lba);
-    if (e.dirty) mark_dirty(e.seq);
+    if (e.dirty()) mark_dirty(e.seq);
   }
 }
 
@@ -209,7 +209,7 @@ SimTime TierCache::destage_oldest(SimTime now, u64 limit) {
     const u64 lba = ring_[seq - base_];
     Entry& e = map_.at(lba);
     mark_clean(seq);
-    e.dirty = false;
+    e.flags &= ~policy::kFlagDirty;
     dirty_csize_ -= e.csize;
     dirty_blocks_--;
     done = std::max(done, queue_destage(now, lba, e));
@@ -229,23 +229,21 @@ SimTime TierCache::enforce_budget(SimTime now) {
   while (resident_csize_ > cfg_.budget_bytes && !map_.empty()) {
     const u64 lba = ring_.front();
     Entry& e = map_.at(lba);
-    const bool keep =
-        walked < pass && eviction_->keep_on_gc(lba, e.hot, e.dirty);
+    const bool keep = walked < pass && eviction_->keep_on_gc(lba, e.flags);
     ++walked;
     if (keep) {
       // Second chance spent: to the back of the ring, dirty bit and all.
-      e.hot = false;
+      e.flags &= ~policy::kFlagHot;
       const u64 old_seq = e.seq;
       e.seq = push_slot(lba);
-      if (e.dirty) {
+      if (e.dirty()) {
         mark_clean(old_seq);
         mark_dirty(e.seq);
       }
       vacate(old_seq);
       continue;
     }
-    if (walked > pass) eviction_->on_evict(lba);  // forced, no gc verdict
-    if (e.dirty) {
+    if (e.dirty()) {
       done = std::max(done, queue_destage(now, lba, e));
     } else if (src_ != nullptr &&
                src_->residence(lba) == src::SrcCache::Residence::kAbsent) {
@@ -280,7 +278,6 @@ SimTime TierCache::do_write(const cache::AppRequest& req) {
       // An incompressible overwrite of a tier-resident block must not leave
       // a stale compressed copy behind.
       if (Entry* e = map_.find(lba)) {
-        eviction_->on_evict(lba);
         tstats_.drop_blocks++;
         remove_entry(lba, *e);
       }
@@ -297,20 +294,19 @@ SimTime TierCache::do_write(const cache::AppRequest& req) {
       // overwrite must never form `csize - e.csize` directly.
       resident_csize_ -= e.csize;
       resident_csize_ += csize;
-      if (e.dirty) {
+      if (e.dirty()) {
         dirty_csize_ -= e.csize;
         dirty_csize_ += csize;
       } else {
         dirty_csize_ += csize;
         dirty_blocks_++;
-        e.dirty = true;
         mark_dirty(e.seq);  // in place: the block keeps its FIFO slot
       }
       e.csize = csize;
       e.tag = tag;
       e.tenant = static_cast<u16>(req.tenant);
-      e.hot = true;
-      eviction_->on_access(lba);
+      e.flags |= policy::kFlagDirty | policy::kFlagHot;
+      eviction_->on_access(e.flags);
     } else {
       stats_.write_new_blocks++;
       admit(lba, tag, static_cast<u16>(req.tenant), csize, /*dirty=*/true);
@@ -372,8 +368,8 @@ SimTime TierCache::do_read(const cache::AppRequest& req) {
       stats_.read_hit_blocks++;
       cpu += decompress_ns_;
       tags_out[k] = e.tag;
-      e.hot = true;
-      eviction_->on_access(lba);
+      e.flags |= policy::kFlagHot;
+      eviction_->on_access(e.flags);
       ++k;
       continue;
     }
@@ -445,12 +441,12 @@ SimTime TierCache::flush(SimTime now) {
 
 void TierCache::on_power_cut(SimTime now) {
   (void)now;
-  // Walk in FIFO order so policy teardown (ghost insertions) is
-  // deterministic across shard/thread counts.
+  // Walk in FIFO order so the ledger records land in the same order across
+  // shard/thread counts.
   for (u64 lba : ring_) {
     if (lba == kHole) continue;
     const Entry& e = map_.at(lba);
-    if (e.dirty) {
+    if (e.dirty()) {
       tstats_.lost_dirty_blocks++;
       if (fault_ledger_ != nullptr) {
         // Write-back loss is *accounted*, never silent: each lost block is
@@ -460,7 +456,6 @@ void TierCache::on_power_cut(SimTime now) {
         fault_ledger_->record_detected(kLedgerDev, lba);
       }
     }
-    eviction_->on_evict(lba);
   }
   tstats_.evict_blocks += map_.size();
   map_.clear();
@@ -483,9 +478,9 @@ Status TierCache::verify_consistency() const {
     resident += e.csize;
     if (e.seq < base_ || e.seq >= end_seq() || ring_[e.seq - base_] != lba)
       return corrupted("entry's ring slot does not hold its lba");
-    if (dirty_bit(e.seq) != e.dirty)
+    if (dirty_bit(e.seq) != e.dirty())
       return corrupted("dirty bit disagrees with its entry");
-    if (!e.dirty) continue;
+    if (!e.dirty()) continue;
     dirty += e.csize;
     ++dirty_n;
     if (e.seq < dirty_cursor_) return corrupted("dirty slot below the cursor");

@@ -21,7 +21,8 @@
 //  * Incompressible blocks (comp_pct > kIncompressiblePct) bypass the tier
 //    entirely — holding them would spend DRAM at ~1x.
 //  * Budget overflow evicts in FIFO order with a policy second chance
-//    (src/policy: paper / s3fifo / sieve all work here); an evicted dirty
+//    (src/policy: paper / s3fifo / sieve all work here, their per-block
+//    bits riding in the entry's flags); an evicted dirty
 //    block destages down, an evicted clean block is demoted into the inner
 //    cache (tier_demote) unless it is still resident there, in which case
 //    it is simply dropped.
@@ -182,9 +183,14 @@ class TierCache final : public cache::CacheDevice {
     u64 seq = 0;       // ring slot, i.e. FIFO position (smaller = older)
     u32 csize = 0;     // compressed bytes
     u16 tenant = 0;
-    bool dirty = false;
-    bool hot = false;  // second-chance bit (paper policy input)
+    // Dirty, hot (the second-chance bit) and the eviction policy's
+    // per-block bits (policy.hpp).
+    u8 flags = 0;
+    [[nodiscard]] bool dirty() const {
+      return (flags & policy::kFlagDirty) != 0;
+    }
   };
+  static_assert(sizeof(Entry) == 24);
   // Ring value of a vacated slot; never a block address.
   static constexpr u64 kHole = ~u64{0};
   // Slots covered by one summary word of the dirty bitset.

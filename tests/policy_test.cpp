@@ -1,7 +1,9 @@
-// src/policy: knob parsing, per-policy state machines (S3-FIFO queue
-// transitions, SIEVE visited bit, ghost admission evidence), and the
-// through-cache property that matters most — data written under any policy
-// survives GC pressure (policy-evicted dirty blocks destage, never drop).
+// src/policy: knob parsing, per-policy state machines over the cache's
+// per-entry bits (S3-FIFO queue transitions, SIEVE's visited bit as the
+// hot flag, ghost admission evidence), and the through-cache property that
+// matters most — data written under any policy survives GC pressure
+// (policy-evicted dirty blocks destage, never drop).
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,125 +41,181 @@ TEST(PolicyParse, ToStringRoundTrips) {
   }
 }
 
+// --- per-entry bits --------------------------------------------------------
+
+// The cache's side of the contract, as SrcCache and TierCache keep it: one
+// flags byte per resident block, the hot flag set on every hit and cleared
+// when GC keeps the block, and the entry dropped on an evict verdict.
+class Entries {
+ public:
+  explicit Entries(EvictionPolicy& p) : p_(p) {}
+  void admit(u64 lba, bool dirty = false) {
+    u8& f = flags_[lba] = dirty ? kFlagDirty : u8{0};
+    p_.on_admit(lba, f);
+  }
+  void access(u64 lba) {
+    u8& f = flags_.at(lba);
+    f |= kFlagHot;
+    p_.on_access(f);
+  }
+  bool gc(u64 lba) {
+    u8& f = flags_.at(lba);
+    const bool keep = p_.keep_on_gc(lba, f);
+    if (keep) {
+      f &= ~kFlagHot;
+    } else {
+      flags_.erase(lba);
+    }
+    return keep;
+  }
+  [[nodiscard]] bool resident(u64 lba) const { return flags_.contains(lba); }
+  [[nodiscard]] u8 flags(u64 lba) const { return flags_.at(lba); }
+
+ private:
+  EvictionPolicy& p_;
+  std::map<u64, u8> flags_;
+};
+
 // --- paper policy ----------------------------------------------------------
 
 TEST(PaperPolicy, KeepsDirtyAlwaysAndCleanIffHot) {
   PaperEviction p;
-  EXPECT_TRUE(p.keep_on_gc(1, /*hot=*/true, /*dirty=*/false));
-  EXPECT_FALSE(p.keep_on_gc(2, /*hot=*/false, /*dirty=*/false));
-  EXPECT_TRUE(p.keep_on_gc(3, /*hot=*/false, /*dirty=*/true));
-  EXPECT_TRUE(p.keep_on_gc(4, /*hot=*/true, /*dirty=*/true));
+  u8 hot_clean = kFlagHot, cold_clean = 0, cold_dirty = kFlagDirty,
+     hot_dirty = kFlagHot | kFlagDirty;
+  EXPECT_TRUE(p.keep_on_gc(1, hot_clean));
+  EXPECT_FALSE(p.keep_on_gc(2, cold_clean));
+  EXPECT_TRUE(p.keep_on_gc(3, cold_dirty));
+  EXPECT_TRUE(p.keep_on_gc(4, hot_dirty));
   EXPECT_EQ(p.stats().gc_kept, 3u);
   EXPECT_EQ(p.stats().gc_evicted, 1u);
 }
 
 // --- S3-FIFO ---------------------------------------------------------------
 
-using Queue = S3FifoEviction::Queue;
+// Which structure holds an lba: the entry's main bit while resident, else
+// the policy's ghost or nothing.
+enum class Queue { kNone, kSmall, kMain, kGhost };
+
+Queue queue_of(const S3FifoEviction& p, const Entries& c, u64 lba) {
+  if (c.resident(lba))
+    return S3FifoEviction::in_main(c.flags(lba)) ? Queue::kMain
+                                                 : Queue::kSmall;
+  return p.in_ghost(lba) ? Queue::kGhost : Queue::kNone;
+}
 
 TEST(S3Fifo, ColdCleanSmallBlockDemotesToGhost) {
   S3FifoEviction p(64);
-  p.on_admit(7);
-  EXPECT_EQ(p.queue_of(7), Queue::kSmall);
-  EXPECT_FALSE(p.keep_on_gc(7, false, /*dirty=*/false));
-  EXPECT_EQ(p.queue_of(7), Queue::kGhost);
+  Entries c(p);
+  c.admit(7);
+  EXPECT_EQ(queue_of(p, c, 7), Queue::kSmall);
+  EXPECT_FALSE(c.gc(7));
+  EXPECT_EQ(queue_of(p, c, 7), Queue::kGhost);
   EXPECT_EQ(p.stats().gc_evicted, 1u);
 }
 
 TEST(S3Fifo, ReusedSmallBlockPromotesToMain) {
   S3FifoEviction p(64);
-  p.on_admit(7);
-  p.on_access(7);
-  EXPECT_TRUE(p.keep_on_gc(7, true, false));
-  EXPECT_EQ(p.queue_of(7), Queue::kMain);
+  Entries c(p);
+  c.admit(7);
+  c.access(7);
+  EXPECT_TRUE(c.gc(7));
+  EXPECT_EQ(queue_of(p, c, 7), Queue::kMain);
   EXPECT_EQ(p.stats().promotions, 1u);
   // Promotion resets the credit: the next wrap without reuse evicts, and a
   // clean main eviction does not enter the ghost.
-  EXPECT_FALSE(p.keep_on_gc(7, false, false));
-  EXPECT_EQ(p.queue_of(7), Queue::kNone);
+  EXPECT_FALSE(c.gc(7));
+  EXPECT_EQ(queue_of(p, c, 7), Queue::kNone);
 }
 
 TEST(S3Fifo, GhostHitReadmitsStraightToMainWithOneCredit) {
   S3FifoEviction p(64);
-  p.on_admit(7);
-  ASSERT_FALSE(p.keep_on_gc(7, false, false));  // small -> ghost
-  p.on_admit(7);                                // readmission
-  EXPECT_EQ(p.queue_of(7), Queue::kMain);
+  Entries c(p);
+  c.admit(7);
+  ASSERT_FALSE(c.gc(7));  // small -> ghost
+  c.admit(7);             // readmission
+  EXPECT_EQ(queue_of(p, c, 7), Queue::kMain);
   EXPECT_EQ(p.stats().ghost_hits, 1u);
   // The proven-reuse credit buys exactly one wrap.
-  EXPECT_TRUE(p.keep_on_gc(7, false, false));
-  EXPECT_FALSE(p.keep_on_gc(7, false, false));
+  EXPECT_TRUE(c.gc(7));
+  EXPECT_FALSE(c.gc(7));
 }
 
 TEST(S3Fifo, ColdDirtyGetsTwoExtraWrapsBeforeDestage) {
   S3FifoEviction p(64);
-  p.on_admit(9);
+  Entries c(p);
+  c.admit(9, /*dirty=*/true);
   // Wrap 1: cold dirty in small is promoted with one credit, not evicted.
-  EXPECT_TRUE(p.keep_on_gc(9, false, /*dirty=*/true));
-  EXPECT_EQ(p.queue_of(9), Queue::kMain);
+  EXPECT_TRUE(c.gc(9));
+  EXPECT_EQ(queue_of(p, c, 9), Queue::kMain);
   // Wrap 2: the credit burns.
-  EXPECT_TRUE(p.keep_on_gc(9, false, true));
+  EXPECT_TRUE(c.gc(9));
   // Wrap 3: still no reuse — evict (the cache destages it), into the ghost.
-  EXPECT_FALSE(p.keep_on_gc(9, false, true));
-  EXPECT_EQ(p.queue_of(9), Queue::kGhost);
+  EXPECT_FALSE(c.gc(9));
+  EXPECT_EQ(queue_of(p, c, 9), Queue::kGhost);
 }
 
 TEST(S3Fifo, AccessesExtendMainSurvivalUpToCap) {
   S3FifoEviction p(64);
-  p.on_admit(3);
-  p.on_access(3);
-  ASSERT_TRUE(p.keep_on_gc(3, true, false));  // promoted, freq reset
-  for (int i = 0; i < 10; ++i) p.on_access(3);  // freq caps at 3
-  EXPECT_TRUE(p.keep_on_gc(3, false, false));
-  EXPECT_TRUE(p.keep_on_gc(3, false, false));
-  EXPECT_TRUE(p.keep_on_gc(3, false, false));
-  EXPECT_FALSE(p.keep_on_gc(3, false, false));
+  Entries c(p);
+  c.admit(3);
+  c.access(3);
+  ASSERT_TRUE(c.gc(3));  // promoted, freq reset
+  EXPECT_EQ(S3FifoEviction::freq(c.flags(3)), 0u);
+  for (int i = 0; i < 10; ++i) c.access(3);  // freq caps at 3
+  EXPECT_EQ(S3FifoEviction::freq(c.flags(3)), 3u);
+  EXPECT_TRUE(c.gc(3));
+  EXPECT_TRUE(c.gc(3));
+  EXPECT_TRUE(c.gc(3));
+  EXPECT_FALSE(c.gc(3));
 }
 
 TEST(S3Fifo, GhostFifoIsBounded) {
   S3FifoEviction p(16);  // clamps to the minimum ghost capacity
+  Entries c(p);
   ASSERT_EQ(p.ghost_capacity(), 16u);
   for (u64 lba = 0; lba < 17; ++lba) {
-    p.on_admit(lba);
-    ASSERT_FALSE(p.keep_on_gc(lba, false, false));
+    c.admit(lba);
+    ASSERT_FALSE(c.gc(lba));
   }
-  EXPECT_EQ(p.queue_of(0), Queue::kNone);   // oldest fell off
-  EXPECT_EQ(p.queue_of(16), Queue::kGhost);  // newest remembered
+  EXPECT_EQ(queue_of(p, c, 0), Queue::kNone);   // oldest fell off
+  EXPECT_EQ(queue_of(p, c, 16), Queue::kGhost);  // newest remembered
 }
 
-TEST(S3Fifo, OnEvictForgetsResidencyIdempotently) {
+TEST(S3Fifo, PolicyBitsLeaveTheCachesOwnAlone) {
   S3FifoEviction p(64);
-  p.on_admit(5);
-  p.on_evict(5);
-  p.on_evict(5);
-  EXPECT_EQ(p.queue_of(5), Queue::kNone);
-  // An untracked block at GC is conservatively evicted (and remembered).
-  EXPECT_FALSE(p.keep_on_gc(5, true, false));
-  EXPECT_EQ(p.queue_of(5), Queue::kGhost);
+  Entries c(p);
+  c.admit(5, /*dirty=*/true);
+  for (int i = 0; i < 5; ++i) c.access(5);
+  ASSERT_TRUE(c.gc(5));  // small with reuse: promoted
+  EXPECT_EQ(c.flags(5) & ~kPolicyFlags, kFlagDirty);
+  c.access(5);
+  EXPECT_EQ(c.flags(5) & ~kPolicyFlags, kFlagDirty | kFlagHot);
 }
 
 // --- SIEVE -----------------------------------------------------------------
 
 TEST(Sieve, VisitedBitBuysExactlyOneWrap) {
   SieveEviction p;
-  p.on_admit(11);
-  EXPECT_TRUE(p.tracked(11));
-  EXPECT_FALSE(p.visited(11));
-  p.on_access(11);
-  EXPECT_TRUE(p.visited(11));
+  Entries c(p);
+  c.admit(11);
+  EXPECT_TRUE(c.resident(11));
+  EXPECT_FALSE(c.flags(11) & kFlagHot);
+  c.access(11);
+  EXPECT_TRUE(c.flags(11) & kFlagHot);
   // The hand passes: kept once, bit cleared.
-  EXPECT_TRUE(p.keep_on_gc(11, true, false));
-  EXPECT_FALSE(p.visited(11));
+  EXPECT_TRUE(c.gc(11));
+  EXPECT_FALSE(c.flags(11) & kFlagHot);
   // No reuse since: evicted and forgotten.
-  EXPECT_FALSE(p.keep_on_gc(11, false, false));
-  EXPECT_FALSE(p.tracked(11));
+  EXPECT_FALSE(c.gc(11));
+  EXPECT_FALSE(c.resident(11));
 }
 
 TEST(Sieve, NeverAccessedBlockEvictsAtFirstWrap) {
   SieveEviction p;
-  p.on_admit(12);
-  EXPECT_FALSE(p.keep_on_gc(12, false, /*dirty=*/true));
-  EXPECT_FALSE(p.tracked(12));
+  Entries c(p);
+  c.admit(12, /*dirty=*/true);
+  EXPECT_FALSE(c.gc(12));
+  EXPECT_FALSE(c.resident(12));
   EXPECT_EQ(p.stats().gc_evicted, 1u);
 }
 
