@@ -448,22 +448,22 @@ TEST(Src, GoldenDeviceIo) {
     u32 state_crc;
   };
   const Pin pins[] = {
-      {raid::RaidLevel::kRaid0, GoldenCase::kHealthy, 0x9ec5d765, 0xff0b1706},
-      {raid::RaidLevel::kRaid0, GoldenCase::kFaulty, 0x69062e1e, 0x874de801},
-      {raid::RaidLevel::kRaid0, GoldenCase::kFailed, 0x65e18a17, 0x61870fd5},
-      {raid::RaidLevel::kRaid0, GoldenCase::kRebuilt, 0x0cf4335c, 0x80680c42},
-      {raid::RaidLevel::kRaid1, GoldenCase::kHealthy, 0xf487d9f3, 0x9bd15e4d},
-      {raid::RaidLevel::kRaid1, GoldenCase::kFaulty, 0x71690acf, 0xec2a0a17},
-      {raid::RaidLevel::kRaid1, GoldenCase::kFailed, 0x7dbf45bb, 0x40921870},
-      {raid::RaidLevel::kRaid1, GoldenCase::kRebuilt, 0x763eb821, 0x83e9240c},
-      {raid::RaidLevel::kRaid4, GoldenCase::kHealthy, 0xd7c4462f, 0xbd5f13d6},
-      {raid::RaidLevel::kRaid4, GoldenCase::kFaulty, 0xddaf6f36, 0xcd6cc742},
-      {raid::RaidLevel::kRaid4, GoldenCase::kFailed, 0x5d0059a0, 0xbf55ef81},
-      {raid::RaidLevel::kRaid4, GoldenCase::kRebuilt, 0xbeec7e09, 0xa3a75fe3},
-      {raid::RaidLevel::kRaid5, GoldenCase::kHealthy, 0xf1ca1cdc, 0x13497dcd},
-      {raid::RaidLevel::kRaid5, GoldenCase::kFaulty, 0xdaaa4695, 0x20683339},
-      {raid::RaidLevel::kRaid5, GoldenCase::kFailed, 0x26644043, 0x2f560239},
-      {raid::RaidLevel::kRaid5, GoldenCase::kRebuilt, 0xde91df8b, 0xa880c9e5},
+      {raid::RaidLevel::kRaid0, GoldenCase::kHealthy, 0x839dd05b, 0x9704e851},
+      {raid::RaidLevel::kRaid0, GoldenCase::kFaulty, 0x938141bd, 0x6608878a},
+      {raid::RaidLevel::kRaid0, GoldenCase::kFailed, 0x9ea9775a, 0xa92b95d6},
+      {raid::RaidLevel::kRaid0, GoldenCase::kRebuilt, 0x7c965c6e, 0xf8a2a654},
+      {raid::RaidLevel::kRaid1, GoldenCase::kHealthy, 0x0399d0ff, 0x3f20de0b},
+      {raid::RaidLevel::kRaid1, GoldenCase::kFaulty, 0xe1d69cd7, 0x2d160e2c},
+      {raid::RaidLevel::kRaid1, GoldenCase::kFailed, 0xb3ad5213, 0xf8de8da4},
+      {raid::RaidLevel::kRaid1, GoldenCase::kRebuilt, 0x00b73349, 0xb2ff4d30},
+      {raid::RaidLevel::kRaid4, GoldenCase::kHealthy, 0x46ac1638, 0xdac36fe6},
+      {raid::RaidLevel::kRaid4, GoldenCase::kFaulty, 0xdedb8e56, 0xcb6f327f},
+      {raid::RaidLevel::kRaid4, GoldenCase::kFailed, 0xf34d21f2, 0x507f8882},
+      {raid::RaidLevel::kRaid4, GoldenCase::kRebuilt, 0x0ab2d653, 0xf65db86b},
+      {raid::RaidLevel::kRaid5, GoldenCase::kHealthy, 0x63a5dbb1, 0x83c2ca15},
+      {raid::RaidLevel::kRaid5, GoldenCase::kFaulty, 0x5dc503b5, 0x555fd5ca},
+      {raid::RaidLevel::kRaid5, GoldenCase::kFailed, 0x4d2623d6, 0x0336f730},
+      {raid::RaidLevel::kRaid5, GoldenCase::kRebuilt, 0x935cbe8b, 0xff4587a4},
   };
   const char* names[] = {"healthy", "faulty", "failed", "rebuilt"};
   for (const Pin& p : pins) {
@@ -613,23 +613,23 @@ TEST(Src, GoldenWritePathIo) {
   };
   const Pin pins[] = {
       {{EvictionKind::kPaper, AdmissionKind::kAlways, false},
-       0xeb7f6a4f,
-       0x60365235},
+       0x606b5e38,
+       0x1721e054},
       {{EvictionKind::kPaper, AdmissionKind::kAlways, true},
-       0x96b168f3,
-       0x8d3c4a13},
+       0x3e6ea0c1,
+       0x239ce4c0},
       {{EvictionKind::kS3Fifo, AdmissionKind::kGhost, false},
-       0x81d5eb17,
-       0xf08e3b17},
+       0x27647986,
+       0x7e3f9248},
       {{EvictionKind::kS3Fifo, AdmissionKind::kGhost, true},
-       0x91b60908,
-       0x2e35981e},
+       0x80858a2e,
+       0xd06bbdd3},
       {{EvictionKind::kSieve, AdmissionKind::kAlways, false},
-       0xdab257e0,
-       0xe5439e27},
+       0x17ea8c98,
+       0x113f5c29},
       {{EvictionKind::kSieve, AdmissionKind::kAlways, true},
-       0xf2c990d1,
-       0x962958b1},
+       0x6e79a917,
+       0x97fd5548},
   };
   for (const Pin& p : pins) {
     const GoldenSrc g = run_write_path_script(p.c);
