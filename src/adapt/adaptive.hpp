@@ -37,12 +37,6 @@ struct AdaptConfig {
   // Hard per-tenant ghost memory budget (entries).
   u64 ghost_max_entries = 1 << 16;
 
-  // Partitioner stabilizers (see partition.hpp).
-  double min_share = 0.05;
-  double hysteresis = 0.02;
-  u64 quantum_blocks = 0;            // 0 = capacity/64
-  std::vector<double> weights;       // per-tenant miss cost, empty = 1.0
-
   void validate() const;
 };
 

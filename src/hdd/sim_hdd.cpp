@@ -8,21 +8,21 @@ namespace srcache::hdd {
 using blockdev::DeviceOp;
 
 constexpr double kTransferMbps = 150.0;     // media streaming rate
+constexpr SimTime kCommandOverhead = 200 * sim::kUs;  // per command
 constexpr SimTime kAvgSeek = 8 * sim::kMs;  // 7.2K RPM class
 // Half a revolution at 7200 rpm.
 constexpr SimTime kAvgRotation = 4170 * sim::kUs;
 
 SimHdd::SimHdd(const HddConfig& cfg)
-    : SimDevice(cfg.capacity_bytes / kBlockSize, cfg.track_content),
-      cfg_(cfg) {
+    : SimDevice(cfg.capacity_bytes / kBlockSize, cfg.track_content) {
   if (capacity_blocks() == 0)
     throw std::invalid_argument("SimHdd capacity too small");
 }
 
 SimTime SimHdd::service(DeviceOp op, SimTime now, u64 lba, u64 n) {
   if (op == DeviceOp::kFlush) return arm_.submit(now, 0, background_);
-  if (op == DeviceOp::kTrim) return now + cfg_.command_overhead;
-  SimTime service = cfg_.command_overhead +
+  if (op == DeviceOp::kTrim) return now + kCommandOverhead;
+  SimTime service = kCommandOverhead +
                     sim::transfer_time(blocks_to_bytes(n), kTransferMbps);
   if (lba != head_pos_) {
     // Positioning: seek distance scales the seek time down to a

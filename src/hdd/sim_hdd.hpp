@@ -12,7 +12,6 @@ using sim::SimTime;
 
 struct HddConfig {
   u64 capacity_bytes = 64 * GiB;  // scaled stand-in for a 2 TB spindle
-  sim::SimTime command_overhead = 200 * sim::kUs;
   bool track_content = true;
 };
 
@@ -32,7 +31,6 @@ class SimHdd final : public blockdev::SimDevice {
   // on-disk write cache (waits for the arm); a trim costs one command.
   SimTime service(blockdev::DeviceOp op, SimTime now, u64 lba, u64 n) override;
 
-  HddConfig cfg_;
   sim::PriorityTimeline arm_;
   u64 head_pos_ = 0;  // LBA after the last access (sequentiality detection)
   bool background_ = false;

@@ -237,7 +237,6 @@ TEST(Adaptive, AppliesEvenSplitAtConstructionThenAdapts) {
   cfg.capacity_blocks = 4096;
   cfg.epoch = 100 * sim::kMs;
   cfg.sampling_rate = 1.0;
-  cfg.hysteresis = 0.0;
   std::vector<std::vector<u64>> applied;
   AdaptiveController ctrl(cfg, [&](const std::vector<u64>& q) {
     applied.push_back(q);
