@@ -135,12 +135,4 @@ void FaultInjector::fire(const FaultEvent& ev, sim::SimTime now) {
   }
 }
 
-void FaultInjector::register_metrics(const obs::Scope& scope) {
-  scope.counter_fn("injected", [this] { return ledger_.injected(); });
-  scope.counter_fn("detected", [this] { return ledger_.detected(); });
-  scope.counter_fn("repaired", [this] { return ledger_.repaired(); });
-  scope.counter_fn("undetected", [this] { return ledger_.undetected(); });
-  scope.counter_fn("events_fired", [this] { return fired_; });
-}
-
 }  // namespace srcache::fault

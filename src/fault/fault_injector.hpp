@@ -9,9 +9,8 @@
 // (drop unprotected blocks, §4.3) is delivered through an optional callback
 // so this layer stays independent of the cache.
 //
-// All bookkeeping flows into the FaultLedger; register_metrics() exports
-// fault.injected / fault.detected / fault.repaired / fault.undetected plus
-// fault.events_fired, which REPRO_JSON picks up like any other counters.
+// All bookkeeping flows into the FaultLedger; workload::read_fault_counters
+// reads it, with the fired-event count, into the REPRO_JSON "fault" block.
 #pragma once
 
 #include <functional>
@@ -21,7 +20,6 @@
 #include "common/rng.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/ledger.hpp"
-#include "obs/metrics.hpp"
 
 namespace srcache::fault {
 
@@ -64,9 +62,6 @@ class FaultInjector {
   [[nodiscard]] FaultLedger& ledger() { return ledger_; }
   [[nodiscard]] const FaultLedger& ledger() const { return ledger_; }
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-
-  // Exports the reconciling fault counters under `scope`, e.g. "fault".
-  void register_metrics(const obs::Scope& scope);
 
  private:
   void fire(const FaultEvent& ev, sim::SimTime now);

@@ -138,20 +138,6 @@ blockdev::Payload SrcCache::superblock_payload() const {
   return sb.serialize();
 }
 
-void SrcCache::fill_meta(SegmentMeta& meta, u32 sg, u32 seg,
-                         const SegmentInfo& si) const {
-  meta.generation = si.generation;
-  meta.sg = sg;
-  meta.seg = seg;
-  meta.dirty = si.type == SegType::kDirty;
-  meta.has_parity = si.has_parity;
-  meta.parity_col = si.parity_col;
-  meta.is_tail = false;
-  meta.entries.resize(si.slot_lba.size());
-  for (u32 k = 0; k < si.slot_lba.size(); ++k)
-    meta.entries[k] = {si.slot_lba[k], si.slot_crc[k], si.slot_tenant[k]};
-}
-
 void SrcCache::write_meta(SimTime now, size_t d, u64 block,
                           const blockdev::Payload& payload, SimTime& done) {
   const auto r = ssds_[d]->write_payload(now, block, payload);
@@ -569,9 +555,11 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   const u32 seg = sg.next_seg++;
   SegmentInfo& si = sg.segs[seg];
 
-  si.type = buf.dirty ? SegType::kDirty : SegType::kClean;
-  si.has_parity = cfg_.segment_has_parity(buf.dirty);
   si.generation = ++gen_seq_;
+  si.sg = active_sg_;
+  si.seg = seg;
+  si.dirty = buf.dirty;
+  si.has_parity = cfg_.segment_has_parity(buf.dirty);
   si.parity_col = 0;
   if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
     si.parity_col = cfg_.raid == RaidLevel::kRaid4
@@ -618,10 +606,8 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   }
 
   // Issue the stripe: MS + data + ME per SSD, all in parallel (§4.1).
-  fill_meta(seal_meta_, active_sg_, seg, si);
-  const auto ms_payload = seal_meta_.serialize();
-  seal_meta_.is_tail = true;
-  const auto me_payload = seal_meta_.serialize();
+  const auto ms_payload = si.serialize(/*tail=*/false);
+  const auto me_payload = si.serialize(/*tail=*/true);
   SimTime done = issue;
   const u32 fill_span = span_ != nullptr && span_->sampling()
                             ? span_->begin_span("src.segment_fill", issue)
@@ -881,7 +867,7 @@ Result<u64> SrcCache::read_slot(SimTime now, u32 sg, u32 seg, u32 slot,
     }
   }
   // Clean data can always be refetched from primary storage (§4.3).
-  if (si.type == SegType::kClean && lba != kDeadSlot) {
+  if (!si.dirty && lba != kDeadSlot) {
     const auto r = primary_->read(now, lba, 1, std::span<u64>(&tag, 1));
     if (r.ok()) {
       done = std::max(done, r.done);

@@ -248,17 +248,10 @@ class SrcCache final : public cache::CacheDevice {
   };
   static_assert(sizeof(MapEntry) == 16);
 
-  enum class SegType : u8 { kNone, kClean, kDirty };
-
-  struct SegmentInfo {
-    SegType type = SegType::kNone;
-    bool has_parity = false;
-    u8 parity_col = 0;
-    u64 generation = 0;
+  // A segment's summary record (the image its MS and ME hold) plus the
+  // count of its slots still live.
+  struct SegmentInfo : SegmentMeta {
     u32 live = 0;
-    std::vector<u64> slot_lba;
-    std::vector<u32> slot_crc;
-    std::vector<u16> slot_tenant;
   };
 
   enum class SgState : u8 { kFree, kActive, kSealed, kReclaiming, kSuper };
@@ -359,10 +352,6 @@ class SrcCache final : public cache::CacheDevice {
 
   // --- metadata images (seal and rebuild) ---
   [[nodiscard]] blockdev::Payload superblock_payload() const;
-  // Fills `meta` (entries resized in place, so a reused image does not
-  // allocate) with segment `si`'s MS image; the caller sets is_tail.
-  void fill_meta(SegmentMeta& meta, u32 sg, u32 seg,
-                 const SegmentInfo& si) const;
   // Writes one metadata payload (superblock, MS or ME) to SSD `d`; a write
   // that lands is ledgered as shared redundancy overhead and raises `done`.
   void write_meta(SimTime now, size_t d, u64 block,
@@ -500,8 +489,6 @@ class SrcCache final : public cache::CacheDevice {
   // finishes with its slots before draining the buffers into GC.
   std::vector<BlockWrite> taken_;  // write_one_segment: entries being sealed
   std::vector<u64> images_;  // write_one_segment: num_ssds x rows tag images
-  // write_one_segment: the MS/ME image, reused across seals.
-  SegmentMeta seal_meta_;
   std::vector<char> gc_keep_, gc_lost_;  // reclaim_one: per-slot verdicts
   std::vector<u64> gc_tag_;              // reclaim_one: slot tags
   std::vector<MapEntry> gc_entry_;       // reclaim_one: slot map entries

@@ -78,9 +78,14 @@ struct SrcConfig {
 
   [[nodiscard]] u64 eg_blocks() const { return erase_group_bytes / kBlockSize; }
   [[nodiscard]] u64 chunk_blocks() const { return chunk_bytes / kBlockSize; }
-  [[nodiscard]] u64 slots_per_chunk() const { return chunk_blocks() - 2; }  // minus MS, ME
-  [[nodiscard]] u64 segments_per_sg() const { return eg_blocks() / chunk_blocks(); }
-  [[nodiscard]] u64 sg_count() const { return region_bytes_per_ssd / erase_group_bytes; }
+  // Data rows per chunk: all blocks but MS and ME.
+  [[nodiscard]] u64 slots_per_chunk() const { return chunk_blocks() - 2; }
+  [[nodiscard]] u64 segments_per_sg() const {
+    return eg_blocks() / chunk_blocks();
+  }
+  [[nodiscard]] u64 sg_count() const {
+    return region_bytes_per_ssd / erase_group_bytes;
+  }
 
   // Whether segments of the given type carry redundancy.
   [[nodiscard]] bool segment_has_parity(bool dirty) const {
@@ -110,10 +115,12 @@ struct SrcConfig {
     if (chunk_bytes % kBlockSize != 0 || chunk_blocks() < 3)
       throw std::invalid_argument("chunk must hold MS, ME and >= 1 data block");
     if (erase_group_bytes % chunk_bytes != 0)
-      throw std::invalid_argument("erase group must be a multiple of the chunk");
+      throw std::invalid_argument(
+          "erase group must be a multiple of the chunk");
     if (region_bytes_per_ssd % erase_group_bytes != 0 || sg_count() < 3)
       throw std::invalid_argument("region must hold >= 3 segment groups");
-    if (umax <= 0.0 || umax > 1.0) throw std::invalid_argument("umax in (0, 1]");
+    if (umax <= 0.0 || umax > 1.0)
+      throw std::invalid_argument("umax in (0, 1]");
   }
 
   [[nodiscard]] std::string describe() const;

@@ -93,7 +93,7 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
 
   for (u32 g = 0; g < sg.next_seg; ++g) {
     SegmentInfo& si = sg.segs[g];
-    if (si.type == SegType::kNone) continue;
+    if (!si.written()) continue;
     const u32 nslots = static_cast<u32>(si.slot_lba.size());
 
     // Per-slot decision. Data is needed for destages and S2S copies; cold

@@ -1,7 +1,6 @@
 // Crash recovery, failure handling, and internal-invariant auditing (§4.1).
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 
 #include "common/crc32c.hpp"
 #include "fault/fault_injector.hpp"
@@ -45,20 +44,18 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
   gen_seq_ = 0;
   seal_seq_ = 0;
   for (TenantStats& ts : tenants_) ts.live_blocks = 0;
-  // Policy state is volatile: start cold. The entries step 4 rebuilds
+  // Policy state is volatile: start cold. The entries step 3 rebuilds
   // carry no policy bits, as if every survivor had just been admitted.
   eviction_ = policy::make_eviction(cfg_.eviction, cfg_.capacity_blocks());
   admission_ = policy::make_admission(cfg_.admission, cfg_.capacity_blocks());
 
   // 3. Scan every segment's MS/ME pair; matching generations mean the
-  // segment was written completely (§4.1 failure handling).
+  // segment was written completely (§4.1 failure handling). Each valid MS
+  // image becomes its segment's record, and its live slots enter the map
+  // as the scan meets them: a block already mapped keeps the newer copy
+  // (a reused SG can hold a newer copy than a higher-numbered one), and
+  // the older copy's slot is marked dead.
   const u64 rows = cfg_.slots_per_chunk();
-  struct Winner {
-    u64 gen;
-    u32 sg, seg, slot;
-  };
-  std::unordered_map<u64, Winner> best;  // lba -> newest location
-
   for (u32 s = 1; s < cfg_.sg_count(); ++s) {
     SgInfo fresh;
     fresh.segs.resize(cfg_.segments_per_sg());
@@ -89,30 +86,33 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
         if (ms.has_value() != me.has_value()) extra_.torn_segments_discarded++;
         continue;
       }
-      if (ms->generation != me->generation || ms->sg != s || ms->seg != g) {
+      if (!ms->written() || ms->generation != me->generation ||
+          ms->sg != s || ms->seg != g) {
         extra_.torn_segments_discarded++;
         continue;  // torn segment: discarded, space reused
       }
 
       SegmentInfo& si = sg.segs[g];
-      si.type = ms->dirty ? SegType::kDirty : SegType::kClean;
-      si.has_parity = ms->has_parity;
-      si.parity_col = ms->parity_col;
-      si.generation = ms->generation;
-      si.slot_lba.assign(ms->entries.size(), kDeadSlot);
-      si.slot_crc.assign(ms->entries.size(), 0);
-      si.slot_tenant.assign(ms->entries.size(), 0);
-      si.live = 0;
-      for (u32 slot = 0; slot < ms->entries.size(); ++slot) {
-        const auto& e = ms->entries[slot];
-        si.slot_lba[slot] = e.lba;
-        si.slot_crc[slot] = e.crc;
-        si.slot_tenant[slot] = norm_tenant(e.tenant);
-        if (e.lba == kDeadSlot) continue;
-        auto it = best.find(e.lba);
-        if (it == best.end() || it->second.gen < si.generation) {
-          best[e.lba] = Winner{si.generation, s, g, slot};
+      static_cast<SegmentMeta&>(si) = std::move(*ms);
+      for (u32 slot = 0; slot < si.slot_lba.size(); ++slot) {
+        si.slot_tenant[slot] = norm_tenant(si.slot_tenant[slot]);
+        const u64 lba = si.slot_lba[slot];
+        if (lba == kDeadSlot) continue;
+        MapEntry* e = map_.find(lba);
+        if (e == nullptr) {
+          e = &map_[lba];
+        } else if (sgs_[e->sg].segs[e->seg].generation >= si.generation) {
+          si.slot_lba[slot] = kDeadSlot;  // superseded by a newer segment
+          continue;
+        } else {
+          invalidate_slot(*e);  // this copy supersedes the mapped one
+          tenants_[e->tenant].live_blocks--;
         }
+        *e = MapEntry{};
+        e->tenant = si.slot_tenant[slot];
+        e->flags = si.dirty ? policy::kFlagDirty : 0;
+        place_slot(*e, s, g, slot);
+        tenants_[e->tenant].live_blocks++;
       }
       gen_seq_ = std::max(gen_seq_, si.generation);
       last_valid = g;
@@ -134,30 +134,6 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
   }
   sgs_[0].state = SgState::kSuper;
   seal_seq_ = gen_seq_;
-
-  // 4. Mark losers dead and build the mapping table from the winners.
-  for (u32 s = 1; s < cfg_.sg_count(); ++s) {
-    SgInfo& sg = sgs_[s];
-    for (u32 g = 0; g < sg.next_seg; ++g) {
-      SegmentInfo& si = sg.segs[g];
-      if (si.type == SegType::kNone) continue;
-      for (u32 slot = 0; slot < si.slot_lba.size(); ++slot) {
-        const u64 lba = si.slot_lba[slot];
-        if (lba == kDeadSlot) continue;
-        const auto& w = best.at(lba);
-        if (w.sg != s || w.seg != g || w.slot != slot) {
-          si.slot_lba[slot] = kDeadSlot;  // superseded by a newer segment
-          continue;
-        }
-        MapEntry e;
-        e.tenant = si.slot_tenant[slot];
-        e.flags = si.type == SegType::kDirty ? policy::kFlagDirty : 0;
-        place_slot(e, s, g, slot);
-        map_.emplace(lba, e);
-        tenants_[e.tenant].live_blocks++;
-      }
-    }
-  }
 
   if (done_out != nullptr) *done_out = t;
   return Status::ok();
@@ -235,19 +211,18 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
   ext.push_back({sg_base_block(0), 1, raid::RebuildHow::kMetadata, SIZE_MAX,
                  superblock_payload()});
 
-  SegmentMeta meta;
   for (u32 s = 1; s < cfg_.sg_count(); ++s) {
     const SgInfo& sg = sgs_[s];
     if (sg.state == SgState::kFree) continue;
     for (u32 g = 0; g < sg.segs.size(); ++g) {
       const SegmentInfo& si = sg.segs[g];
-      if (si.type == SegType::kNone) continue;
+      if (!si.written()) continue;
       const u64 base = chunk_base_block(s, g);
-      // MS/ME replicas are rewritten from in-RAM state (invalidated slots
-      // come back as dead, which only sharpens a later recovery scan).
-      fill_meta(meta, s, g, si);
-      ext.push_back(
-          {base, 1, raid::RebuildHow::kMetadata, SIZE_MAX, meta.serialize()});
+      // MS/ME replicas are rewritten from the in-RAM record (invalidated
+      // slots come back as dead, which only sharpens a later recovery
+      // scan).
+      ext.push_back({base, 1, raid::RebuildHow::kMetadata, SIZE_MAX,
+                     si.serialize(/*tail=*/false)});
       // Data rows decode only where the stripe carries redundancy. NPC
       // clean rows were dropped from the map at fail time: nothing live to
       // restore, the rebuilder skips the whole run.
@@ -262,9 +237,8 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
         ext.push_back(
             {base + 1, rows, raid::RebuildHow::kParityXor, SIZE_MAX, nullptr});
       }
-      meta.is_tail = true;
       ext.push_back({base + 1 + rows, 1, raid::RebuildHow::kMetadata, SIZE_MAX,
-                     meta.serialize()});
+                     si.serialize(/*tail=*/true)});
     }
   }
   return ext;
@@ -306,7 +280,7 @@ SrcCache::ScrubReport SrcCache::scrub(SimTime now, SimTime* done) {
     const SgInfo& sg = sgs_[s];
     for (u32 g = 0; g < sg.next_seg; ++g) {
       const SegmentInfo& si = sg.segs[g];
-      if (si.type == SegType::kNone) continue;
+      if (!si.written()) continue;
       for (u32 slot = 0; slot < si.slot_lba.size(); ++slot) {
         if (si.slot_lba[slot] == kDeadSlot) continue;
         ++rep.scanned;
@@ -329,7 +303,7 @@ Status SrcCache::verify_consistency() const {
     u64 sg_live = 0;
     for (u32 g = 0; g < sg.segs.size(); ++g) {
       const SegmentInfo& si = sg.segs[g];
-      if (si.type == SegType::kNone) {
+      if (!si.written()) {
         if (si.live != 0)
           return Status(ErrorCode::kCorrupted, "empty segment with live count");
         continue;
@@ -345,7 +319,7 @@ Status SrcCache::verify_consistency() const {
         const MapEntry& e = *found;
         if (e.buffered() || e.sg != s || e.seg != g || e.slot != slot)
           return Status(ErrorCode::kCorrupted, "map entry does not point back");
-        if (e.dirty() != (si.type == SegType::kDirty))
+        if (e.dirty() != si.dirty)
           return Status(ErrorCode::kCorrupted, "dirty flag mismatch");
       }
       if (seg_live != si.live)

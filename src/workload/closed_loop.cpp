@@ -197,13 +197,7 @@ RunResult ClosedLoop::finish() {
   if (cfg_.fault != nullptr) {
     FaultOutcome& fo = res_.fault;
     fo.active = true;
-    fo.events_fired = cfg_.fault->events_fired();
-    const fault::FaultLedger& led = cfg_.fault->ledger();
-    fo.injected = led.injected();
-    fo.detected = led.detected();
-    fo.repaired = led.repaired();
-    fo.repaired_by_rebuild = led.repaired_by_rebuild();
-    fo.undetected = led.undetected();
+    static_cast<FaultCounters&>(fo) = read_fault_counters(*cfg_.fault);
     const sim::SimTime first = cfg_.fault->first_fire_time();
     if (first >= 0) fo.first_fault_s = sim::to_seconds(first - start_);
   }

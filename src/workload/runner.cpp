@@ -2,6 +2,18 @@
 
 namespace srcache::workload {
 
+FaultCounters read_fault_counters(const fault::FaultInjector& inj) {
+  const fault::FaultLedger& led = inj.ledger();
+  FaultCounters c;
+  c.events_fired = inj.events_fired();
+  c.injected = led.injected();
+  c.detected = led.detected();
+  c.repaired = led.repaired();
+  c.repaired_by_rebuild = led.repaired_by_rebuild();
+  c.undetected = led.undetected();
+  return c;
+}
+
 void summarize(RunResult& r) {
   r.throughput_mbps =
       r.seconds > 0.0 ? static_cast<double>(r.bytes) / 1e6 / r.seconds : 0.0;

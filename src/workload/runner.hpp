@@ -105,6 +105,10 @@ inline constexpr CounterField<FaultCounters> kFaultCounterFields[] = {
 };
 static_assert(names_every_counter(kFaultCounterFields));
 
+// The one reader of the fault ledger: `inj`'s fired-event count and its
+// ledger's counters as they stand now.
+FaultCounters read_fault_counters(const fault::FaultInjector& inj);
+
 // Fault-scenario outcome of a run (RunConfig::fault). The window is split at
 // the first fired event: before it the array is healthy, from it on the run
 // is the paper's degraded window (§4.3) — failure-handling cost shows up as

@@ -6,7 +6,7 @@
 #include "block/mem_disk.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
-#include "obs/metrics.hpp"
+#include "workload/runner.hpp"
 
 namespace srcache::fault {
 namespace {
@@ -215,21 +215,18 @@ TEST(FaultInjector, ExportsReconcilingMetrics) {
   FaultInjector inj(
       FaultPlan::parse_or_die("at=1s corrupt dev=ssd0 lba=0..4"));
   inj.attach_ssds(rig.ptrs());
-  obs::MetricsRegistry registry;
-  inj.register_metrics(obs::Scope(registry, "fault"));
   inj.advance(1 * sim::kSec, 0);
   inj.ledger().record_detected(0, 1);
   inj.ledger().record_repaired(0, 1);
 
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(snap.counters.at("fault.injected"), 4u);
-  EXPECT_EQ(snap.counters.at("fault.detected"), 1u);
-  EXPECT_EQ(snap.counters.at("fault.repaired"), 1u);
-  EXPECT_EQ(snap.counters.at("fault.undetected"), 3u);
-  EXPECT_EQ(snap.counters.at("fault.events_fired"), 1u);
-  EXPECT_EQ(snap.counters.at("fault.injected"),
-            snap.counters.at("fault.detected") +
-                snap.counters.at("fault.undetected"));
+  const workload::FaultCounters c = workload::read_fault_counters(inj);
+  EXPECT_EQ(c.injected, 4u);
+  EXPECT_EQ(c.detected, 1u);
+  EXPECT_EQ(c.repaired, 1u);
+  EXPECT_EQ(c.repaired_by_rebuild, 0u);
+  EXPECT_EQ(c.undetected, 3u);
+  EXPECT_EQ(c.events_fired, 1u);
+  EXPECT_EQ(c.injected, c.detected + c.undetected);
 }
 
 TEST(FaultLedger, ReinjectionReopensARepairedRecord) {

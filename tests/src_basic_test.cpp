@@ -1,4 +1,8 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <fstream>
 
 #include "common/rng.hpp"
 #include "src_test_util.hpp"
@@ -74,9 +78,10 @@ TEST(SegmentMeta, SerializeRoundTrip) {
   m.dirty = true;
   m.has_parity = true;
   m.parity_col = 2;
-  m.entries = {{100, 0xAB}, {kDeadSlot, 0}, {200, 0xCD}};
-  auto p = m.serialize();
-  auto back = SegmentMeta::deserialize(p);
+  m.slot_lba = {100, kDeadSlot, 200};
+  m.slot_crc = {0xAB, 0, 0xCD};
+  m.slot_tenant = {0, 0, 9};
+  auto back = SegmentMeta::deserialize(m.serialize(/*tail=*/true));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->generation, 42u);
   EXPECT_EQ(back->sg, 3u);
@@ -84,17 +89,22 @@ TEST(SegmentMeta, SerializeRoundTrip) {
   EXPECT_TRUE(back->dirty);
   EXPECT_TRUE(back->has_parity);
   EXPECT_EQ(back->parity_col, 2);
-  ASSERT_EQ(back->entries.size(), 3u);
-  EXPECT_EQ(back->entries[0].lba, 100u);
-  EXPECT_EQ(back->entries[1].lba, kDeadSlot);
-  EXPECT_EQ(back->entries[2].crc, 0xCDu);
+  ASSERT_EQ(back->slot_lba.size(), 3u);
+  ASSERT_EQ(back->slot_crc.size(), 3u);
+  ASSERT_EQ(back->slot_tenant.size(), 3u);
+  EXPECT_EQ(back->slot_lba[0], 100u);
+  EXPECT_EQ(back->slot_lba[1], kDeadSlot);
+  EXPECT_EQ(back->slot_crc[2], 0xCDu);
+  EXPECT_EQ(back->slot_tenant[2], 9u);
 }
 
 TEST(SegmentMeta, CorruptionDetected) {
   SegmentMeta m;
   m.generation = 1;
-  m.entries = {{5, 6}};
-  auto p = m.serialize();
+  m.slot_lba = {5};
+  m.slot_crc = {6};
+  m.slot_tenant = {0};
+  auto p = m.serialize(/*tail=*/false);
   auto broken = std::make_shared<std::vector<u8>>(*p);
   (*broken)[10] ^= 0xFF;
   EXPECT_FALSE(SegmentMeta::deserialize(broken).has_value());
@@ -123,19 +133,14 @@ TEST(SegmentMeta, SerializedBytesArePinned) {
   m.has_parity = true;
   m.parity_col = 3;
   for (u32 k = 0; k < 378; ++k) {
-    SegmentMeta::Entry e;  // every 7th slot stays dead
-    if (k % 7 != 3) {
-      e.lba = 0x1000 + 37 * u64{k};
-      e.crc = 0x9E3779B9u * (k + 1);
-      e.tenant = k % 5;
-    }
-    m.entries.push_back(e);
+    const bool live = k % 7 != 3;  // every 7th slot stays dead
+    m.slot_lba.push_back(live ? 0x1000 + 37 * u64{k} : kDeadSlot);
+    m.slot_crc.push_back(live ? 0x9E3779B9u * (k + 1) : 0);
+    m.slot_tenant.push_back(live ? k % 5 : 0);
   }
   const size_t size = 32 + 378 * 16 + 4;
-  m.is_tail = false;
-  expect_pinned(m.serialize(), size, 0x99d96f5au);
-  m.is_tail = true;
-  expect_pinned(m.serialize(), size, 0x376b69fcu);
+  expect_pinned(m.serialize(/*tail=*/false), size, 0x99d96f5au);
+  expect_pinned(m.serialize(/*tail=*/true), size, 0x376b69fcu);
 
   Superblock sb;
   sb.create_seq = 0x1122334455667788ull;
@@ -151,6 +156,163 @@ TEST(SegmentMeta, RejectsWrongMagic) {
   EXPECT_FALSE(SegmentMeta::deserialize(sb.serialize()).has_value());
 }
 
+// Little-endian field access and CRC re-stamping for hand-made records.
+u64 load_le(const std::vector<u8>& b, size_t at, int bytes) {
+  u64 v = 0;
+  for (int i = 0; i < bytes; ++i) v |= u64{b[at + i]} << (8 * i);
+  return v;
+}
+void store_le(std::vector<u8>& b, size_t at, int bytes, u64 v) {
+  for (int i = 0; i < bytes; ++i) b[at + i] = static_cast<u8>(v >> (8 * i));
+}
+// Rewrites the trailer with the CRC-32C of everything before it, so a
+// mutated record reaches the parser instead of failing its checksum.
+void restamp(std::vector<u8>& b) {
+  if (b.size() < 4) return;
+  const size_t body = b.size() - 4;
+  store_le(b, body, 4, common::crc32c(std::span<const u8>(b.data(), body)));
+}
+
+// Caps this process's address space at its current size plus `headroom`
+// while in scope, so an allocation past it throws std::bad_alloc instead
+// of taking the memory. A no-op under ASan and TSan, whose shadow
+// reservations exceed any such cap.
+class AddressSpaceCap {
+ public:
+  explicit AddressSpaceCap(u64 headroom) {
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    std::ifstream statm("/proc/self/statm");
+    u64 pages = 0;
+    if (!(statm >> pages) || getrlimit(RLIMIT_AS, &old_) != 0) return;
+    rlimit cap = old_;
+    cap.rlim_cur = pages * static_cast<u64>(sysconf(_SC_PAGESIZE)) + headroom;
+    if (cap.rlim_cur < old_.rlim_cur) armed_ = setrlimit(RLIMIT_AS, &cap) == 0;
+#endif
+  }
+  ~AddressSpaceCap() {
+    if (armed_) setrlimit(RLIMIT_AS, &old_);
+  }
+  AddressSpaceCap(const AddressSpaceCap&) = delete;
+  AddressSpaceCap& operator=(const AddressSpaceCap&) = delete;
+
+ private:
+  rlimit old_{};
+  bool armed_ = false;
+};
+
+// A CRC-valid MS whose slot count (read off the media) claims 0x0FFFFFFF
+// entries, 4 GiB of them, in a 36-byte payload must be rejected before
+// anything is allocated for those entries.
+TEST(SegmentMeta, SlotCountBoundedByPayload) {
+  std::vector<u8> b(36);
+  store_le(b, 0, 8, kSegmentMetaMagic);
+  store_le(b, 8, 8, 1);            // generation
+  store_le(b, 28, 4, 0x0FFFFFFF);  // slot count
+  restamp(b);
+  const auto p = std::make_shared<std::vector<u8>>(b);
+  std::optional<SegmentMeta> back;
+  {
+    AddressSpaceCap cap(1 * GiB);
+    back = SegmentMeta::deserialize(p);
+  }
+  EXPECT_FALSE(back.has_value());
+}
+
+TEST(SegmentMeta, TenantClampsToU16) {
+  SegmentMeta m;
+  m.generation = 5;
+  m.slot_lba = {10, 11};
+  m.slot_crc = {0, 0};
+  m.slot_tenant = {0, 0};
+  std::vector<u8> b = *m.serialize(/*tail=*/false);
+  store_le(b, 32 + 12, 4, 0x12345);  // entry 0's tenant, a u32 on SSD
+  store_le(b, 48 + 12, 4, 0xFFFE);
+  restamp(b);
+  const auto back =
+      SegmentMeta::deserialize(std::make_shared<std::vector<u8>>(b));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->slot_tenant[0], 0xFFFFu);
+  EXPECT_EQ(back->slot_tenant[1], 0xFFFEu);
+}
+
+// Seeded mutation fuzzing of the two on-SSD parsers over a fixed budget:
+// bit flips (half of them in the 32-byte header, where the flags and the
+// slot count live) and truncations of valid records, each re-stamped so it
+// passes the CRC. Every mutant is rejected or parses to a record that
+// matches its bytes: a superblock re-serializes to them, and a segment
+// record holds exactly as many slots as its count field says.
+TEST(SegmentMeta, MutatedRecordsParseOrReject) {
+  std::vector<std::vector<u8>> seeds;
+  for (const u32 slots : {0u, 1u, 37u}) {
+    SegmentMeta m;
+    m.generation = 100 + slots;
+    m.sg = 3;
+    m.seg = slots % 8;
+    m.dirty = slots % 2 == 1;
+    m.has_parity = true;
+    m.parity_col = 1;
+    for (u32 k = 0; k < slots; ++k) {
+      m.slot_lba.push_back(k % 5 == 0 ? kDeadSlot : 1000 + k);
+      m.slot_crc.push_back(0x9E3779B9u * k);
+      m.slot_tenant.push_back(k % 3);
+    }
+    seeds.push_back(*m.serialize(/*tail=*/slots == 1));
+  }
+  Superblock sb;
+  sb.create_seq = 1;
+  sb.num_ssds = 4;
+  sb.erase_group_bytes = 256 * MiB;
+  sb.chunk_bytes = 512 * KiB;
+  sb.region_bytes_per_ssd = 4608ull * MiB;
+  const std::vector<u8> super = *sb.serialize();
+
+  common::Xoshiro256 rng(0x5EED);
+  u64 accepted = 0, rejected = 0;
+  AddressSpaceCap cap(1 * GiB);  // a count the parser trusts fails fast
+  for (int i = 0; i < 10000; ++i) {
+    const bool is_super = i % 4 == 3;
+    std::vector<u8> b = is_super ? super : seeds[rng.below(seeds.size())];
+    if (rng.below(4) == 0) {
+      b.resize(rng.below(b.size()));
+    } else {
+      const size_t body = b.size() - 4;
+      for (u64 f = 1 + rng.below(3); f > 0; --f) {
+        const size_t at =
+            rng.below(rng.below(2) == 0 ? std::min<size_t>(32, body) : body);
+        b[at] ^= static_cast<u8>(1u << rng.below(8));
+      }
+    }
+    restamp(b);
+    const auto p = std::make_shared<std::vector<u8>>(b);
+    if (is_super) {
+      const auto s = Superblock::deserialize(p);
+      if (!s.has_value()) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      ASSERT_EQ(*s->serialize(), b) << "input " << i;
+      continue;
+    }
+    const auto m = SegmentMeta::deserialize(p);
+    if (!m.has_value()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const u64 count = load_le(b, 28, 4);
+    ASSERT_LE(32 + 16 * count + 4, b.size()) << "input " << i;
+    ASSERT_EQ(m->slot_lba.size(), count) << "input " << i;
+    ASSERT_EQ(m->slot_crc.size(), count) << "input " << i;
+    ASSERT_EQ(m->slot_tenant.size(), count) << "input " << i;
+    for (u64 k = 0; k < count; ++k)
+      ASSERT_EQ(m->slot_lba[k], load_le(b, 32 + 16 * k, 8)) << "input " << i;
+  }
+  // The budget reaches both verdicts on both parsers' inputs.
+  EXPECT_GT(accepted, 2000u);
+  EXPECT_GT(rejected, 2000u);
+}
+
 TEST(SuperblockMeta, RoundTrip) {
   Superblock sb;
   sb.create_seq = 9;
@@ -164,7 +326,7 @@ TEST(SuperblockMeta, RoundTrip) {
   EXPECT_EQ(back->erase_group_bytes, 256 * MiB);
 }
 
-// --- basic cache behaviour -----------------------------------------------------
+// --- basic cache behaviour ---------------------------------------------------
 
 TEST(SrcCache, StartsEmpty) {
   Rig rig;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "src_test_util.hpp"
 
@@ -80,6 +82,60 @@ TEST(SrcRecovery, NewestGenerationWinsForRewrittenBlocks) {
   rig.read(10, 7, 1, &out);
   EXPECT_EQ(out, new_tag);
   EXPECT_TRUE(rig.cache->verify_consistency().is_ok());
+}
+
+// (generation, SG) of every sealed copy of `lba` on the SSDs, read from
+// each segment's MS on SSD 0.
+std::vector<std::pair<u64, u32>> sealed_copies(Rig& rig, u64 lba) {
+  std::vector<std::pair<u64, u32>> copies;
+  for (u32 s = 1; s < rig.cfg.sg_count(); ++s) {
+    for (u32 g = 0; g < rig.cfg.segments_per_sg(); ++g) {
+      const u64 ms = s * rig.cfg.eg_blocks() + g * rig.cfg.chunk_blocks();
+      sim::SimTime done = 0;
+      const auto p = rig.ssds[0]->read_payload(0, ms, &done);
+      if (!p.is_ok()) continue;
+      const auto m = SegmentMeta::deserialize(p.value());
+      if (!m.has_value()) continue;
+      for (const u64 l : m->slot_lba)
+        if (l == lba) copies.emplace_back(m->generation, s);
+    }
+  }
+  std::sort(copies.begin(), copies.end());
+  return copies;
+}
+
+// A reused SG holds a block's newest copy below the SG of an older copy,
+// so the recovery scan meets the newest copy first: it must keep it and
+// mark the older copy's slot dead.
+TEST(SrcRecovery, NewestCopyInLowerSgWins) {
+  SrcConfig cfg = small_config();
+  cfg.gc = GcPolicy::kS2D;
+  cfg.victim = VictimPolicy::kFifo;
+  Rig rig(cfg);
+  const u64 seg_slots = cfg.segment_data_slots(true);
+  const u64 per_sg = cfg.segments_per_sg() * seg_slots;
+  const u64 old_tag = 1, new_tag = 2;
+  sim::SimTime t = 0;
+  u64 filler = 1000;
+  // Distinct filler blocks fill whole segments around the two copies: the
+  // old one seals into the fifth SG written, and FIFO reclaims hand SG 1
+  // back as the sixteenth, which takes the new one.
+  for (u64 i = 0; i < 4 * per_sg; ++i) t = rig.write(t, filler++);
+  t = rig.write(t, 7, 1, &old_tag);
+  for (u64 i = 1; i < 11 * per_sg; ++i) t = rig.write(t, filler++);
+  t = rig.write(t, 7, 1, &new_tag);
+  for (u64 i = 1; i < seg_slots; ++i) t = rig.write(t, filler++);
+
+  const auto copies = sealed_copies(rig, 7);
+  ASSERT_EQ(copies.size(), 2u);
+  ASSERT_LT(copies[1].second, copies[0].second) << "newest copy not lower";
+  rig.reattach();
+  ASSERT_TRUE(rig.cache->recover(0).is_ok());
+  EXPECT_TRUE(rig.cache->verify_consistency().is_ok())
+      << rig.cache->verify_consistency().to_string();
+  u64 out = 0;
+  rig.read(t, 7, 1, &out);
+  EXPECT_EQ(out, new_tag);
 }
 
 TEST(SrcRecovery, TornSegmentDiscarded) {

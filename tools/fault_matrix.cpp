@@ -177,11 +177,8 @@ ScenarioOutcome run_scenario(const Scenario& sc) {
   }
 
   // Re-read the final ledger state into the result before serializing.
-  res.fault.injected = led.injected();
-  res.fault.detected = led.detected();
-  res.fault.repaired = led.repaired();
-  res.fault.repaired_by_rebuild = led.repaired_by_rebuild();
-  res.fault.undetected = led.undetected();
+  static_cast<workload::FaultCounters&>(res.fault) =
+      workload::read_fault_counters(inj);
   out.run_json = workload::run_json("fault_matrix", sc.name, res);
   return out;
 }
@@ -318,7 +315,8 @@ int main(int argc, char** argv) {
     w.kv("scrub_repaired", out.scrub.repaired);
     w.kv("scrub_refetched", out.scrub.refetched);
     w.kv("scrub_unrecoverable", out.scrub.unrecoverable);
-    w.kv("rebuilds_completed", static_cast<u64>(out.rebuild.rebuilds_completed));
+    w.kv("rebuilds_completed",
+         static_cast<u64>(out.rebuild.rebuilds_completed));
     w.kv("rebuilds_aborted", static_cast<u64>(out.rebuild.rebuilds_aborted));
     w.kv("rebuild_blocks_copied", out.rebuild.blocks_copied);
     w.kv("rebuild_blocks_skipped", out.rebuild.blocks_skipped);
