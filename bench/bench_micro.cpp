@@ -7,8 +7,11 @@
 #include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "flash/ftl.hpp"
+#include "flash/sim_ssd.hpp"
+#include "flash/ssd_specs.hpp"
 #include "harness.hpp"
 #include "raid/raid_device.hpp"
+#include "sim/timeline.hpp"
 
 namespace {
 
@@ -81,6 +84,55 @@ void BM_FtlRandomWrite(benchmark::State& state) {
   state.counters["WA"] = timed.write_amplification();
 }
 BENCHMARK(BM_FtlRandomWrite);
+
+// NAND-unit placement: batches of `range(0)` equal ops over 32 units, as
+// SimSsd charges a command's page programs. Arrivals are spaced at random
+// around the time the batch occupies each unit, so batches find the units
+// sometimes idle and sometimes backlogged.
+void BM_MultiServerBatch(benchmark::State& state) {
+  const auto count = static_cast<u64>(state.range(0));
+  constexpr int kUnits = 32;
+  constexpr sim::SimTime kPerOp = 200 * sim::kUs;
+  const auto mean_gap = static_cast<u64>(
+      std::max<u64>(count / kUnits, 1) * static_cast<u64>(kPerOp));
+  sim::MultiServer nand(kUnits);
+  common::Xoshiro256 rng(6);
+  sim::SimTime now = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nand.submit_batch(now, count, kPerOp));
+    now += static_cast<sim::SimTime>(rng.below(2 * mean_gap + 1));
+  }
+}
+BENCHMARK(BM_MultiServerBatch)->Arg(128)->Arg(4);
+
+// A preconditioned SimSsd taking 512 KiB writes in one log-structured pass
+// after another over its LBA space, each issued when the last completes:
+// the controller, interface, FTL and NAND placement of SRC's chunk writes.
+// 64-page blocks keep the drive at 8 erase groups (64 MiB).
+void BM_SsdChunkWrite(benchmark::State& state) {
+  flash::SsdSpec spec = flash::spec_840pro_128();
+  spec.pages_per_block = 64;
+  spec.capacity_bytes = 8 * static_cast<u64>(spec.units) * 64 * kBlockSize;
+  flash::SimSsd ssd(spec, /*track_content=*/false);
+  ssd.precondition();
+  constexpr u32 kChunk = 512 * KiB / kBlockSize;
+  const u64 chunks = ssd.capacity_blocks() / kChunk;
+  u64 next = 0;
+  sim::SimTime now = 0;
+  for (u64 i = 0; i < 2 * chunks; ++i) {  // untimed: one more full pass
+    now = ssd.write(now, (next++ % chunks) * kChunk, kChunk, {}).done;
+  }
+  const flash::FtlStats before = ssd.ftl().stats();
+  for (auto _ : state) {
+    now = ssd.write(now, (next++ % chunks) * kChunk, kChunk, {}).done;
+  }
+  flash::FtlStats timed = ssd.ftl().stats();
+  timed.host_pages_written -= before.host_pages_written;
+  timed.total_pages_programmed -= before.total_pages_programmed;
+  state.counters["WA"] = timed.write_amplification();
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) * 512 * KiB);
+}
+BENCHMARK(BM_SsdChunkWrite);
 
 void BM_Raid5SmallWrite(benchmark::State& state) {
   blockdev::MemDiskConfig mc;

@@ -1,31 +1,16 @@
 #include "flash/ftl.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <stdexcept>
 
 namespace srcache::flash {
-
-namespace {
-constexpr u32 kNoBlock = ~0u;
-}
 
 VictimIndex::VictimIndex(u64 blocks, u64 max_valid)
     : words_(div_ceil(blocks, 64)),
       bits_((max_valid + 1) * words_, 0),
       count_(max_valid + 1, 0),
       min_(static_cast<u32>(max_valid + 1)) {}
-
-u32 VictimIndex::pick() const {
-  while (min_ < count_.size() && count_[min_] == 0) ++min_;
-  if (min_ == count_.size()) return kNone;
-  const u64* b = bucket(min_);
-  for (u64 w = 0; w < words_; ++w) {
-    if (b[w] != 0) return static_cast<u32>(w * 64 + std::countr_zero(b[w]));
-  }
-  return kNone;  // unreachable while count_ matches the bitsets
-}
 
 bool VictimIndex::holds(u32 blk, u32 valid) const {
   return valid < count_.size() && (bucket(valid)[blk / 64] & bit(blk)) != 0;
@@ -50,6 +35,7 @@ Ftl::Ftl(const FtlConfig& cfg) : cfg_(cfg) {
   p2l_.assign(physical * cfg_.pages_per_block, kUnmapped);
   blocks_.assign(physical, {});
   write_ptr_.assign(physical, 0);
+  trim_lost_.assign(physical, 0);
   victims_ = VictimIndex(physical, cfg_.pages_per_block);
   // Ascending ids, popped from the back: the highest block id is allocated
   // first. The pinned outcomes depend on this order.
@@ -58,6 +44,7 @@ Ftl::Ftl(const FtlConfig& cfg) : cfg_(cfg) {
   host_open_.assign(static_cast<size_t>(cfg_.units), kNoBlock);
   gc_open_.assign(static_cast<size_t>(cfg_.units), kNoBlock);
   gc_low_ = static_cast<u64>(cfg_.units) + 8;
+  gc_critical_ = static_cast<u64>(cfg_.units) + 6;
 }
 
 u32 Ftl::take_free_block() {
@@ -72,87 +59,49 @@ u32 Ftl::take_free_block() {
   return b;
 }
 
-// Inline: one call per programmed page, on every host write and GC copy.
-inline u32 Ftl::allocate_page(std::vector<u32>& open_blocks, u32& rr) {
-  const u32 unit = rr++ % static_cast<u32>(cfg_.units);
-  u32 blk = open_blocks[unit];
-  if (blk == kNoBlock) {
-    blk = take_free_block();
-    open_blocks[unit] = blk;
-  }
-  blocks_[blk].valid++;
-  const u32 off = write_ptr_[blk]++;
-  if (write_ptr_[blk] >= cfg_.pages_per_block) {
-    blocks_[blk].state = BlockState::kClosed;
-    victims_.insert(blk, blocks_[blk].valid);
-    open_blocks[unit] = kNoBlock;
-  }
-  return blk * static_cast<u32>(cfg_.pages_per_block) + off;
-}
-
-void Ftl::invalidate(u32 ppage) {
-  drop_valid(ppage / static_cast<u32>(cfg_.pages_per_block));
-  p2l_[ppage] = kUnmapped;
-}
-
-NandOps Ftl::write(u64 lpage) {
-  if (lpage >= cfg_.exported_pages) {
-    throw std::out_of_range("Ftl::write beyond exported capacity");
-  }
-  NandOps ops;
-  if (l2p_[lpage] != kUnmapped) {
-    invalidate(l2p_[lpage]);
-  } else {
-    ++mapped_pages_;
-  }
-  const u32 ppage = allocate_page(host_open_, host_rr_);
-  l2p_[lpage] = ppage;
-  p2l_[ppage] = static_cast<u32>(lpage);
-  ops.programs++;
-  stats_.host_pages_written++;
-  stats_.total_pages_programmed++;
-
-  if (free_.size() < gc_low_) collect_garbage(ops);
-  return ops;
-}
-
-bool Ftl::is_mapped(u64 lpage) const {
-  return lpage < cfg_.exported_pages && l2p_[lpage] != kUnmapped;
-}
-
 void Ftl::trim(u64 lpage, u64 n) {
-  const u64 end = std::min(lpage + n, cfg_.exported_pages);
+  // A range written in one pass is striped page by page over `units`
+  // blocks, so its pages' valid-count losses are summed per block and
+  // applied once for each block.
+  const auto ppb = static_cast<u32>(cfg_.pages_per_block);
+  const u64 end = range_end(lpage, n);
   for (u64 p = lpage; p < end; ++p) {
-    if (l2p_[p] == kUnmapped) continue;
-    invalidate(l2p_[p]);
+    const u32 ppage = l2p_[p];
+    if (ppage == kUnmapped) continue;
+    const u32 blk = ppage / ppb;
+    if (trim_lost_[blk]++ == 0) trim_blocks_.push_back(blk);
+    p2l_[ppage] = kUnmapped;
     l2p_[p] = kUnmapped;
     --mapped_pages_;
   }
+  for (const u32 blk : trim_blocks_) {
+    drop_valid(blk, trim_lost_[blk]);
+    trim_lost_[blk] = 0;
+  }
+  trim_blocks_.clear();
 }
 
-void Ftl::collect_garbage(NandOps& ops) {
+void Ftl::reclaim_from(u32 victim, NandOps& ops) {
   // Two-phase greedy GC. Fully-invalid blocks are erased eagerly (free
   // space, no copying). Copy-back GC is deferred until the pool is
   // critically low: host streams that recycle whole erase groups then get
   // the chance to finish invalidating their blocks before any copying
   // happens — the mechanism that makes erase-group-aligned writes sustain
-  // full bandwidth even at 0% OPS (Fig. 2).
-  const u64 critical = static_cast<u64>(cfg_.units) + 6;
-  while (free_.size() < gc_low_ + 4) {
-    const u32 victim = pick_victim();
-    if (victim == VictimIndex::kNone) return;
-    if (blocks_[victim].valid > 0 && free_.size() >= critical) return;
-    if (blocks_[victim].valid >= cfg_.pages_per_block) return;
-
+  // full bandwidth even at 0% OPS (Fig. 2). gc_victim() decides when to
+  // stop; it has already picked `victim`.
+  do {
+    // The victim leaves the index before its live pages move out, so the
+    // copies need not walk it down the buckets one page at a time.
+    BlockInfo& vb = blocks_[victim];
+    victims_.erase(victim, vb.valid);
     const u64 base = static_cast<u64>(victim) * cfg_.pages_per_block;
-    for (u64 off = 0;
-         off < cfg_.pages_per_block && blocks_[victim].valid > 0; ++off) {
+    for (u64 off = 0; off < cfg_.pages_per_block && vb.valid > 0; ++off) {
       const u32 src = static_cast<u32>(base + off);
       const u32 lpage = p2l_[src];
       if (lpage == kUnmapped) continue;
       const u32 dst = allocate_page(gc_open_, gc_rr_);
       p2l_[src] = kUnmapped;
-      drop_valid(victim);
+      --vb.valid;
       l2p_[lpage] = dst;
       p2l_[dst] = lpage;
       ops.gc_reads++;
@@ -160,14 +109,14 @@ void Ftl::collect_garbage(NandOps& ops) {
       stats_.gc_pages_copied++;
       stats_.total_pages_programmed++;
     }
-    victims_.erase(victim, blocks_[victim].valid);
-    blocks_[victim].state = BlockState::kFree;
-    blocks_[victim].erase_count++;
+    vb.state = BlockState::kFree;
+    vb.erase_count++;
     write_ptr_[victim] = 0;
     free_.push_back(victim);
     ops.erases++;
     stats_.blocks_erased++;
-  }
+  } while (free_.size() < gc_low_ + 4 &&
+           (victim = gc_victim()) != VictimIndex::kNone);
 }
 
 Status Ftl::verify_consistency() const {

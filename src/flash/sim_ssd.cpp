@@ -28,12 +28,13 @@ SimSsd::SimSsd(const SsdSpec& spec, bool track_content)
 
 SimTime SimSsd::charge_nand(SimTime start, const NandOps& ops) {
   SimTime done = start;
-  if (ops.gc_reads > 0)
-    done = std::max(done, nand_.submit_batch(start, ops.gc_reads, spec_.read_latency));
-  if (ops.programs > 0)
-    done = std::max(done, nand_.submit_batch(start, ops.programs, spec_.program_latency));
-  if (ops.erases > 0)
-    done = std::max(done, nand_.submit_batch(start, ops.erases, spec_.erase_latency));
+  const auto charge = [&](u64 count, SimTime per_op) {
+    if (count > 0)
+      done = std::max(done, nand_.submit_batch(start, count, per_op));
+  };
+  charge(ops.gc_reads, spec_.read_latency);
+  charge(ops.programs, spec_.program_latency);
+  charge(ops.erases, spec_.erase_latency);
   return done;
 }
 
@@ -56,10 +57,8 @@ SimTime SimSsd::service(DeviceOp op, SimTime now, u64 lba, u64 n) {
 
 SimTime SimSsd::read_time(SimTime now, u64 lba, u64 n) {
   const SimTime t_ctrl = controller_.submit(now, spec_.command_overhead);
-  // Count mapped pages; unmapped reads return zeroes without NAND work.
-  u64 mapped = 0;
-  for (u64 i = 0; i < n; ++i)
-    if (ftl_.is_mapped(lba + i)) ++mapped;
+  // Unmapped pages read as zeroes without NAND work.
+  const u64 mapped = ftl_.mapped_count(lba, n);
   const SimTime t_nand = nand_.submit_batch(t_ctrl, mapped, spec_.read_latency);
   const SimTime done = interface_.transfer(std::max(t_ctrl, t_nand),
                                            blocks_to_bytes(n));
@@ -79,8 +78,7 @@ SimTime SimSsd::read_time(SimTime now, u64 lba, u64 n) {
 SimTime SimSsd::write_time(SimTime now, u64 lba, u64 n) {
   const SimTime t_ctrl = controller_.submit(now, spec_.command_overhead);
   const SimTime t_iface = interface_.transfer(t_ctrl, blocks_to_bytes(n));
-  NandOps ops;
-  for (u64 i = 0; i < n; ++i) ops += ftl_.write(lba + i);
+  const NandOps ops = ftl_.write_range(lba, n);
   const SimTime nand_done = charge_nand(t_iface, ops);
   const SimTime done = buffer_.admit(t_iface, blocks_to_bytes(n), nand_done);
   if (span_ == nullptr) return done;
@@ -153,7 +151,7 @@ void SimSsd::register_metrics(const obs::Scope& scope) {
 }
 
 void SimSsd::precondition() {
-  for (u64 lba = 0; lba < capacity_blocks(); ++lba) ftl_.write(lba);
+  ftl_.write_range(0, capacity_blocks());
   reset_timing();
 }
 

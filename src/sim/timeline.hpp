@@ -7,7 +7,10 @@
 // reproduces queueing delay and parallelism without a full event calendar.
 #pragma once
 
-#include <utility>
+#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -44,60 +47,79 @@ class ServiceTimeline {
 };
 
 // k identical parallel units fed from one queue (e.g. NAND dies across
-// channels). Work is placed on the earliest-free unit: a min-heap over
-// (free time, unit index) makes each placement O(log k) instead of a linear
-// scan — this is the innermost loop of every simulated device, hit once per
-// page op from every engine shard. Ties break toward the lowest index,
-// matching the original scan's first-minimum choice exactly.
+// channels). Each op goes to the earliest-free unit, the lowest index among
+// ties. The units sit in one array sorted by a packed u64 key, free time
+// shifted left by b bits or'd with the unit index (b = bit width of the
+// unit count, 7 for 90 units), so the front is the unit to pick and two
+// units compare as two integers. A free time too large for the key throws
+// std::overflow_error, before any state changes, rather than misorder.
+// This is the innermost loop of every simulated device.
+//
+// A batch is `count` equal ops cut into at most `units` shares: count /
+// units ops each, the first count % units of them one op larger (only
+// those when count < units). Each share in turn goes to the earliest-free
+// unit, exactly as one submit() per share would place it. When even the
+// smallest share, started on the earliest-free unit, ends after the last
+// unit to take a share frees up, no re-keyed unit can come back ahead of
+// the ones still waiting, so share i goes to the i-th unit in sorted order:
+// submit_batch() re-keys them in one pass and restores the order with one
+// merge. Otherwise it places the shares one by one.
 class MultiServer {
  public:
   explicit MultiServer(int units)
-      : free_at_(static_cast<size_t>(units), 0),
-        unit_busy_(static_cast<size_t>(units), 0) {
-    rebuild_heap();
+      : keys_(checked_units(units)),
+        merge_buf_(keys_.size()),
+        tied_bits_((keys_.size() + 63) / 64, 0),
+        unit_busy_(keys_.size(), 0),
+        shift_(std::bit_width(keys_.size())) {
+    reset();
   }
 
   SimTime submit(SimTime now, SimTime service) {
-    const size_t best = heap_[0].second;
-    const SimTime start = free_at_[best] > now ? free_at_[best] : now;
-    free_at_[best] = start + service;
-    unit_busy_[best] += service;
+    const u64 front = keys_[0];
+    const size_t unit = front & unit_mask();
+    const SimTime done = std::max(free_of(front), now) + service;
+    const u64 key = pack(done, unit);
+    unit_busy_[unit] += service;
     busy_time_ += service;
-    sift_down(free_at_[best], best);
-    return free_at_[best];
+    // The units sorted ahead of the new key move one slot to the front.
+    const auto rest = keys_.begin() + 1;
+    const auto pos = std::lower_bound(rest, keys_.end(), key);
+    std::move(rest, pos, keys_.begin());
+    *(pos - 1) = key;
+    return done;
   }
 
-  // Distributes `count` equal ops of `per_op` service across the units,
-  // giving each unit a contiguous share. Equivalent to `count` single
-  // submits for symmetric loads but O(units) instead of O(count · units).
-  // Returns the completion time of the last op.
+  // Places `count` ops of `per_op` service as a batch (see the class
+  // comment). Returns the completion time of the last op.
   SimTime submit_batch(SimTime now, u64 count, SimTime per_op) {
     if (count == 0) return now;
-    const auto u = static_cast<u64>(free_at_.size());
+    const u64 u = keys_.size();
     const u64 per_unit = count / u;
-    u64 extra = count % u;
+    const u64 extra = count % u;
+    const u64 shares = per_unit > 0 ? u : extra;
+    if (shares == 1) return submit(now, static_cast<SimTime>(count) * per_op);
+    const u64 smallest = per_unit > 0 ? per_unit : 1;
+    const SimTime first = std::max(free_of(keys_[0]), now);
+    if (per_op >= 0 && first + static_cast<SimTime>(smallest) * per_op >
+                           free_of(keys_[shares - 1])) {
+      return place_in_sorted_order(now, per_unit, extra, per_op);
+    }
     SimTime last = now;
-    for (u64 i = 0; i < u && count > 0; ++i) {
-      u64 share = per_unit + (extra > 0 ? 1 : 0);
-      if (extra > 0) --extra;
-      if (share == 0) continue;
+    for (u64 i = 0; i < shares; ++i) {
+      const u64 share = per_unit + (i < extra ? 1 : 0);
       const SimTime done = submit(now, static_cast<SimTime>(share) * per_op);
       last = done > last ? done : last;
-      count -= share;
     }
     return last;
   }
 
   // Time at which all units are idle (used for flush/drain semantics).
-  [[nodiscard]] SimTime all_idle_at() const {
-    SimTime t = 0;
-    for (SimTime f : free_at_) t = f > t ? f : t;
-    return t;
-  }
+  [[nodiscard]] SimTime all_idle_at() const { return free_of(keys_.back()); }
 
-  [[nodiscard]] SimTime earliest_free() const { return heap_[0].first; }
+  [[nodiscard]] SimTime earliest_free() const { return free_of(keys_[0]); }
 
-  [[nodiscard]] int units() const { return static_cast<int>(free_at_.size()); }
+  [[nodiscard]] int units() const { return static_cast<int>(keys_.size()); }
   [[nodiscard]] SimTime busy_time() const { return busy_time_; }
   // Per-unit share of busy_time() — exposes placement skew (a single die
   // serving a long erase while its siblings idle) that the aggregate hides.
@@ -106,45 +128,97 @@ class MultiServer {
   }
 
   void reset() {
-    for (auto& f : free_at_) f = 0;
+    for (size_t i = 0; i < keys_.size(); ++i) keys_[i] = i;  // all free at 0
     for (auto& b : unit_busy_) b = 0;
     busy_time_ = 0;
-    rebuild_heap();
   }
 
  private:
-  // (free time, unit index), heap-ordered so the root is the unit the old
-  // linear scan would pick: smallest free time, lowest index among ties.
-  using Slot = std::pair<SimTime, size_t>;
-
-  void rebuild_heap() {
-    heap_.resize(free_at_.size());
-    for (size_t i = 0; i < free_at_.size(); ++i) heap_[i] = {free_at_[i], i};
-    // All-equal keys with ascending indices already satisfy the heap
-    // property; after reset/construction every free time is 0.
+  static size_t checked_units(int units) {
+    if (units < 1) throw std::invalid_argument("MultiServer: units < 1");
+    return static_cast<size_t>(units);
   }
-
-  // Re-keys the root (the unit just scheduled) and restores heap order.
-  void sift_down(SimTime key, size_t unit) {
-    const size_t n = heap_.size();
-    size_t hole = 0;
-    const Slot updated{key, unit};
-    while (true) {
-      const size_t left = 2 * hole + 1;
-      if (left >= n) break;
-      const size_t right = left + 1;
-      size_t child = left;
-      if (right < n && heap_[right] < heap_[left]) child = right;
-      if (!(heap_[child] < updated)) break;
-      heap_[hole] = heap_[child];
-      hole = child;
+  [[nodiscard]] u64 unit_mask() const { return (u64{1} << shift_) - 1; }
+  [[nodiscard]] SimTime free_of(u64 key) const {
+    return static_cast<SimTime>(key >> shift_);
+  }
+  void check_fits(SimTime free) const {
+    if (static_cast<u64>(free) > ~u64{0} >> shift_) {
+      throw std::overflow_error(
+          "MultiServer: free time does not fit the packed key");
     }
-    heap_[hole] = updated;
+  }
+  [[nodiscard]] u64 pack(SimTime free, size_t unit) const {
+    check_fits(free);
+    return static_cast<u64>(free) << shift_ | unit;
   }
 
-  std::vector<SimTime> free_at_;
+  // The batch's one-pass path: share i to the i-th sorted unit. The first
+  // `extra` units take the larger share and the next ones the smaller (or,
+  // when count < units, none and keep their keys). Each re-keyed run stays
+  // sorted except for its units that were free by `now`: they all end at
+  // now + share and must be re-ordered by index. The larger-share run is
+  // then merged with everything after it.
+  SimTime place_in_sorted_order(SimTime now, u64 per_unit, u64 extra,
+                                SimTime per_op) {
+    const u64 u = keys_.size();
+    const u64 rekeyed = per_unit > 0 ? u : extra;
+    const auto big = static_cast<SimTime>(per_unit + 1) * per_op;
+    const auto small = static_cast<SimTime>(per_unit) * per_op;
+    // The latest new free time ends one of the two runs; check it fits the
+    // key before changing anything.
+    SimTime last = now;
+    if (extra > 0) last = std::max(free_of(keys_[extra - 1]), now) + big;
+    if (rekeyed > extra) {
+      last = std::max(last,
+                      std::max(free_of(keys_[rekeyed - 1]), now) + small);
+    }
+    check_fits(last);
+    rekey_run(now, 0, extra, big);
+    rekey_run(now, extra, rekeyed, small);
+    busy_time_ += static_cast<SimTime>(per_unit * u + extra) * per_op;
+    // Merge [0, extra) with [extra, u) in place; the output never passes
+    // the next unread key of the second run.
+    std::copy(keys_.begin(), keys_.begin() + static_cast<ptrdiff_t>(extra),
+              merge_buf_.begin());
+    u64 i = 0, j = extra, out = 0;
+    while (i < extra && j < u) {
+      keys_[out++] = merge_buf_[i] < keys_[j] ? merge_buf_[i++] : keys_[j++];
+    }
+    while (i < extra) keys_[out++] = merge_buf_[i++];
+    return last;
+  }
+
+  // Adds `service` to the sorted units [from, to). Those free by `now`, a
+  // prefix, then all end at now + service and are written back in index
+  // order through a bitmap; the rest keep their order.
+  void rekey_run(SimTime now, u64 from, u64 to, SimTime service) {
+    u64 tied = from;
+    for (; tied < to && free_of(keys_[tied]) <= now; ++tied) {
+      const u64 unit = keys_[tied] & unit_mask();
+      tied_bits_[unit / 64] |= u64{1} << (unit % 64);
+      unit_busy_[unit] += service;
+    }
+    const u64 tied_key = static_cast<u64>(now + service) << shift_;
+    u64 out = from;
+    for (size_t w = 0; out < tied; ++w) {
+      for (u64& word = tied_bits_[w]; word != 0; word &= word - 1) {
+        keys_[out++] = tied_key | (w * 64 + std::countr_zero(word));
+      }
+    }
+    for (u64 i = tied; i < to; ++i) {
+      keys_[i] += static_cast<u64>(service) << shift_;
+      unit_busy_[keys_[i] & unit_mask()] += service;
+    }
+  }
+
+  // Packed (free time, unit) keys in ascending order.
+  std::vector<u64> keys_;
+  std::vector<u64> merge_buf_;
+  // One bit per unit, all clear between batches (see rekey_run).
+  std::vector<u64> tied_bits_;
   std::vector<SimTime> unit_busy_;
-  std::vector<Slot> heap_;
+  int shift_;  // bits of a key that hold the unit index
   SimTime busy_time_ = 0;
 };
 
@@ -197,7 +271,9 @@ class BandwidthPipe {
   }
 
   [[nodiscard]] double mbps() const { return mbps_; }
-  [[nodiscard]] SimTime backlog(SimTime now) const { return line_.backlog(now); }
+  [[nodiscard]] SimTime backlog(SimTime now) const {
+    return line_.backlog(now);
+  }
   [[nodiscard]] SimTime busy_time() const { return line_.busy_time(); }
   void reset() { line_.reset(); }
 

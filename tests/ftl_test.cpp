@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "flash/ftl.hpp"
 #include "flash/sim_ssd.hpp"
@@ -272,6 +274,86 @@ TEST(FtlAudit, VictimIndexMatchesScanOnNvmeSpec) {
   const SsdSpec nvme = spec_c_mlc_nvme();
   ASSERT_EQ(nvme.units, 90);
   audit_ftl(audit_cfg(nvme.units, 2 * 90 * 64, nvme.ops_fraction), 23);
+}
+
+// --- Range operations against page-at-a-time ones --------------------------
+//
+// Two FTLs run one seeded script of multi-page writes and trims: one through
+// write_range() and multi-page trim(), the other one page per call. Writes
+// run from a sequential cursor (whole-block victims) or at random (partly
+// valid victims), up to one erase group long, so commands enter copy-back
+// GC part way through. Every command's NAND work must match, and at the end
+// the stats, every l2p entry and both audits. (Random-offset overwrites of
+// several erase groups on a two-group drive can empty the free pool, page
+// by page as well; ROADMAP lists that GC-reserve fault.)
+
+void check_range_ops(const FtlConfig& cfg, u64 seed) {
+  Ftl range(cfg);
+  Ftl pages(cfg);
+  const u64 n_pages = cfg.exported_pages;
+  const u64 eg = cfg.erase_group_pages();
+  common::Xoshiro256 rng(seed);
+  u64 cursor = 0;
+  u64 copyback_commands = 0;
+  for (int cmd = 0; cmd < 4000; ++cmd) {
+    const double r = rng.uniform();
+    const u64 len = rng.chance(0.1) ? rng.below(eg) + 1 : rng.below(64) + 1;
+    if (r < 0.1) {
+      // Trims may run past capacity; both sides clamp.
+      const u64 start = rng.below(n_pages);
+      range.trim(start, len);
+      for (u64 p = start; p < start + len; ++p) pages.trim(p, 1);
+      u64 mapped = 0;
+      for (u64 p = start; p < start + len; ++p) mapped += pages.is_mapped(p);
+      ASSERT_EQ(range.mapped_count(start, len), mapped) << "cmd " << cmd;
+      continue;
+    }
+    const u64 start = r < 0.55 ? cursor : rng.below(n_pages);
+    const u64 n = std::min(len, n_pages - start);
+    const NandOps got = range.write_range(start, n);
+    NandOps want;
+    for (u64 p = start; p < start + n; ++p) want += pages.write(p);
+    ASSERT_EQ(got.programs, want.programs) << "cmd " << cmd;
+    ASSERT_EQ(got.gc_reads, want.gc_reads) << "cmd " << cmd;
+    ASSERT_EQ(got.erases, want.erases) << "cmd " << cmd;
+    if (got.gc_reads > 0) ++copyback_commands;
+    if (r < 0.55) cursor = (start + n) % n_pages;
+  }
+  EXPECT_GT(copyback_commands, 0u);
+  const FtlStats& a = range.stats();
+  const FtlStats& b = pages.stats();
+  EXPECT_EQ(a.host_pages_written, b.host_pages_written);
+  EXPECT_EQ(a.total_pages_programmed, b.total_pages_programmed);
+  EXPECT_EQ(a.gc_pages_copied, b.gc_pages_copied);
+  EXPECT_EQ(a.blocks_erased, b.blocks_erased);
+  EXPECT_EQ(range.mapped_pages(), pages.mapped_pages());
+  EXPECT_EQ(range.free_blocks(), pages.free_blocks());
+  EXPECT_EQ(range.mapped_count(0, n_pages), range.mapped_pages());
+  for (u64 p = 0; p < n_pages; ++p)
+    ASSERT_EQ(range.l2p(p), pages.l2p(p)) << "page " << p;
+  const Status sa = range.verify_consistency();
+  const Status sb = pages.verify_consistency();
+  EXPECT_TRUE(sa.is_ok()) << sa.to_string();
+  EXPECT_TRUE(sb.is_ok()) << sb.to_string();
+}
+
+TEST(Ftl, RangeOpsMatchPageOps) {
+  check_range_ops(audit_cfg(32, kAuditPages, 0.0), 31);
+  check_range_ops(audit_cfg(32, kAuditPages, 0.07), 32);
+  const SsdSpec nvme = spec_c_mlc_nvme();
+  check_range_ops(audit_cfg(nvme.units, 2 * 90 * 64, nvme.ops_fraction), 33);
+}
+
+TEST(Ftl, RangeWriteBeyondCapacityThrows) {
+  Ftl ftl(tiny_cfg());
+  const u64 n = ftl.config().exported_pages;
+  EXPECT_THROW(ftl.write_range(n - 4, 5), std::out_of_range);
+  EXPECT_THROW(ftl.write_range(1, ~0ull), std::out_of_range);
+  // The one up-front check rejects the command before any page is written.
+  EXPECT_EQ(ftl.mapped_pages(), 0u);
+  EXPECT_EQ(ftl.write_range(n - 4, 4).programs, 4u);
+  EXPECT_EQ(ftl.write_range(n, 0).programs, 0u);
+  EXPECT_EQ(ftl.mapped_count(n - 4, ~0ull), 4u);
 }
 
 TEST(FtlAudit, VictimIndexMatchesScanAfterReplaceMedia) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -10,7 +11,7 @@
 namespace srcache::sim {
 namespace {
 
-// --- time helpers -------------------------------------------------------------
+// --- time helpers ------------------------------------------------------------
 
 TEST(SimTimeUnits, Constants) {
   EXPECT_EQ(kUs, 1000);
@@ -36,7 +37,7 @@ TEST(SimTimeUnits, TransferTime) {
   EXPECT_EQ(transfer_time(123, 0.0), 0);
 }
 
-// --- ServiceTimeline -----------------------------------------------------------
+// --- ServiceTimeline ---------------------------------------------------------
 
 TEST(ServiceTimeline, IdleStartsImmediately) {
   ServiceTimeline t;
@@ -72,7 +73,7 @@ TEST(ServiceTimeline, Reset) {
   EXPECT_EQ(t.busy_time(), 0);
 }
 
-// --- MultiServer ----------------------------------------------------------------
+// --- MultiServer -------------------------------------------------------------
 
 TEST(MultiServer, ParallelUnitsOverlap) {
   MultiServer m(4);
@@ -111,53 +112,156 @@ TEST(MultiServer, BatchSmallerThanUnits) {
   EXPECT_EQ(m.busy_time(), 150);
 }
 
-// The heap-based placement must be observably identical to the original
+// A linear-scan model of the placement rule: each op goes to the first unit
+// with the strictly smallest free time, and a batch is the per-share loop
+// (count / units ops per share, the first count % units shares one larger,
+// each share to the earliest-free unit in turn).
+struct ScanReference {
+  explicit ScanReference(int units)
+      : free_at(static_cast<size_t>(units), 0),
+        unit_busy(static_cast<size_t>(units), 0) {}
+  SimTime submit(SimTime now, SimTime service) {
+    size_t best = 0;
+    for (size_t i = 1; i < free_at.size(); ++i)
+      if (free_at[i] < free_at[best]) best = i;
+    const SimTime start = free_at[best] > now ? free_at[best] : now;
+    free_at[best] = start + service;
+    unit_busy[best] += service;
+    return free_at[best];
+  }
+  SimTime submit_batch(SimTime now, u64 count, SimTime per_op) {
+    const u64 u = free_at.size();
+    SimTime last = now;
+    for (u64 i = 0; i < u && i < count; ++i) {
+      const u64 share = count / u + (i < count % u ? 1 : 0);
+      last = std::max(last, submit(now, static_cast<SimTime>(share) * per_op));
+    }
+    return last;
+  }
+  // Whether a batch of more than one share can take the one-pass path: the
+  // smallest share started on the earliest-free unit ends after the last
+  // sharing unit frees up. (A single share is one submit().)
+  [[nodiscard]] bool one_pass(SimTime now, u64 count, SimTime per_op) const {
+    std::vector<SimTime> sorted = free_at;
+    std::sort(sorted.begin(), sorted.end());
+    const u64 u = free_at.size();
+    const u64 shares = std::min(count, u);
+    const auto smallest = static_cast<SimTime>(count >= u ? count / u : 1);
+    return std::max(sorted[0], now) + smallest * per_op > sorted[shares - 1];
+  }
+  [[nodiscard]] SimTime max_free() const {
+    return *std::max_element(free_at.begin(), free_at.end());
+  }
+  [[nodiscard]] SimTime min_free() const {
+    return *std::min_element(free_at.begin(), free_at.end());
+  }
+  std::vector<SimTime> free_at;
+  std::vector<SimTime> unit_busy;
+};
+
+void expect_same_state(const MultiServer& m, const ScanReference& ref,
+                       SimTime busy) {
+  for (size_t i = 0; i < ref.free_at.size(); ++i)
+    EXPECT_EQ(m.busy_time(i), ref.unit_busy[i]) << "unit " << i;
+  EXPECT_EQ(m.busy_time(), busy);
+  EXPECT_EQ(m.all_idle_at(), ref.max_free());
+  EXPECT_EQ(m.earliest_free(), ref.min_free());
+}
+
+// The sorted-key placement must be observably identical to the original
 // linear scan (pick the first unit with the strictly smallest free time):
 // engine shards hammer submit() and the obs layer snapshots per-unit busy
 // time, so any divergence would break bit-identical replay.
-TEST(MultiServer, HeapMatchesLinearScanReference) {
-  struct Reference {
-    explicit Reference(int units)
-        : free_at(static_cast<size_t>(units), 0),
-          unit_busy(static_cast<size_t>(units), 0) {}
-    SimTime submit(SimTime now, SimTime service) {
-      size_t best = 0;
-      for (size_t i = 1; i < free_at.size(); ++i)
-        if (free_at[i] < free_at[best]) best = i;
-      const SimTime start = free_at[best] > now ? free_at[best] : now;
-      free_at[best] = start + service;
-      unit_busy[best] += service;
-      return free_at[best];
-    }
-    std::vector<SimTime> free_at;
-    std::vector<SimTime> unit_busy;
-  };
-
+TEST(MultiServer, SortedKeysMatchLinearScanReference) {
   for (int units : {1, 2, 3, 8, 17}) {
     MultiServer m(units);
-    Reference ref(units);
+    ScanReference ref(units);
     srcache::common::Xoshiro256 rng(2026u + static_cast<u64>(units));
     SimTime now = 0;
+    SimTime busy = 0;
     for (int op = 0; op < 5000; ++op) {
       now += static_cast<SimTime>(rng.below(50));
       // Frequent ties (service times from a tiny set) exercise the
       // lowest-index tie-break; occasional zero-service ops too.
       const SimTime service = static_cast<SimTime>(rng.below(4) * 25);
+      busy += service;
       ASSERT_EQ(m.submit(now, service), ref.submit(now, service))
           << "units=" << units << " op=" << op;
     }
-    SimTime max_free = 0, min_free = ref.free_at[0];
-    for (size_t i = 0; i < ref.free_at.size(); ++i) {
-      EXPECT_EQ(m.busy_time(i), ref.unit_busy[i]);
-      max_free = std::max(max_free, ref.free_at[i]);
-      min_free = std::min(min_free, ref.free_at[i]);
-    }
-    EXPECT_EQ(m.all_idle_at(), max_free);
-    EXPECT_EQ(m.earliest_free(), min_free);
+    expect_same_state(m, ref, busy);
     m.reset();
     EXPECT_EQ(m.earliest_free(), 0);
-    EXPECT_EQ(m.submit(0, 10), 10);  // heap is rebuilt after reset
+    EXPECT_EQ(m.all_idle_at(), 0);
+    EXPECT_EQ(m.submit(0, 10), 10);  // the order is rebuilt after reset
   }
+}
+
+// submit_batch's one-pass placement against the per-share loop, mixed with
+// single submits: counts below, at and above the unit count, zero-service
+// batches, ties from a tiny set of service times, and `now` both past every
+// free time (an idle array) and inside the backlog.
+TEST(MultiServer, BatchMatchesPerShareReference) {
+  for (int units : {1, 2, 3, 8, 17, 32, 90}) {
+    MultiServer m(units);
+    ScanReference ref(units);
+    srcache::common::Xoshiro256 rng(7000u + static_cast<u64>(units));
+    const auto u = static_cast<u64>(units);
+    SimTime now = 0;
+    SimTime busy = 0;
+    int one_pass = 0;
+    int per_share = 0;
+    for (int op = 0; op < 20000; ++op) {
+      if (rng.chance(0.1)) {
+        now = ref.max_free() + static_cast<SimTime>(rng.below(3));  // idle
+      } else {
+        now += static_cast<SimTime>(rng.below(40));  // backlogged
+      }
+      const SimTime per_op = static_cast<SimTime>(rng.below(4) * 25);
+      if (rng.chance(0.2)) {
+        busy += per_op;
+        ASSERT_EQ(m.submit(now, per_op), ref.submit(now, per_op))
+            << "units=" << units << " op=" << op;
+        continue;
+      }
+      u64 count = 0;
+      switch (rng.below(4)) {
+        case 0: count = rng.below(u) + 1; break;             // <= units
+        case 1: count = u; break;                            // == units
+        case 2: count = u + 1 + rng.below(3 * u); break;     // > units
+        default: count = rng.below(4 * u + 2); break;        // any, 0 too
+      }
+      if (std::min(count, u) > 1)
+        ++(ref.one_pass(now, count, per_op) ? one_pass : per_share);
+      busy += static_cast<SimTime>(count) * per_op;
+      ASSERT_EQ(m.submit_batch(now, count, per_op),
+                ref.submit_batch(now, count, per_op))
+          << "units=" << units << " op=" << op << " count=" << count;
+      if (op % 1000 == 0) expect_same_state(m, ref, busy);
+    }
+    expect_same_state(m, ref, busy);
+    if (units == 1) continue;  // every batch is a single share
+    // Both placement paths ran.
+    EXPECT_GT(one_pass, 0) << "units=" << units;
+    EXPECT_GT(per_share, 0) << "units=" << units;
+  }
+}
+
+// A free time past the packed key's range throws and leaves the server as
+// it was, rather than wrapping into a wrong order.
+TEST(MultiServer, FreeTimePastPackedKeyThrows) {
+  // Four units take 3 index bits, leaving 61 for the free time.
+  const SimTime max_free = (SimTime{1} << 61) - 1;
+  MultiServer m(4);
+  EXPECT_THROW(m.submit(0, max_free + 1), std::overflow_error);
+  EXPECT_THROW(m.submit_batch(0, 4, max_free + 1), std::overflow_error);
+  EXPECT_THROW(m.submit_batch(0, 2, max_free + 1), std::overflow_error);
+  EXPECT_EQ(m.busy_time(), 0);
+  EXPECT_EQ(m.all_idle_at(), 0);
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(m.busy_time(i), 0);
+  EXPECT_EQ(m.submit(0, max_free), max_free);  // the largest that fits
+  EXPECT_EQ(m.earliest_free(), 0);
+  EXPECT_THROW(m.submit(max_free, 1), std::overflow_error);
+  EXPECT_EQ(m.busy_time(), max_free);
 }
 
 TEST(MultiServer, PerUnitBusyTimeExposesSkew) {
@@ -200,7 +304,7 @@ TEST(MultiServer, ThroughputScalesWithUnits) {
   }
 }
 
-// --- PriorityTimeline ----------------------------------------------------------
+// --- PriorityTimeline --------------------------------------------------------
 
 TEST(PriorityTimeline, ForegroundIgnoresBackgroundBacklog) {
   PriorityTimeline t;
@@ -252,7 +356,7 @@ TEST(PriorityTimeline, ResetClears) {
   EXPECT_EQ(t.submit_fg(0, 5), 5);
 }
 
-// --- BandwidthPipe -----------------------------------------------------------------
+// --- BandwidthPipe -----------------------------------------------------------
 
 TEST(BandwidthPipe, TransfersAtRate) {
   BandwidthPipe p(100.0);  // 100 MB/s
