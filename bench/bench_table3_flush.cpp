@@ -26,7 +26,8 @@ Measure run_seq(const flash::SsdSpec& spec) {
       if (with_flush) t = ssd.flush(t).done;
       cursor = (cursor + 128) % (ssd.capacity_blocks() - 128);
     }
-    const double mbps = sim::mb_per_sec(static_cast<u64>(n) * 128 * kBlockSize, t);
+    const double mbps =
+        sim::mb_per_sec(static_cast<u64>(n) * 128 * kBlockSize, t);
     (with_flush ? m.with_flush : m.no_flush) = mbps;
   }
   return m;
@@ -58,8 +59,8 @@ Measure run_random(const flash::SsdSpec& spec) {
 
 int main() {
   print_header("Table 3: impact of the flush command (raw SSD)", "Table 3");
-  const flash::SsdSpec spec =
-      sized_spec(flash::spec_840pro_128(), Geometry::at(scale()).ssd_capacity_bytes);
+  const flash::SsdSpec spec = sized_spec(
+      flash::spec_840pro_128(), Geometry::at(scale()).ssd_capacity_bytes);
 
   const Measure seq = run_seq(spec);
   const Measure rnd = run_random(spec);

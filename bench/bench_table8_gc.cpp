@@ -21,7 +21,8 @@ int main() {
   std::vector<Cell> cells;
   for (auto group : kTraceGroups) {
     for (auto gc : {src::GcPolicy::kS2D, src::GcPolicy::kSelGc}) {
-      for (auto victim : {src::VictimPolicy::kFifo, src::VictimPolicy::kGreedy}) {
+      for (auto victim :
+           {src::VictimPolicy::kFifo, src::VictimPolicy::kGreedy}) {
         src::SrcConfig cfg = default_src_config();
         cfg.gc = gc;
         cfg.victim = victim;

@@ -161,8 +161,9 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
 
     std::vector<u64> tags(req.nblocks);
     for (u32 i = 0; i < req.nblocks; ++i) {
-      tags[i] = req.tags != nullptr ? req.tags[i]
-                                    : blockdev::make_tag(req.lba + i, ++tag_seq_);
+      tags[i] = req.tags != nullptr
+                    ? req.tags[i]
+                    : blockdev::make_tag(req.lba + i, ++tag_seq_);
     }
     // Invalidate any previous versions, then append the run to the log.
     for (u32 i = 0; i < req.nblocks; ++i) {
@@ -212,8 +213,9 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
     }
   }
   // Cache hits: merge contiguous log locations into single reads.
-  std::sort(hits.begin(), hits.end(),
-            [](const HitRead& a, const HitRead& b) { return a.block < b.block; });
+  std::sort(hits.begin(), hits.end(), [](const HitRead& a, const HitRead& b) {
+    return a.block < b.block;
+  });
   std::vector<u64> buf;
   const auto adjacent = [](const HitRead& a, const HitRead& b) {
     return b.block == a.block + 1;
@@ -237,7 +239,8 @@ SimTime BcacheLike::submit(const cache::AppRequest& req) {
     done = std::max(done, r.done);
     stats_.fetch_blocks += cnt;
     if (req.tags_out != nullptr)
-      for (u32 k = 0; k < cnt; ++k) req.tags_out[lba - req.lba + k] = fetched[k];
+      for (u32 k = 0; k < cnt; ++k)
+        req.tags_out[lba - req.lba + k] = fetched[k];
     SimTime fill_done = now;  // off the ack path
     append(now, lba, fetched, /*dirty=*/false, &fill_done);
   }

@@ -34,7 +34,9 @@ class FlashcacheLike final : public cache::CacheDevice {
 
   SimTime submit(const cache::AppRequest& req) override;
   SimTime flush(SimTime now) override;  // ignored by design
-  [[nodiscard]] const cache::CacheStats& stats() const override { return stats_; }
+  [[nodiscard]] const cache::CacheStats& stats() const override {
+    return stats_;
+  }
   [[nodiscard]] u64 cached_blocks() const override { return map_.size(); }
 
   [[nodiscard]] double dirty_ratio() const {

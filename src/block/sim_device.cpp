@@ -2,6 +2,12 @@
 
 namespace srcache::blockdev {
 
+bool PowerRail::draw(DeviceOp op) {
+  off = off || log.size() >= budget;
+  if (!off) log.push_back(op);
+  return !off;
+}
+
 IoResult SimDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) {
   if (const ErrorCode e = check(lba, n); e != ErrorCode::kOk) return {now, e};
   const SimTime done = service(DeviceOp::kRead, now, lba, n);
@@ -14,26 +20,29 @@ IoResult SimDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) {
   return {done, ErrorCode::kOk};
 }
 
-IoResult SimDevice::write_blocks(DeviceOp op, SimTime now, u64 lba, u64 n) {
-  if (const ErrorCode e = check(lba, n); e != ErrorCode::kOk) return {now, e};
-  const SimTime done = service(op, now, lba, n);
+bool SimDevice::write_blocks(DeviceOp op, SimTime now, u64 lba, u64 n,
+                             IoResult& r) {
+  r = {now, check(lba, n)};
+  if (!r.ok() || !powered(op)) return false;
+  r.done = service(op, now, lba, n);
   media_.on_write(lba, n);  // remap-on-write
   stats_.write_ops++;
   stats_.write_blocks += n;
-  return {done, ErrorCode::kOk};
+  return true;
 }
 
 IoResult SimDevice::write(SimTime now, u64 lba, u32 n,
                           std::span<const u64> tags) {
-  const IoResult r = write_blocks(DeviceOp::kWrite, now, lba, n);
-  if (r.ok()) content_.write(lba, n, tags);
+  IoResult r;
+  if (write_blocks(DeviceOp::kWrite, now, lba, n, r))
+    content_.write(lba, n, tags);
   return r;
 }
 
 IoResult SimDevice::write_payload(SimTime now, u64 lba, Payload payload) {
   const u64 n = payload_blocks(payload);
-  const IoResult r = write_blocks(DeviceOp::kWritePayload, now, lba, n);
-  if (r.ok())
+  IoResult r;
+  if (write_blocks(DeviceOp::kWritePayload, now, lba, n, r))
     content_.write_payload(lba, static_cast<u32>(n), std::move(payload));
   return r;
 }
@@ -48,12 +57,14 @@ Result<Payload> SimDevice::read_payload(SimTime now, u64 lba, SimTime* done) {
 
 IoResult SimDevice::flush(SimTime now) {
   if (failed_) return {now, ErrorCode::kDeviceFailed};
+  if (!powered(DeviceOp::kFlush)) return {now, ErrorCode::kOk};
   stats_.flushes++;
   return {service(DeviceOp::kFlush, now, 0, 0), ErrorCode::kOk};
 }
 
 IoResult SimDevice::trim(SimTime now, u64 lba, u64 n) {
   if (const ErrorCode e = check(lba, n); e != ErrorCode::kOk) return {now, e};
+  if (!powered(DeviceOp::kTrim)) return {now, ErrorCode::kOk};
   const SimTime done = service(DeviceOp::kTrim, now, lba, n);
   media_.on_write(lba, n);
   content_.discard(lba, n);

@@ -1,10 +1,12 @@
 // SimDevice: the one core under every simulated leaf device (MemDisk,
 // SimHdd, SimSsd). It owns everything in the BlockDevice contract that is
 // not timing: the fail-stop flag and the bounds check, block content (tags
-// and payloads), latent sector errors, DeviceStats accounting and fault
-// injection. A leaf supplies only service(): when a command completes on
-// its internal resources.
+// and payloads), latent sector errors, DeviceStats accounting, fault
+// injection and power cuts. A leaf supplies only service(): when a command
+// completes on its internal resources.
 #pragma once
+
+#include <vector>
 
 #include "block/block_device.hpp"
 #include "block/content_store.hpp"
@@ -15,6 +17,23 @@ namespace srcache::blockdev {
 // The command a leaf's service() times. A payload read is timed as a
 // one-block kRead.
 enum class DeviceOp : u8 { kRead, kWrite, kWritePayload, kFlush, kTrim };
+
+// The power supply several devices share (crash tests). Every command that
+// would change media (write, payload write, trim, flush) on a live device
+// and in range draws from it and is logged. Once `budget` commands have
+// drawn, power is off: each later one is dropped, changing neither media
+// nor DeviceStats, and is acked at its issue time. Reads draw nothing.
+struct PowerRail {
+  u64 budget = ~0ull;         // commands that pass before the cut
+  bool off = false;
+  std::vector<DeviceOp> log;  // the commands drawn, in order
+  // False when power is off and the command must be dropped.
+  bool draw(DeviceOp op);
+  void restore() {  // power back on, no cut armed
+    budget = ~0ull;
+    off = false;
+  }
+};
 
 class SimDevice : public BlockDevice {
  public:
@@ -43,6 +62,8 @@ class SimDevice : public BlockDevice {
   void inject_media_errors(u64 lba, u64 n) final { media_.add(lba, n); }
   void clear_media_errors() final { media_.clear(); }
   [[nodiscard]] u64 media_error_blocks() const { return media_.size(); }
+  // Puts the device on a shared power rail (nullptr: always powered).
+  void set_power_rail(PowerRail* rail) { rail_ = rail; }
 
  protected:
   SimDevice(u64 capacity_blocks, bool track_content)
@@ -61,14 +82,18 @@ class SimDevice : public BlockDevice {
     if (lba + n > capacity_) return ErrorCode::kInvalidArgument;
     return ErrorCode::kOk;
   }
-  // A checked, timed write of n blocks at lba; content is the caller's.
-  IoResult write_blocks(DeviceOp op, SimTime now, u64 lba, u64 n);
+  // False when the rail has cut power: the command must be dropped.
+  bool powered(DeviceOp op) { return rail_ == nullptr || rail_->draw(op); }
+  // A checked write of n blocks at lba that, when powered, is timed and
+  // counted and returns true; content is the caller's.
+  bool write_blocks(DeviceOp op, SimTime now, u64 lba, u64 n, IoResult& r);
 
   u64 capacity_;
   ContentStore content_;
   MediaErrorSet media_;
   DeviceStats stats_;
   bool failed_ = false;
+  PowerRail* rail_ = nullptr;
 };
 
 }  // namespace srcache::blockdev

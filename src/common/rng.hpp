@@ -102,12 +102,14 @@ class ZipfSampler {
     constexpr u64 kExact = 1u << 20;
     double sum = 0.0;
     const u64 lim = n < kExact ? n : kExact;
-    for (u64 i = 1; i <= lim; ++i) sum += std::pow(1.0 / static_cast<double>(i), theta);
+    for (u64 i = 1; i <= lim; ++i)
+      sum += std::pow(1.0 / static_cast<double>(i), theta);
     if (n > kExact) {
       // Integral tail approximation of sum_{kExact+1..n} i^-theta.
       const double a = static_cast<double>(kExact);
       const double b = static_cast<double>(n);
-      sum += (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta)) / (1.0 - theta);
+      sum += (std::pow(b, 1.0 - theta) - std::pow(a, 1.0 - theta)) /
+             (1.0 - theta);
     }
     return sum;
   }

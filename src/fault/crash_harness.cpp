@@ -13,21 +13,8 @@ namespace srcache::fault {
 
 namespace {
 
+using blockdev::DeviceOp;
 using src::SrcCache;
-using CrashPoint = SrcCache::CrashPoint;
-
-constexpr CrashPoint kPoints[] = {CrashPoint::kBeforeSeg, CrashPoint::kAfterMs,
-                                  CrashPoint::kAfterData};
-
-const char* point_name(CrashPoint p) {
-  switch (p) {
-    case CrashPoint::kBeforeSeg: return "before-seg";
-    case CrashPoint::kAfterMs: return "after-ms";
-    case CrashPoint::kAfterData: return "after-data";
-    case CrashPoint::kNone: break;
-  }
-  return "none";
-}
 
 struct Op {
   bool is_write = false;
@@ -75,11 +62,10 @@ Script make_script(const CrashSweepConfig& cfg) {
   Script sc;
   common::Xoshiro256 rng(cfg.seed);
   const u64 ws = std::max<u64>(cfg.working_set_blocks, 8);
-  const auto write_permille = static_cast<u64>(cfg.write_fraction * 1000.0);
   u64 version = 0;
   for (u64 i = 0; i < cfg.ops; ++i) {
     Op op;
-    op.is_write = rng.below(1000) < write_permille;
+    op.is_write = rng.below(1000) < 700;
     op.nblocks = 1 + static_cast<u32>(rng.below(4));
     op.lba = rng.below(ws - op.nblocks);
     // 20..100%: mostly compressible, with a tail above the tier's
@@ -102,10 +88,9 @@ Script make_script(const CrashSweepConfig& cfg) {
 struct Rig : src::SmallRig {
   std::unique_ptr<tier::TierCache> tier;  // optional DRAM tier above cache
   u64 tier_budget;
-  u32 tier_dirty_pct;
 
-  Rig(const src::SrcConfig& c, u64 tier_budget_bytes, u32 dirty_pct)
-      : SmallRig(c), tier_budget(tier_budget_bytes), tier_dirty_pct(dirty_pct) {
+  Rig(const src::SrcConfig& c, u64 tier_budget_bytes)
+      : SmallRig(c), tier_budget(tier_budget_bytes) {
     attach_tier();
   }
 
@@ -123,16 +108,14 @@ struct Rig : src::SmallRig {
     if (tier_budget == 0) return;
     tier::TierConfig tc;
     tc.budget_bytes = tier_budget;
-    tc.dirty_pct = tier_dirty_pct;
     tc.destage_batch_blocks = static_cast<u32>(cfg.segment_data_slots(true));
     tier = std::make_unique<tier::TierCache>(tc, cache.get(), cache.get());
   }
 };
 
-// Replays the script until done or the scheduled power cut fires. Returns
-// the number of ops issued (the crashing op counts as issued). With a tier,
-// requests enter through it — the cut can then fire mid-destage, while the
-// crashed inner cache drops everything else the tier pushes down.
+// Replays the script until done or the rail cuts power. Returns the number
+// of ops issued (the op the cut fell in counts as issued). With a tier,
+// requests enter through it.
 u64 replay(Rig& rig, const Script& sc) {
   cache::CacheDevice* front =
       rig.tier != nullptr ? static_cast<cache::CacheDevice*>(rig.tier.get())
@@ -149,7 +132,7 @@ u64 replay(Rig& rig, const Script& sc) {
     if (op.is_write) req.tags = op.tags.data();
     front->submit(req);
     issued++;
-    if (rig.cache->crashed()) break;
+    if (rig.rail.off) break;
     now += 50 * sim::kUs;
   }
   return issued;
@@ -160,9 +143,7 @@ struct SnapshotEntry {
   bool dirty;
   u64 tag;
 
-  bool operator==(const SnapshotEntry& o) const {
-    return lba == o.lba && dirty == o.dirty && tag == o.tag;
-  }
+  bool operator==(const SnapshotEntry&) const = default;
 };
 
 // Reads back every recovered block through the normal (checksum-verified)
@@ -203,138 +184,154 @@ CrashSweepResult run_crash_sweep(const CrashSweepConfig& cfg) {
 
   const Script script = make_script(cfg);
 
-  // Baseline pass enumerates the power-cut boundaries: one per segment seal.
-  // The tier (if any) is present here too, so the seal schedule matches the
-  // crashing replays exactly.
-  u64 total_seals = 0;
+  // Baseline pass: the cut positions are the replay's media commands. A
+  // seal writes MS, data and ME to each SSD in turn, and nothing else in
+  // the replay writes a payload, so a seal's stripe is the `stripe_len`
+  // commands from a payload write on. The tier (if any) is present here
+  // too, so the command sequence matches the cut replays exactly.
+  u64 first = 0;  // the replay's first command (the format's come before)
+  u64 end = 0;    // one past its last
+  std::vector<u64> stripes;  // the first command of each seal's stripe
+  const u64 stripe_len = 3 * sc_cfg.num_ssds;
   {
-    Rig rig(sc_cfg, cfg.tier_budget_bytes, cfg.tier_dirty_pct);
+    Rig rig(sc_cfg, cfg.tier_budget_bytes);
+    first = rig.rail.log.size();
     replay(rig, script);
-    total_seals = rig.cache->seals();
+    end = rig.rail.log.size();
+    res.seals = rig.cache->extra().segments_written;
+    for (u64 i = first; i < end; ++i) {
+      if (rig.rail.log[i] != DeviceOp::kWritePayload) continue;
+      stripes.push_back(i);
+      i += stripe_len - 1;
+    }
   }
-  if (total_seals == 0) {
+  res.commands = end - first;
+  if (stripes.size() != res.seals) {
+    res.violations.push_back("baseline stripes do not match its seals");
+    return res;
+  }
+  if (res.seals == 0) {
     res.violations.push_back(
         "workload sealed no segments; nothing to crash into");
     return res;
   }
 
   u64 stride = 1;
-  if (cfg.max_boundaries > 0 && total_seals > cfg.max_boundaries)
-    stride = (total_seals + cfg.max_boundaries - 1) / cfg.max_boundaries;
+  if (cfg.max_boundaries > 0 && res.commands + 1 > cfg.max_boundaries)
+    stride = (res.commands + cfg.max_boundaries) / cfg.max_boundaries;
 
   FaultLedger ledger;
   FaultLedger tier_ledger;  // one injected+detected pair per lost dirty block
-  // Per LBA, the version index durably recovered at the previous boundary;
+  // Per LBA, the version index durably recovered at the previous cut;
   // monotone durability means it never decreases as the cut moves later.
   std::map<u64, long> durable_floor;
+  // Snapshots of the cuts at, inside and just after a stripe (invariant 2).
+  std::map<u64, std::vector<SnapshotEntry>> stripe_snaps;
   u64 case_id = 0;
 
-  for (u64 b = 0; b < total_seals; b += stride) {
-    res.boundaries++;
-    std::vector<std::vector<SnapshotEntry>> snaps;
+  for (u64 cut = first; cut <= end; cut += stride, case_id++) {
+    const std::string ctx = "cut " + std::to_string(cut - first);
+    res.cases++;
+    ledger.record_injected(FaultKind::kPowerCut, kPrimaryDev, case_id);
 
-    for (CrashPoint point : kPoints) {
-      const std::string ctx = "boundary " + std::to_string(b) + " " +
-                              point_name(point);
-      res.cases++;
-      ledger.record_injected(FaultKind::kPowerCut, kPrimaryDev, case_id);
+    Rig rig(sc_cfg, cfg.tier_budget_bytes);
+    if (rig.tier != nullptr) rig.tier->set_fault_ledger(&tier_ledger);
+    rig.rail.budget = cut;
+    const u64 crash_op = replay(rig, script);
+    if (cut < end && !rig.rail.off)
+      res.violations.push_back(ctx + ": the cut never fired");
 
-      Rig rig(sc_cfg, cfg.tier_budget_bytes, cfg.tier_dirty_pct);
-      if (rig.tier != nullptr) rig.tier->set_fault_ledger(&tier_ledger);
-      rig.cache->schedule_crash(b, point);
-      const u64 crash_op = replay(rig, script);
-      if (!rig.cache->crashed()) {
-        res.violations.push_back(ctx + ": scheduled cut never fired");
-        case_id++;
-        continue;
+    // DRAM dies with the power: dirty tier residents are lost and each
+    // loss is ledgered before the reboot discards the tier. Its
+    // bookkeeping is audited first, as the cut found it.
+    if (rig.tier != nullptr) {
+      const Status tier_audit = rig.tier->verify_consistency();
+      if (!tier_audit.is_ok()) {
+        res.violations.push_back(ctx + ": pre-cut tier audit: " +
+                                 tier_audit.to_string());
       }
-
-      // DRAM dies with the power: dirty tier residents are lost and each
-      // loss is ledgered before the reboot discards the tier. Its
-      // bookkeeping is audited first, as the cut found it.
-      if (rig.tier != nullptr) {
-        const Status tier_audit = rig.tier->verify_consistency();
-        if (!tier_audit.is_ok()) {
-          res.violations.push_back(ctx + ": pre-cut tier audit: " +
-                                   tier_audit.to_string());
-        }
-        rig.tier->on_power_cut(1);
-        res.tier_lost_dirty += rig.tier->tier_stats().lost_dirty_blocks;
-      }
-
-      rig.reboot();
-      sim::SimTime done = 0;
-      const Status st = rig.cache->recover(0, &done);
-      if (!st.is_ok()) {
-        res.violations.push_back(ctx + ": recovery failed: " + st.to_string());
-        case_id++;
-        continue;
-      }
-      const Status audit = rig.cache->verify_consistency();
-      if (!audit.is_ok()) {
-        res.violations.push_back(ctx + ": post-recovery audit: " +
-                                 audit.to_string());
-      }
-
-      const u64 torn = rig.cache->extra().torn_segments_discarded;
-      res.torn_segments += torn;
-      if (torn > 0) ledger.record_detected(kPrimaryDev, case_id);
-
-      auto snap = snapshot(rig, cfg.working_set_blocks, &res.violations, ctx);
-
-      // Invariant 3: every surviving block holds a value actually written.
-      for (const SnapshotEntry& e : snap) {
-        if (script.version_index(e.lba, e.tag) < 0) {
-          res.violations.push_back(ctx + ": lba " + std::to_string(e.lba) +
-                                   " recovered a tag never written to it");
-        }
-      }
-
-      // Invariant 4: durability is monotone in the boundary index. The
-      // durable version of an LBA is what a reboot serves: the recovered
-      // cache copy, else primary storage's copy. Checked once per boundary
-      // (the cut points recover identical state per invariant 2).
-      if (point == CrashPoint::kAfterData) {
-        std::unordered_map<u64, u64> cached;
-        for (const SnapshotEntry& e : snap) cached[e.lba] = e.tag;
-        sim::SimTime now = 1;
-        for (u64 lba = 0; lba < cfg.working_set_blocks; ++lba) {
-          u64 tag = 0;
-          if (auto it = cached.find(lba); it != cached.end()) {
-            tag = it->second;
-          } else {
-            rig.primary->read(now, lba, 1, std::span<u64>(&tag, 1));
-            now += 1 * sim::kUs;
-          }
-          const long idx = script.version_index(lba, tag);
-          auto it = durable_floor.find(lba);
-          if (it != durable_floor.end() && idx >= 0 && idx < it->second &&
-              !script.newer_write_before(lba, it->second, crash_op)) {
-            res.violations.push_back(
-                ctx + ": lba " + std::to_string(lba) +
-                " regressed from version " + std::to_string(it->second) +
-                " to " + std::to_string(idx));
-          }
-          if (idx >= 0)
-            durable_floor[lba] =
-                std::max(it == durable_floor.end() ? idx : it->second, idx);
-        }
-      }
-
-      snaps.push_back(std::move(snap));
-      case_id++;
+      rig.tier->on_power_cut(1);
+      res.tier_lost_dirty += rig.tier->tier_stats().lost_dirty_blocks;
     }
 
-    // Invariant 2: how much of the torn segment reached media must not
-    // matter — the three cut points recover bit-identical state.
-    for (size_t p = 1; p < snaps.size(); ++p) {
-      if (!(snaps[p] == snaps[0])) {
+    rig.rail.restore();
+    rig.reboot();
+    sim::SimTime done = 0;
+    const Status st = rig.cache->recover(0, &done);
+    if (!st.is_ok()) {
+      res.violations.push_back(ctx + ": recovery failed: " + st.to_string());
+      continue;
+    }
+    const Status audit = rig.cache->verify_consistency();
+    if (!audit.is_ok()) {
+      res.violations.push_back(ctx + ": post-recovery audit: " +
+                               audit.to_string());
+    }
+
+    const u64 torn = rig.cache->extra().torn_segments_discarded;
+    res.torn_segments += torn;
+    if (torn > 0) ledger.record_detected(kPrimaryDev, case_id);
+
+    auto snap = snapshot(rig, cfg.working_set_blocks, &res.violations, ctx);
+
+    // Invariant 3: every surviving block holds a value actually written.
+    for (const SnapshotEntry& e : snap) {
+      if (script.version_index(e.lba, e.tag) < 0) {
+        res.violations.push_back(ctx + ": lba " + std::to_string(e.lba) +
+                                 " recovered a tag never written to it");
+      }
+    }
+
+    // Invariant 4: durability is monotone in the cut position. The durable
+    // version of an LBA is what a reboot serves: the recovered cache copy,
+    // else primary storage's copy.
+    std::unordered_map<u64, u64> cached;
+    for (const SnapshotEntry& e : snap) cached[e.lba] = e.tag;
+    sim::SimTime now = 1;
+    for (u64 lba = 0; lba < cfg.working_set_blocks; ++lba) {
+      u64 tag = 0;
+      if (auto it = cached.find(lba); it != cached.end()) {
+        tag = it->second;
+      } else {
+        rig.primary->read(now, lba, 1, std::span<u64>(&tag, 1));
+        now += 1 * sim::kUs;
+      }
+      const long idx = script.version_index(lba, tag);
+      auto it = durable_floor.find(lba);
+      if (it != durable_floor.end() && idx >= 0 && idx < it->second &&
+          !script.newer_write_before(lba, it->second, crash_op)) {
+        res.violations.push_back(ctx + ": lba " + std::to_string(lba) +
+                                 " regressed from version " +
+                                 std::to_string(it->second) + " to " +
+                                 std::to_string(idx));
+      }
+      if (idx >= 0)
+        durable_floor[lba] =
+            std::max(it == durable_floor.end() ? idx : it->second, idx);
+    }
+
+    const auto next = std::upper_bound(stripes.begin(), stripes.end(), cut);
+    if (next != stripes.begin() && cut <= *(next - 1) + stripe_len) {
+      if (cut != *(next - 1) && cut != *(next - 1) + stripe_len)
+        res.stripe_cuts++;
+      stripe_snaps.emplace(cut, std::move(snap));
+    }
+  }
+
+  // Invariant 2: every cut inside a stripe recovered what the cut at its
+  // start or the cut just after it did (judged where both were swept).
+  for (size_t k = 0; k < stripes.size(); ++k) {
+    const auto before = stripe_snaps.find(stripes[k]);
+    const auto after = stripe_snaps.find(stripes[k] + stripe_len);
+    if (before == stripe_snaps.end() || after == stripe_snaps.end()) continue;
+    for (auto in = std::next(before); in != after; ++in) {
+      if (in->second != before->second && in->second != after->second) {
         res.violations.push_back(
-            "boundary " + std::to_string(b) + ": " + point_name(kPoints[p]) +
-            " recovered different state than " + point_name(kPoints[0]));
+            "cut " + std::to_string(in->first - first) + " inside seal " +
+            std::to_string(k) + " recovered neither the state before nor " +
+            "the state after that seal");
       }
     }
-
   }
 
   res.injected = ledger.injected();

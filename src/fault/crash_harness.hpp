@@ -1,29 +1,31 @@
-// Crash-consistency harness: sweeps a power cut across *every* segment-write
-// boundary of a deterministic workload and proves the §4.1/§4.3 recovery
-// invariants at each one.
+// Crash-consistency harness: sweeps a power cut across *every* device
+// command of a deterministic workload and proves the §4.1/§4.3 recovery
+// invariants at each one, after ALICE (Pillai et al., OSDI'14), which
+// enumerates crash states at the granularity of storage commands.
 //
-// For each boundary b (the b-th segment seal of the replay) and each cut
-// point within the stripe write — before anything hits media (kBeforeSeg),
-// after the MS blocks (kAfterMs), after MS + data (kAfterData) — the harness
-// replays the workload into a fresh device set, cuts power via
-// SrcCache::schedule_crash, reboots (a fresh SrcCache over the surviving
-// media), runs recovery, and asserts:
+// The rig's SSDs and primary share one blockdev::PowerRail. A baseline
+// replay counts the media commands (writes, payload writes, trims,
+// flushes) they receive. Cut c replays the workload into a fresh rig whose
+// rail cuts power just before command c, so that command and every later
+// one is dropped while the cache runs on, unaware; the harness then
+// restores power, reboots (a fresh SrcCache over the surviving media), runs
+// recovery, and asserts:
 //
 //   1. recovery succeeds and the rebuilt state passes verify_consistency();
-//   2. the recovered state is identical across the three cut points at the
-//      same boundary — MS/ME generation matching means a torn segment
-//      contributes *nothing*, no matter how much of it reached media;
+//   2. a cut inside one seal's stripe writes (MS, data and ME, one SSD
+//      after another) recovers the state of the cut just before that seal
+//      or of the cut just after it: how much of a torn stripe reached media
+//      never shows, beyond what its redundancy rebuilds;
 //   3. every recovered block's content is a value that was actually written
 //      to that LBA (tag-history membership: no torn or cross-wired state is
 //      ever admitted);
 //   4. durability is monotone: once a version of an LBA survives recovery at
-//      boundary b, no later boundary may regress it to an older version —
-//      except within the paper's accepted loss window, when a newer acked
-//      write superseded the durable copy in RAM and was lost with the cut;
+//      cut c, no later cut may regress it to an older version — except
+//      within the paper's accepted loss window, when a newer acked write
+//      superseded the durable copy in RAM and was lost with the cut;
 //   5. no block is unrecoverable, and the power-cut fault ledger reconciles
-//      (injected == detected + undetected; a cut that tore a segment is
-//      detected via the discarded-torn-segment count, a cut before any media
-//      write legitimately leaves no evidence).
+//      (injected == detected + undetected; a cut is detected when recovery
+//      discards a torn segment).
 //
 // With tier_budget_bytes > 0 the replay runs through a compressed DRAM tier
 // (tier::TierCache) above the cache. DRAM vanishes at the cut: every dirty
@@ -48,32 +50,34 @@ struct CrashSweepConfig {
   // sweep re-validates every surviving block.
   src::SrcConfig src;
   u64 ops = 400;                 // deterministic replayed requests
-  u64 working_set_blocks = 2048;
-  double write_fraction = 0.7;
+  u64 working_set_blocks = 2048;  // 70% of requests write
   u64 seed = 1;
-  // 0 sweeps every seal boundary; N > 0 subsamples evenly to bound cost.
+  // 0 cuts before every command of the replay; N > 0 subsamples N evenly
+  // spaced cut positions to bound cost.
   u64 max_boundaries = 0;
-  // > 0 interposes a compressed DRAM tier with this budget above the cache
-  // for every replay (small budgets force destages, so seals still happen).
+  // > 0 interposes a compressed DRAM tier with this budget (half of it for
+  // dirty data) above the cache for every replay; small budgets force
+  // destages, so seals still happen.
   u64 tier_budget_bytes = 0;
-  u32 tier_dirty_pct = 50;
 };
 
 struct CrashSweepResult {
-  u64 boundaries = 0;        // seal boundaries swept
-  u64 cases = 0;             // boundary x cut-point replays executed
+  u64 commands = 0;          // media commands of the baseline replay
+  u64 seals = 0;             // segment seals of the baseline replay
+  u64 cases = 0;             // cuts swept, the end of the replay included
+  u64 stripe_cuts = 0;       // cuts inside a seal's stripe writes
   u64 torn_segments = 0;     // segments recovery discarded across all cases
   u64 injected = 0;          // power cuts injected (== cases)
   u64 detected = 0;          // cuts that left a discarded torn segment
-  u64 undetected = 0;        // cuts before any media write (no evidence)
+  u64 undetected = 0;        // cuts that left no torn segment
   u64 tier_lost_dirty = 0;   // dirty tier blocks lost across all cases
   std::vector<std::string> violations;
 
   [[nodiscard]] bool ok() const { return violations.empty(); }
 };
 
-// Runs the sweep. Deterministic for a given config (workload, seal schedule
-// and every assertion input derive from cfg.seed).
+// Runs the sweep. Deterministic for a given config (workload, command
+// sequence and every assertion input derive from cfg.seed).
 CrashSweepResult run_crash_sweep(const CrashSweepConfig& cfg);
 
 }  // namespace srcache::fault

@@ -41,8 +41,8 @@ class FaultInjector {
   // Invoked with the spare count when a `spare` action fires (wire to
   // RebuildManager::add_spares).
   void set_spare_callback(std::function<void(u32)> cb);
-  // Invoked when a powercut event fires (wire to the crash harness; without
-  // a callback the event is recorded but has no device effect).
+  // Invoked when a powercut event fires (benches wire it to the DRAM
+  // tier's on_power_cut); it never touches device media.
   void set_powercut_callback(std::function<void(sim::SimTime)> cb);
 
   // Triggers are relative to the measurement window; the closed loop sets the

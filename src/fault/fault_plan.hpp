@@ -31,8 +31,9 @@
 //     degrade  dev=primary factor=<f> for=<dur>
 //              interconnect degradation: link transfers and RTT are
 //              multiplied by f for the duration
-//     powercut                               schedule a power cut (consumed
-//              by the crash-consistency harness; see crash_harness.hpp)
+//     powercut                               a power cut for DRAM state:
+//              benches drop the tier's dirty set; media cuts come from
+//              blockdev::PowerRail (see crash_harness.hpp)
 //
 // Example: "at=2s fail dev=ssd1; at=ops:5000 corrupt dev=ssd0
 //           lba=1024..4096 count=16; at=4s degrade dev=primary factor=8

@@ -19,7 +19,8 @@ IscsiTarget::IscsiTarget(const IscsiConfig& cfg)
   for (auto& d : disks_) members.push_back(d.get());
   raid::RaidConfig rc{raid::RaidLevel::kRaid1, kChunkBlocks};
   volume_ = std::make_unique<raid::RaidDevice>(rc, std::move(members));
-  gen_capacity_blocks_ = std::max<u64>(1, cfg_.server_cache_bytes / kBlockSize / 2);
+  gen_capacity_blocks_ =
+      std::max<u64>(1, cfg_.server_cache_bytes / kBlockSize / 2);
 }
 
 u64 IscsiTarget::capacity_blocks() const { return volume_->capacity_blocks(); }
@@ -97,8 +98,8 @@ blockdev::IoResult IscsiTarget::read(SimTime now, u64 lba, u32 n,
       (void)cache_lookup(lba + i, &tag);  // resident: checked just above
       if (!tags_out.empty()) tags_out[i] = tag;
     }
-    const SimTime done = link_transfer(now + half_rtt(now), blocks_to_bytes(n)) +
-                         half_rtt(now);
+    const SimTime done =
+        link_transfer(now + half_rtt(now), blocks_to_bytes(n)) + half_rtt(now);
     if (span_ != nullptr)
       span_->event("hdd.read_ram", obs::kLanePrimary, now, done, n);
     return {done, ErrorCode::kOk};
@@ -108,7 +109,8 @@ blockdev::IoResult IscsiTarget::read(SimTime now, u64 lba, u32 n,
   if (!r.ok()) return r;
   for (u32 i = 0; i < n; ++i)
     cache_insert(lba + i, tags_out.empty() ? 0 : tags_out[i]);
-  const SimTime done = link_transfer(r.done, blocks_to_bytes(n)) + half_rtt(now);
+  const SimTime done =
+      link_transfer(r.done, blocks_to_bytes(n)) + half_rtt(now);
   if (span_ != nullptr)
     span_->event("hdd.read_disk", obs::kLanePrimary, now, done, n);
   return {done, ErrorCode::kOk};

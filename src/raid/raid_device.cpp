@@ -20,12 +20,14 @@ const char* to_string(RaidLevel level) {
 RaidDevice::RaidDevice(const RaidConfig& cfg, std::vector<BlockDevice*> devices)
     : cfg_(cfg), devs_(std::move(devices)) {
   if (devs_.size() < 2) throw std::invalid_argument("RAID needs >= 2 devices");
-  if (cfg_.chunk_blocks == 0) throw std::invalid_argument("chunk_blocks must be > 0");
+  if (cfg_.chunk_blocks == 0)
+    throw std::invalid_argument("chunk_blocks must be > 0");
   if (cfg_.level == RaidLevel::kRaid1 && devs_.size() % 2 != 0) {
     throw std::invalid_argument("RAID-1 needs an even device count");
   }
   dev_blocks_ = devs_[0]->capacity_blocks();
-  for (auto* d : devs_) dev_blocks_ = std::min(dev_blocks_, d->capacity_blocks());
+  for (auto* d : devs_)
+    dev_blocks_ = std::min(dev_blocks_, d->capacity_blocks());
   // Round to whole stripes.
   dev_blocks_ -= dev_blocks_ % cfg_.chunk_blocks;
   capacity_blocks_ = dev_blocks_ * data_cols(cfg_.level, devs_.size());
@@ -124,7 +126,8 @@ IoResult RaidDevice::run_members(MemberOp op, std::vector<Cell>& cells,
   return out;
 }
 
-IoResult RaidDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) {
+IoResult RaidDevice::read(SimTime now, u64 lba, u32 n,
+                          std::span<u64> tags_out) {
   if (lba + n > capacity_blocks_) return {now, ErrorCode::kInvalidArgument};
   const u32 sp = (span_ != nullptr && span_->sampling())
                      ? span_->begin_span("raid.read", now)
@@ -148,8 +151,8 @@ IoResult RaidDevice::read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) 
         any_dead = true;
         continue;  // handled in the reconstruction pass below
       }
-    } else if (cfg_.level == RaidLevel::kRaid1 && !devs_[loc.mirror]->failed() &&
-               (mirror_rr_++ & 1) != 0) {
+    } else if (cfg_.level == RaidLevel::kRaid1 &&
+               !devs_[loc.mirror]->failed() && (mirror_rr_++ & 1) != 0) {
       loc.dev = loc.mirror;  // balance reads across mirrors
     }
     cells_.push_back({loc.dev, loc.off, 0, &tags_out[i]});
@@ -194,7 +197,8 @@ Result<u64> RaidDevice::reconstruct_block(SimTime now, size_t dead_dev, u64 off,
   SimTime t = now;
   for (size_t d = 0; d < devs_.size(); ++d) {
     if (d == dead_dev) continue;
-    if (devs_[d]->failed()) return Status(ErrorCode::kDeviceFailed, "double failure");
+    if (devs_[d]->failed())
+      return Status(ErrorCode::kDeviceFailed, "double failure");
     u64 tag = 0;
     IoResult r = devs_[d]->read(now, off, 1, std::span<u64>(&tag, 1));
     if (!r.ok()) return Status(r.error);
@@ -207,7 +211,8 @@ Result<u64> RaidDevice::reconstruct_block(SimTime now, size_t dead_dev, u64 off,
   return acc;
 }
 
-IoResult RaidDevice::write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) {
+IoResult RaidDevice::write(SimTime now, u64 lba, u32 n,
+                           std::span<const u64> tags) {
   return write_blocks(now, lba, n, tags, nullptr);
 }
 
@@ -394,7 +399,8 @@ IoResult RaidDevice::write_payload(SimTime now, u64 lba, Payload payload) {
 
 Result<Payload> RaidDevice::read_payload(SimTime now, u64 lba, SimTime* done) {
   const Loc loc = locate(lba);
-  if (!devs_[loc.dev]->failed()) return devs_[loc.dev]->read_payload(now, loc.off, done);
+  if (!devs_[loc.dev]->failed())
+    return devs_[loc.dev]->read_payload(now, loc.off, done);
   if (cfg_.level == RaidLevel::kRaid1 && loc.mirror != SIZE_MAX &&
       !devs_[loc.mirror]->failed()) {
     return devs_[loc.mirror]->read_payload(now, loc.off, done);
@@ -448,7 +454,8 @@ IoResult RaidDevice::trim(SimTime now, u64 lba, u64 n) {
 }
 
 bool RaidDevice::verify_parity(u64 lba) {
-  if (cfg_.level != RaidLevel::kRaid4 && cfg_.level != RaidLevel::kRaid5) return true;
+  if (cfg_.level != RaidLevel::kRaid4 && cfg_.level != RaidLevel::kRaid5)
+    return true;
   // Every member's chunk of the stripe in one read; each row of a
   // consistent stripe, parity included, XORs to zero.
   const u64 chunk = cfg_.chunk_blocks;

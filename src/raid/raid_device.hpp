@@ -51,12 +51,15 @@ class RaidDevice final : public BlockDevice {
   // capacity/2 organisation the paper describes).
   RaidDevice(const RaidConfig& cfg, std::vector<BlockDevice*> devices);
 
-  [[nodiscard]] u64 capacity_blocks() const override { return capacity_blocks_; }
+  [[nodiscard]] u64 capacity_blocks() const override {
+    return capacity_blocks_;
+  }
   [[nodiscard]] const RaidConfig& config() const { return cfg_; }
   [[nodiscard]] const RaidStats& raid_stats() const { return rstats_; }
 
   IoResult read(SimTime now, u64 lba, u32 n, std::span<u64> tags_out) override;
-  IoResult write(SimTime now, u64 lba, u32 n, std::span<const u64> tags) override;
+  IoResult write(SimTime now, u64 lba, u32 n,
+                 std::span<const u64> tags) override;
   IoResult write_payload(SimTime now, u64 lba, Payload payload) override;
   Result<Payload> read_payload(SimTime now, u64 lba, SimTime* done) override;
   IoResult flush(SimTime now) override;
@@ -126,7 +129,8 @@ class RaidDevice final : public BlockDevice {
                               std::span<const u64> tags,
                               const Payload* payload);
   // Reconstructs one block of a failed device from the rest of its row.
-  Result<u64> reconstruct_block(SimTime now, size_t dead_dev, u64 off, SimTime* done);
+  Result<u64> reconstruct_block(SimTime now, size_t dead_dev, u64 off,
+                                SimTime* done);
 
   RaidConfig cfg_;
   std::vector<BlockDevice*> devs_;

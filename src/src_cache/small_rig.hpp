@@ -25,6 +25,10 @@ inline SrcConfig small_config(raid::RaidLevel raid = raid::RaidLevel::kRaid5) {
 }
 
 struct SmallRig {
+  // The devices' shared power supply: it logs every media command, from
+  // the format on, and cuts power where a crash test arms it. The devices
+  // hold its address, so a rig is neither copied nor moved.
+  blockdev::PowerRail rail;
   std::vector<std::unique_ptr<blockdev::MemDisk>> ssds;
   std::unique_ptr<blockdev::MemDisk> primary;
   std::unique_ptr<SrcCache> cache;
@@ -44,9 +48,13 @@ struct SmallRig {
     slow.op_latency = 5 * sim::kMs;
     slow.bandwidth_mbps = 110.0;
     primary = std::make_unique<blockdev::MemDisk>(slow);
+    for (auto& s : ssds) s->set_power_rail(&rail);
+    primary->set_power_rail(&rail);
     reattach();
     cache->format(0);
   }
+  SmallRig(const SmallRig&) = delete;
+  SmallRig& operator=(const SmallRig&) = delete;
 
   [[nodiscard]] std::vector<blockdev::BlockDevice*> ssd_ptrs() const {
     std::vector<blockdev::BlockDevice*> devs;

@@ -165,7 +165,6 @@ SimTime SrcCache::format(SimTime now) {
 }
 
 SimTime SrcCache::flush_all_ssds(SimTime now) {
-  if (crashed_) return now;  // power is off: nothing reaches the devices
   SimTime done = now;
   for (auto* d : ssds_) {
     if (d->failed()) continue;
@@ -179,7 +178,8 @@ SimTime SrcCache::flush_all_ssds(SimTime now) {
 
 void SrcCache::register_metrics(const obs::Scope& scope) {
   register_counters(scope, extra_, kExtraStatsFields);
-  scope.counter_fn("segment_seals", [this] { return seal_count_; });
+  scope.counter_fn("segment_seals",
+                   [this] { return extra_.segments_written; });
   scope.counter_fn("fetch_blocks", [this] { return stats_.fetch_blocks; });
   scope.counter_fn("destage_blocks", [this] { return stats_.destage_blocks; });
   scope.counter_fn("gc_copy_blocks", [this] { return stats_.gc_copy_blocks; });
@@ -323,7 +323,6 @@ void SrcCache::invalidate_slot(const MapEntry& e) {
 // --- app entry points -------------------------------------------------------
 
 SimTime SrcCache::submit(const cache::AppRequest& req) {
-  if (crashed_) return req.now;  // power is off
   maybe_timeout_partial(req.now);
   return req.is_write ? do_write(req) : do_read(req);
 }
@@ -476,7 +475,6 @@ SimTime SrcCache::do_write(const cache::AppRequest& req) {
 SimTime SrcCache::tier_destage(SimTime now, std::span<const u64> lbas,
                                std::span<const u64> tags,
                                std::span<const u16> tenants) {
-  if (crashed_) return now;
   // Destages carry dirty data that only the tier holds, so they stage
   // unconditionally — the quota gate applies to admissions, not durability.
   for (size_t i = 0; i < lbas.size(); ++i) {
@@ -488,7 +486,6 @@ SimTime SrcCache::tier_destage(SimTime now, std::span<const u64> lbas,
 }
 
 SimTime SrcCache::tier_demote(SimTime now, u64 lba, u64 tag, u16 tenant) {
-  if (crashed_) return now;
   stage(lba, tag, norm_tenant(tenant), /*dirty=*/false, WriteCause::kTierDemote,
         now);
   drain_buffers(now);
@@ -527,19 +524,9 @@ SimTime SrcCache::seal_buffer(SimTime now, SegBuffer& buf, bool force_partial) {
 }
 
 SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
-  if (crashed_) return now;  // power is off
   const u64 capacity = buffer_capacity(buf);
   count = std::min<u64>({count, capacity, buf.size()});
   if (count == 0) return now;
-
-  // Scheduled power cut (crash-consistency harness): the Nth seal tears at
-  // the chosen point, and from then on nothing reaches the devices.
-  CrashPoint point = CrashPoint::kNone;
-  if (crash_scheduled_ && seal_count_ == crash_at_seal_) {
-    point = crash_at_point_;
-    crashed_ = true;
-  }
-  seal_count_++;
 
   // Take the front `count` entries by value. What remains keeps its tickets,
   // so GC appends during SG allocation see a consistent buffer.
@@ -617,8 +604,8 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   // since staging (padding slots are layout overhead -> parity/shared);
   // mirror and parity columns are redundancy overhead wholesale. Each run
   // of rows with one (tenant, cause) is one ledger add.
-  // Co-located with the device writes and gated on the same success/crash
-  // conditions, so per-device ledger bytes stay exactly equal to
+  // Co-located with the device writes and gated on the same success
+  // condition, so per-device ledger bytes stay exactly equal to
   // DeviceStats::write_blocks.
   const auto account_data_chunk = [&](size_t d) {
     const u32 dev32 = static_cast<u32>(d);
@@ -643,23 +630,19 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   };
   for (size_t d = 0; d < ssds_.size(); ++d) {
     if (ssds_[d]->failed()) continue;
-    if (point == CrashPoint::kBeforeSeg) break;
     write_meta(issue, d, base, ms_payload, done);
-    if (point == CrashPoint::kAfterMs) continue;
     auto rdata = ssds_[d]->write(issue, base + 1, static_cast<u32>(rows),
                                  std::span<const u64>(image(d), rows));
     if (rdata.ok()) {
       done = std::max(done, rdata.done);
       account_data_chunk(d);
     }
-    if (point == CrashPoint::kAfterData) continue;
     write_meta(issue, d, base + 1 + rows, me_payload, done);
   }
   if (fill_span != obs::kNoSpan) span_->end_span(fill_span, done, count);
   // A fresh stripe just landed on every non-failed device, including a
   // rebuilding replacement: pending rebuild copies of this chunk are stale.
-  if (rebuild_ != nullptr && point == CrashPoint::kNone)
-    rebuild_->discard(base, cfg_.chunk_blocks());
+  if (rebuild_ != nullptr) rebuild_->discard(base, cfg_.chunk_blocks());
 
   extra_.segments_written++;
   if (span_ != nullptr)

@@ -91,11 +91,6 @@ class SrcCache final : public cache::CacheDevice {
     u64 quota_blocks = 0;  // enforced share (0 while unmanaged)
   };
 
-  // Testing hook: abort a segment write at a chosen point to model a torn
-  // write / power loss (recovery must then discard the segment).
-  // kBeforeSeg cuts power before anything of the segment reaches media.
-  enum class CrashPoint { kNone, kAfterMs, kAfterData, kBeforeSeg };
-
   // `ssds` are borrowed and must each expose at least the region's blocks,
   // which start at block 0. `primary` is the backing store.
   SrcCache(const SrcConfig& cfg, std::vector<BlockDevice*> ssds,
@@ -105,8 +100,9 @@ class SrcCache final : public cache::CacheDevice {
   SimTime format(SimTime now);
 
   // Rebuilds the in-memory state from on-SSD metadata after a crash:
-  // validates the superblock, scans every segment's MS/ME pair, keeps
-  // segments whose generations match, newest generation wins per LBA.
+  // validates the superblock, scans every segment's MS/ME pair on every
+  // live SSD, keeps segments whose copies agree and whose missing pairs
+  // the stripe's redundancy covers, newest generation wins per LBA.
   Status recover(SimTime now, SimTime* done = nullptr);
 
   SimTime submit(const cache::AppRequest& req) override;
@@ -170,20 +166,6 @@ class SrcCache final : public cache::CacheDevice {
   // Internal-invariant audit for tests: mapping table vs segment census vs
   // live counters. Returns the first violated invariant.
   [[nodiscard]] Status verify_consistency() const;
-
-  // Crash-consistency harness hooks: power-cut exactly at the `nth_seal`-th
-  // segment write (0-indexed), at the chosen point within the stripe. Once
-  // the cut fires, no further I/O of any kind reaches the devices; the
-  // instance is then only good for inspecting what made it to media.
-  void schedule_crash(u64 nth_seal, CrashPoint p) {
-    crash_scheduled_ = true;
-    crash_at_seal_ = nth_seal;
-    crash_at_point_ = p;
-  }
-  [[nodiscard]] bool crashed() const { return crashed_; }
-  // Segment writes issued so far; a full run's count enumerates the
-  // power-cut boundaries the harness sweeps.
-  [[nodiscard]] u64 seals() const { return seal_count_; }
 
   // --- compressed DRAM tier hand-off (src/tier) ---
   // Dirty blocks destaged by the tier enter the normal dirty staging path
@@ -504,11 +486,6 @@ class SrcCache final : public cache::CacheDevice {
   SimTime last_dirty_stage_ = 0;
   bool in_gc_ = false;
   bool flushing_ = false;  // flush(): reclaims destage, never copy
-  bool crash_scheduled_ = false;
-  u64 crash_at_seal_ = 0;
-  CrashPoint crash_at_point_ = CrashPoint::kNone;
-  bool crashed_ = false;
-  u64 seal_count_ = 0;
   fault::FaultLedger* fault_ledger_ = nullptr;
   raid::RebuildManager* rebuild_ = nullptr;
 

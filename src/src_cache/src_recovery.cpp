@@ -49,13 +49,29 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
   eviction_ = policy::make_eviction(cfg_.eviction, cfg_.capacity_blocks());
   admission_ = policy::make_admission(cfg_.admission, cfg_.capacity_blocks());
 
-  // 3. Scan every segment's MS/ME pair; matching generations mean the
-  // segment was written completely (§4.1 failure handling). Each valid MS
+  // 3. Scan every segment's MS/ME pairs on every live SSD (§4.1 failure
+  // handling). A seal writes MS, data and ME one SSD after another, so a
+  // segment is kept only if its valid copies agree and the SSDs lacking a
+  // pair are few enough to rebuild; any other is torn and discarded. A kept
   // image becomes its segment's record, and its live slots enter the map
-  // as the scan meets them: a block already mapped keeps the newer copy
-  // (a reused SG can hold a newer copy than a higher-numbered one), and
-  // the older copy's slot is marked dead.
+  // as the scan meets them: a block already mapped keeps the newer copy (a
+  // reused SG can hold a newer copy than a higher-numbered one), and the
+  // older copy's slot is marked dead.
   const u64 rows = cfg_.slots_per_chunk();
+  const size_t n = ssds_.size();
+  std::vector<char> lacking(n);  // per SSD: no valid MS/ME pair
+  // Whether the lacking SSDs hold no more of segment `m` than its
+  // redundancy rebuilds: none without parity or a mirror, one for RAID-4/5,
+  // one per mirror pair for RAID-1 (addr_of mirrors d onto d + n/2).
+  const auto rebuildable = [&](const SegmentMeta& m) {
+    const auto missing = std::count(lacking.begin(), lacking.end(), 1);
+    if (missing == 0) return true;
+    if (!m.has_parity || cfg_.raid == raid::RaidLevel::kRaid0) return false;
+    if (cfg_.raid != raid::RaidLevel::kRaid1) return missing == 1;
+    for (size_t d = 0; d < n / 2; ++d)
+      if (lacking[d] != 0 && lacking[d + n / 2] != 0) return false;
+    return true;
+  };
   for (u32 s = 1; s < cfg_.sg_count(); ++s) {
     SgInfo fresh;
     fresh.segs.resize(cfg_.segments_per_sg());
@@ -66,30 +82,32 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
     bool any_valid = false;
     for (u32 g = 0; g < cfg_.segments_per_sg(); ++g) {
       const u64 base = chunk_base_block(s, g);
-      std::optional<SegmentMeta> ms, me;
-      for (auto* d : ssds_) {
-        if (d->failed()) continue;
-        SimTime rt = now;
-        auto pms = d->read_payload(now, base, &rt);
-        t = std::max(t, rt);
-        if (pms.is_ok() && !ms.has_value())
-          ms = SegmentMeta::deserialize(pms.value());
-        auto pme = d->read_payload(now, base + 1 + rows, &rt);
-        t = std::max(t, rt);
-        if (pme.is_ok() && !me.has_value())
-          me = SegmentMeta::deserialize(pme.value());
-        if (ms.has_value() && me.has_value()) break;
+      std::optional<SegmentMeta> ms;
+      bool agree = true;
+      for (size_t d = 0; d < n; ++d) {
+        lacking[d] = 0;
+        if (ssds_[d]->failed()) continue;
+        for (const u64 block : {base, base + 1 + rows}) {
+          SimTime rt = now;
+          auto p = ssds_[d]->read_payload(now, block, &rt);
+          t = std::max(t, rt);
+          auto copy = p.is_ok() ? SegmentMeta::deserialize(p.value())
+                                : std::nullopt;
+          if (!copy.has_value()) {
+            lacking[d] = 1;
+          } else if (!ms.has_value()) {
+            ms = std::move(copy);
+          } else {
+            agree = agree && copy->generation == ms->generation &&
+                    copy->sg == ms->sg && copy->seg == ms->seg;
+          }
+        }
       }
-      if (!ms.has_value() || !me.has_value()) {
-        // One present without the other is a torn write; neither present is
-        // simply a never-written chunk.
-        if (ms.has_value() != me.has_value()) extra_.torn_segments_discarded++;
-        continue;
-      }
-      if (!ms->written() || ms->generation != me->generation ||
-          ms->sg != s || ms->seg != g) {
+      if (!ms.has_value()) continue;  // never written, or trimmed
+      if (!agree || !ms->written() || ms->sg != s || ms->seg != g ||
+          !rebuildable(*ms)) {
         extra_.torn_segments_discarded++;
-        continue;  // torn segment: discarded, space reused
+        continue;
       }
 
       SegmentInfo& si = sg.segs[g];

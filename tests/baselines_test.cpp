@@ -54,7 +54,8 @@ BcacheConfig bc_cfg(u64 cache_blocks = 8192) {
   return cfg;
 }
 
-AppRequest wreq(sim::SimTime now, u64 lba, u32 n = 1, const u64* tags = nullptr) {
+AppRequest wreq(sim::SimTime now, u64 lba, u32 n = 1,
+                const u64* tags = nullptr) {
   AppRequest r;
   r.now = now;
   r.is_write = true;
@@ -73,7 +74,7 @@ AppRequest rreq(sim::SimTime now, u64 lba, u32 n = 1, u64* out = nullptr) {
   return r;
 }
 
-// --- Flashcache ------------------------------------------------------------------
+// --- Flashcache --------------------------------------------------------------
 
 TEST(Flashcache, RejectsEmpty) {
   Rig rig;
@@ -496,7 +497,7 @@ TEST(Baselines, GoldenFlashcacheIo) {
   }
 }
 
-// --- Bcache ----------------------------------------------------------------------
+// --- Bcache ------------------------------------------------------------------
 
 // A cache smaller than one bucket rounds down to no buckets at all.
 TEST(Bcache, RejectsCacheSmallerThanOneBucket) {
@@ -520,7 +521,8 @@ TEST(Bcache, JournalFlushOnEveryCommit) {
   Rig rig;
   BcacheLike bc(bc_cfg(), rig.ssd.get(), rig.primary.get());
   sim::SimTime t = 0;
-  for (int i = 0; i < 10; ++i) t = bc.submit(wreq(t, static_cast<u64>(i) * 1000));
+  for (int i = 0; i < 10; ++i)
+    t = bc.submit(wreq(t, static_cast<u64>(i) * 1000));
   EXPECT_GT(rig.ssd->stats().flushes, 0u);
 }
 
@@ -873,7 +875,7 @@ TEST(Baselines, GoldenBcacheIo) {
   }
 }
 
-// --- shared write-back property: WB beats WT on a slow primary (Table 2) ----------
+// --- shared write-back property: WB beats WT on a slow primary (Table 2) -----
 
 template <typename Cache, typename Config>
 double measure_write_mbps(Config cfg, bool write_back) {

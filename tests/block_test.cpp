@@ -423,6 +423,57 @@ LeafRun golden_ssd_run(bool track_content) {
 // script, plus SimSsd's FTL counters and registered metrics and the write
 // buffers of SimSsd and IscsiTarget: a refactor of the simulated media must
 // leave every CRC unchanged. SimHdd runs without drive swaps.
+// Every leaf drops what a cut power rail denies: after the cut, writes,
+// payload writes, trims and flushes are acked at their issue time and change
+// neither media nor DeviceStats, while reads still see the media; once power
+// is restored, commands draw and land again.
+TEST(Block, PowerRailDropsMediaCommandsAfterTheCut) {
+  const auto check = [](SimDevice& dev) {
+    PowerRail rail;
+    dev.set_power_rail(&rail);
+    const u64 a = 0xA;
+    const auto payload = std::make_shared<const std::vector<u8>>(16, u8{7});
+    ASSERT_TRUE(dev.write(0, 5, 1, std::span(&a, 1)).ok());
+    ASSERT_TRUE(dev.write_payload(0, 6, payload).ok());
+    EXPECT_EQ(rail.log, (std::vector<DeviceOp>{DeviceOp::kWrite,
+                                               DeviceOp::kWritePayload}));
+    const DeviceStats before = dev.stats();
+    rail.budget = rail.log.size();
+    const SimTime now = 1 * sim::kSec;
+    const u64 b = 0xB;
+    for (const IoResult r :
+         {dev.write(now, 7, 1, std::span(&b, 1)),
+          dev.write_payload(now, 8, payload), dev.trim(now, 5, 1),
+          dev.flush(now)}) {
+      EXPECT_TRUE(r.ok());
+      EXPECT_EQ(r.done, now);
+    }
+    EXPECT_TRUE(rail.off);
+    EXPECT_EQ(rail.log.size(), 2u);
+    EXPECT_EQ(dev.stats().write_ops, before.write_ops);
+    EXPECT_EQ(dev.stats().trim_ops, before.trim_ops);
+    EXPECT_EQ(dev.stats().flushes, before.flushes);
+    u64 tags[3] = {};
+    ASSERT_TRUE(dev.read(now, 5, 3, tags).ok());
+    EXPECT_EQ(tags[0], a);  // the trim never landed
+    EXPECT_EQ(tags[2], 0u);  // nor the write of b
+    EXPECT_TRUE(dev.read_payload(now, 6, nullptr).is_ok());
+    EXPECT_FALSE(dev.read_payload(now, 8, nullptr).is_ok());
+    rail.restore();
+    ASSERT_TRUE(dev.write(now, 7, 1, std::span(&b, 1)).ok());
+    EXPECT_EQ(rail.log.size(), 3u);
+    ASSERT_TRUE(dev.read(now, 7, 1, tags).ok());
+    EXPECT_EQ(tags[0], b);
+    dev.set_power_rail(nullptr);
+  };
+  MemDisk mem(small_cfg());
+  check(mem);
+  hdd::SimHdd hdd(leaf_hdd_config());
+  check(hdd);
+  flash::SimSsd ssd(leaf_ssd_spec(), /*track_content=*/true);
+  check(ssd);
+}
+
 TEST(Block, GoldenLeafIo) {
   auto fired = [](const LeafRun& run, ErrorCode e) {
     return run.errors[static_cast<size_t>(e)];

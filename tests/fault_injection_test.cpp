@@ -228,7 +228,9 @@ TEST(FaultInjection, RunnerReportsTheDegradedWindow) {
   EXPECT_EQ(res.fault.events_fired, 1u);
   EXPECT_GE(res.fault.first_fault_s, 0.0);
   EXPECT_GT(res.fault.healthy_mbps, 0.0);
-  EXPECT_GT(res.fault.degraded_read_lat.count + res.fault.degraded_write_lat.count, 0u);
+  EXPECT_GT(
+      res.fault.degraded_read_lat.count + res.fault.degraded_write_lat.count,
+      0u);
   EXPECT_EQ(res.fault.injected, 1u);
   EXPECT_EQ(res.fault.detected, 1u);  // fail-stop is device-reported
   EXPECT_EQ(res.fault.injected, res.fault.detected + res.fault.undetected);

@@ -198,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(AllCaches, CacheProperty,
                            return n;
                          });
 
-// --- full-stack smoke: SRC over simulated SSDs + iSCSI ----------------------------
+// --- full-stack smoke: SRC over simulated SSDs + iSCSI -----------------------
 
 TEST(Integration, TraceGroupRunsEndToEnd) {
   auto rig = make_devices(4);

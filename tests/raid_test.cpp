@@ -33,7 +33,7 @@ struct Rig {
   }
 };
 
-// --- construction -------------------------------------------------------------
+// --- construction ------------------------------------------------------------
 
 TEST(Raid, CapacityPerLevel) {
   EXPECT_EQ(Rig(RaidLevel::kRaid0, 4).raid->capacity_blocks(), 4u * 4096u);
@@ -59,7 +59,7 @@ TEST(Raid, Raid1NeedsEvenCount) {
                std::invalid_argument);
 }
 
-// --- content round trips across levels and chunk sizes (property sweep) -------
+// --- content round trips across levels and chunk sizes (property sweep) ------
 
 struct RoundTripParam {
   RaidLevel level;
@@ -123,7 +123,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.chunk);
     });
 
-// --- small-write behaviour ------------------------------------------------------
+// --- small-write behaviour ---------------------------------------------------
 
 TEST(Raid5, FullStripeWriteAvoidsReads) {
   Rig rig(RaidLevel::kRaid5, 4);  // stripe = 3 data chunks of 4 = 12 blocks
@@ -171,7 +171,7 @@ TEST(Raid5, SmallWritesCostMoreThanRaid0) {
   EXPECT_GE(t5, 4 * t0 - 4);  // 4 I/Os per small write vs 1
 }
 
-// --- degraded operation -----------------------------------------------------------
+// --- degraded operation ------------------------------------------------------
 
 class RaidDegraded : public ::testing::TestWithParam<RaidLevel> {};
 

@@ -23,7 +23,8 @@ SsdSpec test_spec() {
 // Simple closed-loop driver: `qd` streams, each issuing its next op at its
 // previous completion. Returns achieved MB/s over the bytes moved.
 template <typename IssueFn>
-double closed_loop_mbps(IssueFn&& issue, int qd, u64 total_ops, u64 bytes_per_op) {
+double closed_loop_mbps(IssueFn&& issue, int qd, u64 total_ops,
+                        u64 bytes_per_op) {
   using Entry = std::pair<SimTime, int>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
   for (int i = 0; i < qd; ++i) heap.emplace(0, i);

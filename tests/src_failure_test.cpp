@@ -567,7 +567,7 @@ GoldenSrc run_write_path_script(const WritePathCase& wc) {
     EXPECT_TRUE(audit.is_ok()) << "op " << op << ": " << audit.to_string();
     if (!audit.is_ok()) break;
   }
-  fold(cache.seals());
+  fold(cache.extra().segments_written);
   fold(cache.cached_blocks());
 
   fold_cache(cache, g);

@@ -138,32 +138,146 @@ TEST(SrcRecovery, NewestCopyInLowerSgWins) {
   EXPECT_EQ(out, new_tag);
 }
 
+// Cuts power `after` device commands into the seal of `cap` writes of tag
+// 0x5000 + i at lba 5000 + i, each SSD taking MS, data and ME in turn, then
+// reboots and recovers. Returns the torn segments recovery discarded.
+u64 cut_into_seal(Rig& rig, u64 after) {
+  const u64 cap = rig.cfg.segment_data_slots(true);
+  const u64 seal = rig.rail.log.size();
+  rig.rail.budget = seal + after;
+  for (u64 i = 0; i < cap; ++i) {
+    const u64 tag = 0x5000 + i;
+    rig.write(1, 5000 + i, 1, &tag);
+  }
+  EXPECT_TRUE(rig.rail.off);
+  EXPECT_EQ(rig.rail.log.at(seal), blockdev::DeviceOp::kWritePayload);
+  rig.rail.restore();
+  rig.reattach();
+  EXPECT_TRUE(rig.cache->recover(0).is_ok());
+  EXPECT_TRUE(rig.cache->verify_consistency().is_ok());
+  return rig.cache->extra().torn_segments_discarded;
+}
+
 TEST(SrcRecovery, TornSegmentDiscarded) {
   Rig rig;
   const u64 cap = rig.cfg.segment_data_slots(true);
   // First, a complete segment.
   for (u64 i = 0; i < cap; ++i) rig.write(0, i);
-  // Then a torn one: crash after MS, before data/ME.
-  rig.cache->schedule_crash(rig.cache->seals(),
-                            SrcCache::CrashPoint::kAfterMs);
-  for (u64 i = 0; i < cap; ++i) rig.write(1, 5000 + i);
-  rig.reattach();
-  ASSERT_TRUE(rig.cache->recover(0).is_ok());
+  // Then a torn one: the cut lands after the first SSD's MS.
+  EXPECT_EQ(cut_into_seal(rig, 1), 1u);
   // Complete segment recovered, torn one discarded.
   EXPECT_EQ(rig.cache->residence(0), SrcCache::Residence::kCachedDirty);
   EXPECT_EQ(rig.cache->residence(5000), SrcCache::Residence::kAbsent);
-  EXPECT_TRUE(rig.cache->verify_consistency().is_ok());
 }
 
 TEST(SrcRecovery, TornAfterDataAlsoDiscarded) {
   Rig rig;
+  EXPECT_EQ(cut_into_seal(rig, 2), 1u);  // the first SSD's MS and data
+  EXPECT_EQ(rig.cache->cached_blocks(), 0u);
+}
+
+// A stripe cut between SSDs is kept only where its redundancy rebuilds the
+// SSDs still lacking their chunks: none on RAID-0, one on RAID-5, one per
+// mirror pair on RAID-1 (SrcCache mirrors SSD d onto d + 2). The first row,
+// SSD 0 whole and nothing else, was kept before recovery read every SSD.
+TEST(SrcRecovery, CutStripeKeptOnlyWhereRedundancyRebuilds) {
+  struct Row {
+    raid::RaidLevel raid;
+    u64 after;  // commands into the seal: three per whole SSD
+    bool kept;
+  };
+  for (const Row& row : {Row{raid::RaidLevel::kRaid5, 3, false},
+                         Row{raid::RaidLevel::kRaid5, 9, true},
+                         Row{raid::RaidLevel::kRaid1, 5, false},
+                         Row{raid::RaidLevel::kRaid1, 6, true},
+                         Row{raid::RaidLevel::kRaid0, 11, false}}) {
+    SCOPED_TRACE(::testing::Message() << raid::to_string(row.raid)
+                                      << ", cut after " << row.after);
+    Rig rig(small_config(row.raid));
+    const u64 cap = rig.cfg.segment_data_slots(true);
+    EXPECT_EQ(cut_into_seal(rig, row.after), row.kept ? 0u : 1u);
+    EXPECT_EQ(rig.cache->cached_blocks(), row.kept ? cap : 0u);
+    if (!row.kept) continue;
+    sim::SimTime t = 0;
+    for (u64 i = 0; i < cap; ++i) {
+      u64 out = 0;
+      t = rig.read(t, 5000 + i, 1, &out);
+      EXPECT_EQ(out, 0x5000 + i) << i;
+    }
+    EXPECT_EQ(rig.cache->extra().unrecoverable_blocks, 0u);
+  }
+}
+
+// One corrupted MS replica on a RAID-5 segment is one SSD lacking a valid
+// pair, which parity covers: the segment is still recovered whole.
+TEST(SrcRecovery, CorruptMsReplicaStillRecovered) {
+  Rig rig;
   const u64 cap = rig.cfg.segment_data_slots(true);
-  rig.cache->schedule_crash(rig.cache->seals(),
-                            SrcCache::CrashPoint::kAfterData);
-  for (u64 i = 0; i < cap; ++i) rig.write(0, i);
+  std::vector<u64> tags(cap);
+  for (u64 i = 0; i < cap; ++i) {
+    tags[i] = 0x7000 + i;
+    rig.write(0, i, 1, &tags[i]);
+  }
+  const u64 ms = rig.cfg.eg_blocks();  // SG 1's first segment
+  ASSERT_TRUE(rig.ssd_ptrs()[1]->read_payload(0, ms).is_ok());
+  rig.ssds[1]->corrupt(ms);
   rig.reattach();
   ASSERT_TRUE(rig.cache->recover(0).is_ok());
-  EXPECT_EQ(rig.cache->cached_blocks(), 0u);
+  EXPECT_EQ(rig.cache->extra().torn_segments_discarded, 0u);
+  EXPECT_EQ(rig.cache->cached_blocks(), cap);
+  for (u64 i = 0; i < cap; ++i) {
+    u64 out = 0;
+    rig.read(1000, i, 1, &out);
+    EXPECT_EQ(out, tags[i]) << i;
+  }
+}
+
+// A cut inside a seal whose SG allocation reclaims with Sel-GC copies
+// staged: the cache runs on unaware, so the seal's drain loop still writes
+// the copies out (into dropped commands) and the replay returns; no device
+// takes a media command after the cut; and the untrimmed victim recovers.
+TEST(SrcRecovery, CutInsideSealWithSelGcCopiesStaged) {
+  // One-block writes over 1,000 LBAs, so the cache fills with dead copies
+  // and the first reclaim, below UMAX, keeps the victim's live blocks.
+  // Returns the rail's command count before the write that `done` stops at.
+  const auto drive = [](Rig& rig, const auto& done) {
+    common::Xoshiro256 rng(7);
+    sim::SimTime t = 0;
+    for (u64 i = 0; i < 100000; ++i) {
+      const u64 mark = rig.rail.log.size();
+      const u64 tag = rng.next() | 1;
+      rig.write(t, rng.below(1000), 1, &tag);
+      t += 50 * sim::kUs;
+      if (done()) return mark;
+    }
+    return ~u64{0};
+  };
+  Rig base;
+  const u64 mark =
+      drive(base, [&] { return base.cache->extra().sg_reclaims > 0; });
+  ASSERT_NE(mark, ~u64{0});
+  ASSERT_EQ(base.cache->extra().s2s_reclaims, 1u);
+  ASSERT_GT(base.cache->stats().gc_copy_blocks, 0u);
+  const auto& log = base.rail.log;
+  const auto trim = std::find(log.begin() + static_cast<long>(mark), log.end(),
+                              blockdev::DeviceOp::kTrim);
+  ASSERT_NE(trim, log.end());
+  const u64 cut = static_cast<u64>(trim - log.begin());
+
+  Rig rig;
+  rig.rail.budget = cut;  // the victim's first TRIM
+  ASSERT_NE(drive(rig, [&] { return rig.rail.off; }), ~u64{0});
+  u64 media = 0;
+  for (const auto& d : rig.ssds) {
+    media += d->stats().write_ops + d->stats().trim_ops + d->stats().flushes;
+  }
+  const blockdev::DeviceStats& p = rig.primary->stats();
+  EXPECT_EQ(media + p.write_ops + p.trim_ops + p.flushes, cut);
+  rig.rail.restore();
+  rig.reattach();
+  ASSERT_TRUE(rig.cache->recover(0).is_ok());
+  EXPECT_TRUE(rig.cache->verify_consistency().is_ok());
+  EXPECT_EQ(rig.cache->extra().torn_segments_discarded, 0u);
 }
 
 TEST(SrcRecovery, CorruptSuperblockRejected) {

@@ -15,7 +15,7 @@
 //   fault_matrix [--out <path>] [--quick]
 //
 //   --out    artifact path (default: $REPRO_JSON, else fault_matrix.json)
-//   --quick  subsample the crash sweep's boundaries (CI smoke settings)
+//   --quick  subsample the crash sweep's cut positions (CI smoke settings)
 //
 // Exit status: 0 when every scenario passed, 1 otherwise (the gate).
 #include <cstdio>
@@ -329,18 +329,18 @@ int main(int argc, char** argv) {
   }
   w.end_array();
 
-  // Crash-consistency sweep: a power cut at every segment-seal boundary
-  // (subsampled with --quick), three cut points each.
+  // Crash-consistency sweep: a power cut before every device command
+  // (subsampled with --quick).
   fault::CrashSweepConfig cc;
   cc.src = src::small_config(raid::RaidLevel::kRaid5);
   cc.ops = 400;
   cc.working_set_blocks = 2048;
   cc.max_boundaries = quick ? 12 : 0;
   const fault::CrashSweepResult sweep = fault::run_crash_sweep(cc);
-  std::printf("crash-sweep        %s  (%llu boundaries, %llu cases, "
+  std::printf("crash-sweep        %s  (%llu commands, %llu cases, "
               "%llu torn segments discarded)\n",
               sweep.ok() ? "ok" : "FAIL",
-              static_cast<unsigned long long>(sweep.boundaries),
+              static_cast<unsigned long long>(sweep.commands),
               static_cast<unsigned long long>(sweep.cases),
               static_cast<unsigned long long>(sweep.torn_segments));
   for (const std::string& v : sweep.violations) {
@@ -349,8 +349,10 @@ int main(int argc, char** argv) {
   }
   w.key("crash_sweep").begin_object();
   w.kv("ok", sweep.ok() ? 1 : 0);
-  w.kv("boundaries", sweep.boundaries);
+  w.kv("commands", sweep.commands);
+  w.kv("seals", sweep.seals);
   w.kv("cases", sweep.cases);
+  w.kv("stripe_cuts", sweep.stripe_cuts);
   w.kv("torn_segments", sweep.torn_segments);
   w.kv("injected", sweep.injected);
   w.kv("detected", sweep.detected);
