@@ -192,7 +192,7 @@ CrashSweepResult run_crash_sweep(const CrashSweepConfig& cfg) {
   u64 first = 0;  // the replay's first command (the format's come before)
   u64 end = 0;    // one past its last
   std::vector<u64> stripes;  // the first command of each seal's stripe
-  const u64 stripe_len = 3 * sc_cfg.num_ssds;
+  const u64 stripe_len = sc_cfg.layout().seal_commands();
   {
     Rig rig(sc_cfg, cfg.tier_budget_bytes);
     first = rig.rail.log.size();

@@ -80,12 +80,13 @@ void RebuildManager::on_device_failed(size_t dev, sim::SimTime now) {
   // whose reconstruction needs `dev` is lost for good.
   for (size_t a = 0; a < devs_.size(); ++a) {
     if (a == dev || !devs_[a].rebuilding) continue;
-    abort_dependent(a, dev);
+    abort_dependent(a, dev, now);
     if (devs_[a].queue.empty()) finish_device(a, now);
   }
 }
 
-void RebuildManager::abort_dependent(size_t dev, size_t lost_dev) {
+void RebuildManager::abort_dependent(size_t dev, size_t lost_dev,
+                                     sim::SimTime now) {
   DeviceState& st = devs_[dev];
   std::vector<RebuildExtent> lost;
   std::deque<RebuildExtent> keep;
@@ -108,7 +109,7 @@ void RebuildManager::abort_dependent(size_t dev, size_t lost_dev) {
   }
   st.queue = std::move(keep);
   st.cursor = 0;
-  if (!lost.empty() && on_abort_) on_abort_(dev, lost);
+  if (!lost.empty() && on_abort_) on_abort_(dev, lost, now);
 }
 
 void RebuildManager::lose_pending(DeviceState& st, const RebuildExtent& ex,
@@ -280,7 +281,7 @@ u64 RebuildManager::copy_batch(size_t dev, sim::SimTime now, u64 budget) {
     // this extent is lost.
     std::vector<RebuildExtent> lost;
     lose_pending(st, ex, b0, lost);
-    if (!lost.empty() && on_abort_) on_abort_(dev, lost);
+    if (!lost.empty() && on_abort_) on_abort_(dev, lost, now);
     st.cursor = 0;
     st.queue.pop_front();
     return 0;

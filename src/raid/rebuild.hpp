@@ -113,10 +113,10 @@ class RebuildManager {
   // order (ascending device block). SrcCache::rebuild_extents is the
   // SRC-aware source; full_sweep_source sweeps a plain RAID member.
   using ExtentSource = std::function<std::vector<RebuildExtent>(size_t dev)>;
-  // Invoked when a second failure makes pending extents unreconstructable;
-  // the extents passed are the lost (still-uncopied) ranges.
-  using AbortCallback =
-      std::function<void(size_t dev, const std::vector<RebuildExtent>& lost)>;
+  // Invoked at `now` when a second failure makes pending extents
+  // unreconstructable; `lost` holds their still-uncopied ranges.
+  using AbortCallback = std::function<void(
+      size_t dev, const std::vector<RebuildExtent>& lost, sim::SimTime now)>;
 
   RebuildManager(const RebuildConfig& cfg,
                  std::vector<blockdev::BlockDevice*> ssds);
@@ -187,7 +187,7 @@ class RebuildManager {
   void finish_device(size_t dev, sim::SimTime now);
   // Drops every pending extent of rebuilding device `dev` that needs the
   // newly failed device `lost_dev` for reconstruction.
-  void abort_dependent(size_t dev, size_t lost_dev);
+  void abort_dependent(size_t dev, size_t lost_dev, sim::SimTime now);
   // Moves the still-pending part of [begin, ex end) to `dead`, counts it
   // unrecovered and appends it to `lost`.
   void lose_pending(DeviceState& st, const RebuildExtent& ex, u64 begin,

@@ -74,7 +74,7 @@ blockdev::Payload SegmentMeta::serialize(bool tail) const {
   p = store_le(p, generation);
   p = store_le(p, sg);
   p = store_le(p, seg);
-  p = store_le(p, (dirty ? 1u : 0u) | (has_parity ? 2u : 0u) |
+  p = store_le(p, (dirty ? 1u : 0u) | (redundant ? 2u : 0u) |
                        (tail ? 4u : 0u) | (static_cast<u32>(parity_col) << 8));
   p = store_le(p, static_cast<u32>(slot_lba.size()));
   for (size_t i = 0; i < slot_lba.size(); ++i) {
@@ -102,7 +102,7 @@ std::optional<SegmentMeta> SegmentMeta::deserialize(
   // body can hold before allocating for them.
   if (count > r.remaining() / kEntryBytes) return std::nullopt;
   m.dirty = (flags & 1u) != 0;
-  m.has_parity = (flags & 2u) != 0;
+  m.redundant = (flags & 2u) != 0;
   m.parity_col = static_cast<u8>(flags >> 8);
   m.slot_lba.resize(count);
   m.slot_crc.resize(count);

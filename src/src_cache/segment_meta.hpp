@@ -28,7 +28,7 @@ struct SegmentMeta {
   u32 sg = 0;
   u32 seg = 0;
   bool dirty = false;  // segment type
-  bool has_parity = false;
+  bool redundant = false;  // carries parity or a mirror
   u8 parity_col = 0;  // device index of the parity column
 
   // One entry per data slot of the whole segment, in parallel vectors:

@@ -14,7 +14,6 @@ constexpr SimTime kStageCost = 1 * sim::kUs;
 constexpr SimTime kRamReadCost = 500 * sim::kNs;
 
 using obs::WriteCause;
-using raid::RaidLevel;
 
 }  // namespace
 
@@ -58,7 +57,8 @@ std::string SrcConfig::describe() const {
 
 SrcCache::SrcCache(const SrcConfig& cfg, std::vector<BlockDevice*> ssds,
                    BlockDevice* primary)
-    : cfg_(cfg), ssds_(std::move(ssds)), primary_(primary) {
+    : cfg_(cfg), layout_(cfg.layout()), ssds_(std::move(ssds)),
+      primary_(primary) {
   cfg_.validate();
   if (ssds_.size() != cfg_.num_ssds)
     throw std::invalid_argument("SRC: device count != config");
@@ -71,45 +71,6 @@ SrcCache::SrcCache(const SrcConfig& cfg, std::vector<BlockDevice*> ssds,
   for (auto& sg : sgs_) sg.segs.resize(cfg_.segments_per_sg());
   eviction_ = policy::make_eviction(cfg_.eviction, cfg_.capacity_blocks());
   admission_ = policy::make_admission(cfg_.admission, cfg_.capacity_blocks());
-}
-
-// --- geometry ---------------------------------------------------------------
-
-u64 SrcCache::sg_base_block(u32 sg) const {
-  return static_cast<u64>(sg) * cfg_.eg_blocks();
-}
-
-u64 SrcCache::chunk_base_block(u32 sg, u32 seg) const {
-  return sg_base_block(sg) + static_cast<u64>(seg) * cfg_.chunk_blocks();
-}
-
-SrcCache::SlotAddr SrcCache::addr_of(u32 sg, u32 seg, u32 slot,
-                                     const SegmentInfo& si) const {
-  const u64 rows = cfg_.slots_per_chunk();
-  const u64 col = slot / rows;  // column-major: each column is one SSD chunk
-  const u64 row = slot % rows;
-  size_t dev;
-  size_t mirror = SIZE_MAX;
-  if (cfg_.raid == RaidLevel::kRaid1) {
-    dev = static_cast<size_t>(col);
-    mirror = dev + cfg_.num_ssds / 2;
-  } else if (si.has_parity && col >= si.parity_col) {
-    dev = static_cast<size_t>(col) + 1;
-  } else {
-    dev = static_cast<size_t>(col);
-  }
-  // +1 skips the MS block at the chunk head.
-  return {dev, chunk_base_block(sg, seg) + 1 + row, mirror};
-}
-
-u64 SrcCache::col_of_dev(size_t dev, const SegmentInfo& si) const {
-  if (cfg_.raid == RaidLevel::kRaid1) return dev % (cfg_.num_ssds / 2);
-  if (!si.has_parity || dev < si.parity_col) return dev;
-  return dev == si.parity_col ? kParityCol : dev - 1;
-}
-
-u64 SrcCache::buffer_capacity(const SegBuffer& buf) const {
-  return cfg_.segment_data_slots(buf.dirty);
 }
 
 double SrcCache::utilization() const {
@@ -151,7 +112,7 @@ SimTime SrcCache::format(SimTime now) {
   const auto payload = superblock_payload();
   SimTime done = now;
   for (size_t d = 0; d < ssds_.size(); ++d)
-    write_meta(now, d, sg_base_block(0), payload, done);
+    write_meta(now, d, layout_.sg_base(0), payload, done);
   // SG 0 holds the superblock and is never written again (§4.1).
   sgs_[0].state = SgState::kSuper;
   free_sgs_.clear();
@@ -196,7 +157,7 @@ void SrcCache::register_metrics(const obs::Scope& scope) {
     scope.gauge_fn(kind + "_buffer_blocks",
                    [buf] { return static_cast<double>(buf->size()); });
     scope.gauge_fn(kind + "_buffer_frac", [this, buf] {
-      const u64 cap = buffer_capacity(*buf);
+      const u64 cap = layout_.data_slots(buf->dirty);
       return cap == 0 ? 0.0
                       : static_cast<double>(buf->size()) /
                             static_cast<double>(cap);
@@ -512,7 +473,7 @@ u32 SrcCache::allocate_sg(SimTime now) {
 }
 
 SimTime SrcCache::seal_buffer(SimTime now, SegBuffer& buf, bool force_partial) {
-  const u64 cap = buffer_capacity(buf);
+  const u64 cap = layout_.data_slots(buf.dirty);
   SimTime done = now;
   // Drain full segments; GC triggered by SG allocation below may append
   // further entries, which this loop absorbs.
@@ -524,7 +485,7 @@ SimTime SrcCache::seal_buffer(SimTime now, SegBuffer& buf, bool force_partial) {
 }
 
 SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
-  const u64 capacity = buffer_capacity(buf);
+  const u64 capacity = layout_.data_slots(buf.dirty);
   count = std::min<u64>({count, capacity, buf.size()});
   if (count == 0) return now;
 
@@ -546,30 +507,24 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   si.sg = active_sg_;
   si.seg = seg;
   si.dirty = buf.dirty;
-  si.has_parity = cfg_.segment_has_parity(buf.dirty);
-  si.parity_col = 0;
-  if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
-    si.parity_col = cfg_.raid == RaidLevel::kRaid4
-                        ? static_cast<u8>(cfg_.num_ssds - 1)
-                        : static_cast<u8>(gen_seq_ % cfg_.num_ssds);
-  }
+  si.redundant = layout_.redundant(buf.dirty);
+  si.parity_col = layout_.parity_col(si.redundant, si.generation);
   si.slot_lba.assign(capacity, kDeadSlot);
   si.slot_crc.assign(capacity, 0);
   si.slot_tenant.assign(capacity, 0);
   si.live = 0;
 
   // Per-device tag images (device d's rows at image(d)). Slots are
-  // column-major, so addr_of places each column once and its slots fill
+  // column-major, so the stripe places each column once and its slots fill
   // consecutive rows. Slots past the taken entries are padding: dead, tag 0.
-  const u64 base = chunk_base_block(active_sg_, seg);
-  const u64 rows = cfg_.slots_per_chunk();
+  const Stripe stripe = layout_.stripe(si);
+  const u64 rows = layout_.rows();
   images_.assign(cfg_.num_ssds * rows, 0);
   const auto image = [&](size_t d) { return images_.data() + d * rows; };
   for (u32 first = 0; first < taken_.size(); first += rows) {
-    const SlotAddr a = addr_of(active_sg_, seg, first, si);
-    u64* const col = image(a.dev);
-    u64* const mirror =
-        a.mirror_dev != SIZE_MAX ? image(a.mirror_dev) : nullptr;
+    const SlotPlace p = stripe.at(first / rows, 0);
+    u64* const col = image(p.dev);
+    u64* const mirror = p.mirror != kNoDev ? image(p.mirror) : nullptr;
     const u32 end =
         static_cast<u32>(std::min<u64>(first + rows, taken_.size()));
     for (u32 s = first; s < end; ++s) {
@@ -584,15 +539,16 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
       place_slot(map_.at(w.lba), active_sg_, seg, s);
     }
   }
-  if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
-    u64* parity = image(si.parity_col);
+  if (stripe.parity()) {
+    u64* parity = image(stripe.parity_dev);
     for (size_t d = 0; d < ssds_.size(); ++d) {
-      if (d == si.parity_col) continue;
+      if (d == stripe.parity_dev) continue;
       for (u64 r = 0; r < rows; ++r) parity[r] ^= image(d)[r];
     }
   }
 
   // Issue the stripe: MS + data + ME per SSD, all in parallel (§4.1).
+  const u64 ms = layout_.ms_block(active_sg_, seg);
   const auto ms_payload = si.serialize(/*tail=*/false);
   const auto me_payload = si.serialize(/*tail=*/true);
   SimTime done = issue;
@@ -609,9 +565,8 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   // DeviceStats::write_blocks.
   const auto account_data_chunk = [&](size_t d) {
     const u32 dev32 = static_cast<u32>(d);
-    const u64 col = col_of_dev(d, si);
-    if (col == kParityCol ||
-        addr_of(active_sg_, seg, static_cast<u32>(col * rows), si).dev != d) {
+    const u64 col = stripe.column(d);
+    if (col == kParityColumn || stripe.at(col, 0).dev != d) {
       ledger_.add(dev32, obs::kSharedTenant, WriteCause::kParity,
                   rows * kBlockSize);
       return;
@@ -630,19 +585,20 @@ SimTime SrcCache::write_one_segment(SimTime now, SegBuffer& buf, u64 count) {
   };
   for (size_t d = 0; d < ssds_.size(); ++d) {
     if (ssds_[d]->failed()) continue;
-    write_meta(issue, d, base, ms_payload, done);
-    auto rdata = ssds_[d]->write(issue, base + 1, static_cast<u32>(rows),
+    write_meta(issue, d, ms, ms_payload, done);
+    auto rdata = ssds_[d]->write(issue, stripe.data_block,
+                                 static_cast<u32>(rows),
                                  std::span<const u64>(image(d), rows));
     if (rdata.ok()) {
       done = std::max(done, rdata.done);
       account_data_chunk(d);
     }
-    write_meta(issue, d, base + 1 + rows, me_payload, done);
+    write_meta(issue, d, layout_.me_block(active_sg_, seg), me_payload, done);
   }
   if (fill_span != obs::kNoSpan) span_->end_span(fill_span, done, count);
   // A fresh stripe just landed on every non-failed device, including a
   // rebuilding replacement: pending rebuild copies of this chunk are stale.
-  if (rebuild_ != nullptr) rebuild_->discard(base, cfg_.chunk_blocks());
+  if (rebuild_ != nullptr) rebuild_->discard(ms, layout_.chunk_blocks);
 
   extra_.segments_written++;
   if (span_ != nullptr)
@@ -706,17 +662,16 @@ SimTime SrcCache::do_read(const cache::AppRequest& req) {
         req.tags_out[i] = buf.slots[buf.index(e.slot)].tag;
       continue;
     }
-    const SegmentInfo& si = sgs_[e.sg].segs[e.seg];
-    SlotAddr a = addr_of(e.sg, e.seg, e.slot, si);
-    if (dev_dead(a.dev, a.block) && a.mirror_dev != SIZE_MAX &&
-        !dev_dead(a.mirror_dev, a.block)) {
-      a.dev = a.mirror_dev;
+    SlotPlace p = layout_.stripe(sgs_[e.sg].segs[e.seg]).place(e.slot);
+    if (dev_dead(p.dev, p.block) && p.mirror != kNoDev &&
+        !dev_dead(p.mirror, p.block)) {
+      p.dev = p.mirror;
     }
     // A dead copy (failed, or a blank replacement not yet rebuilt here)
     // would serve garbage, not an error: such hits go straight to the
     // repair path, in request order, ahead of the batched reads.
-    (dev_dead(a.dev, a.block) ? dead : hits)
-        .push_back({a.dev, a.block, e.sg, e.seg, e.slot, i});
+    (dev_dead(p.dev, p.block) ? dead : hits)
+        .push_back({p.dev, p.block, e.sg, e.seg, e.slot, i});
   }
 
   const std::span<u64> tags(req.tags_out,
@@ -805,7 +760,8 @@ Result<u64> SrcCache::read_slot(SimTime now, u32 sg, u32 seg, u32 slot,
                                 SimTime& done) {
   const SegmentInfo& si = sgs_[sg].segs[seg];
   const u64 lba = si.slot_lba[slot];
-  const SlotAddr a = addr_of(sg, seg, slot, si);
+  const Stripe stripe = layout_.stripe(si);
+  const SlotPlace a = stripe.place(slot);
   const auto verified = [&](u64 tag) {
     return !cfg_.verify_checksums ||
            common::crc32c_of(tag) == si.slot_crc[slot];
@@ -826,21 +782,21 @@ Result<u64> SrcCache::read_slot(SimTime now, u32 sg, u32 seg, u32 slot,
     }
   }
   // Mirror copy (RAID-1).
-  if (a.mirror_dev != SIZE_MAX && !dev_dead(a.mirror_dev, a.block)) {
+  if (a.mirror != kNoDev && !dev_dead(a.mirror, a.block)) {
     const auto r =
-        ssds_[a.mirror_dev]->read(now, a.block, 1, std::span<u64>(&tag, 1));
+        ssds_[a.mirror]->read(now, a.block, 1, std::span<u64>(&tag, 1));
     if (r.ok() && verified(tag)) {
       done = std::max(done, r.done);
       extra_.parity_repairs++;
       rewrite_slot(now, a, si.slot_tenant[slot], tag);
       return tag;
     }
-    note_bad_read(a.mirror_dev, a.block, r.error);
+    note_bad_read(a.mirror, a.block, r.error);
   }
   // Parity reconstruction across the stripe row.
-  if (si.has_parity && cfg_.raid != RaidLevel::kRaid1) {
+  if (stripe.parity()) {
     SimTime t = now;
-    const auto rec = reconstruct_from_stripe(now, sg, seg, slot, t);
+    const auto rec = reconstruct_from_stripe(now, a, t);
     if (rec.is_ok() && verified(rec.value())) {
       done = std::max(done, t);
       extra_.parity_repairs++;
@@ -865,7 +821,7 @@ Result<u64> SrcCache::read_slot(SimTime now, u32 sg, u32 seg, u32 slot,
   return Status(ErrorCode::kUnrecoverable, "cached block lost");
 }
 
-void SrcCache::rewrite_slot(SimTime now, const SlotAddr& a, u16 tenant,
+void SrcCache::rewrite_slot(SimTime now, const SlotPlace& a, u16 tenant,
                             u64 tag) {
   // Overwriting the bad copy makes the repair stick: remap-on-write clears
   // a latent sector error and the good tag replaces a corrupt one (without
@@ -893,10 +849,9 @@ bool SrcCache::note_bad_read(size_t dev, u64 block, ErrorCode error) {
   return true;
 }
 
-Result<u64> SrcCache::reconstruct_from_stripe(SimTime now, u32 sg, u32 seg,
-                                              u32 slot, SimTime& done) {
-  const SegmentInfo& si = sgs_[sg].segs[seg];
-  const SlotAddr target = addr_of(sg, seg, slot, si);
+Result<u64> SrcCache::reconstruct_from_stripe(SimTime now,
+                                              const SlotPlace& target,
+                                              SimTime& done) {
   const u64 block = target.block;  // every device holds the row here
   u64 acc = 0;
   SimTime t = now;

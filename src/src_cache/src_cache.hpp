@@ -129,9 +129,9 @@ class SrcCache final : public cache::CacheDevice {
   [[nodiscard]] u64 free_sg_count() const { return free_sgs_.size(); }
   [[nodiscard]] Residence residence(u64 lba) const;
 
-  // Reacts to a fail-stopped SSD: drops unprotected blocks, keeps
-  // parity-protected ones for on-the-fly reconstruction (§4.3).
-  void on_ssd_failure(size_t ssd);
+  // Reacts to SSD `ssd` fail-stopping at `now`: drops unprotected blocks,
+  // keeps parity-protected ones for on-the-fly reconstruction (§4.3).
+  void on_ssd_failure(size_t ssd, SimTime now);
 
   // --- online rebuild (raid/rebuild.hpp) ---
   // Live-segment map export: the extents a replaced SSD must be rebuilt
@@ -147,10 +147,10 @@ class SrcCache final : public cache::CacheDevice {
   // stale pending stripes. Wire on_rebuild_lost to its abort callback and
   // rebuild_extents as its extent source.
   void set_rebuild(raid::RebuildManager* mgr) { rebuild_ = mgr; }
-  // A second failure made `lost` ranges of `dev` unreconstructable: drops
-  // the cached blocks addressed there, counted lost, dirty or clean.
-  void on_rebuild_lost(size_t dev,
-                       const std::vector<raid::RebuildExtent>& lost);
+  // A second failure at `now` made `lost` ranges of `dev` unreconstructable:
+  // drops the cached blocks addressed there, counted lost, dirty or clean.
+  void on_rebuild_lost(size_t dev, const std::vector<raid::RebuildExtent>& lost,
+                       SimTime now);
 
   // Proactive integrity scrub: reads and checksum-verifies every live
   // cached block, repairing through parity/mirror/refetch as on the read
@@ -303,12 +303,6 @@ class SrcCache final : public cache::CacheDevice {
     }
   };
 
-  struct SlotAddr {
-    size_t dev;
-    u64 block;
-    size_t mirror_dev = SIZE_MAX;  // RAID-1 replica
-  };
-
   // One cached slot to read: the device block to read it from (a hit on a
   // failed RAID-1 primary reads the mirror) and the caller's output index.
   struct SlotRead {
@@ -317,20 +311,6 @@ class SrcCache final : public cache::CacheDevice {
     u32 sg, seg, slot;
     u32 idx;
   };
-
-  // --- geometry ---
-  [[nodiscard]] u64 sg_base_block(u32 sg) const;
-  [[nodiscard]] u64 chunk_base_block(u32 sg, u32 seg) const;
-  // Slot -> device placement: column-major, each data column one SSD chunk
-  // after the MS block; the parity chunk sits at si.parity_col, and RAID-1
-  // mirrors column c onto SSD c + n/2 (RaidDevice pairs 2c with 2c + 1
-  // instead; moving either would change that layer's outcomes).
-  [[nodiscard]] SlotAddr addr_of(u32 sg, u32 seg, u32 slot,
-                                 const SegmentInfo& si) const;
-  // Inverse of addr_of: the data column device `dev` holds in segment `si`
-  // (as primary copy or RAID-1 replica), or kParityCol.
-  static constexpr u64 kParityCol = ~0ull;
-  [[nodiscard]] u64 col_of_dev(size_t dev, const SegmentInfo& si) const;
 
   // --- metadata images (seal and rebuild) ---
   [[nodiscard]] blockdev::Payload superblock_payload() const;
@@ -401,11 +381,11 @@ class SrcCache final : public cache::CacheDevice {
   // only) primary storage. A repaired copy is written back (rewrite_slot).
   // Raises `done` to the completion of the reads that served it.
   Result<u64> read_slot(SimTime now, u32 sg, u32 seg, u32 slot, SimTime& done);
-  Result<u64> reconstruct_from_stripe(SimTime now, u32 sg, u32 seg, u32 slot,
+  Result<u64> reconstruct_from_stripe(SimTime now, const SlotPlace& target,
                                       SimTime& done);
   // Writes a repaired tag over the slot's own copy unless its device is
   // failed, ledgered as repair_remap, and reports the repair.
-  void rewrite_slot(SimTime now, const SlotAddr& a, u16 tenant, u64 tag);
+  void rewrite_slot(SimTime now, const SlotPlace& a, u16 tenant, u64 tag);
   // Accounts a bad read of (dev, block): kOk means a checksum mismatch,
   // kMediaError a latent sector error; both are counted and reported to
   // the fault ledger. Returns false (nothing counted) for other errors.
@@ -444,9 +424,9 @@ class SrcCache final : public cache::CacheDevice {
   // Drops cached blocks whose every copy is gone, counted lost.
   void drop_lost(const std::vector<u64>& lbas);
   SimTime flush_all_ssds(SimTime now);
-  [[nodiscard]] u64 buffer_capacity(const SegBuffer& buf) const;
 
   SrcConfig cfg_;
+  SegmentLayout layout_;  // every chunk offset and stripe placement
   std::vector<BlockDevice*> ssds_;
   BlockDevice* primary_;
 

@@ -8,6 +8,7 @@
 #include "policy/policy.hpp"
 #include "raid/raid_level.hpp"
 #include "sim/time.hpp"
+#include "src_cache/segment_layout.hpp"
 
 namespace srcache::src {
 
@@ -78,28 +79,24 @@ struct SrcConfig {
 
   [[nodiscard]] u64 eg_blocks() const { return erase_group_bytes / kBlockSize; }
   [[nodiscard]] u64 chunk_blocks() const { return chunk_bytes / kBlockSize; }
-  // Data rows per chunk: all blocks but MS and ME.
-  [[nodiscard]] u64 slots_per_chunk() const { return chunk_blocks() - 2; }
+  [[nodiscard]] SegmentLayout layout() const {
+    return {raid, num_ssds, eg_blocks(), chunk_blocks(),
+            clean_redundancy == CleanRedundancy::kPC};
+  }
+  [[nodiscard]] u64 slots_per_chunk() const { return layout().rows(); }
   [[nodiscard]] u64 segments_per_sg() const {
     return eg_blocks() / chunk_blocks();
   }
   [[nodiscard]] u64 sg_count() const {
     return region_bytes_per_ssd / erase_group_bytes;
   }
-
-  // Whether segments of the given type carry redundancy.
-  [[nodiscard]] bool segment_has_parity(bool dirty) const {
-    if (raid == raid::RaidLevel::kRaid0) return false;
-    if (raid == raid::RaidLevel::kRaid1) return true;  // mirroring
-    return dirty || clean_redundancy == CleanRedundancy::kPC;
+  // Per segment type (dirty or clean): whether it carries redundancy, and
+  // its data slots.
+  [[nodiscard]] bool segment_redundant(bool dirty) const {
+    return layout().redundant(dirty);
   }
-
-  // Data slots per segment for the given segment type; a segment without
-  // redundancy stripes like RAID-0.
   [[nodiscard]] u64 segment_data_slots(bool dirty) const {
-    const raid::RaidLevel level =
-        segment_has_parity(dirty) ? raid : raid::RaidLevel::kRaid0;
-    return raid::data_cols(level, num_ssds) * slots_per_chunk();
+    return layout().data_slots(dirty);
   }
 
   // Conservative cache data capacity in blocks (all-dirty segments), used
@@ -112,7 +109,7 @@ struct SrcConfig {
     if (num_ssds < 2) throw std::invalid_argument("SRC needs >= 2 SSDs");
     if (raid == raid::RaidLevel::kRaid1 && num_ssds % 2 != 0)
       throw std::invalid_argument("SRC RAID-1 needs an even SSD count");
-    if (chunk_bytes % kBlockSize != 0 || chunk_blocks() < 3)
+    if (chunk_bytes % kBlockSize != 0 || chunk_blocks() <= 2 * kSummaryBlocks)
       throw std::invalid_argument("chunk must hold MS, ME and >= 1 data block");
     if (erase_group_bytes % chunk_bytes != 0)
       throw std::invalid_argument(

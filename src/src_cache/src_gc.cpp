@@ -95,6 +95,7 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
     SegmentInfo& si = sg.segs[g];
     if (!si.written()) continue;
     const u32 nslots = static_cast<u32>(si.slot_lba.size());
+    const Stripe stripe = layout_.stripe(si);
 
     // Per-slot decision. Data is needed for destages and S2S copies; cold
     // clean blocks are simply dropped (§4.2). The keep-vs-evict verdict is
@@ -130,8 +131,8 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
       entry[s] = e;
       keepv[s] = keep ? 1 : 0;
       if (!e.dirty() && !keep) continue;
-      const SlotAddr a = addr_of(v, g, s, si);
-      reads.push_back({a.dev, a.block, v, g, s, s});
+      const SlotPlace p = stripe.place(s);
+      reads.push_back({p.dev, p.block, v, g, s, s});
     }
     // Slot order is column-major, so each run of needed slots in a column
     // is one read command.
@@ -204,12 +205,12 @@ SimTime SrcCache::reclaim_one(SimTime now, bool force_s2d) {
   // without copying (the log-structured payoff, §4.1).
   for (auto* d : ssds_) {
     if (d->failed()) continue;
-    auto r = d->trim(t, sg_base_block(v), cfg_.eg_blocks());
+    auto r = d->trim(t, layout_.sg_base(v), layout_.eg_blocks);
     if (r.ok()) t = std::max(t, r.done);
   }
   // The whole SG is garbage now: pending rebuild copies into it are stale.
   if (rebuild_ != nullptr)
-    rebuild_->discard(sg_base_block(v), cfg_.eg_blocks());
+    rebuild_->discard(layout_.sg_base(v), layout_.eg_blocks);
 
   SgInfo fresh;
   fresh.segs.resize(cfg_.segments_per_sg());

@@ -16,7 +16,7 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
   for (auto* d : ssds_) {
     if (d->failed()) continue;
     SimTime rt = now;
-    auto p = d->read_payload(now, sg_base_block(0), &rt);
+    auto p = d->read_payload(now, layout_.sg_base(0), &rt);
     t = std::max(t, rt);
     if (!p.is_ok()) continue;
     sb = Superblock::deserialize(p.value());
@@ -57,21 +57,8 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
   // as the scan meets them: a block already mapped keeps the newer copy (a
   // reused SG can hold a newer copy than a higher-numbered one), and the
   // older copy's slot is marked dead.
-  const u64 rows = cfg_.slots_per_chunk();
   const size_t n = ssds_.size();
   std::vector<char> lacking(n);  // per SSD: no valid MS/ME pair
-  // Whether the lacking SSDs hold no more of segment `m` than its
-  // redundancy rebuilds: none without parity or a mirror, one for RAID-4/5,
-  // one per mirror pair for RAID-1 (addr_of mirrors d onto d + n/2).
-  const auto rebuildable = [&](const SegmentMeta& m) {
-    const auto missing = std::count(lacking.begin(), lacking.end(), 1);
-    if (missing == 0) return true;
-    if (!m.has_parity || cfg_.raid == raid::RaidLevel::kRaid0) return false;
-    if (cfg_.raid != raid::RaidLevel::kRaid1) return missing == 1;
-    for (size_t d = 0; d < n / 2; ++d)
-      if (lacking[d] != 0 && lacking[d + n / 2] != 0) return false;
-    return true;
-  };
   for (u32 s = 1; s < cfg_.sg_count(); ++s) {
     SgInfo fresh;
     fresh.segs.resize(cfg_.segments_per_sg());
@@ -81,15 +68,14 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
     u32 last_valid = 0;
     bool any_valid = false;
     for (u32 g = 0; g < cfg_.segments_per_sg(); ++g) {
-      const u64 base = chunk_base_block(s, g);
       std::optional<SegmentMeta> ms;
       bool agree = true;
       for (size_t d = 0; d < n; ++d) {
         lacking[d] = 0;
         if (ssds_[d]->failed()) continue;
-        for (const u64 block : {base, base + 1 + rows}) {
+        for (const u64 b : {layout_.ms_block(s, g), layout_.me_block(s, g)}) {
           SimTime rt = now;
-          auto p = ssds_[d]->read_payload(now, block, &rt);
+          auto p = ssds_[d]->read_payload(now, b, &rt);
           t = std::max(t, rt);
           auto copy = p.is_ok() ? SegmentMeta::deserialize(p.value())
                                 : std::nullopt;
@@ -105,7 +91,7 @@ Status SrcCache::recover(SimTime now, SimTime* done_out) {
       }
       if (!ms.has_value()) continue;  // never written, or trimmed
       if (!agree || !ms->written() || ms->sg != s || ms->seg != g ||
-          !rebuildable(*ms)) {
+          !layout_.stripe(*ms).rebuildable(lacking)) {
         extra_.torn_segments_discarded++;
         continue;
       }
@@ -161,7 +147,7 @@ void wire_faults(SrcCache& cache, fault::FaultInjector& inj,
                  raid::RebuildManager* rebuild) {
   cache.set_fault_ledger(&inj.ledger());
   inj.set_failure_callback([&cache, rebuild](size_t dev, SimTime t) {
-    cache.on_ssd_failure(dev);
+    cache.on_ssd_failure(dev, t);
     if (rebuild != nullptr) rebuild->on_device_failed(dev, t);
   });
   if (rebuild == nullptr) return;
@@ -171,8 +157,8 @@ void wire_faults(SrcCache& cache, fault::FaultInjector& inj,
   rebuild->set_extent_source(
       [&cache](size_t dev) { return cache.rebuild_extents(dev); });
   rebuild->set_abort_callback(
-      [&cache](size_t dev, const std::vector<raid::RebuildExtent>& lost) {
-        cache.on_rebuild_lost(dev, lost);
+      [&cache](size_t dev, const auto& lost, SimTime t) {
+        cache.on_rebuild_lost(dev, lost, t);
       });
   rebuild->set_provenance(&cache.mutable_provenance());
   rebuild->set_fault_ledger(&inj.ledger());
@@ -183,25 +169,25 @@ void wire_faults(SrcCache& cache, fault::FaultInjector& inj,
   inj.set_spare_callback([rebuild](u32 n) { rebuild->add_spares(n); });
 }
 
-void SrcCache::on_ssd_failure(size_t ssd) {
+void SrcCache::on_ssd_failure(size_t ssd, SimTime now) {
   // Fail-stop handling (§4.3): parity-protected blocks stay cached and are
-  // reconstructed on access; unprotected ones are dropped — clean blocks
-  // refetch on the next miss, dirty ones (RAID-0 only) are lost.
+  // reconstructed on access (even after a second failure); mirrored ones
+  // are dropped once both copies are gone; unprotected ones on `ssd` are
+  // dropped — clean blocks refetch on the next miss, dirty ones (RAID-0
+  // only) are lost.
   if (span_ != nullptr)
-    span_->event("src.ssd_failure", obs::kLaneSrc, 0, 0, ssd);
+    span_->event("src.ssd_failure", obs::kLaneSrc, now, now, ssd);
   std::vector<u64> to_drop;
   for (const auto& [lba, e] : map_) {
     if (e.buffered()) continue;
-    const SegmentInfo& si = sgs_[e.sg].segs[e.seg];
-    const SlotAddr a = addr_of(e.sg, e.seg, e.slot, si);
-    bool affected = a.dev == ssd;
-    if (a.mirror_dev != SIZE_MAX) {
-      affected = (a.dev == ssd || a.mirror_dev == ssd) &&
-                 ssds_[a.dev]->failed() && ssds_[a.mirror_dev]->failed();
-    } else if (si.has_parity) {
-      affected = false;  // reconstructable via the stripe
-    }
-    if (affected) to_drop.push_back(lba);
+    const Stripe stripe = layout_.stripe(sgs_[e.sg].segs[e.seg]);
+    if (stripe.parity()) continue;
+    const SlotPlace p = stripe.place(e.slot);
+    if (p.dev != ssd && p.mirror != ssd) continue;
+    if (p.mirror != kNoDev &&
+        !(ssds_[p.dev]->failed() && ssds_[p.mirror]->failed()))
+      continue;
+    to_drop.push_back(lba);
   }
   drop_lost(to_drop);
 }
@@ -222,11 +208,11 @@ void SrcCache::drop_lost(const std::vector<u64>& lbas) {
 
 std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
   std::vector<raid::RebuildExtent> ext;
-  const u64 rows = cfg_.slots_per_chunk();
+  const u64 rows = layout_.rows();
 
   // Superblock replica (SG 0): rewritten from configuration — it is pure
   // metadata and every copy is identical.
-  ext.push_back({sg_base_block(0), 1, raid::RebuildHow::kMetadata, SIZE_MAX,
+  ext.push_back({layout_.sg_base(0), 1, raid::RebuildHow::kMetadata, kNoDev,
                  superblock_payload()});
 
   for (u32 s = 1; s < cfg_.sg_count(); ++s) {
@@ -235,27 +221,26 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
     for (u32 g = 0; g < sg.segs.size(); ++g) {
       const SegmentInfo& si = sg.segs[g];
       if (!si.written()) continue;
-      const u64 base = chunk_base_block(s, g);
       // MS/ME replicas are rewritten from the in-RAM record (invalidated
       // slots come back as dead, which only sharpens a later recovery
       // scan).
-      ext.push_back({base, 1, raid::RebuildHow::kMetadata, SIZE_MAX,
+      ext.push_back({layout_.ms_block(s, g), kSummaryBlocks,
+                     raid::RebuildHow::kMetadata, kNoDev,
                      si.serialize(/*tail=*/false)});
       // Data rows decode only where the stripe carries redundancy. NPC
       // clean rows were dropped from the map at fail time: nothing live to
       // restore, the rebuilder skips the whole run.
-      const u64 col = col_of_dev(dev, si);
-      const SlotAddr a = col == kParityCol
-                             ? SlotAddr{}
-                             : addr_of(s, g, static_cast<u32>(col * rows), si);
-      if (a.mirror_dev != SIZE_MAX) {
-        ext.push_back({base + 1, rows, raid::RebuildHow::kMirror,
-                       a.dev == dev ? a.mirror_dev : a.dev, nullptr});
-      } else if (si.has_parity) {
-        ext.push_back(
-            {base + 1, rows, raid::RebuildHow::kParityXor, SIZE_MAX, nullptr});
+      const Stripe stripe = layout_.stripe(si);
+      if (stripe.mirrored()) {
+        const SlotPlace p = stripe.at(stripe.column(dev), 0);
+        ext.push_back({stripe.data_block, rows, raid::RebuildHow::kMirror,
+                       p.dev == dev ? p.mirror : p.dev, nullptr});
+      } else if (stripe.parity()) {
+        ext.push_back({stripe.data_block, rows, raid::RebuildHow::kParityXor,
+                       kNoDev, nullptr});
       }
-      ext.push_back({base + 1 + rows, 1, raid::RebuildHow::kMetadata, SIZE_MAX,
+      ext.push_back({layout_.me_block(s, g), kSummaryBlocks,
+                     raid::RebuildHow::kMetadata, kNoDev,
                      si.serialize(/*tail=*/true)});
     }
   }
@@ -263,7 +248,8 @@ std::vector<raid::RebuildExtent> SrcCache::rebuild_extents(size_t dev) const {
 }
 
 void SrcCache::on_rebuild_lost(size_t dev,
-                               const std::vector<raid::RebuildExtent>& lost) {
+                               const std::vector<raid::RebuildExtent>& lost,
+                               SimTime now) {
   const auto in_lost = [&lost](u64 b) {
     for (const raid::RebuildExtent& ex : lost)
       if (b >= ex.block && b < ex.block + ex.count) return true;
@@ -272,22 +258,19 @@ void SrcCache::on_rebuild_lost(size_t dev,
   std::vector<u64> to_drop;
   for (const auto& [lba, e] : map_) {
     if (e.buffered()) continue;
-    const SegmentInfo& si = sgs_[e.sg].segs[e.seg];
-    const SlotAddr a = addr_of(e.sg, e.seg, e.slot, si);
-    const bool here = a.dev == dev || a.mirror_dev == dev;
-    if (!here || !in_lost(a.block)) continue;
+    const SlotPlace p = layout_.stripe(sgs_[e.sg].segs[e.seg]).place(e.slot);
+    const bool here = p.dev == dev || p.mirror == dev;
+    if (!here || !in_lost(p.block)) continue;
     // The copy on `dev` is gone for good; the block survives only if some
     // other replica can still serve it.
-    bool survivor = false;
-    if (a.dev != dev && !dev_dead(a.dev, a.block)) survivor = true;
-    if (a.mirror_dev != SIZE_MAX && a.mirror_dev != dev &&
-        !dev_dead(a.mirror_dev, a.block))
-      survivor = true;
+    const bool survivor =
+        (p.dev != dev && !dev_dead(p.dev, p.block)) ||
+        (p.mirror != kNoDev && p.mirror != dev && !dev_dead(p.mirror, p.block));
     if (!survivor) to_drop.push_back(lba);
   }
   drop_lost(to_drop);
   if (span_ != nullptr)
-    span_->event("src.rebuild_lost", obs::kLaneSrc, 0, 0, to_drop.size());
+    span_->event("src.rebuild_lost", obs::kLaneSrc, now, now, to_drop.size());
 }
 
 SrcCache::ScrubReport SrcCache::scrub(SimTime now, SimTime* done) {

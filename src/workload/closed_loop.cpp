@@ -9,9 +9,9 @@ namespace srcache::workload {
 namespace {
 
 // The SSD window sums only read/write ops and blocks over the cache SSDs, so
-// RunResult::ssd reports flushes and trims as 0 (ROADMAP "Known defect:
-// REPRO_JSON ssd.flushes/ssd.trim_blocks are always 0"; perfbench's
-// fingerprints pin the zeros, so the fix waits for a benchmark change).
+// RunResult::ssd reports flushes and trims as 0 (ROADMAP item 9, "the SSD
+// window fix"; perfbench's fingerprints pin the zeros, so the fix waits for
+// a benchmark change).
 constexpr auto kSsdWindowFields =
     std::span(blockdev::kDeviceStatsFields).first<4>();
 

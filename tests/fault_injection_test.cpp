@@ -48,12 +48,12 @@ TEST(FaultInjection, CorruptionDiscoveredDuringDegradedReads) {
   cfg.raid = raid::RaidLevel::kRaid5;
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
-  const u64 sg1_base = rig.cfg.eg_blocks();  // SG 0 is the superblock
+  const u64 row0 = rig.cfg.layout().data_block(1, 0);  // SG 1's first row
 
   FaultInjector inj(make_injector(
       rig, "at=1s fail dev=ssd1; at=2s corrupt dev=ssd0 lba=" +
-               std::to_string(sg1_base + 1) + ".." +
-               std::to_string(sg1_base + 2)));
+               std::to_string(row0) + ".." +
+               std::to_string(row0 + 1)));
   inj.advance(1 * sim::kSec, 0);
   ASSERT_TRUE(rig.ssds[1]->failed());
   inj.advance(2 * sim::kSec, 0);
@@ -96,11 +96,11 @@ TEST(FaultInjection, DegradedCleanReadsRepairByRefetch) {
   }
   for (u64 i = 0; i < cap; ++i) rig.read(1 * sim::kMs * (i + 1), i, 1);
 
-  const u64 sg1_base = rig.cfg.eg_blocks();
+  const u64 row0 = rig.cfg.layout().data_block(1, 0);
   FaultInjector inj(make_injector(
       rig, "at=1s fail dev=ssd1; at=2s corrupt dev=ssd0 lba=" +
-               std::to_string(sg1_base + 1) + ".." +
-               std::to_string(sg1_base + 2)));
+               std::to_string(row0) + ".." +
+               std::to_string(row0 + 1)));
   inj.advance(1 * sim::kSec, 0);
   inj.advance(2 * sim::kSec, 0);
 
@@ -130,9 +130,9 @@ TEST(FaultInjection, ScrubRacesAFaultWindow) {
   cfg.raid = raid::RaidLevel::kRaid5;
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
-  const u64 sg1_base = rig.cfg.eg_blocks();
-  const std::string range = std::to_string(sg1_base + 1) + ".." +
-                            std::to_string(sg1_base + 4);
+  const u64 row0 = rig.cfg.layout().data_block(1, 0);
+  const std::string range = std::to_string(row0) + ".." +
+                            std::to_string(row0 + 3);
 
   FaultInjector inj(make_injector(rig, "at=1s latent dev=ssd0 lba=" + range +
                                            "; at=10s latent dev=ssd0 lba=" +
@@ -177,11 +177,11 @@ TEST(FaultInjection, MediaErrorRepairRemapsTheSector) {
   cfg.raid = raid::RaidLevel::kRaid4;
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
-  const u64 sg1_base = rig.cfg.eg_blocks();
+  const u64 row0 = rig.cfg.layout().data_block(1, 0);
 
   FaultInjector inj(make_injector(
-      rig, "at=1s latent dev=ssd0 lba=" + std::to_string(sg1_base + 1) +
-               ".." + std::to_string(sg1_base + 2)));
+      rig, "at=1s latent dev=ssd0 lba=" + std::to_string(row0) +
+               ".." + std::to_string(row0 + 1)));
   inj.advance(1 * sim::kSec, 0);
   ASSERT_EQ(rig.ssds[0]->media_error_blocks(), 1u);
 

@@ -174,8 +174,7 @@ TEST(ProvenanceBalance, ChecksumRepairIsAttributed) {
     tags[i] = 0xF000 + i;
     rig.write(0, i, 1, &tags[i]);
   }
-  const u64 sg1_base = rig.cfg.eg_blocks();  // SG 0 is the superblock
-  rig.ssds[0]->corrupt(sg1_base + 1);
+  rig.ssds[0]->corrupt(rig.cfg.layout().data_block(1, 0));  // SG 1, row 0
   for (u64 i = 0; i < cap; ++i) {
     u64 out = 0;
     rig.read(1000, i, 1, &out);

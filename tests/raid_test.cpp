@@ -742,7 +742,7 @@ TEST(Rebuild, SecondFailureAbortsAndMasksDead) {
   u64 lost_blocks = 0;
   size_t lost_dev = SIZE_MAX;
   mgr.set_abort_callback(
-      [&](size_t dev, const std::vector<RebuildExtent>& lost) {
+      [&](size_t dev, const std::vector<RebuildExtent>& lost, sim::SimTime) {
         lost_dev = dev;
         for (const auto& ex : lost) lost_blocks += ex.count;
       });
@@ -790,7 +790,7 @@ TEST(Rebuild, SurvivorReadErrorLosesPendingRest) {
   size_t lost_dev = SIZE_MAX;
   std::vector<RebuildExtent> lost;
   mgr.set_abort_callback(
-      [&](size_t dev, const std::vector<RebuildExtent>& ex) {
+      [&](size_t dev, const std::vector<RebuildExtent>& ex, sim::SimTime) {
         lost_dev = dev;
         lost = ex;
       });

@@ -35,7 +35,7 @@ TEST(SrcConfig, NpcCleanSegmentsHaveMoreSlots) {
 TEST(SrcConfig, Raid0NoParityAnywhere) {
   SrcConfig cfg;
   cfg.raid = raid::RaidLevel::kRaid0;
-  EXPECT_FALSE(cfg.segment_has_parity(true));
+  EXPECT_FALSE(cfg.segment_redundant(true));
   EXPECT_EQ(cfg.segment_data_slots(true), 4u * 126u);
 }
 
@@ -76,7 +76,7 @@ TEST(SegmentMeta, SerializeRoundTrip) {
   m.sg = 3;
   m.seg = 7;
   m.dirty = true;
-  m.has_parity = true;
+  m.redundant = true;
   m.parity_col = 2;
   m.slot_lba = {100, kDeadSlot, 200};
   m.slot_crc = {0xAB, 0, 0xCD};
@@ -87,7 +87,7 @@ TEST(SegmentMeta, SerializeRoundTrip) {
   EXPECT_EQ(back->sg, 3u);
   EXPECT_EQ(back->seg, 7u);
   EXPECT_TRUE(back->dirty);
-  EXPECT_TRUE(back->has_parity);
+  EXPECT_TRUE(back->redundant);
   EXPECT_EQ(back->parity_col, 2);
   ASSERT_EQ(back->slot_lba.size(), 3u);
   ASSERT_EQ(back->slot_crc.size(), 3u);
@@ -130,7 +130,7 @@ TEST(SegmentMeta, SerializedBytesArePinned) {
   m.sg = 17;
   m.seg = 511;
   m.dirty = true;
-  m.has_parity = true;
+  m.redundant = true;
   m.parity_col = 3;
   for (u32 k = 0; k < 378; ++k) {
     const bool live = k % 7 != 3;  // every 7th slot stays dead
@@ -249,7 +249,7 @@ TEST(SegmentMeta, MutatedRecordsParseOrReject) {
     m.sg = 3;
     m.seg = slots % 8;
     m.dirty = slots % 2 == 1;
-    m.has_parity = true;
+    m.redundant = true;
     m.parity_col = 1;
     for (u32 k = 0; k < slots; ++k) {
       m.slot_lba.push_back(k % 5 == 0 ? kDeadSlot : 1000 + k);

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "common/crc32c.hpp"
 #include "common/rng.hpp"
@@ -40,11 +42,9 @@ TEST(SrcFailure, SilentCorruptionRepairedByParity) {
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
   // Corrupt the first data row block on every SSD except one — parity can
-  // repair exactly one per stripe row, so corrupt just SSD 0's first slot.
-  // Data rows start after the MS block of SG 1, segment 0.
-  const u64 chunk_blocks = rig.cfg.chunk_blocks();
-  const u64 sg1_base = rig.cfg.eg_blocks();  // SG 0 is the superblock
-  rig.ssds[0]->corrupt(sg1_base + 1);        // first data block
+  // repair exactly one per stripe row, so corrupt just SSD 0's first slot
+  // (SG 1, segment 0: SG 0 is the superblock).
+  rig.ssds[0]->corrupt(rig.cfg.layout().data_block(1, 0));
   // Every block must still read back correctly.
   const u64 cap = rig.cfg.segment_data_slots(true);
   for (u64 i = 0; i < cap; ++i) {
@@ -55,15 +55,13 @@ TEST(SrcFailure, SilentCorruptionRepairedByParity) {
   EXPECT_GE(rig.cache->extra().checksum_errors, 1u);
   EXPECT_GE(rig.cache->extra().parity_repairs, 1u);
   EXPECT_EQ(rig.cache->extra().unrecoverable_blocks, 0u);
-  (void)chunk_blocks;
 }
 
 TEST(SrcFailure, RepairWritesBackCorrectData) {
   SrcConfig cfg = small_config();
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
-  const u64 sg1_base = rig.cfg.eg_blocks();
-  rig.ssds[0]->corrupt(sg1_base + 1);
+  rig.ssds[0]->corrupt(rig.cfg.layout().data_block(1, 0));
   u64 out = 0;
   for (u64 i = 0; i < tags.size(); ++i) rig.read(1000, i, 1, &out);
   const auto repairs = rig.cache->extra().parity_repairs;
@@ -84,9 +82,9 @@ TEST(SrcFailure, CleanCorruptionRefetchedWithoutParity) {
   for (u64 i = 0; i < clean_cap; ++i) t = rig.read(t, 100000 + i);
   ASSERT_EQ(rig.cache->residence(100000), SrcCache::Residence::kCachedClean);
   // Corrupt the whole first clean chunk's data area on SSD 0.
-  const u64 sg1_base = rig.cfg.eg_blocks();
-  for (u64 b = 1; b + 1 < rig.cfg.chunk_blocks(); ++b)
-    rig.ssds[0]->corrupt(sg1_base + b);
+  const SegmentLayout layout = rig.cfg.layout();
+  for (u64 r = 0; r < layout.rows(); ++r)
+    rig.ssds[0]->corrupt(layout.data_block(1, 0) + r);
   u64 out = 0;
   rig.read(sim::kSec, 100000, 1, &out);
   EXPECT_EQ(out, 4321u);
@@ -98,8 +96,7 @@ TEST(SrcFailure, DirtyRaid0CorruptionIsUnrecoverable) {
   cfg.raid = raid::RaidLevel::kRaid0;
   Rig rig(cfg);
   seal_one_dirty(rig);
-  const u64 sg1_base = rig.cfg.eg_blocks();
-  rig.ssds[0]->corrupt(sg1_base + 1);
+  rig.ssds[0]->corrupt(rig.cfg.layout().data_block(1, 0));
   u64 out = 0;
   for (u64 i = 0; i < rig.cfg.segment_data_slots(true); ++i)
     rig.read(1000, i, 1, &out);
@@ -112,7 +109,7 @@ TEST(SrcFailure, SsdFailStopParityReconstruction) {
   Rig rig(cfg);
   const auto tags = seal_one_dirty(rig);
   rig.ssds[2]->fail();
-  rig.cache->on_ssd_failure(2);
+  rig.cache->on_ssd_failure(2, 0);
   // All dirty data still readable (reconstructed on the fly, §4.3).
   for (u64 i = 0; i < tags.size(); ++i) {
     u64 out = 0;
@@ -130,7 +127,7 @@ TEST(SrcFailure, NpcCleanLostOnSsdFailure) {
   sim::SimTime t = 0;
   for (u64 i = 0; i < clean_cap; ++i) t = rig.read(t, 100000 + i);
   rig.ssds[1]->fail();
-  rig.cache->on_ssd_failure(1);
+  rig.cache->on_ssd_failure(1, t);
   // A quarter of the clean blocks lived on the failed SSD and are dropped.
   EXPECT_GT(rig.cache->extra().lost_clean_blocks, 0u);
   EXPECT_EQ(rig.cache->extra().lost_dirty_blocks, 0u);
@@ -151,7 +148,7 @@ TEST(SrcFailure, PcCleanSurvivesSsdFailure) {
   sim::SimTime t = 0;
   for (u64 i = 0; i < clean_cap; ++i) t = rig.read(t, 100000 + i);
   rig.ssds[1]->fail();
-  rig.cache->on_ssd_failure(1);
+  rig.cache->on_ssd_failure(1, t);
   EXPECT_EQ(rig.cache->extra().lost_clean_blocks, 0u);
   // Clean hits keep working without touching the primary store.
   const auto disk_reads = rig.primary->stats().read_blocks;
@@ -167,7 +164,7 @@ TEST(SrcFailure, Raid0FailureLosesDirtyData) {
   Rig rig(cfg);
   seal_one_dirty(rig);
   rig.ssds[0]->fail();
-  rig.cache->on_ssd_failure(0);
+  rig.cache->on_ssd_failure(0, 0);
   EXPECT_GT(rig.cache->extra().lost_dirty_blocks, 0u);
   EXPECT_TRUE(rig.cache->verify_consistency().is_ok());
 }
@@ -183,7 +180,7 @@ TEST(SrcFailure, Raid1MirrorServesAfterFailure) {
     rig.write(0, i, 1, &tags[i]);
   }
   rig.ssds[0]->fail();
-  rig.cache->on_ssd_failure(0);
+  rig.cache->on_ssd_failure(0, 0);
   for (u64 i = 0; i < cap; ++i) {
     u64 out = 0;
     rig.read(1000, i, 1, &out);
@@ -198,7 +195,7 @@ TEST(SrcFailure, GcContinuesDegraded) {
   Rig rig(cfg);
   seal_one_dirty(rig);
   rig.ssds[3]->fail();
-  rig.cache->on_ssd_failure(3);
+  rig.cache->on_ssd_failure(3, 0);
   // Keep writing until reclaims happen; destages must reconstruct data
   // from the surviving SSDs.
   const u64 per_sg = cfg.segments_per_sg() * cfg.segment_data_slots(true);
@@ -209,6 +206,39 @@ TEST(SrcFailure, GcContinuesDegraded) {
   EXPECT_EQ(rig.cache->extra().lost_dirty_blocks, 0u);
   EXPECT_TRUE(rig.cache->verify_consistency().is_ok())
       << rig.cache->verify_consistency().to_string();
+}
+
+// A fail-stop and the rebuild loss a second failure causes are stamped on
+// the timeline at the virtual time they happen, not at the start of the run.
+TEST(SrcFailure, FailureEventsCarryTheirTime) {
+  Rig rig;
+  obs::SpanTracer tracer{/*seed=*/1, /*rate=*/0.0, /*cap=*/0,
+                         /*timeline_cap=*/1 << 10};
+  rig.cache->set_span(&tracer);
+  seal_one_dirty(rig);
+  fault::FaultInjector inj(fault::FaultPlan::parse_or_die(
+      "at=2s fail dev=ssd1; at=3s replace dev=ssd1; at=5s fail dev=ssd2", 7));
+  inj.attach_ssds(rig.ssd_ptrs());
+  raid::RebuildConfig rc;
+  rc.mbps = 1e-3;  // nothing is copied before the second failure
+  raid::RebuildManager mgr(rc, rig.ssd_ptrs());
+  wire_faults(*rig.cache, inj, &mgr);
+  for (const sim::SimTime t : {2 * sim::kSec, 3 * sim::kSec, 5 * sim::kSec})
+    inj.advance(t, 0);
+
+  std::vector<std::pair<std::string, sim::SimTime>> events;
+  for (const obs::TimelineEvent& ev : tracer.timeline()) {
+    const std::string name = ev.name;
+    if (name == "src.ssd_failure" || name == "src.rebuild_lost") {
+      EXPECT_EQ(ev.end, ev.start) << name;
+      events.emplace_back(name, ev.start);
+    }
+  }
+  const std::vector<std::pair<std::string, sim::SimTime>> want = {
+      {"src.ssd_failure", 2 * sim::kSec},
+      {"src.ssd_failure", 5 * sim::kSec},
+      {"src.rebuild_lost", 5 * sim::kSec}};
+  EXPECT_EQ(events, want);
 }
 
 TEST(SrcScrub, CleanCacheScansWithoutRepairs) {
@@ -225,11 +255,11 @@ TEST(SrcScrub, CleanCacheScansWithoutRepairs) {
 TEST(SrcScrub, FindsAndRepairsCorruption) {
   Rig rig;
   seal_one_dirty(rig);
-  const u64 sg1_base = rig.cfg.eg_blocks();
+  const u64 row0 = rig.cfg.layout().data_block(1, 0);
   // Segment 0's parity column is SSD 1 (generation 1 % 4), so corrupt
   // data blocks on SSDs 0 and 2.
-  rig.ssds[0]->corrupt(sg1_base + 1);
-  rig.ssds[2]->corrupt(sg1_base + 2);
+  rig.ssds[0]->corrupt(row0);
+  rig.ssds[2]->corrupt(row0 + 1);
   const auto rep = rig.cache->scrub(0);
   EXPECT_EQ(rep.repaired, 2u);
   EXPECT_EQ(rep.unrecoverable, 0u);
@@ -243,7 +273,7 @@ TEST(SrcScrub, ReportsUnrecoverableOnRaid0) {
   cfg.raid = raid::RaidLevel::kRaid0;
   Rig rig(cfg);
   seal_one_dirty(rig);
-  rig.ssds[0]->corrupt(rig.cfg.eg_blocks() + 1);
+  rig.ssds[0]->corrupt(rig.cfg.layout().data_block(1, 0));
   const auto rep = rig.cache->scrub(0);
   EXPECT_GE(rep.unrecoverable, 1u);
 }
@@ -255,7 +285,7 @@ TEST(SrcScrub, RefetchesCorruptNpcClean) {
   const u64 clean_cap = rig.cfg.segment_data_slots(false);
   sim::SimTime t = 0;
   for (u64 i = 0; i < clean_cap; ++i) t = rig.read(t, 100000 + i);
-  rig.ssds[0]->corrupt(rig.cfg.eg_blocks() + 1);
+  rig.ssds[0]->corrupt(rig.cfg.layout().data_block(1, 0));
   const auto rep = rig.cache->scrub(t);
   EXPECT_GE(rep.refetched, 1u);
   EXPECT_EQ(rep.unrecoverable, 0u);
@@ -450,20 +480,20 @@ TEST(Src, GoldenDeviceIo) {
   const Pin pins[] = {
       {raid::RaidLevel::kRaid0, GoldenCase::kHealthy, 0x839dd05b, 0x9704e851},
       {raid::RaidLevel::kRaid0, GoldenCase::kFaulty, 0x938141bd, 0x6608878a},
-      {raid::RaidLevel::kRaid0, GoldenCase::kFailed, 0x9ea9775a, 0xa92b95d6},
-      {raid::RaidLevel::kRaid0, GoldenCase::kRebuilt, 0x7c965c6e, 0xf8a2a654},
+      {raid::RaidLevel::kRaid0, GoldenCase::kFailed, 0x9ea9775a, 0xab332c76},
+      {raid::RaidLevel::kRaid0, GoldenCase::kRebuilt, 0x7c965c6e, 0x7caa2f34},
       {raid::RaidLevel::kRaid1, GoldenCase::kHealthy, 0x0399d0ff, 0x3f20de0b},
       {raid::RaidLevel::kRaid1, GoldenCase::kFaulty, 0xe1d69cd7, 0x2d160e2c},
-      {raid::RaidLevel::kRaid1, GoldenCase::kFailed, 0xb3ad5213, 0xf8de8da4},
-      {raid::RaidLevel::kRaid1, GoldenCase::kRebuilt, 0x00b73349, 0xb2ff4d30},
+      {raid::RaidLevel::kRaid1, GoldenCase::kFailed, 0xb3ad5213, 0x0bdb6472},
+      {raid::RaidLevel::kRaid1, GoldenCase::kRebuilt, 0x00b73349, 0x49550054},
       {raid::RaidLevel::kRaid4, GoldenCase::kHealthy, 0x46ac1638, 0xdac36fe6},
       {raid::RaidLevel::kRaid4, GoldenCase::kFaulty, 0xdedb8e56, 0xcb6f327f},
-      {raid::RaidLevel::kRaid4, GoldenCase::kFailed, 0xf34d21f2, 0x507f8882},
-      {raid::RaidLevel::kRaid4, GoldenCase::kRebuilt, 0x0ab2d653, 0xf65db86b},
+      {raid::RaidLevel::kRaid4, GoldenCase::kFailed, 0xf34d21f2, 0xbdcdb583},
+      {raid::RaidLevel::kRaid4, GoldenCase::kRebuilt, 0x0ab2d653, 0xb6e09a84},
       {raid::RaidLevel::kRaid5, GoldenCase::kHealthy, 0x63a5dbb1, 0x83c2ca15},
       {raid::RaidLevel::kRaid5, GoldenCase::kFaulty, 0x5dc503b5, 0x555fd5ca},
-      {raid::RaidLevel::kRaid5, GoldenCase::kFailed, 0x4d2623d6, 0x0336f730},
-      {raid::RaidLevel::kRaid5, GoldenCase::kRebuilt, 0x935cbe8b, 0xff4587a4},
+      {raid::RaidLevel::kRaid5, GoldenCase::kFailed, 0x4d2623d6, 0x91eac601},
+      {raid::RaidLevel::kRaid5, GoldenCase::kRebuilt, 0x935cbe8b, 0x74f88ce2},
   };
   const char* names[] = {"healthy", "faulty", "failed", "rebuilt"};
   for (const Pin& p : pins) {

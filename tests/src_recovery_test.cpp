@@ -90,7 +90,7 @@ std::vector<std::pair<u64, u32>> sealed_copies(Rig& rig, u64 lba) {
   std::vector<std::pair<u64, u32>> copies;
   for (u32 s = 1; s < rig.cfg.sg_count(); ++s) {
     for (u32 g = 0; g < rig.cfg.segments_per_sg(); ++g) {
-      const u64 ms = s * rig.cfg.eg_blocks() + g * rig.cfg.chunk_blocks();
+      const u64 ms = rig.cfg.layout().ms_block(s, g);
       sim::SimTime done = 0;
       const auto p = rig.ssds[0]->read_payload(0, ms, &done);
       if (!p.is_ok()) continue;
@@ -218,7 +218,7 @@ TEST(SrcRecovery, CorruptMsReplicaStillRecovered) {
     tags[i] = 0x7000 + i;
     rig.write(0, i, 1, &tags[i]);
   }
-  const u64 ms = rig.cfg.eg_blocks();  // SG 1's first segment
+  const u64 ms = rig.cfg.layout().ms_block(1, 0);  // SG 1's first segment
   ASSERT_TRUE(rig.ssd_ptrs()[1]->read_payload(0, ms).is_ok());
   rig.ssds[1]->corrupt(ms);
   rig.reattach();
