@@ -118,7 +118,7 @@ std::optional<SegmentMeta> SegmentMeta::deserialize(
 }
 
 blockdev::Payload Superblock::serialize() const {
-  const size_t body = 44;
+  const size_t body = 48;
   auto buf = std::make_shared<std::vector<u8>>(body + 4);
   u8* p = buf->data();
   p = store_le(p, kSuperblockMagic);
@@ -127,6 +127,7 @@ blockdev::Payload Superblock::serialize() const {
   p = store_le(p, erase_group_bytes);
   p = store_le(p, chunk_bytes);
   p = store_le(p, region_bytes_per_ssd);
+  p = store_le(p, static_cast<u32>(raid) | (parity_for_clean ? 0x100u : 0u));
   store_crc(buf->data(), body);
   return buf;
 }
@@ -136,12 +137,18 @@ std::optional<Superblock> Superblock::deserialize(const blockdev::Payload& p) {
   Reader r(*p);
   u64 magic = 0;
   Superblock s;
+  u32 org = 0;
   if (!r.get(&magic) || magic != kSuperblockMagic) return std::nullopt;
   if (!r.get(&s.create_seq) || !r.get(&s.num_ssds) ||
       !r.get(&s.erase_group_bytes) || !r.get(&s.chunk_bytes) ||
-      !r.get(&s.region_bytes_per_ssd)) {
+      !r.get(&s.region_bytes_per_ssd) || !r.get(&org)) {
     return std::nullopt;
   }
+  // The RAID level in the low byte, the PC flag in bit 8, nothing else.
+  s.raid = static_cast<raid::RaidLevel>(org & 0xFFu);
+  s.parity_for_clean = (org & 0x100u) != 0;
+  if ((org & ~0x1FFu) != 0 || s.raid > raid::RaidLevel::kRaid5)
+    return std::nullopt;
   return s;
 }
 

@@ -15,6 +15,7 @@
 #include "block/block_device.hpp"
 #include "common/crc32c.hpp"
 #include "common/types.hpp"
+#include "raid/raid_level.hpp"
 
 namespace srcache::src {
 
@@ -58,6 +59,10 @@ struct Superblock {
   u64 erase_group_bytes = 0;
   u64 chunk_bytes = 0;
   u64 region_bytes_per_ssd = 0;
+  // The stripe organisation the array was formatted under: recovery places
+  // every slot by it, so an array is recovered only under the same one.
+  raid::RaidLevel raid = raid::RaidLevel::kRaid0;
+  bool parity_for_clean = false;  // PC: clean segments carry parity too
 
   [[nodiscard]] blockdev::Payload serialize() const;
   static std::optional<Superblock> deserialize(const blockdev::Payload& p);

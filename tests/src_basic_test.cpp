@@ -148,7 +148,9 @@ TEST(SegmentMeta, SerializedBytesArePinned) {
   sb.erase_group_bytes = 256 * MiB;
   sb.chunk_bytes = 512 * KiB;
   sb.region_bytes_per_ssd = 0x0000001234567000ull;
-  expect_pinned(sb.serialize(), 48, 0xf8083015u);
+  sb.raid = raid::RaidLevel::kRaid5;
+  sb.parity_for_clean = true;
+  expect_pinned(sb.serialize(), 52, 0xb542086au);
 }
 
 TEST(SegmentMeta, RejectsWrongMagic) {

@@ -307,6 +307,36 @@ TEST(SrcRecovery, GeometryMismatchRejected) {
   EXPECT_EQ(wrong.recover(0).code(), ErrorCode::kInvalidArgument);
 }
 
+// The superblock records the stripe organisation the array was formatted
+// under: recovering a RAID-5 array as RAID-0 (or as PC) would place slots
+// with the wrong stripe and serve other blocks' data, so it is rejected.
+TEST(SrcRecovery, StripeOrganisationMismatchRejected) {
+  Rig rig;  // RAID-5, NPC
+  std::vector<u64> tags(54);
+  sim::SimTime t = 0;
+  for (u64 i = 0; i < tags.size(); ++i) {
+    tags[i] = 0x5B00 + i;
+    t = rig.write(t, i, 1, &tags[i]);
+  }
+  t = rig.cache->flush(t);
+  SrcConfig raid0 = rig.cfg;
+  raid0.raid = raid::RaidLevel::kRaid0;
+  SrcConfig pc = rig.cfg;
+  pc.clean_redundancy = CleanRedundancy::kPC;
+  for (const SrcConfig& other : {raid0, pc}) {
+    SrcCache wrong(other, rig.ssd_ptrs(), rig.primary.get());
+    EXPECT_EQ(wrong.recover(t).code(), ErrorCode::kInvalidArgument)
+        << other.describe();
+  }
+  rig.reattach();
+  ASSERT_TRUE(rig.cache->recover(t).is_ok());
+  for (u64 i = 0; i < tags.size(); ++i) {
+    u64 out = 0;
+    rig.read(t, i, 1, &out);
+    ASSERT_EQ(out, tags[i]) << i;
+  }
+}
+
 TEST(SrcRecovery, ReclaimedSgNotResurrected) {
   SrcConfig cfg = small_config();
   cfg.gc = GcPolicy::kS2D;
