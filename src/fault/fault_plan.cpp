@@ -82,8 +82,17 @@ bool parse_duration(const std::string& s, sim::SimTime* out) {
   } else {
     return false;
   }
+  if (num * mult >= 0x1p63) return false;  // past SimTime's range
   *out = static_cast<sim::SimTime>(num * mult);
   return true;
+}
+
+// `t` in the largest exact unit, so describe() re-parses to the same times.
+std::string duration_text(sim::SimTime t) {
+  if (t % sim::kSec == 0) return std::to_string(t / sim::kSec) + "s";
+  if (t % sim::kMs == 0) return std::to_string(t / sim::kMs) + "ms";
+  if (t % sim::kUs == 0) return std::to_string(t / sim::kUs) + "us";
+  return std::to_string(t) + "ns";
 }
 
 // "ssd3" -> 3, "primary" -> kPrimaryDev.
@@ -124,7 +133,7 @@ std::string FaultEvent::describe() const {
   if (trigger.kind == Trigger::Kind::kOps) {
     os << "at=ops:" << trigger.at_ops;
   } else {
-    os << "at=" << static_cast<double>(trigger.at_time) / 1e9 << "s";
+    os << "at=" << duration_text(trigger.at_time);
   }
   os << " " << to_string(kind);
   if (kind != FaultKind::kPowerCut && kind != FaultKind::kSpare) {
@@ -137,8 +146,7 @@ std::string FaultEvent::describe() const {
     if (count > 0) os << " count=" << count;
   }
   if (kind == FaultKind::kLinkDegrade) {
-    os << " factor=" << factor
-       << " for=" << static_cast<double>(duration) / 1e9 << "s";
+    os << " factor=" << factor << " for=" << duration_text(duration);
   }
   return os.str();
 }

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "block/mem_disk.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
+#include "text_mutator.hpp"
 #include "workload/runner.hpp"
 
 namespace srcache::fault {
@@ -54,8 +56,12 @@ TEST(FaultPlan, ParsesEveryAction) {
 }
 
 TEST(FaultPlan, DescribeRoundTrips) {
+  // A sub-100 us time once came out as "3e-05s", which parse rejects (found
+  // by MutatedPlansParseOrReject).
   const char* spec =
-      "at=2s fail dev=ssd1; at=ops:100 corrupt dev=ssd0 lba=0..8 count=2";
+      "at=2s fail dev=ssd1; at=ops:100 corrupt dev=ssd0 lba=0..8 count=2; "
+      "at=30us latent dev=ssd2 lba=0..4; at=1500ns degrade dev=primary "
+      "factor=2.5 for=250us";
   const FaultPlan a = FaultPlan::parse_or_die(spec);
   // describe() re-parses to the identical plan.
   const FaultPlan b = FaultPlan::parse_or_die(a.describe());
@@ -86,6 +92,7 @@ TEST(FaultPlan, RejectsMalformedClauses) {
       "at=2s degrade dev=primary factor=8",       // missing duration
       "at=2s fail fail dev=ssd0",                 // two actions
       "at=2s at=3s fail dev=ssd0",                // duplicate key
+      "at=99999999999999999999s fail dev=ssd0",   // past SimTime's range
   };
   for (const char* spec : bad) {
     auto r = FaultPlan::parse(spec);
@@ -97,6 +104,43 @@ TEST(FaultPlan, EmptySpecIsAnEmptyPlan) {
   auto r = FaultPlan::parse("  ;  ; ");
   ASSERT_TRUE(r.is_ok());
   EXPECT_TRUE(r.value().empty());
+}
+
+// Seeded mutation fuzzing of the plan parser, which takes REPRO_FAULT_PLAN
+// from the environment: swaps to plan-syntax characters, insertions,
+// deletions, truncations and repeated slices of valid plans, over a fixed
+// budget. Every mutant parses or is rejected with an error, and an accepted
+// plan's description parses again to the same description.
+TEST(FaultPlan, MutatedPlansParseOrReject) {
+  const std::string seeds[] = {
+      "at=2s fail dev=ssd1; at=500ms heal dev=ssd1",
+      "at=ops:1000 corrupt dev=ssd0 lba=16..64 count=8;"
+      "at=30us latent dev=ssd2 lba=0..4",
+      "at=1s degrade dev=primary factor=8 for=250ms; at=ops:5 powercut",
+      "at=ops:500 fail dev=ssd1; at=ops:800 replace dev=ssd1; "
+      "at=0s spare count=2",
+  };
+  common::Xoshiro256 rng(0xFA17);
+  u64 accepted = 0, rejected = 0;
+  for (int i = 0; i < 10000; ++i) {
+    std::string spec = seeds[rng.below(std::size(seeds))];
+    for (u64 m = 1 + rng.below(3); m > 0; --m)
+      testutil::mutate_text(spec, rng, "0123456789.=:;, ams");
+    const auto r = FaultPlan::parse(spec, 7);
+    if (!r.is_ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const std::string once = r.value().describe();
+    const auto again = FaultPlan::parse(once, 7);
+    ASSERT_TRUE(again.is_ok()) << "input " << i << ": '" << spec << "' -> '"
+                               << once << "': " << again.status().to_string();
+    ASSERT_EQ(again.value().describe(), once) << "input " << i << ": " << spec;
+  }
+  // The budget reaches both verdicts.
+  EXPECT_GT(accepted, 300u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 // --- injector --------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "src_cache/src_cache.hpp"
+#include "text_mutator.hpp"
 #include "workload/report.hpp"
 
 namespace srcache {
@@ -66,6 +67,43 @@ TEST(Json, ParseRejectsMalformed) {
   EXPECT_FALSE(obs::parse_json("{\"a\":1} x").is_ok());  // trailing junk
   EXPECT_FALSE(obs::parse_json("01").is_ok());           // leading zero
   EXPECT_FALSE(obs::parse_json("").is_ok());
+}
+
+// Seeded mutation fuzzing of the JSON parser, which reads REPRO_JSON
+// reports back (repro_report): swaps to JSON-syntax characters, insertions,
+// deletions, truncations and repeated slices of valid documents, over a
+// fixed budget. Every mutant parses or is rejected with an error, and an
+// accepted document's canonical form parses back to itself.
+TEST(Json, MutatedDocumentsParseOrReject) {
+  const std::string seeds[] = {
+      R"({"bench":"table10_raid","runs":[{"name":"SRC RAID-5","mbps":123.5,)"
+      R"("lat":{"p50":0.25,"p99":1e-3},"ok":true,"note":null}],)"
+      R"("perf":{"wall_s":2.5,"per_shard":[1,2,3]}})",
+      R"(["a"b\cé
+	", -0.5e+2, [[[]]], {}, false, 0, 1E9])",
+      R"({"k": {"k": {"k": [true, null, "x", -7]}}, "e": ""})",
+  };
+  common::Xoshiro256 rng(0x150E);
+  u64 accepted = 0, rejected = 0;
+  for (int i = 0; i < 10000; ++i) {
+    std::string doc = seeds[rng.below(std::size(seeds))];
+    for (u64 m = 1 + rng.below(3); m > 0; --m)
+      testutil::mutate_text(doc, rng, "{}[]\":,\\.0123456789eE+-tfnu \x01");
+    const auto r = obs::parse_json(doc);
+    if (!r.is_ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const std::string canon = obs::to_json(r.value());
+    const auto again = obs::parse_json(canon);
+    ASSERT_TRUE(again.is_ok()) << "input " << i << ": " << doc;
+    ASSERT_EQ(obs::to_json(again.value()), canon) << "input " << i << ": "
+                                                  << doc;
+  }
+  // The budget reaches both verdicts.
+  EXPECT_GT(accepted, 500u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 // --- Histogram extensions --------------------------------------------------
