@@ -2,8 +2,9 @@
 // [s × eg, (s + 1) × eg) of every SSD, its segments are one chunk per SSD
 // each, in order, and a chunk holds the MS image, the data rows, then the ME
 // image. A segment's stripe, built from its SegmentMeta header, says which
-// SSD holds each data column and which holds redundancy. No other SRC file
-// knows a chunk offset or a RAID level.
+// SSD holds each data column and which holds redundancy; Stripe::survives,
+// the one survival rule, says which columns outlive dead SSDs. No other SRC
+// file knows a chunk offset or a RAID level, or decides what outlives them.
 #pragma once
 
 #include <algorithm>
@@ -58,16 +59,21 @@ struct Stripe {
     if (!parity() || dev < parity_dev) return dev;
     return dev == parity_dev ? kParityColumn : dev - 1;
   }
-  // Whether the segment survives the SSDs flagged in `lacking` (one entry
-  // per SSD) missing their copy: none may in a plain stripe, one in a parity
-  // stripe, one of each pair in a mirror stripe.
+  // The survival rule (§4.3): whether data column `col` can still be served
+  // with the SSDs flagged in `dead` (one entry per SSD) out — yes if its own
+  // SSD or its mirror is live, or if its stripe has parity and no other SSD
+  // is dead.
+  [[nodiscard]] bool survives(u64 col, std::span<const char> dead) const {
+    const SlotPlace p = at(col, 0);
+    if (dead[p.dev] == 0) return true;
+    if (mirrored()) return dead[p.mirror] == 0;
+    return parity() && std::count(dead.begin(), dead.end(), 1) == 1;
+  }
+  // Whether every column survives the SSDs flagged in `lacking`.
   [[nodiscard]] bool rebuildable(std::span<const char> lacking) const {
-    const auto missing = std::count(lacking.begin(), lacking.end(), 1);
-    if (missing == 0) return true;
-    if (!mirrored()) return parity() && missing == 1;
-    for (u64 col = 0; col < n / 2; ++col) {
-      const SlotPlace p = at(col, 0);
-      if (lacking[p.dev] != 0 && lacking[p.mirror] != 0) return false;
+    for (size_t d = 0; d < lacking.size(); ++d) {
+      const u64 col = column(d);
+      if (col != kParityColumn && !survives(col, lacking)) return false;
     }
     return true;
   }

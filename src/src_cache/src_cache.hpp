@@ -129,8 +129,8 @@ class SrcCache final : public cache::CacheDevice {
   [[nodiscard]] u64 free_sg_count() const { return free_sgs_.size(); }
   [[nodiscard]] Residence residence(u64 lba) const;
 
-  // Reacts to SSD `ssd` fail-stopping at `now`: drops unprotected blocks,
-  // keeps parity-protected ones for on-the-fly reconstruction (§4.3).
+  // Reacts to SSD `ssd` fail-stopping at `now` (§4.3): drop_unservable; the
+  // blocks left stay cached and are rebuilt on access.
   void on_ssd_failure(size_t ssd, SimTime now);
 
   // --- online rebuild (raid/rebuild.hpp) ---
@@ -147,10 +147,9 @@ class SrcCache final : public cache::CacheDevice {
   // stale pending stripes. Wire on_rebuild_lost to its abort callback and
   // rebuild_extents as its extent source.
   void set_rebuild(raid::RebuildManager* mgr) { rebuild_ = mgr; }
-  // A second failure at `now` made `lost` ranges of `dev` unreconstructable:
-  // drops the cached blocks addressed there, counted lost, dirty or clean.
-  void on_rebuild_lost(size_t dev, const std::vector<raid::RebuildExtent>& lost,
-                       SimTime now);
+  // A second fault at `now` left ranges of a rebuilding SSD, now masked for
+  // good, unrebuildable: drop_unservable, as for a fail-stop.
+  void on_rebuild_lost(SimTime now);
 
   // Proactive integrity scrub: reads and checksum-verifies every live
   // cached block, repairing through parity/mirror/refetch as on the read
@@ -303,8 +302,8 @@ class SrcCache final : public cache::CacheDevice {
     }
   };
 
-  // One cached slot to read: the device block to read it from (a hit on a
-  // failed RAID-1 primary reads the mirror) and the caller's output index.
+  // One cached slot to read: the device block of its own copy and the
+  // caller's output index.
   struct SlotRead {
     size_t dev;
     u64 block;
@@ -421,8 +420,9 @@ class SrcCache final : public cache::CacheDevice {
     census_add(g, e.tenant, 1);
     live_total_++;
   }
-  // Drops cached blocks whose every copy is gone, counted lost.
-  void drop_lost(const std::vector<u64>& lbas);
+  // Drops every sealed slot whose column does not survive (Stripe::survives)
+  // the SSDs dev_dead at its row, counted lost; returns how many.
+  u64 drop_unservable();
   SimTime flush_all_ssds(SimTime now);
 
   SrcConfig cfg_;

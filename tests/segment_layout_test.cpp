@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -148,18 +149,35 @@ TEST(SegmentLayout, RebuildableMatchesRedundancyAtFourSsds) {
   const char* const plain = "T...............";
   const char* const parity = "TTT.T...T.......";
   const char* const mirror = "TTTTT.T.TT..T...";
+  // Per mask, whether the data column SSD d holds (d = 0..3, as primary or
+  // mirror) survives: plain columns need their own SSD, parity columns
+  // their own SSD or every other one, mirror columns either copy. The
+  // parity SSD holds no column; its entry is not asked.
+  const char* const plain_cols =
+      "TTTT .TTT T.TT ..TT TT.T .T.T T..T ...T "
+      "TTT. .TT. T.T. ..T. TT.. .T.. T... ....";
+  const char* const parity_cols =
+      "TTTT TTTT TTTT ..TT TTTT .T.T T..T ...T "
+      "TTTT .TT. T.T. ..T. TT.. .T.. T... ....";
+  const char* const mirror_cols =
+      "TTTT TTTT TTTT TTTT TTTT .T.T TTTT .T.T "
+      "TTTT TTTT T.T. T.T. TTTT .T.T T.T. ....";
   struct Case {
     RaidLevel raid;
     bool redundant;
     const char* table;
+    const char* cols;
   };
-  for (const Case c : {Case{RaidLevel::kRaid0, true, plain},
-                       Case{RaidLevel::kRaid5, false, plain},
-                       Case{RaidLevel::kRaid4, true, parity},
-                       Case{RaidLevel::kRaid5, true, parity},
-                       Case{RaidLevel::kRaid1, true, mirror}}) {
+  for (const Case c : {Case{RaidLevel::kRaid0, true, plain, plain_cols},
+                       Case{RaidLevel::kRaid5, false, plain, plain_cols},
+                       Case{RaidLevel::kRaid4, true, parity, parity_cols},
+                       Case{RaidLevel::kRaid5, true, parity, parity_cols},
+                       Case{RaidLevel::kRaid1, true, mirror, mirror_cols}}) {
     const SegmentLayout l =
         config(c.raid, CleanRedundancy::kNPC, 4, 32 * KiB).layout();
+    std::string cols(c.cols);
+    std::erase(cols, ' ');
+    ASSERT_EQ(cols.size(), 64u);
     SegmentMeta m;
     m.redundant = c.redundant;
     for (u8 pc = 0; pc < 4; ++pc) {
@@ -171,6 +189,13 @@ TEST(SegmentLayout, RebuildableMatchesRedundancyAtFourSsds) {
         EXPECT_EQ(st.rebuildable(lacking), c.table[mask] == 'T')
             << raid::to_string(c.raid) << " parity " << int{pc} << " mask "
             << mask;
+        for (u32 d = 0; d < 4; ++d) {
+          const u64 col = st.column(d);
+          if (col == kParityColumn) continue;
+          EXPECT_EQ(st.survives(col, lacking), cols[4 * mask + d] == 'T')
+              << raid::to_string(c.raid) << " parity " << int{pc} << " mask "
+              << mask << " ssd " << d;
+        }
       }
     }
   }
