@@ -131,6 +131,49 @@ TEST(MemDisk, CorruptFlipsTag) {
   EXPECT_NE(out[0], 0x1234u);
 }
 
+// A store reads 0 for every block it holds no tag for, and a disabled one
+// (a device that tracks no content) holds none, except for a block that
+// corrupt() flipped: silent corruption shows on such devices too.
+TEST(ContentStore, ReadsZeroUnlessTaggedOrCorrupted) {
+  constexpr u64 kFlip = 0xDEADBEEFCAFEBABEull;
+  for (const bool enabled : {false, true}) {
+    SCOPED_TRACE(enabled);
+    ContentStore store(enabled);
+    std::vector<u64> out(6, 7);
+    store.read(10, 4, out);
+    EXPECT_EQ(out, (std::vector<u64>{0, 0, 0, 0, 7, 7}));
+    store.write(10, 2, std::vector<u64>{5, 6});
+    store.read(10, 4, out);
+    if (enabled) {
+      EXPECT_EQ(out, (std::vector<u64>{5, 6, 0, 0, 7, 7}));
+    } else {
+      EXPECT_EQ(out, (std::vector<u64>{0, 0, 0, 0, 7, 7}));
+    }
+    store.corrupt(12);
+    store.read(10, 4, out);
+    if (enabled) {
+      EXPECT_EQ(out, (std::vector<u64>{5, 6, kFlip, 0, 7, 7}));
+    } else {
+      EXPECT_EQ(out, (std::vector<u64>{0, 0, kFlip, 0, 7, 7}));
+    }
+  }
+}
+
+// The same through a device that tracks no content.
+TEST(MemDisk, CorruptShowsWithoutContentTracking) {
+  MemDiskConfig cfg = small_cfg();
+  cfg.track_content = false;
+  MemDisk d(cfg);
+  const std::vector<u64> tags = {0x1234, 0x5678};
+  d.write(0, 9, 2, tags);
+  std::vector<u64> out(2, 1);
+  d.read(0, 9, 2, out);
+  EXPECT_EQ(out, (std::vector<u64>{0, 0}));
+  d.corrupt(10);
+  d.read(0, 9, 2, out);
+  EXPECT_EQ(out, (std::vector<u64>{0, 0xDEADBEEFCAFEBABEull}));
+}
+
 TEST(MemDisk, CorruptBreaksPayload) {
   MemDisk d(small_cfg());
   auto p = std::make_shared<std::vector<u8>>(std::vector<u8>{1, 2, 3, 4});

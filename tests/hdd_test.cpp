@@ -96,6 +96,63 @@ TEST(IscsiTarget, ServerCacheServesRepeatedReads) {
   (void)r1;
 }
 
+// The server page cache keeps two generations of server_cache_bytes / 2
+// each: a block is resident while it sits in the current or the previous
+// generation, and filling the current one makes it the previous one and
+// drops the one before. A trim or an overwrite replaces the block in both.
+TEST(IscsiTarget, PageCacheKeepsTwoGenerations) {
+  IscsiConfig cfg = small_iscsi();
+  cfg.server_cache_bytes = 8 * kBlockSize;  // two generations of 4 blocks
+  IscsiTarget t(cfg);
+  const auto write_tag = [&](u64 lba, u64 tag) {
+    EXPECT_TRUE(t.write(0, lba, 1, std::vector<u64>{tag}).ok());
+  };
+  // Reads one block, checks its tag and returns whether it came from RAM.
+  const auto read_hits = [&](u64 lba, u64 want) {
+    const u64 hits = t.ram_hits();
+    std::vector<u64> out(1, ~u64{0});
+    EXPECT_TRUE(t.read(0, lba, 1, out).ok());
+    EXPECT_EQ(out[0], want) << "lba " << lba;
+    return t.ram_hits() > hits;
+  };
+  // Writes 0..3 fill a generation, 4..7 the next: {0..3} are dropped.
+  for (u64 lba = 0; lba < 10; ++lba) write_tag(lba, 100 + lba);
+  // Current {8, 9}, previous {4, 5, 6, 7}.
+  EXPECT_TRUE(read_hits(8, 108));
+  EXPECT_TRUE(read_hits(5, 105));
+  EXPECT_TRUE(read_hits(9, 109));
+  EXPECT_TRUE(read_hits(4, 104));
+  // A trim erases the block from whichever generation holds it; the miss
+  // reads the trimmed block from disk and caches it again.
+  ASSERT_TRUE(t.trim(0, 6, 1).ok());
+  ASSERT_TRUE(t.trim(0, 9, 1).ok());
+  EXPECT_FALSE(read_hits(6, 0));
+  EXPECT_FALSE(read_hits(9, 0));
+  EXPECT_TRUE(read_hits(6, 0));
+  // Current {8, 6, 9}. Overwriting 5, in the previous generation, moves it
+  // to the current one and rolls over: previous {8, 6, 9, 5}.
+  write_tag(5, 205);
+  EXPECT_TRUE(read_hits(5, 205));
+  EXPECT_TRUE(read_hits(8, 108));
+  // 4 and 7 are two generations old now, 0..3 three.
+  EXPECT_FALSE(read_hits(7, 107));
+  EXPECT_FALSE(read_hits(4, 104));
+  EXPECT_FALSE(read_hits(0, 100));
+  // The misses refilled the current generation {7, 4, 0}: they hit now.
+  EXPECT_TRUE(read_hits(7, 107));
+  EXPECT_TRUE(read_hits(0, 100));
+  EXPECT_FALSE(read_hits(1, 101));  // fills it and rolls over
+  // Previous {7, 4, 0, 1}: 5's generation is gone.
+  EXPECT_FALSE(read_hits(5, 205));
+  EXPECT_TRUE(read_hits(4, 104));
+  write_tag(2, 102);
+  write_tag(3, 103);
+  write_tag(9, 309);  // rolls over: previous {5, 2, 3, 9}
+  EXPECT_FALSE(read_hits(4, 104));
+  EXPECT_TRUE(read_hits(9, 309));
+  EXPECT_TRUE(read_hits(5, 205));
+}
+
 TEST(IscsiTarget, ServerCacheAbsorbsWriteBursts) {
   IscsiConfig cfg;
   cfg.disk.capacity_bytes = 1 * GiB;
