@@ -79,6 +79,7 @@ class ZipfSampler {
     alpha_ = 1.0 / (1.0 - theta_);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
            (1.0 - zeta2_ / zetan_);
+    rank1_bound_ = 1.0 + std::pow(0.5, theta_);
   }
 
   // Rank 0 is the hottest item.
@@ -86,7 +87,7 @@ class ZipfSampler {
     const double u = rng_.uniform();
     const double uz = u * zetan_;
     if (uz < 1.0) return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+    if (uz < rank1_bound_) return 1;
     const auto v = static_cast<u64>(
         static_cast<double>(n_) *
         std::pow(eta_ * u - eta_ + 1.0, alpha_));
@@ -118,6 +119,7 @@ class ZipfSampler {
   double theta_;
   Xoshiro256 rng_;
   double zetan_, zeta2_, alpha_, eta_;
+  double rank1_bound_;  // 1 + 0.5^theta: u * zetan below it draws rank 1
 };
 
 }  // namespace srcache::common

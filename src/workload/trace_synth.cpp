@@ -49,7 +49,9 @@ TraceSynth::TraceSynth(const Config& cfg)
       zipf_(std::max<u64>(1, cfg.footprint_blocks /
                                  std::max<u64>(1, cfg.extent_blocks)),
             cfg.zipf_theta, cfg.seed ^ 0x5eed),
-      mean_blocks_(std::max(1.0, cfg.spec.avg_req_kb / 4.0)) {
+      mean_blocks_(std::max(1.0, cfg.spec.avg_req_kb / 4.0)),
+      log_continue_(std::log(1.0 - 1.0 / mean_blocks_)),
+      read_prob_(static_cast<double>(cfg.spec.read_pct) / 100.0) {
   if (cfg_.footprint_blocks == 0)
     throw std::invalid_argument("TraceSynth: empty footprint");
   if (cfg_.extent_blocks == 0) cfg_.extent_blocks = 1;
@@ -60,15 +62,14 @@ u32 TraceSynth::sample_req_blocks() {
   // traces are dominated by small requests with a heavy-ish tail.
   if (mean_blocks_ <= 1.0) return 1;
   const double u = std::max(1e-12, rng_.uniform());
-  const double p = 1.0 / mean_blocks_;
-  const auto k = 1 + static_cast<u32>(std::log(u) / std::log(1.0 - p));
+  const auto k = 1 + static_cast<u32>(std::log(u) / log_continue_);
   return std::min<u32>(std::max<u32>(k, 1), 256);
 }
 
 Op TraceSynth::next() {
   Op op;
   op.tenant = cfg_.tenant;
-  op.is_write = !rng_.chance(static_cast<double>(cfg_.spec.read_pct) / 100.0);
+  op.is_write = !rng_.chance(read_prob_);
   op.nblocks = sample_req_blocks();
 
   u64 lba;

@@ -72,6 +72,9 @@ class TraceSynth final : public Generator {
   common::ZipfSampler zipf_;
   u64 last_end_ = 0;
   double mean_blocks_;
+  // log(1 - 1 / mean_blocks_), the geometric size draw's denominator.
+  double log_continue_;
+  double read_prob_;  // spec.read_pct / 100
 };
 
 // A whole trace group laid out over one primary-storage LBA space: each
