@@ -1,6 +1,7 @@
 #include "hdd/iscsi_target.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace srcache::hdd {
 
@@ -62,22 +63,20 @@ SimTime IscsiTarget::half_rtt(SimTime now) const {
 }
 
 bool IscsiTarget::cache_lookup(u64 lba, u64* tag) const {
-  if (auto it = gen_cur_.find(lba); it != gen_cur_.end()) {
-    if (tag != nullptr) *tag = it->second;
-    return true;
-  }
-  if (auto it = gen_prev_.find(lba); it != gen_prev_.end()) {
-    if (tag != nullptr) *tag = it->second;
-    return true;
-  }
-  return false;
+  const u64* hit = gen_cur_.find(lba);
+  if (hit == nullptr) hit = gen_prev_.find(lba);
+  if (hit == nullptr) return false;
+  if (tag != nullptr) *tag = *hit;
+  return true;
 }
 
 void IscsiTarget::cache_insert(u64 lba, u64 tag) {
   gen_cur_[lba] = tag;
   gen_prev_.erase(lba);
   if (gen_cur_.size() >= gen_capacity_blocks_) {
-    gen_prev_ = std::move(gen_cur_);
+    // The full generation becomes the previous one; the old previous one's
+    // table, emptied, takes the new blocks.
+    std::swap(gen_cur_, gen_prev_);
     gen_cur_.clear();
   }
 }

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "block/block_device.hpp"
+#include "common/flat_map.hpp"
 #include "hdd/sim_hdd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -102,7 +102,7 @@ class IscsiTarget final : public blockdev::BlockDevice {
   double degrade_factor_ = 1.0;
   SimTime degrade_until_ = 0;
 
-  std::unordered_map<u64, u64> gen_cur_, gen_prev_;
+  common::FlatMap<u64> gen_cur_, gen_prev_;
   u64 gen_capacity_blocks_;
   // Dirty pages: writes complete once absorbed into server RAM and drain
   // to the volume in the background.

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -46,14 +47,54 @@ class ServiceTimeline {
   SimTime busy_time_ = 0;
 };
 
+// A (time, index) pair packed into one u64: the time shifted left by b bits
+// or'd with the index, b = the bit width of the index count (7 for 90).
+// Two keys compare as their pairs do, time first and then index, so an
+// array of keys kept sorted has the earliest time, the lowest index among
+// ties, at its front. A time that is negative or too large for the key
+// throws std::overflow_error rather than misorder.
+class PackedKey {
+ public:
+  explicit PackedKey(size_t count) : shift_(std::bit_width(count)) {}
+
+  [[nodiscard]] u64 pack(SimTime time, size_t index) const {
+    check_fits(time);
+    return static_cast<u64>(time) << shift_ | index;
+  }
+  [[nodiscard]] SimTime time(u64 key) const {
+    return static_cast<SimTime>(key >> shift_);
+  }
+  [[nodiscard]] size_t index(u64 key) const {
+    return key & ((u64{1} << shift_) - 1);
+  }
+  // Bits of a key below the time.
+  [[nodiscard]] int shift() const { return shift_; }
+
+  void check_fits(SimTime time) const {
+    if (static_cast<u64>(time) > ~u64{0} >> shift_) {
+      throw std::overflow_error("PackedKey: time does not fit the key");
+    }
+  }
+
+  // Replaces the front of the sorted `keys` by `key` and keeps them sorted:
+  // the keys that sort ahead of it move one slot to the front.
+  static void replace_front(std::span<u64> keys, u64 key) {
+    const auto rest = keys.begin() + 1;
+    const auto pos = std::lower_bound(rest, keys.end(), key);
+    std::move(rest, pos, keys.begin());
+    *(pos - 1) = key;
+  }
+
+ private:
+  int shift_;
+};
+
 // k identical parallel units fed from one queue (e.g. NAND dies across
 // channels). Each op goes to the earliest-free unit, the lowest index among
-// ties. The units sit in one array sorted by a packed u64 key, free time
-// shifted left by b bits or'd with the unit index (b = bit width of the
-// unit count, 7 for 90 units), so the front is the unit to pick and two
-// units compare as two integers. A free time too large for the key throws
-// std::overflow_error, before any state changes, rather than misorder.
-// This is the innermost loop of every simulated device.
+// ties. The units sit in one array sorted by their PackedKey (free time,
+// unit), so the front is the unit to pick. A free time too large for the
+// key throws std::overflow_error, before any state changes, rather than
+// misorder. This is the innermost loop of every simulated device.
 //
 // A batch is `count` equal ops cut into at most `units` shares: count /
 // units ops each, the first count % units of them one op larger (only
@@ -71,22 +112,18 @@ class MultiServer {
         merge_buf_(keys_.size()),
         tied_bits_((keys_.size() + 63) / 64, 0),
         unit_busy_(keys_.size(), 0),
-        shift_(std::bit_width(keys_.size())) {
+        key_(keys_.size()) {
     reset();
   }
 
   SimTime submit(SimTime now, SimTime service) {
     const u64 front = keys_[0];
-    const size_t unit = front & unit_mask();
+    const size_t unit = key_.index(front);
     const SimTime done = std::max(free_of(front), now) + service;
-    const u64 key = pack(done, unit);
+    const u64 key = key_.pack(done, unit);
     unit_busy_[unit] += service;
     busy_time_ += service;
-    // The units sorted ahead of the new key move one slot to the front.
-    const auto rest = keys_.begin() + 1;
-    const auto pos = std::lower_bound(rest, keys_.end(), key);
-    std::move(rest, pos, keys_.begin());
-    *(pos - 1) = key;
+    PackedKey::replace_front(keys_, key);
     return done;
   }
 
@@ -138,20 +175,7 @@ class MultiServer {
     if (units < 1) throw std::invalid_argument("MultiServer: units < 1");
     return static_cast<size_t>(units);
   }
-  [[nodiscard]] u64 unit_mask() const { return (u64{1} << shift_) - 1; }
-  [[nodiscard]] SimTime free_of(u64 key) const {
-    return static_cast<SimTime>(key >> shift_);
-  }
-  void check_fits(SimTime free) const {
-    if (static_cast<u64>(free) > ~u64{0} >> shift_) {
-      throw std::overflow_error(
-          "MultiServer: free time does not fit the packed key");
-    }
-  }
-  [[nodiscard]] u64 pack(SimTime free, size_t unit) const {
-    check_fits(free);
-    return static_cast<u64>(free) << shift_ | unit;
-  }
+  [[nodiscard]] SimTime free_of(u64 key) const { return key_.time(key); }
 
   // The batch's one-pass path: share i to the i-th sorted unit. The first
   // `extra` units take the larger share and the next ones the smaller (or,
@@ -173,7 +197,7 @@ class MultiServer {
       last = std::max(last,
                       std::max(free_of(keys_[rekeyed - 1]), now) + small);
     }
-    check_fits(last);
+    key_.check_fits(last);
     rekey_run(now, 0, extra, big);
     rekey_run(now, extra, rekeyed, small);
     busy_time_ += static_cast<SimTime>(per_unit * u + extra) * per_op;
@@ -195,11 +219,11 @@ class MultiServer {
   void rekey_run(SimTime now, u64 from, u64 to, SimTime service) {
     u64 tied = from;
     for (; tied < to && free_of(keys_[tied]) <= now; ++tied) {
-      const u64 unit = keys_[tied] & unit_mask();
+      const size_t unit = key_.index(keys_[tied]);
       tied_bits_[unit / 64] |= u64{1} << (unit % 64);
       unit_busy_[unit] += service;
     }
-    const u64 tied_key = static_cast<u64>(now + service) << shift_;
+    const u64 tied_key = static_cast<u64>(now + service) << key_.shift();
     u64 out = from;
     for (size_t w = 0; out < tied; ++w) {
       for (u64& word = tied_bits_[w]; word != 0; word &= word - 1) {
@@ -207,8 +231,8 @@ class MultiServer {
       }
     }
     for (u64 i = tied; i < to; ++i) {
-      keys_[i] += static_cast<u64>(service) << shift_;
-      unit_busy_[keys_[i] & unit_mask()] += service;
+      keys_[i] += static_cast<u64>(service) << key_.shift();
+      unit_busy_[key_.index(keys_[i])] += service;
     }
   }
 
@@ -218,7 +242,7 @@ class MultiServer {
   // One bit per unit, all clear between batches (see rekey_run).
   std::vector<u64> tied_bits_;
   std::vector<SimTime> unit_busy_;
-  int shift_;  // bits of a key that hold the unit index
+  PackedKey key_;
   SimTime busy_time_ = 0;
 };
 

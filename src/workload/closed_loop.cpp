@@ -25,25 +25,29 @@ ClosedLoop::ClosedLoop(cache::CacheDevice* cache,
       ssds_(std::move(ssds)),
       gens_(gens),
       cfg_(cfg),
+      key_(gens_.size()),
       sampler_(cfg.registry, cfg.timeseries_interval) {
   if (gens_.empty()) throw std::invalid_argument("ClosedLoop: no generators");
   const size_t streams_per_gen =
       static_cast<size_t>(cfg_.threads_per_gen) *
       static_cast<size_t>(std::max(1, cfg_.iodepth));
+  streams_.reserve(gens_.size() * streams_per_gen);
   sim::SimTime t0 = 0;
   for (size_t g = 0; g < gens_.size(); ++g) {
     for (size_t s = 0; s < streams_per_gen; ++s) {
-      heap_.emplace(t0, g);
+      streams_.push_back(key_.pack(t0, g));  // ascending: already sorted
       t0 += 100;  // stagger initial issues slightly
     }
   }
   res_.tenants.resize(cfg_.num_tenants);
 }
 
-// `measure` gates latency/trace recording so the warm-up phase stays out
-// of the histograms. Classification reads the cache's own hit counters
-// around the submit — no extra work on the cache's hot path, no per-
-// request allocation here (histograms are preallocated).
+// Issues the next request of the front stream, `g`'s, at `now` and re-keys
+// the stream to its completion. `measure` gates latency/trace recording so
+// the warm-up phase stays out of the histograms. Classification reads the
+// cache's own hit counters around the submit — no extra work on the
+// cache's hot path, no per-request allocation here (histograms are
+// preallocated).
 u64 ClosedLoop::issue(sim::SimTime now, size_t g, bool measure) {
   const Op op = gens_[g]->next();
   if (cfg_.adapt != nullptr) cfg_.adapt->observe(op.tenant, op.lba, op.nblocks);
@@ -68,6 +72,8 @@ u64 ClosedLoop::issue(sim::SimTime now, size_t g, bool measure) {
   const sim::SimTime done = cache_->submit(req);
   if (op_sampled) cfg_.spans->end_op(done, op.nblocks);
   if (done < now) throw std::logic_error("ClosedLoop: completion before issue");
+  // Throws before anything is recorded if `done` does not fit the key.
+  const u64 key = key_.pack(done, g);
   if (measure) {
     const u64 miss_after = op.is_write ? cache_->stats().write_new_blocks
                                        : cache_->stats().read_miss_blocks;
@@ -97,22 +103,21 @@ u64 ClosedLoop::issue(sim::SimTime now, size_t g, bool measure) {
                         now, done, op.nblocks);
     }
   }
-  heap_.emplace(done, g);
+  sim::PackedKey::replace_front(streams_, key);
   return blocks_to_bytes(op.nblocks);
 }
 
 void ClosedLoop::warmup() {
   u64 warmed = 0;
-  while (warmed < cfg_.warmup_bytes && !heap_.empty()) {
-    const auto [now, g] = heap_.top();
-    heap_.pop();
-    warmed += issue(now, g, /*measure=*/false);
+  while (warmed < cfg_.warmup_bytes && !streams_.empty()) {
+    const u64 front = streams_.front();
+    warmed += issue(key_.time(front), key_.index(front), /*measure=*/false);
   }
 }
 
 void ClosedLoop::start() {
   // Measurement window starts at the next event after warm-up.
-  start_ = heap_.empty() ? 0 : heap_.top().first;
+  start_ = streams_.empty() ? 0 : key_.time(streams_.front());
   measuring_ = true;
 
   for (auto* d : ssds_)
@@ -133,8 +138,9 @@ void ClosedLoop::start() {
 bool ClosedLoop::run_until(sim::SimTime until) {
   if (!measuring_) throw std::logic_error("ClosedLoop: run before start()");
   const sim::SimTime end = window_end();
-  while (!heap_.empty()) {
-    const auto [now, g] = heap_.top();
+  while (!streams_.empty()) {
+    const u64 front = streams_.front();
+    const sim::SimTime now = key_.time(front);
     if (now >= end) {
       done_ = true;
       break;
@@ -144,7 +150,6 @@ bool ClosedLoop::run_until(sim::SimTime until) {
       break;
     }
     if (now >= until) return true;  // barrier reached, more work pending
-    heap_.pop();
     if (cfg_.fault != nullptr) cfg_.fault->advance(now, res_.ops);
     // Background reconstruction interleaves at request granularity: the
     // pump is monotone and idempotent in `now`, so per-op pumping here and
@@ -152,15 +157,15 @@ bool ClosedLoop::run_until(sim::SimTime until) {
     if (cfg_.rebuild != nullptr) cfg_.rebuild->pump(now);
     if (cfg_.adapt != nullptr && cfg_.adapt->epoch_due(now))
       cfg_.adapt->run_epoch(now);
-    res_.bytes += issue(now, g, /*measure=*/true);
+    res_.bytes += issue(now, key_.index(front), /*measure=*/true);
     res_.ops++;
   }
-  done_ = done_ || heap_.empty();
+  done_ = done_ || streams_.empty();
   return !done_;
 }
 
 sim::SimTime ClosedLoop::next_event() const {
-  return heap_.empty() ? window_end() : heap_.top().first;
+  return streams_.empty() ? window_end() : key_.time(streams_.front());
 }
 
 RunResult ClosedLoop::finish() {
