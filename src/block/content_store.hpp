@@ -1,6 +1,7 @@
 // Sparse per-block content (tags + payloads) shared by all simulated devices.
 #pragma once
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "block/block_device.hpp"
@@ -34,6 +35,12 @@ class ContentStore {
 
   void read(u64 lba, u32 n, std::span<u64> tags_out) const {
     if (tags_out.empty()) return;
+    // No tag stored (always so on a disabled store, until corrupt() flips
+    // one): every block reads 0 without a probe.
+    if (tags_.empty()) {
+      std::fill_n(tags_out.begin(), n, u64{0});
+      return;
+    }
     for (u32 i = 0; i < n; ++i) {
       auto it = tags_.find(lba + i);
       tags_out[i] = it == tags_.end() ? 0 : it->second;
